@@ -163,9 +163,10 @@ class SessionRun:
     def __init__(self, workload, recorder=None) -> None:
         import stats
         from tracer import ROOT as ROOT_SPAN
+        from workloads import Session
 
         gc.collect()
-        self.session = workload.session()
+        self.session = Session()
         clock = time.perf_counter
         self.latencies: List[float] = []
         factors: List[float] = []

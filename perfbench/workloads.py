@@ -172,9 +172,6 @@ class PercmdHammer:
         self.program = hammer_program(0, [v - 1, v + 1], HAMMER_ITERS,
                                       victims_to_init=[v], pattern="rowstripe")
 
-    def session(self) -> Session:
-        return Session()
-
     def ops(self, s: Session) -> Iterator[Op]:
         sc = self.scenario
         v = self.victim
@@ -252,9 +249,6 @@ class MixedTrace:
         self.cpu_victim = rng.randrange(256, geometry.rows - 512)
         self.cpu_scenario = scaled_scenario(scale=CPU_SCALE, density_boost=HAMMER_DENSITY)
 
-    def session(self) -> Session:
-        return Session()
-
     def ops(self, s: Session) -> Iterator[Op]:
         sc = self.scenario
         for mitigation, kwargs in self.configs:
@@ -324,9 +318,6 @@ class DeviceBatch:
         self.scan_start = rng.randrange(64, 8192)
         self.codes = (("parity", ParityCode(64)), ("secded(72,64)", SECDED_72_64),
                       ("symbol(80,64)", SYMBOL_72_64))
-
-    def session(self) -> Session:
-        return Session()
 
     def ops(self, s: Session) -> Iterator[Op]:
         seed = self.seed
