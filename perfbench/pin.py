@@ -31,7 +31,7 @@ def main() -> None:
     pins = json.loads(path.read_text()) if path.is_file() else {}
     for name in args.workloads or SIM_WORKLOADS:
         for seed in args.seeds:
-            session = run.run_session(SIM_WORKLOADS[name](seed)).session
+            session = run.SessionRun(SIM_WORKLOADS[name](seed)).session
             pins.setdefault(name, {})[str(seed)] = session.digest()
             print(name, seed, pins[name][str(seed)], flush=True)
             path.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

@@ -3,7 +3,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload percmd_hammer --seed 0 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload percmd_hammer --seed 0 --seconds 16 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with every in-program
 guard (metrics, trace, spans, physics, sanitizer) off.  ``--trace 1``
@@ -191,34 +191,38 @@ class SessionRun:
         self.wall_s = sum(self.latencies) + glue * sum(factors) / len(factors)
 
 
-def run_session(workload, recorder=None) -> SessionRun:
-    return SessionRun(workload, recorder)
-
-
 class DigestCheck:
     """Each session's ``sim.*`` digest against the pin for this seed, or,
-    for an unpinned seed, against the run's first session (partial)."""
+    for an unpinned seed, against the run's first session (partial).
+
+    Every session leaves an outcome label, ``ok`` or ``mismatch``, and
+    the result line counts them with :func:`stats.error_rate`.
+    """
 
     def __init__(self, workload: str, seed: int) -> None:
         pin_file = HERE / "pins.json"
         pins = json.loads(pin_file.read_text()) if pin_file.is_file() else {}
         self.expected: Optional[Dict[str, Any]] = pins.get(workload, {}).get(str(seed))
         self.pinned = self.expected is not None
-        self.sessions = 0
-        self.mismatches = 0
+        self.outcomes: List[str] = []
 
     def check(self, digest: Dict[str, Any], label: str) -> None:
-        self.sessions += 1
         if self.expected is None:
             self.expected = digest
-        elif digest != self.expected:
-            self.mismatches += 1
+        if digest == self.expected:
+            self.outcomes.append("ok")
+        else:
+            self.outcomes.append("mismatch")
             print(f"digest mismatch ({label}): {digest} != {self.expected}")
 
-    def report(self) -> None:
+    def emit(self, metrics: Dict[str, float], units: Dict[str, str]) -> None:
+        import stats
+
+        attempted, failed, _rate = stats.error_rate(self.outcomes)
         kind = "pinned" if self.pinned else "partial (unpinned seed: sessions compared)"
-        state = "ok" if not self.mismatches else f"{self.mismatches} mismatched"
-        print(f"output check: {kind}; {self.sessions} sessions, {state}")
+        state = "ok" if not failed else f"{failed} mismatched"
+        print(f"output check: {kind}; {attempted} sessions, {state}")
+        emit(not failed, attempted, failed, metrics, units)
 
 
 def run_sim(args) -> None:
@@ -237,12 +241,10 @@ def run_sim(args) -> None:
     workload = SIM_WORKLOADS[args.workload](args.seed)
     check = DigestCheck(args.workload, args.seed)
 
-    check.check(run_session(workload).session.digest(), "warm-up")  # untimed
+    check.check(SessionRun(workload).session.digest(), "warm-up")  # untimed
 
     if args.trace:
-        metrics = traced_pass(args, workload, check, telem, phys, sanit)
-        check.report()
-        emit(not check.mismatches, check.sessions, check.mismatches, metrics, PER_LAYER)
+        check.emit(traced_pass(args, workload, check, telem, phys, sanit), PER_LAYER)
         return
 
     walls: List[float] = []
@@ -251,20 +253,19 @@ def run_sim(args) -> None:
     deadline = time.perf_counter() + args.seconds
     while (len(walls) < MIN_SESSIONS or len(latencies) < MIN_OPS
            or time.perf_counter() < deadline):
-        run = run_session(workload)
+        run = SessionRun(workload)
         walls.append(run.wall_s)
         raw_walls.append(run.raw_wall_s)
         latencies.extend(run.latencies)
         check.check(run.session.digest(), f"session {len(walls)}")
         del run  # free the session's modules before the next one
-    tail = stats.reportable_percentile(latencies, 0.9)
+    tail = stats.reportable_percentile(latencies)
     if tail is None:
         fail(f"only {len(latencies)} ops: too few for any tail percentile", code=1)
     q, p90 = tail
     print(f"{args.workload} seed={args.seed}: {len(latencies)} ops; session walls "
           f"{['%.3f' % w for w in walls]} (raw {['%.3f' % w for w in raw_walls]}); "
           f"setup samples {['%.3f' % s for s in setup]}; tail percentile q={q}")
-    check.report()
     metrics = {
         "setup_s": stats.median(setup),
         "wall_s": stats.median(walls),
@@ -273,7 +274,7 @@ def run_sim(args) -> None:
         "rt_p90_ms": p90 * 1e3,
         "jobs_per_s": len(latencies) / sum(walls),
     }
-    emit(not check.mismatches, check.sessions, check.mismatches, metrics, END_TO_END)
+    check.emit(metrics, END_TO_END)
 
 
 def _guard(name: str, on: bool, telem, phys, sanit) -> None:
@@ -296,7 +297,7 @@ def traced_pass(args, workload, check, telem, phys, sanit) -> Dict[str, float]:
 
     plain = []
     for i in range(2):
-        run = run_session(workload)
+        run = SessionRun(workload)
         plain.append(run.wall_s)
         check.check(run.session.digest(), f"untraced {i + 1}")
         del run
@@ -307,7 +308,7 @@ def traced_pass(args, workload, check, telem, phys, sanit) -> Dict[str, float]:
         for guard in GUARDS:
             _guard(guard, True, telem, phys, sanit)
             try:
-                run = run_session(workload)
+                run = SessionRun(workload)
             finally:
                 _guard(guard, False, telem, phys, sanit)
             check.check(run.session.digest(), f"guard {guard}")
@@ -318,7 +319,7 @@ def traced_pass(args, workload, check, telem, phys, sanit) -> Dict[str, float]:
     recorder = stats.SpanRecorder()
     installed = tracer.Tracer(recorder).install()
     try:
-        traced = run_session(workload, recorder)
+        traced = SessionRun(workload, recorder)
     finally:
         installed.uninstall()
     session = traced.session
@@ -380,14 +381,14 @@ def traced_pass(args, workload, check, telem, phys, sanit) -> Dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> None:
+def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--seconds", type=float, default=16.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if not (SRC / "repro" / "__init__.py").is_file():
         fail(f"no simulator sources at {SRC / 'repro'}; run from a full checkout")
     if args.setup_probe:

@@ -151,7 +151,7 @@ def spawn(state_dir: Path) -> Tuple[subprocess.Popen, int, float]:
                 status, body = Client(port).call("GET", "/healthz")
                 if status == 200 and body.get("status") == "live":
                     return proc, port, time.perf_counter() - start
-            except OSError:
+            except CALL_ERRORS:
                 pass
         time.sleep(0.002)
     stop(proc)
@@ -189,42 +189,59 @@ class Outcome:
         self.record: Dict[str, Any] = {}
 
 
+#: Exceptions a request raises when the daemon does not answer.
+CALL_ERRORS = (OSError, http.client.HTTPException)
+
+
+def _failure(exc: BaseException) -> str:
+    return "timeout" if isinstance(exc, TimeoutError) else "error"
+
+
 def submit(client: Client, spec: Dict[str, Any]) -> Outcome:
+    """One submission, polled to a terminal state.  A request the daemon
+    does not answer (refused connection, socket timeout) labels the
+    submission ``error`` or ``timeout`` instead of raising."""
     out = Outcome(spec)
     start = time.perf_counter()
-    status, body = client.call("POST", "/jobs", spec)
-    out.admit_s = time.perf_counter() - start
-    if status in (429, 503):
-        out.label = "refused"
-        return out
-    if status not in (200, 202):
-        out.label = "error"
-        return out
-    out.duplicate = bool(body.get("duplicate"))
-    sid = body["sid"]
-    record = body
-    while record.get("state") not in TERMINAL:
-        if time.perf_counter() - start > SUBMIT_DEADLINE_S:
-            out.label = "timeout"
+    try:
+        status, body = client.call("POST", "/jobs", spec)
+        out.admit_s = time.perf_counter() - start
+        if status in (429, 503):
+            out.label = "refused"
             return out
-        time.sleep(POLL_S)
-        status, record = client.call("GET", f"/jobs/{sid}")
-        if status != 200:
+        if status not in (200, 202):
             out.label = "error"
             return out
-    out.seen_terminal_ts = time.time()
-    out.rt_s = time.perf_counter() - start
-    if out.duplicate:  # the 200 body is brief; fetch the full record
-        status, record = client.call("GET", f"/jobs/{sid}")
+        out.duplicate = bool(body.get("duplicate"))
+        sid = body["sid"]
+        record = body
+        while record.get("state") not in TERMINAL:
+            if time.perf_counter() - start > SUBMIT_DEADLINE_S:
+                out.label = "timeout"
+                return out
+            time.sleep(POLL_S)
+            status, record = client.call("GET", f"/jobs/{sid}")
+            if status != 200:
+                out.label = "error"
+                return out
+        out.seen_terminal_ts = time.time()
+        out.rt_s = time.perf_counter() - start
+        if out.duplicate:  # the 200 body is brief; fetch the full record
+            status, record = client.call("GET", f"/jobs/{sid}")
+    except CALL_ERRORS as exc:
+        out.label = _failure(exc)
+        print(f"submission {out.label}: {type(exc).__name__}: {exc}")
+        return out
     out.record = record
     if record.get("state") != "done":
         out.label = "error"
     return out
 
 
-def drive(client: Client, seed: int, seconds: float) -> Tuple[List[Outcome], List[float]]:
-    """The closed loop; returns every submission and each cycle's wall,
-    in reference seconds."""
+def drive(client: Client, proc: subprocess.Popen, seed: int,
+          seconds: float) -> Tuple[List[Outcome], List[float]]:
+    """The closed loop; returns every submission and each complete
+    cycle's wall, in reference seconds.  Stops early if the daemon exits."""
     rng = random.Random(f"service_rt:{seed}")
     outcomes: List[Outcome] = []
     cycle_walls: List[float] = []
@@ -242,10 +259,16 @@ def drive(client: Client, seed: int, seconds: float) -> Tuple[List[Outcome], Lis
             out.rt_s *= factors[-1]
             out.admit_s *= factors[-1]
             outcomes.append(out)
+            if proc.poll() is not None:
+                print(f"daemon exited with {proc.returncode} mid-cycle")
+                return outcomes, cycle_walls
             if out.record.get("sid"):
                 sids.append(out.record["sid"])
             if sids:  # a status read between submissions
-                client.call("GET", f"/jobs/{rng.choice(sids)}")
+                try:
+                    client.call("GET", f"/jobs/{rng.choice(sids)}")
+                except CALL_ERRORS:
+                    pass  # the next submission fails and says why
         raw = time.perf_counter() - start - speed.calibration_s
         cycle_walls.append(raw * sum(factors) / len(factors))
     return outcomes, cycle_walls
@@ -295,8 +318,12 @@ def durable_records(state_dir: Path) -> int:
     return total
 
 
+def _median(values: List[float]) -> float:
+    return stats.median(values) if values else 0.0
+
+
 def _ms_median(values: List[float]) -> float:
-    return stats.median(values) * 1e3 if values else 0.0
+    return _median(values) * 1e3
 
 
 def run(args, emit, end_to_end: Dict[str, str], per_layer: Dict[str, str]) -> None:
@@ -319,12 +346,13 @@ def run(args, emit, end_to_end: Dict[str, str], per_layer: Dict[str, str]) -> No
         proc, port, seconds = spawn(state_dir)
         setup.append(seconds * factor)
         client = Client(port)
-        outcomes, cycle_walls = drive(client, args.seed, args.seconds)
-        _status, exposition = client.call("GET", "/metrics")
-        rss = peak_rss_mb(proc.pid)
+        outcomes, cycle_walls = drive(client, proc, args.seed, args.seconds)
+        alive = proc.poll() is None
+        exposition = client.call("GET", "/metrics")[1] if alive else ""
+        rss = peak_rss_mb(proc.pid) if alive else 0.0
         client.close()
         stop(proc)
-        if proc.returncode != 0:
+        if alive and proc.returncode != 0:
             raise RuntimeError(f"daemon drain exited {proc.returncode}")
         proc = None
         check_payloads(outcomes, state_dir)
@@ -344,7 +372,7 @@ def run(args, emit, end_to_end: Dict[str, str], per_layer: Dict[str, str]) -> No
     fresh = [o for o in outcomes if o.label == "ok" and not o.duplicate]
     jobs = sum(o.record["summary"]["jobs"] for o in fresh)
     hits = sum(o.record["summary"]["cache_hits"] for o in fresh)
-    tail = stats.reportable_percentile(rts, 0.9)
+    tail = stats.reportable_percentile(rts)
     q, p90 = tail if tail is not None else (0.0, max(rts, default=0.0))
     print(f"service_rt seed={args.seed}: {len(cycle_walls)} cycles, {attempted} submissions "
           f"({sum(o.duplicate for o in outcomes)} duplicates), {jobs} runner jobs, "
@@ -374,12 +402,13 @@ def run(args, emit, end_to_end: Dict[str, str], per_layer: Dict[str, str]) -> No
         })
         emit(not failed, attempted, failed, metrics, per_layer)
         return
+    # A run cut short by a dead daemon still prints its result line.
     metrics = {
         "setup_s": stats.median(setup),
-        "wall_s": stats.median(cycle_walls),
+        "wall_s": _median(cycle_walls),
         "peak_rss_mb": rss,
-        "rt_p50_ms": stats.median(rts) * 1e3,
+        "rt_p50_ms": _ms_median(rts),
         "rt_p90_ms": p90 * 1e3,
-        "jobs_per_s": jobs / sum(cycle_walls),
+        "jobs_per_s": jobs / max(sum(cycle_walls), 1e-9),
     }
     emit(not failed, attempted, failed, metrics, end_to_end)

