@@ -23,8 +23,9 @@ Two interchangeable engines implement these semantics:
     fast engine to.
 ``columnar``
     :class:`repro.dram.columnar.ColumnarDramBank`: dense per-bank numpy
-    state and a batched :class:`~repro.dram.stream.CommandStream`
-    executor.  The default.
+    state, a batched :class:`~repro.dram.stream.CommandStream` executor,
+    and scalar activations deferred into runs that commit exactly at
+    the next observation.  The default.
 
 ``DramBank(...)`` dispatches on the ``REPRO_DRAM_ENGINE`` environment
 variable (or an explicit ``engine=`` argument), so every consumer —

@@ -19,18 +19,41 @@ array programs: neighbor and distance-2 bumps become one event table
 (scattered via ``lexsort`` + prefix sums), per-reset window pressures
 and dominant aggressors come from segmented scans, and materialization
 evaluates :meth:`DisturbanceModel.flip_mask_batch` over pre-filtered
-candidate cells.  Scalar commands (``activate``, ``write``, ...) are
-inherited from the reference implementation unchanged — they operate on
-dict-like *views* of the columnar state, so sanitizer checkers, chaos
-injectors, and tests poke the same attributes on both engines.
+candidate cells.
+
+Scalar commands have their own columnar bodies; none runs the
+reference engine's per-command ``activate``.  ``activate`` (and the
+activation inside ``read``/``write``) only appends ``(row, time)`` to
+the bank's **pending run**.  The run is committed, in command order, by
+the first call that can observe or change what it touches: any
+refresh or ``settle``; ``execute`` or ``bulk_activate``; ``row_bits``,
+``pressure`` or ``touched_rows``; ``set_default_pattern``; reading the
+``stats`` attribute; and any method of the dict-like *views*
+(``_data``, ``_pressure``, ``_peak``, ``_last_aggressor``) that
+sanitizer checkers, chaos injectors and tests poke on both engines
+(``pressure`` and ``touched_rows`` are the reference bodies reading
+through them).  ``write`` commits before it stores, since pending
+windows read the old content.  ``open_row`` and the activation
+counters update eagerly.
+
+The commit replays the run's resets and neighbor bumps on a small
+row-keyed overlay in plain float arithmetic, per row in the same order
+as the reference's ``_bump`` calls, so pressures, peaks and each
+window's ``hammer`` are bit-identical to the reference.  It writes the
+touched rows back to the columns once and hands every closed window
+with peak > 0 to the batched materializer, which applies them in
+command order.  Under the sanitizer or tracing every activation
+commits at once (runs of one), so shadow-digest notes and trace events
+keep the reference's interleaving.
 
 Equivalence contract: for any command sequence, this engine and the
 reference engine produce identical flip logs, ``BankStats``, sanitizer
-shadow digests, stored data, and touch order; pressure/peak values may
-differ by float-summation reassociation at the ulp level (the batched
-path adds each window once via prefix sums, the reference accumulates
-per command).  :mod:`repro.dram.differential` enforces the contract on
-randomized streams.
+shadow digests, stored data, and touch order.  Scalar commands are
+float-exact as well.  Only ``execute`` ACT runs may move pressure/peak
+(and so a flip's ``hammer``) at the ulp level: they add each window once
+via prefix sums where the reference accumulates per command.
+:mod:`repro.dram.differential` enforces the contract on randomized
+streams and scalar scripts.
 """
 
 from __future__ import annotations
@@ -39,7 +62,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.dram.bank import _FLIP_BUCKETS, DramBank
+from repro.dram.bank import _FLIP_BUCKETS, BankStats, DramBank
 from repro.dram.disturbance import BLOCK_ROWS, WeakCellSet, _sorted_unique
 from repro.dram.stream import (
     OP_ACT,
@@ -62,6 +85,11 @@ __all__ = ["ColumnarDramBank"]
 _FILL_CACHE_LIMIT = 4096
 
 _EMPTY_BITS = np.empty(0, dtype=np.int64)
+
+#: Longest pending activation run before ``activate`` commits it.  A
+#: commit is exact at any point, so the cap only bounds the memory a
+#: long refresh-free run (a SoftMC hammer loop) holds.
+_RUN_LIMIT = 2048
 
 
 class _ColumnarState:
@@ -134,7 +162,26 @@ class _ColumnarState:
             self.touch_order.append(int(row))
 
 
-class _ChargeView:
+class _BankView:
+    """Base of the dict-like views over one bank's columnar state (the
+    engine itself reads and writes the columns directly).
+
+    Every access commits the bank's pending activation run first, so a
+    view never shows state that a deferred run has yet to apply.
+    """
+
+    __slots__ = ("_bank",)
+
+    def __init__(self, bank: "ColumnarDramBank") -> None:
+        self._bank = bank
+
+    @property
+    def _state(self) -> _ColumnarState:
+        self._bank._commit()
+        return self._bank._cs
+
+
+class _ChargeView(_BankView):
     """Dict-like view of one float column keyed by touched rows.
 
     Mirrors the reference engine's ``_pressure``/``_peak`` dicts: keys
@@ -142,10 +189,10 @@ class _ChargeView:
     fall back to the default (the backing array holds 0.0 there).
     """
 
-    __slots__ = ("_state", "_column")
+    __slots__ = ("_column",)
 
-    def __init__(self, state: _ColumnarState, column: str) -> None:
-        self._state = state
+    def __init__(self, bank: "ColumnarDramBank", column: str) -> None:
+        super().__init__(bank)
         self._column = column  # state attribute name: "pressure" | "peak"
 
     def _hit(self, row: int) -> bool:
@@ -164,6 +211,7 @@ class _ChargeView:
         raise KeyError(row)
 
     def __setitem__(self, row: int, value: float) -> None:
+        # Only fault-injection tests write charge through the view.
         getattr(self._state, self._column)[row] = value
         self._state.touch(row)
 
@@ -180,13 +228,10 @@ class _ChargeView:
         return bool(self._state.touch_order)
 
 
-class _LastAggressorView:
+class _LastAggressorView(_BankView):
     """Dict-like view of the last-aggressor column (-1 encodes absent)."""
 
-    __slots__ = ("_state",)
-
-    def __init__(self, state: _ColumnarState) -> None:
-        self._state = state
+    __slots__ = ()
 
     def get(self, row: int, default=None):
         state = self._state
@@ -202,14 +247,11 @@ class _LastAggressorView:
             raise KeyError(row)
         return value
 
-    def __setitem__(self, row: int, value: int) -> None:
-        self._state.last_agg[row] = value
-
     def __contains__(self, row: int) -> bool:
         return self.get(row) is not None
 
 
-class _DataView:
+class _DataView(_BankView):
     """Dict-like view of stored row data over the sparse representation.
 
     Reading a row through the view materializes its full bit array
@@ -218,13 +260,10 @@ class _DataView:
     raw array poke) always hold the authoritative storage.
     """
 
-    __slots__ = ("_bank",)
-
-    def __init__(self, bank: "ColumnarDramBank") -> None:
-        self._bank = bank
+    __slots__ = ()
 
     def get(self, row: int, default=None):
-        state = self._bank._cs
+        state = self._state
         if (state._instantiated is not None and 0 <= row < state.rows
                 and state._instantiated[row]):
             return self._bank._row_array(row)
@@ -236,29 +275,23 @@ class _DataView:
             raise KeyError(row)
         return bits
 
-    def __setitem__(self, row: int, bits: np.ndarray) -> None:
-        state = self._bank._cs
-        state.store[row] = bits
-        state.flips.pop(row, None)
-        state.instantiated[row] = True
-
     def __contains__(self, row: int) -> bool:
-        state = self._bank._cs
+        state = self._state
         return (state._instantiated is not None and 0 <= row < state.rows
                 and bool(state._instantiated[row]))
 
     def __iter__(self) -> Iterator[int]:
-        mask = self._bank._cs._instantiated
+        mask = self._state._instantiated
         if mask is None:
             return iter(())
         return iter(np.nonzero(mask)[0].tolist())
 
     def __len__(self) -> int:
-        mask = self._bank._cs._instantiated
+        mask = self._state._instantiated
         return 0 if mask is None else int(mask.sum())
 
     def __bool__(self) -> bool:
-        mask = self._bank._cs._instantiated
+        mask = self._state._instantiated
         return mask is not None and bool(mask.any())
 
 
@@ -278,10 +311,23 @@ class ColumnarDramBank(DramBank):
 
     def _init_storage(self) -> None:
         self._cs = _ColumnarState(self.geometry.rows)
+        #: Deferred activations, ``(row, time)`` in command order.
+        self._run: List[tuple] = []
         self._data = _DataView(self)
-        self._pressure = _ChargeView(self._cs, "pressure")
-        self._peak = _ChargeView(self._cs, "peak")
-        self._last_aggressor = _LastAggressorView(self._cs)
+        self._pressure = _ChargeView(self, "pressure")
+        self._peak = _ChargeView(self, "peak")
+        self._last_aggressor = _LastAggressorView(self)
+
+    @property
+    def stats(self) -> BankStats:
+        """The bank's counters and flip log, pending run applied."""
+        if self._run:
+            self._commit()
+        return self._stats
+
+    @stats.setter
+    def stats(self, value: BankStats) -> None:
+        self._stats = value
 
     # ------------------------------------------------------------------
     # Sparse storage
@@ -352,6 +398,7 @@ class ColumnarDramBank(DramBank):
 
     def row_bits(self, row: int) -> np.ndarray:
         self.geometry.check_row(row)
+        self._commit()
         state = self._cs
         fresh = not state.instantiated[row]
         bits = self._row_array(row)
@@ -360,9 +407,184 @@ class ColumnarDramBank(DramBank):
         return bits
 
     def set_default_pattern(self, name: str) -> None:
+        # Pending windows flip (and log) against the old pattern.
+        self._commit()
         super().set_default_pattern(name)
         # Cached fill rows came from the previous pattern.
         self._cs.fill_cache.clear()
+
+    # ------------------------------------------------------------------
+    # Scalar commands: deferred activation runs
+    # ------------------------------------------------------------------
+    def activate(self, row: int, time: float = 0.0) -> None:
+        """Open ``row``.  The activation joins the pending run: its
+        materialization and neighbor bumps apply at the next commit."""
+        self.geometry.check_row(row)
+        # Sanitizer checks and trace events keep the reference's
+        # interleaving with the physics only in runs of one.
+        eager = sanit.sanitize_on or telem.trace_on
+        if eager:
+            self._commit()
+            if sanit.sanitize_on:
+                sanit.check("dram.bank", self, row=row)
+        self._stats.activations += 1
+        if telem.metrics_on:
+            telem.counter("dram_activations_total", bank=self.index).inc()
+        if telem.trace_on:
+            telem.trace("activate", t=time, bank=self.index, row=row)
+        if phys.physics_on:
+            phys.get_collector().record_activation(self.index, row)
+        self.open_row = row
+        run = self._run
+        run.append((row, time))
+        if eager or len(run) >= _RUN_LIMIT:
+            self._commit()
+
+    def bulk_activate(self, row: int, count: int, time: float = 0.0) -> None:
+        self.geometry.check_row(row)
+        if count <= 0:
+            return
+        self._commit()
+        if sanit.sanitize_on:
+            sanit.check("dram.bank", self, row=row)
+        self._stats.activations += count
+        if telem.metrics_on:
+            telem.counter("dram_activations_total", bank=self.index).inc(count)
+        if telem.trace_on:
+            telem.trace("activate", t=time, bank=self.index, row=row, count=count)
+        if phys.physics_on:
+            phys.get_collector().record_activation(self.index, row, count)
+        self.open_row = row
+        if telem.spans_on:
+            with telem.span("dram.bulk_activate"):
+                self._apply_acts(((row, time),), count)
+        else:
+            self._apply_acts(((row, time),), count)
+
+    def read(self, row: int, time: float = 0.0) -> np.ndarray:
+        if self.open_row != row:
+            self.activate(row, time)
+        elif sanit.sanitize_on:
+            sanit.check("dram.bank", self, row=row)
+        self._stats.reads += 1
+        if telem.metrics_on:
+            telem.counter("dram_reads_total", bank=self.index).inc()
+        return self.row_bits(row).copy()
+
+    def write(self, row: int, bits: np.ndarray, time: float = 0.0) -> None:
+        if self.open_row != row:
+            self.activate(row, time)
+        elif sanit.sanitize_on:
+            sanit.check("dram.bank", self, row=row)
+        expected = self.geometry.row_bits
+        if bits.shape != (expected,):
+            raise ValueError(f"row data must have shape ({expected},), got {bits.shape}")
+        # Pending windows read this row's old content.
+        self._commit()
+        self._stats.writes += 1
+        if telem.metrics_on:
+            telem.counter("dram_writes_total", bank=self.index).inc()
+        state = self._cs
+        state.store[row] = bits.astype(np.uint8, copy=True)
+        state.flips.pop(row, None)
+        state.instantiated[row] = True
+        state.pressure[row] = 0.0
+        state.peak[row] = 0.0
+        state.touch(row)
+        if sanit.sanitize_on:
+            sanit.note("dram.bank", self, row=row)
+
+    def refresh_row(self, row: int, time: float = 0.0) -> np.ndarray:
+        self.geometry.check_row(row)
+        self._commit()
+        if sanit.sanitize_on:
+            sanit.check("dram.bank", self, row=row)
+        self._stats.refreshes += 1
+        if telem.metrics_on:
+            telem.counter("dram_refreshes_total", bank=self.index).inc()
+        if telem.trace_on:
+            telem.trace("refresh", t=time, bank=self.index, row=row)
+        state = self._cs
+        if state._touched is None or not state._touched[row]:
+            # Undisturbed row: refresh is a no-op for the model.
+            return _EMPTY_BITS
+        peak = state.peak.item(row)
+        if not peak and not state.pressure[row]:
+            return _EMPTY_BITS
+        flipped = _EMPTY_BITS
+        if peak > 0:
+            flipped = self._materialize_window(
+                row, peak, state.last_agg.item(row), time, "refresh",
+                self._flip_metrics("refresh"))
+        state.pressure[row] = 0.0
+        state.peak[row] = 0.0
+        return flipped
+
+    def _commit(self) -> None:
+        """Apply the pending activation run, if any."""
+        if self._run:
+            run, self._run = self._run, []
+            self._apply_acts(run, 1)
+
+    def _apply_acts(self, acts, count: int) -> None:
+        """Apply ``(row, time)`` activations in command order, each
+        ``count`` back-to-back ACTs of its row, exactly as the
+        reference's scalar ``activate``/``bulk_activate`` do.
+
+        Resets and bumps replay on a row-keyed overlay of ``[pressure,
+        peak, last aggressor]`` in plain float arithmetic: per row, the
+        same additions in the same order as the reference's ``_bump``
+        calls, so every value is bit-identical (nothing is derived by
+        subtracting prefix sums).  A row's first load appends it to the
+        touch order where the reference's first dict insertion would.
+        The overlay is written back once; then every window an
+        activation closed with peak > 0 materializes, in command order.
+        """
+        state = self._cs
+        pressure, peak, last_agg = state.pressure, state.peak, state.last_agg
+        touched, touch_order = state.touched, state.touch_order
+        n_rows = state.rows
+        weight = float(count)
+        bumps = [(-1, weight, True), (1, weight, True)]
+        d2 = self.model.profile.distance2_weight
+        if d2 > 0:
+            bumps += [(-2, d2 * count, False), (2, d2 * count, False)]
+        overlay: Dict[int, list] = {}
+
+        def load(r: int) -> list:
+            if not touched[r]:
+                touched[r] = True
+                touch_order.append(int(r))
+            cell = overlay[r] = [pressure.item(r), peak.item(r),
+                                 last_agg.item(r)]
+            return cell
+
+        windows: List[tuple] = []
+        for row, time in acts:
+            cell = overlay.get(row) or load(row)
+            if cell[1] > 0:
+                windows.append((row, cell[1], cell[2], time))
+            cell[0] = cell[1] = 0.0
+            for offset, w, claims in bumps:
+                victim = row + offset
+                if 0 <= victim < n_rows:
+                    cell = overlay.get(victim) or load(victim)
+                    new = cell[0] + w
+                    cell[0] = new
+                    if new > cell[1]:
+                        cell[1] = new
+                    if claims:
+                        cell[2] = row
+        for row, (p, k, agg) in overlay.items():
+            pressure[row] = p
+            peak[row] = k
+            last_agg[row] = agg
+        if windows:
+            rows, peaks, aggs, times = zip(*windows)
+            self._materialize_batch(
+                np.array(rows, dtype=np.int64), np.array(peaks),
+                np.array(aggs, dtype=np.int64),
+                np.array(times, dtype=np.float64), "activate")
 
     # ------------------------------------------------------------------
     # Batched materialization
@@ -383,16 +605,43 @@ class ColumnarDramBank(DramBank):
         in window order, so later windows read data already disturbed
         by earlier ones — exactly the reference's sequential behavior.
 
-        The common case (distinct victim rows, sanitizer off) runs as
-        one array program over every window's candidate cells; repeated
+        Outside the sanitizer, a window whose peak sits below the
+        lowest threshold any cell can have (the profile floor) flips
+        nothing, reads nothing and invalidates nothing: it only
+        instantiates its rows, so a batch drops it up front.  The
+        common case of what remains (distinct victim rows) runs as one
+        array program over every window's candidate cells; repeated
         victims or sanitize mode fall back to the per-window loop.
         """
         if not sanit.sanitize_on and len(vrows) > 1:
-            srt = np.sort(vrows)
-            if not (srt[1:] == srt[:-1]).any():
-                return self._materialize_vectorized(vrows, peaks, aggs,
-                                                    times, cause)
-        return self._materialize_sequential(vrows, peaks, aggs, times, cause)
+            live = self._flip_floor() <= peaks
+            if not live.all():
+                instantiated = self._cs.instantiated
+                instantiated[vrows] = True
+                instantiated[aggs[aggs >= 0]] = True
+                vrows, peaks = vrows[live], peaks[live]
+                aggs, times = aggs[live], times[live]
+            if len(vrows) > 1:
+                srt = np.sort(vrows)
+                if not (srt[1:] == srt[:-1]).any():
+                    return self._materialize_vectorized(vrows, peaks, aggs,
+                                                        times, cause)
+        metrics = self._flip_metrics(cause)
+        total = 0
+        for i in range(len(vrows)):
+            total += len(self._materialize_window(
+                int(vrows[i]), float(peaks[i]), int(aggs[i]),
+                float(times[i]), cause, metrics))
+        return total
+
+    def _flip_floor(self) -> float:
+        """The lowest pressure at which any cell of the profile can flip.
+
+        Aggressor-sensitive relief normally *raises* thresholds; only a
+        relief factor below 1 could let hc_first > peak cells flip.
+        """
+        profile = self.model.profile
+        return profile.hc_first_min * min(1.0, profile.dpd_relief)
 
     def _flip_metrics(self, cause: str):
         """Resolved ``(counter, histogram)`` for flip telemetry, or
@@ -405,8 +654,7 @@ class ColumnarDramBank(DramBank):
                               bank=self.index, cause=cause),
                 telem.histogram("dram_flips_per_event", edges=_FLIP_BUCKETS))
 
-    def _flip_row_now(self, row: int, peak: float, agg: int,
-                      relief_floor: float) -> np.ndarray:
+    def _flip_row_now(self, row: int, peak: float, agg: int) -> np.ndarray:
         """Bit indices of ``row`` that flip at ``peak`` against the
         *current* stored content (not yet applied)."""
         model = self.model
@@ -414,8 +662,9 @@ class ColumnarDramBank(DramBank):
         # profile floor, and no cell in the row sits below its min_hc —
         # either one above the peak means nothing can flip (and the
         # first avoids fetching the weak-cell block at all).
-        if model.profile.hc_first_min * relief_floor > peak:
+        if self._flip_floor() > peak:
             return _EMPTY_BITS
+        relief_floor = min(1.0, model.profile.dpd_relief)
         block = model.weak_cells_block(self.index, row)
         rel = row - block.start
         if block.min_hc[rel] * relief_floor > peak:
@@ -435,57 +684,41 @@ class ColumnarDramBank(DramBank):
         mask = model.flip_mask_batch(subset, peak, victim_vals, agg_vals)
         return cbits[mask]
 
-    def _materialize_sequential(
-        self,
-        vrows: np.ndarray,
-        peaks: np.ndarray,
-        aggs: np.ndarray,
-        times: np.ndarray,
-        cause: str,
-    ) -> int:
-        model = self.model
-        state = self._cs
+    def _materialize_window(self, row: int, peak: float, agg: int,
+                            time: float, cause: str, metrics) -> np.ndarray:
+        """Materialize one pending-flip window of ``row`` (``peak`` > 0)
+        and return the flipped bit indices.  ``metrics`` is
+        :meth:`_flip_metrics`'s result for ``cause``."""
         sanitize = sanit.sanitize_on
-        # Aggressor-sensitive relief normally *raises* thresholds; only
-        # a relief factor below 1 could let hc_first > peak cells flip.
-        relief_floor = min(1.0, model.profile.dpd_relief)
-        metrics = self._flip_metrics(cause)
-        tracing = telem.trace_on
-        total = 0
-        for i in range(len(vrows)):
-            row = int(vrows[i])
-            peak = float(peaks[i])
-            agg = int(aggs[i])
+        if sanitize:
+            # Take the reference's exact path so instantiation and
+            # shadow-digest notes happen at identical points.
+            bits = self.row_bits(row)
+            agg_bits = self.row_bits(agg) if agg >= 0 else None
+            flipped = self.model.apply_flips(self.index, row, peak, bits,
+                                             agg_bits)
+        else:
+            instantiated = self._cs.instantiated
+            instantiated[row] = True
+            if agg >= 0:
+                instantiated[agg] = True
+            flipped = self._flip_row_now(row, peak, agg)
+            if len(flipped):
+                self._apply_row_flips(row, flipped)
+        n_flips = len(flipped)
+        if n_flips:
             if sanitize:
-                # Take the reference's exact path so instantiation and
-                # shadow-digest notes happen at identical points.
-                bits = self.row_bits(row)
-                agg_bits = self.row_bits(agg) if agg >= 0 else None
-                flipped = model.apply_flips(self.index, row, peak, bits, agg_bits)
-            else:
-                instantiated = state.instantiated
-                instantiated[row] = True
-                if agg >= 0:
-                    instantiated[agg] = True
-                flipped = self._flip_row_now(row, peak, agg, relief_floor)
-                if len(flipped):
-                    self._apply_row_flips(row, flipped)
-            n_flips = len(flipped)
-            if n_flips:
-                if sanitize:
-                    sanit.note("dram.bank", self, row=row)
-                t = float(times[i])
-                self.stats.record_flips(row, flipped, t, aggressor=agg,
-                                        hammer=peak,
-                                        pattern=self.default_pattern_name)
-                if metrics:
-                    metrics[0].inc(n_flips)
-                    metrics[1].observe(n_flips)
-                if tracing:
-                    telem.trace("bit_flip", t=t, bank=self.index,
-                                row=row, bits=n_flips, cause=cause)
-                total += n_flips
-        return total
+                sanit.note("dram.bank", self, row=row)
+            self._stats.record_flips(row, flipped, time, aggressor=agg,
+                                     hammer=peak,
+                                     pattern=self.default_pattern_name)
+            if metrics:
+                metrics[0].inc(n_flips)
+                metrics[1].observe(n_flips)
+            if telem.trace_on:
+                telem.trace("bit_flip", t=time, bank=self.index,
+                            row=row, bits=n_flips, cause=cause)
+        return flipped
 
     def _materialize_vectorized(
         self,
@@ -514,22 +747,6 @@ class ColumnarDramBank(DramBank):
         valid_agg = aggs >= 0
         if valid_agg.any():
             instantiated[aggs[valid_agg]] = True
-
-        # Profile-floor precheck: a window whose peak sits below the
-        # lowest threshold any cell can have flips nothing, reads
-        # nothing, and invalidates nothing — drop it before touching
-        # (or generating) weak-cell blocks.  Reference equivalence only
-        # needs the instantiation marking above.
-        floor = model.profile.hc_first_min * relief_floor
-        if floor > 0:
-            live = floor <= peaks
-            if not live.all():
-                if not live.any():
-                    return 0
-                vrows = vrows[live]
-                peaks = peaks[live]
-                aggs = aggs[live]
-                times = times[live]
 
         starts = vrows - vrows % BLOCK_ROWS
         store, sflips = state.store, state.flips
@@ -666,7 +883,7 @@ class ColumnarDramBank(DramBank):
             if total:
                 if metrics:
                     metrics[0].inc(total)
-                self.stats.record_flips_batch(
+                self._stats.record_flips_batch(
                     np.repeat(np.asarray(rows_l, dtype=np.int64), counts_l),
                     np.concatenate(flips_l),
                     np.repeat(np.asarray(times_l), counts_l),
@@ -678,7 +895,7 @@ class ColumnarDramBank(DramBank):
 
         # Apply in window order; re-evaluate any window whose inputs an
         # earlier window's flips invalidated.
-        record = self.stats.record_flips
+        record = self._stats.record_flips
         dirty: set = set()
         total = 0
         for i in sorted(chunks):
@@ -686,8 +903,7 @@ class ColumnarDramBank(DramBank):
             row = int(vrows[i])
             agg = int(aggs[i])
             if row in dirty or (agg >= 0 and agg in dirty):
-                flipped = self._flip_row_now(row, float(peaks[i]), agg,
-                                             relief_floor)
+                flipped = self._flip_row_now(row, float(peaks[i]), agg)
             elif count:
                 flipped = bits[s:e][mask[s:e]]
             else:
@@ -714,9 +930,10 @@ class ColumnarDramBank(DramBank):
     # ------------------------------------------------------------------
     def refresh_all(self, time: float = 0.0) -> int:
         with telem.span("dram.refresh_all"):
+            self._commit()
             state = self._cs
             rows = list(state.touch_order)
-            self.stats.refreshes += len(rows)
+            self._stats.refreshes += len(rows)
             if rows and telem.metrics_on:
                 telem.counter("dram_refreshes_total", bank=self.index).inc(len(rows))
             if telem.trace_on:
@@ -728,7 +945,7 @@ class ColumnarDramBank(DramBank):
             if not rows:
                 # Epoch advances per bank-wide REF even with nothing to
                 # refresh — the reference loop body is simply empty.
-                self.stats.refresh_epoch += 1
+                self._stats.refresh_epoch += 1
                 return 0
             row_arr = np.asarray(rows, dtype=np.int64)
             peaks = state.peak[row_arr]
@@ -741,10 +958,11 @@ class ColumnarDramBank(DramBank):
                     np.full(len(victims), float(time)), "refresh")
             state.pressure[row_arr] = 0.0
             state.peak[row_arr] = 0.0
-            self.stats.refresh_epoch += 1
+            self._stats.refresh_epoch += 1
             return flips
 
     def refresh_rows(self, rows: Sequence[int], time: float = 0.0) -> int:
+        self._commit()
         state = self._cs
         row_arr = np.asarray(list(rows), dtype=np.int64)
         if len(row_arr) == 0:
@@ -752,7 +970,7 @@ class ColumnarDramBank(DramBank):
         if len(row_arr) and (row_arr.min() < 0 or row_arr.max() >= state.rows):
             bad = row_arr[(row_arr < 0) | (row_arr >= state.rows)][0]
             self.geometry.check_row(int(bad))
-        self.stats.refreshes += len(row_arr)
+        self._stats.refreshes += len(row_arr)
         if telem.metrics_on:
             telem.counter("dram_refreshes_total", bank=self.index).inc(len(row_arr))
         if telem.trace_on:
@@ -780,6 +998,7 @@ class ColumnarDramBank(DramBank):
 
     def settle(self, time: float = 0.0) -> int:
         with telem.span("dram.settle"):
+            self._commit()
             state = self._cs
             flips = 0
             if state.touch_order:
@@ -803,7 +1022,8 @@ class ColumnarDramBank(DramBank):
     # ------------------------------------------------------------------
     def execute(self, stream: CommandStream) -> int:
         with telem.span("dram.execute"):
-            before = self.stats.flips_materialized
+            self._commit()
+            before = self._stats.flips_materialized
             act_counter = (telem.counter("dram_activations_total",
                                          bank=self.index)
                            if telem.metrics_on else None)
@@ -819,7 +1039,7 @@ class ColumnarDramBank(DramBank):
                         continue
                     if sanit.sanitize_on:
                         sanit.check("dram.bank", self, row=cmd.row)
-                    self.stats.activations += cmd.count
+                    self._stats.activations += cmd.count
                     if act_counter is not None:
                         act_counter.inc(cmd.count)
                     if telem.trace_on:
@@ -852,7 +1072,7 @@ class ColumnarDramBank(DramBank):
                         raise ValueError(f"unknown stream opcode {op}")
             if act_rows:
                 self._flush_acts(act_rows, act_counts, act_times)
-            return self.stats.flips_materialized - before
+            return self._stats.flips_materialized - before
 
     def _flush_acts(self, rows: List[int], counts: List[int],
                     times: List[float]) -> None:

@@ -1,25 +1,37 @@
 """Differential oracle: columnar engine vs per-command reference.
 
-The columnar engine re-derives the bank semantics as array programs;
-this harness is the proof obligation that came with it.  A seeded
-random :class:`~repro.dram.stream.CommandStream` (weighted toward the
-shapes that stress the batched math: double-sided bursts, repeated
-aggressors, distance-2-heavy profiles, interleaved refreshes and
-writes) replays through both engines, and the resulting observations
-must agree:
+The columnar engine re-derives the bank semantics as array programs
+and deferred activation runs; this harness is the proof obligation
+that came with it.  Two kinds of seeded random input replay through
+both engines:
 
-* **exactly** — flip logs, ``BankStats`` counters, sanitizer shadow
-  digests, stored row data, instantiated-row set, touch order, open
-  row, and the ``execute`` return value;
-* **to float tolerance** — per-row pressure/peak, where the batched
-  prefix-sum windows legitimately reassociate the reference's
-  per-command additions (ulp-level differences that cannot move a
-  threshold crossing except on a measure-zero set).
+* **command streams** (:func:`run_differential`): a
+  :class:`~repro.dram.stream.CommandStream` weighted toward the shapes
+  that stress the batched math (double-sided bursts, repeated
+  aggressors, distance-2-heavy profiles, interleaved refreshes and
+  writes), run through ``execute``;
+* **scalar scripts** (:func:`run_script_differential`): one public
+  bank call at a time — ``activate``, ``bulk_activate``, ``precharge``,
+  ``read``, ``write``, ``refresh_row``, ``refresh_rows``,
+  ``refresh_all``, ``settle`` — the calls the controller, CPU and
+  SoftMC paths make, with ``stats``, ``pressure()`` and ``row_bits``
+  observed mid-script (each a commit point of the columnar engine's
+  pending activation run).
+
+The resulting observations must agree **exactly** — flip logs,
+``BankStats`` counters, sanitizer shadow digests, stored row data,
+instantiated-row set, touch order, open row, return values and
+mid-script probes.  Per-row pressure/peak and each flip's ``hammer``
+are exact for scripts too.  Streams compare those to a float tolerance,
+because ``execute``'s prefix-sum windows legitimately reassociate the
+reference's per-command additions (ulp-level differences that cannot
+move a threshold crossing except on a measure-zero set).
 
 ``repro.dram.differential`` is also importable from tests and CI: the
-property suite in ``tests/test_differential.py`` runs 100+ seeds, and
-the ``differential`` CI job runs it under ``REPRO_SANITIZE=full`` so
-the shadow-digest machinery is part of the comparison.
+property suite in ``tests/test_differential.py`` runs 100+ seeds of
+each kind, and the ``differential`` CI job runs it under
+``REPRO_SANITIZE=full`` so the shadow-digest machinery is part of the
+comparison.
 """
 
 from __future__ import annotations
@@ -40,9 +52,12 @@ __all__ = [
     "EngineObservation",
     "diff_observations",
     "observe",
+    "random_script",
     "random_stream",
+    "replay_script",
     "replay_stream",
     "run_differential",
+    "run_script_differential",
 ]
 
 #: Geometry small enough for hundreds of replays, large enough for
@@ -85,6 +100,8 @@ class EngineObservation:
     touched_rows: List[int]
     row_data: Dict[int, np.ndarray]
     digests: Dict[int, int] = field(default_factory=dict)
+    #: Mid-script observations and return values, in script order.
+    probes: List[tuple] = field(default_factory=list)
 
 
 def random_stream(
@@ -195,11 +212,19 @@ def diff_observations(
     exact("touched_rows", reference.touched_rows, candidate.touched_rows)
     exact("last_aggressor", reference.last_aggressor, candidate.last_aggressor)
     exact("shadow digests", reference.digests, candidate.digests)
+    if reference.probes != candidate.probes:
+        for i, (a, b) in enumerate(zip(reference.probes, candidate.probes)):
+            if a != b:
+                problems.append(f"probe {i}: reference={a!r} vs candidate={b!r}")
+                break
+        else:
+            problems.append(f"probes: {len(reference.probes)} vs "
+                            f"{len(candidate.probes)} entries")
     # Flip-log entries carry provenance: (row, bit, time, aggressor,
     # hammer, pattern, epoch).  Every field must match exactly except
-    # the hammer pressure, which the columnar engine accumulates in a
-    # different association order and so may differ by ulps — it gets
-    # the same float tolerance as the pressure/peak maps.
+    # the hammer pressure, which ``execute`` accumulates in a different
+    # association order and so may differ by ulps — it gets the same
+    # float tolerance as the pressure/peak maps (zero for scripts).
     def entries_match(a: tuple, b: tuple) -> bool:
         if len(a) != len(b):
             return False
@@ -266,6 +291,150 @@ def run_differential(
         "pattern": pattern,
         "profile_density": profile.weak_cell_density,
         "commands": len(stream),
+        "flips": reference.stats["flips_materialized"],
+        "ok": not problems,
+        "mismatches": problems,
+    }
+
+
+def _stats_probe(bank: DramBank) -> tuple:
+    stats = bank.stats
+    return ("stats", stats.activations, stats.refreshes, stats.reads,
+            stats.writes, stats.flips_materialized, stats.refresh_epoch,
+            len(stats.flip_log), tuple(stats.flip_log[-1:]))
+
+
+#: Steps per scalar script, and the longest double-sided burst (in
+#: pairs) one step issues: ~9 k calls per script, and bursts on one
+#: anchor add up past the profiles' threshold floors between refreshes.
+_SCRIPT_STEPS = 60
+_SCRIPT_MAX_BURST = 400
+
+
+def random_script(
+    seed: int,
+    geometry: DramGeometry = DEFAULT_GEOMETRY,
+) -> List[tuple]:
+    """A seeded random scalar script: ``(call, *args)`` tuples.
+
+    Double-sided scalar hammer bursts on a few anchor victims carry
+    most of the activations, so pressure crosses thresholds through
+    the per-command path itself; bulk activations, row data traffic,
+    every refresh form, settles and mid-script observations (``stats``,
+    ``pressure``, ``row_bits``) interleave at random.
+    """
+    rng = derive_rng(seed, "diffscript")
+    rows = geometry.rows
+    victims = rng.integers(2, rows - 2, size=4)
+    script: List[tuple] = []
+    time = 0.0
+
+    def any_row() -> int:
+        # Edge rows are over-represented: off-device neighbors are skipped.
+        if rng.random() < 0.15:
+            return int(rng.choice([0, 1, rows - 2, rows - 1]))
+        return int(rng.integers(0, rows))
+
+    for _ in range(_SCRIPT_STEPS):
+        time += float(rng.integers(1, 50))
+        kind = rng.random()
+        if kind < 0.30:
+            victim = int(victims[rng.integers(len(victims))])
+            close = rng.random() < 0.5
+            for _ in range(int(rng.integers(1, _SCRIPT_MAX_BURST))):
+                time += 1.0
+                script.append(("activate", victim - 1, time))
+                if close:
+                    script.append(("precharge",))
+                script.append(("activate", victim + 1, time))
+        elif kind < 0.38:
+            script.append(("bulk_activate", any_row(),
+                           int(rng.integers(0, 3_000)), time))
+        elif kind < 0.46:
+            script.append(("activate", any_row(), time))
+        elif kind < 0.50:
+            script.append(("precharge",))
+        elif kind < 0.56:
+            script.append(("read", any_row(), time))
+        elif kind < 0.62:
+            bits = rng.integers(0, 2, size=geometry.row_bits).astype(np.uint8)
+            script.append(("write", any_row(), bits, time))
+        elif kind < 0.68:
+            script.append(("refresh_row", any_row(), time))
+        elif kind < 0.72:
+            batch = [any_row() for _ in range(int(rng.integers(1, 6)))]
+            script.append(("refresh_rows", batch, time))
+        elif kind < 0.75:
+            script.append(("refresh_all", time))
+        elif kind < 0.78:
+            script.append(("settle", time))
+        elif kind < 0.86:
+            script.append(("stats",))
+        elif kind < 0.94:
+            script.append(("pressure", int(victims[rng.integers(len(victims))])
+                           + int(rng.integers(-2, 3))))
+        else:
+            script.append(("row_bits", any_row()))
+    script.append(("stats",))
+    return script
+
+
+def replay_script(
+    script: List[tuple],
+    engine: str,
+    geometry: DramGeometry = DEFAULT_GEOMETRY,
+    profile: VulnerabilityProfile = DEFAULT_PROFILES[0],
+    seed: int = 0,
+    pattern: str = "solid1",
+) -> EngineObservation:
+    """Run a scalar script on a fresh bank of the given engine.
+
+    Every call's return value and every observation step becomes a
+    probe, compared exactly between engines.
+    """
+    model = DisturbanceModel(geometry, profile, seed)
+    bank = DramBank(geometry, model, 0, default_pattern=pattern, engine=engine)
+    probes: List[tuple] = []
+    for call, *args in script:
+        if call == "stats":
+            probes.append(_stats_probe(bank))
+        elif call == "pressure":
+            probes.append(("pressure", args[0], bank.pressure(args[0])))
+        elif call == "row_bits":
+            probes.append(("row_bits", args[0], bank.row_bits(args[0]).tobytes()))
+        else:
+            result = getattr(bank, call)(*args)
+            if isinstance(result, np.ndarray):
+                result = result.tobytes()
+            if result is not None:
+                probes.append((call, result))
+    observation = observe(bank, 0)
+    observation.probes = probes
+    return observation
+
+
+def run_script_differential(
+    seed: int,
+    geometry: DramGeometry = DEFAULT_GEOMETRY,
+    profile: Optional[VulnerabilityProfile] = None,
+    pattern: Optional[str] = None,
+) -> Dict[str, object]:
+    """One scalar-script oracle round: both engines, exact comparison
+    (pressure, peak and ``hammer`` included)."""
+    if profile is None:
+        profile = DEFAULT_PROFILES[seed % len(DEFAULT_PROFILES)]
+    if pattern is None:
+        pattern = _PATTERNS[(seed // len(DEFAULT_PROFILES)) % len(_PATTERNS)]
+    script = random_script(seed, geometry)
+    reference = replay_script(script, "reference", geometry, profile, seed, pattern)
+    candidate = replay_script(script, "columnar", geometry, profile, seed, pattern)
+    problems = diff_observations(reference, candidate,
+                                 float_rtol=0.0, float_atol=0.0)
+    return {
+        "seed": seed,
+        "pattern": pattern,
+        "profile_density": profile.weak_cell_density,
+        "commands": len(script),
         "flips": reference.stats["flips_materialized"],
         "ok": not problems,
         "mismatches": problems,

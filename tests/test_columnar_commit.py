@@ -1,0 +1,233 @@
+"""Deferred activation runs in the columnar engine: commit points and
+guards.
+
+Scalar ``activate`` calls only queue ``(row, time)`` on the bank's
+pending run.  Every call that can observe or change what the run
+touches must commit it first, so each observation below is taken with
+the run still pending (no ``finish()``, no settle) and must equal the
+reference engine's, which applied every command as it arrived.
+Under tracing and the sanitizer each activation commits at once, so
+event order and shadow digests match the reference too; physics
+provenance matches either way.
+"""
+
+import numpy as np
+import pytest
+
+from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
+from repro.dram.columnar import _RUN_LIMIT
+from repro.dram.stream import CommandStream
+from repro.dram.timing import DDR3_1333
+from repro.sanitizer import runtime as sanit
+from repro.telemetry import MetricsRegistry, PhysicsCollector, SpanProfiler, TraceRecorder
+from repro.telemetry import physics as phys
+from repro.telemetry import runtime as telem
+
+GEO = DramGeometry(banks=2, rows=256, row_bytes=64)
+PROFILE = VulnerabilityProfile(
+    weak_cell_density=0.06, hc_first_median=2_000, hc_first_min=500,
+    distance2_weight=0.1)
+ENGINES = ("reference", "columnar")
+VICTIM = 100
+#: Pairs of aggressor activations per hammer: past the threshold floor,
+#: so the victim's own closing activation flips cells, and one run
+#: short of the engine's run cap, so nothing commits early.
+PAIRS = 1_000
+
+
+@pytest.fixture(autouse=True)
+def _clean_observers():
+    # Deferral is what these tests observe; the guard tests below switch
+    # the sanitizer on themselves (conftest re-syncs the level after).
+    sanit.set_level("off")
+    prev = (telem.swap_registry(MetricsRegistry()),
+            telem.swap_tracer(TraceRecorder()),
+            telem.swap_profiler(SpanProfiler()),
+            phys.swap_collector(PhysicsCollector()))
+    telem.disable_all()
+    phys.disable_physics()
+    yield
+    telem.disable_all()
+    phys.disable_physics()
+    telem.swap_registry(prev[0])
+    telem.swap_tracer(prev[1])
+    telem.swap_profiler(prev[2])
+    phys.swap_collector(prev[3])
+
+
+def hammered(engine, pattern="rowstripe"):
+    """A module whose bank 0 holds a deferred double-sided hammer that
+    ends by sensing the victim (a flipping window) and one neighbor."""
+    module = DramModule(geometry=GEO, timing=DDR3_1333, profile=PROFILE,
+                        default_pattern=pattern, seed=7, engine=engine)
+    t = 0.0
+    for _ in range(PAIRS):
+        for row in (VICTIM - 1, VICTIM + 1):
+            module.activate(0, row, t)
+            module.precharge(0)
+            t += 50.0
+    module.activate(0, VICTIM, t)
+    module.activate(0, VICTIM + 2, t + 50.0)
+    return module
+
+
+def pending(module):
+    bank = module.bank(0)
+    return len(getattr(bank, "_run", ()))
+
+
+def both(observe, **kwargs):
+    """``observe(module)`` on each engine's freshly hammered module; the
+    columnar run must still be pending when the observation starts."""
+    results = {}
+    for engine in ENGINES:
+        module = hammered(engine, **kwargs)
+        if engine == "columnar" and not sanit.sanitize_on:
+            assert pending(module) == 2 * PAIRS + 2
+        results[engine] = (observe(module),
+                           list(module.bank(0).stats.flip_log))
+    return results
+
+
+def agree(observe, **kwargs):
+    results = both(observe, **kwargs)
+    assert results["columnar"] == results["reference"]
+    assert results["reference"][1], "the hammer must flip the victim"
+    return results["reference"][0]
+
+
+class TestCommitPoints:
+    def test_stats_attribute(self):
+        agree(lambda m: (m.bank(0).stats.flips_materialized,
+                         list(m.bank(0).stats.flip_log)))
+
+    def test_module_total_flips(self):
+        assert agree(lambda m: m.total_flips()) > 0
+
+    def test_pressure(self):
+        rows = range(VICTIM - 3, VICTIM + 5)
+        values = agree(lambda m: [m.bank(0).pressure(r) for r in rows])
+        assert any(values)
+
+    @pytest.mark.parametrize("view", ["_pressure", "_peak"])
+    def test_charge_views(self, view):
+        agree(lambda m: [(r, getattr(m.bank(0), view).get(r))
+                         for r in range(VICTIM - 3, VICTIM + 5)])
+        agree(lambda m: list(getattr(m.bank(0), view)))
+        agree(lambda m: VICTIM + 3 in getattr(m.bank(0), view))
+
+    def test_last_aggressor_view(self):
+        agree(lambda m: [m.bank(0)._last_aggressor.get(r)
+                         for r in range(VICTIM - 3, VICTIM + 5)])
+
+    def test_data_view(self):
+        agree(lambda m: VICTIM in m.bank(0)._data)
+        agree(lambda m: sorted(m.bank(0)._data))
+        agree(lambda m: m.bank(0)._data[VICTIM].tobytes())
+
+    def test_row_bits(self):
+        agree(lambda m: m.bank(0).row_bits(VICTIM).tobytes())
+
+    def test_touched_rows(self):
+        assert VICTIM in agree(lambda m: m.bank(0).touched_rows())
+
+    def test_set_default_pattern(self):
+        # Pending windows flip and log against the pattern they ran under.
+        def change(module):
+            module.bank(0).set_default_pattern("checkered")
+            return [entry[5] for entry in module.bank(0).stats.flip_log]
+
+        assert set(agree(change)) == {"rowstripe"}
+
+    @pytest.mark.parametrize("call", [
+        lambda b: b.refresh_row(VICTIM, 1e6).tobytes(),
+        lambda b: b.refresh_rows([VICTIM - 2, VICTIM, VICTIM + 3], 1e6),
+        lambda b: b.refresh_all(1e6),
+        lambda b: b.settle(1e6),
+        lambda b: b.bulk_activate(VICTIM + 1, 10, 1e6),
+        lambda b: b.read(VICTIM - 1, 1e6).tobytes(),
+    ], ids=["refresh_row", "refresh_rows", "refresh_all", "settle",
+            "bulk_activate", "read"])
+    def test_commands(self, call):
+        agree(lambda m: (call(m.bank(0)), m.bank(0).pressure(VICTIM + 1),
+                         m.bank(0).row_bits(VICTIM).tobytes()))
+
+    def test_write_commits_before_storing(self):
+        # The victim's pending window reads its dominant aggressor's old
+        # content (rowstripe: the opposite of the victim's); the write
+        # must land after it, or aggressor-sensitive cells would relieve.
+        def write(module):
+            bank = module.bank(0)
+            bank.write(VICTIM + 1, np.ones(GEO.row_bits, dtype=np.uint8))
+            return bank.row_bits(VICTIM + 1).tobytes(), bank.pressure(VICTIM)
+
+        agree(write)
+
+    def test_open_row_and_activation_count_are_eager(self):
+        module = hammered("columnar")
+        bank = module.bank(0)
+        assert bank.open_row == VICTIM + 2
+        assert pending(module) == 2 * PAIRS + 2
+        assert module.total_activations() == 2 * PAIRS + 2
+        assert pending(module) == 0  # reading stats committed the run
+
+    def test_long_runs_commit_at_the_cap(self):
+        assert 2 * PAIRS + 2 < _RUN_LIMIT
+
+        def long_run(module):
+            for i in range(3 * _RUN_LIMIT):
+                module.activate(0, VICTIM + 1 + 2 * (i % 2), 1e6 + i)
+            assert pending(module) < _RUN_LIMIT
+            return [module.bank(0).pressure(r) for r in range(VICTIM, VICTIM + 5)]
+
+        agree(long_run)
+
+    def test_execute_commits_first(self):
+        agree(lambda m: (m.bank(0).execute(
+            CommandStream().act(VICTIM + 1, 500, 1e6).ref_row(VICTIM, 2e6)),
+            m.bank(0).pressure(VICTIM + 2)))
+
+
+class TestGuards:
+    def test_trace_event_order(self):
+        def events(module):
+            return [(e.kind, e.t, e.fields.get("row"))
+                    for e in telem.get_tracer().events()
+                    if e.kind in ("activate", "bit_flip")]
+
+        logs = {}
+        for engine in ENGINES:
+            telem.enable_tracing(capacity=1 << 16, fresh=True)
+            module = hammered(engine)
+            assert pending(module) == 0  # tracing commits runs of one
+            logs[engine] = events(module)
+            telem.disable_tracing()
+        assert logs["columnar"] == logs["reference"]
+        assert any(kind == "bit_flip" for kind, _t, _row in logs["reference"])
+
+    @pytest.mark.parametrize("level", ["cheap", "full"])
+    def test_sanitizer_digests(self, level):
+        previous = sanit.set_level(level)
+        try:
+            def digests(module):
+                assert pending(module) == 0  # the sanitizer commits at once
+                return dict(module.bank(0).__dict__.get("_sanit_digest") or {})
+
+            got = agree(digests)
+            assert bool(got) == (level == "full")
+        finally:
+            sanit.set_level(previous)
+
+    def test_physics_heat_map_and_provenance(self):
+        snapshots = {}
+        for engine in ENGINES:
+            phys.swap_collector(PhysicsCollector())
+            phys.enable_physics()
+            module = hammered(engine)
+            module.total_flips()
+            collector = phys.get_collector()
+            snapshots[engine] = (collector.heat_rows(),
+                                 collector.provenance_rows())
+            phys.disable_physics()
+        assert snapshots["columnar"] == snapshots["reference"]
+        assert snapshots["reference"][1], "provenance must record the flips"

@@ -1,10 +1,12 @@
 """The differential oracle: the columnar engine must be observationally
-identical to the per-command reference on randomized command streams.
+identical to the per-command reference on randomized command streams
+and on randomized scalar scripts.
 
 This suite is the equivalence contract's enforcement point: 100+ seeded
-streams (cycling vulnerability profiles and data patterns), explicit
-corner geometries/profiles, and a sanitize-full section that makes the
-shadow-digest machinery part of the comparison.
+streams and 100+ seeded scalar scripts (cycling vulnerability profiles
+and data patterns), explicit corner geometries/profiles, and a
+sanitize-full section that makes the shadow-digest machinery part of
+the comparison.
 """
 
 import numpy as np
@@ -15,9 +17,12 @@ from repro.dram.differential import (
     DEFAULT_GEOMETRY,
     DEFAULT_PROFILES,
     diff_observations,
+    random_script,
     random_stream,
+    replay_script,
     replay_stream,
     run_differential,
+    run_script_differential,
 )
 from repro.dram.disturbance import DisturbanceModel, VulnerabilityProfile
 from repro.dram.geometry import DramGeometry
@@ -43,6 +48,75 @@ class TestOracleSeedSweep:
         b = random_stream(7)
         assert list(a) == list(b)
         assert list(a) != list(random_stream(8))
+
+
+class TestScriptOracle:
+    """Scalar scripts — one ``activate``/``read``/``refresh_row``/...
+    call at a time, as the controller, CPU and SoftMC paths issue them —
+    must agree exactly, pressure, peak and ``hammer`` included."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_engines_agree_on_scripts(self, seed):
+        result = run_script_differential(seed=seed)
+        assert result["ok"], "\n".join(result["mismatches"])
+
+    def test_scripts_exercise_flips_and_probes(self):
+        flips = 0
+        for seed in range(8):
+            flips += run_script_differential(seed=seed)["flips"]
+        assert flips > 0
+        calls = {step[0] for seed in range(8) for step in random_script(seed)}
+        assert calls == {"activate", "bulk_activate", "precharge", "read",
+                         "write", "refresh_row", "refresh_rows",
+                         "refresh_all", "settle", "stats", "pressure",
+                         "row_bits"}
+
+    def test_scalar_hammer_alone_flips_exactly(self):
+        # Only per-command activations: the flips come out of the
+        # columnar commit itself, not bulk or stream paths.
+        script = []
+        for i in range(1_500):
+            script += [("activate", 99, float(i)), ("precharge",),
+                       ("activate", 101, float(i))]
+            if i % 500 == 499:
+                script += [("pressure", 100), ("stats",)]
+        script += [("refresh_row", 100, 2_000.0), ("stats",)]
+        profile = DEFAULT_PROFILES[1]
+        reference = replay_script(script, "reference", profile=profile, seed=4)
+        candidate = replay_script(script, "columnar", profile=profile, seed=4)
+        assert reference.stats["flips_materialized"] > 0
+        assert not diff_observations(reference, candidate,
+                                     float_rtol=0.0, float_atol=0.0)
+
+    def test_scripts_are_deterministic(self):
+        def key(script):
+            return [tuple(a.tobytes() if isinstance(a, np.ndarray) else a
+                          for a in step) for step in script]
+
+        assert key(random_script(7)) == key(random_script(7))
+        assert key(random_script(7)) != key(random_script(8))
+
+    def test_exact_comparison_catches_one_ulp(self):
+        script = random_script(1)
+        a = replay_script(script, "reference", seed=1,
+                          profile=DEFAULT_PROFILES[1])
+        b = replay_script(script, "columnar", seed=1,
+                          profile=DEFAULT_PROFILES[1])
+        assert not diff_observations(a, b, float_rtol=0.0, float_atol=0.0)
+        row = next(r for r, v in b.pressure.items() if v > 0)
+        b.pressure[row] = np.nextafter(b.pressure[row], np.inf)
+        assert any("pressure" in p for p in
+                   diff_observations(a, b, float_rtol=0.0, float_atol=0.0))
+        # The stream tolerance would have let it through.
+        assert not diff_observations(a, b)
+
+    def test_tampered_probe_is_caught(self):
+        script = random_script(2)
+        a = replay_script(script, "reference", seed=2)
+        b = replay_script(script, "columnar", seed=2)
+        assert b.probes
+        b.probes[-1] = b.probes[-1][:-1] + (("tampered",),)
+        assert any("probe" in p for p in diff_observations(a, b))
 
 
 class TestOracleCorners:
@@ -241,6 +315,21 @@ class TestOracleUnderSanitizer:
         assert sanit.sanitize_on
         result = run_differential(seed=seed)
         assert result["ok"], "\n".join(result["mismatches"])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scripts_agree_sanitized(self, seed):
+        assert sanit.sanitize_on
+        result = run_script_differential(seed=seed)
+        assert result["ok"], "\n".join(result["mismatches"])
+
+    def test_script_digests_populated(self):
+        script = random_script(2)
+        reference = replay_script(script, "reference", seed=2,
+                                  profile=DEFAULT_PROFILES[1])
+        candidate = replay_script(script, "columnar", seed=2,
+                                  profile=DEFAULT_PROFILES[1])
+        assert reference.digests, "sanitize-full must record shadow digests"
+        assert reference.digests == candidate.digests
 
     def test_digests_populated(self):
         stream = random_stream(2)
