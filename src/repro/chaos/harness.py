@@ -416,22 +416,19 @@ def _daemon_env(arena: _Arena, chaos_spec: Optional[str] = None) -> Dict[str, st
 
 
 def _spawn_daemon(arena: _Arena, workers: int,
-                  chaos_spec: Optional[str] = None,
-                  extra: Optional[List[str]] = None) -> subprocess.Popen:
+                  chaos_spec: Optional[str] = None) -> subprocess.Popen:
     """Start ``repro serve`` on the arena's service state dir.
 
     ``start_new_session`` puts the daemon and its pool workers in their
     own process group, so a scenario's SIGKILL takes down the whole
     tree — exactly what an OOM-kill or node loss does in production.
-    ``extra`` appends further ``repro serve`` flags (lock/rescan bounds
-    for the multi-daemon scenarios).
     """
     log = open(arena.root / "serve.log", "ab")
     try:
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--state-dir", str(arena.root / "svc"),
-             "--workers", str(workers)] + list(extra or ()),
+             "--workers", str(workers)],
             stdout=log, stderr=log, env=_daemon_env(arena, chaos_spec),
             start_new_session=True)
     finally:
@@ -542,6 +539,16 @@ def scenario_service_kill(arena: _Arena, jobs: int, workers: int) -> ScenarioOut
         out.expect("daemon checkpointed two chunks before the kill",
                    reached, f"checkpoint holds {len(ckpt.keys())} of {jobs}, "
                             f"injected {arena.injected()}")
+        # One daemon per state dir: a second one is refused while the
+        # first is alive.
+        second = _spawn_daemon(arena, workers=2)
+        try:
+            rc_second = second.wait(timeout=SERVICE_READY_S)
+        except subprocess.TimeoutExpired:
+            _kill_group(second)
+            rc_second = second.wait(timeout=10)
+        out.expect_eq("second daemon on the same state dir is refused",
+                      rc_second, 2)
         _kill_group(proc)
         rc = proc.wait(timeout=10)
         out.expect_eq("daemon died by SIGKILL", rc, -signal.SIGKILL)
@@ -776,110 +783,6 @@ def scenario_service_shed(arena: _Arena, jobs: int, workers: int) -> ScenarioOut
     return out
 
 
-def scenario_service_lock_takeover(arena: _Arena, jobs: int,
-                                   workers: int) -> ScenarioOutcome:
-    """Two daemons share one state dir; the one holding a submission's
-    lock is SIGKILLed mid-sweep.  The survivor discovers the submission
-    via journal rescan, takes over the stale lock within the configured
-    bound, and finishes every job exactly once (checkpoint + cache make
-    the handover resume, not re-run)."""
-    out = ScenarioOutcome("service_lock_takeover")
-    jobs = max(jobs, 16)
-    # Fast bounds so the takeover happens in scenario time: locks go
-    # stale after 2 s without a heartbeat; rescan every 250 ms.
-    bounds = ["--lock-stale", "2", "--rescan", "0.25"]
-    # Daemon workers=2 → chunks of 4; the hang pins job index 8, so the
-    # kill always lands on a lock holder with two chunks checkpointed.
-    victim = derive_seed(0, 8)
-    svc_dir = arena.root / "svc"
-    proc_a = _spawn_daemon(arena, workers=2,
-                           chaos_spec=f"hang:seed={victim}:secs=60",
-                           extra=bounds)
-    proc_b = None
-    sid = None
-    try:
-        client_a = _await_client(arena, proc_a)
-        response = client_a.submit({"name": PROBE_EXPERIMENT, "seeds": jobs})
-        sid = response["sid"]
-        ckpt = SweepCheckpoint(svc_dir / "checkpoints" / f"{sid}.jsonl")
-        reached = _poll(lambda: (len(ckpt.keys()) >= 8
-                                 and arena.injected().get("hang", 0) >= 1),
-                        30.0)
-        out.expect("holder checkpointed two chunks before the kill",
-                   reached, f"checkpoint holds {len(ckpt.keys())} of {jobs}, "
-                            f"injected {arena.injected()}")
-
-        # The survivor joins the same state dir while the holder is
-        # alive: its startup replay re-enqueues the pending submission,
-        # but the holder's heartbeating lock keeps it parked.
-        proc_b = _spawn_daemon(arena, workers=2, extra=bounds)
-        client_b = _await_client(arena, proc_b)
-        health_b = client_b.health()
-        out.expect_eq("survivor sees the fresh lock and stays parked",
-                      health_b.get("locks", {}).get("takeovers"), 0)
-
-        _kill_group(proc_a)
-        rc = proc_a.wait(timeout=10)
-        out.expect_eq("holder died by SIGKILL", rc, -signal.SIGKILL)
-        killed_at = time.monotonic()
-
-        took_over = _poll(
-            lambda: (client_b.health().get("locks", {})
-                     .get("takeovers", 0) >= 1), 20.0)
-        takeover_s = time.monotonic() - killed_at
-        out.expect("survivor takes over the stale lock", took_over,
-                   f"locks after {takeover_s:.1f}s: "
-                   f"{client_b.health().get('locks')}")
-        # Bound: stale(2 s) + blocked-retry(0.5 s) + scheduler slack.
-        out.expect("takeover lands within the configured bound",
-                   took_over and takeover_s < 10.0, f"{takeover_s:.1f}s")
-
-        record = client_b.wait(sid, timeout_s=90.0)
-        out.expect_eq("sweep completes on the survivor",
-                      record.get("state"), "done")
-        summary = record.get("summary") or {}
-        out.expect_eq("all jobs in the final summary",
-                      summary.get("jobs"), jobs)
-        out.expect_eq("no errors after the handover",
-                      summary.get("errors"), 0)
-        metrics_text = client_b.metrics_text()
-        out.expect("takeover counted in survivor metrics",
-                   "service_lock_takeovers_total 1" in metrics_text,
-                   [l for l in metrics_text.splitlines() if "takeover" in l])
-        proc_b.send_signal(signal.SIGTERM)
-        rc_b = proc_b.wait(timeout=30)
-        out.expect_eq("survivor drains to exit 0", rc_b, 0)
-    finally:
-        _kill_group(proc_a)
-        proc_a.wait(timeout=10)
-        if proc_b is not None:
-            _kill_group(proc_b)
-            proc_b.wait(timeout=10)
-
-    # Exactly-once accounting across the handover.
-    from repro.service import JobJournal
-
-    keys = SweepCheckpoint(svc_dir / "checkpoints" / f"{sid}.jsonl").keys()
-    out.expect_eq("checkpoint holds every job exactly once",
-                  len(keys), jobs)
-    fresh = _fresh_ledger_counts(svc_dir / "ledger.jsonl")
-    out.expect("no job fresh-executed more than once",
-               all(count == 1 for count in fresh.values()),
-               f"duplicated: {[j for j, c in fresh.items() if c > 1]}")
-    ledger = RunLedger(svc_dir / "ledger.jsonl")
-    ledger.scan()
-    out.expect_eq("no torn ledger records across the handover",
-                  ledger.corrupt_lines, 0)
-    replayed = JobJournal(svc_dir / "jobs.jsonl").replay()
-    out.expect_eq("no torn journal records across the handover",
-                  replayed.corrupt_lines, 0)
-    done = replayed.done.get(sid) or {}
-    out.expect_eq("journal done record agrees on the job set",
-                  set(done.get("job_ids") or []),
-                  {job_id_from_key(k) for k in keys})
-    return out
-
-
 def scenario_service_poisoned(arena: _Arena, jobs: int,
                               workers: int) -> ScenarioOutcome:
     """A poisoned submission (timeout-exhausted job) co-scheduled with a
@@ -951,67 +854,6 @@ def scenario_service_poisoned(arena: _Arena, jobs: int,
     return out
 
 
-def scenario_service_journal_race(arena: _Arena, jobs: int,
-                                  workers: int) -> ScenarioOutcome:
-    """Two daemons race one journal/ledger/cache: disjoint sweeps
-    submitted to each complete, every record in the shared files stays
-    whole (no torn or interleaved lines), each daemon discovers the
-    other's submission via rescan, and no job fresh-executes twice."""
-    from repro.service import ExperimentService, JobJournal, ServiceClient
-
-    out = ScenarioOutcome("service_journal_race")
-    svc_dir = arena.root / "svc"
-    s1 = ExperimentService(svc_dir, port=0, workers=2, rescan_s=0.2,
-                           lock_stale_s=5.0).start()
-    s2 = ExperimentService(svc_dir, port=0, workers=2, rescan_s=0.2,
-                           lock_stale_s=5.0).start()
-    try:
-        c1 = ServiceClient(s1.url, retries=2, backoff_s=0.1)
-        c2 = ServiceClient(s2.url, retries=2, backoff_s=0.1)
-        sid1 = c1.submit({"name": PROBE_EXPERIMENT, "seeds": 6,
-                          "base_seed": 100})["sid"]
-        sid2 = c2.submit({"name": PROBE_EXPERIMENT, "seeds": 6,
-                          "base_seed": 200})["sid"]
-        rec1 = c1.wait(sid1, timeout_s=60.0)
-        rec2 = c2.wait(sid2, timeout_s=60.0)
-        out.expect_eq("daemon 1's sweep completes", rec1.get("state"), "done")
-        out.expect_eq("daemon 2's sweep completes", rec2.get("state"), "done")
-        # Rescan folds the sibling's submission + completion into each
-        # daemon's local view of the shared journal (404 until the next
-        # rescan tick discovers it).
-        def _seen(client, sid):
-            try:
-                return client.job(sid).get("state")
-            except Exception:
-                return None
-
-        crossed = _poll(lambda: (_seen(c1, sid2) == "done"
-                                 and _seen(c2, sid1) == "done"), 15.0)
-        out.expect("each daemon discovers the other's completion",
-                   crossed,
-                   f"d1 sees {_seen(c1, sid2)!r}, "
-                   f"d2 sees {_seen(c2, sid1)!r}")
-    finally:
-        s1.stop()
-        s2.stop()
-
-    replayed = JobJournal(svc_dir / "jobs.jsonl").replay()
-    out.expect_eq("both submissions journaled", len(replayed.submits), 2)
-    out.expect_eq("no torn/interleaved journal records",
-                  replayed.corrupt_lines, 0)
-    out.expect_eq("nothing stays pending", replayed.pending(), [])
-    ledger = RunLedger(svc_dir / "ledger.jsonl")
-    records = ledger.scan()
-    out.expect_eq("no torn/interleaved ledger records",
-                  ledger.corrupt_lines, 0)
-    out.expect_eq("ledger saw both daemons' jobs",
-                  len({r["job_id"] for r in records if r.get("job_id")}), 12)
-    fresh = _fresh_ledger_counts(svc_dir / "ledger.jsonl")
-    out.expect_eq("every job fresh-executed exactly once",
-                  sorted(fresh.values()), [1] * 12)
-    return out
-
-
 #: name → (scenario fn, default job count)
 SCENARIOS: Dict[str, Tuple[Callable[[_Arena, int, int], ScenarioOutcome], int]] = {
     "kill": (scenario_kill, 8),
@@ -1025,9 +867,7 @@ SCENARIOS: Dict[str, Tuple[Callable[[_Arena, int, int], ScenarioOutcome], int]] 
     "service_drain": (scenario_service_drain, 16),
     "service_torn": (scenario_service_torn, 2),
     "service_shed": (scenario_service_shed, 3),
-    "service_lock_takeover": (scenario_service_lock_takeover, 16),
     "service_poisoned": (scenario_service_poisoned, 6),
-    "service_journal_race": (scenario_service_journal_race, 12),
 }
 
 

@@ -74,7 +74,8 @@ error, 130 interrupted (completed results flushed to cache/checkpoint).
 Experiment service: ``serve`` runs the crash-tolerant daemon
 (:mod:`repro.service`) — journaled HTTP job submission, graceful
 SIGTERM/SIGINT drain (exit 0), SIGKILL-and-restart resume on the same
-``--state-dir``; ``submit``/``jobs`` are its client verbs.  CLI sweeps
+``--state-dir`` (one daemon per dir: a second exits 2);
+``submit``/``jobs`` are its client verbs.  CLI sweeps
 get the same drain contract: SIGTERM checkpoints completed jobs and
 exits 143 with a resume hint (SIGINT stays 130).
 
@@ -406,13 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="submissions executing at once, round-robin by "
                             "chunk, each its own fault domain (default 1: "
                             "serialized)")
-    serve.add_argument("--lock-stale", type=float, default=None,
-                       metavar="SECS",
-                       help="takeover bound for a dead sibling daemon's "
-                            "submission locks (default 10)")
-    serve.add_argument("--rescan", type=float, default=None, metavar="SECS",
-                       help="journal rescan cadence for discovering sibling "
-                            "daemons' submissions (default 2; 0 disables)")
 
     submit = sub.add_parser(
         "submit", help="submit an experiment or seed sweep to a running "
@@ -868,11 +862,11 @@ def _serve(args) -> int:
 
     SIGTERM/SIGINT initiate a graceful drain: admission stops (503),
     the in-flight chunk finishes and checkpoints, queued jobs stay
-    journaled for the next incarnation, and the process exits 0.
+    journaled for the next incarnation, and the process exits 0.  A
+    state dir already held by another daemon exits 2.
     """
     from repro.service import ExperimentService
-    from repro.service.daemon import DEFAULT_RESCAN_S, DEFAULT_SERVICE_PORT
-    from repro.utils.locks import DEFAULT_STALE_AFTER_S
+    from repro.service.daemon import DEFAULT_SERVICE_PORT, StateDirBusy
 
     port = DEFAULT_SERVICE_PORT if args.port is None else args.port
     service = ExperimentService(
@@ -880,12 +874,12 @@ def _serve(args) -> int:
         workers=args.workers,
         max_queue=args.max_queue,
         timeout_s=args.timeout, retries=args.retries,
-        max_concurrent=args.max_concurrent,
-        lock_stale_s=(DEFAULT_STALE_AFTER_S if args.lock_stale is None
-                      else args.lock_stale),
-        rescan_s=DEFAULT_RESCAN_S if args.rescan is None else args.rescan)
+        max_concurrent=args.max_concurrent)
     try:
         service.start()
+    except StateDirBusy as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: cannot bind {args.host}:{port}: {exc}",
               file=sys.stderr)

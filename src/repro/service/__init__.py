@@ -8,14 +8,17 @@ and sweep jobs over HTTP/JSON, multiplexes them onto the hardened
 :class:`~repro.experiments.runner.ExperimentRunner`, journals every
 submission to a crash-safe append-only file, and is explicitly built
 to be SIGKILLed and restarted on the same ``--state-dir`` without
-losing or double-running work.
+losing or double-running work.  One daemon owns a state directory at a
+time: it holds ``daemon.lock`` for its whole life, and a second daemon
+on the same directory refuses to start.
 
 Layout:
 
 * :mod:`repro.service.journal` — the append-only job journal and the
   :class:`JobSpec` submission model (idempotent IDs from ``job_key``);
-* :mod:`repro.service.daemon` — :class:`ExperimentService`: HTTP
-  endpoints, admission control, graceful drain, journal replay;
+* :mod:`repro.service.daemon` — :class:`ExperimentService`: the
+  state-dir lock, HTTP endpoints, admission control, graceful drain,
+  journal replay;
 * :mod:`repro.service.client` — :class:`ServiceClient` with bounded
   retry/backoff (honors ``Retry-After``), used by ``repro submit`` and
   ``repro jobs``.

@@ -3,15 +3,22 @@
 One :class:`ExperimentService` owns a state directory::
 
     <state-dir>/
+      daemon.lock         # held (fcntl.lockf) for the daemon's whole life
       service.json        # endpoint record: host, port, pid, service_id
       jobs.jsonl          # append-only job journal (crash-safe)
       ledger.jsonl        # run ledger of every executed job (command=service)
       cache/              # shared result cache (idempotent re-runs hit it)
       checkpoints/<sid>.jsonl   # per-sweep checkpoints (resume after SIGKILL)
-      locks/<sid>.lock    # per-submission advisory locks (+ .fence tokens)
 
 Design decisions that make it kill-tolerant:
 
+* **One daemon per state dir.**  :meth:`ExperimentService.start` takes
+  an exclusive POSIX record lock on ``daemon.lock`` before it replays
+  the journal, binds, or writes ``service.json``; a second daemon on
+  the same directory refuses to start (:class:`StateDirBusy`).  The
+  kernel drops a record lock when its holder dies — forked pool
+  workers that outlive a SIGKILLed daemon do not keep it (they would
+  under ``flock``) — so a restart never waits on a staleness bound.
 * **Journal first.**  A submission is journaled before it is queued;
   the 202 response only goes out once the record is fsynced.  Replay
   on startup re-enqueues every journaled submission without a
@@ -31,21 +38,9 @@ Design decisions that make it kill-tolerant:
   to a structured ``failed`` state without touching its co-scheduled
   neighbours; plain job errors keep the legacy run-to-completion →
   ``error`` behaviour.
-* **Multi-daemon shared state.**  Every submission is guarded by a
-  heartbeated, fenced advisory lock (:mod:`repro.utils.locks`) under
-  ``locks/``, so N daemons — or a daemon plus CLI sweeps — can share
-  one state dir.  A scheduler thread heartbeats held locks, retries
-  contended ones, and periodically rescans the journal to discover
-  submissions admitted by sibling daemons and to fold in their
-  completions.  If a sibling SIGKILLs mid-submission, its lock goes
-  stale within ``lock_stale_s`` and a survivor takes over, resuming
-  from the shared checkpoint/cache (exactly-once via the job key).  A
-  holder that lost its lock sees the newer fence token and abandons
-  its journal write rather than corrupt shared files.
 * **Graceful drain.**  SIGTERM/SIGINT stop admission (503), let
-  in-flight chunks finish (their results are checkpointed), release
-  the locks, leave queued jobs journaled for the next incarnation, and
-  exit 0.
+  in-flight chunks finish (their results are checkpointed), leave
+  queued jobs journaled for the next incarnation, and exit 0.
 * **Bounded queue.**  Past ``max_queue`` waiting jobs, submissions are
   shed with 429 + ``Retry-After`` (estimated from observed job
   durations) instead of growing without limit.
@@ -60,6 +55,7 @@ correlation via ``/jobs`` and exactly-once accounting are unaffected.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import signal
@@ -74,9 +70,9 @@ from repro.experiments.runner import ExperimentRunner
 from repro.service.journal import JobJournal, JobSpec
 from repro.telemetry import MetricsRegistry, RunLedger
 from repro.telemetry import export, ids
-from repro.utils.locks import DEFAULT_STALE_AFTER_S, FileLock, LockLost
 
-__all__ = ["DEFAULT_SERVICE_PORT", "ENDPOINT_FILE", "ExperimentService",
+__all__ = ["DEFAULT_SERVICE_PORT", "ENDPOINT_FILE", "LOCK_FILE",
+           "ExperimentService", "StateDirBusy", "lock_state_dir",
            "read_endpoint"]
 
 #: Default ``repro serve`` port (one above the metrics exporter's).
@@ -85,12 +81,15 @@ DEFAULT_SERVICE_PORT = 9465
 #: The endpoint record the daemon drops in its state dir on startup.
 ENDPOINT_FILE = "service.json"
 
+#: The lock file a daemon holds for its whole life.
+LOCK_FILE = "daemon.lock"
+
 #: ``Retry-After`` seconds sent while draining (a restart is expected).
 DRAINING_RETRY_AFTER_S = 10
 
-#: How often (seconds) the scheduler rescans the journal for foreign
-#: submissions / completions by sibling daemons sharing the state dir.
-DEFAULT_RESCAN_S = 2.0
+#: Scheduler cadence (seconds): the longest a queued submission waits
+#: for a free slot when no state change wakes the scheduler.
+_TICK_S = 0.2
 
 #: Terminal in-memory job states (no further transitions).
 _TERMINAL = ("done", "error", "cancelled", "failed")
@@ -108,6 +107,35 @@ def read_endpoint(state_dir: Union[str, Path]) -> Optional[Dict[str, Any]]:
     except (OSError, ValueError):
         return None
     return record if isinstance(record, dict) else None
+
+
+class StateDirBusy(RuntimeError):
+    """Another live daemon holds the state directory's lock.
+
+    Deliberately not an :class:`OSError`, so callers can tell a busy
+    state directory apart from a failed bind.
+    """
+
+
+def lock_state_dir(state_dir: Union[str, Path]) -> int:
+    """Take ``<state_dir>/daemon.lock`` exclusively; returns the fd.
+
+    The lock lives until the fd is closed or the process dies.  Raises
+    :class:`StateDirBusy` naming the holder's pid (from
+    ``service.json``) when another process holds it.
+    """
+    path = Path(state_dir).expanduser() / LOCK_FILE
+    fd = os.open(str(path), os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.lockf(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as exc:
+        os.close(fd)
+        if not isinstance(exc, (BlockingIOError, PermissionError)):
+            raise  # not EAGAIN/EACCES: a failure, not a holder
+        pid = (read_endpoint(state_dir) or {}).get("pid", "unknown")
+        raise StateDirBusy(f"state dir {path.parent} is in use by "
+                           f"another daemon (pid {pid})") from exc
+    return fd
 
 
 class _JobRecord:
@@ -163,19 +191,18 @@ class _JobRecord:
 
 
 class _Execution:
-    """One activated submission: its runner, cursor, and lock."""
+    """One activated submission: its runner and cursor."""
 
-    __slots__ = ("rec", "runner", "jobs", "next_index", "results", "lock",
+    __slots__ = ("rec", "runner", "jobs", "next_index", "results",
                  "chunk_size", "poison")
 
     def __init__(self, rec: _JobRecord, runner: ExperimentRunner,
-                 jobs: List[Any], lock: FileLock, chunk_size: int):
+                 jobs: List[Any], chunk_size: int):
         self.rec = rec
         self.runner = runner
         self.jobs = jobs
         self.next_index = 0
         self.results: List[Any] = []
-        self.lock = lock
         self.chunk_size = chunk_size
         self.poison: Optional[str] = None  # reason, once poisoned
 
@@ -186,10 +213,7 @@ class ExperimentService:
     ``workers`` is the runner pool width per submission;
     ``max_concurrent`` is how many submissions execute at once (each in
     its own fault domain, scheduled round-robin by chunk).  The default
-    of 1 preserves the serialized PR 9 behaviour.  ``lock_stale_s``
-    bounds how long a SIGKILLed sibling daemon's submission lock
-    survives before a survivor takes it over; ``rescan_s`` is the
-    journal rescan cadence for discovering sibling daemons' work.
+    of 1 preserves the serialized PR 9 behaviour.
     ``start_worker=False`` leaves the execution threads unstarted —
     deterministic queue-state tests use it; production never does.
     """
@@ -202,8 +226,6 @@ class ExperimentService:
                  timeout_s: Optional[float] = None,
                  retries: int = 0,
                  max_concurrent: int = 1,
-                 lock_stale_s: float = DEFAULT_STALE_AFTER_S,
-                 rescan_s: float = DEFAULT_RESCAN_S,
                  start_worker: bool = True):
         self.state_dir = Path(state_dir).expanduser()
         self.host = host
@@ -213,8 +235,6 @@ class ExperimentService:
         self.timeout_s = timeout_s
         self.retries = max(0, int(retries))
         self.max_concurrent = max(1, int(max_concurrent))
-        self.lock_stale_s = max(0.05, float(lock_stale_s))
-        self.rescan_s = max(0.0, float(rescan_s))
         self.service_id = ids.new_run_id(prefix="s")
         self.started_mono = time.monotonic()
 
@@ -222,7 +242,6 @@ class ExperimentService:
         self.ledger = RunLedger(self.state_dir / "ledger.jsonl")
         self.cache_dir = self.state_dir / "cache"
         self.checkpoint_dir = self.state_dir / "checkpoints"
-        self.lock_dir = self.state_dir / "locks"
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -236,9 +255,7 @@ class ExperimentService:
         self._avg_job_s = 1.0  # EWMA of per-runner-job wall seconds
         self._executions: Dict[str, _Execution] = {}
         self._rr: Deque[str] = deque()        # runnable ring (round-robin)
-        self._lock_retry_at: Dict[str, float] = {}
-        self._lock_takeovers = 0
-        self._locks_lost = 0
+        self._state_lock_fd: Optional[int] = None
         self._drained = threading.Event()
         self._start_worker = start_worker
         self._worker: Optional[threading.Thread] = None
@@ -249,11 +266,22 @@ class ExperimentService:
 
     # -- lifecycle --------------------------------------------------------
     def start(self) -> "ExperimentService":
-        """Replay the journal, bind the HTTP server, start the scheduler."""
+        """Lock the state dir, replay the journal, bind the HTTP server,
+        start the scheduler.
+
+        Raises :class:`StateDirBusy` if another daemon holds the state
+        dir; the lock is released again if a later step (e.g. the
+        bind) fails.
+        """
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self._replay_journal()
-        self._httpd = ThreadingHTTPServer((self.host, self.requested_port),
-                                          self._handler_class())
+        self._state_lock_fd = lock_state_dir(self.state_dir)
+        try:
+            self._replay_journal()
+            self._httpd = ThreadingHTTPServer(
+                (self.host, self.requested_port), self._handler_class())
+        except BaseException:
+            self._release_state_lock()
+            raise
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
         self._http_thread = threading.Thread(
@@ -365,6 +393,7 @@ class ExperimentService:
             self.initiate_drain("SIGINT")
             self._drained.wait()
         self._shutdown_http()
+        self._release_state_lock()
         return 0
 
     def stop(self) -> None:
@@ -374,6 +403,7 @@ class ExperimentService:
             self._worker.join()
         self._drained.set()
         self._shutdown_http()
+        self._release_state_lock()
 
     def _shutdown_http(self) -> None:
         if self._httpd is not None:
@@ -381,73 +411,31 @@ class ExperimentService:
             self._httpd.server_close()
             self._httpd = None
 
-    # -- scheduler --------------------------------------------------------
-    def _tick_s(self) -> float:
-        """Scheduler cadence: fast enough to heartbeat well inside the
-        stale bound (holders beat at ≤ a quarter of it)."""
-        return max(0.02, min(0.2, self.lock_stale_s / 4.0))
+    def _release_state_lock(self) -> None:
+        if self._state_lock_fd is not None:
+            os.close(self._state_lock_fd)
+            self._state_lock_fd = None
 
+    # -- scheduler --------------------------------------------------------
     def _scheduler_loop(self) -> None:
-        next_rescan = time.monotonic() + self.rescan_s
         while True:
             with self._cond:
                 if self.draining:
                     break
                 self._activate_locked()
-                self._cond.wait(timeout=self._tick_s())
-                draining = self.draining
-            self._heartbeat_locks()
-            if not draining and self.rescan_s > 0 \
-                    and time.monotonic() >= next_rescan:
-                self._rescan_journal()
-                next_rescan = time.monotonic() + self.rescan_s
+                self._cond.wait(timeout=_TICK_S)
         for thread in self._chunk_threads:
             thread.join()
         self._finalize_drain()
         self._drained.set()
 
     def _activate_locked(self) -> None:
-        """Admit queued submissions into execution slots (lock held).
-
-        Contended locks (a sibling daemon owns the submission) park the
-        sid with a retry timestamp instead of blocking the scheduler;
-        the sid stays queued so ``queue_depth`` and 429 shedding keep
-        their meaning.
-        """
+        """Admit queued submissions into execution slots (lock held)."""
         if self.draining:
             return
-        now = time.monotonic()
-        for sid in list(self.queue):
-            if len(self._executions) >= self.max_concurrent:
-                break
-            if self._lock_retry_at.get(sid, 0.0) > now:
-                continue
+        while self.queue and len(self._executions) < self.max_concurrent:
+            sid = self.queue.popleft()
             rec = self.jobs[sid]
-            lock = FileLock(self.lock_dir / f"{sid}.lock",
-                            owner=self.service_id,
-                            stale_after_s=self.lock_stale_s)
-            contended = sid in self._lock_retry_at
-            if not lock.try_acquire():
-                self._lock_retry_at[sid] = now + max(
-                    0.05, min(0.5, self.lock_stale_s / 4.0))
-                continue
-            if contended:
-                # The sibling that held this lock may have finished the
-                # submission; re-check the journal before re-executing.
-                done = self.journal.replay().done.get(sid)
-                if done is not None:
-                    self._fold_done(rec, done)
-                    self.queue.remove(sid)
-                    self._lock_retry_at.pop(sid, None)
-                    lock.release()
-                    continue
-            self.queue.remove(sid)
-            self._lock_retry_at.pop(sid, None)
-            self.metrics.counter("service_lock_acquires_total").inc()
-            if lock.takeovers:
-                self._lock_takeovers += lock.takeovers
-                self.metrics.counter("service_lock_takeovers_total").inc(
-                    lock.takeovers)
             rec.state = "running"
             rec.started_ts = time.time()
             rec.run_id = ids.new_run_id()
@@ -468,68 +456,11 @@ class ExperimentService:
                 resume=True,
                 run_id=rec.run_id,
             )
-            execution = _Execution(rec, runner, spec.expand(), lock,
+            execution = _Execution(rec, runner, spec.expand(),
                                    chunk_size=max(1, self.workers) * 2)
             self._executions[sid] = execution
             self._rr.append(sid)
             self._cond.notify_all()
-
-    def _heartbeat_locks(self) -> None:
-        with self._lock:
-            executions = list(self._executions.values())
-        for execution in executions:
-            execution.lock.heartbeat()
-
-    def _rescan_journal(self) -> None:
-        """Fold sibling daemons' journal records into local state.
-
-        Discovers submissions admitted by other daemons sharing the
-        state dir (they become locally queued; the lock decides who
-        executes) and applies their ``done`` records to submissions we
-        are not executing ourselves.
-        """
-        state = self.journal.replay()
-        discovered = 0
-        with self._cond:
-            self.metrics.gauge("service_journal_corrupt_lines").set(
-                state.corrupt_lines)
-            for sid in state.order:
-                rec = self.jobs.get(sid)
-                done = state.done.get(sid)
-                if rec is None:
-                    try:
-                        spec = JobSpec.from_payload(
-                            state.submits[sid].get("spec"))
-                    except ValueError:
-                        continue
-                    rec = _JobRecord(sid, spec)
-                    start_rec = state.starts.get(sid)
-                    if start_rec is not None:
-                        rec.run_id = start_rec.get("run_id")
-                    if done is not None:
-                        self._fold_done(rec, done)
-                    elif sid in state.cancelled:
-                        rec.state = "cancelled"
-                    else:
-                        self.queue.append(sid)
-                        discovered += 1
-                    self.jobs[sid] = rec
-                    self.order.append(sid)
-                    continue
-                if done is not None and rec.state not in _TERMINAL \
-                        and sid not in self._executions:
-                    # A sibling finished a submission we were holding as
-                    # queued/checkpointed — fold its completion in.
-                    self._fold_done(rec, done)
-                    try:
-                        self.queue.remove(sid)
-                    except ValueError:
-                        pass
-                    self._lock_retry_at.pop(sid, None)
-            if discovered:
-                self.metrics.counter("service_jobs_discovered_total").inc(
-                    discovered)
-                self._cond.notify_all()
 
     # -- chunk workers ----------------------------------------------------
     def _chunk_worker(self) -> None:
@@ -551,9 +482,6 @@ class ExperimentService:
             cancelled = sid in self.cancel_requests
         if cancelled:
             self._finalize(execution, cancelled=True)
-            return
-        if not execution.lock.still_mine():
-            self._abandon(execution, "before chunk")
             return
         chunk = execution.jobs[execution.next_index:
                                execution.next_index + execution.chunk_size]
@@ -607,22 +535,6 @@ class ExperimentService:
             # On drain the execution stays registered; the scheduler
             # finalizes it as ``checkpointed`` once workers exit.
 
-    def _abandon(self, execution: _Execution, where: str) -> None:
-        """This daemon's claim was superseded: a sibling holds a newer
-        fence token.  Stop touching the submission — the new owner
-        executes it and writes its journal records; our rescan folds
-        the completion in later."""
-        rec = execution.rec
-        with self._cond:
-            self._locks_lost += 1
-            self.metrics.counter("service_lock_lost_total").inc()
-            self._executions.pop(rec.sid, None)
-            rec.state = "checkpointed"
-            rec.inflight = 0
-            rec.error = f"lock superseded {where}; ceded to new owner"
-            self._cond.notify_all()
-        execution.lock.release()  # no-op unless still ours
-
     def _finalize(self, execution: _Execution, cancelled: bool = False,
                   poisoned: bool = False, interrupted: bool = False) -> None:
         rec = execution.rec
@@ -670,37 +582,27 @@ class ExperimentService:
                 rec.finished_ts = time.time()
                 self.metrics.counter("service_jobs_total",
                                      outcome=rec.state).inc()
-        try:
-            if rec.state == "cancelled":
-                execution.lock.ensure()
-                self.journal.done(sid, "cancelled", completed=len(results),
-                                  run_id=rec.run_id)
-            elif rec.state in ("done", "error", "failed"):
-                # Fencing check: if a sibling took the lock over while we
-                # were stalled, the submission is theirs now — writing a
-                # ``done`` record would race their execution.
-                execution.lock.ensure()
-                outcome = {"done": "ok", "failed": "failed"}.get(
-                    rec.state, "error")
-                self.journal.done(
-                    sid, outcome,
-                    jobs=summary["jobs"], errors=summary["errors"],
-                    timeouts=summary["timeouts"],
-                    cache_hits=summary["cache_hits"],
-                    duration_s=round(summary["duration_s"], 6),
-                    run_id=rec.run_id, job_ids=job_ids,
-                    **({"error": rec.error} if rec.error else {}))
-        except LockLost:
-            self._abandon(execution, "at completion")
-            return
-        execution.lock.release()
+        if rec.state == "cancelled":
+            self.journal.done(sid, "cancelled", completed=len(results),
+                              run_id=rec.run_id)
+        elif rec.state in ("done", "error", "failed"):
+            outcome = {"done": "ok", "failed": "failed"}.get(
+                rec.state, "error")
+            self.journal.done(
+                sid, outcome,
+                jobs=summary["jobs"], errors=summary["errors"],
+                timeouts=summary["timeouts"],
+                cache_hits=summary["cache_hits"],
+                duration_s=round(summary["duration_s"], 6),
+                run_id=rec.run_id, job_ids=job_ids,
+                **({"error": rec.error} if rec.error else {}))
         with self._cond:
             self._executions.pop(sid, None)
             self._cond.notify_all()   # a slot freed: scheduler may activate
 
     def _finalize_drain(self) -> None:
         """After the chunk workers exit on drain, park every live
-        execution as ``checkpointed`` and release its lock."""
+        execution as ``checkpointed``."""
         with self._lock:
             executions = list(self._executions.values())
         for execution in executions:
@@ -801,13 +703,6 @@ class ExperimentService:
                 "max_concurrent": self.max_concurrent,
                 "draining": self.draining,
                 "degraded": self.degraded,
-                "locks": {
-                    "held": sum(1 for e in self._executions.values()
-                                if e.lock.held),
-                    "takeovers": self._lock_takeovers,
-                    "lost": self._locks_lost,
-                    "stale_after_s": self.lock_stale_s,
-                },
                 "jobs": counts,
             }
 
@@ -823,8 +718,6 @@ class ExperimentService:
                 len(self._executions))
             registry.gauge("service_inflight_jobs").set(
                 sum(e.rec.inflight for e in self._executions.values()))
-            registry.gauge("service_locks_held").set(
-                sum(1 for e in self._executions.values() if e.lock.held))
             registry.gauge("service_max_concurrent").set(self.max_concurrent)
             runners = [e.runner for e in self._executions.values()]
         for runner in runners:

@@ -18,12 +18,6 @@ Submissions are **idempotent**: a :class:`JobSpec`'s service ID
 checkpoint use, so a client retrying a ``POST /jobs`` it never saw the
 response to maps onto the already-journaled job instead of
 double-running it.
-
-The journal is also the **coordination bus** between daemons sharing
-one state directory: each daemon journals its own admissions and
-periodically rescans the file to discover the others' (whole-record
-``O_APPEND`` writes make concurrent appenders safe), while per-sid
-advisory locks (:mod:`repro.utils.locks`) decide who executes what.
 """
 
 from __future__ import annotations

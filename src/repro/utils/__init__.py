@@ -1,7 +1,6 @@
 """Shared utilities: seeded RNG management, unit constants, validation,
-crash-safe file primitives (JSONL appends, advisory locks)."""
+crash-safe JSONL appends."""
 
-from repro.utils.locks import FileLock, LockLost
 from repro.utils.rng import derive_rng, derive_seed, spawn_rngs
 from repro.utils.units import (
     KILO,
@@ -22,8 +21,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "FileLock",
-    "LockLost",
     "derive_rng",
     "derive_seed",
     "spawn_rngs",

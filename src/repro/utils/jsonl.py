@@ -13,15 +13,25 @@ record onto the torn bytes and corrupt *both*.  Here the appender
 checks the file's final byte and, when it is not a newline, prefixes
 one — the torn bytes become exactly one corrupt line for the reader to
 skip, and the new record parses.
+
+The tail check and the write hold an exclusive lock, or a concurrent
+appender's half-copied record would pass for a torn tail.  ``lockf``
+excludes other processes (and, unlike ``flock``, is not inherited by a
+child forked mid-append); a thread lock excludes this process's own
+threads, which a record lock does not.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
+import threading
 from pathlib import Path
 from typing import Union
 
 __all__ = ["append_record", "tail_is_torn"]
+
+_APPEND_LOCK = threading.Lock()
 
 
 def _last_byte(fd: int, size: int) -> bytes:
@@ -65,16 +75,19 @@ def append_record(path: Union[str, Path], line: bytes,
         line += b"\n"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(str(path), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            size = os.fstat(fd).st_size
-            if size > 0 and _last_byte(fd, size) != b"\n":
-                line = b"\n" + line
-            os.write(fd, line)
-            if fsync:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
+        with _APPEND_LOCK:
+            fd = os.open(str(path), os.O_RDWR | os.O_CREAT | os.O_APPEND,
+                         0o644)
+            try:
+                fcntl.lockf(fd, fcntl.LOCK_EX)
+                size = os.fstat(fd).st_size
+                if size > 0 and _last_byte(fd, size) != b"\n":
+                    line = b"\n" + line
+                os.write(fd, line)
+                if fsync:
+                    os.fsync(fd)
+            finally:
+                os.close(fd)  # also drops the lockf lock
         return True
     except OSError:
         return False

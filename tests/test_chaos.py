@@ -148,12 +148,6 @@ class TestScenarios:
         self._run("service_poisoned", tmp_path)
 
     @fork_only
-    def test_service_journal_race_scenario(self, tmp_path):
-        """Two daemons racing one journal/ledger: no torn or
-        interleaved records, every job exactly once."""
-        self._run("service_journal_race", tmp_path)
-
-    @fork_only
     def test_hang_produces_stale_heartbeat_before_timeout(
             self, tmp_path, monkeypatch):
         """The live-telemetry contract for hangs: the streaming consumer

@@ -1,10 +1,16 @@
 """The experiment service: submission model, journal, HTTP daemon,
-client, concurrent fair scheduling, and the acceptance chaos scenarios
-(SIGKILL-and-resume, SIGTERM drain under load)."""
+client, concurrent fair scheduling, the one-daemon-per-state-dir lock,
+and the acceptance chaos scenarios (SIGKILL-and-resume, SIGTERM drain
+under load)."""
 
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -21,7 +27,12 @@ from repro.service import (
     ServiceUnavailable,
 )
 from repro.service.client import retry_delay_s
-from repro.service.daemon import read_endpoint
+from repro.service.daemon import (
+    ENDPOINT_FILE,
+    StateDirBusy,
+    lock_state_dir,
+    read_endpoint,
+)
 from repro.telemetry import RunLedger
 
 PROBE = "sidedness_ablation"
@@ -422,16 +433,141 @@ class TestConcurrentScheduling:
         assert health["queue_depth"] == 1
         assert health["in_flight"] == 0
         assert health["max_concurrent"] == 1
-        locks = health["locks"]
-        assert locks["held"] == 0
-        assert locks["takeovers"] == 0
-        assert locks["stale_after_s"] > 0
 
     def test_metrics_expose_scheduler_gauges(self, parked_service):
         text = ServiceClient(parked_service.url, retries=0).metrics_text()
         assert "service_active_submissions" in text
-        assert "service_locks_held" in text
         assert "service_max_concurrent 1" in text
+
+
+# ----------------------------------------------------------------------
+# One daemon per state dir: the exclusive daemon.lock
+# ----------------------------------------------------------------------
+
+def _subprocess_env():
+    """This package importable, no chaos schedule armed."""
+    import repro
+
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_CHAOS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _spawn_serve(state_dir):
+    """``repro serve`` on ``state_dir`` in a child process.  POSIX record
+    locks never conflict within one process, so a competing daemon must
+    be a separate process."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--state-dir", str(state_dir), "--workers", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_subprocess_env())
+
+
+def _await_health(proc, state_dir, timeout_s=30.0):
+    """The spawned daemon's ``/healthz`` once it answers ({} if it
+    exits or never does)."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline and proc.poll() is None:
+        record = read_endpoint(state_dir)
+        if record is not None and record.get("pid") == proc.pid:
+            try:
+                return ServiceClient(f"http://127.0.0.1:{record['port']}",
+                                     retries=0).health()
+            except ServiceError:
+                pass
+        time.sleep(0.05)
+    return {}
+
+
+#: A process that takes the state-dir lock, forks a long-lived child
+#: (as a runner forks its pool workers), prints the child's pid, and
+#: then waits to be killed.
+_FORKING_HOLDER = """
+import os, sys, time
+from repro.service.daemon import lock_state_dir
+lock_state_dir(sys.argv[1])
+child = os.fork()
+if child == 0:
+    time.sleep(120)
+    os._exit(0)
+print(child, flush=True)
+time.sleep(120)
+"""
+
+
+class TestStateDirLock:
+    def test_second_daemon_refused_while_held(self, parked_service):
+        endpoint = parked_service.state_dir / ENDPOINT_FILE
+        before = endpoint.read_bytes()
+        proc = _spawn_serve(parked_service.state_dir)
+        try:
+            _out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 2
+        assert f"pid {os.getpid()}" in err
+        assert "cannot bind" not in err
+        assert endpoint.read_bytes() == before
+
+    def test_daemon_starts_after_stop(self, tmp_path):
+        state_dir = tmp_path / "svc"
+        ExperimentService(state_dir, port=0, start_worker=False).start().stop()
+        proc = _spawn_serve(state_dir)
+        try:
+            assert _await_health(proc, state_dir).get("status") == "live"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+            proc.communicate()
+
+    def test_failed_bind_releases_the_lock(self, tmp_path):
+        state_dir = tmp_path / "svc"
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.listen(1)
+            with pytest.raises(OSError):
+                ExperimentService(state_dir, port=sock.getsockname()[1],
+                                  start_worker=False).start()
+        proc = _spawn_serve(state_dir)
+        try:
+            assert _await_health(proc, state_dir).get("status") == "live"
+        finally:
+            proc.kill()
+            proc.communicate()
+
+    def test_lock_freed_when_holder_dies_despite_forked_child(self,
+                                                              tmp_path):
+        """A SIGKILLed holder's forked child (a surviving pool worker)
+        must not keep the lock: record locks belong to the process that
+        took them, unlike ``flock`` locks, which the child would share."""
+        state_dir = tmp_path / "svc"
+        state_dir.mkdir()
+        holder = subprocess.Popen(
+            [sys.executable, "-c", _FORKING_HOLDER, str(state_dir)],
+            stdout=subprocess.PIPE, text=True, env=_subprocess_env())
+        child = None
+        try:
+            child = int(holder.stdout.readline())
+            with pytest.raises(StateDirBusy):
+                lock_state_dir(state_dir)
+            holder.kill()
+            holder.wait(timeout=10)
+            os.kill(child, 0)  # the forked child still runs
+            fd = lock_state_dir(state_dir)
+            os.close(fd)
+        finally:
+            holder.kill()
+            holder.communicate()
+            if child is not None:
+                try:
+                    os.kill(child, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ proves that byte-for-byte, not just for one lucky cut point.
 
 import json
 import multiprocessing
+import threading
 
 import pytest
 
@@ -192,26 +193,33 @@ def _hammer_ledger(path, worker, per_worker):
 
 
 class TestConcurrentAppenders:
-    """N processes hammering one journal / ledger: whole-record
-    ``O_APPEND`` writes mean ZERO torn or interleaved lines — the
-    byte-level guarantee the multi-daemon shared state dir rests on."""
+    """N processes (or threads) hammering one journal / ledger:
+    whole-record ``O_APPEND`` writes mean ZERO torn or interleaved
+    lines — the byte-level guarantee a ledger shared by concurrent runs
+    rests on."""
 
     PROCS = 4
     PER_WORKER = 25
 
-    def _spawn(self, target, path):
-        workers = [multiprocessing.Process(
-            target=target, args=(path, w, self.PER_WORKER))
-            for w in range(self.PROCS)]
+    def _spawn(self, target, path, kind=multiprocessing.Process):
+        workers = [kind(target=target, args=(path, w, self.PER_WORKER))
+                   for w in range(self.PROCS)]
         for worker in workers:
             worker.start()
         for worker in workers:
             worker.join(60.0)
-            assert worker.exitcode == 0
+            assert not worker.is_alive()
+            assert getattr(worker, "exitcode", 0) == 0
 
     def test_journal_survives_concurrent_appenders(self, tmp_path):
-        path = tmp_path / "jobs.jsonl"
-        self._spawn(_hammer_journal, path)
+        self._check_journal(tmp_path / "jobs.jsonl", multiprocessing.Process)
+
+    def test_journal_survives_concurrent_thread_appenders(self, tmp_path):
+        """A daemon's HTTP threads and chunk workers share its journal."""
+        self._check_journal(tmp_path / "jobs.jsonl", threading.Thread)
+
+    def _check_journal(self, path, kind):
+        self._spawn(_hammer_journal, path, kind)
 
         # Every line parses on its own: no tears, no interleaving.
         lines = path.read_bytes().splitlines()
