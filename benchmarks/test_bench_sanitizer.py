@@ -24,9 +24,6 @@ _ROW = np.arange(8192, dtype=np.uint8)
 _BANK_STUB = type("BankStub", (), {
     "geometry": type("Geo", (), {"rows": 128})(),
     "open_row": None,
-    "_pressure": {},
-    "_peak": {},
-    "_data": {},
 })()
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.controller import MemoryController
 from repro.core.scenarios import scaled_scenario
-from repro.dram import DisturbanceModel, DramBank, DramGeometry, VulnerabilityProfile
+from repro.dram import ColumnarDramBank, DisturbanceModel, DramGeometry, VulnerabilityProfile
 from repro.ecc import SECDED_72_64
 from repro.fieldstudy import build_population, instantiate, whole_module_errors
 
@@ -21,7 +21,7 @@ PROFILE = VulnerabilityProfile(weak_cell_density=1e-4, hc_first_median=700_000, 
 def test_perf_bank_bulk_activate(benchmark):
     """Device fast path: one bulk hammer + settle."""
     def run():
-        bank = DramBank(GEO, DisturbanceModel(GEO, PROFILE, 1), 0)
+        bank = ColumnarDramBank(GEO, DisturbanceModel(GEO, PROFILE, 1), 0)
         bank.bulk_activate(500, 1_000_000)
         bank.settle()
         return bank.stats.activations

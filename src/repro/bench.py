@@ -258,8 +258,8 @@ def fingerprint_mismatches(current: Mapping[str, Any],
                            baseline: Mapping[str, Any]) -> List[Dict[str, Any]]:
     """Environment-fingerprint fields that differ between two reports.
 
-    Wall-time deltas across different hosts, interpreters, or DRAM
-    engines measure the environment, not the code — the comparison
+    Wall-time deltas across different hosts, interpreters, or numpy
+    builds measure the environment, not the code — the comparison
     must say so instead of silently gating on them.  Fields missing
     from one side (pre-fingerprint baselines) are never mismatches.
     """
@@ -281,7 +281,7 @@ def compare_reports(current: Mapping[str, Any], baseline: Mapping[str, Any],
     ``threshold_pct`` percent over the baseline.  Benches present on
     only one side are reported but never counted as regressions.
     ``fingerprint_mismatches`` lists environment differences (host,
-    python/numpy, DRAM engine) that make the wall-time comparison
+    python/numpy) that make the wall-time comparison
     apples-to-oranges; callers should surface them as warnings.
     """
     base_by_name = {b["name"]: b for b in baseline.get("benches", ())}

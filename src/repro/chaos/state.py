@@ -67,12 +67,12 @@ class StateInjector:
 # The paired injectors (keys must mirror repro.sanitizer.checks)
 # ----------------------------------------------------------------------
 def _bank_can(bank: Any) -> bool:
-    return bool(bank._data)
+    return bool(bank.touched_rows())
 
 
 def _bank_apply(bank: Any) -> str:
-    row = min(bank._data)
-    bank._data[row][0] ^= 1  # raw array poke: no write, no note, no model
+    row = bank.touched_rows()[0]
+    bank.stored_bits(row)[0] ^= 1  # raw array poke: no write, no note, no model
     return f"flipped stored bit 0 of bank {bank.index} row {row}"
 
 

@@ -1,7 +1,8 @@
 """DRAM substrate: geometry, timing, address mapping, disturbance model,
-and the two simulation engines (per-command reference and columnar)."""
+and the bank engines (columnar in production, the per-command reference
+as the test oracle)."""
 
-from repro.dram.bank import ENGINES, BankStats, DramBank, default_engine
+from repro.dram.bank import BankStats, DramBank
 from repro.dram.columnar import ColumnarDramBank
 from repro.dram.datapatterns import PATTERN_NAMES, PATTERNS, get_pattern, make_random_pattern, pattern_bits
 from repro.dram.disturbance import (
@@ -26,8 +27,6 @@ __all__ = [
     "CommandStream",
     "ColumnarDramBank",
     "DramBank",
-    "ENGINES",
-    "default_engine",
     "WeakCellBlock",
     "PATTERN_NAMES",
     "PATTERNS",

@@ -14,28 +14,21 @@ Flips are materialized lazily whenever the row's cells are next sensed
 (own activation or refresh), which is exact: a weak cell flips iff the
 pressure crossed its threshold at any point while the data was resident.
 
-Two interchangeable engines implement these semantics:
-
-``reference``
-    This class: per-row dicts mutated one command at a time.  Simple,
-    obviously faithful to the prose above — the **oracle** the
-    differential harness (:mod:`repro.dram.differential`) holds the
-    fast engine to.
-``columnar``
-    :class:`repro.dram.columnar.ColumnarDramBank`: dense per-bank numpy
-    state, a batched :class:`~repro.dram.stream.CommandStream` executor,
-    and scalar activations deferred into runs that commit exactly at
-    the next observation.  The default.
-
-``DramBank(...)`` dispatches on the ``REPRO_DRAM_ENGINE`` environment
-variable (or an explicit ``engine=`` argument), so every consumer —
-attacks, campaigns, experiments, tests — transparently constructs
-whichever engine is selected while keeping this exact public API.
+This class is the **reference** engine: per-row dicts mutated one
+command at a time, obviously faithful to the prose above.  Production
+modules build :class:`repro.dram.columnar.ColumnarDramBank` (dense
+numpy state, a batched :class:`~repro.dram.stream.CommandStream`
+executor, deferred activation runs); this class is the oracle the
+differential harness (:mod:`repro.dram.differential`) and the
+controller oracle hold it to.  Both engines implement the same public
+API, including the read accessors (``pressure``, ``peak``,
+``last_aggressor``, ``disturbed_rows``, ``stored_bits``,
+``touched_rows``) that sanitizer checkers, chaos injectors and the
+oracle use instead of private state.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence
@@ -62,47 +55,17 @@ from repro.telemetry import runtime as telem
 #: Bucket edges for the flips-per-materialization histogram.
 _FLIP_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
-#: Engine selector environment variable.
-ENV_ENGINE = "REPRO_DRAM_ENGINE"
-
-#: Recognized engine names.
-ENGINES = ("columnar", "reference")
-
-#: Flip-log bound override (integer; ``off`` disables the cap).
-ENV_FLIP_LOG_CAP = "REPRO_FLIP_LOG_CAP"
-
 #: Default per-bank flip-log bound — large enough for every experiment
 #: in the repo, small enough that a fleet sweep cannot eat the heap.
 DEFAULT_FLIP_LOG_CAP = 1_000_000
-
-
-def default_engine() -> str:
-    """The engine ``DramBank(...)`` constructs, from ``REPRO_DRAM_ENGINE``."""
-    raw = os.environ.get(ENV_ENGINE, "").strip().lower()
-    if not raw:
-        return "columnar"
-    if raw not in ENGINES:
-        raise ValueError(
-            f"unknown {ENV_ENGINE} value {raw!r}; expected one of {', '.join(ENGINES)}"
-        )
-    return raw
-
-
-def _flip_log_cap_from_env() -> Optional[int]:
-    raw = os.environ.get(ENV_FLIP_LOG_CAP, "").strip().lower()
-    if not raw:
-        return DEFAULT_FLIP_LOG_CAP
-    if raw in ("off", "none", "unbounded"):
-        return None
-    return max(0, int(raw))
 
 
 @dataclass
 class BankStats:
     """Activity counters for one bank.
 
-    ``flip_log`` holds at most ``flip_log_cap`` entries of
-    ``(row, bit, time, aggressor, hammer, pattern, epoch)`` — each
+    ``flip_log`` holds at most ``flip_log_cap`` (``None``: unbounded)
+    entries of ``(row, bit, time, aggressor, hammer, pattern, epoch)`` — each
     flip's full provenance: the dominant aggressor row at flip time
     (``-1`` when none claimed the victim), the accumulated hammer
     pressure that tripped the cell, the stored data pattern, and the
@@ -118,7 +81,7 @@ class BankStats:
     writes: int = 0
     flips_materialized: int = 0
     flip_log: List[tuple] = field(default_factory=list)
-    flip_log_cap: Optional[int] = field(default_factory=_flip_log_cap_from_env)
+    flip_log_cap: Optional[int] = DEFAULT_FLIP_LOG_CAP
     flips_dropped: int = 0
     bank_index: int = 0
     refresh_epoch: int = 0
@@ -196,40 +159,18 @@ class BankStats:
 class DramBank:
     """A single DRAM bank with disturbance-aware storage.
 
-    Constructing ``DramBank(...)`` directly returns the engine selected
-    by ``REPRO_DRAM_ENGINE`` (columnar by default); this class's own
-    method bodies are the per-command **reference** implementation.
+    This class's method bodies are the per-command **reference**
+    implementation; modules build :class:`ColumnarDramBank` banks.
 
     Args:
         geometry: module organization (rows/row size are read from it).
         model: the module's disturbance model.
         index: bank index within the module.
         default_pattern: fill applied to rows never explicitly written.
-        engine: explicit engine override (``"columnar"``/``"reference"``).
     """
 
-    #: Engine name this class implements (overridden by subclasses).
+    #: Engine label (observations and reports name the engine by it).
     engine = "reference"
-
-    def __new__(
-        cls,
-        geometry: DramGeometry = None,
-        model: DisturbanceModel = None,
-        index: int = 0,
-        default_pattern: str = "solid1",
-        engine: Optional[str] = None,
-    ) -> "DramBank":
-        if cls is DramBank:
-            name = engine or default_engine()
-            if name == "columnar":
-                from repro.dram.columnar import ColumnarDramBank
-
-                return super().__new__(ColumnarDramBank)
-            if name != "reference":
-                raise ValueError(
-                    f"unknown DRAM engine {name!r}; expected one of {', '.join(ENGINES)}"
-                )
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -237,7 +178,6 @@ class DramBank:
         model: DisturbanceModel,
         index: int,
         default_pattern: str = "solid1",
-        engine: Optional[str] = None,
     ) -> None:
         geometry.check_bank(index)
         self.geometry = geometry
@@ -282,6 +222,19 @@ class DramBank:
     def pressure(self, row: int) -> float:
         """Current accumulated pressure of ``row``."""
         return self._pressure.get(row, 0.0)
+
+    def peak(self, row: int) -> float:
+        """Peak pressure of ``row`` since its flips last materialized."""
+        return self._peak.get(row, 0.0)
+
+    def last_aggressor(self, row: int) -> Optional[int]:
+        """The immediate neighbor that last disturbed ``row``, if any."""
+        return self._last_aggressor.get(row)
+
+    def disturbed_rows(self) -> List[int]:
+        """Rows holding disturbance state, in the order first touched
+        (the order ``refresh_all`` and ``settle`` visit them)."""
+        return list(self._peak)
 
     def _bump(self, victim: int, weight: float, aggressor: int, record_aggressor: bool = True) -> None:
         if not 0 <= victim < self.geometry.rows:
@@ -522,3 +475,9 @@ class DramBank:
     def touched_rows(self) -> List[int]:
         """Rows whose data has been instantiated."""
         return sorted(self._data)
+
+    def stored_bits(self, row: int) -> Optional[np.ndarray]:
+        """The authoritative stored bit array of ``row`` (mutating it
+        mutates the row), or ``None`` if the row was never instantiated.
+        Unlike :meth:`row_bits` this never instantiates the row."""
+        return self._data.get(row)

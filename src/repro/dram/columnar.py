@@ -26,15 +26,13 @@ reference engine's per-command ``activate``.  ``activate`` (and the
 activation inside ``read``/``write``) only appends ``(row, time)`` to
 the bank's **pending run**.  The run is committed, in command order, by
 the first call that can observe or change what it touches: any
-refresh or ``settle``; ``execute`` or ``bulk_activate``; ``row_bits``,
-``pressure`` or ``touched_rows``; ``set_default_pattern``; reading the
-``stats`` attribute; and any method of the dict-like *views*
-(``_data``, ``_pressure``, ``_peak``, ``_last_aggressor``) that
-sanitizer checkers, chaos injectors and tests poke on both engines
-(``pressure`` and ``touched_rows`` are the reference bodies reading
-through them).  ``write`` commits before it stores, since pending
-windows read the old content.  ``open_row`` and the activation
-counters update eagerly.
+refresh or ``settle``; ``execute`` or ``bulk_activate``; ``row_bits``;
+every read accessor (``pressure``, ``peak``, ``last_aggressor``,
+``disturbed_rows``, ``stored_bits``, ``touched_rows``), which sanitizer
+checkers, chaos injectors and the oracle use on both engines;
+``set_default_pattern``; and reading the ``stats`` attribute.
+``write`` commits before it stores, since pending windows read the old
+content.  ``open_row`` and the activation counters update eagerly.
 
 The commit replays the run's resets and neighbor bumps on a small
 row-keyed overlay in plain float arithmetic, per row in the same order
@@ -58,7 +56,7 @@ streams and scalar scripts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -162,139 +160,6 @@ class _ColumnarState:
             self.touch_order.append(int(row))
 
 
-class _BankView:
-    """Base of the dict-like views over one bank's columnar state (the
-    engine itself reads and writes the columns directly).
-
-    Every access commits the bank's pending activation run first, so a
-    view never shows state that a deferred run has yet to apply.
-    """
-
-    __slots__ = ("_bank",)
-
-    def __init__(self, bank: "ColumnarDramBank") -> None:
-        self._bank = bank
-
-    @property
-    def _state(self) -> _ColumnarState:
-        self._bank._commit()
-        return self._bank._cs
-
-
-class _ChargeView(_BankView):
-    """Dict-like view of one float column keyed by touched rows.
-
-    Mirrors the reference engine's ``_pressure``/``_peak`` dicts: keys
-    are the touched rows in insertion order; reads of untouched rows
-    fall back to the default (the backing array holds 0.0 there).
-    """
-
-    __slots__ = ("_column",)
-
-    def __init__(self, bank: "ColumnarDramBank", column: str) -> None:
-        super().__init__(bank)
-        self._column = column  # state attribute name: "pressure" | "peak"
-
-    def _hit(self, row: int) -> bool:
-        state = self._state
-        return (state._touched is not None and 0 <= row < state.rows
-                and bool(state._touched[row]))
-
-    def get(self, row: int, default=0.0):
-        if self._hit(row):
-            return float(getattr(self._state, self._column)[row])
-        return default
-
-    def __getitem__(self, row: int) -> float:
-        if self._hit(row):
-            return float(getattr(self._state, self._column)[row])
-        raise KeyError(row)
-
-    def __setitem__(self, row: int, value: float) -> None:
-        # Only fault-injection tests write charge through the view.
-        getattr(self._state, self._column)[row] = value
-        self._state.touch(row)
-
-    def __contains__(self, row: int) -> bool:
-        return self._hit(row)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._state.touch_order)
-
-    def __len__(self) -> int:
-        return len(self._state.touch_order)
-
-    def __bool__(self) -> bool:
-        return bool(self._state.touch_order)
-
-
-class _LastAggressorView(_BankView):
-    """Dict-like view of the last-aggressor column (-1 encodes absent)."""
-
-    __slots__ = ()
-
-    def get(self, row: int, default=None):
-        state = self._state
-        if state._last_agg is not None and 0 <= row < state.rows:
-            value = state._last_agg[row]
-            if value >= 0:
-                return int(value)
-        return default
-
-    def __getitem__(self, row: int) -> int:
-        value = self.get(row)
-        if value is None:
-            raise KeyError(row)
-        return value
-
-    def __contains__(self, row: int) -> bool:
-        return self.get(row) is not None
-
-
-class _DataView(_BankView):
-    """Dict-like view of stored row data over the sparse representation.
-
-    Reading a row through the view materializes its full bit array
-    (content is unchanged — pattern XOR recorded flips), so callers
-    that mutate rows in place (``apply_flips``, the chaos injector's
-    raw array poke) always hold the authoritative storage.
-    """
-
-    __slots__ = ()
-
-    def get(self, row: int, default=None):
-        state = self._state
-        if (state._instantiated is not None and 0 <= row < state.rows
-                and state._instantiated[row]):
-            return self._bank._row_array(row)
-        return default
-
-    def __getitem__(self, row: int) -> np.ndarray:
-        bits = self.get(row)
-        if bits is None:
-            raise KeyError(row)
-        return bits
-
-    def __contains__(self, row: int) -> bool:
-        state = self._state
-        return (state._instantiated is not None and 0 <= row < state.rows
-                and bool(state._instantiated[row]))
-
-    def __iter__(self) -> Iterator[int]:
-        mask = self._state._instantiated
-        if mask is None:
-            return iter(())
-        return iter(np.nonzero(mask)[0].tolist())
-
-    def __len__(self) -> int:
-        mask = self._state._instantiated
-        return 0 if mask is None else int(mask.sum())
-
-    def __bool__(self) -> bool:
-        mask = self._state._instantiated
-        return mask is not None and bool(mask.any())
-
-
 def _first_occurrence(values: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of each distinct value, ascending
     by position (order-preserving dedup without hash-based np.unique)."""
@@ -313,10 +178,6 @@ class ColumnarDramBank(DramBank):
         self._cs = _ColumnarState(self.geometry.rows)
         #: Deferred activations, ``(row, time)`` in command order.
         self._run: List[tuple] = []
-        self._data = _DataView(self)
-        self._pressure = _ChargeView(self, "pressure")
-        self._peak = _ChargeView(self, "peak")
-        self._last_aggressor = _LastAggressorView(self)
 
     @property
     def stats(self) -> BankStats:
@@ -405,6 +266,47 @@ class ColumnarDramBank(DramBank):
         if fresh and sanit.sanitize_on:
             sanit.note("dram.bank", self, row=row)
         return bits
+
+    # ------------------------------------------------------------------
+    # Read accessors (each commits the pending run first)
+    # ------------------------------------------------------------------
+    def _column_value(self, column: str, row: int, default):
+        """``column``'s value at ``row`` if the row is touched, else
+        ``default`` (untouched rows never allocate a column)."""
+        self._commit()
+        state = self._cs
+        if (state._touched is None or not 0 <= row < state.rows
+                or not state._touched[row]):
+            return default
+        return getattr(state, column).item(row)
+
+    def pressure(self, row: int) -> float:
+        return self._column_value("pressure", row, 0.0)
+
+    def peak(self, row: int) -> float:
+        return self._column_value("peak", row, 0.0)
+
+    def last_aggressor(self, row: int) -> Optional[int]:
+        agg = self._column_value("last_agg", row, -1)
+        return agg if agg >= 0 else None
+
+    def disturbed_rows(self) -> List[int]:
+        self._commit()
+        return list(self._cs.touch_order)
+
+    def touched_rows(self) -> List[int]:
+        self._commit()
+        mask = self._cs._instantiated
+        return [] if mask is None else np.nonzero(mask)[0].tolist()
+
+    def stored_bits(self, row: int) -> Optional[np.ndarray]:
+        # An instantiated row still held as "pattern XOR flips" gets its
+        # full array now, so in-place edits reach the authoritative copy.
+        self._commit()
+        mask = self._cs._instantiated
+        if mask is None or not 0 <= row < self._cs.rows or not mask[row]:
+            return None
+        return self._row_array(row)
 
     def set_default_pattern(self, name: str) -> None:
         # Pending windows flip (and log) against the old pattern.

@@ -2,8 +2,11 @@
 
 The columnar engine re-derives the bank semantics as array programs
 and deferred activation runs; this harness is the proof obligation
-that came with it.  Two kinds of seeded random input replay through
-both engines:
+that came with it.  The per-command :class:`~repro.dram.bank.DramBank`
+exists only as this oracle: production modules never build it, and
+:class:`ReferenceModule` is the module the controller-level oracle
+tests run it in.  Two kinds of seeded random input replay through both
+engines:
 
 * **command streams** (:func:`run_differential`): a
   :class:`~repro.dram.stream.CommandStream` weighted toward the shapes
@@ -42,14 +45,18 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.dram.bank import DramBank
+from repro.dram.columnar import ColumnarDramBank
 from repro.dram.disturbance import DisturbanceModel, VulnerabilityProfile
 from repro.dram.geometry import DramGeometry
+from repro.dram.module import DramModule
 from repro.dram.stream import CommandStream
 from repro.utils.rng import derive_rng
 
 __all__ = [
+    "BANK_CLASSES",
     "DEFAULT_PROFILES",
     "EngineObservation",
+    "ReferenceModule",
     "diff_observations",
     "observe",
     "random_script",
@@ -82,6 +89,15 @@ DEFAULT_PROFILES: Tuple[VulnerabilityProfile, ...] = (
 )
 
 _PATTERNS = ("solid1", "rowstripe", "checkered", "random")
+
+#: The two bank engines, by their ``engine`` label.
+BANK_CLASSES = {cls.engine: cls for cls in (DramBank, ColumnarDramBank)}
+
+
+class ReferenceModule(DramModule):
+    """A :class:`DramModule` whose banks run the reference engine."""
+
+    bank_class = DramBank
 
 
 @dataclass
@@ -150,7 +166,7 @@ def random_stream(
 
 def observe(bank: DramBank, returned: int) -> EngineObservation:
     """Snapshot one bank into the comparable observation form."""
-    touch_order = list(bank._peak)
+    touch_order = bank.disturbed_rows()
     stats = bank.stats
     return EngineObservation(
         engine=bank.engine,
@@ -166,10 +182,9 @@ def observe(bank: DramBank, returned: int) -> EngineObservation:
             "refresh_epoch": stats.refresh_epoch,
         },
         touch_order=touch_order,
-        pressure={row: bank._pressure.get(row, 0.0) for row in touch_order},
-        peak={row: bank._peak.get(row, 0.0) for row in touch_order},
-        last_aggressor={row: bank._last_aggressor.get(row)
-                        for row in touch_order},
+        pressure={row: bank.pressure(row) for row in touch_order},
+        peak={row: bank.peak(row) for row in touch_order},
+        last_aggressor={row: bank.last_aggressor(row) for row in touch_order},
         open_row=bank.open_row,
         touched_rows=bank.touched_rows(),
         row_data={row: bank.row_bits(row).copy() for row in bank.touched_rows()},
@@ -185,9 +200,10 @@ def replay_stream(
     seed: int = 0,
     pattern: str = "solid1",
 ) -> EngineObservation:
-    """Run ``stream`` on a fresh bank of the given engine and observe it."""
+    """Run ``stream`` on a fresh bank of the ``engine`` label's class
+    (a :data:`BANK_CLASSES` key) and observe it."""
     model = DisturbanceModel(geometry, profile, seed)
-    bank = DramBank(geometry, model, 0, default_pattern=pattern, engine=engine)
+    bank = BANK_CLASSES[engine](geometry, model, 0, default_pattern=pattern)
     returned = bank.execute(stream)
     return observe(bank, returned)
 
@@ -393,7 +409,7 @@ def replay_script(
     probe, compared exactly between engines.
     """
     model = DisturbanceModel(geometry, profile, seed)
-    bank = DramBank(geometry, model, 0, default_pattern=pattern, engine=engine)
+    bank = BANK_CLASSES[engine](geometry, model, 0, default_pattern=pattern)
     probes: List[tuple] = []
     for call, *args in script:
         if call == "stats":

@@ -5,6 +5,11 @@ Logical (externally visible) row addresses pass through the module's
 :class:`~repro.dram.remap.RowRemapper` before reaching the banks, which
 operate in physical row space — mirroring the manufacturer-internal
 remapping the paper identifies as the obstacle to controller-side PARA.
+
+Banks run on the columnar engine
+(:class:`~repro.dram.columnar.ColumnarDramBank`).  The per-command
+reference :class:`~repro.dram.bank.DramBank` is the test oracle only;
+:class:`repro.dram.differential.ReferenceModule` builds modules from it.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.dram.bank import DramBank
+from repro.dram.columnar import ColumnarDramBank
 from repro.dram.disturbance import DisturbanceModel, VulnerabilityProfile
 from repro.dram.geometry import DDR3_2GB, DramGeometry
 from repro.dram.remap import RowRemapper
@@ -35,9 +41,11 @@ class DramModule:
         remap_scheme: internal row remapping scheme.
         default_pattern: background data fill.
         seed: experiment root seed.
-        engine: DRAM engine for the banks (``"columnar"``/``"reference"``;
-            default follows ``REPRO_DRAM_ENGINE``).
     """
+
+    #: Bank engine class.  A seam for the oracle tests, which swap in
+    #: the reference engine; not a user option.
+    bank_class = ColumnarDramBank
 
     def __init__(
         self,
@@ -50,7 +58,6 @@ class DramModule:
         remap_scheme: str = "identity",
         default_pattern: str = "solid1",
         seed: int = 0,
-        engine: Optional[str] = None,
     ) -> None:
         if profile is None:
             profile = profile_for(manufacturer, manufacture_date)
@@ -64,14 +71,9 @@ class DramModule:
         self.remapper = RowRemapper(geometry.rows, remap_scheme)
         self.model = DisturbanceModel(geometry, profile, self.seed)
         self.banks: List[DramBank] = [
-            DramBank(geometry, self.model, i, default_pattern, engine=engine)
+            self.bank_class(geometry, self.model, i, default_pattern)
             for i in range(geometry.banks)
         ]
-
-    @property
-    def engine(self) -> str:
-        """The DRAM engine the module's banks run on."""
-        return self.banks[0].engine
 
     @classmethod
     def from_vintage(

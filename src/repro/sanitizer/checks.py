@@ -54,8 +54,8 @@ def _check_dram_bank(bank: Any, full: bool, ctx: Dict[str, Any]) -> None:
                   f"open_row={open_row}, rows={rows}")
     row = ctx.get("row")
     if row is not None:
-        pressure = bank._pressure.get(row, 0.0)
-        peak = bank._peak.get(row, 0.0)
+        pressure = bank.pressure(row)
+        peak = bank.peak(row)
         if not pressure >= 0.0 or not peak >= 0.0:
             violation("dram.bank", "negative disturbance charge",
                       f"row={row}, pressure={pressure}, peak={peak}")
@@ -73,14 +73,17 @@ def _check_dram_bank(bank: Any, full: bool, ctx: Dict[str, Any]) -> None:
     if not digests:
         return
     if ctx.get("force"):
-        stale = [r for r in sorted(digests) if r in bank._data]
-    elif row in digests and row in bank._data:
+        stale = sorted(digests)
+    elif row in digests:
         stale = [row]
     else:
         return
     for r in stale:
+        bits = bank.stored_bits(r)
+        if bits is None:
+            continue
         expected = digests[r]
-        actual = _row_digest(bank._data[r])
+        actual = _row_digest(bits)
         if actual != expected:
             violation(
                 "dram.bank", "stored-data digest mismatch",
@@ -126,7 +129,7 @@ def _note_dram_bank(bank: Any, ctx: Dict[str, Any]) -> None:
     row = ctx.get("row")
     if row is None:
         return
-    bits = bank._data.get(row)
+    bits = bank.stored_bits(row)
     if bits is not None:
         bank.__dict__.setdefault("_sanit_digest", {})[row] = _row_digest(bits)
 

@@ -108,7 +108,7 @@ def job_id_from_key(job_key: str) -> str:
 
 def environment_fingerprint() -> Dict[str, Any]:
     """Where a report came from: enough to spot apples-vs-oranges
-    comparisons (different host, interpreter, numpy, or DRAM engine).
+    comparisons (different host, interpreter, or numpy).
     """
     from repro.telemetry.ledger import git_sha  # local: keep this module a leaf
 
@@ -122,5 +122,4 @@ def environment_fingerprint() -> Dict[str, Any]:
         "python": platform.python_version(),
         "numpy": numpy_version,
         "hostname": socket.gethostname(),
-        "dram_engine": os.environ.get("REPRO_DRAM_ENGINE", "").strip() or "columnar",
     }

@@ -29,7 +29,6 @@ Prometheus exposition of the aggregates), never the simulator.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -49,17 +48,8 @@ __all__ = [
 #: sites; mutate only through :func:`enable_physics`/:func:`disable_physics`.
 physics_on: bool = False
 
-ENV_AUDIT_CAP = "REPRO_AUDIT_CAP"
+#: Default bound on the audit event list.
 DEFAULT_AUDIT_CAP = 10_000
-
-
-def _audit_cap_from_env() -> Optional[int]:
-    raw = os.environ.get(ENV_AUDIT_CAP, "").strip().lower()
-    if not raw:
-        return DEFAULT_AUDIT_CAP
-    if raw in ("none", "off", "unlimited"):
-        return None
-    return max(0, int(raw))
 
 
 @dataclass(frozen=True)
@@ -101,13 +91,13 @@ class PhysicsCollector:
 
     All accumulators are mergeable: counts add, peaks max-merge,
     epoch windows widen.  The audit *counts* are always complete;
-    the audit *event list* is bounded by ``audit_cap`` (env
-    ``REPRO_AUDIT_CAP``, default 10 000) with overflow counted in
+    the audit *event list* is bounded by ``audit_cap`` (default
+    10 000, ``None`` for unbounded) with overflow counted in
     ``audit_dropped`` — the same drop-don't-lie contract as the
     flip log cap.
     """
 
-    def __init__(self, audit_cap: Optional[int] = None) -> None:
+    def __init__(self, audit_cap: Optional[int] = DEFAULT_AUDIT_CAP) -> None:
         # (bank, row) -> [activations, peak_pressure, flips]
         self._heat: Dict[Tuple[int, int], List[float]] = {}
         # (bank, victim, aggressor, pattern)
@@ -116,7 +106,7 @@ class PhysicsCollector:
         # (mitigation, decision) -> count
         self._audit_counts: Dict[Tuple[str, str], int] = {}
         self._audit_events: List[AuditEvent] = []
-        self.audit_cap = _audit_cap_from_env() if audit_cap is None else audit_cap
+        self.audit_cap = audit_cap
         self.audit_dropped = 0
 
     def __bool__(self) -> bool:

@@ -13,11 +13,32 @@ alone** — CI runs the whole tier-1 suite under ``REPRO_SANITIZE=full``
 — but the programmatic level is re-synced from the environment after
 every test so a test that called ``set_level`` can't leak its level
 into the next one.
+
+``--dram-engine reference`` reruns any selection of tests with every
+:class:`~repro.dram.module.DramModule` built on the per-command
+reference banks (the differential CI job runs the core DRAM suite this
+way); the default, ``columnar``, leaves production banks in place.
 """
 
 import pytest
 
+from repro.dram.differential import BANK_CLASSES
+from repro.dram.module import DramModule
 from repro.sanitizer import runtime as sanit
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--dram-engine", choices=sorted(BANK_CLASSES), default="columnar",
+        help="bank engine DramModule builds for this test session")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _dram_engine(request):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DramModule, "bank_class",
+                   BANK_CLASSES[request.config.getoption("--dram-engine")])
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -1,11 +1,11 @@
-"""Columnar engine plumbing: engine selection, state views, the
-bounded flip log, weak-cell cache eviction, batched refresh, and
+"""Columnar engine plumbing: the read accessors both engines share,
+the bounded flip log, weak-cell cache eviction, batched refresh, and
 telemetry symmetry between the engines."""
 
 import numpy as np
 import pytest
 
-from repro.dram.bank import ENGINES, BankStats, DramBank, default_engine
+from repro.dram.bank import DEFAULT_FLIP_LOG_CAP, BankStats, DramBank
 from repro.dram.columnar import ColumnarDramBank
 from repro.dram.disturbance import (
     BLOCK_ROWS,
@@ -13,7 +13,6 @@ from repro.dram.disturbance import (
     VulnerabilityProfile,
 )
 from repro.dram.geometry import DramGeometry
-from repro.dram.module import DramModule
 from repro.dram.stream import CommandStream
 from repro.sanitizer import runtime as sanit
 from repro.telemetry import MetricsRegistry, SpanProfiler, TraceRecorder
@@ -26,10 +25,13 @@ PROFILE = VulnerabilityProfile(
     hc_first_min=800.0, hc_first_sigma=0.5, distance2_weight=0.1)
 
 
-def make_bank(engine=None, pattern="solid1", seed=0):
+#: Both engines: the production bank and the reference oracle.
+BANKS = (DramBank, ColumnarDramBank)
+
+
+def make_bank(cls=ColumnarDramBank, pattern="solid1", seed=0):
     model = DisturbanceModel(GEOMETRY, PROFILE, seed)
-    return DramBank(GEOMETRY, model, 0, default_pattern=pattern,
-                    engine=engine)
+    return cls(GEOMETRY, model, 0, default_pattern=pattern)
 
 
 def hammer_stream(victims=6, count=5000, first=10, stride=3):
@@ -53,106 +55,71 @@ def _clean_telemetry():
     telem.swap_profiler(prev_profiler)
 
 
-class TestEngineSelection:
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DRAM_ENGINE", raising=False)
-        assert default_engine() == "columnar"
-        assert isinstance(make_bank(), ColumnarDramBank)
+@pytest.mark.parametrize("cls", BANKS, ids=lambda cls: cls.engine)
+class TestReadAccessors:
+    """The public read API both engines implement — what sanitizer
+    checkers, chaos injectors and the oracle use instead of private
+    state."""
 
-    def test_env_switches_to_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DRAM_ENGINE", "reference")
-        bank = make_bank()
-        assert bank.engine == "reference"
-        assert not isinstance(bank, ColumnarDramBank)
-
-    def test_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DRAM_ENGINE", "reference")
-        assert isinstance(make_bank(engine="columnar"), ColumnarDramBank)
-        monkeypatch.setenv("REPRO_DRAM_ENGINE", "columnar")
-        assert make_bank(engine="reference").engine == "reference"
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown DRAM engine"):
-            make_bank(engine="quantum")
-        monkeypatch.setenv("REPRO_DRAM_ENGINE", "quantum")
-        with pytest.raises(ValueError):
-            default_engine()
-
-    def test_module_exposes_engine(self):
-        module = DramModule(geometry=GEOMETRY, profile=PROFILE,
-                            engine="reference")
-        assert module.engine == "reference"
-        assert all(b.engine == "reference" for b in module.banks)
-        assert DramModule(geometry=GEOMETRY, profile=PROFILE,
-                          engine="columnar").engine == "columnar"
-
-    def test_engines_registry(self):
-        assert set(ENGINES) == {"columnar", "reference"}
-
-
-class TestColumnarViews:
-    """The dict-like views must behave like the reference dicts, so
-    sanitizer checkers and chaos injectors poke both engines alike."""
-
-    def test_charge_views_track_touch_order(self):
-        bank = make_bank(engine="columnar")
+    def test_disturbed_rows_in_touch_order(self, cls):
+        bank = make_bank(cls)
         bank.bulk_activate(20, 100)
-        bank.bulk_activate(10, 100)
-        order = list(bank._pressure)
-        # Reference key order: row, row-1, row+1, row-2, row+2 per ACT.
-        assert order == [20, 19, 21, 18, 22, 10, 9, 11, 8, 12]
-        assert len(bank._peak) == len(order)
-        assert 19 in bank._pressure
-        assert 50 not in bank._pressure
-        assert bank._pressure.get(50, -1.0) == -1.0
-        assert bank._pressure[19] == pytest.approx(100.0)
-        with pytest.raises(KeyError):
-            bank._pressure[50]
+        bank.activate(10)
+        bank.activate(10)
+        # Touch order: row, row-1, row+1, row-2, row+2 per ACT.
+        assert bank.disturbed_rows() == [20, 19, 21, 18, 22, 10, 9, 11, 8, 12]
+        # Read while the columnar run is still pending: accessors commit.
+        assert bank.pressure(11) == 2.0
+        assert bank.peak(19) == 100.0
+        assert bank.last_aggressor(11) == 10
+        assert bank.last_aggressor(12) is None  # distance 2 claims nothing
 
-    def test_charge_view_write_through(self):
-        bank = make_bank(engine="columnar")
-        bank._pressure[7] = 123.0
-        assert bank.pressure(7) == pytest.approx(123.0)
-        assert list(bank._pressure) == [7]
+    def test_untouched_row_reads_default(self, cls):
+        bank = make_bank(cls)
+        bank.bulk_activate(20, 100)
+        assert bank.pressure(50) == 0.0
+        assert bank.peak(50) == 0.0
+        assert bank.last_aggressor(50) is None
+        assert bank.stored_bits(50) is None
 
-    def test_last_aggressor_view(self):
-        bank = make_bank(engine="columnar")
-        assert bank._last_aggressor.get(11) is None
-        bank.bulk_activate(10, 50)
-        assert bank._last_aggressor[11] == 10
-        assert bank._last_aggressor.get(9) == 10
-        assert 13 not in bank._last_aggressor
-
-    def test_data_view_materializes_on_read(self):
-        bank = make_bank(engine="columnar", pattern="rowstripe")
-        assert 5 not in bank._data
+    def test_materialize_on_read(self, cls):
+        bank = make_bank(cls, pattern="rowstripe")
+        assert bank.stored_bits(5) is None  # stored_bits never instantiates
+        assert bank.touched_rows() == []
         bits = bank.row_bits(5)  # odd row of rowstripe = 0x00
-        assert 5 in bank._data
         assert not bits.any()
+        assert bank.touched_rows() == [5]
+        assert bank.stored_bits(5) is bits
         assert bank.row_bits(4).all()
 
-    def test_raw_array_poke_is_authoritative(self):
-        # The chaos injector's corruption style: mutate the row array
+    def test_raw_stored_bits_poke_is_authoritative(self, cls):
+        # The chaos injector's corruption style: mutate the stored array
         # in place, then read it back through the public API.
-        bank = make_bank(engine="columnar")
+        bank = make_bank(cls)
         bank.row_bits(9)
-        bank._data[9][3] ^= 1
+        bank.stored_bits(9)[3] ^= 1
         assert bank.row_bits(9)[3] == 0  # solid1 background is all ones
 
-    def test_data_view_iteration_and_len(self):
-        bank = make_bank(engine="columnar")
-        assert len(bank._data) == 0 and not bank._data
-        bank.row_bits(3)
-        bank.row_bits(1)
-        assert set(bank._data) == {1, 3}
-        assert len(bank._data) == 2 and bank._data
+    def test_flipped_row_poke_is_authoritative(self, cls):
+        # A hammered victim the columnar engine still holds as "pattern
+        # XOR flips": stored_bits must hand out the real storage.
+        bank, twin = (make_bank(cls, pattern="rowstripe") for _ in range(2))
+        for b in (bank, twin):
+            b.execute(hammer_stream())
+        victim = bank.stats.flip_log[0][0]
+        if cls is ColumnarDramBank:
+            assert victim in bank._cs.flips
+        bank.stored_bits(victim)[0] ^= 1
+        differs = bank.row_bits(victim) != twin.row_bits(victim)
+        assert np.nonzero(differs)[0].tolist() == [0]
 
 
 class TestFlipLogCap:
-    def test_env_cap_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIP_LOG_CAP", "5")
-        stats = BankStats()
-        assert stats.flip_log_cap == 5
+    def test_default_cap(self):
+        assert BankStats().flip_log_cap == DEFAULT_FLIP_LOG_CAP
+
+    def test_cap_applies(self):
+        stats = BankStats(flip_log_cap=5)
         stats.record_flips(1, np.arange(8), 2.0)
         assert len(stats.flip_log) == 5
         assert stats.flips_dropped == 3
@@ -162,10 +129,8 @@ class TestFlipLogCap:
         assert stats.flips_dropped == 7
         assert stats.flips_materialized == 12
 
-    def test_env_cap_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIP_LOG_CAP", "off")
-        stats = BankStats()
-        assert stats.flip_log_cap is None
+    def test_cap_none_is_unbounded(self):
+        stats = BankStats(flip_log_cap=None)
         stats.record_flips(1, np.arange(1000), 0.0)
         assert len(stats.flip_log) == 1000
 
@@ -187,14 +152,13 @@ class TestFlipLogCap:
         assert a.flips_dropped == b.flips_dropped
         assert a.flips_materialized == b.flips_materialized
 
-    def test_engine_logs_identical_under_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIP_LOG_CAP", "7")
+    def test_engine_logs_identical_under_cap(self):
         logs = {}
-        for engine in ENGINES:
-            bank = make_bank(engine=engine, pattern="rowstripe")
+        for cls in BANKS:
+            bank = make_bank(cls, pattern="rowstripe")
+            bank.stats.flip_log_cap = 7
             bank.execute(hammer_stream())
-            assert bank.stats.flip_log_cap == 7
-            logs[engine] = (list(bank.stats.flip_log),
+            logs[cls.engine] = (list(bank.stats.flip_log),
                             bank.stats.flips_dropped,
                             bank.stats.flips_materialized)
         assert logs["columnar"] == logs["reference"]
@@ -231,22 +195,22 @@ class TestWeakCellCacheEviction:
 class TestBatchedRefresh:
     def test_refresh_rows_matches_per_row_loop(self):
         results = {}
-        for engine in ENGINES:
-            bank = make_bank(engine=engine, pattern="rowstripe")
+        for cls in BANKS:
+            bank = make_bank(cls, pattern="rowstripe")
             for i in range(4):
                 v = 30 + 4 * i
                 bank.bulk_activate(v - 1, 5000)
                 bank.bulk_activate(v + 1, 5000)
             rows = [30, 34, 38, 42, 30, 99]  # repeat + untouched row
             flips = bank.refresh_rows(rows, 50.0)
-            results[engine] = (flips, list(bank.stats.flip_log),
+            results[cls.engine] = (flips, list(bank.stats.flip_log),
                                bank.stats.refreshes,
                                bank.pressure(30), bank.pressure(34))
         assert results["columnar"] == results["reference"]
         assert results["columnar"][0] > 0
 
     def test_refresh_rows_rejects_out_of_range(self):
-        bank = make_bank(engine="columnar")
+        bank = make_bank()
         with pytest.raises(IndexError):
             bank.refresh_rows([0, GEOMETRY.rows], 0.0)
 
@@ -254,11 +218,11 @@ class TestBatchedRefresh:
         # Sanitize-full forces the sequential reference-exact branch of
         # the batched materializer; the vectorized branch must produce
         # the same flips (same stream, sanitizer off).
-        bank_fast = make_bank(engine="columnar", pattern="rowstripe")
+        bank_fast = make_bank(pattern="rowstripe")
         bank_fast.execute(hammer_stream())
         monkeypatch.setenv("REPRO_SANITIZE", "full")
         sanit.sync_from_env()
-        bank_slow = make_bank(engine="columnar", pattern="rowstripe")
+        bank_slow = make_bank(pattern="rowstripe")
         bank_slow.execute(hammer_stream())
         assert bank_fast.stats.flip_log == bank_slow.stats.flip_log
         assert (bank_fast.stats.flips_materialized
@@ -268,19 +232,19 @@ class TestBatchedRefresh:
 
 class TestFillCache:
     def test_periodic_pattern_shares_fill_buffers(self):
-        bank = make_bank(engine="columnar", pattern="rowstripe")
+        bank = make_bank(pattern="rowstripe")
         assert bank._fill_bytes(4) is bank._fill_bytes(10)
         assert bank._fill_bytes(5) is bank._fill_bytes(11)
         assert len(bank._cs.fill_cache) == 2
 
     def test_aperiodic_pattern_caches_per_row(self):
-        bank = make_bank(engine="columnar", pattern="random")
+        bank = make_bank(pattern="random")
         a, b = bank._fill_bytes(4), bank._fill_bytes(10)
         assert a is not b
         assert not np.array_equal(a, b)
 
     def test_set_default_pattern_invalidates_cache(self):
-        bank = make_bank(engine="columnar", pattern="solid1")
+        bank = make_bank(pattern="solid1")
         assert bank._fill_bytes(3).all()
         bank.set_default_pattern("solid0")
         assert not bank._fill_bytes(3).any()
@@ -290,8 +254,8 @@ class TestFillCache:
 class TestSpanSymmetry:
     def test_bulk_activate_span_recorded_by_both_engines(self):
         telem.enable_profiling(fresh=True)
-        for engine in ENGINES:
-            bank = make_bank(engine=engine)
+        for cls in BANKS:
+            bank = make_bank(cls)
             bank.bulk_activate(10, 100)
         profile = telem.get_profiler().profile()
         count = profile.get("dram.bulk_activate")[0]
@@ -299,13 +263,13 @@ class TestSpanSymmetry:
 
     def test_execute_span_recorded_by_columnar(self):
         telem.enable_profiling(fresh=True)
-        bank = make_bank(engine="columnar")
+        bank = make_bank()
         bank.execute(CommandStream().act(10, 5).settle())
         profile = telem.get_profiler().profile()
         assert profile.get("dram.execute")[0] == 1
 
     def test_no_spans_when_profiling_off(self):
-        bank = make_bank(engine="columnar")
+        bank = make_bank()
         bank.bulk_activate(10, 100)
         bank.execute(CommandStream().act(11, 5).settle())
         assert len(telem.get_profiler()) == 0
@@ -314,13 +278,13 @@ class TestSpanSymmetry:
 class TestMetricsSymmetry:
     def test_counters_agree_across_engines(self):
         values = {}
-        for engine in ENGINES:
+        for cls in BANKS:
             registry = telem.swap_registry(MetricsRegistry())
             telem.enable_metrics()
-            bank = make_bank(engine=engine, pattern="rowstripe")
+            bank = make_bank(cls, pattern="rowstripe")
             bank.execute(hammer_stream())
             own = telem.swap_registry(registry)
-            values[engine] = {
+            values[cls.engine] = {
                 "acts": own.value("dram_activations_total", bank=0),
                 "refreshes": own.value("dram_refreshes_total", bank=0),
                 "flips": own.total("dram_bit_flips_total"),

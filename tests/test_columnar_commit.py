@@ -16,6 +16,7 @@ import pytest
 
 from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
 from repro.dram.columnar import _RUN_LIMIT
+from repro.dram.differential import ReferenceModule
 from repro.dram.stream import CommandStream
 from repro.dram.timing import DDR3_1333
 from repro.sanitizer import runtime as sanit
@@ -27,7 +28,9 @@ GEO = DramGeometry(banks=2, rows=256, row_bytes=64)
 PROFILE = VulnerabilityProfile(
     weak_cell_density=0.06, hc_first_median=2_000, hc_first_min=500,
     distance2_weight=0.1)
-ENGINES = ("reference", "columnar")
+#: Module class per engine: production modules run columnar banks.
+MODULES = {"reference": ReferenceModule, "columnar": DramModule}
+ENGINES = tuple(MODULES)
 VICTIM = 100
 #: Pairs of aggressor activations per hammer: past the threshold floor,
 #: so the victim's own closing activation flips cells, and one run
@@ -58,8 +61,8 @@ def _clean_observers():
 def hammered(engine, pattern="rowstripe"):
     """A module whose bank 0 holds a deferred double-sided hammer that
     ends by sensing the victim (a flipping window) and one neighbor."""
-    module = DramModule(geometry=GEO, timing=DDR3_1333, profile=PROFILE,
-                        default_pattern=pattern, seed=7, engine=engine)
+    module = MODULES[engine](geometry=GEO, timing=DDR3_1333, profile=PROFILE,
+                             default_pattern=pattern, seed=7)
     t = 0.0
     for _ in range(PAIRS):
         for row in (VICTIM - 1, VICTIM + 1):
@@ -109,21 +112,17 @@ class TestCommitPoints:
         values = agree(lambda m: [m.bank(0).pressure(r) for r in rows])
         assert any(values)
 
-    @pytest.mark.parametrize("view", ["_pressure", "_peak"])
-    def test_charge_views(self, view):
-        agree(lambda m: [(r, getattr(m.bank(0), view).get(r))
-                         for r in range(VICTIM - 3, VICTIM + 5)])
-        agree(lambda m: list(getattr(m.bank(0), view)))
-        agree(lambda m: VICTIM + 3 in getattr(m.bank(0), view))
-
-    def test_last_aggressor_view(self):
-        agree(lambda m: [m.bank(0)._last_aggressor.get(r)
+    @pytest.mark.parametrize("accessor", ["peak", "last_aggressor"])
+    def test_row_accessors(self, accessor):
+        agree(lambda m: [(r, getattr(m.bank(0), accessor)(r))
                          for r in range(VICTIM - 3, VICTIM + 5)])
 
-    def test_data_view(self):
-        agree(lambda m: VICTIM in m.bank(0)._data)
-        agree(lambda m: sorted(m.bank(0)._data))
-        agree(lambda m: m.bank(0)._data[VICTIM].tobytes())
+    def test_disturbed_rows(self):
+        assert VICTIM + 3 in agree(lambda m: m.bank(0).disturbed_rows())
+
+    def test_stored_bits(self):
+        agree(lambda m: m.bank(0).stored_bits(VICTIM).tobytes())
+        assert agree(lambda m: m.bank(0).stored_bits(VICTIM + 40)) is None
 
     def test_row_bits(self):
         agree(lambda m: m.bank(0).row_bits(VICTIM).tobytes())

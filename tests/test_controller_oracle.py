@@ -8,7 +8,10 @@ command as it arrives.  The same seeded activation pattern and
 attacker-mixed trace run under each mitigation, a RAIDR-binned
 controller, the CPU's CLFLUSH hammer loop and a SoftMC hammer program;
 flip logs (full provenance, floats exact), controller time,
-mitigation refresh counts and perf-counter samples must all agree.
+mitigation refresh counts and perf-counter samples must all agree, and
+so must the physics layer's heat map, flip provenance and mitigation
+audit trail.  The columnar side is the production :class:`DramModule`;
+the reference side is the oracle's :class:`ReferenceModule`.
 """
 
 import numpy as np
@@ -18,16 +21,20 @@ from repro.controller import MemoryController
 from repro.core.system import MITIGATIONS
 from repro.cpu import CpuMemorySystem, SetAssociativeCache
 from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
+from repro.dram.differential import ReferenceModule
 from repro.dram.timing import DDR3_1333
 from repro.softmc.interpreter import SoftMcInterpreter
 from repro.softmc.program import hammer_program
+from repro.telemetry import PhysicsCollector
+from repro.telemetry import physics as phys
 from repro.workloads.generators import mixed_with_attacker, random_access
 
 GEO = DramGeometry(banks=2, rows=512, row_bytes=256)
 PROFILE = VulnerabilityProfile(
     weak_cell_density=0.05, hc_first_median=3_000, hc_first_min=800,
     distance2_weight=0.015)
-ENGINES = ("reference", "columnar")
+MODULES = {"reference": ReferenceModule, "columnar": DramModule}
+ENGINES = tuple(MODULES)
 VICTIM = 300
 ITERATIONS = 2_500
 THRESHOLD = 200
@@ -48,8 +55,8 @@ CONFIGS = [
 
 
 def make_module(engine, serial="oracle"):
-    return DramModule(geometry=GEO, timing=DDR3_1333, profile=PROFILE,
-                      serial=serial, seed=11, engine=engine)
+    return MODULES[engine](geometry=GEO, timing=DDR3_1333, profile=PROFILE,
+                           serial=serial, seed=11)
 
 
 def make_controller(engine, mitigation, kwargs, multiplier, raidr):
@@ -110,6 +117,30 @@ def test_mixed_trace_agrees(config):
                            for engine in ENGINES)
     assert reference == columnar
     assert reference["perf_samples"], "the trace must close perf windows"
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
+def test_physics_audit_agrees(config):
+    observed = {}
+    for engine in ENGINES:
+        previous = phys.swap_collector(PhysicsCollector())
+        phys.enable_physics()
+        try:
+            run_pattern(engine, config)
+            collector = phys.get_collector()
+            observed[engine] = {
+                "audit_counts": collector.audit_counts(),
+                "audit_events": collector.audit_events(),
+                "heat_rows": collector.heat_rows(),
+                "provenance_rows": collector.provenance_rows(),
+            }
+        finally:
+            phys.disable_physics()
+            phys.swap_collector(previous)
+    assert observed["reference"] == observed["columnar"]
+    assert observed["reference"]["heat_rows"], "physics must see the hammer"
+    if config[1] != "none":
+        assert observed["reference"]["audit_counts"], "mitigations must audit"
 
 
 def test_mitigated_runs_refresh():

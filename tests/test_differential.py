@@ -12,8 +12,8 @@ the comparison.
 import numpy as np
 import pytest
 
-from repro.dram.bank import DramBank
 from repro.dram.differential import (
+    BANK_CLASSES,
     DEFAULT_GEOMETRY,
     DEFAULT_PROFILES,
     diff_observations,
@@ -194,8 +194,8 @@ class TestOracleCorners:
         observations = []
         for engine in ("reference", "columnar"):
             model = DisturbanceModel(DEFAULT_GEOMETRY, profile, 2)
-            bank = DramBank(DEFAULT_GEOMETRY, model, 0,
-                            default_pattern="rowstripe", engine=engine)
+            bank = BANK_CLASSES[engine](DEFAULT_GEOMETRY, model, 0,
+                                        default_pattern="rowstripe")
             bank.stats.flip_log_cap = 16
             returned = bank.execute(stream)
             observations.append((engine, returned, list(bank.stats.flip_log),

@@ -15,8 +15,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.dram.bank import DramBank
+from repro.dram.columnar import ColumnarDramBank
 from repro.dram.differential import (
+    BANK_CLASSES,
     DEFAULT_GEOMETRY,
     DEFAULT_PROFILES,
     random_stream,
@@ -40,8 +41,8 @@ def _clean_physics():
 
 def _run_bank(engine: str, seed: int = 2, pattern: str = "rowstripe"):
     model = DisturbanceModel(DEFAULT_GEOMETRY, DEFAULT_PROFILES[1], seed)
-    bank = DramBank(DEFAULT_GEOMETRY, model, 0,
-                    default_pattern=pattern, engine=engine)
+    bank = BANK_CLASSES[engine](DEFAULT_GEOMETRY, model, 0,
+                                default_pattern=pattern)
     bank.execute(random_stream(seed))
     return bank
 
@@ -219,8 +220,8 @@ class TestEngineAgreement:
         # flip log truncates — physics records pre-cap.
         phys.enable_physics(fresh=True)
         model = DisturbanceModel(DEFAULT_GEOMETRY, DEFAULT_PROFILES[1], 2)
-        bank = DramBank(DEFAULT_GEOMETRY, model, 0,
-                        default_pattern="rowstripe", engine="columnar")
+        bank = ColumnarDramBank(DEFAULT_GEOMETRY, model, 0,
+                                default_pattern="rowstripe")
         bank.stats.flip_log_cap = 8
         bank.execute(random_stream(2))
         assert bank.stats.flips_dropped > 0

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram import (
+    ColumnarDramBank,
     DisturbanceModel,
-    DramBank,
     DramGeometry,
     VulnerabilityProfile,
 )
@@ -30,7 +30,7 @@ PROFILE = VulnerabilityProfile(
 
 
 def make_bank(seed):
-    return DramBank(GEO, DisturbanceModel(GEO, PROFILE, seed), 0)
+    return ColumnarDramBank(GEO, DisturbanceModel(GEO, PROFILE, seed), 0)
 
 
 class TestDisturbanceLinearity:

@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from repro import cli
-from repro.dram.bank import DramBank
+from repro.dram.columnar import ColumnarDramBank
 from repro.dram.differential import (
     DEFAULT_GEOMETRY,
     DEFAULT_PROFILES,
@@ -26,7 +26,7 @@ from repro.telemetry import MetricsRegistry, PhysicsCollector
 from repro.telemetry import physics as phys
 
 FINGERPRINT = {"git_sha": "deadbeef", "python": "3.x", "numpy": "2.x",
-               "hostname": "test", "dram_engine": "columnar"}
+               "hostname": "test"}
 
 
 @pytest.fixture(autouse=True)
@@ -42,8 +42,8 @@ def _hammered_bank():
     """One bank driven with physics on; returns (bank, collector)."""
     collector = phys.enable_physics(fresh=True)
     model = DisturbanceModel(DEFAULT_GEOMETRY, DEFAULT_PROFILES[1], 2)
-    bank = DramBank(DEFAULT_GEOMETRY, model, 0,
-                    default_pattern="rowstripe", engine="columnar")
+    bank = ColumnarDramBank(DEFAULT_GEOMETRY, model, 0,
+                            default_pattern="rowstripe")
     bank.execute(random_stream(2))
     phys.disable_physics()
     assert bank.stats.flips_materialized > 0

@@ -10,8 +10,8 @@ import pytest
 
 from repro.controller import RefreshEngine
 from repro.dram import (
+    ColumnarDramBank,
     DisturbanceModel,
-    DramBank,
     DramGeometry,
     DramModule,
     VulnerabilityProfile,
@@ -51,7 +51,7 @@ def _level_guard():
 
 def make_bank(seed=3, pattern="solid1"):
     model = DisturbanceModel(GEO, PROFILE, seed)
-    return DramBank(GEO, model, 0, default_pattern=pattern)
+    return ColumnarDramBank(GEO, model, 0, default_pattern=pattern)
 
 
 def make_module():
@@ -178,7 +178,7 @@ class TestDramBankChecker:
         sanit.set_level("full")
         bank = make_bank()
         bank.write(10, np.ones(GEO.row_bits, dtype=np.uint8))
-        bank._data[10][0] ^= 1  # raw poke, bypassing the write path
+        bank.stored_bits(10)[0] ^= 1  # raw poke, bypassing the write path
         with pytest.raises(sanit.InvariantViolation) as info:
             sanit.check("dram.bank", bank, row=10)
         assert info.value.subsystem == "dram.bank"
@@ -199,7 +199,7 @@ class TestDramBankChecker:
         sanit.set_level("off")
         bank = make_bank()
         bank.write(10, np.ones(GEO.row_bits, dtype=np.uint8))
-        bank._data[10][0] ^= 1
+        bank.stored_bits(10)[0] ^= 1
         bank.activate(10)  # instrumented site: guard must stay cold
 
     def test_open_row_bound_is_cheap(self):
@@ -212,7 +212,8 @@ class TestDramBankChecker:
     def test_negative_charge_is_cheap(self):
         sanit.set_level("cheap")
         bank = make_bank()
-        bank._pressure[3] = -1.0
+        bank._cs.pressure[3] = -1.0  # corrupt the pressure column
+        bank._cs.touch(3)
         with pytest.raises(sanit.InvariantViolation, match="negative disturbance charge"):
             sanit.check("dram.bank", bank, row=3)
 

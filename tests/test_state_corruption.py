@@ -16,8 +16,8 @@ import pytest
 from repro import chaos
 from repro.controller import RefreshEngine
 from repro.dram import (
+    ColumnarDramBank,
     DisturbanceModel,
-    DramBank,
     DramGeometry,
     DramModule,
     VulnerabilityProfile,
@@ -61,7 +61,7 @@ def _arm(monkeypatch, subsystem):
 # passes through an instrumented check site for the subsystem.
 # ----------------------------------------------------------------------
 def _drive_dram_bank():
-    bank = DramBank(GEO, DisturbanceModel(GEO, PROFILE, 3), 0)
+    bank = ColumnarDramBank(GEO, DisturbanceModel(GEO, PROFILE, 3), 0)
     bank.write(10, np.ones(GEO.row_bits, dtype=np.uint8))
     return lambda: bank.activate(10)
 

@@ -87,10 +87,8 @@ class TestIds:
         import platform
 
         fp = ids.environment_fingerprint()
-        assert set(fp) == {"git_sha", "python", "numpy", "hostname",
-                           "dram_engine"}
+        assert set(fp) == {"git_sha", "python", "numpy", "hostname"}
         assert fp["python"] == platform.python_version()
-        assert fp["dram_engine"]  # defaults to the active engine name
 
 
 # ----------------------------------------------------------------------
