@@ -28,12 +28,17 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import chaos
 from repro.experiments import registry
-from repro.experiments.checkpoint import SweepCheckpoint, job_key
-from repro.experiments.runner import ExperimentRunner, Job, derive_seed
+from repro.experiments.runner import (
+    ExperimentRunner,
+    Job,
+    ResultCache,
+    derive_seed,
+    job_key,
+)
 from repro.sanitizer import runtime as sanit
 from repro.sanitizer.bundle import ENV_CAPTURE, load_bundle, replay_bundle
 from repro.telemetry import RunLedger, job_id_from_key
@@ -93,7 +98,6 @@ class _Arena:
         self.root.mkdir(parents=True, exist_ok=True)
         self.cache_dir = self.root / "cache"
         self.state_dir = self.root / "chaos-state"
-        self.checkpoint_path = self.root / "checkpoint.jsonl"
         self.ledger_path = self.root / "ledger.jsonl"
         self._saved: Dict[str, Optional[str]] = {}
 
@@ -136,6 +140,16 @@ class _Arena:
 def _jobs(n: int, base_seed: int = 0) -> List[Job]:
     name = registry.resolve(PROBE_EXPERIMENT)
     return [Job(name, {}, derive_seed(base_seed, i)) for i in range(n)]
+
+
+def _cached_job_ids(cache_dir: Path, jobs: int) -> Set[str]:
+    """Job IDs of the first ``jobs`` probe-sweep jobs (base seed 0) whose
+    results are in the cache at ``cache_dir`` — a cheap progress probe,
+    and the record the exactly-once checks compare against."""
+    cache = ResultCache(cache_dir)
+    return {job_id_from_key(job_key(job.name, job.params, job.seed))
+            for job in _jobs(jobs)
+            if cache.path(job.name, job.params, job.seed).is_file()}
 
 
 def _runner(arena: _Arena, workers: int, **kwargs) -> ExperimentRunner:
@@ -284,8 +298,8 @@ def scenario_ledger(arena: _Arena, jobs: int, workers: int) -> ScenarioOutcome:
 
 def scenario_combined(arena: _Arena, jobs: int, workers: int) -> ScenarioOutcome:
     """The acceptance scenario: SIGKILL + hang + torn write in one
-    16-job sweep; then a clean ``--resume`` that re-runs only the job
-    that never finished."""
+    16-job sweep; then a clean re-run on the same cache that re-executes
+    only the timed-out job and the job whose cache entry was torn."""
     out = ScenarioOutcome("combined")
     jobs = max(jobs, 16)
     kill_seed = derive_seed(0, 1)
@@ -296,8 +310,7 @@ def scenario_combined(arena: _Arena, jobs: int, workers: int) -> ScenarioOutcome
         f"hang:seed={hang_seed}:secs={HANG_SECS:g},"
         f"torn:seed={torn_seed}"
     )
-    runner = _runner(arena, workers, timeout_s=SCENARIO_TIMEOUT_S,
-                     checkpoint=arena.checkpoint_path)
+    runner = _runner(arena, workers, timeout_s=SCENARIO_TIMEOUT_S)
     results = runner.run(_jobs(jobs))
     timeouts = [r for r in results if r.outcome == "timeout"]
     out.expect_eq("all 16 jobs return results", len(results), jobs)
@@ -319,19 +332,20 @@ def scenario_combined(arena: _Arena, jobs: int, workers: int) -> ScenarioOutcome
                    injected.get("torn", 0)),
                   (1, 1, 1))
 
-    # Resume with chaos disarmed: the checkpoint restores the 15
-    # completed jobs; only the timed-out one re-executes.
+    # Resume with chaos disarmed by running again on the same cache: it
+    # restores the 14 intact results; the timed-out job (never cached)
+    # and the torn-write job (quarantined on read) re-execute.
     arena.disarm()
-    resumed = ExperimentRunner(cache_dir=None, max_workers=workers,
-                               collect_metrics=True, ledger=False,
-                               checkpoint=arena.checkpoint_path)
+    resumed = _runner(arena, workers)
     results2 = resumed.run(_jobs(jobs))
     out.expect_eq("resume returns all 16", len(results2), jobs)
     out.expect_eq("resume finishes clean", sum(r.ok for r in results2), jobs)
-    out.expect_eq("resume restored 15 from checkpoint",
-                  _jobs_metric(resumed, cache_hit="true", outcome="ok"), jobs - 1)
-    out.expect_eq("resume re-executed exactly 1",
-                  _jobs_metric(resumed, cache_hit="false", outcome="ok"), 1)
+    out.expect_eq("resume restored 14 from the cache",
+                  _jobs_metric(resumed, cache_hit="true", outcome="ok"), jobs - 2)
+    out.expect_eq("resume re-executed exactly 2 (timed out + torn)",
+                  _jobs_metric(resumed, cache_hit="false", outcome="ok"), 2)
+    out.expect_eq("torn entry quarantined as .corrupt",
+                  len(list(arena.cache_dir.glob("*/*.corrupt"))), 1)
     return out
 
 
@@ -515,13 +529,14 @@ def scenario_service_kill(arena: _Arena, jobs: int, workers: int) -> ScenarioOut
     """The acceptance scenario: a 16-job sweep submitted to the daemon,
     the daemon SIGKILLed mid-flight, restarted on the same state dir →
     the sweep completes with every job accounted for exactly once
-    (journal, ledger, and checkpoint agree; no completed job re-runs)."""
+    (journal, ledger, and result cache agree; no completed job re-runs)."""
     out = ScenarioOutcome("service_kill")
     jobs = max(jobs, 16)
     # Daemon workers=2 → chunks of 4; the hang pins job index 8, so
     # chunks 1–2 complete and the kill lands mid-chunk-3, always.
     victim = derive_seed(0, 8)
     svc_dir = arena.root / "svc"
+    cache_dir = svc_dir / "cache"
     sid = None
     proc = _spawn_daemon(arena, workers=2,
                          chaos_spec=f"hang:seed={victim}:secs=60")
@@ -529,16 +544,16 @@ def scenario_service_kill(arena: _Arena, jobs: int, workers: int) -> ScenarioOut
         client = _await_client(arena, proc)
         response = client.submit({"name": PROBE_EXPERIMENT, "seeds": jobs})
         sid = response["sid"]
-        ckpt = SweepCheckpoint(svc_dir / "checkpoints" / f"{sid}.jsonl")
-        # Two chunks checkpointed AND the chunk-3 victim already inside
-        # its injected hang (the marker file is claimed before the
-        # sleep) — the kill must land on a daemon with work in flight.
-        reached = _poll(lambda: (len(ckpt.keys()) >= 8
+        # Two chunks cached AND the chunk-3 victim already inside its
+        # injected hang (the marker file is claimed before the sleep) —
+        # the kill must land on a daemon with work in flight.
+        reached = _poll(lambda: (len(_cached_job_ids(cache_dir, jobs)) >= 8
                                  and arena.injected().get("hang", 0) >= 1),
                         30.0)
-        out.expect("daemon checkpointed two chunks before the kill",
-                   reached, f"checkpoint holds {len(ckpt.keys())} of {jobs}, "
-                            f"injected {arena.injected()}")
+        out.expect("daemon cached two chunks before the kill",
+                   reached,
+                   f"cache holds {len(_cached_job_ids(cache_dir, jobs))} "
+                   f"of {jobs}, injected {arena.injected()}")
         # One daemon per state dir: a second one is refused while the
         # first is alive.
         second = _spawn_daemon(arena, workers=2)
@@ -559,7 +574,7 @@ def scenario_service_kill(arena: _Arena, jobs: int, workers: int) -> ScenarioOut
                   arena.injected().get("hang", 0), 1)
 
     # Restart on the same state dir, chaos disarmed: the journal replays
-    # the pending submission; the checkpoint restores completed jobs.
+    # the pending submission; the cache restores completed jobs.
     proc2 = _spawn_daemon(arena, workers=2)
     try:
         client2 = _await_client(arena, proc2)
@@ -577,36 +592,34 @@ def scenario_service_kill(arena: _Arena, jobs: int, workers: int) -> ScenarioOut
         _kill_group(proc2)
         proc2.wait(timeout=10)
 
-    # Exactly-once accounting: checkpoint, ledger, and journal agree.
+    # Exactly-once accounting: cache, ledger, and journal agree.
     from repro.service import JobJournal
 
-    keys = SweepCheckpoint(svc_dir / "checkpoints" / f"{sid}.jsonl").keys()
-    out.expect_eq("checkpoint holds every job exactly once",
-                  len(keys), jobs)
-    ckpt_ids = {job_id_from_key(k) for k in keys}
+    cached_ids = _cached_job_ids(cache_dir, jobs)
+    out.expect_eq("cache holds every job", len(cached_ids), jobs)
     fresh = _fresh_ledger_counts(svc_dir / "ledger.jsonl")
     out.expect("no job fresh-executed more than once",
                all(count == 1 for count in fresh.values()),
                f"duplicated: {[j for j, c in fresh.items() if c > 1]}")
-    out.expect("every fresh execution is checkpointed",
-               set(fresh).issubset(ckpt_ids),
-               f"unaccounted: {sorted(set(fresh) - ckpt_ids)}")
+    out.expect("every fresh execution is cached",
+               set(fresh).issubset(cached_ids),
+               f"unaccounted: {sorted(set(fresh) - cached_ids)}")
     ledger_ids = {r["job_id"] for r in RunLedger(svc_dir / "ledger.jsonl").scan()
                   if r.get("job_id")}
-    out.expect_eq("ledger covers every checkpointed job",
-                  ledger_ids, ckpt_ids)
+    out.expect_eq("ledger covers every cached job",
+                  ledger_ids, cached_ids)
     replayed = JobJournal(svc_dir / "jobs.jsonl").replay()
     out.expect_eq("journal holds exactly one submission",
                   len(replayed.submits), 1)
     done = replayed.done.get(sid) or {}
     out.expect_eq("journal done record agrees on the job set",
-                  set(done.get("job_ids") or []), ckpt_ids)
+                  set(done.get("job_ids") or []), cached_ids)
     return out
 
 
 def scenario_service_drain(arena: _Arena, jobs: int, workers: int) -> ScenarioOutcome:
     """SIGTERM under load → admission stops (503 + Retry-After), the
-    in-flight chunk checkpoints, the daemon exits 0, and a restart
+    in-flight chunk lands in the cache, the daemon exits 0, and a restart
     finishes the remaining work without re-running the drained chunk."""
     out = ScenarioOutcome("service_drain")
     jobs = max(jobs, 16)
@@ -614,6 +627,7 @@ def scenario_service_drain(arena: _Arena, jobs: int, workers: int) -> ScenarioOu
     # drain window is the remainder of that chunk.
     victim = derive_seed(0, 2)
     svc_dir = arena.root / "svc"
+    cache_dir = svc_dir / "cache"
     sid = None
     proc = _spawn_daemon(arena, workers=2,
                          chaos_spec=f"hang:seed={victim}:secs=3")
@@ -621,10 +635,10 @@ def scenario_service_drain(arena: _Arena, jobs: int, workers: int) -> ScenarioOu
         client = _await_client(arena, proc)
         response = client.submit({"name": PROBE_EXPERIMENT, "seeds": jobs})
         sid = response["sid"]
-        ckpt = SweepCheckpoint(svc_dir / "checkpoints" / f"{sid}.jsonl")
-        in_flight = _poll(lambda: len(ckpt.keys()) >= 1, 20.0)
+        in_flight = _poll(lambda: len(_cached_job_ids(cache_dir, jobs)) >= 1,
+                          20.0)
         out.expect("first chunk in flight before SIGTERM", in_flight,
-                   f"checkpoint holds {len(ckpt.keys())}")
+                   f"cache holds {len(_cached_job_ids(cache_dir, jobs))}")
         proc.send_signal(signal.SIGTERM)
         # Signal delivery is asynchronous: wait for the daemon to flip
         # to draining before probing admission (the 3 s hang holds the
@@ -645,10 +659,8 @@ def scenario_service_drain(arena: _Arena, jobs: int, workers: int) -> ScenarioOu
     finally:
         _kill_group(proc)
         proc.wait(timeout=10)
-    keys_after_drain = SweepCheckpoint(
-        svc_dir / "checkpoints" / f"{sid}.jsonl").keys()
-    out.expect_eq("exactly the in-flight chunk was checkpointed",
-                  len(keys_after_drain), 4)
+    out.expect_eq("exactly the in-flight chunk was cached",
+                  len(_cached_job_ids(cache_dir, jobs)), 4)
     from repro.service import JobJournal
 
     out.expect_eq("journal keeps the drained job pending",
@@ -672,9 +684,8 @@ def scenario_service_drain(arena: _Arena, jobs: int, workers: int) -> ScenarioOu
     fresh = _fresh_ledger_counts(svc_dir / "ledger.jsonl")
     out.expect_eq("every job fresh-executed exactly once",
                   sorted(fresh.values()), [1] * jobs)
-    out.expect_eq("checkpoint holds every job",
-                  len(SweepCheckpoint(
-                      svc_dir / "checkpoints" / f"{sid}.jsonl").keys()), jobs)
+    out.expect_eq("cache holds every job",
+                  len(_cached_job_ids(cache_dir, jobs)), jobs)
     return out
 
 
@@ -888,7 +899,7 @@ def run_suite(names: Optional[List[str]] = None,
               keep: bool = False) -> List[ScenarioOutcome]:
     """Run chaos scenarios; returns their outcomes (pass/fail + checks).
 
-    The scratch ``workdir`` (caches, checkpoints, chaos state) is
+    The scratch ``workdir`` (caches, service state, chaos state) is
     deleted afterwards unless ``keep`` (or an explicit workdir) asks
     for it to stay for inspection.
     """

@@ -12,7 +12,7 @@ Usage::
     python -m repro report f1 c3 --output report.md
     python -m repro report rowhammer_basic --seeds 4 --format html --check
     python -m repro sweep fig1_error_rates --seeds 8 --parallel 4
-    python -m repro sweep fig1_error_rates --seeds 64 --timeout 30 --resume
+    python -m repro sweep fig1_error_rates --seeds 64 --timeout 30
     python -m repro sweep rowhammer_basic --seeds 16 --sanitize full
     python -m repro replay .repro-failures/rowhammer_basic-7-ab12cd34ef567890.json
     python -m repro chaos
@@ -63,11 +63,13 @@ diffing single records positionally.
 
 Hardened execution: ``run``/``sweep`` take ``--timeout`` (per-job
 wall-clock deadline → structured ``timeout`` outcome) and ``--retries``
-(deterministic backoff for transient failures); ``sweep`` checkpoints
-completed jobs (``--checkpoint``/``--no-checkpoint``) and ``--resume``
-restores them, so an interrupted sweep picks up where it left off.
+(deterministic backoff for transient failures).  The result cache is
+the resume point: running an interrupted sweep again picks up where it
+left off, because every finished job is a cache hit.  ``--no-cache``
+keeps no finished results; a fresh ``--cache-dir`` makes a one-off
+sweep resumable.
 Exit codes: 0 all jobs ok, 1 one or more jobs failed/timed out, 2 usage
-error, 130 interrupted (completed results flushed to cache/checkpoint).
+error, 130 interrupted (completed results flushed to the cache).
 ``chaos`` runs the fault-injection scenario suite
 (:mod:`repro.chaos.harness`) proving those recovery paths.
 
@@ -76,8 +78,8 @@ Experiment service: ``serve`` runs the crash-tolerant daemon
 SIGTERM/SIGINT drain (exit 0), SIGKILL-and-restart resume on the same
 ``--state-dir`` (one daemon per dir: a second exits 2);
 ``submit``/``jobs`` are its client verbs.  CLI sweeps
-get the same drain contract: SIGTERM checkpoints completed jobs and
-exits 143 with a resume hint (SIGINT stays 130).
+get the same drain contract: SIGTERM flushes completed jobs to the
+cache and exits 143 with a resume hint (SIGINT stays 130).
 
 Sanitizer: ``run``/``sweep`` take ``--sanitize {off,cheap,full}``
 (runtime invariant checks, see :mod:`repro.sanitizer`) and
@@ -255,15 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--retries", type=int, default=0, metavar="N",
                        help="retry budget for transient job failures "
                             "(default 0: strict determinism)")
-    sweep.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="sweep checkpoint file (default: "
-                            "<cache-dir>/checkpoint.jsonl when the cache "
-                            "is enabled)")
-    sweep.add_argument("--no-checkpoint", action="store_true",
-                       help="disable sweep checkpointing")
-    sweep.add_argument("--resume", action="store_true",
-                       help="restore completed jobs from the checkpoint "
-                            "instead of re-running them")
     sweep.add_argument("--live", action="store_true",
                        help="repaint a live progress view (per-job state, "
                             "worker heartbeat ages, top spans) on stderr")
@@ -391,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port (default: 9465; 0 = ephemeral, "
                             "the bound port lands in service.json)")
     serve.add_argument("--state-dir", default=DEFAULT_STATE_DIR, metavar="DIR",
-                       help="journal/ledger/cache/checkpoint root "
+                       help="journal/ledger/cache root "
                             f"(default: {DEFAULT_STATE_DIR}); restart on the "
                             "same dir to resume interrupted work")
     serve.add_argument("--workers", type=int, default=2, metavar="N",
@@ -755,30 +748,9 @@ def _report(args) -> int:
     return 0
 
 
-def _sweep_checkpoint_path(args, cache_dir: Optional[str]) -> Optional[str]:
-    """Where the sweep checkpoint lives: explicit ``--checkpoint`` wins;
-    otherwise it rides inside the cache directory (so ``--no-cache``
-    without an explicit path means no checkpoint and no stray files)."""
-    if args.no_checkpoint:
-        return None
-    if args.checkpoint is not None:
-        return args.checkpoint
-    if cache_dir is not None:
-        import os.path
-
-        return os.path.join(cache_dir, "checkpoint.jsonl")
-    return None
-
-
 def _sweep(args) -> int:
     _apply_sanitize(args)
     cache_dir = None if args.no_cache else args.cache_dir
-    checkpoint = _sweep_checkpoint_path(args, cache_dir)
-    if args.resume and checkpoint is None:
-        print("error: --resume needs a checkpoint (drop --no-checkpoint, "
-              "or pass --checkpoint PATH when using --no-cache)",
-              file=sys.stderr)
-        return 2
     renderer = None
     if args.live:
         from repro.telemetry.live import LiveRenderer
@@ -788,12 +760,11 @@ def _sweep(args) -> int:
     runner = _make_runner(args.parallel, cache_dir, collect_metrics=args.metrics,
                           collect_physics=args.physics,
                           timeout_s=args.timeout, retries=args.retries,
-                          checkpoint=checkpoint, resume=args.resume,
                           stream=stream, collect_profile=args.live,
                           on_progress=renderer.update if renderer else None)
     server = _serve_metrics(args, runner)
     # SIGTERM drains exactly like Ctrl-C: the runner's interrupt path
-    # flushes completed results to cache/checkpoint, and we exit with
+    # flushes completed results to the cache, and we exit with
     # the conventional 143 so a supervisor can tell drain from abort.
     import signal
     import threading
@@ -813,10 +784,15 @@ def _sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        where = f"; resume with --resume (checkpoint: {checkpoint})" if checkpoint else ""
         label = ("terminated (graceful drain)" if drained_by
                  else "interrupted")
-        print(f"{label}; completed results were flushed{where}", file=sys.stderr)
+        if cache_dir is None:
+            hint = ("completed results were not kept (--no-cache); "
+                    "pass --cache-dir to make a sweep resumable")
+        else:
+            hint = ("re-run the same command; finished jobs come from "
+                    f"the cache at {cache_dir}")
+        print(f"{label}; {hint}", file=sys.stderr)
         return 143 if drained_by else 130
     finally:
         if prev_sigterm is not None:
@@ -861,7 +837,7 @@ def _serve(args) -> int:
     """Run the experiment service daemon until a drain completes.
 
     SIGTERM/SIGINT initiate a graceful drain: admission stops (503),
-    the in-flight chunk finishes and checkpoints, queued jobs stay
+    the in-flight chunk finishes into the cache, queued jobs stay
     journaled for the next incarnation, and the process exits 0.  A
     state dir already held by another daemon exits 2.
     """

@@ -1,4 +1,4 @@
-"""Core composition layer: scenarios, the MemorySystem facade, experiments."""
+"""Core composition layer: scenarios and the MemorySystem facade."""
 
 from repro.core.config import SystemConfig
 from repro.core.scenarios import Scenario, full_scale_scenario, scaled_scenario

@@ -4,8 +4,7 @@ Importing this package registers every paper experiment (split by paper
 section into :mod:`~repro.experiments.dram`, ``attacks``,
 ``mitigations``, ``retention``, ``flash``, ``emerging``) and re-exports
 them by name, so ``from repro.experiments import fig1_error_rates``
-keeps working exactly like the old monolithic
-``repro.core.experiment`` module did.
+works.
 
 Framework surface:
 
@@ -14,7 +13,8 @@ Framework surface:
 * :mod:`~repro.experiments.registry` — lookup by name or legacy alias,
   signature-introspected seed/param handling;
 * :class:`~repro.experiments.runner.ExperimentRunner` — process-pool
-  fan-out, deterministic sweep seeds, on-disk result cache;
+  fan-out, deterministic sweep seeds, on-disk result cache (the resume
+  point of an interrupted sweep);
 * :class:`~repro.experiments.result.ExperimentResult` — payload +
   provenance (seed, params, duration, peak RSS, version).
 """
@@ -66,7 +66,6 @@ from repro.experiments.retention import raidr_rowhammer_interaction, retention_s
 
 # Runner imports come last: repro.experiments.runner imports the
 # registry from this package.
-from repro.experiments.checkpoint import CHECKPOINT_SCHEMA, SweepCheckpoint, job_key
 from repro.experiments.runner import (
     ExperimentRunner,
     Job,
@@ -80,6 +79,7 @@ from repro.experiments.runner import (
     execute_job,
     execute_job_safe,
     is_retryable,
+    job_key,
     retry_backoff_s,
 )
 
@@ -115,8 +115,6 @@ __all__ = [
     "error_class",
     "is_retryable",
     "retry_backoff_s",
-    "SweepCheckpoint",
-    "CHECKPOINT_SCHEMA",
     "job_key",
     "to_jsonable",
     "canonical_json",

@@ -78,7 +78,7 @@ class ExperimentResult:
     ``run_id``/``job_id`` are the correlation pair from
     :mod:`repro.telemetry.ids`: the sweep-level run and the
     deterministic per-job ID also stamped into trace events, ledger
-    lines, checkpoint records, and failure-capture bundles.  Both may
+    lines, result cache records, and failure-capture bundles.  Both may
     be ``None`` for results read from pre-correlation caches.
     """
 

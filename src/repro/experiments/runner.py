@@ -11,7 +11,9 @@ into :class:`~repro.experiments.result.ExperimentResult` records:
 * **measured** — every job records wall-clock duration and the worker's
   peak RSS;
 * **cached** — results persist to an on-disk JSON cache keyed by
-  ``(name, params, seed)``; a re-run becomes a near-instant cache hit;
+  ``(name, params, seed)``; a re-run becomes a near-instant cache hit,
+  which is also how an interrupted sweep resumes: running it again
+  restores every finished job from the cache;
 * **hardened** — the batch path applies the same fault discipline the
   paper applies to memory:
 
@@ -26,11 +28,8 @@ into :class:`~repro.experiments.result.ExperimentResult` records:
     ``max_pool_rebuilds`` times, after which execution degrades to
     serial in-process;
   - ``KeyboardInterrupt`` **drains** already-completed futures into the
-    cache/checkpoint/ledger before re-raising, so Ctrl-C never loses
-    finished work;
-  - an optional :class:`~repro.experiments.checkpoint.SweepCheckpoint`
-    records every completed job, so an interrupted sweep **resumes**
-    without re-running finished jobs even with the cache disabled.
+    cache and ledger before re-raising, so Ctrl-C never loses finished
+    work.
 
 Seed handling is introspected from each experiment's registered
 signature (:mod:`repro.experiments.registry`), so a ``TypeError``
@@ -70,8 +69,7 @@ from typing import (
 )
 
 from repro.experiments import registry
-from repro.experiments.checkpoint import SweepCheckpoint, job_key
-from repro.experiments.result import ExperimentResult, to_jsonable
+from repro.experiments.result import ExperimentResult, canonical_json, to_jsonable
 from repro.telemetry import (
     MetricsRegistry,
     PhysicsCollector,
@@ -431,6 +429,19 @@ def _pool_worker(job: Tuple[str, Dict[str, Any], Optional[int], bool, bool, bool
                             collect_physics=collect_physics)
 
 
+def job_key(name: str, params: Any, seed: Optional[int]) -> str:
+    """The canonical ``(name, params, seed)`` job identity digest.
+
+    The :class:`ResultCache` file name, and the root of every job and
+    service ID: aliases resolve to the canonical experiment name and
+    params are key-sorted, so the same job always produces the same key.
+    """
+    canonical = registry.resolve(name)
+    ordered = {k: params[k] for k in sorted(params)}
+    blob = canonical_json({"name": canonical, "params": ordered, "seed": seed})
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+
+
 #: Temp files this much older than "now" are crash leftovers, not
 #: concurrent writers, and are swept on cache init.
 _TMP_MAX_AGE_S = 3600.0
@@ -438,6 +449,11 @@ _TMP_MAX_AGE_S = 3600.0
 
 class ResultCache:
     """On-disk JSON result cache keyed by ``(name, params, seed)``.
+
+    The cache is the one record of a finished job kept for reuse: a
+    sweep that was interrupted, or a service submission whose daemon
+    died, resumes by running again and hitting it.  Only successful
+    results are stored, so errored and timed-out jobs re-run.
 
     Writes are crash- and contention-safe: each writer stages through a
     unique ``.tmp.<pid>.<nonce>`` file (two sweeps sharing one cache
@@ -470,8 +486,6 @@ class ResultCache:
                 pass
 
     def key(self, name: str, params: Mapping[str, Any], seed: Optional[int]) -> str:
-        # Shared with the sweep checkpoint: aliases resolve, params are
-        # key-sorted, so insertion order never leaks into the key.
         return job_key(name, params, seed)
 
     def path(self, name: str, params: Mapping[str, Any], seed: Optional[int]) -> Path:
@@ -611,12 +625,6 @@ class ExperimentRunner:
         in-flight jobs) before the runner degrades to serial in-process
         execution.  Rebuilds tally in ``runner_pool_rebuilds_total``
         and :attr:`pool_rebuilds`.
-    ``checkpoint`` / ``resume``
-        A :class:`~repro.experiments.checkpoint.SweepCheckpoint` (or a
-        path to one).  Completed jobs are recorded as they finish; with
-        ``resume=True`` (the default) previously checkpointed jobs are
-        restored instead of re-executed — even when the cache is
-        disabled or cold.
 
     Every finished job is also appended to the **run ledger** (see
     :mod:`repro.telemetry.ledger`) unless ``ledger=False`` or the
@@ -646,8 +654,6 @@ class ExperimentRunner:
                  retries: int = 0,
                  backoff_s: float = 0.1,
                  max_pool_rebuilds: int = 3,
-                 checkpoint: Union[None, str, Path, SweepCheckpoint] = None,
-                 resume: bool = True,
                  run_id: Optional[str] = None,
                  stream: Union[None, bool, EventStream] = None,
                  heartbeat_s: float = stream_events.DEFAULT_HEARTBEAT_S,
@@ -681,11 +687,6 @@ class ExperimentRunner:
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
         self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
-        if checkpoint is None or isinstance(checkpoint, SweepCheckpoint):
-            self.checkpoint = checkpoint
-        else:
-            self.checkpoint = SweepCheckpoint(checkpoint)
-        self.resume = resume
         self.pool_rebuilds = 0
         self.retries_total = 0
         #: True once the rebuild budget was spent and the batch fell
@@ -845,44 +846,30 @@ class ExperimentRunner:
     def run(self, jobs: Sequence[Job]) -> List[ExperimentResult]:
         """Run a batch of jobs, preserving input order in the output.
 
-        Checkpointed completions and cache hits resolve up front; only
-        true misses execute.  A raising job yields an errored result in
-        its slot, a job past its deadline a ``timeout`` one; completed
-        siblings are kept, and nothing failed reaches the cache or the
-        checkpoint.  Results are flushed (cache + checkpoint + ledger)
-        as they finish, so an interrupt loses nothing already done.
+        Cache hits resolve up front; only true misses execute.  A
+        raising job yields an errored result in its slot, a job past its
+        deadline a ``timeout`` one; completed siblings are kept, and
+        nothing failed reaches the cache.  Results are flushed (cache +
+        ledger) as they finish, so an interrupt loses nothing already
+        done, and running the batch again resumes it.
         """
         with ids.run_scope(self.run_id):
             return self._run_batch(jobs)
 
     def _run_batch(self, jobs: Sequence[Job]) -> List[ExperimentResult]:
         results: List[Optional[ExperimentResult]] = [None] * len(jobs)
-        restored: Dict[str, ExperimentResult] = {}
-        if self.checkpoint is not None and self.resume:
-            restored = self.checkpoint.results()
         self.progress = SweepProgress(run_id=self.run_id)
         if self.stream is not None:
             self.stream.attach(self.progress)
         pending: Deque[_Pending] = deque()
         for i, job in enumerate(jobs):
             registry.get(job.name)  # fail fast on unknown names
-            key = job_key(job.name, job.params, job.seed)
-            jid = ids.job_id_from_key(key)
+            jid = ids.job_id_from_key(job_key(job.name, job.params, job.seed))
             self.progress.add_job(jid, registry.resolve(job.name), job.seed)
-            if restored:
-                hit = restored.get(key)
-                if hit is not None:
-                    results[i] = hit
-                    self.progress.mark_done(jid, hit.outcome, cache_hit=True,
-                                            duration_s=hit.duration_s)
-                    self._absorb(hit)
-                    continue
             if self.cache is not None:
                 hit = self.cache.get(job.name, job.params, job.seed)
                 if hit is not None:
                     results[i] = hit
-                    if self.checkpoint is not None:
-                        self.checkpoint.record(hit)
                     self.progress.mark_done(jid, hit.outcome, cache_hit=True,
                                             duration_s=hit.duration_s)
                     self._absorb(hit)
@@ -936,13 +923,11 @@ class ExperimentRunner:
 
     def _finalize(self, p: _Pending, result: ExperimentResult,
                   results: List[Optional[ExperimentResult]]) -> None:
-        """Commit one finished job: slot, cache, checkpoint, absorb."""
+        """Commit one finished job: slot, cache, absorb."""
         results[p.index] = result
         if self.cache is not None and result.error is None:
             if self.cache.put(result) is None:
                 self._count_cache_write_error()
-        if self.checkpoint is not None:
-            self.checkpoint.record(result)
         if self.progress is not None and p.job_id:
             self.progress.mark_done(p.job_id, result.outcome,
                                     duration_s=result.duration_s)

@@ -81,10 +81,16 @@ def fcr_sweep(
     return points
 
 
-def lifetime_multiplier(points: Sequence[FcrPoint]) -> float:
-    """Best refreshed lifetime over the unrefreshed baseline."""
+def lifetime_multiplier(points: Sequence[FcrPoint]) -> Optional[float]:
+    """Best refreshed lifetime over the unrefreshed baseline.
+
+    ``None`` when the baseline's lifetime is 0 P/E cycles — it misses the
+    retention requirement even unworn — so no finite ratio exists.
+    """
     baseline = next((p for p in points if p.refresh_interval_days is None), None)
-    if baseline is None or baseline.raw_lifetime_pe == 0:
-        raise ValueError("sweep must include a no-refresh baseline with nonzero lifetime")
+    if baseline is None:
+        raise ValueError("sweep must include a no-refresh baseline")
+    if baseline.raw_lifetime_pe == 0:
+        return None
     best = max(p.raw_lifetime_pe for p in points)
     return best / baseline.raw_lifetime_pe

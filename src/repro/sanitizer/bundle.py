@@ -136,7 +136,7 @@ class CaptureContext:
                      exc: Optional[BaseException] = None) -> Path:
         """Persist one failed job as a bundle; returns the bundle path."""
         import repro
-        from repro.experiments.checkpoint import job_key
+        from repro.experiments.runner import job_key
         from repro.telemetry import ids
 
         violation = None

@@ -7,8 +7,7 @@ One :class:`ExperimentService` owns a state directory::
       service.json        # endpoint record: host, port, pid, service_id
       jobs.jsonl          # append-only job journal (crash-safe)
       ledger.jsonl        # run ledger of every executed job (command=service)
-      cache/              # shared result cache (idempotent re-runs hit it)
-      checkpoints/<sid>.jsonl   # per-sweep checkpoints (resume after SIGKILL)
+      cache/              # shared result cache: the resume point of every job
 
 Design decisions that make it kill-tolerant:
 
@@ -26,9 +25,10 @@ Design decisions that make it kill-tolerant:
 * **Chunked multiplexing.**  A sweep runs through the hardened
   :class:`~repro.experiments.runner.ExperimentRunner` in chunks of
   ``2 × workers`` jobs with drain/cancel checks between chunks, and
-  every chunk records into the sweep's checkpoint — so a SIGKILL loses
-  at most the chunk in flight, and a restart resumes from the
-  checkpoint + cache instead of re-executing.
+  every finished job lands in the result cache as it completes — so a
+  SIGKILL loses at most the chunk in flight, and a restart re-runs the
+  submission, whose finished jobs come back as cache hits instead of
+  re-executing.
 * **Fair concurrent scheduling.**  Up to ``max_concurrent`` submissions
   execute at once, each in its own fault domain.  Chunk workers pull
   submissions round-robin from a runnable ring — after each chunk a
@@ -39,7 +39,7 @@ Design decisions that make it kill-tolerant:
   neighbours; plain job errors keep the legacy run-to-completion →
   ``error`` behaviour.
 * **Graceful drain.**  SIGTERM/SIGINT stop admission (503), let
-  in-flight chunks finish (their results are checkpointed), leave
+  in-flight chunks finish (their results are cached), leave
   queued jobs journaled for the next incarnation, and exit 0.
 * **Bounded queue.**  Past ``max_queue`` waiting jobs, submissions are
   shed with 429 + ``Retry-After`` (estimated from observed job
@@ -49,7 +49,7 @@ Known imprecision under ``max_concurrent > 1``: run-id propagation into
 pool workers rides an environment variable set by ``ids.run_scope``, so
 two runners forking pools at the same instant can stamp each other's
 run id on *in-result* metadata.  The journal's ``start`` records and
-all checkpoint/ledger records use each runner's explicit run id, so
+all ledger records use each runner's explicit run id, so
 correlation via ``/jobs`` and exactly-once accounting are unaffected.
 """
 
@@ -241,7 +241,6 @@ class ExperimentService:
         self.journal = JobJournal(self.state_dir / "jobs.jsonl")
         self.ledger = RunLedger(self.state_dir / "ledger.jsonl")
         self.cache_dir = self.state_dir / "cache"
-        self.checkpoint_dir = self.state_dir / "checkpoints"
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -441,8 +440,6 @@ class ExperimentService:
             rec.run_id = ids.new_run_id()
             self.journal.start(sid, rec.run_id)
             spec = rec.spec
-            checkpoint = (self.checkpoint_dir / f"{sid}.jsonl"
-                          if spec.kind == "sweep" else None)
             runner = ExperimentRunner(
                 cache_dir=self.cache_dir,
                 max_workers=self.workers,
@@ -452,8 +449,6 @@ class ExperimentService:
                 timeout_s=spec.timeout_s if spec.timeout_s is not None
                 else self.timeout_s,
                 retries=spec.retries or self.retries,
-                checkpoint=checkpoint,
-                resume=True,
                 run_id=rec.run_id,
             )
             execution = _Execution(rec, runner, spec.expand(),
@@ -533,7 +528,8 @@ class ExperimentService:
                 self._rr.append(sid)        # back of the ring: round-robin
                 self._cond.notify_all()
             # On drain the execution stays registered; the scheduler
-            # finalizes it as ``checkpointed`` once workers exit.
+            # parks it as ``checkpointed`` (its finished jobs are in the
+            # cache) once workers exit.
 
     def _finalize(self, execution: _Execution, cancelled: bool = False,
                   poisoned: bool = False, interrupted: bool = False) -> None:
@@ -566,8 +562,8 @@ class ExperimentService:
                 rec.error = execution.poison or "poisoned"
             elif interrupted:
                 # No ``done`` record: the journal keeps this submission
-                # pending and the next incarnation resumes it from the
-                # checkpoint/cache.
+                # pending and the next incarnation re-runs it; its
+                # finished jobs come back as cache hits.
                 rec.state = "checkpointed"
             elif summary["errors"]:
                 rec.state = "error"
@@ -602,7 +598,8 @@ class ExperimentService:
 
     def _finalize_drain(self) -> None:
         """After the chunk workers exit on drain, park every live
-        execution as ``checkpointed``."""
+        execution as ``checkpointed``: a state name clients read, meaning
+        its finished jobs are cached and the rest resume on restart."""
         with self._lock:
             executions = list(self._executions.values())
         for execution in executions:

@@ -9,15 +9,14 @@ skips (and counts) torn lines instead of raising.
 
 Replay semantics give the daemon its crash contract: a submission
 without a matching ``done``/``cancel`` is *pending* and re-enqueues on
-restart; completed work is never re-executed because the sweep
-checkpoint and result cache under the same state directory still hold
-it.
+restart; completed work is never re-executed because the result cache
+under the same state directory still holds it.  The journal records
+submissions only: results live in the cache, provenance in the ledger.
 
 Submissions are **idempotent**: a :class:`JobSpec`'s service ID
-(``sid``) derives from the same ``job_key`` digest the cache and
-checkpoint use, so a client retrying a ``POST /jobs`` it never saw the
-response to maps onto the already-journaled job instead of
-double-running it.
+(``sid``) derives from the same ``job_key`` digest the result cache
+uses, so a client retrying a ``POST /jobs`` it never saw the response
+to maps onto the already-journaled job instead of double-running it.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Set, Union
 
 from repro.experiments import registry
-from repro.experiments.checkpoint import job_key
-from repro.experiments.runner import Job, derive_seed
+from repro.experiments.runner import Job, derive_seed, job_key
 from repro.telemetry import ids
 from repro.utils.jsonl import append_record
 
@@ -74,7 +72,7 @@ class JobSpec:
     def sid(self) -> str:
         """The idempotent service job ID (12 hex chars).
 
-        Derived from the cache/checkpoint ``job_key`` digest: the same
+        Derived from the result cache's ``job_key`` digest: the same
         submission always maps to the same ID, in any process, so
         client retries never double-run.  Sweeps fold their shape into
         the key's params so a sweep and one of its member jobs can

@@ -2,11 +2,11 @@
 
 Every sweep gets one **run ID** (``rYYYYMMDD-HHMMSS-xxxxxx``, wall
 clock plus random suffix) and every job a deterministic **job ID** —
-the first 12 hex chars of the existing ``job_key`` digest, so the same
+the first 12 hex chars of the result cache's ``job_key`` digest, so the same
 (experiment, params, seed) triple always maps to the same job ID and
 artifacts written in different sessions still join.
 
-The pair is stamped into trace events, ledger lines, checkpoint
+The pair is stamped into trace events, ledger lines, result cache
 records, failure-capture bundles, and ``ExperimentResult`` metadata;
 ``repro ledger diff <run_a> <run_b>`` and the live exporter both join
 on it.
@@ -102,7 +102,7 @@ def run_scope(run_id: str) -> Iterator[str]:
 
 
 def job_id_from_key(job_key: str) -> str:
-    """Job ID = 12-hex-char prefix of the cache/checkpoint job_key."""
+    """Job ID = 12-hex-char prefix of the result cache's job_key."""
     return job_key[:JOB_ID_LEN]
 
 

@@ -110,7 +110,7 @@ def build_record(result: Any, command: str = "runner") -> Dict[str, Any]:
     job_id = getattr(result, "job_id", None)
     if not job_id:
         try:
-            from repro.experiments.checkpoint import job_key
+            from repro.experiments.runner import job_key
 
             job_id = ids.job_id_from_key(
                 job_key(result.name, result.params, result.seed))

@@ -64,7 +64,7 @@ class TraceRecorder:
         self.spilled = 0
         #: Fields merged into every event (explicit fields win); the
         #: runner stamps ``run_id``/``job_id`` here so any trace event
-        #: joins the ledger line, checkpoint record, and capture bundle
+        #: joins the ledger line, cache record, and capture bundle
         #: of the job that emitted it.
         self.context: Dict[str, Any] = {}
 

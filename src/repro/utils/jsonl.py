@@ -1,9 +1,9 @@
 """Crash-safe append-only JSONL writing, shared by every journal.
 
-The sweep checkpoint, the run ledger, and the service job journal all
-follow the same discipline: one record per line, appended with a
-single ``write`` on an ``O_APPEND`` descriptor so concurrent writers
-interleave whole records, and readers skip (and count) torn lines.
+The run ledger and the service job journal follow the same discipline:
+one record per line, appended with a single ``write`` on an
+``O_APPEND`` descriptor so concurrent writers interleave whole records,
+and readers skip (and count) torn lines.
 
 :func:`append_record` adds one more guarantee the individual writers
 previously lacked: **torn-tail isolation across restarts**.  If the

@@ -154,8 +154,7 @@ class TestScenarios:
         must flag the hung job's stale heartbeat strictly *before* the
         timeout reaper produces its structured outcome."""
         from repro.experiments import ExperimentRunner, Job, registry
-        from repro.experiments.checkpoint import job_key
-        from repro.experiments.runner import derive_seed
+        from repro.experiments.runner import derive_seed, job_key
         from repro.telemetry import job_id_from_key
 
         victim = derive_seed(0, 1)
@@ -181,8 +180,8 @@ class TestScenarios:
     @fork_only
     def test_combined_acceptance_scenario(self, tmp_path):
         """The pinned acceptance schedule: SIGKILL + hang + torn write in
-        a 16-job sweep, exact telemetry, then a resume that re-runs
-        exactly one job."""
+        a 16-job sweep, exact telemetry, then a re-run on the same cache
+        that re-executes exactly the timed-out and the torn-write jobs."""
         self._run("combined", tmp_path, workers=4)
 
     def test_unknown_scenario_rejected(self, tmp_path):

@@ -194,22 +194,22 @@ class TestSweepCommand:
         assert "1 timeouts" in captured.out
         assert "JobTimeout" in captured.err
 
-    def test_sweep_resume_needs_a_checkpoint(self, capsys):
-        assert main(["sweep", "c12", "--seeds", "2", "--no-cache",
-                     "--resume"]) == 2
-        assert "--resume needs a checkpoint" in capsys.readouterr().err
+    @pytest.mark.parametrize("cache_args, hint", [
+        (["--cache-dir", "sweep-cache"],
+         "re-run the same command; finished jobs come from the cache at "
+         "sweep-cache"),
+        (["--no-cache"], "completed results were not kept (--no-cache)"),
+    ])
+    def test_interrupt_hint_names_the_resume_point(self, monkeypatch, capsys,
+                                                   cache_args, hint):
+        from repro.experiments import ExperimentRunner
 
-    def test_sweep_resume_restores_from_checkpoint_without_cache(
-            self, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt.jsonl"
-        argv = ["sweep", "c12", "--seeds", "2", "--no-cache",
-                "--checkpoint", str(ckpt)]
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert ckpt.is_file()
-        assert main(argv + ["--resume"]) == 0
-        # Restored jobs report as hits even though the cache is off.
-        assert "(2 cache hits, 0 errors)" in capsys.readouterr().out
+        def interrupted(self, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ExperimentRunner, "sweep", interrupted)
+        assert main(["sweep", "c12", "--seeds", "2"] + cache_args) == 130
+        assert hint in capsys.readouterr().err
 
 
 class TestChaosCommand:

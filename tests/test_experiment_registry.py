@@ -105,17 +105,3 @@ class TestSeedDispatchRegression:
     def test_seedless_experiment_never_called_with_seed(self):
         result = E.execute_job("para_reliability", seed=123)
         assert result.seed is None  # signature says no seed; none forced in
-
-
-class TestCoreExperimentShim:
-    def test_shim_reexports_every_experiment(self):
-        from repro.core import experiment as shim
-
-        for name in registry.names():
-            assert getattr(shim, name) is registry.get(name).fn
-
-    def test_shim_exposes_framework(self):
-        from repro.core import experiment as shim
-
-        assert shim.ExperimentRunner is E.ExperimentRunner
-        assert shim.ExperimentResult is E.ExperimentResult

@@ -9,7 +9,13 @@ import time
 import pytest
 
 from repro import experiments as E
-from repro.experiments import ExperimentRunner, Job, derive_seed, execute_job_safe
+from repro.experiments import (
+    ExperimentRunner,
+    Job,
+    derive_seed,
+    execute_job_safe,
+    job_key,
+)
 from repro.experiments.registry import experiment, unregister
 
 
@@ -107,6 +113,22 @@ class TestCache:
         path = runner.cache.path("twostep_study", {}, 2)
         path.write_text("{not json")
         assert not runner.run_one("twostep_study", seed=2).cache_hit
+
+
+class TestJobKey:
+    def test_matches_cache_key(self, tmp_path):
+        cache = E.ResultCache(tmp_path)
+        assert (cache.key("sidedness_ablation", {"a": 1}, 7)
+                == job_key("sidedness_ablation", {"a": 1}, 7))
+
+    def test_param_order_does_not_matter(self):
+        assert (job_key("sidedness_ablation", {"a": 1, "b": 2}, 0)
+                == job_key("sidedness_ablation", {"b": 2, "a": 1}, 0))
+
+    def test_seed_and_params_matter(self):
+        base = job_key("sidedness_ablation", {}, 0)
+        assert job_key("sidedness_ablation", {}, 1) != base
+        assert job_key("sidedness_ablation", {"x": 1}, 0) != base
 
 
 class TestRunnerBatch:

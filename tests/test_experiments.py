@@ -144,6 +144,17 @@ class TestC9Flash:
         result = X.fcr_study(seed=0)
         assert result["lifetime_multiplier"] > 3.0
 
+    def test_fcr_zero_lifetime_baseline_has_no_multiplier(self):
+        # At this seed the unrefreshed baseline fails the one-year
+        # retention requirement even unworn: 0 P/E cycles, no finite ratio.
+        result = X.fcr_study(seed=746867847)
+        baseline, *refreshed = result["points"]
+        assert baseline.refresh_interval_days is None
+        assert baseline.raw_lifetime_pe == 0
+        assert result["lifetime_multiplier"] is None
+        assert refreshed
+        assert all(p.raw_lifetime_pe > baseline.raw_lifetime_pe for p in refreshed)
+
 
 class TestC10C11Recovery:
     def test_all_mechanisms_reduce_errors(self):

@@ -12,6 +12,7 @@ from repro.flash import (
     program_block_shadow,
 )
 from repro.flash.mitigations import (
+    FcrPoint,
     correct_wordline,
     fcr_sweep,
     lifetime_multiplier,
@@ -86,6 +87,15 @@ class TestFcr:
         # Effective lifetime accounts for refresh-copy wear.
         years = points[1].effective_lifetime_years(host_writes_pe_per_year=1000.0)
         assert years > 0
+
+    def test_multiplier_needs_a_baseline_entry(self):
+        refreshed = FcrPoint(refresh_interval_days=3.0, raw_lifetime_pe=900,
+                             refresh_wear_per_year=365 / 3.0)
+        with pytest.raises(ValueError, match="no-refresh baseline"):
+            lifetime_multiplier([refreshed])
+        dead = FcrPoint(refresh_interval_days=None, raw_lifetime_pe=0,
+                        refresh_wear_per_year=0.0)
+        assert lifetime_multiplier([dead, refreshed]) is None
 
 
 class TestRfrAndNac:

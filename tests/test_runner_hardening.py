@@ -339,9 +339,9 @@ class TestCacheWriteSafety:
 
 class TestSigintSurvivability:
     def test_interrupted_sweep_loses_no_completed_results(self, tmp_path):
-        """SIGINT mid-sweep: completed jobs are flushed; the resumed run
-        re-executes only the unfinished remainder (asserted by the
-        job-count telemetry in the metrics snapshot)."""
+        """SIGINT mid-sweep: completed jobs are flushed to the cache; a
+        plain re-run re-executes only the unfinished remainder (asserted
+        by the job-count telemetry in the metrics snapshot)."""
         env = dict(os.environ)
         env.update({
             "PYTHONPATH": str((
@@ -359,23 +359,24 @@ class TestSigintSurvivability:
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                 text=True)
         deadline = time.monotonic() + 30
-        checkpoint = cache / "checkpoint.jsonl"
+        def cached():
+            return len(list((cache / "sidedness_ablation").glob("*.json")))
+
         # Wait until the non-hung jobs have been flushed, then interrupt.
         while time.monotonic() < deadline:
-            if checkpoint.is_file() and len(checkpoint.read_text().splitlines()) >= 7:
+            if cached() >= 7:
                 break
             time.sleep(0.1)
         os.kill(proc.pid, signal.SIGINT)
         _, stderr = proc.communicate(timeout=30)
         assert proc.returncode == 130, stderr
-        assert "resume with --resume" in stderr
-        completed = len(checkpoint.read_text().splitlines())
-        assert completed == 7  # everything except the hung job
+        assert "re-run the same command" in stderr
+        assert cached() == 7  # everything except the hung job
 
-        env.pop("REPRO_CHAOS")  # resume runs clean
+        env.pop("REPRO_CHAOS")  # the re-run resumes clean
         metrics_out = tmp_path / "metrics.json"
         resumed = subprocess.run(
-            argv + ["--resume", "--metrics", "--metrics-out", str(metrics_out)],
+            argv + ["--metrics", "--metrics-out", str(metrics_out)],
             env=env, capture_output=True, text=True, timeout=60)
         assert resumed.returncode == 0, resumed.stderr
         snapshot = json.loads(metrics_out.read_text())["metrics"]
@@ -393,8 +394,8 @@ class TestSigtermDrain:
     def test_sigterm_drains_with_143_and_resume_hint(self, tmp_path):
         """SIGTERM mid-sweep is a graceful drain, not an abort: completed
         jobs are flushed, the exit code is the conventional 143 (so a
-        supervisor can tell drain from crash), and stderr points at the
-        resume path."""
+        supervisor can tell drain from crash), and stderr says how to
+        resume: run the same command again."""
         env = dict(os.environ)
         env.update({
             "PYTHONPATH": str((
@@ -411,23 +412,25 @@ class TestSigtermDrain:
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                 text=True)
         deadline = time.monotonic() + 30
-        checkpoint = cache / "checkpoint.jsonl"
+        def cached():
+            return len(list((cache / "sidedness_ablation").glob("*.json")))
+
         while time.monotonic() < deadline:
-            if checkpoint.is_file() and len(checkpoint.read_text().splitlines()) >= 7:
+            if cached() >= 7:
                 break
             time.sleep(0.1)
         os.kill(proc.pid, signal.SIGTERM)
         _, stderr = proc.communicate(timeout=30)
         assert proc.returncode == 143, stderr
         assert "terminated (graceful drain)" in stderr
-        assert "resume with --resume" in stderr
-        assert len(checkpoint.read_text().splitlines()) == 7
+        assert "re-run the same command" in stderr
+        assert cached() == 7
 
         env.pop("REPRO_CHAOS")
-        resumed = subprocess.run(argv + ["--resume"], env=env,
+        resumed = subprocess.run(argv, env=env,
                                  capture_output=True, text=True, timeout=60)
         assert resumed.returncode == 0, resumed.stderr
-        assert len(checkpoint.read_text().splitlines()) == 8
+        assert cached() == 8
 
 
 class TestCacheWriteDegrade:

@@ -305,19 +305,20 @@ class TestServiceExecution:
         assert record["result"]["name"] == PROBE
         assert record["summary"]["errors"] == 0
 
-    def test_sweep_runs_through_checkpoint_and_ledger(self, live_service):
+    def test_sweep_runs_through_cache_and_ledger(self, live_service):
         client = ServiceClient(live_service.url, retries=1)
         sid = client.submit({"name": PROBE, "seeds": 3})["sid"]
         record = client.wait(sid, timeout_s=60.0)
         assert record["state"] == "done"
         assert record["summary"]["jobs"] == 3
-        checkpoint = live_service.state_dir / "checkpoints" / f"{sid}.jsonl"
-        assert len(checkpoint.read_text().splitlines()) == 3
+        cached = {json.loads(path.read_text())["job_id"] for path in
+                  (live_service.state_dir / "cache").glob("*/*.json")}
+        assert len(cached) == 3
         ledger = RunLedger(live_service.state_dir / "ledger.jsonl")
         records = ledger.scan()
         assert len(records) == 3
         assert {r["command"] for r in records} == {"service"}
-        assert len({r["job_id"] for r in records}) == 3
+        assert {r["job_id"] for r in records} == cached
 
     def test_restart_preserves_done_state_without_rerun(self, tmp_path):
         state_dir = tmp_path / "svc"
@@ -562,12 +563,14 @@ class TestStateDirLock:
             os.close(fd)
         finally:
             holder.kill()
-            holder.communicate()
+            # The child inherited the holder's stdout pipe: kill it first,
+            # or communicate() waits for its sleep to end.
             if child is not None:
                 try:
                     os.kill(child, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+            holder.communicate()
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ the sweep runs, asserting the progress gauges are present and monotone.
 """
 
 import io
+import json
 import multiprocessing
 import os
 import queue
@@ -21,8 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ExperimentRunner, Job, registry
-from repro.experiments.checkpoint import SweepCheckpoint, job_key
-from repro.experiments.runner import derive_seed
+from repro.experiments.runner import derive_seed, job_key
 from repro.telemetry import MetricsRegistry, RunLedger
 from repro.telemetry import events as stream_events
 from repro.telemetry import export, ids
@@ -416,10 +416,10 @@ class TestRunnerStreaming:
 
 
 class TestArtifactJoin:
-    def test_job_id_joins_ledger_checkpoint_trace_and_bundle(
+    def test_job_id_joins_ledger_cache_trace_and_bundle(
             self, tmp_path, monkeypatch):
         """Acceptance: one job_id recovers the same job from the ledger
-        line, the checkpoint record, the trace events, and (for the
+        line, the result cache record, the trace events, and (for the
         failed job) the capture bundle."""
         from repro import chaos
         from repro.sanitizer.bundle import load_bundle
@@ -433,9 +433,8 @@ class TestArtifactJoin:
         recorder = telem.enable_tracing(capacity=65536, fresh=True)
         try:
             runner = ExperimentRunner(
-                cache_dir=None, max_workers=1,
+                cache_dir=tmp_path / "cache", max_workers=1,
                 ledger=RunLedger(tmp_path / "ledger.jsonl"),
-                checkpoint=tmp_path / "checkpoint.jsonl",
                 collect_metrics=True)
             results = runner.run([Job(name, {}, ok_seed),
                                   Job(name, {}, bad_seed)])
@@ -458,11 +457,12 @@ class TestArtifactJoin:
         assert {r["job_id"] for r in records} == {ok_id, bad_id}
         assert {r["run_id"] for r in records} == {run_id}
 
-        # checkpoint records (only the successful job is checkpointed)
-        checkpoint = SweepCheckpoint(tmp_path / "checkpoint.jsonl").load()
-        (cp_record,) = checkpoint.values()
-        assert cp_record["job_id"] == ok_id
-        assert cp_record["run_id"] == run_id
+        # cache records (only the successful job is cached)
+        cached = list((tmp_path / "cache").glob("*/*.json"))
+        assert cached == [runner.cache.path(name, {}, ok_seed)]
+        cache_record = json.loads(cached[0].read_text())
+        assert cache_record["job_id"] == ok_id
+        assert cache_record["run_id"] == run_id
 
         # trace events carry the context stamp
         traced = [e.to_json_dict() for e in recorder.events()
@@ -545,7 +545,7 @@ class TestServeMetricsEndToEnd:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "sweep", "retention_study",
              "--seeds", "6", "--parallel", "2", "--no-cache",
-             "--no-checkpoint", "--serve-metrics", "0"],
+             "--serve-metrics", "0"],
             cwd=tmp_path, env=env, text=True,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         done_series, saw_running, saw_beat = [], False, False

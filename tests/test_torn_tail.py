@@ -1,5 +1,5 @@
 """Exhaustive torn-tail tolerance: truncate the final record of a
-service job journal and of a sweep checkpoint at EVERY byte offset.
+service job journal at EVERY byte offset.
 
 A SIGKILL (or power loss) mid-append leaves a prefix of the final line
 on disk.  Because every writer in the repo goes through a single
@@ -15,7 +15,6 @@ import threading
 
 import pytest
 
-from repro.experiments.checkpoint import SweepCheckpoint, job_key
 from repro.experiments.result import ExperimentResult
 from repro.service import JobJournal, JobSpec
 from repro.telemetry import RunLedger
@@ -39,13 +38,6 @@ def _build_journal(path, n=3):
     journal.start(specs[0].sid, "r0")
     journal.done(specs[0].sid, "ok", jobs=1, errors=0)
     return journal, specs
-
-
-def _build_checkpoint(path, n=3):
-    checkpoint = SweepCheckpoint(path)
-    for seed in range(n):
-        assert checkpoint.record(_result(seed))
-    return checkpoint
 
 
 def _line_spans(blob):
@@ -88,14 +80,14 @@ class TestJournalTornAtEveryOffset:
                 assert state.pending() == [s.sid for s in specs[1:]]
             else:
                 # A genuinely torn ``done`` record reads as pending
-                # (at-least-once; checkpoint/cache make re-runs cheap).
+                # (at-least-once; the result cache makes re-runs cheap).
                 assert state.corrupt_lines == 1
                 assert specs[0].sid not in state.done
                 assert state.pending() == [s.sid for s in specs]
 
     def test_pending_set_is_conservative_under_tears(self, tmp_path):
         """A torn ``done`` record re-enqueues the job — at-least-once,
-        never lost; the checkpoint/cache make the re-run idempotent."""
+        never lost; the result cache makes the re-run idempotent."""
         path = tmp_path / "jobs.jsonl"
         _journal, specs = _build_journal(path, n=1)
         blob = path.read_bytes()
@@ -118,60 +110,6 @@ class TestJournalTornAtEveryOffset:
             state = JobJournal(path).replay()
             assert state.order[-1] == extra.sid
             assert state.corrupt_lines == 1
-
-
-class TestCheckpointTornAtEveryOffset:
-    def test_load_recovers_all_complete_records(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        _build_checkpoint(path)
-        blob = path.read_bytes()
-        spans = _line_spans(blob)
-        assert len(spans) == 3
-        last_start, last_end = spans[-1]
-        survivors = {job_key(PROBE, {}, seed) for seed in range(2)}
-
-        for cut in range(last_start, last_end):
-            path.write_bytes(blob[:cut])
-            checkpoint = SweepCheckpoint(path)
-            records = checkpoint.load()  # must never raise
-            if cut == last_end - 1:
-                # Complete record, only the newline missing: recovered.
-                assert set(records) == survivors | {job_key(PROBE, {}, 2)}
-                assert checkpoint.corrupt_lines == 0
-            else:
-                assert set(records) == survivors
-                assert checkpoint.corrupt_lines == (
-                    0 if cut == last_start else 1)
-            # Restored results stay usable, flagged as not re-executed.
-            results = checkpoint.results()
-            assert len(results) == len(records)
-            assert all(r.cache_hit for r in results.values())
-
-    def test_record_after_every_tear_is_isolated_and_resumes(self, tmp_path):
-        """After any tear, re-recording the damaged job must append a
-        clean record — the resume path after a mid-append SIGKILL."""
-        path = tmp_path / "sweep.jsonl"
-        _build_checkpoint(path)
-        blob = path.read_bytes()
-        last_start, last_end = _line_spans(blob)[-1]
-        for cut in range(last_start + 1, last_end - 1):
-            path.write_bytes(blob[:cut])
-            checkpoint = SweepCheckpoint(path)
-            assert checkpoint.record(_result(2))
-            reread = SweepCheckpoint(path)
-            assert len(reread.load()) == 3
-            assert reread.corrupt_lines == 1
-
-    def test_every_offset_of_a_single_record_file(self, tmp_path):
-        """Degenerate case: the whole file is one (torn) record."""
-        path = tmp_path / "solo.jsonl"
-        _build_checkpoint(path, n=1)
-        blob = path.read_bytes()
-        for cut in range(len(blob) - 1):
-            path.write_bytes(blob[:cut])
-            checkpoint = SweepCheckpoint(path)
-            assert checkpoint.load() == {}
-            assert checkpoint.corrupt_lines == (1 if cut else 0)
 
 
 def _hammer_journal(path, worker, per_worker):
