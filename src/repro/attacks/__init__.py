@@ -2,13 +2,12 @@
 
 from repro.attacks.hammer import (
     HammerResult,
-    double_sided_device,
+    hammer_device,
     hammer_via_controller,
-    many_sided_device,
     max_double_sided_budget,
     multibank_attack_scaling,
+    neighbors,
     per_bank_budget_multibank,
-    single_sided_device,
 )
 from repro.attacks.invariants import IsolationReport, check_read_isolation, check_write_isolation
 from repro.attacks.privilege import (
@@ -24,13 +23,12 @@ from repro.attacks.privilege import (
 
 __all__ = [
     "HammerResult",
-    "double_sided_device",
+    "hammer_device",
     "hammer_via_controller",
-    "many_sided_device",
     "max_double_sided_budget",
     "multibank_attack_scaling",
+    "neighbors",
     "per_bank_budget_multibank",
-    "single_sided_device",
     "IsolationReport",
     "check_read_isolation",
     "check_write_isolation",

@@ -3,8 +3,9 @@
 Two execution paths are provided, mirroring the two fidelity levels of
 the simulator:
 
-* the **device path** (``*_device``) drives the bank's exact bulk
-  accounting — used for large campaigns (field study, ECC histograms);
+* the **device path** (:func:`hammer_device`) drives the bank's exact
+  bulk accounting — used for large campaigns (field study, ECC
+  histograms);
 * the **controller path** (:func:`hammer_via_controller`) issues every
   activation through the full command pipeline — timing, auto-refresh,
   perf counters, and any installed mitigation — used for mitigation
@@ -45,59 +46,32 @@ class HammerResult:
         return sorted({row for row, _bit in self.flips})
 
 
-def _collect_new_flips(bank, before: int) -> List[Tuple[int, int]]:
-    return [(row, bit) for row, bit, *_prov in bank.stats.flip_log[before:]]
-
-
-def _hammer_stream(aggressors: Sequence[int], count: int) -> CommandStream:
-    """The canonical hammer unit: bulk-activate each aggressor, settle."""
+def hammer_device(
+    module: DramModule, bank: int, aggressors: Sequence[int], count: int
+) -> HammerResult:
+    """Hammer each of ``aggressors`` ``count`` times, then settle (device
+    fast path).  One row is single-sided hammering, a victim's
+    :func:`neighbors` double-sided, any larger set TRRespass-style
+    many-sided."""
+    check_positive("count", count)
+    aggressors = tuple(aggressors)
     stream = CommandStream()
     for aggressor in aggressors:
         stream.act(aggressor, count)
-    return stream.settle()
-
-
-def single_sided_device(module: DramModule, bank: int, aggressor: int, count: int) -> HammerResult:
-    """Hammer one aggressor row ``count`` times (device fast path)."""
-    check_positive("count", count)
     dev = module.bank(bank)
     before = len(dev.stats.flip_log)
-    dev.execute(_hammer_stream((aggressor,), count))
-    return HammerResult(
-        aggressors=(aggressor,),
-        activations_per_aggressor=count,
-        flips=_collect_new_flips(dev, before),
-    )
-
-
-def double_sided_device(module: DramModule, bank: int, victim: int, count: int) -> HammerResult:
-    """Hammer both neighbors of ``victim`` ``count`` times each."""
-    check_positive("count", count)
-    module.geometry.check_row(victim)
-    aggressors = tuple(r for r in (victim - 1, victim + 1) if 0 <= r < module.geometry.rows)
-    dev = module.bank(bank)
-    before = len(dev.stats.flip_log)
-    dev.execute(_hammer_stream(aggressors, count))
+    dev.execute(stream.settle())
     return HammerResult(
         aggressors=aggressors,
         activations_per_aggressor=count,
-        flips=_collect_new_flips(dev, before),
+        flips=[(row, bit) for row, bit, *_prov in dev.stats.flip_log[before:]],
     )
 
 
-def many_sided_device(
-    module: DramModule, bank: int, aggressors: Sequence[int], count: int
-) -> HammerResult:
-    """Hammer an arbitrary aggressor set (TRRespass-style patterns)."""
-    check_positive("count", count)
-    dev = module.bank(bank)
-    before = len(dev.stats.flip_log)
-    dev.execute(_hammer_stream(tuple(aggressors), count))
-    return HammerResult(
-        aggressors=tuple(aggressors),
-        activations_per_aggressor=count,
-        flips=_collect_new_flips(dev, before),
-    )
+def neighbors(module: DramModule, victim: int) -> Tuple[int, ...]:
+    """The double-sided aggressors of ``victim``: its in-range neighbors."""
+    module.geometry.check_row(victim)
+    return tuple(r for r in (victim - 1, victim + 1) if 0 <= r < module.geometry.rows)
 
 
 def hammer_via_controller(
@@ -147,7 +121,7 @@ def multibank_attack_scaling(module_factory, bank_counts=(1, 2, 4, 8)) -> list:
         budget = per_bank_budget_multibank(module.timing, n_banks)
         total = 0
         for bank in range(min(n_banks, module.geometry.banks)):
-            result = double_sided_device(module, bank, victim=1000, count=budget // 2)
+            result = hammer_device(module, bank, neighbors(module, 1000), budget // 2)
             total += sum(1 for row, _bit in result.flips if row == 1000)
         out.append(
             {

@@ -90,11 +90,13 @@ class RefreshEngine:
         refreshed = 0
         with telem.span("ctrl.refresh_tick"):
             while self.due(time_ns):
-                refreshed += self._issue_ref(self.next_ref_ns)
+                refreshed += self.issue_ref(self.next_ref_ns)
                 self.next_ref_ns += self.interval_ns
         return refreshed
 
-    def _issue_ref(self, time_ns: float) -> int:
+    def issue_ref(self, time_ns: float) -> int:
+        """Issue one REF at ``time_ns``: refresh the next round-robin
+        chunk of rows in every bank; return rows refreshed."""
         rows = self.module.geometry.rows
         self.stats.ref_commands += 1
         if telem.metrics_on:

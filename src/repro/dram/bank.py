@@ -25,6 +25,13 @@ API, including the read accessors (``pressure``, ``peak``,
 ``last_aggressor``, ``disturbed_rows``, ``stored_bits``,
 ``touched_rows``) that sanitizer checkers, chaos injectors and the
 oracle use instead of private state.
+
+Both engines share one command front end (this class's
+``bulk_activate``, ``read``, ``write`` and ``execute`` dispatch loop)
+and one event vocabulary (:class:`BankStats`'s ``on_*`` methods: the
+activation/read/write/refresh counters, the ``dram_*`` metrics, the
+``activate``/``refresh``/``bit_flip`` trace events and the physics
+records), so they differ only in state layout and kernels.
 """
 
 from __future__ import annotations
@@ -155,12 +162,121 @@ class BankStats:
                                  aggressors.tolist(), hammers.tolist(),
                                  repeat(pattern, n), repeat(epoch, n)))
 
+    # ------------------------------------------------------------------
+    # The DRAM event vocabulary.  Both engines emit every counter bump,
+    # ``dram_*`` metric, trace event and physics record through these
+    # methods, one call per event, so the engines cannot drift apart.
+    # ------------------------------------------------------------------
+    def on_activate(self, row: int, time: float,
+                    count: Optional[int] = None) -> None:
+        """``count`` back-to-back activations of ``row``; ``None`` is one
+        scalar ACT, whose ``activate`` trace event has no ``count``."""
+        n = 1 if count is None else count
+        self.activations += n
+        if telem.metrics_on:
+            telem.counter("dram_activations_total", bank=self.bank_index).inc(n)
+        if telem.trace_on:
+            if count is None:
+                telem.trace("activate", t=time, bank=self.bank_index, row=row)
+            else:
+                telem.trace("activate", t=time, bank=self.bank_index, row=row,
+                            count=count)
+        if phys.physics_on:
+            phys.get_collector().record_activation(self.bank_index, row, n)
+
+    def on_read(self) -> None:
+        """One row read."""
+        self.reads += 1
+        if telem.metrics_on:
+            telem.counter("dram_reads_total", bank=self.bank_index).inc()
+
+    def on_write(self) -> None:
+        """One row write."""
+        self.writes += 1
+        if telem.metrics_on:
+            telem.counter("dram_writes_total", bank=self.bank_index).inc()
+
+    def on_refresh(self, rows: Sequence[int], time: float) -> None:
+        """A refresh of each of ``rows`` (repeats count every time)."""
+        n = len(rows)
+        if not n:
+            return
+        self.refreshes += n
+        if telem.metrics_on:
+            telem.counter("dram_refreshes_total", bank=self.bank_index).inc(n)
+        if telem.trace_on:
+            for row in rows:
+                telem.trace("refresh", t=time, bank=self.bank_index,
+                            row=int(row))
+
+    def flip_metrics(self, cause: str):
+        """Resolved ``(counter, histogram)`` for flips of ``cause``, or
+        ``None`` when metrics are off.  Registry lookups hash a sorted
+        label key, so per-window loops resolve the series once."""
+        if not telem.metrics_on:
+            return None
+        return (telem.counter("dram_bit_flips_total",
+                              bank=self.bank_index, cause=cause),
+                telem.histogram("dram_flips_per_event", edges=_FLIP_BUCKETS))
+
+    def on_flips(self, row: int, bits: np.ndarray, time: float,
+                 aggressor: int, hammer: float, pattern: str, cause: str,
+                 metrics=None) -> None:
+        """One materialization window of ``row`` flipped ``bits``
+        (non-empty).  ``metrics`` is :meth:`flip_metrics`'s result for
+        ``cause`` when the caller resolved it once per batch."""
+        self.record_flips(row, bits, time, aggressor=aggressor,
+                          hammer=hammer, pattern=pattern)
+        n = len(bits)
+        if telem.metrics_on:
+            counter, histogram = metrics or self.flip_metrics(cause)
+            counter.inc(n)
+            histogram.observe(n)
+        if telem.trace_on:
+            telem.trace("bit_flip", t=time, bank=self.bank_index, row=row,
+                        bits=n, cause=cause)
+
+    def on_flips_batch(self, rows: List[int], times: List[float],
+                       flips: List[np.ndarray], aggressors: List[int],
+                       hammers: List[float], pattern: str,
+                       cause: str) -> None:
+        """Many windows' flips at once, as parallel per-window lists in
+        log order (every window flipped something).  Equivalent to one
+        :meth:`on_flips` call per window."""
+        counts = [len(bits) for bits in flips]
+        metrics = self.flip_metrics(cause)
+        if metrics:
+            for n in counts:
+                metrics[1].observe(n)
+            metrics[0].inc(sum(counts))
+        if telem.trace_on:
+            for row, time, n in zip(rows, times, counts):
+                telem.trace("bit_flip", t=time, bank=self.bank_index,
+                            row=row, bits=n, cause=cause)
+        self.record_flips_batch(
+            np.repeat(np.asarray(rows, dtype=np.int64), counts),
+            np.concatenate(flips),
+            np.repeat(np.asarray(times, dtype=np.float64), counts),
+            aggressors=np.repeat(np.asarray(aggressors, dtype=np.int64), counts),
+            hammers=np.repeat(np.asarray(hammers, dtype=np.float64), counts),
+            pattern=pattern)
+
+    def on_settle(self, rows_touched: int) -> None:
+        """A settle pass over a bank holding ``rows_touched`` rows."""
+        if telem.metrics_on:
+            telem.histogram("dram_rows_touched").observe(rows_touched)
+
 
 class DramBank:
     """A single DRAM bank with disturbance-aware storage.
 
     This class's method bodies are the per-command **reference**
     implementation; modules build :class:`ColumnarDramBank` banks.
+    The command front end is shared: ``bulk_activate``, ``read``,
+    ``write`` and the ``execute`` dispatch loop live here only, and the
+    columnar engine overrides the state-specific hooks they call
+    (``_commit``, ``_bulk_activate_body``, ``_store_row``,
+    ``_flush_acts``).
 
     Args:
         geometry: module organization (rows/row size are read from it).
@@ -186,8 +302,13 @@ class DramBank:
         self.default_pattern_name = default_pattern
         self._default_pattern: PatternFn = get_pattern(default_pattern)
         self.open_row: Optional[int] = None
-        self.stats = BankStats(bank_index=index)
+        self._stats = BankStats(bank_index=index)
         self._init_storage()
+
+    @property
+    def stats(self) -> BankStats:
+        """The bank's counters and flip log."""
+        return self._stats
 
     def _init_storage(self) -> None:
         """Install the per-row state containers (engine-specific)."""
@@ -195,6 +316,9 @@ class DramBank:
         self._pressure: Dict[int, float] = {}
         self._peak: Dict[int, float] = {}
         self._last_aggressor: Dict[int, int] = {}
+
+    def _commit(self) -> None:
+        """Apply deferred activations (the reference defers nothing)."""
 
     # ------------------------------------------------------------------
     # Data access (physical rows)
@@ -261,18 +385,10 @@ class DramBank:
         if len(flipped):
             if sanit.sanitize_on:
                 sanit.note("dram.bank", self, row=row)
-            self.stats.record_flips(
+            self._stats.on_flips(
                 row, flipped, time,
-                aggressor=-1 if aggressor is None else int(aggressor),
-                hammer=peak, pattern=self.default_pattern_name)
-            if telem.metrics_on:
-                telem.counter("dram_bit_flips_total",
-                              bank=self.index, cause=cause).inc(len(flipped))
-                telem.histogram("dram_flips_per_event",
-                                edges=_FLIP_BUCKETS).observe(len(flipped))
-            if telem.trace_on:
-                telem.trace("bit_flip", t=time, bank=self.index, row=row,
-                            bits=len(flipped), cause=cause)
+                -1 if aggressor is None else int(aggressor),
+                peak, self.default_pattern_name, cause)
         return flipped
 
     # ------------------------------------------------------------------
@@ -284,13 +400,7 @@ class DramBank:
         self.geometry.check_row(row)
         if sanit.sanitize_on:
             sanit.check("dram.bank", self, row=row)
-        self.stats.activations += 1
-        if telem.metrics_on:
-            telem.counter("dram_activations_total", bank=self.index).inc()
-        if telem.trace_on:
-            telem.trace("activate", t=time, bank=self.index, row=row)
-        if phys.physics_on:
-            phys.get_collector().record_activation(self.index, row)
+        self._stats.on_activate(row, time)
         self._materialize(row, time)
         self._pressure[row] = 0.0
         self._peak[row] = 0.0
@@ -313,25 +423,21 @@ class DramBank:
         self.geometry.check_row(row)
         if count <= 0:
             return
+        self._commit()
         if sanit.sanitize_on:
             sanit.check("dram.bank", self, row=row)
-        self.stats.activations += count
-        if telem.metrics_on:
-            telem.counter("dram_activations_total", bank=self.index).inc(count)
-        if telem.trace_on:
-            telem.trace("activate", t=time, bank=self.index, row=row, count=count)
-        if phys.physics_on:
-            phys.get_collector().record_activation(self.index, row, count)
+        self._stats.on_activate(row, time, count)
+        self.open_row = row
         if telem.spans_on:
             with telem.span("dram.bulk_activate"):
                 return self._bulk_activate_body(row, count, time)
         return self._bulk_activate_body(row, count, time)
 
     def _bulk_activate_body(self, row: int, count: int, time: float) -> None:
+        """The state change of ``count`` ACTs of ``row`` (already counted)."""
         self._materialize(row, time)
         self._pressure[row] = 0.0
         self._peak[row] = 0.0
-        self.open_row = row
         self._bump(row - 1, float(count), row)
         self._bump(row + 1, float(count), row)
         d2 = self.model.profile.distance2_weight
@@ -349,9 +455,7 @@ class DramBank:
             self.activate(row, time)
         elif sanit.sanitize_on:
             sanit.check("dram.bank", self, row=row)
-        self.stats.reads += 1
-        if telem.metrics_on:
-            telem.counter("dram_reads_total", bank=self.index).inc()
+        self._stats.on_read()
         return self.row_bits(row).copy()
 
     def write(self, row: int, bits: np.ndarray, time: float = 0.0) -> None:
@@ -363,14 +467,18 @@ class DramBank:
         expected = self.geometry.row_bits
         if bits.shape != (expected,):
             raise ValueError(f"row data must have shape ({expected},), got {bits.shape}")
-        self.stats.writes += 1
-        if telem.metrics_on:
-            telem.counter("dram_writes_total", bank=self.index).inc()
+        # Pending windows read this row's old content.
+        self._commit()
+        self._stats.on_write()
+        self._store_row(row, bits)
+        if sanit.sanitize_on:
+            sanit.note("dram.bank", self, row=row)
+
+    def _store_row(self, row: int, bits: np.ndarray) -> None:
+        """Replace ``row``'s data and reset its disturbance state."""
         self._data[row] = bits.astype(np.uint8, copy=True)
         self._pressure[row] = 0.0
         self._peak[row] = 0.0
-        if sanit.sanitize_on:
-            sanit.note("dram.bank", self, row=row)
 
     def write_bytes(self, row: int, data: bytes, time: float = 0.0) -> None:
         """Write raw bytes (must be exactly one row)."""
@@ -392,11 +500,7 @@ class DramBank:
         self.geometry.check_row(row)
         if sanit.sanitize_on:
             sanit.check("dram.bank", self, row=row)
-        self.stats.refreshes += 1
-        if telem.metrics_on:
-            telem.counter("dram_refreshes_total", bank=self.index).inc()
-        if telem.trace_on:
-            telem.trace("refresh", t=time, bank=self.index, row=row)
+        self._stats.on_refresh((row,), time)
         if not self._peak.get(row) and not self._pressure.get(row):
             # Undisturbed row: refresh is a no-op for the model.
             return np.empty(0, dtype=np.int64)
@@ -419,12 +523,10 @@ class DramBank:
     def refresh_all(self, time: float = 0.0) -> int:
         """Refresh every row that has any accumulated state; return flip count."""
         with telem.span("dram.refresh_all"):
-            flips = 0
-            for row in list(self._peak):
-                flips += len(self.refresh_row(row, time))
+            flips = self.refresh_rows(list(self._peak), time)
             # Flips caught by this REF belong to the epoch that just
             # ended; the next epoch starts after materialization.
-            self.stats.refresh_epoch += 1
+            self._stats.refresh_epoch += 1
             return flips
 
     def settle(self, time: float = 0.0) -> int:
@@ -434,8 +536,7 @@ class DramBank:
             flips = 0
             for row in list(self._peak):
                 flips += len(self._materialize(row, time, cause="settle"))
-            if telem.metrics_on:
-                telem.histogram("dram_rows_touched").observe(len(self._data))
+            self._stats.on_settle(len(self._data))
             return flips
 
     # ------------------------------------------------------------------
@@ -445,20 +546,41 @@ class DramBank:
         """Run a :class:`~repro.dram.stream.CommandStream`; return the
         number of flips materialized while it ran.
 
-        This body is the per-command **reference replay** (each entry
-        dispatches to the matching scalar command); the columnar engine
-        overrides it with the batched executor.  Both must produce
-        identical bank state — the differential oracle's contract.
+        This is both engines' dispatch loop.  ACT/PRE entries only do
+        the eager bookkeeping (row check, sanitizer check, counters,
+        ``open_row``) and gather into an uninterrupted *ACT run*; any
+        other entry first hands the run to :meth:`_flush_acts`, then
+        dispatches to the matching scalar command.  So a run's
+        ``activate`` trace events precede its ``bit_flip`` events on
+        both engines.
         """
         with telem.span("dram.execute"):
             before = self.stats.flips_materialized
+            stats = self._stats
+            rows: List[int] = []
+            counts: List[int] = []
+            times: List[float] = []
             for cmd in stream:
                 op = cmd.op
                 if op == OP_ACT:
-                    self.bulk_activate(cmd.row, cmd.count, cmd.time)
-                elif op == OP_PRE:
-                    self.precharge()
-                elif op == OP_REF_ROW:
+                    self.geometry.check_row(cmd.row)
+                    if cmd.count <= 0:
+                        continue
+                    if sanit.sanitize_on:
+                        sanit.check("dram.bank", self, row=cmd.row)
+                    stats.on_activate(cmd.row, cmd.time, cmd.count)
+                    rows.append(cmd.row)
+                    counts.append(cmd.count)
+                    times.append(cmd.time)
+                    self.open_row = cmd.row
+                    continue
+                if op == OP_PRE:
+                    self.open_row = None
+                    continue
+                if rows:
+                    self._flush_acts(rows, counts, times)
+                    rows, counts, times = [], [], []
+                if op == OP_REF_ROW:
                     self.refresh_row(cmd.row, cmd.time)
                 elif op == OP_REF_ALL:
                     self.refresh_all(cmd.time)
@@ -470,7 +592,16 @@ class DramBank:
                     self.read(cmd.row, cmd.time)
                 else:  # pragma: no cover - builder can't produce this
                     raise ValueError(f"unknown stream opcode {op}")
-            return self.stats.flips_materialized - before
+            if rows:
+                self._flush_acts(rows, counts, times)
+            return stats.flips_materialized - before
+
+    def _flush_acts(self, rows: List[int], counts: List[int],
+                    times: List[float]) -> None:
+        """Apply one uninterrupted ACT run of a stream (already counted);
+        the reference replays it one bulk activation at a time."""
+        for row, count, time in zip(rows, counts, times):
+            self._bulk_activate_body(row, count, time)
 
     def touched_rows(self) -> List[int]:
         """Rows whose data has been instantiated."""

@@ -14,12 +14,19 @@ public API and semantics, but stores per-bank state **densely**:
   "background pattern XOR flips".  A 2 GiB-geometry hammering run never
   allocates its 64 K-bit row arrays unless someone actually reads them.
 
+The command front end is :class:`DramBank`'s: ``bulk_activate``,
+``read``, ``write`` and the ``execute`` dispatch loop are inherited,
+and every counter, ``dram_*`` metric, trace event and physics record
+goes through :class:`~repro.dram.bank.BankStats`'s event methods.  This
+class overrides only state-specific hooks and kernels.
+
 Whole :class:`~repro.dram.stream.CommandStream` ACT/PRE runs execute as
-array programs: neighbor and distance-2 bumps become one event table
-(scattered via ``lexsort`` + prefix sums), per-reset window pressures
-and dominant aggressors come from segmented scans, and materialization
-evaluates :meth:`DisturbanceModel.flip_mask_batch` over pre-filtered
-candidate cells.
+array programs (``_flush_acts``, the hook ``execute`` hands each
+uninterrupted ACT run to): neighbor and distance-2 bumps become one
+event table (scattered via ``lexsort`` + prefix sums), per-reset window
+pressures and dominant aggressors come from segmented scans, and
+materialization evaluates :meth:`DisturbanceModel.flip_mask_batch` over
+pre-filtered candidate cells.
 
 Scalar commands have their own columnar bodies; none runs the
 reference engine's per-command ``activate``.  ``activate`` (and the
@@ -40,9 +47,14 @@ as the reference's ``_bump`` calls, so pressures, peaks and each
 window's ``hammer`` are bit-identical to the reference.  It writes the
 touched rows back to the columns once and hands every closed window
 with peak > 0 to the batched materializer, which applies them in
-command order.  Under the sanitizer or tracing every activation
+command order.  Under the sanitizer or tracing every scalar activation
 commits at once (runs of one), so shadow-digest notes and trace events
-keep the reference's interleaving.
+keep the reference's interleaving.  That holds for scalar activations
+only: a stream ACT run (on both engines) and a batched refresh
+(``refresh_rows``, ``refresh_all``; on this engine) emit all their
+``activate``/``refresh`` events before the run's ``bit_flip`` events,
+so a ``bit_flip`` can follow an ``activate`` with a later time.  The
+events themselves, as a multiset, are the reference's.
 
 Equivalence contract: for any command sequence, this engine and the
 reference engine produce identical flip logs, ``BankStats``, sanitizer
@@ -60,20 +72,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.dram.bank import _FLIP_BUCKETS, BankStats, DramBank
+from repro.dram.bank import BankStats, DramBank
 from repro.dram.disturbance import BLOCK_ROWS, WeakCellSet, _sorted_unique
-from repro.dram.stream import (
-    OP_ACT,
-    OP_PRE,
-    OP_READ,
-    OP_REF_ALL,
-    OP_REF_ROW,
-    OP_SETTLE,
-    OP_WRITE,
-    CommandStream,
-)
 from repro.sanitizer import runtime as sanit
-from repro.telemetry import physics as phys
 from repro.telemetry import runtime as telem
 
 __all__ = ["ColumnarDramBank"]
@@ -185,10 +186,6 @@ class ColumnarDramBank(DramBank):
         if self._run:
             self._commit()
         return self._stats
-
-    @stats.setter
-    def stats(self, value: BankStats) -> None:
-        self._stats = value
 
     # ------------------------------------------------------------------
     # Sparse storage
@@ -329,63 +326,17 @@ class ColumnarDramBank(DramBank):
             self._commit()
             if sanit.sanitize_on:
                 sanit.check("dram.bank", self, row=row)
-        self._stats.activations += 1
-        if telem.metrics_on:
-            telem.counter("dram_activations_total", bank=self.index).inc()
-        if telem.trace_on:
-            telem.trace("activate", t=time, bank=self.index, row=row)
-        if phys.physics_on:
-            phys.get_collector().record_activation(self.index, row)
+        self._stats.on_activate(row, time)
         self.open_row = row
         run = self._run
         run.append((row, time))
         if eager or len(run) >= _RUN_LIMIT:
             self._commit()
 
-    def bulk_activate(self, row: int, count: int, time: float = 0.0) -> None:
-        self.geometry.check_row(row)
-        if count <= 0:
-            return
-        self._commit()
-        if sanit.sanitize_on:
-            sanit.check("dram.bank", self, row=row)
-        self._stats.activations += count
-        if telem.metrics_on:
-            telem.counter("dram_activations_total", bank=self.index).inc(count)
-        if telem.trace_on:
-            telem.trace("activate", t=time, bank=self.index, row=row, count=count)
-        if phys.physics_on:
-            phys.get_collector().record_activation(self.index, row, count)
-        self.open_row = row
-        if telem.spans_on:
-            with telem.span("dram.bulk_activate"):
-                self._apply_acts(((row, time),), count)
-        else:
-            self._apply_acts(((row, time),), count)
+    def _bulk_activate_body(self, row: int, count: int, time: float) -> None:
+        self._apply_acts(((row, time),), count)
 
-    def read(self, row: int, time: float = 0.0) -> np.ndarray:
-        if self.open_row != row:
-            self.activate(row, time)
-        elif sanit.sanitize_on:
-            sanit.check("dram.bank", self, row=row)
-        self._stats.reads += 1
-        if telem.metrics_on:
-            telem.counter("dram_reads_total", bank=self.index).inc()
-        return self.row_bits(row).copy()
-
-    def write(self, row: int, bits: np.ndarray, time: float = 0.0) -> None:
-        if self.open_row != row:
-            self.activate(row, time)
-        elif sanit.sanitize_on:
-            sanit.check("dram.bank", self, row=row)
-        expected = self.geometry.row_bits
-        if bits.shape != (expected,):
-            raise ValueError(f"row data must have shape ({expected},), got {bits.shape}")
-        # Pending windows read this row's old content.
-        self._commit()
-        self._stats.writes += 1
-        if telem.metrics_on:
-            telem.counter("dram_writes_total", bank=self.index).inc()
+    def _store_row(self, row: int, bits: np.ndarray) -> None:
         state = self._cs
         state.store[row] = bits.astype(np.uint8, copy=True)
         state.flips.pop(row, None)
@@ -393,19 +344,13 @@ class ColumnarDramBank(DramBank):
         state.pressure[row] = 0.0
         state.peak[row] = 0.0
         state.touch(row)
-        if sanit.sanitize_on:
-            sanit.note("dram.bank", self, row=row)
 
     def refresh_row(self, row: int, time: float = 0.0) -> np.ndarray:
         self.geometry.check_row(row)
         self._commit()
         if sanit.sanitize_on:
             sanit.check("dram.bank", self, row=row)
-        self._stats.refreshes += 1
-        if telem.metrics_on:
-            telem.counter("dram_refreshes_total", bank=self.index).inc()
-        if telem.trace_on:
-            telem.trace("refresh", t=time, bank=self.index, row=row)
+        self._stats.on_refresh((row,), time)
         state = self._cs
         if state._touched is None or not state._touched[row]:
             # Undisturbed row: refresh is a no-op for the model.
@@ -416,8 +361,7 @@ class ColumnarDramBank(DramBank):
         flipped = _EMPTY_BITS
         if peak > 0:
             flipped = self._materialize_window(
-                row, peak, state.last_agg.item(row), time, "refresh",
-                self._flip_metrics("refresh"))
+                row, peak, state.last_agg.item(row), time, "refresh")
         state.pressure[row] = 0.0
         state.peak[row] = 0.0
         return flipped
@@ -528,7 +472,7 @@ class ColumnarDramBank(DramBank):
                 if not (srt[1:] == srt[:-1]).any():
                     return self._materialize_vectorized(vrows, peaks, aggs,
                                                         times, cause)
-        metrics = self._flip_metrics(cause)
+        metrics = self._stats.flip_metrics(cause)
         total = 0
         for i in range(len(vrows)):
             total += len(self._materialize_window(
@@ -544,17 +488,6 @@ class ColumnarDramBank(DramBank):
         """
         profile = self.model.profile
         return profile.hc_first_min * min(1.0, profile.dpd_relief)
-
-    def _flip_metrics(self, cause: str):
-        """Resolved ``(counter, histogram)`` for flip telemetry, or
-        ``None`` when metrics are off.  Registry lookups hash a sorted
-        label key, so the per-window loops resolve the series once per
-        batch instead of once per flipping window."""
-        if not telem.metrics_on:
-            return None
-        return (telem.counter("dram_bit_flips_total",
-                              bank=self.index, cause=cause),
-                telem.histogram("dram_flips_per_event", edges=_FLIP_BUCKETS))
 
     def _flip_row_now(self, row: int, peak: float, agg: int) -> np.ndarray:
         """Bit indices of ``row`` that flip at ``peak`` against the
@@ -587,10 +520,11 @@ class ColumnarDramBank(DramBank):
         return cbits[mask]
 
     def _materialize_window(self, row: int, peak: float, agg: int,
-                            time: float, cause: str, metrics) -> np.ndarray:
+                            time: float, cause: str,
+                            metrics=None) -> np.ndarray:
         """Materialize one pending-flip window of ``row`` (``peak`` > 0)
         and return the flipped bit indices.  ``metrics`` is
-        :meth:`_flip_metrics`'s result for ``cause``."""
+        :meth:`BankStats.flip_metrics`'s result for ``cause``."""
         sanitize = sanit.sanitize_on
         if sanitize:
             # Take the reference's exact path so instantiation and
@@ -607,19 +541,11 @@ class ColumnarDramBank(DramBank):
             flipped = self._flip_row_now(row, peak, agg)
             if len(flipped):
                 self._apply_row_flips(row, flipped)
-        n_flips = len(flipped)
-        if n_flips:
+        if len(flipped):
             if sanitize:
                 sanit.note("dram.bank", self, row=row)
-            self._stats.record_flips(row, flipped, time, aggressor=agg,
-                                     hammer=peak,
-                                     pattern=self.default_pattern_name)
-            if metrics:
-                metrics[0].inc(n_flips)
-                metrics[1].observe(n_flips)
-            if telem.trace_on:
-                telem.trace("bit_flip", t=time, bank=self.index,
-                            row=row, bits=n_flips, cause=cause)
+            self._stats.on_flips(row, flipped, time, agg, peak,
+                                 self.default_pattern_name, cause, metrics)
         return flipped
 
     def _materialize_vectorized(
@@ -745,8 +671,6 @@ class ColumnarDramBank(DramBank):
 
         if not chunks:
             return 0
-        metrics = self._flip_metrics(cause)
-        tracing = telem.trace_on
 
         # Windows only interact when some window's aggressor is another
         # window's victim (victims are distinct here); without that, no
@@ -757,7 +681,6 @@ class ColumnarDramBank(DramBank):
         if not (svr[loc] == aggs).any():
             rows_l: List[int] = []
             times_l: List[float] = []
-            counts_l: List[int] = []
             flips_l: List[np.ndarray] = []
             aggs_l: List[int] = []
             peaks_l: List[float] = []
@@ -769,35 +692,21 @@ class ColumnarDramBank(DramBank):
                 flipped = bits[s:e][mask[s:e]]
                 row = int(vrows[i])
                 self._apply_row_flips(row, flipped)
-                t = float(times[i])
                 rows_l.append(row)
-                times_l.append(t)
-                counts_l.append(count)
+                times_l.append(float(times[i]))
                 flips_l.append(flipped)
                 aggs_l.append(int(aggs[i]))
                 peaks_l.append(float(peaks[i]))
-                if metrics:
-                    metrics[1].observe(count)
-                if tracing:
-                    telem.trace("bit_flip", t=t, bank=self.index,
-                                row=row, bits=count, cause=cause)
                 total += count
             if total:
-                if metrics:
-                    metrics[0].inc(total)
-                self._stats.record_flips_batch(
-                    np.repeat(np.asarray(rows_l, dtype=np.int64), counts_l),
-                    np.concatenate(flips_l),
-                    np.repeat(np.asarray(times_l), counts_l),
-                    aggressors=np.repeat(
-                        np.asarray(aggs_l, dtype=np.int64), counts_l),
-                    hammers=np.repeat(np.asarray(peaks_l), counts_l),
-                    pattern=self.default_pattern_name)
+                self._stats.on_flips_batch(rows_l, times_l, flips_l, aggs_l,
+                                           peaks_l, self.default_pattern_name,
+                                           cause)
             return total
 
         # Apply in window order; re-evaluate any window whose inputs an
         # earlier window's flips invalidated.
-        record = self._stats.record_flips
+        metrics = self._stats.flip_metrics(cause)
         dirty: set = set()
         total = 0
         for i in sorted(chunks):
@@ -810,88 +719,77 @@ class ColumnarDramBank(DramBank):
                 flipped = bits[s:e][mask[s:e]]
             else:
                 continue
-            n_flips = len(flipped)
-            if not n_flips:
+            if not len(flipped):
                 continue
             self._apply_row_flips(row, flipped)
             dirty.add(row)
-            t = float(times[i])
-            record(row, flipped, t, aggressor=agg, hammer=float(peaks[i]),
-                   pattern=self.default_pattern_name)
-            if metrics:
-                metrics[0].inc(n_flips)
-                metrics[1].observe(n_flips)
-            if tracing:
-                telem.trace("bit_flip", t=t, bank=self.index,
-                            row=row, bits=n_flips, cause=cause)
-            total += n_flips
+            self._stats.on_flips(row, flipped, float(times[i]), agg,
+                                 float(peaks[i]), self.default_pattern_name,
+                                 cause, metrics)
+            total += len(flipped)
         return total
 
     # ------------------------------------------------------------------
     # Batched refresh/settle
     # ------------------------------------------------------------------
+    def _materialize_rows(self, rows: np.ndarray, time: float,
+                          cause: str) -> int:
+        """Materialize the live (peak > 0) windows of distinct ``rows``,
+        in order, all at ``time``; return the flip count.  Leaves the
+        rows' pressure and peak for the caller to reset."""
+        state = self._cs
+        peaks = state.peak[rows]
+        live = peaks > 0
+        if not live.any():
+            return 0
+        victims = rows[live]
+        return self._materialize_batch(
+            victims, peaks[live], state.last_agg[victims],
+            np.full(len(victims), float(time)), cause)
+
     def refresh_all(self, time: float = 0.0) -> int:
         with telem.span("dram.refresh_all"):
             self._commit()
             state = self._cs
             rows = list(state.touch_order)
-            self._stats.refreshes += len(rows)
-            if rows and telem.metrics_on:
-                telem.counter("dram_refreshes_total", bank=self.index).inc(len(rows))
-            if telem.trace_on:
-                for row in rows:
-                    telem.trace("refresh", t=time, bank=self.index, row=row)
+            self._stats.on_refresh(rows, time)
             if sanit.sanitize_on:
                 for row in rows:
                     sanit.check("dram.bank", self, row=row)
-            if not rows:
-                # Epoch advances per bank-wide REF even with nothing to
-                # refresh — the reference loop body is simply empty.
-                self._stats.refresh_epoch += 1
-                return 0
-            row_arr = np.asarray(rows, dtype=np.int64)
-            peaks = state.peak[row_arr]
-            live = peaks > 0
             flips = 0
-            if live.any():
-                victims = row_arr[live]
-                flips = self._materialize_batch(
-                    victims, peaks[live], state.last_agg[victims],
-                    np.full(len(victims), float(time)), "refresh")
-            state.pressure[row_arr] = 0.0
-            state.peak[row_arr] = 0.0
+            if rows:
+                row_arr = np.asarray(rows, dtype=np.int64)
+                flips = self._materialize_rows(row_arr, time, "refresh")
+                state.pressure[row_arr] = 0.0
+                state.peak[row_arr] = 0.0
+            # Epoch advances per bank-wide REF even with nothing to
+            # refresh — the reference loop body is simply empty.
             self._stats.refresh_epoch += 1
             return flips
 
     def refresh_rows(self, rows: Sequence[int], time: float = 0.0) -> int:
         self._commit()
         state = self._cs
-        row_arr = np.asarray(list(rows), dtype=np.int64)
-        if len(row_arr) == 0:
+        # Batches are small (an auto-refresh chunk is a few rows), so
+        # validation runs on plain ints rather than numpy reductions.
+        rows = [int(row) for row in rows]
+        if not rows:
             return 0
-        if len(row_arr) and (row_arr.min() < 0 or row_arr.max() >= state.rows):
-            bad = row_arr[(row_arr < 0) | (row_arr >= state.rows)][0]
-            self.geometry.check_row(int(bad))
-        self._stats.refreshes += len(row_arr)
-        if telem.metrics_on:
-            telem.counter("dram_refreshes_total", bank=self.index).inc(len(row_arr))
-        if telem.trace_on:
-            for row in row_arr:
-                telem.trace("refresh", t=time, bank=self.index, row=int(row))
+        if min(rows) < 0 or max(rows) >= state.rows:
+            self.geometry.check_row(
+                next(row for row in rows if not 0 <= row < state.rows))
+        self._stats.on_refresh(rows, time)
         if sanit.sanitize_on:
-            for row in row_arr:
-                sanit.check("dram.bank", self, row=int(row))
+            for row in rows:
+                sanit.check("dram.bank", self, row=row)
+        row_arr = np.asarray(rows, dtype=np.int64)
+        if state._touched is None or not state._touched[row_arr].any():
+            # Undisturbed rows only: the refresh is a no-op for the model.
+            return 0
         # A row repeated in one batch sees zeroed state on its second
         # refresh in the reference — only the first occurrence acts.
         unique = row_arr[_first_occurrence(row_arr)]
-        peaks = state.peak[unique]
-        live = peaks > 0
-        flips = 0
-        if live.any():
-            victims = unique[live]
-            flips = self._materialize_batch(
-                victims, peaks[live], state.last_agg[victims],
-                np.full(len(victims), float(time)), "refresh")
+        flips = self._materialize_rows(unique, time, "refresh")
         # Undisturbed rows are a no-op in the reference (no key
         # insertion); their array slots already hold zero.
         state.pressure[unique] = 0.0
@@ -905,80 +803,18 @@ class ColumnarDramBank(DramBank):
             flips = 0
             if state.touch_order:
                 row_arr = np.asarray(state.touch_order, dtype=np.int64)
-                peaks = state.peak[row_arr]
-                live = peaks > 0
-                if live.any():
-                    victims = row_arr[live]
-                    flips = self._materialize_batch(
-                        victims, peaks[live], state.last_agg[victims],
-                        np.full(len(victims), float(time)), "settle")
-                    state.peak[victims] = 0.0
-            if telem.metrics_on:
-                mask = state._instantiated
-                telem.histogram("dram_rows_touched").observe(
-                    0 if mask is None else int(mask.sum()))
+                flips = self._materialize_rows(row_arr, time, "settle")
+                state.peak[row_arr] = 0.0
+            mask = state._instantiated
+            self._stats.on_settle(0 if mask is None else int(np.count_nonzero(mask)))
             return flips
 
     # ------------------------------------------------------------------
-    # Batched command-stream execution
+    # Stream ACT runs (the kernel behind ``execute``)
     # ------------------------------------------------------------------
-    def execute(self, stream: CommandStream) -> int:
-        with telem.span("dram.execute"):
-            self._commit()
-            before = self._stats.flips_materialized
-            act_counter = (telem.counter("dram_activations_total",
-                                         bank=self.index)
-                           if telem.metrics_on else None)
-            collector = phys.get_collector() if phys.physics_on else None
-            act_rows: List[int] = []
-            act_counts: List[int] = []
-            act_times: List[float] = []
-            for cmd in stream:
-                op = cmd.op
-                if op == OP_ACT:
-                    self.geometry.check_row(cmd.row)
-                    if cmd.count <= 0:
-                        continue
-                    if sanit.sanitize_on:
-                        sanit.check("dram.bank", self, row=cmd.row)
-                    self._stats.activations += cmd.count
-                    if act_counter is not None:
-                        act_counter.inc(cmd.count)
-                    if telem.trace_on:
-                        telem.trace("activate", t=cmd.time, bank=self.index,
-                                    row=cmd.row, count=cmd.count)
-                    if collector is not None:
-                        collector.record_activation(self.index, cmd.row,
-                                                    cmd.count)
-                    act_rows.append(cmd.row)
-                    act_counts.append(cmd.count)
-                    act_times.append(cmd.time)
-                    self.open_row = cmd.row
-                elif op == OP_PRE:
-                    self.open_row = None
-                else:
-                    if act_rows:
-                        self._flush_acts(act_rows, act_counts, act_times)
-                        act_rows, act_counts, act_times = [], [], []
-                    if op == OP_REF_ROW:
-                        self.refresh_row(cmd.row, cmd.time)
-                    elif op == OP_REF_ALL:
-                        self.refresh_all(cmd.time)
-                    elif op == OP_SETTLE:
-                        self.settle(cmd.time)
-                    elif op == OP_WRITE:
-                        self.write(cmd.row, stream.payload(cmd.index), cmd.time)
-                    elif op == OP_READ:
-                        self.read(cmd.row, cmd.time)
-                    else:  # pragma: no cover - builder can't produce this
-                        raise ValueError(f"unknown stream opcode {op}")
-            if act_rows:
-                self._flush_acts(act_rows, act_counts, act_times)
-            return self._stats.flips_materialized - before
-
     def _flush_acts(self, rows: List[int], counts: List[int],
                     times: List[float]) -> None:
-        """Apply one uninterrupted ACT run as an array program."""
+        """Apply one uninterrupted stream ACT run as an array program."""
         state = self._cs
         n_rows_total = self.geometry.rows
         n = len(rows)

@@ -367,34 +367,6 @@ class DisturbanceModel:
             data_bits[flipped] ^= 1
         return flipped
 
-    def count_flips_uniform(
-        self,
-        bank: int,
-        rows: range,
-        pressure: float,
-        data_bits_for_row,
-        aggressor_bits_for_row=None,
-    ) -> int:
-        """Vectorized campaign helper: total flips across ``rows``.
-
-        ``data_bits_for_row`` maps a physical row index to its bit array;
-        used by the field-study path that skips cycle simulation.  Rows
-        whose smallest threshold exceeds ``pressure`` are discarded from
-        the blocks' ``min_hc`` arrays without gathering any data, so the
-        cost scales with rows that *can* flip, not rows scanned.
-        """
-        if pressure <= 0 or not self.profile.vulnerable or len(rows) == 0:
-            return 0
-        total = 0
-        for block, local in self._blocks_overlapping(bank, rows):
-            candidates = local[block.min_hc[local] <= pressure]
-            for i in candidates:
-                row = block.start + int(i)
-                agg = aggressor_bits_for_row(row) if aggressor_bits_for_row else None
-                total += len(self.flip_mask(bank, row, pressure,
-                                            data_bits_for_row(row), agg))
-        return total
-
     def min_threshold(self, bank: int, rows: range) -> float:
         """Smallest ``hc_first`` across ``rows`` (inf if no weak cells)."""
         best = float("inf")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.attacks.hammer import double_sided_device, single_sided_device
+from repro.attacks.hammer import hammer_device, neighbors
 from repro.attacks.privilege import (
     drammer_success_probability,
     flip_feng_shui_templates,
@@ -84,10 +84,10 @@ def sidedness_ablation(seed: int = 0) -> Dict:
     module_s = scenario.make_module(serial="single", seed=seed)
     # Aggressor gets budget/2 activations; the other half goes to a dummy
     # row far away (its disturbance is accounted too, but irrelevant here).
-    single = single_sided_device(module_s, 0, aggressor=1000, count=budget // 2)
-    single_sided_device(module_s, 0, aggressor=8000, count=budget // 2)
+    single = hammer_device(module_s, 0, [1000], budget // 2)
+    hammer_device(module_s, 0, [8000], budget // 2)
     module_d = scenario.make_module(serial="double", seed=seed)
-    double = double_sided_device(module_d, 0, victim=1000, count=budget // 2)
+    double = hammer_device(module_d, 0, neighbors(module_d, 1000), budget // 2)
     # Per-victim comparison: the single-sided attacker's best neighbor
     # vs the double-sided attacker's bracketed victim.
     single_victim_flips = max(

@@ -15,6 +15,23 @@ from repro.retention.vrt import VrtProcess
 from repro.utils.rng import derive_rng
 
 
+def sample_retention_s(rng: np.random.Generator, params: RetentionParams,
+                       n: int) -> np.ndarray:
+    """Draw ``n`` nominal retention times (seconds): a bulk lognormal
+    with a uniform-in-log weak tail mixed in.
+
+    Draws normal, then ``random``, then the tail's ``uniform`` from
+    ``rng``, so every caller seeding the same stream gets the same cells.
+    """
+    times = np.exp(rng.normal(np.log(params.median_s), params.sigma, size=n))
+    tail_mask = rng.random(n) < params.tail_fraction
+    n_tail = int(tail_mask.sum())
+    if n_tail:
+        log_lo, log_hi = np.log(params.tail_min_s), np.log(params.tail_max_s)
+        times[tail_mask] = np.exp(rng.uniform(log_lo, log_hi, size=n_tail))
+    return times
+
+
 class CellPopulation:
     """Retention-time population of one DRAM region.
 
@@ -42,15 +59,7 @@ class CellPopulation:
         n = rows * cells_per_row
         self.n_cells = n
 
-        # Bulk lognormal retention, with a uniform-in-log weak tail mixed in.
-        mu = np.log(params.median_s)
-        times = np.exp(rng.normal(mu, params.sigma, size=n))
-        tail_mask = rng.random(n) < params.tail_fraction
-        n_tail = int(tail_mask.sum())
-        if n_tail:
-            log_lo, log_hi = np.log(params.tail_min_s), np.log(params.tail_max_s)
-            times[tail_mask] = np.exp(rng.uniform(log_lo, log_hi, size=n_tail))
-        self.nominal_s = times
+        self.nominal_s = sample_retention_s(rng, params, n)
 
         # DPD: worst-case pattern multiplier < 1 for a fraction of cells.
         self.dpd_factor = np.ones(n)

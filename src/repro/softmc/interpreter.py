@@ -14,10 +14,13 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.controller.refresh import RefreshEngine
 from repro.dram.datapatterns import pattern_bits
 from repro.dram.module import DramModule
+from repro.retention.population import sample_retention_s
 from repro.sanitizer import runtime as sanit
-from repro.softmc.program import Instruction, Opcode, DramProgram
+from repro.softmc.program import DramProgram, Opcode
+from repro.utils.rng import derive_rng
 
 
 @dataclass
@@ -46,10 +49,15 @@ class ExecutionResult:
 class SoftMcInterpreter:
     """Executes :class:`DramProgram` instances on a module.
 
+    Simulated time advances per command by the module's timing
+    parameters (tRAS per ACT, tRP per PRE, tRC per RD/WR, tRFC per REF).
+    A ``REF`` is one round-robin issue of a
+    :class:`~repro.controller.refresh.RefreshEngine` on the module,
+    which the interpreter owns but never ticks: refresh happens only
+    when the program says so.
+
     Args:
         module: the device under test.
-        honor_timing: advance simulated time per command using the
-            module's timing parameters (tRC per ACT+PRE, tRFC per REF).
         retention_params: optional
             :class:`~repro.retention.params.RetentionParams`; when set,
             a ``WAIT`` decays the rows this program has written — cells
@@ -59,11 +67,10 @@ class SoftMcInterpreter:
             end-to-end meaningful.
     """
 
-    def __init__(self, module: DramModule, honor_timing: bool = True, retention_params=None) -> None:
+    def __init__(self, module: DramModule, retention_params=None) -> None:
         self.module = module
-        self.honor_timing = honor_timing
         self.retention_params = retention_params
-        self._refresh_cursor = 0
+        self._refresh = RefreshEngine(module)
         self._unrefreshed_wait_ns: Dict[Tuple[int, int], float] = {}
 
     def run(self, program: DramProgram) -> ExecutionResult:
@@ -71,7 +78,7 @@ class SoftMcInterpreter:
         program.validate()
         result = ExecutionResult()
         written: Dict[Tuple[int, int], np.ndarray] = {}
-        self._execute(program.instructions, 0, len(program.instructions), result, written)
+        self._execute(program.instructions, result, written)
         # Evaluate mismatches for every row the program wrote then read.
         for (bank, row), bits in result.reads:
             expected = written.get((bank, row))
@@ -83,87 +90,58 @@ class SoftMcInterpreter:
         return result
 
     # ------------------------------------------------------------------
-    def _execute(self, instructions, start, stop, result, written) -> None:
-        timing = self.module.timing
-        pc = start
-        while pc < stop:
-            ins: Instruction = instructions[pc]
-            result.commands[ins.opcode.value] = result.commands.get(ins.opcode.value, 0) + 1
-            if ins.opcode == Opcode.ACT:
-                self.module.activate(ins.bank, ins.row, result.cycles_ns)
-                if self.honor_timing:
-                    result.cycles_ns += timing.tRAS
-            elif ins.opcode == Opcode.PRE:
-                self.module.precharge(ins.bank)
-                if self.honor_timing:
-                    result.cycles_ns += timing.tRP
-            elif ins.opcode == Opcode.RD:
-                bits = self.module.read_row(ins.bank, ins.row, result.cycles_ns)
+    def _execute(self, instructions, result, written) -> None:
+        module = self.module
+        timing = module.timing
+        commands = result.commands
+        for ins in instructions:
+            op = ins.opcode
+            name = op.value
+            commands[name] = commands.get(name, 0) + 1
+            if op is Opcode.ACT:
+                module.activate(ins.bank, ins.row, result.cycles_ns)
+                result.cycles_ns += timing.tRAS
+            elif op is Opcode.PRE:
+                module.precharge(ins.bank)
+                result.cycles_ns += timing.tRP
+            elif op is Opcode.RD:
+                bits = module.read_row(ins.bank, ins.row, result.cycles_ns)
                 result.reads.append(((ins.bank, ins.row), bits))
-                if self.honor_timing:
-                    result.cycles_ns += timing.tRC
-            elif ins.opcode == Opcode.WR:
-                bits = pattern_bits(ins.pattern or "solid1", ins.row, self.module.geometry.row_bytes)
-                self.module.write_row(ins.bank, ins.row, bits, result.cycles_ns)
+                result.cycles_ns += timing.tRC
+            elif op is Opcode.WR:
+                bits = pattern_bits(ins.pattern or "solid1", ins.row, module.geometry.row_bytes)
+                module.write_row(ins.bank, ins.row, bits, result.cycles_ns)
                 written[(ins.bank, ins.row)] = bits.copy()
-                if self.honor_timing:
-                    result.cycles_ns += timing.tRC
-            elif ins.opcode == Opcode.REF:
-                self._issue_ref(result)
+                result.cycles_ns += timing.tRC
+            elif op is Opcode.REF:
+                self._refresh.issue_ref(result.cycles_ns)
+                result.cycles_ns += timing.tRFC
                 self._unrefreshed_wait_ns.clear()
-            elif ins.opcode == Opcode.WAIT:
+            elif op is Opcode.WAIT:
                 result.cycles_ns += ins.ns
                 if self.retention_params is not None:
                     self._apply_retention_decay(ins.ns, written)
-            elif ins.opcode == Opcode.LOOP:
-                body_start = pc + 1
-                body_stop = self._matching_end(instructions, pc, stop)
+            elif op is Opcode.LOOP:
                 for _ in range(ins.count):
-                    self._execute(instructions, body_start, body_stop, result, written)
-                pc = body_stop  # skip to END
-            elif ins.opcode == Opcode.END:
-                pass
-            pc += 1
-
-    def _issue_ref(self, result) -> None:
-        """One REF refreshes the next round-robin chunk of rows."""
-        geometry = self.module.geometry
-        timing = self.module.timing
-        rows_per_ref = max(1, geometry.rows // max(1, timing.refresh_commands_per_window))
-        for offset in range(rows_per_ref):
-            row = (self._refresh_cursor + offset) % geometry.rows
-            for bank in range(geometry.banks):
-                self.module.refresh_physical_row(bank, row, result.cycles_ns)
-        self._refresh_cursor = (self._refresh_cursor + rows_per_ref) % geometry.rows
-        if self.honor_timing:
-            result.cycles_ns += timing.tRFC
+                    self._execute(ins.body, result, written)
 
     def _apply_retention_decay(self, wait_ns: float, written: Dict) -> None:
         """Flip charged cells whose retention is shorter than the total
         unrefreshed wait each written row has accumulated.
 
         Per-cell retention times are a deterministic function of
-        (module seed, bank, row), so repeated runs observe the same
-        failing cells — matching real retention-test behavior.
+        (module seed, bank, row), drawn by the same sampler as
+        :class:`~repro.retention.population.CellPopulation`, so repeated
+        runs observe the same failing cells — matching real
+        retention-test behavior.
         """
-        from repro.retention.params import RetentionParams
-        from repro.utils.rng import derive_rng
-
-        params: RetentionParams = self.retention_params
+        params = self.retention_params
+        row_bits = self.module.geometry.row_bits
         for (bank, row) in list(written):
             total = self._unrefreshed_wait_ns.get((bank, row), 0.0) + wait_ns
             self._unrefreshed_wait_ns[(bank, row)] = total
-            total_s = total * 1e-9
             rng = derive_rng(self.module.seed, "softmc-retention", bank, row)
-            row_bits = self.module.geometry.row_bits
-            times = np.exp(rng.normal(np.log(params.median_s), params.sigma, size=row_bits))
-            tail = rng.random(row_bits) < params.tail_fraction
-            n_tail = int(tail.sum())
-            if n_tail:
-                times[tail] = np.exp(
-                    rng.uniform(np.log(params.tail_min_s), np.log(params.tail_max_s), size=n_tail)
-                )
-            failing = times < total_s
+            failing = sample_retention_s(rng, params, row_bits) < total * 1e-9
             if not failing.any():
                 continue
             # Charge loss: true cells decay to 0, anti cells to 1.  Model
@@ -178,15 +156,3 @@ class SoftMcInterpreter:
                 # Retention decay is a legitimate in-place mutation:
                 # refresh the row's stored-data shadow digest.
                 sanit.note("dram.bank", dev_bank, row=physical)
-
-    @staticmethod
-    def _matching_end(instructions, loop_pc, stop) -> int:
-        depth = 0
-        for pc in range(loop_pc + 1, stop):
-            if instructions[pc].opcode == Opcode.LOOP:
-                depth += 1
-            elif instructions[pc].opcode == Opcode.END:
-                if depth == 0:
-                    return pc
-                depth -= 1
-        raise ValueError("LOOP without matching END")

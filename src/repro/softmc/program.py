@@ -8,7 +8,8 @@ timing, freeing experiments from the memory controller's policies.
 
 This module reproduces that programming model: a
 :class:`DramProgram` is a list of instructions (ACT/PRE/RD/WR/REF/WAIT
-and a counted LOOP), built through a fluent API and executed by
+and a counted LOOP that holds its body as nested instructions), built
+through a fluent API and executed by
 :class:`~repro.softmc.interpreter.SoftMcInterpreter` against a
 simulated module.
 """
@@ -16,8 +17,8 @@ simulated module.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.utils.validation import check_positive
 
@@ -32,7 +33,6 @@ class Opcode(enum.Enum):
     REF = "ref"
     WAIT = "wait"
     LOOP = "loop"
-    END = "end"
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class Instruction:
         ns: wait duration (WAIT).
         count: iteration count (LOOP).
         pattern: data pattern name (WR).
+        body: the instructions a LOOP repeats.
     """
 
     opcode: Opcode
@@ -54,6 +55,7 @@ class Instruction:
     ns: float = 0.0
     count: int = 0
     pattern: Optional[str] = None
+    body: Tuple["Instruction", ...] = ()
 
 
 class DramProgram:
@@ -71,72 +73,70 @@ class DramProgram:
     def __init__(self, name: str = "program") -> None:
         self.name = name
         self.instructions: List[Instruction] = []
-        self._open_loops = 0
+        #: Where the builder appends: the innermost open loop's body.
+        self._body = self.instructions
+        #: Open loops, innermost last: (count, the enclosing body).
+        self._open: List[Tuple[int, List[Instruction]]] = []
 
     # ------------------------------------------------------------------
     # Builder API
     # ------------------------------------------------------------------
+    def _emit(self, ins: Instruction) -> "DramProgram":
+        self._body.append(ins)
+        return self
+
     def act(self, bank: int, row: int) -> "DramProgram":
         """Activate a row."""
-        self.instructions.append(Instruction(Opcode.ACT, bank=bank, row=row))
-        return self
+        return self._emit(Instruction(Opcode.ACT, bank=bank, row=row))
 
     def pre(self, bank: int) -> "DramProgram":
         """Precharge a bank."""
-        self.instructions.append(Instruction(Opcode.PRE, bank=bank))
-        return self
+        return self._emit(Instruction(Opcode.PRE, bank=bank))
 
     def rd(self, bank: int, row: int) -> "DramProgram":
         """Activate-and-read a row (captures data into the read buffer)."""
-        self.instructions.append(Instruction(Opcode.RD, bank=bank, row=row))
-        return self
+        return self._emit(Instruction(Opcode.RD, bank=bank, row=row))
 
     def wr(self, bank: int, row: int, pattern: str = "solid1") -> "DramProgram":
         """Activate-and-write a named data pattern into a row."""
-        self.instructions.append(Instruction(Opcode.WR, bank=bank, row=row, pattern=pattern))
-        return self
+        return self._emit(Instruction(Opcode.WR, bank=bank, row=row, pattern=pattern))
 
     def ref(self) -> "DramProgram":
         """Issue one auto-refresh command."""
-        self.instructions.append(Instruction(Opcode.REF))
-        return self
+        return self._emit(Instruction(Opcode.REF))
 
     def wait(self, ns: float) -> "DramProgram":
         """Idle for ``ns`` nanoseconds (retention testing)."""
         check_positive("ns", ns)
-        self.instructions.append(Instruction(Opcode.WAIT, ns=ns))
-        return self
+        return self._emit(Instruction(Opcode.WAIT, ns=ns))
 
     def loop(self, count: int) -> "DramProgram":
         """Open a counted loop (closed by :meth:`end_loop`)."""
         check_positive("count", count)
-        self.instructions.append(Instruction(Opcode.LOOP, count=count))
-        self._open_loops += 1
+        self._open.append((count, self._body))
+        self._body = []
         return self
 
     def end_loop(self) -> "DramProgram":
-        """Close the innermost loop."""
-        if self._open_loops == 0:
+        """Close the innermost loop: it becomes one LOOP instruction
+        holding its body."""
+        if not self._open:
             raise ValueError("end_loop without a matching loop")
-        self.instructions.append(Instruction(Opcode.END))
-        self._open_loops -= 1
+        count, outer = self._open.pop()
+        outer.append(Instruction(Opcode.LOOP, count=count, body=tuple(self._body)))
+        self._body = outer
         return self
 
     def validate(self) -> None:
-        """Raise if loops are unbalanced."""
-        depth = 0
-        for ins in self.instructions:
-            if ins.opcode == Opcode.LOOP:
-                depth += 1
-            elif ins.opcode == Opcode.END:
-                depth -= 1
-                if depth < 0:
-                    raise ValueError("END without matching LOOP")
-        if depth != 0:
-            raise ValueError(f"{depth} unclosed LOOP(s)")
+        """Raise if a loop is still open."""
+        if self._open:
+            raise ValueError(f"{len(self._open)} unclosed LOOP(s)")
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        """Instruction count, each loop body counted once."""
+        def size(body) -> int:
+            return sum(1 + size(ins.body) for ins in body)
+        return size(self.instructions)
 
 
 # ----------------------------------------------------------------------

@@ -217,11 +217,6 @@ class RunLedger:
         """All parseable records, oldest first (torn lines are skipped)."""
         return self.scan()
 
-    def records_for_run(self, run_id: str) -> List[Dict[str, Any]]:
-        """Records stamped with ``run_id``, oldest first — the join the
-        service's job-status endpoint and the chaos accounting use."""
-        return [r for r in self.scan() if r.get("run_id") == run_id]
-
     def find(self, ref: str) -> Optional[Dict[str, Any]]:
         """Look a record up by 1-based index, negative index, or id prefix.
 

@@ -5,11 +5,10 @@ import pytest
 from repro.attacks import (
     check_read_isolation,
     check_write_isolation,
-    double_sided_device,
+    hammer_device,
     hammer_via_controller,
-    many_sided_device,
     max_double_sided_budget,
-    single_sided_device,
+    neighbors,
 )
 from repro.controller import MemoryController
 from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
@@ -26,7 +25,7 @@ def make_module(seed=10):
 class TestHammerDevice:
     def test_single_sided_flips_neighbors_only(self):
         module = make_module()
-        result = single_sided_device(module, 0, aggressor=100, count=50_000)
+        result = hammer_device(module, 0, [100], 50_000)
         assert result.flip_count > 0
         for row in result.victim_rows():
             assert row != 100
@@ -34,29 +33,53 @@ class TestHammerDevice:
 
     def test_double_sided_concentrates_on_victim(self):
         module = make_module()
-        result = double_sided_device(module, 0, victim=100, count=25_000)
-        victims = result.victim_rows()
-        assert 100 in victims
+        result = hammer_device(module, 0, neighbors(module, 100), 25_000)
+        assert result.aggressors == (99, 101)
+        assert 100 in result.victim_rows()
 
     def test_double_beats_single_per_victim(self):
         m1 = make_module(seed=77)
-        single = single_sided_device(m1, 0, aggressor=99, count=2_000)
+        single = hammer_device(m1, 0, [99], 2_000)
         single_on_100 = sum(1 for r, _ in single.flips if r == 100)
         m2 = make_module(seed=77)
-        double = double_sided_device(m2, 0, victim=100, count=2_000)
+        double = hammer_device(m2, 0, neighbors(m2, 100), 2_000)
         double_on_100 = sum(1 for r, _ in double.flips if r == 100)
         assert double_on_100 >= single_on_100
 
     def test_many_sided(self):
         module = make_module()
-        result = many_sided_device(module, 0, aggressors=[50, 52, 54], count=50_000)
+        result = hammer_device(module, 0, [50, 52, 54], 50_000)
         assert result.flip_count > 0
         assert result.aggressors == (50, 52, 54)
+        assert result.activations_per_aggressor == 50_000
+        assert module.total_activations() == 3 * 50_000
 
     def test_edge_victim(self):
         module = make_module()
-        result = double_sided_device(module, 0, victim=0, count=10_000)
+        assert neighbors(module, 0) == (1,)
+        assert neighbors(module, GEO.rows - 1) == (GEO.rows - 2,)
+        result = hammer_device(module, 0, neighbors(module, 0), 10_000)
         assert result.aggressors == (1,)
+
+    def test_victim_row_checked(self):
+        module = make_module()
+        with pytest.raises(IndexError):
+            neighbors(module, GEO.rows)
+
+    def test_count_must_be_positive(self):
+        module = make_module()
+        with pytest.raises(ValueError):
+            hammer_device(module, 0, [100], 0)
+
+    def test_flips_are_only_this_sessions(self):
+        # A second session on the same bank reports only its own flips.
+        module = make_module()
+        first = hammer_device(module, 0, [99, 101], 25_000)
+        second = hammer_device(module, 0, [199, 201], 25_000)
+        assert first.flip_count > 0 and second.flip_count > 0
+        assert all(abs(row - 200) <= 2 for row in second.victim_rows())
+        assert (first.flip_count + second.flip_count
+                == module.bank(0).stats.flips_materialized)
 
     def test_budget_helper(self):
         module = make_module()

@@ -2,6 +2,8 @@
 the bounded flip log, weak-cell cache eviction, batched refresh, and
 telemetry symmetry between the engines."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,65 @@ class TestMetricsSymmetry:
             telem.disable_all()
         assert values["columnar"] == values["reference"]
         assert values["columnar"]["flips"] > 0
+
+    @staticmethod
+    def _observe(cls, script):
+        """Run ``script`` on a fresh ``cls`` bank with metrics and
+        tracing on; return the full metrics snapshot and the trace
+        events as a multiset of (kind, time, fields)."""
+        telem.swap_registry(MetricsRegistry())
+        telem.enable_metrics()
+        telem.enable_tracing(capacity=1 << 16, fresh=True)
+        bank = make_bank(cls, pattern="rowstripe")
+        script(bank)
+        assert bank.stats.flips_materialized > 0
+        snapshot = telem.get_registry().snapshot()
+        events = Counter((e.kind, e.t, tuple(sorted(e.fields.items())))
+                         for e in telem.get_tracer().events())
+        telem.disable_all()
+        return snapshot, events
+
+    def _assert_engines_agree(self, script):
+        observed = {cls.engine: self._observe(cls, script) for cls in BANKS}
+        assert observed["columnar"] == observed["reference"]
+        kinds = {kind for kind, _t, _fields in observed["reference"][1]}
+        assert {"activate", "refresh", "bit_flip"} <= kinds
+
+    def test_scalar_script_vocabulary_agrees(self):
+        def script(bank):
+            t = 0.0
+            for victim in (40, 44):
+                for _ in range(3000):
+                    for aggressor in (victim - 1, victim + 1):
+                        t += 50.0
+                        bank.activate(aggressor, t)
+                        bank.precharge()
+            bank.read(40, t + 1)
+            bank.write(60, np.ones(GEOMETRY.row_bits, dtype=np.uint8), t + 2)
+            bank.refresh_rows([44, 45, 44, 200], t + 3)
+            for _ in range(3000):
+                t += 50.0
+                bank.activate(79, t)
+            bank.refresh_all(t + 4)
+            for _ in range(3000):
+                t += 50.0
+                bank.activate(99, t)
+            bank.settle(t + 5)
+
+        self._assert_engines_agree(script)
+
+    def test_stream_vocabulary_agrees(self):
+        def script(bank):
+            stream = CommandStream()
+            for i, victim in enumerate((20, 26, 32)):
+                stream.act(victim - 1, 4000, 100.0 + i).act(
+                    victim + 1, 4000, 110.0 + i)
+            stream.ref_all(200.0)
+            for i, victim in enumerate((50, 56)):
+                stream.act(victim - 1, 4000, 300.0 + i).act(
+                    victim + 1, 4000, 310.0 + i)
+            stream.ref_row(50, 400.0).read(56, 410.0)
+            stream.act(69, 5000, 500.0).act(71, 5000, 510.0).settle(600.0)
+            bank.execute(stream)
+
+        self._assert_engines_agree(script)

@@ -45,6 +45,16 @@ class TestProgramBuilder:
         with pytest.raises(ValueError):
             DramProgram().wait(0)
 
+    def test_loops_nest_as_bodies(self):
+        program = DramProgram().wr(0, 1).loop(2).loop(3).act(0, 1).end_loop().ref().end_loop()
+        outer = program.instructions[1]
+        assert [i.opcode for i in program.instructions] == [Opcode.WR, Opcode.LOOP]
+        assert outer.count == 2
+        assert [i.opcode for i in outer.body] == [Opcode.LOOP, Opcode.REF]
+        assert outer.body[0].count == 3
+        assert [i.opcode for i in outer.body[0].body] == [Opcode.ACT]
+        assert len(program) == 5  # each body counted once, no END
+
 
 class TestInterpreter:
     def test_write_read_roundtrip(self):
@@ -78,6 +88,16 @@ class TestInterpreter:
         result = interp.run(DramProgram().wait(1e6))
         assert result.cycles_ns == 1e6
         assert interp.module.total_activations() == 0
+
+    def test_ref_is_one_round_robin_refresh_issue(self):
+        interp = make_interpreter()
+        module = interp.module
+        timing = module.timing
+        rows_per_ref = max(1, GEO.rows // timing.refresh_commands_per_window)
+        result = interp.run(DramProgram().loop(3).ref().end_loop())
+        assert result.cycles_ns == pytest.approx(3 * timing.tRFC)
+        for bank in module.banks:
+            assert bank.stats.refreshes == 3 * rows_per_ref
 
     def test_ref_refreshes_rows(self):
         interp = make_interpreter()
@@ -165,6 +185,26 @@ class TestRetentionExecution:
         long = self._interpreter().run(retention_program(0, list(range(10, 42)), wait_ns=6e9))
         assert long.total_flips >= short.total_flips
         assert long.total_flips > 0
+
+    def test_failing_cells_come_from_the_population_sampler(self):
+        from repro.retention.population import sample_retention_s
+        from repro.utils.rng import derive_rng
+
+        interp = self._interpreter()
+        module = interp.module
+        rows = list(range(10, 26))
+        result = interp.run(retention_program(0, rows, wait_ns=2e9))
+        expected = {}
+        for row in rows:
+            rng = derive_rng(module.seed, "softmc-retention", 0, row)
+            failing = sample_retention_s(rng, interp.retention_params, GEO.row_bits) < 2.0
+            # solid1 rows: only true cells (which decay to 0) read back flipped.
+            anti = rng.random(GEO.row_bits) < 0.5
+            bits = np.nonzero(failing & ~anti)[0].tolist()
+            if bits:
+                expected[(0, row)] = bits
+        assert expected
+        assert result.mismatches == expected
 
     def test_without_retention_params_wait_is_inert(self):
         from repro.dram import INVULNERABLE, DramModule
