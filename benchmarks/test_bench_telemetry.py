@@ -38,7 +38,7 @@ def _hot_loop(iters: int, guarded: bool) -> int:
                 telem.trace("bench_op")
             if phys.physics_on:
                 phys.get_collector().record_activation(0, 0)
-            if stream_events.stream_on:
+            if stream_events.sink() is not None:
                 stream_events.sink().tick()
     return total
 

@@ -6,11 +6,12 @@ away: within a reorder window, requests that *hit the open row* of
 their bank are served before older row-miss requests, maximizing
 row-buffer locality.
 
-Relevant to the paper in two ways: (i) mitigation overhead studies
-should price refresh interruptions against a realistic scheduler, and
-(ii) FR-FCFS is what makes hammering *possible* from user space — an
+FR-FCFS is what makes hammering *possible* from user space: an
 attacker's alternating-row pattern defeats the row buffer by
-construction, so the scheduler cannot coalesce it.
+construction, so the scheduler cannot coalesce it.  Like the in-order
+scheduler, this is a standalone request-timing model exercised by tests
+(``tests/test_extensions.py``); no experiment prices mitigation overhead
+with it.
 """
 
 from __future__ import annotations

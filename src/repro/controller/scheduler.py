@@ -1,11 +1,11 @@
 """An open-page, timing-respecting request scheduler.
 
-This is the *performance* measurement device of the reproduction: it
-services a request trace against DDR timing, stalling for REF commands
+It services a request trace against DDR timing, stalling for REF commands
 (whose rate scales with the refresh multiplier) and for any extra
-activations a mitigation injects.  Benches C3/C7 use it to price the
-refresh-based mitigation in latency and throughput, as §II-C does
-qualitatively.
+activations a mitigation injects.  It is a standalone request-timing
+model exercised by tests (``tests/test_controller_scheduler.py``,
+``tests/test_extensions.py``): no experiment, bench or perfbench
+workload builds it or :class:`~repro.controller.frfcfs.FrFcfsScheduler`.
 """
 
 from __future__ import annotations

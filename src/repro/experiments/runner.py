@@ -363,7 +363,7 @@ def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
     # sync here makes the level effective whatever process we run in.
     sanit.sync_from_env()
     jid = ids.job_id_from_key(job_key(spec.name, params or {}, seed))
-    sink = stream_events.sink() if stream_events.stream_on else None
+    sink = stream_events.sink()
     if sink is not None:
         # Announce before the chaos hook: a job that hangs right at
         # start must already be visible to the parent's stale check.
@@ -633,13 +633,15 @@ class ExperimentRunner:
     **Live telemetry** (:mod:`repro.telemetry.events`): every batch
     runs under a run ID (``run_id``, auto-minted unless passed) and
     maintains a :class:`SweepProgress` view in :attr:`progress`.  With
-    ``stream=True`` pool workers flush incremental metric deltas and
-    heartbeats to the parent (``heartbeat_s`` between flushes), the
-    merged live registry is available via :meth:`live_metrics` /
-    :meth:`live_exposition` mid-run, and a running job whose heartbeat
-    goes silent for ``stale_after_s`` is flagged (trace event
-    ``heartbeat_stale``, counter ``runner_stale_heartbeats_total``,
-    ``progress.stale_events``) *before* its timeout fires.
+    ``stream=True`` pool workers send heartbeats to the parent, at most
+    one per ``heartbeat_s``, each carrying a snapshot of the running
+    job's metric registry.  The merged live registry is available via
+    :meth:`live_metrics` / :meth:`live_exposition` mid-run, and a
+    running job whose heartbeat goes silent for ``stale_after_s`` is
+    flagged (trace event ``heartbeat_stale``, counter
+    ``runner_stale_heartbeats_total``, ``progress.stale_events``)
+    *before* its timeout fires.  Heartbeats ride on instrument touches,
+    so a healthy job in a phase that records no metric is flagged too.
     ``on_progress`` — a ``callable(runner)`` — is invoked as jobs make
     progress (the ``--live`` renderer hooks in here).
     """
@@ -655,7 +657,7 @@ class ExperimentRunner:
                  backoff_s: float = 0.1,
                  max_pool_rebuilds: int = 3,
                  run_id: Optional[str] = None,
-                 stream: Union[None, bool, EventStream] = None,
+                 stream: Optional[bool] = None,
                  heartbeat_s: float = stream_events.DEFAULT_HEARTBEAT_S,
                  stale_after_s: Optional[float] = None,
                  on_progress: Optional[Any] = None,
@@ -663,21 +665,12 @@ class ExperimentRunner:
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.max_workers = max_workers
         self.run_id = run_id or ids.new_run_id()
-        if stream is True:
-            if stale_after_s is None:
-                # Staleness must be able to fire before the deadline.
-                stale_after_s = max(3 * heartbeat_s,
-                                    stream_events.DEFAULT_STALE_AFTER_S * 0.75)
-                if timeout_s:
-                    stale_after_s = min(stale_after_s, timeout_s / 2.0)
-            self.stream: Optional[EventStream] = EventStream(
-                heartbeat_s=heartbeat_s, stale_after_s=stale_after_s)
-        elif stream:
-            self.stream = stream
-        else:
-            self.stream = None
-        if self.stream is not None:
-            collect_metrics = True  # deltas ride on the metric stream
+        self.stream: Optional[EventStream] = None
+        if stream:
+            self.stream = EventStream(heartbeat_s=heartbeat_s,
+                                      stale_after_s=stale_after_s,
+                                      timeout_s=timeout_s)
+            collect_metrics = True  # heartbeats ride on the job registry
         self.progress: Optional[SweepProgress] = None
         self.on_progress = on_progress
         self.collect_metrics = collect_metrics
@@ -713,10 +706,10 @@ class ExperimentRunner:
     # -- live telemetry --------------------------------------------------
     def live_metrics(self) -> MetricsRegistry:
         """A point-in-time registry copy: finalized job metrics plus the
-        streamed deltas of every in-flight job.  Thread-safe; the
+        latest streamed snapshot of every in-flight job.  Thread-safe; the
         ``--serve-metrics`` exporter calls this from its HTTP thread."""
         if self.stream is not None:
-            return self.stream.consumer.live_registry(self.metrics)
+            return self.stream.live_registry(self.metrics)
         merged = MetricsRegistry()
         if self.metrics is not None:
             merged.merge(self.metrics.snapshot())
@@ -737,7 +730,7 @@ class ExperimentRunner:
         """Streamed runs guard parent-side metric merges against the
         exporter thread reading through ``live_metrics``."""
         if self.stream is not None:
-            return self.stream.consumer.lock
+            return self.stream.lock
         import contextlib
 
         return contextlib.nullcontext()
@@ -970,7 +963,7 @@ class ExperimentRunner:
         the worker — so streaming only short-circuits events in-process
         for the progress view.
         """
-        if self.stream is not None and not stream_events.stream_on:
+        if self.stream is not None and stream_events.sink() is None:
             self.stream.arm_local()
         while pending:
             p = pending.popleft()
@@ -1000,7 +993,7 @@ class ExperimentRunner:
         if self.stream is not None:
             return ProcessPoolExecutor(
                 max_workers=workers,
-                initializer=self.stream.pool_initializer(),
+                initializer=stream_events.worker_init,
                 initargs=self.stream.pool_initargs())
         return ProcessPoolExecutor(max_workers=workers)
 

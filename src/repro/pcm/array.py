@@ -56,14 +56,6 @@ class PcmArray:
             raise IndexError(f"line {line} out of range")
         if count < 0:
             raise ValueError("count must be >= 0")
-        if telem.spans_on:
-            # The body is a couple of array ops; only enter the span
-            # machinery when profiling is actually recording.
-            with telem.span("pcm.write"):
-                return self._write_body(line, count)
-        self._write_body(line, count)
-
-    def _write_body(self, line: int, count: int) -> None:
         self.writes[line] += count
         if telem.metrics_on:
             telem.counter("pcm_writes_total").inc(count)

@@ -2,22 +2,25 @@
 
 Post-hoc telemetry (snapshots riding inside ``ExperimentResult``) makes
 a long sweep a black box until it ends.  This module adds the live
-half: pool workers periodically flush **incremental metric deltas**
-and **heartbeat events** over a ``multiprocessing`` queue, and the
-parent folds them into a live registry, maintains a
+half: pool workers send **heartbeat events**, each carrying the job
+registry's full :meth:`~repro.telemetry.MetricsRegistry.snapshot`,
+over a ``multiprocessing`` queue.  The parent's :class:`EventStream`
+keeps the latest snapshot per in-flight job (so a registry reset or
+swap mid-job needs no special case), maintains a
 :class:`SweepProgress` view, and flags workers whose heartbeat goes
-stale *before* their timeout deadline fires.
+stale *before* their timeout deadline fires.  A finished job's
+metrics arrive in its result, so ``job_end`` carries none.
 
-Guard idiom matches :mod:`repro.telemetry.runtime`: the module global
-``stream_on`` is False by default and every hook costs one attribute
-read plus a falsy branch when streaming is off, so the ≤5% disabled-
-overhead contract of the telemetry bench still holds.
+Streaming is armed exactly when :func:`sink` is not ``None``; with it
+off, the only cost is :func:`job_registry` handing out a plain
+:class:`~repro.telemetry.MetricsRegistry`.
 
 Heartbeats deliberately piggyback on *metric activity* (the
 :class:`StreamingRegistry` accessors rate-limit-flush on every
 instrument touch) rather than on a side thread: a wedged or sleeping
 job touches no instruments, so its heartbeat stops — which is exactly
-the signal a liveness thread would mask.
+the signal a liveness thread would mask.  The flip side: a healthy job
+in a phase that touches no instrument also goes silent, and is flagged.
 
 Staleness is judged with **parent-side receive timestamps**
 (``time.monotonic()`` in the parent); monotonic clocks are not
@@ -33,31 +36,28 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry import ids
-from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry import runtime as telem
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
-    "stream_on",
     "DEFAULT_HEARTBEAT_S",
-    "DEFAULT_STALE_AFTER_S",
     "WorkerStream",
     "StreamingRegistry",
     "SweepProgress",
-    "StreamConsumer",
     "EventStream",
     "job_registry",
     "worker_init",
     "arm_local",
     "disarm",
+    "sink",
 ]
 
-#: Hot-path guard: read by job-registry construction and the bench.
-stream_on: bool = False
 _sink: Optional["WorkerStream"] = None
 
-#: Default minimum interval between metric-delta flushes.
+#: Default minimum interval between heartbeats.
 DEFAULT_HEARTBEAT_S = 0.5
-#: Default heartbeat age past which a running job is flagged stale.
-DEFAULT_STALE_AFTER_S = 2.0
+#: Floor of the default stale-heartbeat threshold.
+MIN_STALE_AFTER_S = 1.5
 
 #: Job states tracked by :class:`SweepProgress`.
 JOB_STATES = ("pending", "running", "ok", "errored", "timeout", "cached")
@@ -67,9 +67,8 @@ JOB_STATES = ("pending", "running", "ok", "errored", "timeout", "cached")
 # Worker side
 # ----------------------------------------------------------------------
 class WorkerStream:
-    """Worker-side half: computes metric deltas against the last flush
-    and pushes small dict events through ``put`` (best-effort — a dead
-    queue must never kill the job).
+    """Worker-side half: pushes small dict events through ``put``
+    (best-effort — a dead queue must never kill the job).
     """
 
     def __init__(self, put: Callable[[Dict[str, Any]], None],
@@ -79,23 +78,16 @@ class WorkerStream:
         self.pid = os.getpid()
         self.job_id: Optional[str] = None
         self._last_flush = 0.0
-        self._counter_base: Dict[Tuple[str, Any], float] = {}
-        self._gauge_sent: Dict[Tuple[str, Any], float] = {}
-        self._hist_base: Dict[Tuple[str, Any], Tuple[List[int], float, int]] = {}
 
     # -- job lifecycle -------------------------------------------------
     def on_job_start(self, job_id: str, name: str, seed: int) -> None:
         self.job_id = job_id
-        self._counter_base.clear()
-        self._gauge_sent.clear()
-        self._hist_base.clear()
         self._last_flush = time.monotonic()
         self._send({"kind": "job_start", "name": name, "seed": seed})
 
     def on_job_end(self, job_id: str, outcome: str,
                    duration_s: Optional[float] = None) -> None:
         self.job_id = job_id
-        self._flush()
         self._send({"kind": "job_end", "outcome": outcome,
                     "duration_s": duration_s})
         self.job_id = None
@@ -110,10 +102,8 @@ class WorkerStream:
 
     # -- internals -----------------------------------------------------
     def _flush(self) -> None:
-        event: Dict[str, Any] = {"kind": "heartbeat"}
-        delta = self._metric_delta()
-        if delta is not None:
-            event["metrics"] = delta
+        event: Dict[str, Any] = {"kind": "heartbeat",
+                                 "metrics": telem.get_registry().snapshot()}
         spans = self._top_spans()
         if spans:
             event["spans"] = spans
@@ -132,53 +122,7 @@ class WorkerStream:
         except Exception:
             pass
 
-    def _metric_delta(self) -> Optional[Dict[str, Any]]:
-        from repro.telemetry import runtime as telem
-
-        counters: List[Dict[str, Any]] = []
-        gauges: List[Dict[str, Any]] = []
-        histograms: List[Dict[str, Any]] = []
-        for metric in telem.get_registry():
-            key = (metric.name, metric.labels)
-            if isinstance(metric, Histogram):
-                base = self._hist_base.get(key)
-                if base is None or base[2] > metric.count:
-                    # first sight or a registry reset: full value is the delta
-                    base = ([0] * len(metric.counts), 0.0, 0)
-                delta_count = metric.count - base[2]
-                if delta_count:
-                    histograms.append({
-                        "name": metric.name, "labels": dict(metric.labels),
-                        "edges": list(metric.edges),
-                        "counts": [c - b for c, b in zip(metric.counts, base[0])],
-                        "sum": metric.sum - base[1], "count": delta_count,
-                    })
-                self._hist_base[key] = (list(metric.counts), metric.sum,
-                                        metric.count)
-            elif metric.kind == "gauge":
-                if self._gauge_sent.get(key) != metric.value:
-                    gauges.append({"name": metric.name,
-                                   "labels": dict(metric.labels),
-                                   "value": metric.value})
-                    self._gauge_sent[key] = metric.value
-            else:
-                base_v = self._counter_base.get(key, 0.0)
-                delta_v = metric.value - base_v
-                if delta_v < 0:
-                    delta_v = metric.value  # counter reset (registry swap)
-                if delta_v:
-                    counters.append({"name": metric.name,
-                                     "labels": dict(metric.labels),
-                                     "value": delta_v})
-                self._counter_base[key] = metric.value
-        if not (counters or gauges or histograms):
-            return None
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
-
     def _top_spans(self, n: int = 5) -> Optional[List[Dict[str, Any]]]:
-        from repro.telemetry import runtime as telem
-
         if not telem.spans_on:
             return None
         by_leaf: Dict[str, float] = {}
@@ -216,36 +160,35 @@ class StreamingRegistry(MetricsRegistry):
 
 def job_registry() -> MetricsRegistry:
     """The registry a fresh job should use: streaming when armed."""
-    if stream_on and _sink is not None:
+    if _sink is not None:
         return StreamingRegistry()
     return MetricsRegistry()
 
 
 def worker_init(q: Any, interval_s: float, run_id: Optional[str]) -> None:
     """``ProcessPoolExecutor`` initializer: arm streaming in a worker."""
-    global stream_on, _sink
+    global _sink
     if run_id:
         ids.set_run_id(run_id)
     _sink = WorkerStream(q.put, interval_s)
-    stream_on = True
 
 
 def arm_local(handler: Callable[[Dict[str, Any]], None],
               interval_s: float = DEFAULT_HEARTBEAT_S) -> WorkerStream:
     """Arm streaming in-process (serial runner path): events go straight
     to ``handler`` instead of through a queue."""
-    global stream_on, _sink
+    global _sink
     _sink = WorkerStream(handler, interval_s)
-    stream_on = True
     return _sink
 
+
 def disarm() -> None:
-    global stream_on, _sink
-    stream_on = False
+    global _sink
     _sink = None
 
 
 def sink() -> Optional[WorkerStream]:
+    """The armed worker stream, or ``None`` when streaming is off."""
     return _sink
 
 
@@ -375,23 +318,58 @@ class SweepProgress:
                 if w.get("last_seen_mono") is not None}
 
 
-class StreamConsumer:
-    """Parent-side half: folds worker events into a progress view and
-    per-job in-flight delta registries.  Thread-safe — the metrics HTTP
-    exporter reads through :meth:`live_registry` from its own thread.
+class EventStream:
+    """Parent-side half of one live-telemetry session: the worker event
+    queue, the :class:`SweepProgress` view, and the latest registry of
+    every in-flight job.
+
+    The runner owns one per :class:`ExperimentRunner` when streaming is
+    requested; :meth:`pool_initargs` wires workers up, and
+    :meth:`drain`/:meth:`check_stale` run in the parent's wait loop.
+    Thread-safe: the metrics HTTP exporter reads through
+    :meth:`live_registry` from its own thread, and the runner guards its
+    own metric merges with :attr:`lock`.
+
+    Unless given, ``stale_after_s`` is ``max(3 * heartbeat_s, 1.5 s)``,
+    capped at half of ``timeout_s`` so staleness can fire before the
+    deadline does.
     """
 
-    def __init__(self, progress: Optional[SweepProgress] = None):
+    def __init__(self, progress: Optional[SweepProgress] = None,
+                 heartbeat_s: float = DEFAULT_HEARTBEAT_S,
+                 stale_after_s: Optional[float] = None,
+                 timeout_s: Optional[float] = None):
         self.progress = progress or SweepProgress()
+        self.heartbeat_s = heartbeat_s
+        if stale_after_s is None:
+            stale_after_s = max(3 * heartbeat_s, MIN_STALE_AFTER_S)
+            if timeout_s:
+                stale_after_s = min(stale_after_s, timeout_s / 2.0)
+        self.stale_after_s = stale_after_s
         self.lock = threading.Lock()
         self.inflight: Dict[str, MetricsRegistry] = {}
         self.events_seen = 0
+        self._queue: Any = None
 
     def attach(self, progress: SweepProgress) -> None:
         with self.lock:
             self.progress = progress
             self.inflight.clear()
             self.events_seen = 0
+
+    @property
+    def queue(self) -> Any:
+        if self._queue is None:
+            import multiprocessing
+            self._queue = multiprocessing.SimpleQueue()
+        return self._queue
+
+    def pool_initargs(self) -> Tuple[Any, float, Optional[str]]:
+        """``initargs`` for a pool whose ``initializer`` is :func:`worker_init`."""
+        return (self.queue, self.heartbeat_s, ids.current_run_id())
+
+    def arm_local(self) -> WorkerStream:
+        return arm_local(self.handle, self.heartbeat_s)
 
     def handle(self, event: Dict[str, Any]) -> None:
         with self.lock:
@@ -408,33 +386,21 @@ class StreamConsumer:
                 self.progress.mark_running(job_id, pid)
             elif kind == "job_end" and job_id:
                 self.inflight.pop(job_id, None)
-            elif kind == "heartbeat":
-                delta = event.get("metrics")
-                if delta and job_id:
-                    self._fold(self.inflight.setdefault(job_id, MetricsRegistry()),
-                               delta)
+            elif kind == "heartbeat" and job_id:
+                snapshot = event.get("metrics")
+                if snapshot is not None:
+                    self.inflight[job_id] = MetricsRegistry.from_snapshot(snapshot)
                 spans = event.get("spans")
-                if spans and job_id:
+                if spans:
                     self.progress.job_spans[job_id] = spans
 
-    @staticmethod
-    def _fold(registry: MetricsRegistry, delta: Dict[str, Any]) -> None:
-        for entry in delta.get("counters", ()):
-            registry.counter(entry["name"], **entry.get("labels", {})).inc(entry["value"])
-        for entry in delta.get("gauges", ()):
-            registry.gauge(entry["name"], **entry.get("labels", {})).set(entry["value"])
-        for entry in delta.get("histograms", ()):
-            hist = registry.histogram(entry["name"], edges=entry["edges"],
-                                      **entry.get("labels", {}))
-            if len(entry["counts"]) != len(hist.counts):
-                continue
-            for i, c in enumerate(entry["counts"]):
-                hist.counts[i] += c
-            hist.sum += entry["sum"]
-            hist.count += entry["count"]
-
-    def drain(self, q: Any) -> int:
-        """Non-blocking: consume every queued event; return the count."""
+    def drain(self, q: Any = None) -> int:
+        """Non-blocking: consume every queued event (from ``q``, default
+        this stream's own queue); return the count."""
+        if q is None:
+            if self._queue is None:
+                return 0
+            q = self._queue
         n = 0
         while True:
             try:
@@ -448,12 +414,15 @@ class StreamConsumer:
             n += 1
         return n
 
-    def check_stale(self, stale_after_s: float,
+    def check_stale(self, stale_after_s: Optional[float] = None,
                     now_mono: Optional[float] = None) -> List[Dict[str, Any]]:
-        """Flag running jobs whose heartbeat age exceeds the threshold.
+        """Flag running jobs whose heartbeat age exceeds the threshold
+        (default :attr:`stale_after_s`).
 
         Each job is flagged at most once; returns the newly stale ones.
         """
+        if stale_after_s is None:
+            stale_after_s = self.stale_after_s
         now = time.monotonic() if now_mono is None else now_mono
         newly: List[Dict[str, Any]] = []
         with self.lock:
@@ -474,8 +443,8 @@ class StreamConsumer:
 
     def live_registry(self, base: Optional[MetricsRegistry] = None
                       ) -> MetricsRegistry:
-        """A fresh registry merging finalized metrics with every
-        in-flight job's streamed deltas."""
+        """A fresh registry merging finalized metrics with the latest
+        snapshot of every in-flight job."""
         with self.lock:
             merged = MetricsRegistry()
             if base is not None:
@@ -483,62 +452,3 @@ class StreamConsumer:
             for registry in self.inflight.values():
                 merged.merge(registry.snapshot())
             return merged
-
-
-class EventStream:
-    """One live-telemetry session: the queue, the consumer, the knobs.
-
-    The runner owns one of these per :class:`ExperimentRunner` when
-    streaming is requested; ``pool_initargs()`` wires workers up and
-    :meth:`drain`/:meth:`check_stale` run in the parent's wait loop.
-    """
-
-    def __init__(self, heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-                 stale_after_s: Optional[float] = None,
-                 progress: Optional[SweepProgress] = None):
-        self.heartbeat_s = heartbeat_s
-        if stale_after_s is None:
-            stale_after_s = max(4 * heartbeat_s, DEFAULT_STALE_AFTER_S)
-        self.stale_after_s = stale_after_s
-        self.consumer = StreamConsumer(progress)
-        self._queue: Any = None
-
-    @property
-    def progress(self) -> SweepProgress:
-        return self.consumer.progress
-
-    def attach(self, progress: SweepProgress) -> None:
-        self.consumer.attach(progress)
-
-    @property
-    def queue(self) -> Any:
-        if self._queue is None:
-            import multiprocessing
-            self._queue = multiprocessing.SimpleQueue()
-        return self._queue
-
-    def pool_initializer(self) -> Callable[..., None]:
-        return worker_init
-
-    def pool_initargs(self) -> Tuple[Any, float, Optional[str]]:
-        return (self.queue, self.heartbeat_s, ids.current_run_id())
-
-    def arm_local(self) -> WorkerStream:
-        return arm_local(self.consumer.handle, self.heartbeat_s)
-
-    def drain(self) -> int:
-        if self._queue is None:
-            return 0
-        return self.consumer.drain(self._queue)
-
-    def check_stale(self, now_mono: Optional[float] = None) -> List[Dict[str, Any]]:
-        return self.consumer.check_stale(self.stale_after_s, now_mono)
-
-    def close(self) -> None:
-        disarm()
-        if self._queue is not None:
-            try:
-                self._queue.close()
-            except Exception:
-                pass
-            self._queue = None

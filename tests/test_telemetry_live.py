@@ -27,7 +27,7 @@ from repro.telemetry import MetricsRegistry, RunLedger
 from repro.telemetry import events as stream_events
 from repro.telemetry import export, ids
 from repro.telemetry import runtime as telem
-from repro.telemetry.events import StreamConsumer, SweepProgress, WorkerStream
+from repro.telemetry.events import EventStream, SweepProgress, WorkerStream
 from repro.telemetry.live import LiveRenderer, format_progress_lines
 
 fork_only = pytest.mark.skipif(
@@ -194,61 +194,51 @@ class TestExposition:
 # Worker-side streaming
 # ----------------------------------------------------------------------
 class TestWorkerStream:
-    def _heartbeat_counters(self, events):
-        out = {}
-        for event in events:
-            if event["kind"] != "heartbeat":
-                continue
-            for entry in (event.get("metrics") or {}).get("counters", ()):
-                out[entry["name"]] = out.get(entry["name"], 0) + entry["value"]
-        return out
+    def _beats(self, events):
+        return [e for e in events if e["kind"] == "heartbeat"]
 
-    def test_counter_deltas_and_reset_clamp(self):
+    def test_heartbeat_carries_job_registry_snapshot(self):
         events = []
         ws = WorkerStream(events.append, interval_s=0.0)
         reg = telem.get_registry()
         ws.on_job_start("j1", "exp", 0)
         reg.counter("c").inc(5)
+        reg.gauge("depth").set(7)
+        reg.histogram("lat", edges=(1, 2)).observe(5.0)
         ws.tick(force=True)
         reg.counter("c").inc(3)
         ws.tick(force=True)
-        # registry swap (new job) resets the counter: the clamp must
-        # send the full new value, not a negative delta
+        first, second = self._beats(events)
+        assert second["job_id"] == "j1"
+        # every beat is whole: totals, and unchanged series too
+        assert second["metrics"] == reg.snapshot()
+        assert first["metrics"]["gauges"] == second["metrics"]["gauges"]
+
+    def test_live_view_follows_a_mid_job_registry_swap(self):
+        events = []
+        stream = EventStream(SweepProgress("r"))
+        ws = WorkerStream(lambda e: (events.append(e), stream.handle(e)),
+                          interval_s=0.0)
+        ws.on_job_start("j1", "exp", 0)
+        telem.get_registry().counter("c").inc(8)
+        ws.tick(force=True)
+        assert stream.live_registry().value("c") == 8
+        # a swapped-in registry starts from zero: the live view shows
+        # its values, not the old ones plus the new
         telem.swap_registry(MetricsRegistry())
         telem.get_registry().counter("c").inc(2)
         ws.tick(force=True)
-        assert self._heartbeat_counters(events) == {"c": 10}
+        assert stream.live_registry().value("c") == 2
+        assert len(self._beats(events)) == 2
 
-    def test_gauges_sent_on_change_only(self):
+    def test_job_end_carries_no_metrics(self):
         events = []
         ws = WorkerStream(events.append, interval_s=0.0)
-        reg = telem.get_registry()
         ws.on_job_start("j1", "exp", 0)
-        reg.gauge("depth").set(7)
-        ws.tick(force=True)
-        ws.tick(force=True)  # unchanged: no gauge entry in this beat
-        reg.gauge("depth").set(9)
-        ws.tick(force=True)
-        sent = [entry["value"] for event in events
-                if event["kind"] == "heartbeat"
-                for entry in (event.get("metrics") or {}).get("gauges", ())]
-        assert sent == [7, 9]
-
-    def test_histogram_delta_counts(self):
-        events = []
-        ws = WorkerStream(events.append, interval_s=0.0)
-        hist = telem.get_registry().histogram("lat", edges=(1, 2))
-        ws.on_job_start("j1", "exp", 0)
-        hist.observe(0.5)
-        ws.tick(force=True)
-        hist.observe(5.0)
-        ws.tick(force=True)
-        deltas = [entry for event in events if event["kind"] == "heartbeat"
-                  for entry in (event.get("metrics") or {}).get("histograms", ())]
-        assert [d["count"] for d in deltas] == [1, 1]
-        assert deltas[0]["counts"] == [1, 0, 0]
-        assert deltas[1]["counts"] == [0, 0, 1]  # 5.0 lands in the overflow
-        assert deltas[1]["sum"] == pytest.approx(5.0)
+        telem.get_registry().counter("c").inc()
+        ws.on_job_end("j1", "ok", duration_s=0.1)
+        assert [e["kind"] for e in events] == ["job_start", "job_end"]
+        assert "metrics" not in events[-1]
 
     def test_events_stamped_with_pid_job_and_run_ids(self):
         events = []
@@ -294,19 +284,19 @@ class TestWorkerStream:
 # Parent-side consumer
 # ----------------------------------------------------------------------
 class TestStreamConsumer:
-    def _delta(self, value):
+    def _snapshot(self, value):
         return {"counters": [{"name": "c", "labels": {}, "value": value}],
                 "gauges": [], "histograms": []}
 
     def test_fold_and_no_double_count_after_job_end(self):
-        consumer = StreamConsumer(SweepProgress("r"))
+        consumer = EventStream(SweepProgress("r"))
         consumer.progress.add_job("j", "exp", 0)
         consumer.handle({"kind": "job_start", "job_id": "j", "pid": 1,
                          "name": "exp", "seed": 0})
         consumer.handle({"kind": "heartbeat", "job_id": "j", "pid": 1,
-                         "metrics": self._delta(3)})
+                         "metrics": self._snapshot(3)})
         assert consumer.live_registry().value("c") == 3
-        # job_end drops the in-flight deltas; the final snapshot then
+        # job_end drops the in-flight snapshot; the final one then
         # merges parent-side — the live view must not count both
         consumer.handle({"kind": "job_end", "job_id": "j", "pid": 1,
                          "outcome": "ok"})
@@ -315,7 +305,7 @@ class TestStreamConsumer:
         assert consumer.live_registry(base).value("c") == 5
 
     def test_job_start_marks_running_and_beats_track_workers(self):
-        consumer = StreamConsumer(SweepProgress("r"))
+        consumer = EventStream(SweepProgress("r"))
         consumer.progress.add_job("j", "exp", 0)
         consumer.handle({"kind": "job_start", "job_id": "j", "pid": 42,
                          "name": "exp", "seed": 0})
@@ -325,7 +315,7 @@ class TestStreamConsumer:
         assert consumer.progress.heartbeat_ages()[42] < 1.0
 
     def test_check_stale_flags_each_job_once(self):
-        consumer = StreamConsumer(SweepProgress("r"))
+        consumer = EventStream(SweepProgress("r"))
         consumer.progress.add_job("j", "exp", 0)
         now = time.monotonic()
         consumer.handle({"kind": "job_start", "job_id": "j", "pid": 1,
@@ -337,21 +327,21 @@ class TestStreamConsumer:
         assert len(consumer.progress.stale_events) == 1
 
     def test_finished_jobs_never_go_stale(self):
-        consumer = StreamConsumer(SweepProgress("r"))
+        consumer = EventStream(SweepProgress("r"))
         consumer.progress.add_job("j", "exp", 0)
         consumer.progress.mark_running("j", pid=1)
         consumer.progress.mark_done("j", "ok", duration_s=0.1)
         assert consumer.check_stale(0.0, time.monotonic() + 99) == []
 
     def test_drain_consumes_queue_and_skips_garbage(self):
-        consumer = StreamConsumer(SweepProgress("r"))
+        consumer = EventStream(SweepProgress("r"))
         consumer.progress.add_job("j", "exp", 0)
         q = queue.SimpleQueue()
         q.put({"kind": "job_start", "job_id": "j", "pid": 1,
                "name": "exp", "seed": 0})
         q.put("not-an-event")
         q.put({"kind": "heartbeat", "job_id": "j", "pid": 1,
-               "metrics": self._delta(2)})
+               "metrics": self._snapshot(2)})
         assert consumer.drain(q) == 3
         assert consumer.events_seen == 2
         assert consumer.live_registry().value("c") == 2
@@ -384,9 +374,9 @@ class TestRunnerStreaming:
                 job_key(name, {}, result.seed))
         counts = runner.progress.counts()
         assert counts["total"] == 2 and counts["done"] == 2
-        assert runner.stream.consumer.events_seen >= 4  # start+end per job
+        assert runner.stream.events_seen >= 4  # start+end per job
         assert runner.summary(results)["run_id"] == runner.run_id
-        assert stream_events.stream_on is False  # disarmed after the batch
+        assert stream_events.sink() is None  # disarmed after the batch
 
     def test_live_exposition_carries_progress_gauges(self):
         runner = ExperimentRunner(cache_dir=None, max_workers=1, ledger=False,
@@ -407,7 +397,7 @@ class TestRunnerStreaming:
         assert sum(r.ok for r in results) == 4
         assert runner.progress.finished() == 4
         assert runner.progress.workers  # worker pids were seen
-        # streamed in-flight deltas were dropped at job_end: the live
+        # streamed in-flight snapshots were dropped at job_end: the live
         # view equals the finalized merge exactly
         live = runner.live_metrics()
         assert (live.total("dram_activations_total")
