@@ -15,7 +15,6 @@ from repro.chaos.plan import (
     ChaosTransientError,
     FaultSpec,
     current_plan,
-    enabled,
     fail_ledger_append,
     in_worker,
     injected_counts,
@@ -37,7 +36,6 @@ __all__ = [
     "FaultSpec",
     "StateInjector",
     "current_plan",
-    "enabled",
     "fail_ledger_append",
     "in_worker",
     "injected_counts",

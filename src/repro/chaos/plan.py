@@ -85,7 +85,6 @@ __all__ = [
     "FaultSpec",
     "ChaosPlan",
     "current_plan",
-    "enabled",
     "fail_ledger_append",
     "in_worker",
     "injected_counts",
@@ -304,11 +303,6 @@ def current_plan() -> Optional[ChaosPlan]:
         _cached_plan = ChaosPlan.parse(spec, state_dir=state) if spec else None
         _cached_key = key
     return _cached_plan
-
-
-def enabled() -> bool:
-    """Cheap guard: is any chaos schedule configured?"""
-    return bool(os.environ.get(ENV_CHAOS, "").strip())
 
 
 def reset() -> None:

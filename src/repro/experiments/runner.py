@@ -78,7 +78,6 @@ from repro.telemetry import (
     SpanProfiler,
 )
 from repro.telemetry import default_ledger
-from repro.telemetry import physics as phys
 from repro.telemetry import events as stream_events
 from repro.telemetry import ids
 from repro.telemetry import runtime as telem
@@ -186,17 +185,21 @@ def retry_backoff_s(base_s: float, job: Job, attempt: int,
     return min(cap_s, base_s * (2 ** max(0, attempt - 1)) * (0.5 + jitter))
 
 
+def _alarm_available() -> bool:
+    """Can :func:`call_with_deadline` enforce a deadline here?"""
+    return (threading.current_thread() is threading.main_thread()
+            and hasattr(signal, "setitimer"))
+
+
 def call_with_deadline(fn, timeout_s: Optional[float]):
     """Run ``fn()`` under a wall-clock deadline; raise :class:`JobTimeout`.
 
     Enforcement uses ``SIGALRM`` and therefore only engages on the main
     thread of a POSIX process; elsewhere the call runs unguarded (the
-    pool path enforces deadlines parent-side instead).
+    runner sends such timed batches to the pool, which enforces
+    deadlines parent-side instead).
     """
-    if not timeout_s or timeout_s <= 0:
-        return fn()
-    if (threading.current_thread() is not threading.main_thread()
-            or not hasattr(signal, "setitimer")):  # pragma: no cover - non-POSIX
+    if not timeout_s or timeout_s <= 0 or not _alarm_available():
         return fn()
 
     def _alarm(signum, frame):
@@ -223,7 +226,8 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
                 seed: Optional[int] = 0,
                 collect_metrics: bool = False,
                 collect_profile: bool = False,
-                collect_physics: bool = False) -> ExperimentResult:
+                collect_physics: bool = False,
+                run_id: Optional[str] = None) -> ExperimentResult:
     """Run one experiment in-process and return its structured result.
 
     This is the single run-one-experiment path shared by the CLI's
@@ -240,7 +244,14 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
     snapshot rides in ``result.profile``.  ``collect_physics`` does the
     same with a fresh :class:`~repro.telemetry.PhysicsCollector`
     (per-row heat, flip provenance, mitigation audit) riding in
-    ``result.physics``.
+    ``result.physics``.  All of them are installed by one
+    :func:`~repro.telemetry.runtime.observing` scope, held under
+    ``telem.job_lock``: the sinks are process-global, so in-process
+    jobs on different threads run one at a time.
+
+    ``run_id`` (the caller's run, ``None`` outside one) is stamped on
+    the result and, with the job ID, into every trace event the job
+    emits.
 
     Exceptions raised inside the experiment propagate (the batch-level
     fault tolerance lives in :meth:`ExperimentRunner.run`); the
@@ -252,69 +263,37 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
 
     spec = registry.get(name)
     kwargs = spec.bind(params=params, seed=seed)
-    run_id = ids.current_run_id()
     jid = ids.job_id_from_key(job_key(spec.name, params or {}, seed))
-    if collect_metrics:
-        # job_registry() returns a StreamingRegistry when live streaming
-        # is armed, so instrument touches double as worker heartbeats.
-        prev_registry = telem.swap_registry(stream_events.job_registry())
-        prev_metrics_on = telem.metrics_on
-        telem.enable_metrics()
-    # Pin the tracer and stamp the correlation pair into every event it
-    # records for the duration of the job (explicit fields still win).
-    tracer = telem.get_tracer()
-    prev_context = tracer.context
     context: Dict[str, Any] = {"job_id": jid}
     if run_id:
         context["run_id"] = run_id
-    tracer.context = {**prev_context, **context}
-    if collect_profile:
-        prev_profiler = telem.swap_profiler(SpanProfiler())
-        prev_spans_on = telem.spans_on
-        telem.enable_profiling()
-    if collect_physics:
-        prev_collector = phys.swap_collector(phys.PhysicsCollector())
-        prev_physics_on = phys.physics_on
-        phys.enable_physics()
-    if telem.trace_on:
-        telem.trace("job_start", name=spec.name, seed=seed)
-    snapshot: Optional[Dict[str, Any]] = None
-    profile: Optional[Dict[str, Any]] = None
-    physics: Optional[Dict[str, Any]] = None
+    # job_registry() returns a StreamingRegistry when live streaming is
+    # armed, so instrument touches double as worker heartbeats.
+    metrics = stream_events.job_registry() if collect_metrics else None
+    profiler = SpanProfiler() if collect_profile else None
+    collector = PhysicsCollector() if collect_physics else None
     ok = True
     error: Optional[str] = None
-    start = time.perf_counter()
-    try:
-        with telem.span("job", name=spec.name):
-            payload = spec.fn(**kwargs)
-    except BaseException as exc:
-        ok = False
-        error = f"{type(exc).__name__}: {exc}"
-        raise
-    finally:
-        duration = time.perf_counter() - start
+    with telem.job_lock, telem.observing(metrics=metrics, spans=profiler,
+                                         physics=collector, context=context):
         if telem.trace_on:
-            end_fields: Dict[str, Any] = {"name": spec.name, "seed": seed,
-                                          "duration_s": duration, "ok": ok}
-            if error is not None:
-                end_fields["error"] = error
-            telem.trace("job_end", **end_fields)
-        tracer.context = prev_context
-        if collect_profile:
-            profile = telem.get_profiler().snapshot()
-            telem.swap_profiler(prev_profiler)
-            if not prev_spans_on:
-                telem.disable_profiling()
-        if collect_physics:
-            physics = phys.get_collector().snapshot()
-            phys.swap_collector(prev_collector)
-            if not prev_physics_on:
-                phys.disable_physics()
-        if collect_metrics:
-            snapshot = telem.get_registry().snapshot()
-            telem.swap_registry(prev_registry)
-            if not prev_metrics_on:
-                telem.disable_metrics()
+            telem.trace("job_start", name=spec.name, seed=seed)
+        start = time.perf_counter()
+        try:
+            with telem.span("job", name=spec.name):
+                payload = spec.fn(**kwargs)
+        except BaseException as exc:
+            ok = False
+            error = f"{type(exc).__name__}: {exc}"
+            raise
+        finally:
+            duration = time.perf_counter() - start
+            if telem.trace_on:
+                end_fields: Dict[str, Any] = {"name": spec.name, "seed": seed,
+                                              "duration_s": duration, "ok": ok}
+                if error is not None:
+                    end_fields["error"] = error
+                telem.trace("job_end", **end_fields)
     return ExperimentResult(
         name=spec.name,
         payload=to_jsonable(payload),
@@ -323,9 +302,9 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
         duration_s=duration,
         peak_rss_kb=_peak_rss_kb(),
         version=repro.__version__,
-        metrics=snapshot,
-        profile=profile,
-        physics=physics,
+        metrics=metrics.snapshot() if metrics is not None else None,
+        profile=profiler.snapshot() if profiler is not None else None,
+        physics=collector.snapshot() if collector is not None else None,
         run_id=run_id,
         job_id=jid,
     )
@@ -335,7 +314,8 @@ def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
                      seed: Optional[int] = 0,
                      collect_metrics: bool = False,
                      collect_profile: bool = False,
-                     collect_physics: bool = False) -> ExperimentResult:
+                     collect_physics: bool = False,
+                     run_id: Optional[str] = None) -> ExperimentResult:
     """:func:`execute_job`, but a raising experiment becomes an errored
     :class:`ExperimentResult` (``payload=None``, ``error`` set) instead
     of propagating — the unit of the batch runner's fault tolerance.
@@ -351,9 +331,12 @@ def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
     hang, or fail the job right here (see :mod:`repro.chaos`), and the
     failure-capture point: when capture is armed (sanitizer on, or
     ``REPRO_CAPTURE`` set — see :mod:`repro.sanitizer.bundle`), any
-    failed job writes a replayable bundle before returning.
+    failed job writes a replayable bundle before returning.  The stream
+    announcements, capture, the chaos hook and the job body all run
+    under ``telem.job_lock``.
     """
     import repro
+    from repro import chaos
     from repro.sanitizer import runtime as sanit
     from repro.sanitizer.bundle import CaptureContext
 
@@ -363,70 +346,71 @@ def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
     # sync here makes the level effective whatever process we run in.
     sanit.sync_from_env()
     jid = ids.job_id_from_key(job_key(spec.name, params or {}, seed))
-    sink = stream_events.sink()
-    if sink is not None:
-        # Announce before the chaos hook: a job that hangs right at
-        # start must already be visible to the parent's stale check.
-        sink.on_job_start(jid, spec.name,
-                          seed if spec.accepts_seed else -1)
-    capture = CaptureContext.arm_if_enabled()
-    start = time.perf_counter()
     result: Optional[ExperimentResult] = None
-    try:
-        from repro import chaos
-
-        if chaos.enabled():
-            chaos.on_job_start(spec.name, seed)
-        result = execute_job(name, params=params, seed=seed,
-                             collect_metrics=collect_metrics,
-                             collect_profile=collect_profile,
-                             collect_physics=collect_physics)
-        return result
-    except (Exception, SystemExit) as exc:
-        detail = str(exc)
-        if isinstance(exc, SystemExit) and not detail:
-            detail = repr(exc.code)
-        result = ExperimentResult(
-            name=spec.name,
-            payload=None,
-            seed=seed if spec.accepts_seed else None,
-            params=dict(params or {}),
-            duration_s=time.perf_counter() - start,
-            peak_rss_kb=_peak_rss_kb(),
-            version=repro.__version__,
-            error=f"{type(exc).__name__}: {detail}",
-            run_id=ids.current_run_id(),
-            job_id=jid,
-        )
-        if capture is not None:
-            try:
-                capture.write_bundle(result, exc)
-            except Exception:  # capture must never mask the job failure
-                pass
-        return result
-    finally:
-        if capture is not None:
-            capture.restore()
+    with telem.job_lock:
+        sink = stream_events.sink()
         if sink is not None:
-            sink.on_job_end(
-                jid,
-                result.outcome if result is not None else "error",
-                result.duration_s if result is not None else None)
+            # Announce before the chaos hook: a job that hangs right at
+            # start must already be visible to the parent's stale check.
+            sink.on_job_start(jid, spec.name,
+                              seed if spec.accepts_seed else -1, run_id)
+        capture = CaptureContext.arm_if_enabled()
+        start = time.perf_counter()
+        try:
+            chaos.on_job_start(spec.name, seed)
+            result = execute_job(name, params=params, seed=seed,
+                                 collect_metrics=collect_metrics,
+                                 collect_profile=collect_profile,
+                                 collect_physics=collect_physics,
+                                 run_id=run_id)
+            return result
+        except (Exception, SystemExit) as exc:
+            detail = str(exc)
+            if isinstance(exc, SystemExit) and not detail:
+                detail = repr(exc.code)
+            result = ExperimentResult(
+                name=spec.name,
+                payload=None,
+                seed=seed if spec.accepts_seed else None,
+                params=dict(params or {}),
+                duration_s=time.perf_counter() - start,
+                peak_rss_kb=_peak_rss_kb(),
+                version=repro.__version__,
+                error=f"{type(exc).__name__}: {detail}",
+                run_id=run_id,
+                job_id=jid,
+            )
+            if capture is not None:
+                try:
+                    capture.write_bundle(result, exc)
+                except Exception:  # capture must never mask the job failure
+                    pass
+            return result
+        finally:
+            if capture is not None:
+                capture.restore()
+            if sink is not None:
+                sink.on_job_end(
+                    jid,
+                    result.outcome if result is not None else "error",
+                    result.duration_s if result is not None else None)
 
 
-def _pool_worker(job: Tuple[str, Dict[str, Any], Optional[int], bool, bool, bool]
-                 ) -> ExperimentResult:
+def _pool_worker(job: Tuple[str, Dict[str, Any], Optional[int], bool, bool,
+                             bool, str]) -> ExperimentResult:
     # Re-import inside the worker so spawn-based pools (macOS/Windows)
     # repopulate the registry; under fork this is a no-op.
     import repro.experiments  # noqa: F401
 
-    name, params, seed, collect_metrics, collect_profile, collect_physics = job
+    (name, params, seed, collect_metrics, collect_profile, collect_physics,
+     run_id) = job
     # The safe variant keeps one raising job from poisoning the pool
     # and aborting its completed siblings.
     return execute_job_safe(name, params=params, seed=seed,
                             collect_metrics=collect_metrics,
                             collect_profile=collect_profile,
-                            collect_physics=collect_physics)
+                            collect_physics=collect_physics,
+                            run_id=run_id)
 
 
 def job_key(name: str, params: Any, seed: Optional[int]) -> str:
@@ -535,7 +519,7 @@ class ResultCache:
         tmp: Optional[Path] = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            if chaos.enabled() and chaos.tear_cache_write(result.name, result.seed):
+            if chaos.tear_cache_write(result.name, result.seed):
                 # Injected torn write: the final file holds truncated JSON,
                 # as if this process died mid-write without the tmp dance.
                 path.write_text(text[: max(1, len(text) // 2)])
@@ -630,8 +614,16 @@ class ExperimentRunner:
     :mod:`repro.telemetry.ledger`) unless ``ledger=False`` or the
     ``REPRO_LEDGER=off`` environment switch disables it.
 
+    **Run identity**: every job this runner executes, in-process or in
+    a pool worker, is handed the runner's ``run_id`` (auto-minted unless
+    passed) as an argument, so results, trace events, ledger lines and
+    capture bundles join on it even when several runners share one
+    process (the service's ``--max-concurrent``).  In-process jobs take
+    turns on ``telem.job_lock``, and a batch with a deadline that runs
+    off the main thread (where no ``SIGALRM`` can stop it) goes to the
+    pool even with one job or ``max_workers=1``.
+
     **Live telemetry** (:mod:`repro.telemetry.events`): every batch
-    runs under a run ID (``run_id``, auto-minted unless passed) and
     maintains a :class:`SweepProgress` view in :attr:`progress`.  With
     ``stream=True`` pool workers send heartbeats to the parent, at most
     one per ``heartbeat_s``, each carrying a snapshot of the running
@@ -820,20 +812,20 @@ class ExperimentRunner:
         one job means there are no siblings to protect.
         """
         params = dict(params or {})
-        with ids.run_scope(self.run_id):
-            if self.cache is not None:
-                hit = self.cache.get(name, params, seed)
-                if hit is not None:
-                    self._absorb(hit)
-                    return hit
-            result = execute_job(name, params=params, seed=seed,
-                                 collect_metrics=self.collect_metrics,
-                                 collect_profile=self.collect_profile,
-                                 collect_physics=self.collect_physics)
-            if self.cache is not None and self.cache.put(result) is None:
-                self._count_cache_write_error()
-            self._absorb(result)
-            return result
+        if self.cache is not None:
+            hit = self.cache.get(name, params, seed)
+            if hit is not None:
+                self._absorb(hit)
+                return hit
+        result = execute_job(name, params=params, seed=seed,
+                             collect_metrics=self.collect_metrics,
+                             collect_profile=self.collect_profile,
+                             collect_physics=self.collect_physics,
+                             run_id=self.run_id)
+        if self.cache is not None and self.cache.put(result) is None:
+            self._count_cache_write_error()
+        self._absorb(result)
+        return result
 
     # -- batch execution ------------------------------------------------
     def run(self, jobs: Sequence[Job]) -> List[ExperimentResult]:
@@ -846,10 +838,6 @@ class ExperimentRunner:
         ledger) as they finish, so an interrupt loses nothing already
         done, and running the batch again resumes it.
         """
-        with ids.run_scope(self.run_id):
-            return self._run_batch(jobs)
-
-    def _run_batch(self, jobs: Sequence[Job]) -> List[ExperimentResult]:
         results: List[Optional[ExperimentResult]] = [None] * len(jobs)
         self.progress = SweepProgress(run_id=self.run_id)
         if self.stream is not None:
@@ -872,8 +860,13 @@ class ExperimentRunner:
 
         if pending:
             workers = self.max_workers or 1
+            # Off the main thread no alarm can stop an in-process job,
+            # so a batch with a deadline runs in the pool, which
+            # enforces deadlines parent-side.
+            unenforceable_deadline = not _alarm_available() and any(
+                self._job_timeout(p.job) for p in pending)
             try:
-                if workers > 1 and len(pending) > 1:
+                if (workers > 1 and len(pending) > 1) or unenforceable_deadline:
                     self._drain_pool(pending, results,
                                      min(workers, len(pending)))
                 else:
@@ -955,9 +948,11 @@ class ExperimentRunner:
                       results: List[Optional[ExperimentResult]]) -> None:
         """In-process execution: the single-worker and degraded paths.
 
-        Timeouts are enforced with ``SIGALRM`` when possible (main
-        thread, POSIX); results are finalized as they complete, so an
-        interrupt at any point keeps everything already finished.
+        Timeouts are enforced with ``SIGALRM`` (main thread, POSIX; a
+        timed batch elsewhere goes to the pool, and only a degraded
+        batch runs here unguarded); results are finalized as they
+        complete, so an interrupt at any point keeps everything already
+        finished.
 
         Heartbeat staleness cannot be observed here — the parent *is*
         the worker — so streaming only short-circuits events in-process
@@ -981,7 +976,8 @@ class ExperimentRunner:
                         p.job.name, params=p.job.params, seed=p.job.seed,
                         collect_metrics=self.collect_metrics,
                         collect_profile=self.collect_profile,
-                        collect_physics=self.collect_physics),
+                        collect_physics=self.collect_physics,
+                        run_id=self.run_id),
                     timeout_s)
             except JobTimeout:
                 # The alarm fired outside the guarded job body.
@@ -1001,7 +997,7 @@ class ExperimentRunner:
         fut = pool.submit(_pool_worker, (p.job.name, dict(p.job.params),
                                          p.job.seed, self.collect_metrics,
                                          self.collect_profile,
-                                         self.collect_physics))
+                                         self.collect_physics, self.run_id))
         timeout_s = self._job_timeout(p.job)
         p.started_at = time.monotonic()
         p.deadline = (p.started_at + timeout_s) if timeout_s else None

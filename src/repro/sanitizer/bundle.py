@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -98,20 +99,20 @@ class CaptureContext:
 
     Armed by :func:`~repro.experiments.runner.execute_job_safe` before
     the job body (so chaos- and sanitizer-induced failures are both
-    covered); ``restore()`` must run afterwards whatever happened.
-    When tracing is already on, the caller's recorder is left alone and
-    the bundle takes its most recent events instead.
+    covered); ``restore()`` must run afterwards whatever happened, and
+    :meth:`write_bundle` before it.  When tracing is off, a private
+    ring observes the job; when it is already on, the caller's recorder
+    is left alone and the bundle takes its most recent events instead.
     """
 
     def __init__(self, directory: Path):
         self.directory = directory
-        self._private: Optional[TraceRecorder] = None
-        self._prev_tracer: Optional[TraceRecorder] = None
+        self._scope = ExitStack()
         rng_utils.start_label_capture()
+        self._scope.callback(rng_utils.stop_label_capture)
         if not telem.trace_on:
-            self._private = TraceRecorder(capacity=TRACE_CAPACITY)
-            self._prev_tracer = telem.swap_tracer(self._private)
-            telem.enable_tracing()
+            self._scope.enter_context(telem.observing(
+                trace=TraceRecorder(capacity=TRACE_CAPACITY)))
 
     @staticmethod
     def arm_if_enabled() -> Optional["CaptureContext"]:
@@ -119,17 +120,11 @@ class CaptureContext:
         return CaptureContext(directory) if directory is not None else None
 
     def restore(self) -> None:
-        rng_utils.stop_label_capture()
-        if self._private is not None:
-            telem.swap_tracer(self._prev_tracer)
-            telem.disable_tracing()
-            self._private = None
-            self._prev_tracer = None
+        self._scope.close()
 
     # -- bundle assembly -----------------------------------------------
     def _recent_trace(self) -> List[Dict[str, Any]]:
-        tracer = self._private if self._private is not None else telem.get_tracer()
-        events = tracer.events()[-TRACE_CAPACITY:]
+        events = telem.get_tracer().events()[-TRACE_CAPACITY:]
         return [event.to_json_dict() for event in events]
 
     def write_bundle(self, result: ExperimentResult,
@@ -160,7 +155,7 @@ class CaptureContext:
             "rng_labels": list(rng_utils._capture_labels or []),
             "trace": self._recent_trace(),
             "job_key": key,
-            "run_id": getattr(result, "run_id", None) or ids.current_run_id(),
+            "run_id": result.run_id,
             "job_id": getattr(result, "job_id", None) or ids.job_id_from_key(key),
             "repro_version": repro.__version__,
             "captured_at": time.time(),

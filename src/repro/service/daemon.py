@@ -37,20 +37,14 @@ Design decisions that make it kill-tolerant:
   violation, timeout-exhausted job, runner-level collapse) fails fast
   to a structured ``failed`` state without touching its co-scheduled
   neighbours; plain job errors keep the legacy run-to-completion →
-  ``error`` behaviour.
+  ``error`` behaviour.  Every result carries its own submission's run
+  ID, which each runner passes to its jobs explicitly.
 * **Graceful drain.**  SIGTERM/SIGINT stop admission (503), let
   in-flight chunks finish (their results are cached), leave
   queued jobs journaled for the next incarnation, and exit 0.
 * **Bounded queue.**  Past ``max_queue`` waiting jobs, submissions are
   shed with 429 + ``Retry-After`` (estimated from observed job
   durations) instead of growing without limit.
-
-Known imprecision under ``max_concurrent > 1``: run-id propagation into
-pool workers rides an environment variable set by ``ids.run_scope``, so
-two runners forking pools at the same instant can stamp each other's
-run id on *in-result* metadata.  The journal's ``start`` records and
-all ledger records use each runner's explicit run id, so
-correlation via ``/jobs`` and exactly-once accounting are unaffected.
 """
 
 from __future__ import annotations

@@ -218,7 +218,7 @@ class JobJournal:
                 ).encode("utf-8")
         from repro import chaos
 
-        if chaos.enabled() and chaos.tear_journal_append(event):
+        if chaos.tear_journal_append(event):
             # Injected torn write: half the record, no trailing newline
             # — byte-for-byte what a SIGKILL mid-write leaves behind.
             torn = line[: max(1, len(line) // 2)]

@@ -21,6 +21,13 @@ module-attribute read.  Enable via the CLI (``repro run --metrics``,
     telemetry.enable_metrics(fresh=True)
     ...  # run simulator code
     print(telemetry.get_registry().render_table())
+
+To observe one block with private sinks, :func:`observing` installs
+them (guards on, optional trace ``context``) and restores everything
+on exit; the runner runs each in-process job in one such scope.  A
+job's run ID is an argument, never ambient state: the runner hands
+its ``run_id`` to every job it executes, in-process or in a pool
+worker (:mod:`repro.telemetry.ids`).
 """
 
 from repro.telemetry.metrics import (
@@ -31,13 +38,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.events import EventStream, SweepProgress
-from repro.telemetry.ids import (
-    current_run_id,
-    environment_fingerprint,
-    job_id_from_key,
-    new_run_id,
-    run_scope,
-)
+from repro.telemetry.ids import environment_fingerprint, job_id_from_key, new_run_id
 from repro.telemetry.ledger import RunLedger, build_record, default_ledger
 from repro.telemetry.physics import (
     AuditEvent,
@@ -45,7 +46,6 @@ from repro.telemetry.physics import (
     disable_physics,
     enable_physics,
     get_collector,
-    swap_collector,
 )
 from repro.telemetry.runtime import (
     counter,
@@ -61,11 +61,9 @@ from repro.telemetry.runtime import (
     get_registry,
     get_tracer,
     histogram,
+    observing,
     profiled,
     span,
-    swap_profiler,
-    swap_registry,
-    swap_tracer,
     trace,
 )
 from repro.telemetry.spans import SpanProfile, SpanProfiler
@@ -86,15 +84,12 @@ __all__ = [
     "enable_physics",
     "disable_physics",
     "get_collector",
-    "swap_collector",
     "RunLedger",
     "build_record",
     "default_ledger",
     "EventStream",
     "SweepProgress",
     "new_run_id",
-    "current_run_id",
-    "run_scope",
     "job_id_from_key",
     "environment_fingerprint",
     "enable_metrics",
@@ -104,12 +99,10 @@ __all__ = [
     "enable_profiling",
     "disable_profiling",
     "disable_all",
+    "observing",
     "get_registry",
-    "swap_registry",
     "get_tracer",
-    "swap_tracer",
     "get_profiler",
-    "swap_profiler",
     "counter",
     "gauge",
     "histogram",

@@ -35,7 +35,6 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.telemetry import ids
 from repro.telemetry import runtime as telem
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -77,11 +76,14 @@ class WorkerStream:
         self.interval_s = interval_s
         self.pid = os.getpid()
         self.job_id: Optional[str] = None
+        self.run_id: Optional[str] = None
         self._last_flush = 0.0
 
     # -- job lifecycle -------------------------------------------------
-    def on_job_start(self, job_id: str, name: str, seed: int) -> None:
+    def on_job_start(self, job_id: str, name: str, seed: int,
+                     run_id: Optional[str] = None) -> None:
         self.job_id = job_id
+        self.run_id = run_id
         self._last_flush = time.monotonic()
         self._send({"kind": "job_start", "name": name, "seed": seed})
 
@@ -91,6 +93,7 @@ class WorkerStream:
         self._send({"kind": "job_end", "outcome": outcome,
                     "duration_s": duration_s})
         self.job_id = None
+        self.run_id = None
 
     def tick(self, force: bool = False) -> None:
         """Rate-limited flush; instrument sites call this constantly."""
@@ -114,9 +117,8 @@ class WorkerStream:
         event.setdefault("ts", time.time())
         if self.job_id is not None:
             event.setdefault("job_id", self.job_id)
-        run_id = ids.current_run_id()
-        if run_id:
-            event.setdefault("run_id", run_id)
+        if self.run_id:
+            event.setdefault("run_id", self.run_id)
         try:
             self._put(event)
         except Exception:
@@ -165,11 +167,9 @@ def job_registry() -> MetricsRegistry:
     return MetricsRegistry()
 
 
-def worker_init(q: Any, interval_s: float, run_id: Optional[str]) -> None:
+def worker_init(q: Any, interval_s: float) -> None:
     """``ProcessPoolExecutor`` initializer: arm streaming in a worker."""
     global _sink
-    if run_id:
-        ids.set_run_id(run_id)
     _sink = WorkerStream(q.put, interval_s)
 
 
@@ -364,9 +364,9 @@ class EventStream:
             self._queue = multiprocessing.SimpleQueue()
         return self._queue
 
-    def pool_initargs(self) -> Tuple[Any, float, Optional[str]]:
+    def pool_initargs(self) -> Tuple[Any, float]:
         """``initargs`` for a pool whose ``initializer`` is :func:`worker_init`."""
-        return (self.queue, self.heartbeat_s, ids.current_run_id())
+        return (self.queue, self.heartbeat_s)
 
     def arm_local(self) -> WorkerStream:
         return arm_local(self.handle, self.heartbeat_s)

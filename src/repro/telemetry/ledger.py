@@ -134,7 +134,7 @@ def build_record(result: Any, command: str = "runner") -> Dict[str, Any]:
         "repro_version": repro.__version__,
         "git_sha": git_sha(),
         "command": command,
-        "run_id": getattr(result, "run_id", None) or ids.current_run_id() or "",
+        "run_id": getattr(result, "run_id", None) or "",
         "job_id": job_id,
         "name": result.name,
         "params": dict(result.params),
@@ -172,7 +172,7 @@ class RunLedger:
         """Append one record; best-effort (returns False on IO failure)."""
         from repro import chaos
 
-        if chaos.enabled() and chaos.fail_ledger_append(
+        if chaos.fail_ledger_append(
                 record.get("name"), record.get("seed")):
             return False  # injected I/O failure: the best-effort contract
         from repro.utils.jsonl import append_record

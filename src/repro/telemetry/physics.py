@@ -41,11 +41,11 @@ __all__ = [
     "enable_physics",
     "disable_physics",
     "get_collector",
-    "swap_collector",
 ]
 
 #: Hot-path guard.  Read directly (``phys.physics_on``) by instrument
-#: sites; mutate only through :func:`enable_physics`/:func:`disable_physics`.
+#: sites; mutate only through :func:`enable_physics`/:func:`disable_physics`
+#: or :func:`repro.telemetry.runtime.observing`.
 physics_on: bool = False
 
 #: Default bound on the audit event list.
@@ -348,14 +348,3 @@ def disable_physics() -> None:
 
 def get_collector() -> PhysicsCollector:
     return _collector
-
-
-def swap_collector(collector: PhysicsCollector) -> PhysicsCollector:
-    """Install ``collector`` as the process sink; return the previous
-    one.  The runner uses this (like ``swap_registry``) to give each
-    in-process job an isolated collector whose snapshot travels inside
-    the job's result."""
-    global _collector
-    previous = _collector
-    _collector = collector
-    return previous

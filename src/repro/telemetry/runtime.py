@@ -20,7 +20,10 @@ so any simulator layer can depend on it without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+import os
+import threading
+from contextlib import contextmanager
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from repro.telemetry import physics as _physics
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -38,12 +41,11 @@ __all__ = [
     "enable_profiling",
     "disable_profiling",
     "disable_all",
+    "observing",
+    "job_lock",
     "get_registry",
-    "swap_registry",
     "get_tracer",
-    "swap_tracer",
     "get_profiler",
-    "swap_profiler",
     "counter",
     "gauge",
     "histogram",
@@ -53,7 +55,8 @@ __all__ = [
 ]
 
 #: Hot-path guards. Read directly (``telem.metrics_on``) by instrument
-#: sites; mutate only through the enable/disable helpers below.
+#: sites; mutate only through the enable/disable helpers and
+#: :func:`observing` below.
 metrics_on: bool = False
 trace_on: bool = False
 spans_on: bool = False
@@ -139,44 +142,66 @@ def get_registry() -> MetricsRegistry:
     return _registry
 
 
-def swap_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the process sink; return the previous one.
-
-    The runner uses this to give each in-process job an isolated
-    registry whose snapshot travels inside the job's result.
-    """
-    global _registry
-    previous = _registry
-    _registry = registry
-    return previous
-
-
 def get_tracer() -> TraceRecorder:
     return _tracer
-
-
-def swap_tracer(tracer: TraceRecorder) -> TraceRecorder:
-    global _tracer
-    previous = _tracer
-    _tracer = tracer
-    return previous
 
 
 def get_profiler() -> SpanProfiler:
     return _profiler
 
 
-def swap_profiler(profiler: SpanProfiler) -> SpanProfiler:
-    """Install ``profiler`` as the process sink; return the previous one.
+@contextmanager
+def observing(metrics: Optional[MetricsRegistry] = None,
+              trace: Optional[TraceRecorder] = None,
+              spans: Optional[SpanProfiler] = None,
+              physics: Optional[_physics.PhysicsCollector] = None,
+              context: Optional[Mapping[str, Any]] = None) -> Iterator[None]:
+    """Observe a block with the given sinks; restore everything on exit.
 
-    The runner uses this (like :func:`swap_registry`) to give each
-    in-process job an isolated profiler whose snapshot travels inside
-    the job's result.
+    Each sink passed is installed as the process sink with its guard
+    turned on; ``context`` is merged into the active tracer's context
+    (explicit event fields still win).  On exit every sink, guard and
+    the tracer context return to what they were, so scopes nest.  The
+    runner wraps each in-process job in one scope (under
+    :data:`job_lock`), whose sinks' snapshots then ride in the result.
     """
-    global _profiler
-    previous = _profiler
-    _profiler = profiler
-    return previous
+    global _registry, _tracer, _profiler, metrics_on, trace_on, spans_on
+    saved = (_registry, _tracer, _profiler, metrics_on, trace_on, spans_on,
+             _physics._collector, _physics.physics_on)
+    if metrics is not None:
+        _registry, metrics_on = metrics, True
+    if trace is not None:
+        _tracer, trace_on = trace, True
+    if spans is not None:
+        _profiler, spans_on = spans, True
+    if physics is not None:
+        _physics._collector, _physics.physics_on = physics, True
+    tracer = _tracer
+    prev_context = tracer.context
+    if context:
+        tracer.context = {**prev_context, **context}
+    try:
+        yield
+    finally:
+        tracer.context = prev_context
+        (_registry, _tracer, _profiler, metrics_on, trace_on, spans_on,
+         _physics._collector, _physics.physics_on) = saved
+
+
+#: Held by the runner around each in-process job: the sinks above are
+#: process-global, so jobs on different threads take turns.
+job_lock = threading.RLock()
+
+
+def _reset_job_lock() -> None:
+    # A child forked while another thread held the lock would inherit
+    # it held by a thread that does not exist there.
+    global job_lock
+    job_lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_reset_job_lock)
 
 
 # ----------------------------------------------------------------------

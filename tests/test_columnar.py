@@ -46,15 +46,10 @@ def hammer_stream(victims=6, count=5000, first=10, stride=3):
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
-    prev_registry = telem.swap_registry(MetricsRegistry())
-    prev_tracer = telem.swap_tracer(TraceRecorder())
-    prev_profiler = telem.swap_profiler(SpanProfiler())
-    telem.disable_all()
-    yield
-    telem.disable_all()
-    telem.swap_registry(prev_registry)
-    telem.swap_tracer(prev_tracer)
-    telem.swap_profiler(prev_profiler)
+    with telem.observing(metrics=MetricsRegistry(), trace=TraceRecorder(),
+                         spans=SpanProfiler()):
+        telem.disable_all()
+        yield
 
 
 @pytest.mark.parametrize("cls", BANKS, ids=lambda cls: cls.engine)
@@ -281,17 +276,15 @@ class TestMetricsSymmetry:
     def test_counters_agree_across_engines(self):
         values = {}
         for cls in BANKS:
-            registry = telem.swap_registry(MetricsRegistry())
-            telem.enable_metrics()
-            bank = make_bank(cls, pattern="rowstripe")
-            bank.execute(hammer_stream())
-            own = telem.swap_registry(registry)
+            own = MetricsRegistry()
+            with telem.observing(metrics=own):
+                bank = make_bank(cls, pattern="rowstripe")
+                bank.execute(hammer_stream())
             values[cls.engine] = {
                 "acts": own.value("dram_activations_total", bank=0),
                 "refreshes": own.value("dram_refreshes_total", bank=0),
                 "flips": own.total("dram_bit_flips_total"),
             }
-            telem.disable_all()
         assert values["columnar"] == values["reference"]
         assert values["columnar"]["flips"] > 0
 
@@ -300,8 +293,7 @@ class TestMetricsSymmetry:
         """Run ``script`` on a fresh ``cls`` bank with metrics and
         tracing on; return the full metrics snapshot and the trace
         events as a multiset of (kind, time, fields)."""
-        telem.swap_registry(MetricsRegistry())
-        telem.enable_metrics()
+        telem.enable_metrics(fresh=True)
         telem.enable_tracing(capacity=1 << 16, fresh=True)
         bank = make_bank(cls, pattern="rowstripe")
         script(bank)

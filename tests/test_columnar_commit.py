@@ -43,19 +43,10 @@ def _clean_observers():
     # Deferral is what these tests observe; the guard tests below switch
     # the sanitizer on themselves (conftest re-syncs the level after).
     sanit.set_level("off")
-    prev = (telem.swap_registry(MetricsRegistry()),
-            telem.swap_tracer(TraceRecorder()),
-            telem.swap_profiler(SpanProfiler()),
-            phys.swap_collector(PhysicsCollector()))
-    telem.disable_all()
-    phys.disable_physics()
-    yield
-    telem.disable_all()
-    phys.disable_physics()
-    telem.swap_registry(prev[0])
-    telem.swap_tracer(prev[1])
-    telem.swap_profiler(prev[2])
-    phys.swap_collector(prev[3])
+    with telem.observing(metrics=MetricsRegistry(), trace=TraceRecorder(),
+                         spans=SpanProfiler(), physics=PhysicsCollector()):
+        telem.disable_all()
+        yield
 
 
 def hammered(engine, pattern="rowstripe"):
@@ -220,8 +211,7 @@ class TestGuards:
     def test_physics_heat_map_and_provenance(self):
         snapshots = {}
         for engine in ENGINES:
-            phys.swap_collector(PhysicsCollector())
-            phys.enable_physics()
+            phys.enable_physics(fresh=True)
             module = hammered(engine)
             module.total_flips()
             collector = phys.get_collector()

@@ -26,7 +26,7 @@ from repro.dram.timing import DDR3_1333
 from repro.softmc.interpreter import SoftMcInterpreter
 from repro.softmc.program import hammer_program
 from repro.telemetry import PhysicsCollector
-from repro.telemetry import physics as phys
+from repro.telemetry import runtime as telem
 from repro.workloads.generators import mixed_with_attacker, random_access
 
 GEO = DramGeometry(banks=2, rows=512, row_bytes=256)
@@ -123,20 +123,15 @@ def test_mixed_trace_agrees(config):
 def test_physics_audit_agrees(config):
     observed = {}
     for engine in ENGINES:
-        previous = phys.swap_collector(PhysicsCollector())
-        phys.enable_physics()
-        try:
+        collector = PhysicsCollector()
+        with telem.observing(physics=collector):
             run_pattern(engine, config)
-            collector = phys.get_collector()
-            observed[engine] = {
-                "audit_counts": collector.audit_counts(),
-                "audit_events": collector.audit_events(),
-                "heat_rows": collector.heat_rows(),
-                "provenance_rows": collector.provenance_rows(),
-            }
-        finally:
-            phys.disable_physics()
-            phys.swap_collector(previous)
+        observed[engine] = {
+            "audit_counts": collector.audit_counts(),
+            "audit_events": collector.audit_events(),
+            "heat_rows": collector.heat_rows(),
+            "provenance_rows": collector.provenance_rows(),
+        }
     assert observed["reference"] == observed["columnar"]
     assert observed["reference"]["heat_rows"], "physics must see the hammer"
     if config[1] != "none":

@@ -32,11 +32,9 @@ from repro.telemetry import runtime as telem
 @pytest.fixture(autouse=True)
 def _clean_physics():
     """Every test sees a pristine, disabled global physics collector."""
-    prev = phys.swap_collector(PhysicsCollector())
-    phys.disable_physics()
-    yield
-    phys.disable_physics()
-    phys.swap_collector(prev)
+    with telem.observing(physics=PhysicsCollector()):
+        phys.disable_physics()
+        yield
 
 
 def _run_bank(engine: str, seed: int = 2, pattern: str = "rowstripe"):
@@ -62,13 +60,14 @@ class TestGuards:
         telem.disable_all()
         assert not phys.physics_on
 
-    def test_swap_returns_previous(self):
+    def test_observing_restores_previous(self):
+        original = phys.get_collector()
         mine = PhysicsCollector()
-        prev = phys.swap_collector(mine)
-        try:
+        with telem.observing(physics=mine):
             assert phys.get_collector() is mine
-        finally:
-            assert phys.swap_collector(prev) is mine
+            assert phys.physics_on
+        assert phys.get_collector() is original
+        assert not phys.physics_on
 
     def test_enable_fresh_resets(self):
         phys.enable_physics()
@@ -276,16 +275,12 @@ class TestRunnerPlumbing:
                 == result.payload["bit_flips"])
 
     def test_collect_physics_restores_global_state(self):
-        sentinel = PhysicsCollector()
-        prev = phys.swap_collector(sentinel)
-        try:
-            execute_job("rowhammer_basic", params=self.PARAMS,
-                        seed=0, collect_physics=True)
-            assert phys.get_collector() is sentinel
-            assert not phys.physics_on
-            assert not sentinel  # the job's flips went to its own collector
-        finally:
-            phys.swap_collector(prev)
+        sentinel = phys.get_collector()
+        execute_job("rowhammer_basic", params=self.PARAMS,
+                    seed=0, collect_physics=True)
+        assert phys.get_collector() is sentinel
+        assert not phys.physics_on
+        assert not sentinel  # the job's flips went to its own collector
 
     def test_pool_workers_merge_into_parent(self):
         runner = ExperimentRunner(max_workers=2, collect_physics=True,

@@ -24,6 +24,7 @@ from repro.experiments import ExperimentResult
 from repro.report import check_report, render_report
 from repro.telemetry import MetricsRegistry, PhysicsCollector
 from repro.telemetry import physics as phys
+from repro.telemetry import runtime as telem
 
 FINGERPRINT = {"git_sha": "deadbeef", "python": "3.x", "numpy": "2.x",
                "hostname": "test"}
@@ -31,11 +32,9 @@ FINGERPRINT = {"git_sha": "deadbeef", "python": "3.x", "numpy": "2.x",
 
 @pytest.fixture(autouse=True)
 def _clean_physics():
-    prev = phys.swap_collector(PhysicsCollector())
-    phys.disable_physics()
-    yield
-    phys.disable_physics()
-    phys.swap_collector(prev)
+    with telem.observing(physics=PhysicsCollector()):
+        phys.disable_physics()
+        yield
 
 
 def _hammered_bank():

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -17,12 +18,14 @@ from repro.experiments import (
     JobTimeout,
     derive_seed,
     error_class,
+    execute_job,
     execute_job_safe,
     is_retryable,
     retry_backoff_s,
 )
 from repro.experiments.runner import ResultCache, call_with_deadline
 from repro.experiments.registry import experiment, unregister
+from repro.telemetry import runtime as telem
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -258,6 +261,120 @@ class TestPoolRecovery:
         assert len(results) == 3
         assert all(r.ok for r in results)
         assert runner.pool_rebuilds == 1
+
+
+def _in_threads(fns, timeout_s=120.0):
+    """Start every ``fn`` on its own thread at once; return their results."""
+    barrier = threading.Barrier(len(fns))
+    out, errors = [None] * len(fns), []
+
+    def call(i, fn):
+        barrier.wait()
+        try:
+            out[i] = fn()
+        except BaseException as exc:  # surfaced below, in the test thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=call, args=(i, fn))
+               for i, fn in enumerate(fns)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout_s)
+        assert not thread.is_alive(), "a job thread hung"
+    if errors:
+        raise errors[0]
+    return out
+
+
+class TestConcurrentJobs:
+    """Runners and jobs on different threads of one process (the
+    service's ``--max-concurrent``) keep their own run ID and sinks."""
+
+    def test_concurrent_in_process_metrics_match_solo_runs(self):
+        @experiment("_metered_probe", "counts steps, yielding between them",
+                    section="II", tags=("test",))
+        def _metered_probe(seed: int = 0):
+            for _ in range(20):
+                if telem.metrics_on:
+                    telem.counter("probe_steps_total", seed=seed).inc()
+                time.sleep(0.002)
+            return {"seed": seed}
+
+        switch_interval = sys.getswitchinterval()
+        try:
+            # More threads than cores, switching often.
+            jobs = [("_metered_probe", 1), ("rowhammer_basic", 0),
+                    ("_metered_probe", 2), ("rowhammer_basic", 1)]
+            solo = [execute_job(name, seed=seed, collect_metrics=True).metrics
+                    for name, seed in jobs]
+            original = telem.get_registry()
+            sys.setswitchinterval(1e-5)
+            together = _in_threads([
+                lambda name=name, seed=seed: execute_job(
+                    name, seed=seed, collect_metrics=True).metrics
+                for name, seed in jobs])
+        finally:
+            sys.setswitchinterval(switch_interval)
+            unregister("_metered_probe")
+        assert together == solo
+        assert telem.get_registry() is original
+        assert not telem.metrics_on
+
+    def test_concurrent_runners_stamp_their_own_run_id(self):
+        def drive(runner):
+            results = []
+            for round_ in range(3):
+                results += runner.run([Job("sidedness_ablation", {}, 10 * round_ + k)
+                                       for k in (0, 1)])      # pool batch
+                results += runner.run([Job("twostep_study", {}, round_)])  # in-process
+            return runner.run_id, results
+
+        runners = [ExperimentRunner(max_workers=2, ledger=False)
+                   for _ in range(3)]
+        for run_id, results in _in_threads(
+                [lambda r=r: drive(r) for r in runners]):
+            assert len(results) == 9 and all(r.ok for r in results)
+            assert [r.run_id for r in results] == [run_id] * 9
+
+    def test_timed_one_job_batch_off_main_thread_times_out(self, monkeypatch,
+                                                          tmp_path):
+        # SIGALRM cannot reach a chunk thread; the pool enforces it.
+        monkeypatch.setenv("REPRO_CHAOS", "hang:seed=7:secs=3")
+        monkeypatch.setenv("REPRO_CHAOS_STATE", str(tmp_path / "state"))
+        from repro import chaos
+        chaos.reset()
+        try:
+            runner = ExperimentRunner(timeout_s=1.0, ledger=False)
+            [results] = _in_threads(
+                [lambda: runner.run([Job("sidedness_ablation", {}, 7)])])
+        finally:
+            chaos.reset()
+        assert results[0].outcome == "timeout"
+        assert results[0].duration_s < 3.0
+
+    @fork_only
+    def test_pool_forked_while_job_lock_held_finishes(self):
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with telem.job_lock:
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(5)
+            runner = ExperimentRunner(max_workers=2, timeout_s=20,
+                                      ledger=False)
+            results = runner.run([Job("sidedness_ablation", {}, s)
+                                  for s in (0, 1)])
+        finally:
+            release.set()
+            holder.join(30)
+        assert not holder.is_alive()
+        assert [r.outcome for r in results] == ["ok", "ok"]
 
 
 class TestCacheCorruption:

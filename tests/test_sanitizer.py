@@ -126,17 +126,12 @@ class TestViolation:
         assert str(exc) == "[dram.bank] open-row out of range"
 
     def test_violation_raises_and_counts(self):
-        prev = telem.swap_registry(MetricsRegistry())
-        telem.enable_metrics()
-        try:
+        with telem.observing(metrics=MetricsRegistry()):
             with pytest.raises(sanit.InvariantViolation):
                 sanit.violation("pcm.startgap", "gap slot occupied", "line 3")
             counter = telem.counter("sanitizer_violations_total",
                                     subsystem="pcm.startgap")
             assert counter.value == 1
-        finally:
-            telem.disable_metrics()
-            telem.swap_registry(prev)
 
 
 # ----------------------------------------------------------------------

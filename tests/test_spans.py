@@ -14,15 +14,10 @@ from repro.telemetry.spans import span_name
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
-    prev_registry = telem.swap_registry(MetricsRegistry())
-    prev_tracer = telem.swap_tracer(TraceRecorder())
-    prev_profiler = telem.swap_profiler(SpanProfiler())
-    telem.disable_all()
-    yield
-    telem.disable_all()
-    telem.swap_registry(prev_registry)
-    telem.swap_tracer(prev_tracer)
-    telem.swap_profiler(prev_profiler)
+    with telem.observing(metrics=MetricsRegistry(), trace=TraceRecorder(),
+                         spans=SpanProfiler()):
+        telem.disable_all()
+        yield
 
 
 class TestSpanName:
@@ -175,12 +170,12 @@ class TestRuntimeSpanGuard:
         assert telem.get_profiler().profile().get("retention.pass{mode=quick}")[0] == 1
 
     def test_swap_mid_span_cannot_unbalance_new_profiler(self):
-        telem.enable_profiling(fresh=True)
+        old = telem.enable_profiling(fresh=True)
         span = telem.span("outer")
         span.__enter__()
-        old = telem.swap_profiler(SpanProfiler())
-        span.__exit__(None, None, None)  # pops the *pinned* old profiler
-        assert telem.get_profiler().depth == 0
+        with telem.observing(spans=SpanProfiler()):
+            span.__exit__(None, None, None)  # pops the *pinned* old profiler
+            assert telem.get_profiler().depth == 0
         assert old.profile().get("outer")[0] == 1
 
     def test_enable_fresh_discards_prior_spans(self):
@@ -215,8 +210,7 @@ class TestJobProfiles:
         assert restored.profile == result.profile
 
     def test_collect_profile_restores_prior_state(self):
-        sentinel = telem.swap_profiler(SpanProfiler())
-        telem.swap_profiler(sentinel)
+        sentinel = telem.get_profiler()
         assert not telem.spans_on
         execute_job("rowhammer_basic", params=self.CHEAP, seed=0,
                     collect_profile=True)

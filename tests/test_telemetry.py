@@ -23,15 +23,10 @@ def _clean_telemetry():
     """Every test sees pristine, disabled global telemetry state."""
     from repro.telemetry import SpanProfiler
 
-    prev_registry = telem.swap_registry(MetricsRegistry())
-    prev_tracer = telem.swap_tracer(TraceRecorder())
-    prev_profiler = telem.swap_profiler(SpanProfiler())
-    telem.disable_all()
-    yield
-    telem.disable_all()
-    telem.swap_registry(prev_registry)
-    telem.swap_tracer(prev_tracer)
-    telem.swap_profiler(prev_profiler)
+    with telem.observing(metrics=MetricsRegistry(), trace=TraceRecorder(),
+                         spans=SpanProfiler()):
+        telem.disable_all()
+        yield
 
 
 # ----------------------------------------------------------------------
@@ -279,12 +274,29 @@ class TestRuntime:
         if bank.stats.flips_materialized:
             assert kinds["bit_flip"] >= 1
 
-    def test_swap_registry_round_trip(self):
+    def test_observing_round_trip(self):
         original = telem.get_registry()
         mine = MetricsRegistry()
-        assert telem.swap_registry(mine) is original
-        assert telem.get_registry() is mine
-        assert telem.swap_registry(original) is mine
+        with telem.observing(metrics=mine):
+            assert telem.get_registry() is mine
+            assert telem.metrics_on
+        assert telem.get_registry() is original
+        assert not telem.metrics_on
+
+    def test_observing_nests_merges_context_and_restores_on_error(self):
+        outer, inner = TraceRecorder(), TraceRecorder()
+        with telem.observing(trace=outer, context={"run_id": "r1"}):
+            with pytest.raises(RuntimeError):
+                with telem.observing(trace=inner, context={"job_id": "j"}):
+                    telem.trace("probe")
+                    raise RuntimeError("job failed")
+            assert telem.get_tracer() is outer
+            assert outer.context == {"run_id": "r1"}
+            telem.trace("after", run_id="explicit")
+        assert inner.events()[0].fields == {"job_id": "j"}
+        assert outer.events()[0].fields == {"run_id": "explicit"}
+        assert outer.context == {}
+        assert not telem.trace_on
 
     def test_enable_tracing_rejects_nonpositive_capacity(self):
         # Regression: `capacity or 65536` silently coerced an explicit 0

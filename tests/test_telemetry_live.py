@@ -37,17 +37,13 @@ fork_only = pytest.mark.skipif(
 
 
 @pytest.fixture(autouse=True)
-def _clean_stream(monkeypatch):
+def _clean_stream():
     """Pristine streaming/telemetry globals around every test."""
-    monkeypatch.delenv(ids.ENV_RUN_ID, raising=False)
     stream_events.disarm()
-    prev = telem.swap_registry(MetricsRegistry())
-    telem.disable_all()
-    yield
+    with telem.observing(metrics=MetricsRegistry()):
+        telem.disable_all()
+        yield
     stream_events.disarm()
-    telem.disable_all()
-    telem.swap_registry(prev)
-    ids.clear_run_id()
 
 
 # ----------------------------------------------------------------------
@@ -67,21 +63,6 @@ class TestIds:
         a, b = ids.new_run_id(), ids.new_run_id()
         assert re.fullmatch(r"r\d{8}-\d{6}-[0-9a-f]{6}", a)
         assert a != b
-
-    def test_run_scope_sets_global_and_env_then_restores(self):
-        assert ids.current_run_id() is None
-        with ids.run_scope("r20990101-000000-abcdef") as rid:
-            assert ids.current_run_id() == rid
-            assert os.environ[ids.ENV_RUN_ID] == rid
-            with ids.run_scope("r20990101-000000-bbbbbb"):
-                assert ids.current_run_id() == "r20990101-000000-bbbbbb"
-            assert ids.current_run_id() == rid
-        assert ids.current_run_id() is None
-        assert ids.ENV_RUN_ID not in os.environ
-
-    def test_workers_inherit_run_id_through_env(self, monkeypatch):
-        monkeypatch.setenv(ids.ENV_RUN_ID, "r20990101-000000-cccccc")
-        assert ids.current_run_id() == "r20990101-000000-cccccc"
 
     def test_environment_fingerprint_fields(self):
         import platform
@@ -225,9 +206,9 @@ class TestWorkerStream:
         assert stream.live_registry().value("c") == 8
         # a swapped-in registry starts from zero: the live view shows
         # its values, not the old ones plus the new
-        telem.swap_registry(MetricsRegistry())
-        telem.get_registry().counter("c").inc(2)
-        ws.tick(force=True)
+        with telem.observing(metrics=MetricsRegistry()):
+            telem.get_registry().counter("c").inc(2)
+            ws.tick(force=True)
         assert stream.live_registry().value("c") == 2
         assert len(self._beats(events)) == 2
 
@@ -242,9 +223,8 @@ class TestWorkerStream:
 
     def test_events_stamped_with_pid_job_and_run_ids(self):
         events = []
-        ids.set_run_id("r20990101-000000-dddddd")
         ws = WorkerStream(events.append, interval_s=0.0)
-        ws.on_job_start("jX", "exp", 3)
+        ws.on_job_start("jX", "exp", 3, "r20990101-000000-dddddd")
         ws.on_job_end("jX", "ok", duration_s=0.5)
         kinds = [e["kind"] for e in events]
         assert kinds[0] == "job_start" and kinds[-1] == "job_end"
@@ -268,11 +248,8 @@ class TestWorkerStream:
         stream_events.sink().on_job_start("j", "exp", 0)
         reg = stream_events.job_registry()
         assert isinstance(reg, stream_events.StreamingRegistry)
-        prev = telem.swap_registry(reg)
-        try:
+        with telem.observing(metrics=reg):
             reg.counter("c").inc()  # instrument touch → rate-limited flush
-        finally:
-            telem.swap_registry(prev)
         assert any(e["kind"] == "heartbeat" for e in events)
 
     def test_job_registry_plain_when_disarmed(self):
@@ -531,7 +508,6 @@ class TestServeMetricsEndToEnd:
         env = dict(os.environ, REPRO_LEDGER="off", REPRO_CAPTURE="off")
         env["PYTHONPATH"] = str(src) + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        env.pop(ids.ENV_RUN_ID, None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "sweep", "retention_study",
              "--seeds", "6", "--parallel", "2", "--no-cache",
