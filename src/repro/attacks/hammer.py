@@ -6,10 +6,13 @@ the simulator:
 * the **device path** (:func:`hammer_device`) drives the bank's exact
   bulk accounting — used for large campaigns (field study, ECC
   histograms);
-* the **controller path** (:func:`hammer_via_controller`) issues every
-  activation through the full command pipeline — timing, auto-refresh,
+* the **controller path** (:func:`hammer_via_controller`) runs the
+  pattern through the full command pipeline — timing, auto-refresh,
   perf counters, and any installed mitigation — used for mitigation
-  effectiveness experiments.
+  effectiveness experiments.  The controller issues each stretch
+  between refresh deadlines, perf-window closes and mitigation actions
+  as one bank run, with the same result as issuing every activation
+  on its own.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 The controller advances simulated time command by command (tRC per
 activation, tRFC per REF), drives the module's banks, feeds performance
 counters, and invokes the installed mitigation hook after every
-activation.  Mitigations request victim refreshes through
+activation.  Hammer patterns (:meth:`MemoryController.run_activation_pattern`)
+run in segments that are exactly equivalent to that per-command loop.
+Mitigations request victim refreshes through
 :meth:`MemoryController.refresh_neighbors`, which resolves adjacency
 either through the SPD-published mapping (``spd_adjacency=True``, the
 paper's proposal) or by naive logical +/-1 guessing.
@@ -158,15 +160,53 @@ class MemoryController:
     def run_activation_pattern(self, bank: int, rows: Sequence[int], iterations: int) -> None:
         """Interleave ``iterations`` rounds of activations over ``rows``.
 
-        This is the faithful (per-command) path: every activation passes
-        through timing, refresh, perf counters, and the mitigation hook.
-        The whole pattern is one profiling span — the per-command loop
-        stays span-free so profiling never distorts what it measures.
+        Equivalent to calling :meth:`activate` on each command in turn:
+        every activation passes through timing, refresh, perf counters
+        and the mitigation hook, with the same ``+= tRC`` float adds.
+        The pattern runs in *segments*.  A segment ends after the first
+        command at which a REF falls due, a perf-counter window closes,
+        or the mitigation acts (its ``scan`` stops there).  The segment
+        is one bank ``activate_run``, one energy and statistics update
+        and one perf-counter feed; only its last command can reach the
+        hook's ``on_activate`` and the refresh engine.  The bank, the
+        rows and their remap are validated once, before any state
+        changes.  The whole pattern is one profiling span.
         """
         with telem.span("ctrl.activation_pattern"):
-            for _ in range(iterations):
-                for row in rows:
-                    self.activate(bank, row)
+            rows = list(rows)
+            total = len(rows) * len(range(iterations))
+            if not total:
+                return
+            dev = self.module.bank(bank)
+            to_physical = self.module.remapper.to_physical
+            physical = [to_physical(row) for row in rows]
+            tRC = self.module.timing.tRC
+            engine, perf, hook = self.refresh_engine, self.perf, self.mitigation
+            done = 0
+            while done < total:
+                start = self.time_ns
+                times = _times_until(start, tRC, total - done, min(
+                    engine.next_ref_ns, perf.window_start + perf.window_ns))
+                offset = done % len(rows)
+                seg_rows = _cycle(rows, offset, len(times))
+                quiet = hook.scan(self, bank, seg_rows, times)
+                acting = quiet < len(times)
+                if acting:
+                    del seg_rows[quiet + 1:], times[quiet + 1:]
+                n = len(times)
+                dev.activate_run(_cycle(physical, offset, n), [start] + times[:-1])
+                dev.precharge()
+                self.time_ns = times[-1]
+                self.energy.record("act", n)
+                self.energy.record("pre", n)
+                self.stats.activations += n
+                if telem.metrics_on:
+                    telem.counter("ctrl_commands_total", kind="activate").inc(n)
+                perf.record_run(bank, seg_rows, self.time_ns)
+                if acting:
+                    hook.on_activate(self, bank, seg_rows[-1], self.time_ns)
+                self._service_refresh()
+                done += n
 
     def run_trace(self, trace: Iterable) -> None:
         """Replay (bank, row, is_write) tuples through the full command path."""
@@ -190,3 +230,23 @@ class MemoryController:
     def total_flips(self) -> int:
         """Flips materialized so far (call :meth:`finish` first for finality)."""
         return self.module.total_flips()
+
+
+def _times_until(start: float, step: float, cap: int, limit: float) -> List[float]:
+    """Controller times after each of up to ``cap`` back-to-back
+    commands from ``start`` (sequential ``t += step``), ending with the
+    first that reaches ``limit``."""
+    times: List[float] = []
+    t = start
+    while len(times) < cap:
+        t += step
+        times.append(t)
+        if t >= limit:
+            break
+    return times
+
+
+def _cycle(pattern: List[int], offset: int, n: int) -> List[int]:
+    """``n`` entries of ``pattern`` repeated, from index ``offset``."""
+    reps = (offset + n - 1) // len(pattern) + 1
+    return (pattern * reps)[offset:offset + n]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from itertools import repeat
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass
@@ -58,6 +59,13 @@ class PerfCounters:
         while time_ns >= self.window_start + self.window_ns:
             self._close_window()
         self._counts[(bank, row)] += 1
+
+    def record_run(self, bank: int, rows: Sequence[int], time_ns: float) -> None:
+        """Feed activations of ``rows`` in order, the last one at
+        ``time_ns``; the earlier ones must fall in the open window.
+        Equivalent to one :meth:`record_activate` per row."""
+        self._counts.update(zip(repeat(bank), rows[:-1]))
+        self.record_activate(bank, rows[-1], time_ns)
 
     def _close_window(self) -> None:
         hot = self._counts.most_common(self.top_k)

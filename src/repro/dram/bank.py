@@ -27,7 +27,8 @@ API, including the read accessors (``pressure``, ``peak``,
 oracle use instead of private state.
 
 Both engines share one command front end (this class's
-``bulk_activate``, ``read``, ``write`` and ``execute`` dispatch loop)
+``bulk_activate``, ``activate_run``, ``read``, ``write`` and
+``execute`` dispatch loop)
 and one event vocabulary (:class:`BankStats`'s ``on_*`` methods: the
 activation/read/write/refresh counters, the ``dram_*`` metrics, the
 ``activate``/``refresh``/``bit_flip`` trace events and the physics
@@ -36,6 +37,7 @@ records), so they differ only in state layout and kernels.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence
@@ -184,6 +186,20 @@ class BankStats:
         if phys.physics_on:
             phys.get_collector().record_activation(self.bank_index, row, n)
 
+    def on_activate_run(self, rows: Sequence[int]) -> None:
+        """One scalar ACT of each of ``rows``: the counters, metrics and
+        physics heat of as many :meth:`on_activate` calls, recorded at
+        once.  Untraced: under tracing, a bank issues each activation
+        through :meth:`on_activate`, so its event keeps its place."""
+        n = len(rows)
+        self.activations += n
+        if telem.metrics_on:
+            telem.counter("dram_activations_total", bank=self.bank_index).inc(n)
+        if phys.physics_on:
+            heat = Counter(rows)
+            phys.get_collector().record_activation_batch(
+                self.bank_index, heat, heat.values())
+
     def on_read(self) -> None:
         """One row read."""
         self.reads += 1
@@ -275,8 +291,8 @@ class DramBank:
     The command front end is shared: ``bulk_activate``, ``read``,
     ``write`` and the ``execute`` dispatch loop live here only, and the
     columnar engine overrides the state-specific hooks they call
-    (``_commit``, ``_bulk_activate_body``, ``_store_row``,
-    ``_flush_acts``).
+    (``_commit``, ``_bulk_activate_body``, ``_activate_run_body``,
+    ``_store_row``, ``_flush_acts``).
 
     Args:
         geometry: module organization (rows/row size are read from it).
@@ -411,6 +427,33 @@ class DramBank:
         if d2 > 0:
             self._bump(row - 2, d2, row, record_aggressor=False)
             self._bump(row + 2, d2, row, record_aggressor=False)
+
+    def activate_run(self, rows: Sequence[int], times: Sequence[float]) -> None:
+        """Activate each of ``rows`` at the matching ``times``, in order.
+
+        Equivalent to :meth:`activate` per pair, but every row is
+        validated first, so an out-of-range row raises before any state
+        changes.  The reference loops :meth:`activate`; the columnar
+        engine queues the whole run at once.
+        """
+        if len(rows) != len(times):
+            raise ValueError(f"{len(rows)} rows but {len(times)} times")
+        self._check_rows(rows)
+        self._activate_run_body(rows, times)
+
+    def _activate_run_body(self, rows: Sequence[int],
+                           times: Sequence[float]) -> None:
+        """Issue a validated run: one :meth:`activate` per pair."""
+        for row, time in zip(rows, times):
+            self.activate(row, time)
+
+    def _check_rows(self, rows: Sequence[int]) -> None:
+        """Raise :meth:`DramGeometry.check_row`'s error for the first
+        out-of-range row of ``rows``."""
+        n_rows = self.geometry.rows
+        if len(rows) and (min(rows) < 0 or max(rows) >= n_rows):
+            self.geometry.check_row(
+                next(row for row in rows if not 0 <= row < n_rows))
 
     def bulk_activate(self, row: int, count: int, time: float = 0.0) -> None:
         """Apply ``count`` back-to-back activations of ``row`` in one call.

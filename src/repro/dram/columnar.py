@@ -31,7 +31,8 @@ pre-filtered candidate cells.
 Scalar commands have their own columnar bodies; none runs the
 reference engine's per-command ``activate``.  ``activate`` (and the
 activation inside ``read``/``write``) only appends ``(row, time)`` to
-the bank's **pending run**.  The run is committed, in command order, by
+the bank's **pending run**; ``activate_run`` (the controller's pattern
+segments) appends a whole run, with its accounting done once.  The run is committed, in command order, by
 the first call that can observe or change what it touches: any
 refresh or ``settle``; ``execute`` or ``bulk_activate``; ``row_bits``;
 every read accessor (``pressure``, ``peak``, ``last_aggressor``,
@@ -48,8 +49,9 @@ window's ``hammer`` are bit-identical to the reference.  It writes the
 touched rows back to the columns once and hands every closed window
 with peak > 0 to the batched materializer, which applies them in
 command order.  Under the sanitizer or tracing every scalar activation
-commits at once (runs of one), so shadow-digest notes and trace events
-keep the reference's interleaving.  That holds for scalar activations
+commits at once (runs of one; ``activate_run`` then loops ``activate``),
+so shadow-digest notes and trace events keep the reference's
+interleaving.  That holds for scalar activations
 only: a stream ACT run (on both engines) and a batched refresh
 (``refresh_rows``, ``refresh_all``; on this engine) emit all their
 ``activate``/``refresh`` events before the run's ``bit_flip`` events,
@@ -333,6 +335,20 @@ class ColumnarDramBank(DramBank):
         if eager or len(run) >= _RUN_LIMIT:
             self._commit()
 
+    def _activate_run_body(self, rows: Sequence[int],
+                           times: Sequence[float]) -> None:
+        """Queue the run onto the pending run, with the bank's accounting
+        done once.  Under the sanitizer or tracing, each activation
+        commits alone, as in :meth:`activate`."""
+        if sanit.sanitize_on or telem.trace_on or not len(rows):
+            return super()._activate_run_body(rows, times)
+        self._stats.on_activate_run(rows)
+        self.open_row = rows[-1]
+        run = self._run
+        run += zip(rows, times)
+        if len(run) >= _RUN_LIMIT:
+            self._commit()
+
     def _bulk_activate_body(self, row: int, count: int, time: float) -> None:
         self._apply_acts(((row, time),), count)
 
@@ -381,8 +397,13 @@ class ColumnarDramBank(DramBank):
         peak, last aggressor]`` in plain float arithmetic: per row, the
         same additions in the same order as the reference's ``_bump``
         calls, so every value is bit-identical (nothing is derived by
-        subtracting prefix sums).  A row's first load appends it to the
-        touch order where the reference's first dict insertion would.
+        subtracting prefix sums).  Each distinct activated row resolves
+        its own cell and its in-range neighbor cells once, at its first
+        activation, so the per-activation loop does no bounds checks
+        and no neighbor lookups.  A cell's first load appends its row to
+        the touch order where the reference's first dict insertion
+        would: at the first activation that touches it, in bump order
+        (a row's later activations touch no new cells).
         The overlay is written back once; then every window an
         activation closed with peak > 0 materializes, in command order.
         """
@@ -391,36 +412,50 @@ class ColumnarDramBank(DramBank):
         touched, touch_order = state.touched, state.touch_order
         n_rows = state.rows
         weight = float(count)
-        bumps = [(-1, weight, True), (1, weight, True)]
         d2 = self.model.profile.distance2_weight
-        if d2 > 0:
-            bumps += [(-2, d2 * count, False), (2, d2 * count, False)]
+        far_weight = d2 * count
+        # The reference's bump order: row-1, row+1 (claiming), row-2, row+2.
+        offsets = (0, -1, 1, -2, 2) if d2 > 0 else (0, -1, 1)
         overlay: Dict[int, list] = {}
-
-        def load(r: int) -> list:
-            if not touched[r]:
-                touched[r] = True
-                touch_order.append(int(r))
-            cell = overlay[r] = [pressure.item(r), peak.item(r),
-                                 last_agg.item(r)]
-            return cell
-
+        #: row -> (own cell, in-range distance-1 cells, distance-2 cells)
+        resolved: Dict[int, tuple] = {}
         windows: List[tuple] = []
         for row, time in acts:
-            cell = overlay.get(row) or load(row)
-            if cell[1] > 0:
-                windows.append((row, cell[1], cell[2], time))
-            cell[0] = cell[1] = 0.0
-            for offset, w, claims in bumps:
-                victim = row + offset
-                if 0 <= victim < n_rows:
-                    cell = overlay.get(victim) or load(victim)
-                    new = cell[0] + w
-                    cell[0] = new
-                    if new > cell[1]:
-                        cell[1] = new
-                    if claims:
-                        cell[2] = row
+            entry = resolved.get(row)
+            if entry is None:
+                cells = []
+                for off in offsets:
+                    r = row + off
+                    if not 0 <= r < n_rows:
+                        cells.append(None)
+                        continue
+                    cell = overlay.get(r)
+                    if cell is None:
+                        if not touched[r]:
+                            touched[r] = True
+                            touch_order.append(int(r))
+                        cell = overlay[r] = [pressure.item(r), peak.item(r),
+                                             last_agg.item(r)]
+                    cells.append(cell)
+                entry = resolved[row] = (
+                    cells[0],
+                    [c for c in cells[1:3] if c is not None],
+                    [c for c in cells[3:] if c is not None])
+            own, near, far = entry
+            if own[1] > 0:
+                windows.append((row, own[1], own[2], time))
+            own[0] = own[1] = 0.0
+            for cell in near:
+                new = cell[0] + weight
+                cell[0] = new
+                if new > cell[1]:
+                    cell[1] = new
+                cell[2] = row
+            for cell in far:
+                new = cell[0] + far_weight
+                cell[0] = new
+                if new > cell[1]:
+                    cell[1] = new
         for row, (p, k, agg) in overlay.items():
             pressure[row] = p
             peak[row] = k
@@ -775,9 +810,7 @@ class ColumnarDramBank(DramBank):
         rows = [int(row) for row in rows]
         if not rows:
             return 0
-        if min(rows) < 0 or max(rows) >= state.rows:
-            self.geometry.check_row(
-                next(row for row in rows if not 0 <= row < state.rows))
+        self._check_rows(rows)
         self._stats.on_refresh(rows, time)
         if sanit.sanitize_on:
             for row in rows:

@@ -18,8 +18,9 @@ Modeled costs and weaknesses:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from typing import Tuple
+from itertools import repeat
 
 from repro.telemetry import physics as phys
 from repro.utils.validation import check_positive
@@ -61,6 +62,12 @@ class AnvilMitigation:
         while time_ns >= self._window_start + self.sample_interval_ns:
             self._sample(controller)
         self._counts[(bank, logical_row)] += 1
+
+    def scan(self, controller, bank: int, rows, times) -> int:
+        """Count activations up to the next sample boundary."""
+        quiet = bisect_left(times, self._window_start + self.sample_interval_ns)
+        self._counts.update(zip(repeat(bank), rows[:quiet]))
+        return quiet
 
     def _sample(self, controller) -> None:
         self.samples += 1

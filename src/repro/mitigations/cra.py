@@ -64,15 +64,7 @@ class CounterBasedMitigation:
             if phys.physics_on:
                 phys.get_collector().audit_count("cra", "window_reset")
         key = (bank, logical_row)
-        count = self._counts.get(key, 0) + 1
-        if key not in self._counts and self.table_entries is not None and len(self._counts) >= self.table_entries:
-            # Evict the coldest entry; its history is lost (undercounting).
-            coldest = min(self._counts, key=self._counts.get)
-            del self._counts[coldest]
-            self.evictions += 1
-            if phys.physics_on:
-                phys.get_collector().audit_count("cra", "evict")
-        self._counts[key] = count
+        count = self._count(key)
         if count >= self.threshold:
             self.detections += 1
             if phys.physics_on:
@@ -82,6 +74,31 @@ class CounterBasedMitigation:
                     threshold=self.threshold)
             self._extra_refreshes += controller.refresh_neighbors(bank, logical_row, 1)
             self._counts[key] = 0
+
+    def scan(self, controller, bank: int, rows, times) -> int:
+        """Count activations up to a window reset or a threshold
+        crossing (table evictions are internal)."""
+        counts = self._counts
+        for i, row in enumerate(rows):
+            key = (bank, row)
+            if (times[i] - self._window_start >= self.window_ns
+                    or counts.get(key, 0) + 1 >= self.threshold):
+                return i
+            self._count(key)
+        return len(rows)
+
+    def _count(self, key: Tuple[int, int]) -> int:
+        """Count one activation of ``key``; return its new count."""
+        count = self._counts.get(key, 0) + 1
+        if key not in self._counts and self.table_entries is not None and len(self._counts) >= self.table_entries:
+            # Evict the coldest entry; its history is lost (undercounting).
+            coldest = min(self._counts, key=self._counts.get)
+            del self._counts[coldest]
+            self.evictions += 1
+            if phys.physics_on:
+                phys.get_collector().audit_count("cra", "evict")
+        self._counts[key] = count
+        return count
 
     def extra_refresh_ops(self) -> int:
         """Victim refreshes injected so far."""

@@ -26,6 +26,9 @@ from repro.utils.rng import derive_rng
 from repro.utils.units import SECONDS_PER_YEAR
 from repro.utils.validation import check_positive, check_probability
 
+#: Uniforms drawn per refill of PARA's coin buffer.
+_DRAW_BLOCK = 1024
+
 
 class Para:
     """The PARA mitigation hook.
@@ -42,8 +45,31 @@ class Para:
         self.p = p
         self.distance = distance
         self._rng = derive_rng(seed, "para")
+        # Uniforms are drawn in blocks; ``_draws[_next:]`` are drawn but
+        # not yet used.  ``Generator.random(n)`` yields the same values
+        # as n scalar draws, so the coin sequence is the scalar one.
+        self._draws = np.empty(0)
+        self._next = 0
         self.triggers = 0
         self._extra_refreshes = 0
+
+    def _uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` unused uniforms (a view; not marked used)."""
+        if len(self._draws) - self._next < n:
+            fresh = self._rng.random(max(n, _DRAW_BLOCK))
+            self._draws = np.concatenate((self._draws[self._next:], fresh))
+            self._next = 0
+        return self._draws[self._next:self._next + n]
+
+    def scan(self, controller, bank: int, rows, times) -> int:
+        """Use one draw per activation up to the first that triggers."""
+        n = len(rows)
+        hits = np.flatnonzero(self._uniforms(n) < self.p)
+        quiet = int(hits[0]) if len(hits) else n
+        self._next += quiet
+        if quiet and phys.physics_on:
+            phys.get_collector().audit_count("para", "draw", quiet)
+        return quiet
 
     def on_activate(self, controller, bank: int, logical_row: int, time_ns: float) -> None:
         """With probability ``p``, refresh the aggressor's neighbors."""
@@ -51,7 +77,9 @@ class Para:
             # Draws are one-per-activation, so they stay an audit count;
             # the (rare) trigger below gets a full typed event.
             phys.get_collector().audit_count("para", "draw")
-        if self._rng.random() < self.p:
+        draw = self._uniforms(1)[0]
+        self._next += 1
+        if draw < self.p:
             self.triggers += 1
             if telem.metrics_on:
                 telem.counter("para_triggers_total").inc()

@@ -48,6 +48,33 @@ class TrrMitigation:
         tracker = self._trackers.setdefault(bank, {})
         if phys.physics_on:
             phys.get_collector().audit_count("trr", "sample")
+        self._track(bank, tracker, physical, time_ns)
+        acts = self._acts_since_refresh.get(bank, 0) + 1
+        if acts >= self.refresh_period_acts:
+            acts = 0
+            self._fire(controller, bank, tracker)
+        self._acts_since_refresh[bank] = acts
+
+    def scan(self, controller, bank: int, rows, times) -> int:
+        """Track activations up to the one that reaches the refresh
+        period (evictions are internal, not controller actions)."""
+        acts = self._acts_since_refresh.get(bank, 0)
+        quiet = min(len(rows), self.refresh_period_acts - 1 - acts)
+        if quiet <= 0:
+            return 0
+        to_physical = controller.module.remapper.to_physical
+        physical = {row: to_physical(row) for row in set(rows[:quiet])}
+        tracker = self._trackers.setdefault(bank, {})
+        if phys.physics_on:
+            phys.get_collector().audit_count("trr", "sample", quiet)
+        for i in range(quiet):
+            self._track(bank, tracker, physical[rows[i]], times[i])
+        self._acts_since_refresh[bank] = acts + quiet
+        return quiet
+
+    def _track(self, bank: int, tracker: Dict[int, int], physical: int,
+               time_ns: float) -> None:
+        """Sample one activation of ``physical`` into ``tracker``."""
         if physical in tracker:
             tracker[physical] += 1
         elif len(tracker) < self.tracker_entries:
@@ -65,11 +92,6 @@ class TrrMitigation:
                         evicted=coldest, inserted=physical)
             else:
                 tracker[coldest] -= 1
-        acts = self._acts_since_refresh.get(bank, 0) + 1
-        if acts >= self.refresh_period_acts:
-            acts = 0
-            self._fire(controller, bank, tracker)
-        self._acts_since_refresh[bank] = acts
 
     def _fire(self, controller, bank: int, tracker: Dict[int, int]) -> None:
         if not tracker:

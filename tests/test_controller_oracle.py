@@ -1,6 +1,7 @@
-"""Controller-level differential oracle: the per-command paths the
-controller-path experiments take must behave identically on both DRAM
-engines.
+"""Controller-level differential oracle: the paths the controller-path
+experiments take must behave identically on both DRAM engines, and the
+segmented hammer-pattern path must equal a loop of per-command
+``activate`` calls.
 
 The columnar engine defers scalar activations into pending runs and
 commits each run at once, while the reference engine applies every
@@ -12,6 +13,14 @@ mitigation refresh counts and perf-counter samples must all agree, and
 so must the physics layer's heat map, flip provenance and mitigation
 audit trail.  The columnar side is the production :class:`DramModule`;
 the reference side is the oracle's :class:`ReferenceModule`.
+
+``run_activation_pattern`` issues each stretch between refresh
+deadlines, perf-window closes and mitigation actions as one bank run.
+Its oracle is :func:`activate_loop`, the same pattern one
+``ctrl.activate`` at a time: on both engines, for every config and the
+corner cases in :data:`SEGMENT_CASES`, the two must agree on
+everything :func:`full_state` collects, and on what the metrics,
+physics and trace observers record.
 """
 
 import numpy as np
@@ -25,8 +34,9 @@ from repro.dram.differential import ReferenceModule
 from repro.dram.timing import DDR3_1333
 from repro.softmc.interpreter import SoftMcInterpreter
 from repro.softmc.program import hammer_program
-from repro.telemetry import PhysicsCollector
+from repro.telemetry import MetricsRegistry, PhysicsCollector, TraceRecorder
 from repro.telemetry import runtime as telem
+from repro.utils.rng import derive_rng
 from repro.workloads.generators import mixed_with_attacker, random_access
 
 GEO = DramGeometry(banks=2, rows=512, row_bytes=256)
@@ -54,13 +64,14 @@ CONFIGS = [
 ]
 
 
-def make_module(engine, serial="oracle"):
+def make_module(engine, serial="oracle", remap_scheme="identity"):
     return MODULES[engine](geometry=GEO, timing=DDR3_1333, profile=PROFILE,
-                           serial=serial, seed=11)
+                           serial=serial, seed=11, remap_scheme=remap_scheme)
 
 
-def make_controller(engine, mitigation, kwargs, multiplier, raidr):
-    module = make_module(engine)
+def make_controller(engine, mitigation, kwargs, multiplier, raidr,
+                    remap_scheme="identity", spd_adjacency=True):
+    module = make_module(engine, remap_scheme=remap_scheme)
     bins = None
     if raidr:
         bins = np.zeros(GEO.rows, dtype=np.int64)
@@ -68,6 +79,7 @@ def make_controller(engine, mitigation, kwargs, multiplier, raidr):
     hook = MITIGATIONS[mitigation](**kwargs)
     return MemoryController(module, mitigation=hook,
                             refresh_multiplier=multiplier,
+                            spd_adjacency=spd_adjacency,
                             perf_window_ns=20_000.0, refresh_row_bins=bins)
 
 
@@ -170,3 +182,233 @@ def test_softmc_hammer_program_agrees():
                          flip_logs(module)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1], "the program must read back flipped victims"
+
+
+# ----------------------------------------------------------------------
+# Segmented hammer patterns against the per-command loop
+# ----------------------------------------------------------------------
+PAIR = [VICTIM - 1, VICTIM + 1]
+#: Four double-sided pairs: more aggressors than a 2-entry TRR tracks.
+EIGHT = [r for v in (120, 160, 200, 240) for r in (v - 1, v + 1)]
+CONFIG = {c[0]: c for c in CONFIGS}
+
+
+def activate_loop(ctrl, bank, rows, iterations):
+    """The per-command form of ``ctrl.run_activation_pattern``."""
+    for _ in range(iterations):
+        for row in rows:
+            ctrl.activate(bank, row)
+
+
+def pattern(rows, *chunks):
+    """A script issuing ``rows`` as pattern calls of ``chunks`` iterations."""
+    def drive(ctrl, run):
+        for iterations in chunks:
+            run(ctrl, 0, rows, iterations)
+    return drive
+
+
+def para_interleaved(ctrl, run):
+    """PARA pattern calls with scalar commands and a trace between them."""
+    trace = mixed_with_attacker(random_access(40, banks=GEO.banks, rows=64,
+                                              seed=4),
+                                0, PAIR, attacker_share=0.5, seed=4)
+    for iterations in (300, 1, 450):
+        run(ctrl, 0, PAIR, iterations)
+        ctrl.activate(1, 17)
+        ctrl.activate(0, VICTIM - 1)
+        ctrl.run_trace(trace)
+
+
+def mitigation_state(hook):
+    """Every counter and piece of tracking state a hook keeps, with dict
+    insertion order (which sets eviction and ``most_common`` ties)."""
+    state = {"extra_refresh_ops": hook.extra_refresh_ops()}
+    for key, value in vars(hook).items():
+        if key in ("_rng", "_draws", "_next"):
+            continue
+        if isinstance(value, dict):
+            value = [(k, list(v.items()) if isinstance(v, dict) else v)
+                     for k, v in value.items()]
+        state[key] = value
+    if hasattr(hook, "_uniforms"):
+        # PARA's upcoming coins stand in for its generator state.
+        state["next_draws"] = hook._uniforms(8).tolist()
+    return state
+
+
+def full_state(ctrl):
+    """Everything the segmented and per-command paths must agree on,
+    read before ``finish`` (which closes perf windows and settles)."""
+    return {
+        "time_ns": ctrl.time_ns,
+        "stats": ctrl.stats,
+        "energy": dict(ctrl.energy.counts),
+        "perf_samples": list(ctrl.perf.samples),
+        "perf_window_start": ctrl.perf.window_start,
+        "perf_counts": list(ctrl.perf.current_counts().items()),
+        "refresh": ctrl.refresh_engine.stats,
+        "next_ref_ns": ctrl.refresh_engine.next_ref_ns,
+        "mitigation": mitigation_state(ctrl.mitigation),
+        "bank_stats": [(b.stats.activations, b.stats.refreshes,
+                        b.stats.flips_materialized, b.open_row)
+                       for b in ctrl.module.banks],
+        "flip_logs": flip_logs(ctrl.module),
+    }
+
+
+#: (id, config, controller options, script)
+SEGMENT_CASES = [
+    *[(c[0], c, {}, pattern(PAIR, ITERATIONS)) for c in CONFIGS],
+    *[(f"{c[0]}-chunked", c, {}, pattern(PAIR, 1, 7, 512, ITERATIONS - 520))
+      for c in CONFIGS],
+    ("trr-many-sided",
+     ("trr", "trr", {"tracker_entries": 2, "refresh_period_acts": 512},
+      1.0, False), {}, pattern(EIGHT, 700)),
+    ("cra-table2",
+     ("cra", "cra", {"threshold": THRESHOLD, "window_ns": DDR3_1333.tREFW,
+                     "table_entries": 2}, 1.0, False),
+     {}, pattern([VICTIM - 1, VICTIM + 1, VICTIM + 3], 1500)),
+    ("cra-short-window",
+     ("cra", "cra", {"threshold": THRESHOLD // 2, "window_ns": 30_000.0},
+      1.0, False), {}, pattern(PAIR, ITERATIONS)),
+    ("anvil-top1",
+     ("anvil", "anvil", {"sample_interval_ns": DDR3_1333.tREFW / 256,
+                         "rate_threshold": THRESHOLD // 2, "top_k": 1},
+      1.0, False), {}, pattern([VICTIM - 1, VICTIM + 1, VICTIM + 3], 4000)),
+    ("cra-naive-adjacency", CONFIG["cra"], {"spd_adjacency": False},
+     pattern(PAIR, ITERATIONS)),
+    ("para-xor-msb", CONFIG["para"], {"remap_scheme": "xor-msb"},
+     pattern(PAIR, ITERATIONS)),
+    ("trr-block-swap", CONFIG["trr"], {"remap_scheme": "block-swap"},
+     pattern(PAIR, ITERATIONS)),
+    ("anvil-block-swap-naive", CONFIG["anvil"],
+     {"remap_scheme": "block-swap", "spd_adjacency": False},
+     pattern(PAIR, ITERATIONS)),
+    ("para-interleaved", CONFIG["para"], {}, para_interleaved),
+    ("iterations-0", CONFIG["para"], {}, pattern(PAIR, 0, 3, 0)),
+]
+
+
+def drive_both(engine, case):
+    """Run ``case`` segmented and per-command; return both controllers."""
+    _label, config, options, drive = case
+    ctrls = []
+    for run in (MemoryController.run_activation_pattern, activate_loop):
+        ctrl = make_controller(engine, *config[1:], **options)
+        drive(ctrl, run)
+        ctrls.append(ctrl)
+    return ctrls
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("case", SEGMENT_CASES, ids=[c[0] for c in SEGMENT_CASES])
+def test_segmented_pattern_equals_activate_loop(case, engine):
+    segmented, per_command = drive_both(engine, case)
+    assert full_state(segmented) == full_state(per_command)
+    finished = segmented.finish(), per_command.finish()
+    assert finished[0] == finished[1]
+    assert full_state(segmented) == full_state(per_command)
+
+
+def test_segment_cases_exercise_their_corners():
+    # Each corner case only proves something if its corner is reached.
+    cases = {c[0]: c for c in SEGMENT_CASES}
+    ctrl = drive_both("columnar", cases["trr-many-sided"])[0]
+    assert ctrl.mitigation.evictions > 0
+    assert ctrl.mitigation.targeted_refreshes > 0
+    ctrl = drive_both("columnar", cases["cra-table2"])[0]
+    assert ctrl.mitigation.evictions > 0
+    ctrl = drive_both("columnar", cases["cra-short-window"])[0]
+    assert ctrl.mitigation._window_start > 0
+    assert ctrl.mitigation.detections > 0
+    ctrl = drive_both("columnar", cases["anvil-top1"])[0]
+    assert ctrl.mitigation.detections > 0
+    ctrl = drive_both("columnar", cases["none-chunked"])[0]
+    assert ctrl.refresh_engine.stats.ref_commands > 0
+    assert len(ctrl.perf.samples) > 1
+    ctrl = drive_both("columnar", cases["para-interleaved"])[0]
+    assert ctrl.mitigation.triggers > 0
+
+
+def test_para_block_draws_are_the_scalar_sequence():
+    hook = MITIGATIONS["para"](p=0.5, seed=9)
+    ctrl = make_controller("columnar", "none", {}, 1.0, False)
+    used = []
+    for n in (1, 3, 1500, 2, 700):
+        draws = hook._uniforms(n).tolist()
+        quiet = hook.scan(ctrl, 0, [VICTIM] * n, [0.0] * n)
+        used += draws[:quiet]
+        if quiet < n:
+            used.append(draws[quiet])
+            hook._next += 1
+    scalar = derive_rng(9, "para")
+    assert used == [scalar.random() for _ in used]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_empty_patterns_change_nothing(engine):
+    ctrl, fresh = (make_controller(engine, *CONFIG["para"][1:])
+                   for _ in range(2))
+    ctrl.run_activation_pattern(0, PAIR, 0)
+    ctrl.run_activation_pattern(0, [], 50)
+    ctrl.run_activation_pattern(0, PAIR, -3)
+    assert full_state(ctrl) == full_state(fresh)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_out_of_range_pattern_raises_before_any_state_change(engine):
+    ctrl = make_controller(engine, *CONFIG["trr"][1:])
+    ctrl.run_activation_pattern(0, PAIR, 300)
+    before = full_state(ctrl)
+    with pytest.raises(IndexError, match="out of range"):
+        ctrl.run_activation_pattern(0, [VICTIM - 1, GEO.rows], 10)
+    with pytest.raises(IndexError, match="out of range"):
+        ctrl.run_activation_pattern(0, [-1], 10)
+    with pytest.raises(IndexError, match="bank"):
+        ctrl.run_activation_pattern(GEO.banks, PAIR, 10)
+    assert full_state(ctrl) == before
+
+
+def observe(engine, case, run, sink):
+    """Run ``case`` with ``run`` as the pattern runner under one observer
+    sink; return what the sink recorded."""
+    _label, config, options, drive = case
+    ctrl = make_controller(engine, *config[1:], **options)
+    if sink == "metrics":
+        registry = MetricsRegistry()
+        with telem.observing(metrics=registry):
+            drive(ctrl, run)
+            ctrl.finish()
+        return registry.snapshot()
+    if sink == "physics":
+        collector = PhysicsCollector()
+        with telem.observing(physics=collector):
+            drive(ctrl, run)
+            ctrl.finish()
+        return (collector.audit_counts(), collector.audit_events(),
+                collector.heat_rows(), collector.provenance_rows())
+    recorder = TraceRecorder(capacity=1 << 17)
+    with telem.observing(trace=recorder):
+        drive(ctrl, run)
+        ctrl.finish()
+    assert len(recorder.events()) < 1 << 17, "the trace must not spill"
+    return [(e.kind, e.t, sorted(e.fields.items())) for e in recorder.events()]
+
+
+#: The seven configs' plain patterns, plus evictions and scalar interleaving.
+OBSERVED_CASES = SEGMENT_CASES[:len(CONFIGS)] + [
+    c for c in SEGMENT_CASES if c[0] in ("trr-many-sided", "para-interleaved")]
+
+
+@pytest.mark.parametrize("sink", ["metrics", "physics", "trace"])
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("case", OBSERVED_CASES, ids=[c[0] for c in OBSERVED_CASES])
+def test_observers_see_segmented_as_per_command(case, engine, sink):
+    segmented = observe(engine, case, MemoryController.run_activation_pattern,
+                        sink)
+    per_command = observe(engine, case, activate_loop, sink)
+    assert segmented == per_command
+    if sink == "trace" and case[0] == "none":
+        kinds = {kind for kind, _t, _fields in segmented}
+        assert {"activate", "refresh", "bit_flip"} <= kinds
