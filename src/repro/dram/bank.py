@@ -29,10 +29,12 @@ oracle use instead of private state.
 Both engines share one command front end (this class's
 ``bulk_activate``, ``activate_run``, ``read``, ``write`` and
 ``execute`` dispatch loop)
-and one event vocabulary (:class:`BankStats`'s ``on_*`` methods: the
-activation/read/write/refresh counters, the ``dram_*`` metrics, the
-``activate``/``refresh``/``bit_flip`` trace events and the physics
-records), so they differ only in state layout and kernels.
+and one event vocabulary (:class:`BankStats`'s ``on_*`` and ``trace_*``
+methods: the activation/read/write/refresh counters, the ``dram_*``
+metrics, the ``activate``/``refresh``/``bit_flip`` trace events and the
+physics records), so they differ only in state layout and kernels.
+The sanitizer reads stored data through :meth:`DramBank.stored_copy`,
+which both engines implement without changing any state.
 """
 
 from __future__ import annotations
@@ -189,8 +191,8 @@ class BankStats:
     def on_activate_run(self, rows: Sequence[int]) -> None:
         """One scalar ACT of each of ``rows``: the counters, metrics and
         physics heat of as many :meth:`on_activate` calls, recorded at
-        once.  Untraced: under tracing, a bank issues each activation
-        through :meth:`on_activate`, so its event keeps its place."""
+        once.  Untraced: the columnar engine queues these activations
+        and traces them when it commits them (:meth:`trace_run`)."""
         n = len(rows)
         self.activations += n
         if telem.metrics_on:
@@ -240,7 +242,9 @@ class BankStats:
                  metrics=None) -> None:
         """One materialization window of ``row`` flipped ``bits``
         (non-empty).  ``metrics`` is :meth:`flip_metrics`'s result for
-        ``cause`` when the caller resolved it once per batch."""
+        ``cause`` when the caller resolved it once per batch.  Untraced:
+        an engine traces its windows with :meth:`trace_flips` or
+        :meth:`trace_run`, which place each ``bit_flip`` event."""
         self.record_flips(row, bits, time, aggressor=aggressor,
                           hammer=hammer, pattern=pattern)
         n = len(bits)
@@ -248,9 +252,6 @@ class BankStats:
             counter, histogram = metrics or self.flip_metrics(cause)
             counter.inc(n)
             histogram.observe(n)
-        if telem.trace_on:
-            telem.trace("bit_flip", t=time, bank=self.bank_index, row=row,
-                        bits=n, cause=cause)
 
     def on_flips_batch(self, rows: List[int], times: List[float],
                        flips: List[np.ndarray], aggressors: List[int],
@@ -258,17 +259,13 @@ class BankStats:
                        cause: str) -> None:
         """Many windows' flips at once, as parallel per-window lists in
         log order (every window flipped something).  Equivalent to one
-        :meth:`on_flips` call per window."""
+        :meth:`on_flips` call per window (untraced, like it)."""
         counts = [len(bits) for bits in flips]
         metrics = self.flip_metrics(cause)
         if metrics:
             for n in counts:
                 metrics[1].observe(n)
             metrics[0].inc(sum(counts))
-        if telem.trace_on:
-            for row, time, n in zip(rows, times, counts):
-                telem.trace("bit_flip", t=time, bank=self.bank_index,
-                            row=row, bits=n, cause=cause)
         self.record_flips_batch(
             np.repeat(np.asarray(rows, dtype=np.int64), counts),
             np.concatenate(flips),
@@ -276,6 +273,37 @@ class BankStats:
             aggressors=np.repeat(np.asarray(aggressors, dtype=np.int64), counts),
             hammers=np.repeat(np.asarray(hammers, dtype=np.float64), counts),
             pattern=pattern)
+
+    def trace_flips(self, rows: Sequence[int], times: Sequence[float],
+                    counts: Sequence[int], cause: str) -> None:
+        """The ``bit_flip`` events of materialization windows, in order:
+        window ``k`` of row ``rows[k]`` flipped ``counts[k]`` bits at
+        ``times[k]`` (windows that flipped nothing emit no event)."""
+        if not telem.trace_on:
+            return
+        for row, time, n in zip(rows, times, counts):
+            if n:
+                telem.trace("bit_flip", t=float(time), bank=self.bank_index,
+                            row=int(row), bits=int(n), cause=cause)
+
+    def trace_run(self, acts: Sequence[tuple], closers: Sequence[int],
+                  counts: Sequence[int]) -> None:
+        """The trace events of a committed run of scalar ACTs, in command
+        order: each ``activate``, followed by the ``bit_flip`` of the
+        window it closed.  ``acts`` holds ``(row, time)`` pairs; window
+        ``k`` was closed by ``acts[closers[k]]`` and flipped
+        ``counts[k]`` bits.  Where the run was cut into commits does not
+        change the sequence."""
+        if not telem.trace_on:
+            return
+        flipped = {int(c): int(n) for c, n in zip(closers, counts) if n}
+        bank = self.bank_index
+        for i, (row, time) in enumerate(acts):
+            telem.trace("activate", t=time, bank=bank, row=row)
+            n = flipped.get(i)
+            if n:
+                telem.trace("bit_flip", t=float(time), bank=bank,
+                            row=int(row), bits=n, cause="activate")
 
     def on_settle(self, rows_touched: int) -> None:
         """A settle pass over a bank holding ``rows_touched`` rows."""
@@ -405,6 +433,7 @@ class DramBank:
                 row, flipped, time,
                 -1 if aggressor is None else int(aggressor),
                 peak, self.default_pattern_name, cause)
+            self._stats.trace_flips((row,), (time,), (len(flipped),), cause)
         return flipped
 
     # ------------------------------------------------------------------
@@ -655,3 +684,11 @@ class DramBank:
         mutates the row), or ``None`` if the row was never instantiated.
         Unlike :meth:`row_bits` this never instantiates the row."""
         return self._data.get(row)
+
+    def stored_copy(self, row: int) -> Optional[np.ndarray]:
+        """A copy of ``row``'s stored bits, or ``None`` if the row was
+        never instantiated.  The sanitizer's read: on both engines it
+        changes nothing (no commit, no instantiation, no change in how
+        the row is held)."""
+        bits = self._data.get(row)
+        return None if bits is None else bits.copy()

@@ -32,13 +32,13 @@ Scalar commands have their own columnar bodies; none runs the
 reference engine's per-command ``activate``.  ``activate`` (and the
 activation inside ``read``/``write``) only appends ``(row, time)`` to
 the bank's **pending run**; ``activate_run`` (the controller's pattern
-segments) appends a whole run, with its accounting done once.  The run is committed, in command order, by
-the first call that can observe or change what it touches: any
-refresh or ``settle``; ``execute`` or ``bulk_activate``; ``row_bits``;
-every read accessor (``pressure``, ``peak``, ``last_aggressor``,
-``disturbed_rows``, ``stored_bits``, ``touched_rows``), which sanitizer
-checkers, chaos injectors and the oracle use on both engines;
-``set_default_pattern``; and reading the ``stats`` attribute.
+segments) appends a whole run, with its accounting done once.  The run
+is committed, in command order, by the first call that can observe or
+change what it touches: any refresh or ``settle``; ``execute`` or
+``bulk_activate``; ``row_bits``; every read accessor (``pressure``,
+``peak``, ``last_aggressor``, ``disturbed_rows``, ``stored_bits``,
+``touched_rows``), which chaos injectors and the oracle use on both
+engines; ``set_default_pattern``; and reading the ``stats`` attribute.
 ``write`` commits before it stores, since pending windows read the old
 content.  ``open_row`` and the activation counters update eagerly.
 
@@ -48,15 +48,21 @@ as the reference's ``_bump`` calls, so pressures, peaks and each
 window's ``hammer`` are bit-identical to the reference.  It writes the
 touched rows back to the columns once and hands every closed window
 with peak > 0 to the batched materializer, which applies them in
-command order.  Under the sanitizer or tracing every scalar activation
-commits at once (runs of one; ``activate_run`` then loops ``activate``),
-so shadow-digest notes and trace events keep the reference's
-interleaving.  That holds for scalar activations
-only: a stream ACT run (on both engines) and a batched refresh
-(``refresh_rows``, ``refresh_all``; on this engine) emit all their
-``activate``/``refresh`` events before the run's ``bit_flip`` events,
-so a ``bit_flip`` can follow an ``activate`` with a later time.  The
-events themselves, as a multiset, are the reference's.
+command order.
+
+Observers never choose the path: commits fall, and windows
+materialize, exactly as above whether or not the sanitizer or tracing
+is on.  A commit checks each row the run activates before applying it
+and notes the shadow digest of every row it instantiates or flips; the
+checker reads rows through :meth:`stored_copy`, which changes nothing.
+A commit traces the run in the reference's command order (each
+``activate``, then the ``bit_flip`` of the window it closed), so the
+bank's own events do not depend on where commits fall.  A stream ACT
+run (on both engines) and a batched refresh (``refresh_rows``,
+``refresh_all``; on this engine) emit all their ``activate``/``refresh``
+events before the run's ``bit_flip`` events, so a ``bit_flip`` can
+follow an ``activate`` with a later time; the events themselves, as a
+multiset, are the reference's.
 
 Equivalence contract: for any command sequence, this engine and the
 reference engine produce identical flip logs, ``BankStats``, sanitizer
@@ -210,18 +216,36 @@ class ColumnarDramBank(DramBank):
             state.fill_cache[key] = fill
         return fill
 
+    def _held_bits(self, row: int) -> np.ndarray:
+        """A fresh array of the row's background fill XOR its pending
+        flips (what a row outside ``store`` holds)."""
+        bits = np.unpackbits(self._fill_bytes(row), bitorder="little")
+        flips = self._cs.flips.get(row)
+        if flips is not None:
+            bits[flips] ^= 1
+        return bits
+
     def _row_array(self, row: int) -> np.ndarray:
         """The row's full bit array, materialized into ``store``."""
         state = self._cs
         bits = state.store.get(row)
         if bits is None:
-            bits = np.unpackbits(self._fill_bytes(row), bitorder="little")
-            flips = state.flips.pop(row, None)
-            if flips is not None:
-                bits[flips] ^= 1
+            bits = self._held_bits(row)
+            state.flips.pop(row, None)
             state.store[row] = bits
             state.instantiated[row] = True
         return bits
+
+    def _instantiate(self, rows) -> None:
+        """Mark ``rows`` (one row or an array) instantiated: their data
+        now exists, held as fill XOR flips.  Each newly instantiated
+        row's shadow digest is noted."""
+        instantiated = self._cs.instantiated
+        fresh = ([row for row in dict.fromkeys(np.atleast_1d(rows).tolist())
+                  if not instantiated[row]] if sanit.full_on else ())
+        instantiated[rows] = True
+        for row in fresh:
+            sanit.note("dram.bank", self, row=row)
 
     def _row_values(self, row: int, bits: np.ndarray) -> np.ndarray:
         """Stored 0/1 values of ``row`` at bit positions ``bits`` without
@@ -248,13 +272,15 @@ class ColumnarDramBank(DramBank):
         arr = state.store.get(row)
         if arr is not None:
             arr[flipped] ^= 1
-            return
-        previous = state.flips.get(row)
-        state.flips[row] = (
-            flipped if previous is None
-            else np.sort(np.concatenate([previous, flipped]))
-        )
-        state.instantiated[row] = True
+        else:
+            previous = state.flips.get(row)
+            state.flips[row] = (
+                flipped if previous is None
+                else np.sort(np.concatenate([previous, flipped]))
+            )
+            state.instantiated[row] = True
+        if sanit.full_on:
+            sanit.note("dram.bank", self, row=row)
 
     def row_bits(self, row: int) -> np.ndarray:
         self.geometry.check_row(row)
@@ -298,18 +324,32 @@ class ColumnarDramBank(DramBank):
         mask = self._cs._instantiated
         return [] if mask is None else np.nonzero(mask)[0].tolist()
 
+    def _is_instantiated(self, row: int) -> bool:
+        mask = self._cs._instantiated
+        return mask is not None and 0 <= row < self._cs.rows and bool(mask[row])
+
     def stored_bits(self, row: int) -> Optional[np.ndarray]:
         # An instantiated row still held as "pattern XOR flips" gets its
         # full array now, so in-place edits reach the authoritative copy.
         self._commit()
-        mask = self._cs._instantiated
-        if mask is None or not 0 <= row < self._cs.rows or not mask[row]:
+        return self._row_array(row) if self._is_instantiated(row) else None
+
+    def stored_copy(self, row: int) -> Optional[np.ndarray]:
+        # No commit: the data as it stands, before any pending window.
+        if not self._is_instantiated(row):
             return None
-        return self._row_array(row)
+        bits = self._cs.store.get(row)
+        return self._held_bits(row) if bits is None else bits.copy()
 
     def set_default_pattern(self, name: str) -> None:
-        # Pending windows flip (and log) against the old pattern.
+        # Pending windows flip (and log) against the old pattern, and
+        # instantiated rows keep their data: rows still held as "pattern
+        # XOR flips" get their full arrays before the fill changes.
         self._commit()
+        mask = self._cs._instantiated
+        if mask is not None:
+            for row in np.nonzero(mask)[0].tolist():
+                self._row_array(row)
         super().set_default_pattern(name)
         # Cached fill rows came from the previous pattern.
         self._cs.fill_cache.clear()
@@ -319,29 +359,22 @@ class ColumnarDramBank(DramBank):
     # ------------------------------------------------------------------
     def activate(self, row: int, time: float = 0.0) -> None:
         """Open ``row``.  The activation joins the pending run: its
-        materialization and neighbor bumps apply at the next commit."""
+        materialization, neighbor bumps, sanitizer check and trace
+        event happen at the next commit."""
         self.geometry.check_row(row)
-        # Sanitizer checks and trace events keep the reference's
-        # interleaving with the physics only in runs of one.
-        eager = sanit.sanitize_on or telem.trace_on
-        if eager:
-            self._commit()
-            if sanit.sanitize_on:
-                sanit.check("dram.bank", self, row=row)
-        self._stats.on_activate(row, time)
+        self._stats.on_activate_run((row,))
         self.open_row = row
         run = self._run
         run.append((row, time))
-        if eager or len(run) >= _RUN_LIMIT:
+        if len(run) >= _RUN_LIMIT:
             self._commit()
 
     def _activate_run_body(self, rows: Sequence[int],
                            times: Sequence[float]) -> None:
         """Queue the run onto the pending run, with the bank's accounting
-        done once.  Under the sanitizer or tracing, each activation
-        commits alone, as in :meth:`activate`."""
-        if sanit.sanitize_on or telem.trace_on or not len(rows):
-            return super()._activate_run_body(rows, times)
+        done once."""
+        if not len(rows):
+            return
         self._stats.on_activate_run(rows)
         self.open_row = rows[-1]
         run = self._run
@@ -350,7 +383,9 @@ class ColumnarDramBank(DramBank):
             self._commit()
 
     def _bulk_activate_body(self, row: int, count: int, time: float) -> None:
-        self._apply_acts(((row, time),), count)
+        _closers, counts = self._apply_acts(((row, time),), count)
+        self._stats.trace_flips([row] * len(counts), [time] * len(counts),
+                                counts, "activate")
 
     def _store_row(self, row: int, bits: np.ndarray) -> None:
         state = self._cs
@@ -378,17 +413,24 @@ class ColumnarDramBank(DramBank):
         if peak > 0:
             flipped = self._materialize_window(
                 row, peak, state.last_agg.item(row), time, "refresh")
+            self._stats.trace_flips((row,), (time,), (len(flipped),),
+                                    "refresh")
         state.pressure[row] = 0.0
         state.peak[row] = 0.0
         return flipped
 
     def _commit(self) -> None:
-        """Apply the pending activation run, if any."""
+        """Apply the pending activation run, if any: check each row it
+        activates, apply it, and trace it in command order."""
         if self._run:
             run, self._run = self._run, []
-            self._apply_acts(run, 1)
+            if sanit.sanitize_on:
+                for row in dict.fromkeys(row for row, _time in run):
+                    sanit.check("dram.bank", self, row=row)
+            closers, counts = self._apply_acts(run, 1)
+            self._stats.trace_run(run, closers, counts)
 
-    def _apply_acts(self, acts, count: int) -> None:
+    def _apply_acts(self, acts, count: int) -> tuple:
         """Apply ``(row, time)`` activations in command order, each
         ``count`` back-to-back ACTs of its row, exactly as the
         reference's scalar ``activate``/``bulk_activate`` do.
@@ -406,6 +448,8 @@ class ColumnarDramBank(DramBank):
         (a row's later activations touch no new cells).
         The overlay is written back once; then every window an
         activation closed with peak > 0 materializes, in command order.
+        Returns each window's closing activation (an index into
+        ``acts``) and flip count.
         """
         state = self._cs
         pressure, peak, last_agg = state.pressure, state.peak, state.last_agg
@@ -420,7 +464,7 @@ class ColumnarDramBank(DramBank):
         #: row -> (own cell, in-range distance-1 cells, distance-2 cells)
         resolved: Dict[int, tuple] = {}
         windows: List[tuple] = []
-        for row, time in acts:
+        for i, (row, time) in enumerate(acts):
             entry = resolved.get(row)
             if entry is None:
                 cells = []
@@ -443,7 +487,7 @@ class ColumnarDramBank(DramBank):
                     [c for c in cells[3:] if c is not None])
             own, near, far = entry
             if own[1] > 0:
-                windows.append((row, own[1], own[2], time))
+                windows.append((row, own[1], own[2], time, i))
             own[0] = own[1] = 0.0
             for cell in near:
                 new = cell[0] + weight
@@ -460,12 +504,13 @@ class ColumnarDramBank(DramBank):
             pressure[row] = p
             peak[row] = k
             last_agg[row] = agg
-        if windows:
-            rows, peaks, aggs, times = zip(*windows)
-            self._materialize_batch(
-                np.array(rows, dtype=np.int64), np.array(peaks),
-                np.array(aggs, dtype=np.int64),
-                np.array(times, dtype=np.float64), "activate")
+        if not windows:
+            return (), ()
+        rows, peaks, aggs, times, closers = zip(*windows)
+        return closers, self._materialize_batch(
+            np.array(rows, dtype=np.int64), np.array(peaks),
+            np.array(aggs, dtype=np.int64),
+            np.array(times, dtype=np.float64), "activate")
 
     # ------------------------------------------------------------------
     # Batched materialization
@@ -477,8 +522,9 @@ class ColumnarDramBank(DramBank):
         aggs: np.ndarray,
         times: np.ndarray,
         cause: str,
-    ) -> int:
-        """Materialize a sequence of pending-flip windows in order.
+    ) -> np.ndarray:
+        """Materialize a sequence of pending-flip windows in order and
+        return each window's flip count.
 
         ``vrows``/``peaks``/``aggs``/``times`` are parallel arrays in
         reference materialization order; every ``peaks`` entry is > 0
@@ -486,34 +532,34 @@ class ColumnarDramBank(DramBank):
         in window order, so later windows read data already disturbed
         by earlier ones — exactly the reference's sequential behavior.
 
-        Outside the sanitizer, a window whose peak sits below the
-        lowest threshold any cell can have (the profile floor) flips
-        nothing, reads nothing and invalidates nothing: it only
-        instantiates its rows, so a batch drops it up front.  The
-        common case of what remains (distinct victim rows) runs as one
-        array program over every window's candidate cells; repeated
-        victims or sanitize mode fall back to the per-window loop.
+        A window whose peak sits below the lowest threshold any cell can
+        have (the profile floor) flips nothing, reads nothing and
+        invalidates nothing: it only instantiates its rows, so a batch
+        drops it up front.  The common case of what remains (distinct
+        victim rows) runs as one array program over every window's
+        candidate cells; repeated victims fall back to the per-window
+        loop.  The flips are recorded here; the caller traces them,
+        since only it knows where each ``bit_flip`` event belongs.
         """
-        if not sanit.sanitize_on and len(vrows) > 1:
+        if len(vrows) > 1:
             live = self._flip_floor() <= peaks
             if not live.all():
-                instantiated = self._cs.instantiated
-                instantiated[vrows] = True
-                instantiated[aggs[aggs >= 0]] = True
-                vrows, peaks = vrows[live], peaks[live]
-                aggs, times = aggs[live], times[live]
-            if len(vrows) > 1:
-                srt = np.sort(vrows)
-                if not (srt[1:] == srt[:-1]).any():
-                    return self._materialize_vectorized(vrows, peaks, aggs,
-                                                        times, cause)
+                self._instantiate(vrows)
+                self._instantiate(aggs[aggs >= 0])
+                counts = np.zeros(len(vrows), dtype=np.int64)
+                if live.any():
+                    counts[live] = self._materialize_batch(
+                        vrows[live], peaks[live], aggs[live], times[live],
+                        cause)
+                return counts
+            srt = np.sort(vrows)
+            if not (srt[1:] == srt[:-1]).any():
+                return self._materialize_vectorized(vrows, peaks, aggs,
+                                                    times, cause)
         metrics = self._stats.flip_metrics(cause)
-        total = 0
-        for i in range(len(vrows)):
-            total += len(self._materialize_window(
-                int(vrows[i]), float(peaks[i]), int(aggs[i]),
-                float(times[i]), cause, metrics))
-        return total
+        return np.array([len(self._materialize_window(
+            int(vrows[i]), float(peaks[i]), int(aggs[i]), float(times[i]),
+            cause, metrics)) for i in range(len(vrows))], dtype=np.int64)
 
     def _flip_floor(self) -> float:
         """The lowest pressure at which any cell of the profile can flip.
@@ -557,28 +603,16 @@ class ColumnarDramBank(DramBank):
     def _materialize_window(self, row: int, peak: float, agg: int,
                             time: float, cause: str,
                             metrics=None) -> np.ndarray:
-        """Materialize one pending-flip window of ``row`` (``peak`` > 0)
-        and return the flipped bit indices.  ``metrics`` is
-        :meth:`BankStats.flip_metrics`'s result for ``cause``."""
-        sanitize = sanit.sanitize_on
-        if sanitize:
-            # Take the reference's exact path so instantiation and
-            # shadow-digest notes happen at identical points.
-            bits = self.row_bits(row)
-            agg_bits = self.row_bits(agg) if agg >= 0 else None
-            flipped = self.model.apply_flips(self.index, row, peak, bits,
-                                             agg_bits)
-        else:
-            instantiated = self._cs.instantiated
-            instantiated[row] = True
-            if agg >= 0:
-                instantiated[agg] = True
-            flipped = self._flip_row_now(row, peak, agg)
-            if len(flipped):
-                self._apply_row_flips(row, flipped)
+        """Materialize one pending-flip window of ``row`` (``peak`` > 0),
+        record its flips and return the flipped bit indices.
+        ``metrics`` is :meth:`BankStats.flip_metrics`'s result for
+        ``cause``."""
+        self._instantiate(row)
+        if agg >= 0:
+            self._instantiate(agg)
+        flipped = self._flip_row_now(row, peak, agg)
         if len(flipped):
-            if sanitize:
-                sanit.note("dram.bank", self, row=row)
+            self._apply_row_flips(row, flipped)
             self._stats.on_flips(row, flipped, time, agg, peak,
                                  self.default_pattern_name, cause, metrics)
         return flipped
@@ -590,9 +624,9 @@ class ColumnarDramBank(DramBank):
         aggs: np.ndarray,
         times: np.ndarray,
         cause: str,
-    ) -> int:
+    ) -> np.ndarray:
         """One array program per weak-cell block over every window's
-        candidate cells.
+        candidate cells; returns each window's flip count.
 
         Victim rows are distinct here, so windows can only interact
         through a *dominant aggressor* whose own row flipped earlier in
@@ -605,16 +639,15 @@ class ColumnarDramBank(DramBank):
         bank_index = self.index
         state = self._cs
         relief_floor = min(1.0, model.profile.dpd_relief)
-        instantiated = state.instantiated
-        instantiated[vrows] = True
-        valid_agg = aggs >= 0
-        if valid_agg.any():
-            instantiated[aggs[valid_agg]] = True
+        self._instantiate(vrows)
+        self._instantiate(aggs[aggs >= 0])
 
         starts = vrows - vrows % BLOCK_ROWS
         store, sflips = state.store, state.flips
         #: window index -> (bits, mask, chunk start, chunk end, flip count)
         chunks: Dict[int, tuple] = {}
+        #: Each window's flip count against batch-start content.
+        flips_at = np.zeros(len(vrows), dtype=np.int64)
         for start in sorted(set(starts.tolist())):
             block = model.weak_cells_block(bank_index, int(start))
             sel = np.nonzero(starts == start)[0]
@@ -700,12 +733,13 @@ class ColumnarDramBank(DramBank):
                 cell_peak, victim_vals, agg_vals, agg_valid)
             flip_cum = np.concatenate(([0], np.cumsum(mask)))
             counts = flip_cum[bounds[1:]] - flip_cum[bounds[:-1]]
+            flips_at[sel] = counts
             for j in range(len(sel)):
                 chunks[int(sel[j])] = (bits, mask, int(bounds[j]),
                                        int(bounds[j + 1]), int(counts[j]))
 
         if not chunks:
-            return 0
+            return flips_at
 
         # Windows only interact when some window's aggressor is another
         # window's victim (victims are distinct here); without that, no
@@ -719,7 +753,6 @@ class ColumnarDramBank(DramBank):
             flips_l: List[np.ndarray] = []
             aggs_l: List[int] = []
             peaks_l: List[float] = []
-            total = 0
             for i in sorted(chunks):
                 bits, mask, s, e, count = chunks[i]
                 if not count:
@@ -732,18 +765,17 @@ class ColumnarDramBank(DramBank):
                 flips_l.append(flipped)
                 aggs_l.append(int(aggs[i]))
                 peaks_l.append(float(peaks[i]))
-                total += count
-            if total:
+            if rows_l:
                 self._stats.on_flips_batch(rows_l, times_l, flips_l, aggs_l,
                                            peaks_l, self.default_pattern_name,
                                            cause)
-            return total
+            return flips_at
 
         # Apply in window order; re-evaluate any window whose inputs an
         # earlier window's flips invalidated.
         metrics = self._stats.flip_metrics(cause)
         dirty: set = set()
-        total = 0
+        counts = np.zeros(len(vrows), dtype=np.int64)
         for i in sorted(chunks):
             bits, mask, s, e, count = chunks[i]
             row = int(vrows[i])
@@ -761,8 +793,8 @@ class ColumnarDramBank(DramBank):
             self._stats.on_flips(row, flipped, float(times[i]), agg,
                                  float(peaks[i]), self.default_pattern_name,
                                  cause, metrics)
-            total += len(flipped)
-        return total
+            counts[i] = len(flipped)
+        return counts
 
     # ------------------------------------------------------------------
     # Batched refresh/settle
@@ -778,9 +810,11 @@ class ColumnarDramBank(DramBank):
         if not live.any():
             return 0
         victims = rows[live]
-        return self._materialize_batch(
-            victims, peaks[live], state.last_agg[victims],
-            np.full(len(victims), float(time)), cause)
+        times = np.full(len(victims), float(time))
+        counts = self._materialize_batch(
+            victims, peaks[live], state.last_agg[victims], times, cause)
+        self._stats.trace_flips(victims, times, counts, cause)
+        return int(counts.sum())
 
     def refresh_all(self, time: float = 0.0) -> int:
         with telem.span("dram.refresh_all"):
@@ -953,9 +987,11 @@ class ColumnarDramBank(DramBank):
                               state.last_agg[reset_rows])
             live = peak_at > 0
             if live.any():
-                self._materialize_batch(
-                    reset_rows[live], peak_at[live], agg_at[live],
-                    act_time[pos_s[reset_idx]][live], "activate")
+                victims = reset_rows[live]
+                times = act_time[pos_s[reset_idx]][live]
+                counts = self._materialize_batch(
+                    victims, peak_at[live], agg_at[live], times, "activate")
+                self._stats.trace_flips(victims, times, counts, "activate")
 
         # --- final per-row state at end of run ---
         seg_end = np.nonzero(np.concatenate((newrow[1:], [True])))[0]

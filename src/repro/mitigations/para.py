@@ -83,13 +83,16 @@ class Para:
             self.triggers += 1
             if telem.metrics_on:
                 telem.counter("para_triggers_total").inc()
-            if telem.trace_on:
-                telem.trace("para_refresh", t=time_ns, bank=bank, aggressor=logical_row)
             if phys.physics_on:
                 phys.get_collector().audit(
                     "para", "refresh", time_ns, bank=bank,
                     aggressor=logical_row, distance=self.distance)
             self._extra_refreshes += controller.refresh_neighbors(bank, logical_row, self.distance)
+            # Traced after the refreshes, which commit the bank's pending
+            # activations: their events then precede this one on both
+            # engines, as the controller's mitigation_refresh does.
+            if telem.trace_on:
+                telem.trace("para_refresh", t=time_ns, bank=bank, aggressor=logical_row)
 
     def extra_refresh_ops(self) -> int:
         """Victim refreshes injected so far."""

@@ -45,6 +45,10 @@ def _row_digest(bits: np.ndarray) -> int:
 
 # ----------------------------------------------------------------------
 # dram.bank — row-buffer/charge coherence + stored-data shadow digests
+#
+# Stored data is read through ``stored_copy``, which on either engine
+# neither commits a pending run nor changes how a row is held, so the
+# checks see the engine path production runs.
 # ----------------------------------------------------------------------
 def _check_dram_bank(bank: Any, full: bool, ctx: Dict[str, Any]) -> None:
     rows = bank.geometry.rows
@@ -79,7 +83,7 @@ def _check_dram_bank(bank: Any, full: bool, ctx: Dict[str, Any]) -> None:
     else:
         return
     for r in stale:
-        bits = bank.stored_bits(r)
+        bits = bank.stored_copy(r)
         if bits is None:
             continue
         expected = digests[r]
@@ -129,7 +133,7 @@ def _note_dram_bank(bank: Any, ctx: Dict[str, Any]) -> None:
     row = ctx.get("row")
     if row is None:
         return
-    bits = bank.stored_bits(row)
+    bits = bank.stored_copy(row)
     if bits is not None:
         bank.__dict__.setdefault("_sanit_digest", {})[row] = _row_digest(bits)
 

@@ -16,7 +16,6 @@ from repro.dram.disturbance import (
 )
 from repro.dram.geometry import DramGeometry
 from repro.dram.stream import CommandStream
-from repro.sanitizer import runtime as sanit
 from repro.telemetry import MetricsRegistry, SpanProfiler, TraceRecorder
 from repro.telemetry import runtime as telem
 
@@ -211,20 +210,40 @@ class TestBatchedRefresh:
         with pytest.raises(IndexError):
             bank.refresh_rows([0, GEOMETRY.rows], 0.0)
 
-    def test_materialize_paths_agree_under_sanitizer(self, monkeypatch):
-        # Sanitize-full forces the sequential reference-exact branch of
-        # the batched materializer; the vectorized branch must produce
-        # the same flips (same stream, sanitizer off).
-        bank_fast = make_bank(pattern="rowstripe")
-        bank_fast.execute(hammer_stream())
-        monkeypatch.setenv("REPRO_SANITIZE", "full")
-        sanit.sync_from_env()
-        bank_slow = make_bank(pattern="rowstripe")
-        bank_slow.execute(hammer_stream())
-        assert bank_fast.stats.flip_log == bank_slow.stats.flip_log
-        assert (bank_fast.stats.flips_materialized
-                == bank_slow.stats.flips_materialized)
-        assert bank_fast.stats.flips_materialized > 0
+    def test_vectorized_materializer_equals_window_loop(self):
+        # The batched materializer's array program against its per-window
+        # loop, on the same windows of two identically hammered banks.
+        # Victims are distinct, and some window's dominant aggressor is
+        # an earlier window's flipped victim (the re-evaluation case).
+        def hammered():
+            bank = make_bank(pattern="rowstripe")
+            for row in (29, 30, 32, 40, 42, 44):
+                bank.bulk_activate(row, 6000)
+            return bank
+
+        fast, slow = hammered(), hammered()
+        vrows = np.array([r for r in fast.disturbed_rows() if fast.peak(r) > 0])
+        peaks = np.array([fast.peak(r) for r in vrows.tolist()])
+        aggs = np.array([fast.last_aggressor(r) if fast.last_aggressor(r)
+                         is not None else -1 for r in vrows.tolist()])
+        times = np.linspace(1.0, 2.0, len(vrows))
+        counts = fast._materialize_vectorized(vrows, peaks, aggs, times,
+                                              "settle")
+        flips = [slow._materialize_window(int(r), float(k), int(a),
+                                          float(t), "settle")
+                 for r, k, a, t in zip(vrows, peaks, aggs, times)]
+        assert counts.tolist() == [len(bits) for bits in flips]
+        assert fast.stats.flip_log == slow.stats.flip_log
+        for row in vrows.tolist():
+            np.testing.assert_array_equal(fast.stored_copy(row),
+                                          slow.stored_copy(row))
+        flipped = set()
+        interacting = False
+        for row, agg, n in zip(vrows.tolist(), aggs.tolist(), counts.tolist()):
+            interacting |= agg in flipped
+            if n:
+                flipped.add(row)
+        assert interacting and counts.sum() > 0
 
 
 class TestFillCache:

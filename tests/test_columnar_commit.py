@@ -6,9 +6,10 @@ pending run.  Every call that can observe or change what the run
 touches must commit it first, so each observation below is taken with
 the run still pending (no ``finish()``, no settle) and must equal the
 reference engine's, which applied every command as it arrived.
-Under tracing and the sanitizer each activation commits at once, so
-event order and shadow digests match the reference too; physics
-provenance matches either way.
+Observers do not change when a run commits: under tracing and the
+sanitizer the run is still pending at the same point, and after a
+commit the trace's ``activate``/``bit_flip`` sequence, the shadow
+digests and the physics provenance all match the reference.
 """
 
 import numpy as np
@@ -49,9 +50,10 @@ def _clean_observers():
         yield
 
 
-def hammered(engine, pattern="rowstripe"):
+def hammered(engine, pattern="rowstripe", probe=None):
     """A module whose bank 0 holds a deferred double-sided hammer that
-    ends by sensing the victim (a flipping window) and one neighbor."""
+    ends by sensing the victim (a flipping window) and one neighbor.
+    ``probe(module)``, if given, runs after each aggressor activation."""
     module = MODULES[engine](geometry=GEO, timing=DDR3_1333, profile=PROFILE,
                              default_pattern=pattern, seed=7)
     t = 0.0
@@ -59,6 +61,8 @@ def hammered(engine, pattern="rowstripe"):
         for row in (VICTIM - 1, VICTIM + 1):
             module.activate(0, row, t)
             module.precharge(0)
+            if probe is not None:
+                probe(module)
             t += 50.0
     module.activate(0, VICTIM, t)
     module.activate(0, VICTIM + 2, t + 50.0)
@@ -76,7 +80,7 @@ def both(observe, **kwargs):
     results = {}
     for engine in ENGINES:
         module = hammered(engine, **kwargs)
-        if engine == "columnar" and not sanit.sanitize_on:
+        if engine == "columnar":
             assert pending(module) == 2 * PAIRS + 2
         results[engine] = (observe(module),
                            list(module.bank(0).stats.flip_log))
@@ -122,12 +126,16 @@ class TestCommitPoints:
         assert VICTIM in agree(lambda m: m.bank(0).touched_rows())
 
     def test_set_default_pattern(self):
-        # Pending windows flip and log against the pattern they ran under.
+        # Pending windows flip and log against the pattern they ran under,
+        # and rows already instantiated keep the data they hold.
         def change(module):
-            module.bank(0).set_default_pattern("checkered")
-            return [entry[5] for entry in module.bank(0).stats.flip_log]
+            bank = module.bank(0)
+            bank.set_default_pattern("checkered")
+            return ([entry[5] for entry in bank.stats.flip_log],
+                    [bank.row_bits(row).tobytes()
+                     for row in (VICTIM - 1, VICTIM, VICTIM + 2)])
 
-        assert set(agree(change)) == {"rowstripe"}
+        assert set(agree(change)[0]) == {"rowstripe"}
 
     @pytest.mark.parametrize("call", [
         lambda b: b.refresh_row(VICTIM, 1e6).tobytes(),
@@ -178,29 +186,42 @@ class TestCommitPoints:
             m.bank(0).pressure(VICTIM + 2)))
 
 
+def traced_hammer(engine, probe=None):
+    """The ``activate``/``bit_flip`` events of a hammer, after a commit."""
+    telem.enable_tracing(capacity=1 << 16, fresh=True)
+    try:
+        module = hammered(engine, probe=probe)
+        if engine == "columnar" and probe is None:
+            assert pending(module) == 2 * PAIRS + 2  # tracing defers too
+        module.total_flips()  # a commit point emits the run's events
+        return [(e.kind, e.t, e.fields.get("row"))
+                for e in telem.get_tracer().events()
+                if e.kind in ("activate", "bit_flip")]
+    finally:
+        telem.disable_tracing()
+
+
 class TestGuards:
     def test_trace_event_order(self):
-        def events(module):
-            return [(e.kind, e.t, e.fields.get("row"))
-                    for e in telem.get_tracer().events()
-                    if e.kind in ("activate", "bit_flip")]
-
-        logs = {}
-        for engine in ENGINES:
-            telem.enable_tracing(capacity=1 << 16, fresh=True)
-            module = hammered(engine)
-            assert pending(module) == 0  # tracing commits runs of one
-            logs[engine] = events(module)
-            telem.disable_tracing()
+        logs = {engine: traced_hammer(engine) for engine in ENGINES}
         assert logs["columnar"] == logs["reference"]
         assert any(kind == "bit_flip" for kind, _t, _row in logs["reference"])
+
+    def test_trace_does_not_depend_on_commit_points(self):
+        # A commit after every aggressor activation emits the events one
+        # commit at the end does.
+        one = traced_hammer("columnar")
+        many = traced_hammer("columnar",
+                             probe=lambda m: m.bank(0).pressure(VICTIM))
+        assert many == one
+        assert any(kind == "bit_flip" for kind, _t, _row in one)
 
     @pytest.mark.parametrize("level", ["cheap", "full"])
     def test_sanitizer_digests(self, level):
         previous = sanit.set_level(level)
         try:
             def digests(module):
-                assert pending(module) == 0  # the sanitizer commits at once
+                module.total_flips()  # the commit checks and notes the run
                 return dict(module.bank(0).__dict__.get("_sanit_digest") or {})
 
             got = agree(digests)

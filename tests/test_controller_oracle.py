@@ -21,7 +21,15 @@ Its oracle is :func:`activate_loop`, the same pattern one
 corner cases in :data:`SEGMENT_CASES`, the two must agree on
 everything :func:`full_state` collects, and on what the metrics,
 physics and trace observers record.
+
+Observers never move the columnar engine's path: with any one of them
+on, the pending runs, the rows held explicitly or as pattern XOR
+flips, the flip logs and the controller statistics equal an
+unobserved run's.
 """
+
+import contextlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +42,13 @@ from repro.dram.differential import ReferenceModule
 from repro.dram.timing import DDR3_1333
 from repro.softmc.interpreter import SoftMcInterpreter
 from repro.softmc.program import hammer_program
-from repro.telemetry import MetricsRegistry, PhysicsCollector, TraceRecorder
+from repro.sanitizer import runtime as sanit
+from repro.telemetry import (
+    MetricsRegistry,
+    PhysicsCollector,
+    SpanProfiler,
+    TraceRecorder,
+)
 from repro.telemetry import runtime as telem
 from repro.utils.rng import derive_rng
 from repro.workloads.generators import mixed_with_attacker, random_access
@@ -106,12 +120,15 @@ def run_pattern(engine, config):
     return controller_outcome(ctrl, ctrl.finish())
 
 
+def mixed_trace():
+    benign = random_access(1_500, banks=GEO.banks, rows=64, seed=3)
+    return mixed_with_attacker(benign, 0, [VICTIM - 1, VICTIM + 1],
+                               attacker_share=0.6, seed=3)
+
+
 def run_mixed_trace(engine, config):
     ctrl = make_controller(engine, *config[1:])
-    benign = random_access(1_500, banks=GEO.banks, rows=64, seed=3)
-    trace = mixed_with_attacker(benign, 0, [VICTIM - 1, VICTIM + 1],
-                                attacker_share=0.6, seed=3)
-    ctrl.run_trace(trace)
+    ctrl.run_trace(mixed_trace())
     return controller_outcome(ctrl, ctrl.finish())
 
 
@@ -412,3 +429,95 @@ def test_observers_see_segmented_as_per_command(case, engine, sink):
     if sink == "trace" and case[0] == "none":
         kinds = {kind for kind, _t, _fields in segmented}
         assert {"activate", "refresh", "bit_flip"} <= kinds
+
+
+# ----------------------------------------------------------------------
+# Observers never move the columnar engine's path
+# ----------------------------------------------------------------------
+SINKS = {
+    "metrics": MetricsRegistry,
+    "spans": SpanProfiler,
+    "trace": lambda: TraceRecorder(capacity=1 << 17),
+    "physics": PhysicsCollector,
+}
+SANITIZER_LEVELS = ["sanitize-cheap", "sanitize-full"]
+OBSERVERS = [*SINKS, *SANITIZER_LEVELS]
+DRIVERS = {
+    "run_activation_pattern":
+        lambda ctrl: ctrl.run_activation_pattern(0, PAIR, ITERATIONS),
+    "run_trace": lambda ctrl: ctrl.run_trace(mixed_trace()),
+}
+
+
+@contextlib.contextmanager
+def alone(observer):
+    """Run a block with ``observer`` the only observer on (``None``:
+    none, whatever ``REPRO_SANITIZE`` says)."""
+    level = observer.split("-")[1] if observer in SANITIZER_LEVELS else "off"
+    previous = sanit.set_level(level)
+    try:
+        with telem.observing(**{name: make() for name, make in SINKS.items()}):
+            telem.disable_all()
+            with telem.observing(**({observer: SINKS[observer]()}
+                                    if observer in SINKS else {})):
+                yield
+    finally:
+        sanit.set_level(previous)
+
+
+def engine_path(ctrl):
+    """Where the columnar engine's path stands before ``finish``: each
+    bank's pending-run length and the rows it holds explicitly
+    (``store``) or as pattern XOR flips, read first since reading
+    ``stats`` commits; then the flip logs and controller statistics."""
+    banks = ctrl.module.banks
+    return {
+        "pending": [len(bank._run) for bank in banks],
+        "store": [sorted(bank._cs.store) for bank in banks],
+        "flips": [sorted(bank._cs.flips) for bank in banks],
+        "flip_logs": flip_logs(ctrl.module),
+        "stats": ctrl.stats,
+    }
+
+
+@pytest.mark.parametrize("observer", OBSERVERS)
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
+def test_observers_leave_the_engine_path_alone(config, driver, observer):
+    paths = []
+    for watching in (None, observer):
+        ctrl = make_controller("columnar", *config[1:])
+        with alone(watching):
+            DRIVERS[driver](ctrl)
+            paths.append(engine_path(ctrl))
+    assert paths[1] == paths[0]
+    if driver == "run_activation_pattern":
+        assert any(paths[0]["pending"]), "the pattern must end mid-run"
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
+def test_traces_agree_across_engines(config, driver):
+    # The columnar bank traces a pending run when it commits it, in
+    # command order, so the whole controller trace is the reference's.
+    # Only a batched refresh's bit_flip events may sit elsewhere (after
+    # all of that refresh's events); those agree as a multiset.
+    traces = {}
+    for engine in ENGINES:
+        recorder = TraceRecorder(capacity=1 << 17)
+        ctrl = make_controller(engine, *config[1:])
+        with telem.observing(trace=recorder):
+            DRIVERS[driver](ctrl)
+            ctrl.finish()
+        assert len(recorder) < 1 << 17, "the trace must not spill"
+        ordered, late = [], Counter()
+        for e in recorder.events():
+            event = (e.kind, e.t, tuple(sorted(e.fields.items())))
+            if e.kind == "bit_flip" and e.fields["cause"] != "activate":
+                late[event] += 1
+            else:
+                ordered.append(event)
+        traces[engine] = (ordered, late)
+    assert traces["columnar"] == traces["reference"]
+    kinds = {kind for kind, _t, _fields in traces["reference"][0]}
+    assert {"activate", "refresh"} <= kinds

@@ -63,7 +63,12 @@ def _arm(monkeypatch, subsystem):
 def _drive_dram_bank():
     bank = ColumnarDramBank(GEO, DisturbanceModel(GEO, PROFILE, 3), 0)
     bank.write(10, np.ones(GEO.row_bits, dtype=np.uint8))
-    return lambda: bank.activate(10)
+
+    def op():
+        bank.activate(10)
+        bank.settle()  # the commit checks each row the run activates
+
+    return op
 
 
 def _drive_dram_refresh():
