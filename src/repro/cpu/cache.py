@@ -10,7 +10,7 @@ strategies (and their different achievable hammer rates) expressible.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Sequence, Tuple
 
 from repro.utils.validation import check_positive, check_power_of_two
 
@@ -79,6 +79,10 @@ class SetAssociativeCache:
         index, tag = self._index_tag(address)
         return tag in self._sets[index]
 
+    def lru_state(self, indices: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+        """A snapshot of the sets ``indices``: each one's tags, LRU first."""
+        return tuple(tuple(self._sets[index]) for index in indices)
+
     @property
     def miss_rate(self) -> float:
         total = self.hits + self.misses
@@ -90,15 +94,18 @@ def build_eviction_set(cache: SetAssociativeCache, target: int, region_base: int
 
     Returns ``cache.ways`` congruent addresses — accessing them all
     evicts the target from a cache with true-LRU replacement (the
-    primitive the JavaScript attack constructs by timing).
+    primitive the JavaScript attack constructs by timing).  They are
+    the first congruent addresses of a line-by-line walk from
+    ``region_base``, computed directly: the first is the walk's first
+    line in the wanted set, and the rest follow one cache span
+    (``n_sets * line_bytes``) apart.  The target itself is skipped.
     """
     wanted = cache.set_index(target)
+    first = region_base + ((wanted - region_base // cache.line_bytes) % cache.n_sets) * cache.line_bytes
     out: List[int] = []
-    address = region_base
-    while address < region_base + region_bytes and len(out) < cache.ways:
-        if cache.set_index(address) == wanted and address != target:
+    for address in range(first, region_base + region_bytes, cache.n_sets * cache.line_bytes):
+        if address != target:
             out.append(address)
-        address += cache.line_bytes
-    if len(out) < cache.ways:
-        raise ValueError("region too small to build a full eviction set")
-    return out
+            if len(out) == cache.ways:
+                return out
+    raise ValueError("region too small to build a full eviction set")

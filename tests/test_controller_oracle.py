@@ -26,17 +26,32 @@ Observers never move the columnar engine's path: with any one of them
 on, the pending runs, the rows held explicitly or as pattern XOR
 flips, the flip logs and the controller statistics equal an
 unobserved run's.
+
+The CPU hammer loops (``naive_hammer``, ``flush_hammer``,
+``eviction_hammer``) run in blocks once the cache state repeats.  Their
+oracle is :func:`per_load`, the same loops one ``cpu.load`` /
+``cpu.clflush`` at a time: on both engines, for every case in
+:data:`CPU_CASES`, the two must agree on everything :func:`cpu_state`
+collects, and observers must see the same in both.
 """
 
 import contextlib
 from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
 
 from repro.controller import MemoryController
 from repro.core.system import MITIGATIONS
-from repro.cpu import CpuMemorySystem, SetAssociativeCache
+from repro.cpu import (
+    CpuMemorySystem,
+    HammerRunStats,
+    SetAssociativeCache,
+    build_eviction_set,
+)
+from repro.cpu import system as cpu_system
 from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
 from repro.dram.differential import ReferenceModule
 from repro.dram.timing import DDR3_1333
@@ -521,3 +536,260 @@ def test_traces_agree_across_engines(config, driver):
     assert traces["columnar"] == traces["reference"]
     kinds = {kind for kind, _t, _fields in traces["reference"][0]}
     assert {"activate", "refresh"} <= kinds
+
+
+# ----------------------------------------------------------------------
+# Bulk CPU hammer loops against the per-load loop
+# ----------------------------------------------------------------------
+CPU_LOOPS = ("naive", "flush", "eviction")
+#: Enough rounds for the flush and eviction loops to flip.
+CPU_ROUNDS = 1_200
+#: 16 sets: both aggressors of PAIR fall in one set.
+SMALL_CACHE = {"size_bytes": 4096, "line_bytes": 64, "ways": 4}
+#: 128 sets: the aggressors of PAIR fall in different sets.
+WIDE_CACHE = {"size_bytes": 1 << 15, "line_bytes": 64, "ways": 4}
+ONE_WAY = {"size_bytes": 1024, "line_bytes": 64, "ways": 1}
+#: 4 sets: congruent lines lie one 256-byte row apart, so eviction
+#: walks alternate between the two banks.
+FOUR_SETS = {"size_bytes": 1024, "line_bytes": 64, "ways": 4}
+
+
+def per_load(cpu, loop, bank, rows, iterations, time_budget_ns=None):
+    """The per-load form of ``cpu.<loop>_hammer``: the loop body issued
+    through ``cpu.load``/``cpu.clflush`` one round at a time, the budget
+    checked after each round, then a settle."""
+    addresses = [cpu.row_address(bank, row) for row in rows]
+    if loop == "eviction":
+        region_base = cpu.row_address(bank, max(rows) + 64)
+        region_bytes = min(128 * cpu.module.geometry.row_bytes,
+                           cpu.mapping.capacity_bytes - region_base)
+        walks = [build_eviction_set(cpu.cache, address, region_base,
+                                    region_bytes) for address in addresses]
+    cache, module = cpu.cache, cpu.module
+    loads, start = cache.hits + cache.misses, cpu.time_ns
+    acts, flips = cpu.dram_accesses, module.total_flips()
+    targets = 0
+    for _ in range(iterations):
+        for i, address in enumerate(addresses):
+            targets += cpu.load(address)
+            if loop == "eviction":
+                for evict in walks[i]:
+                    cpu.load(evict)
+        if loop == "flush":
+            for address in addresses:
+                cpu.clflush(address)
+        if time_budget_ns is not None and cpu.time_ns - start >= time_budget_ns:
+            break
+    module.settle(cpu.time_ns)
+    return HammerRunStats(
+        loads=cache.hits + cache.misses - loads,
+        dram_activations=cpu.dram_accesses - acts,
+        target_activations=targets,
+        flips=module.total_flips() - flips,
+        elapsed_ns=cpu.time_ns - start)
+
+
+def bulk(cpu, loop, bank, rows, iterations, time_budget_ns=None):
+    """The production loop ``cpu.<loop>_hammer``."""
+    return getattr(cpu, f"{loop}_hammer")(bank, rows, iterations,
+                                          time_budget_ns=time_budget_ns)
+
+
+def pollute(cpu):
+    """Fill every set with lines the loops never touch, out of LRU order."""
+    for address in (*range(0, 1 << 16, 64), *range(1 << 15, 0, -192)):
+        cpu.cache.access(address)
+
+
+def until(window, chunk):
+    """Chunked calls on a warm cache, each granted what is left of
+    ``window``, until the clock passes it (the benchmark's CPU items)."""
+    def drive(cpu, run, loop):
+        out = []
+        while cpu.time_ns < window:
+            out.append(run(cpu, loop, 0, PAIR, chunk,
+                           time_budget_ns=window - cpu.time_ns))
+        return out
+    return drive
+
+
+def calls(*plan):
+    """Calls of ``(iterations, time budget)`` on the aggressors of PAIR."""
+    def drive(cpu, run, loop):
+        return [run(cpu, loop, 0, PAIR, iterations, time_budget_ns=budget)
+                for iterations, budget in plan]
+    return drive
+
+
+@dataclass(frozen=True)
+class CpuCase:
+    label: str
+    drive: Callable
+    cache: dict = None
+    remap_scheme: str = "identity"
+    polluted: bool = False
+    block_steps: Optional[int] = None
+
+
+CPU_CASES = [
+    *[CpuCase(f"iterations-{n}", calls((n, None))) for n in (0, 1, 2, 3)],
+    CpuCase("long", calls((CPU_ROUNDS, None))),
+    CpuCase("long-wide", calls((CPU_ROUNDS, None)), cache=WIDE_CACHE),
+    CpuCase("long-small-blocks", calls((CPU_ROUNDS, None)), block_steps=37),
+    CpuCase("budget-first-round", calls((10**9, 1.0))),
+    CpuCase("budget-zero", calls((10**9, 0.0))),
+    CpuCase("budget-in-block", calls((10**9, 150_000.0))),
+    CpuCase("budget-across-blocks", calls((10**9, 150_000.0)),
+            block_steps=100),
+    CpuCase("budget-on-round-ends", calls((10**9, 105.0 * 700),
+                                          (10**9, 1.2 * 2 * 900),
+                                          (10**9, 49.5 * 10 * 300))),
+    CpuCase("chunked-warm", until(200_000.0, 32)),
+    CpuCase("chunked-odd", calls((1, None), (7, None), (250, 30_000.0),
+                                 (0, None), (3, 1.0), (400, None))),
+    CpuCase("polluted", calls((CPU_ROUNDS, None)), polluted=True),
+    CpuCase("polluted-wide", calls((300, None), (10**9, 80_000.0)),
+            cache=WIDE_CACHE, polluted=True),
+    CpuCase("one-way", calls((CPU_ROUNDS, None)), cache=ONE_WAY),
+    CpuCase("one-way-budget", calls((10**9, 120_000.0)), cache=ONE_WAY,
+            block_steps=64),
+    CpuCase("four-sets", calls((CPU_ROUNDS, None)), cache=FOUR_SETS),
+    CpuCase("four-sets-budget", calls((10**9, 90_000.0), (50, None)),
+            cache=FOUR_SETS, block_steps=50),
+    CpuCase("xor-msb", calls((CPU_ROUNDS, None)), remap_scheme="xor-msb"),
+]
+
+
+def make_cpu(engine, case):
+    module = make_module(engine, serial="cpu", remap_scheme=case.remap_scheme)
+    cpu = CpuMemorySystem(
+        module, cache=SetAssociativeCache(**(case.cache or SMALL_CACHE)))
+    if case.polluted:
+        pollute(cpu)
+    return cpu
+
+
+def cpu_state(cpu):
+    """Everything the bulk and per-load loops must agree on."""
+    cache = cpu.cache
+    return {
+        "time_ns": cpu.time_ns,
+        "dram_accesses": cpu.dram_accesses,
+        "cache": (cache.hits, cache.misses, cache.evictions,
+                  cache.lru_state(range(cache.n_sets))),
+        "bank_stats": [(b.stats.activations, b.stats.refreshes,
+                        b.stats.flips_materialized, b.open_row)
+                       for b in cpu.module.banks],
+        "flip_logs": flip_logs(cpu.module),
+    }
+
+
+def drive_cpu(engine, case, loop, run, state=cpu_state):
+    """Run ``case`` through ``run``; return what each call returned and
+    ``state`` of the system at the end."""
+    cpu = make_cpu(engine, case)
+    with pytest.MonkeyPatch.context() as mp:
+        if case.block_steps:
+            mp.setattr(cpu_system, "_BLOCK_STEPS", case.block_steps)
+        runs = case.drive(cpu, run, loop)
+    return runs, state(cpu)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("loop", CPU_LOOPS)
+@pytest.mark.parametrize("case", CPU_CASES, ids=[c.label for c in CPU_CASES])
+def test_bulk_cpu_loops_equal_per_load(case, loop, engine):
+    assert drive_cpu(engine, case, loop, bulk) == \
+        drive_cpu(engine, case, loop, per_load)
+
+
+def test_cpu_cases_exercise_their_corners(monkeypatch):
+    cases = {c.label: c for c in CPU_CASES}
+    # Most rounds run in blocks: per-load rounds stop at the fixed point.
+    loads = []
+    monkeypatch.setattr(CpuMemorySystem, "load",
+                        lambda self, address, load=CpuMemorySystem.load:
+                        loads.append(address) or load(self, address))
+    for loop in CPU_LOOPS:
+        for label, rounds in (("long", 1), ("polluted", 2)):
+            loads.clear()
+            [run], _state = drive_cpu("columnar", cases[label], loop, bulk)
+            steps = run.loads // CPU_ROUNDS
+            assert 0 < len(loads) <= (rounds + 1) * steps, (loop, label)
+    monkeypatch.undo()
+    for loop in CPU_LOOPS:
+        runs, _state = drive_cpu("columnar", cases["chunked-warm"], loop, bulk)
+        assert len(runs) > 2
+    runs, _state = drive_cpu("columnar", cases["long"], "flush", bulk)
+    assert runs[0].flips > 0
+    runs, _state = drive_cpu("columnar", cases["long"], "eviction", bulk)
+    assert runs[0].flips > 0
+    _runs, state = drive_cpu("columnar", cases["four-sets"], "eviction", bulk)
+    assert all(b[0] for b in state["bank_stats"]), "evictions hit both banks"
+    # Over ten blocks of 100 steps.
+    runs, _state = drive_cpu("columnar", cases["budget-across-blocks"],
+                             "flush", bulk)
+    assert runs[0].loads > 10 * 100
+
+
+#: A run of each loop as the experiments call it, with bulk blocks.
+CPU_OBSERVED = CpuCase("observed", calls((10**9, 600_000.0)),
+                       cache=FOUR_SETS, block_steps=500)
+
+
+def per_bank(events):
+    """Trace events grouped by bank, each bank's in emission order."""
+    banks = {}
+    for e in events:
+        banks.setdefault(e.fields["bank"], []).append(
+            (e.kind, e.t, sorted(e.fields.items())))
+    return banks
+
+
+def observe_cpu(engine, loop, run, sink):
+    """Run :data:`CPU_OBSERVED` through ``run`` under one observer sink;
+    return the outcome and what the sink recorded."""
+    made = SINKS[sink]()
+    with telem.observing(**{sink: made}):
+        outcome = drive_cpu(engine, CPU_OBSERVED, loop, run)
+    if sink == "metrics":
+        return outcome, made.snapshot()
+    if sink == "physics":
+        return outcome, (made.heat_rows(), made.provenance_rows())
+    assert len(made.events()) < 1 << 17, "the trace must not spill"
+    return outcome, per_bank(made.events())
+
+
+@pytest.mark.parametrize("sink", ["metrics", "physics", "trace"])
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("loop", CPU_LOOPS)
+def test_observers_see_bulk_cpu_loops_as_per_load(loop, engine, sink):
+    seen = observe_cpu(engine, loop, bulk, sink)
+    assert seen == observe_cpu(engine, loop, per_load, sink)
+    if sink == "trace" and loop != "naive":
+        assert len(seen[1]) == (2 if loop == "eviction" else 1)
+
+
+def cpu_engine_path(cpu):
+    """The columnar engine's path after a CPU loop (which settles): the
+    rows each bank holds explicitly or as pattern XOR flips, then
+    :func:`cpu_state`."""
+    banks = cpu.module.banks
+    return {
+        "store": [sorted(bank._cs.store) for bank in banks],
+        "flips": [sorted(bank._cs.flips) for bank in banks],
+        **cpu_state(cpu),
+    }
+
+
+@pytest.mark.parametrize("observer", OBSERVERS)
+@pytest.mark.parametrize("loop", CPU_LOOPS)
+def test_observers_leave_the_cpu_loops_alone(loop, observer):
+    paths = []
+    for watching in (None, observer):
+        with alone(watching):
+            paths.append(drive_cpu("columnar", CPU_OBSERVED, loop, bulk,
+                                   state=cpu_engine_path))
+    assert paths[1] == paths[0]
+    if loop != "naive":
+        assert paths[0][0][0].flips > 0

@@ -1,6 +1,8 @@
 """Tests for the CPU cache substrate and user-level attack programs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.scenarios import scaled_scenario
 from repro.cpu import CpuMemorySystem, SetAssociativeCache, build_eviction_set
@@ -73,6 +75,70 @@ class TestCache:
         assert not cache.contains(target)
 
 
+def scan_eviction_set(cache, target, region_base, region_bytes):
+    """The spec ``build_eviction_set`` computes directly: walk the region
+    line by line, keeping congruent addresses other than the target."""
+    wanted = cache.set_index(target)
+    out = []
+    address = region_base
+    while address < region_base + region_bytes and len(out) < cache.ways:
+        if cache.set_index(address) == wanted and address != target:
+            out.append(address)
+        address += cache.line_bytes
+    if len(out) < cache.ways:
+        raise ValueError("region too small to build a full eviction set")
+    return out
+
+
+def eviction_set_or_error(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestEvictionSetArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        line_bytes=st.sampled_from([16, 64, 128]),
+        n_sets=st.integers(1, 48),
+        ways=st.integers(1, 9),
+        region_base=st.integers(0, 1 << 16),
+        region_spans=st.floats(0.0, 12.0),
+        target_offset=st.one_of(st.integers(-(1 << 14), 1 << 14), st.none()),
+        target=st.integers(0, 1 << 17),
+    )
+    def test_matches_the_linear_scan(self, line_bytes, n_sets, ways, region_base,
+                                     region_spans, target_offset, target):
+        cache = SetAssociativeCache(size_bytes=line_bytes * n_sets * ways,
+                                    line_bytes=line_bytes, ways=ways)
+        region_bytes = int(region_spans * n_sets * line_bytes)
+        if target_offset is not None:
+            # A target inside (or just around) the region, often on a
+            # line the walk visits.
+            target = max(0, region_base + target_offset - target_offset % line_bytes)
+        args = (cache, target, region_base, region_bytes)
+        assert eviction_set_or_error(build_eviction_set, *args) == \
+            eviction_set_or_error(scan_eviction_set, *args)
+
+    @pytest.mark.parametrize("region_base", [0, 1, 63, 4096 + 17, (1 << 20) - 5])
+    @pytest.mark.parametrize("in_region", [False, True])
+    def test_unaligned_bases_and_targets_in_region(self, region_base, in_region):
+        cache = SetAssociativeCache(size_bytes=8192, line_bytes=64, ways=4)
+        target = region_base + 5 * 64 if in_region else 1 << 22
+        for region_bytes in (0, 100, 2048, 2048 * 4, 2048 * 5, 2048 * 5 + 64, 1 << 16):
+            args = (cache, target, region_base, region_bytes)
+            assert eviction_set_or_error(build_eviction_set, *args) == \
+                eviction_set_or_error(scan_eviction_set, *args)
+
+    def test_skips_the_target(self):
+        cache = SetAssociativeCache(size_bytes=8192, line_bytes=64, ways=4)
+        ev_set = build_eviction_set(cache, 2048, region_base=0, region_bytes=5 * 2048)
+        assert ev_set == [0, 4096, 6144, 8192]
+        with pytest.raises(ValueError, match="region too small"):
+            build_eviction_set(cache, 2048, region_base=0, region_bytes=4 * 2048)
+
+
 class TestUserLevelHammer:
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -113,3 +179,22 @@ class TestUserLevelHammer:
         address = system.row_address(1, 42)
         coord = system.mapping.decode(address)
         assert (coord.bank, coord.row) == (1, 42)
+
+    def test_eviction_region_past_end_of_memory_raises_before_running(self, scenario):
+        # The default region starts 64 rows past the highest aggressor and
+        # would run 128 rows' worth of addresses past the end of memory.
+        system = self._system(scenario)
+        system.flush_hammer(0, [999, 1001], 500)
+        module, cache = system.module, system.cache
+
+        def state():
+            return (system.time_ns, system.dram_accesses, cache.hits, cache.misses,
+                    cache.evictions, cache.lru_state(range(cache.n_sets)),
+                    [(b.stats.activations, b.open_row, list(b.stats.flip_log))
+                     for b in module.banks])
+
+        before = state()
+        with pytest.raises(ValueError, match="region too small"):
+            system.eviction_hammer(0, [3988, 3990], 10**9,
+                                   time_budget_ns=scenario.timing.tREFW)
+        assert state() == before
