@@ -6,6 +6,8 @@ asserts the *shape* claims.  ``pytest benchmarks/ --benchmark-only``
 runs the full harness.
 """
 
+import time
+
 import pytest
 
 
@@ -24,6 +26,23 @@ def run_once(benchmark, fn, *args, **kwargs):
     multi-second campaigns dozens of times.
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def best_interleaved(hot_loop, iters: int, repeats: int = 15):
+    """Min-of-repeats wall time of ``hot_loop(iters, False)`` (bare) and
+    ``hot_loop(iters, True)`` (guarded), returned as ``(bare, guarded)``.
+
+    Both variants run back-to-back each round so clock-frequency drift
+    hits them equally, and the one that runs first alternates from
+    round to round so neither always pays for the other's warm-up.
+    """
+    best = {False: float("inf"), True: float("inf")}
+    for i in range(repeats):
+        for guarded in ((False, True) if i % 2 == 0 else (True, False)):
+            t0 = time.perf_counter()
+            hot_loop(iters, guarded)
+            best[guarded] = min(best[guarded], time.perf_counter() - t0)
+    return best[False], best[True]
 
 
 @pytest.fixture

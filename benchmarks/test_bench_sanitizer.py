@@ -7,11 +7,9 @@ real experiment must still finish — with its invariants intact — in
 simulator-scale time.
 """
 
-import time
-
 import numpy as np
 
-from conftest import run_once
+from conftest import best_interleaved, run_once
 from repro.experiments import execute_job
 from repro.sanitizer import runtime as sanit
 
@@ -39,28 +37,13 @@ def _hot_loop(iters: int, guarded: bool) -> int:
     return total
 
 
-def _best_interleaved(iters: int, repeats: int = 15):
-    """Min-of-repeats for both variants, measured back-to-back each
-    round so clock-frequency drift hits them equally."""
-    bare = guarded = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        _hot_loop(iters, False)
-        t1 = time.perf_counter()
-        _hot_loop(iters, True)
-        t2 = time.perf_counter()
-        bare = min(bare, t1 - t0)
-        guarded = min(guarded, t2 - t1)
-    return bare, guarded
-
-
 def test_perf_disabled_guard_overhead_under_5pct():
     """``--sanitize off`` (the default) must be free: the instrumented
     loop runs within 5% of the identical bare loop."""
     prev = sanit.set_level("off")
     try:
         _hot_loop(1_000, True), _hot_loop(1_000, False)  # warm up
-        bare, guarded = _best_interleaved(10_000)
+        bare, guarded = best_interleaved(_hot_loop, 10_000)
     finally:
         sanit.set_level(prev)
     overhead = guarded / bare - 1.0

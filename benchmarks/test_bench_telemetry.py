@@ -7,11 +7,9 @@ experiment's own payload), and the disabled-by-default guards cost
 from :mod:`repro.telemetry.runtime`.
 """
 
-import time
-
 import numpy as np
 
-from conftest import run_once
+from conftest import best_interleaved, run_once
 from repro.experiments import execute_job
 from repro.telemetry import MetricsRegistry, PhysicsCollector
 from repro.telemetry import events as stream_events
@@ -43,27 +41,12 @@ def _hot_loop(iters: int, guarded: bool) -> int:
     return total
 
 
-def _best_interleaved(iters: int, repeats: int = 15):
-    """Min-of-repeats for both variants, measured back-to-back each
-    round so clock-frequency drift hits them equally."""
-    bare = guarded = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        _hot_loop(iters, False)
-        t1 = time.perf_counter()
-        _hot_loop(iters, True)
-        t2 = time.perf_counter()
-        bare = min(bare, t1 - t0)
-        guarded = min(guarded, t2 - t1)
-    return bare, guarded
-
-
 def test_perf_disabled_guard_overhead_under_5pct():
     """The whole point of the guard flags: with telemetry off, the
     instrumented loop runs within 5% of the identical bare loop."""
     telem.disable_all()
     _hot_loop(1_000, True), _hot_loop(1_000, False)  # warm up
-    bare, guarded = _best_interleaved(10_000)
+    bare, guarded = best_interleaved(_hot_loop, 10_000)
     overhead = guarded / bare - 1.0
     print(f"\ndisabled-telemetry overhead: {overhead:+.2%} "
           f"(bare {bare*1e3:.1f} ms, guarded {guarded*1e3:.1f} ms)")

@@ -1,13 +1,10 @@
-"""Statistics, reliability math, cost modeling, and report tables."""
+"""Reliability math, cost modeling, and report tables and figures."""
 
 from repro.analysis.costmodel import (
     MITIGATION_TABLE_HEADERS,
     MitigationReport,
-    energy_overhead_from_accounts,
-    perf_overhead_from_times,
     refresh_burden_vs_density,
     report_rows,
-    storage_bits_for,
 )
 from repro.analysis.reliability import (
     FIELD_DRAM_UE_PER_DEVICE_YEAR,
@@ -15,36 +12,22 @@ from repro.analysis.reliability import (
     HARD_DISK_AFR_LOW,
     HARD_DISK_AFR_TYPICAL,
     ReliabilityComparison,
-    afr_from_mtbf_hours,
     compare_to_disk,
-    mean_years_to_failure,
 )
-from repro.analysis.stats import geometric_mean, percentile_summary, poisson_rate_interval, relative_change
-from repro.analysis.figure import ascii_bars, ascii_log_scatter
-from repro.analysis.tables import format_table, log_axis_bucket
+from repro.analysis.figure import ascii_log_scatter
+from repro.analysis.tables import format_table
 
 __all__ = [
     "MITIGATION_TABLE_HEADERS",
     "MitigationReport",
-    "energy_overhead_from_accounts",
-    "perf_overhead_from_times",
     "refresh_burden_vs_density",
     "report_rows",
-    "storage_bits_for",
     "FIELD_DRAM_UE_PER_DEVICE_YEAR",
     "HARD_DISK_AFR_HIGH",
     "HARD_DISK_AFR_LOW",
     "HARD_DISK_AFR_TYPICAL",
     "ReliabilityComparison",
-    "afr_from_mtbf_hours",
     "compare_to_disk",
-    "mean_years_to_failure",
-    "geometric_mean",
-    "percentile_summary",
-    "poisson_rate_interval",
-    "relative_change",
-    "ascii_bars",
     "ascii_log_scatter",
     "format_table",
-    "log_axis_bucket",
 ]

@@ -9,7 +9,7 @@ activation-equivalents and stalls), energy overhead, and storage cost
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -73,20 +73,6 @@ MITIGATION_TABLE_HEADERS = (
 )
 
 
-def perf_overhead_from_times(baseline_ns: float, mitigated_ns: float) -> float:
-    """Extra simulated time fraction attributable to the mitigation."""
-    if baseline_ns <= 0:
-        raise ValueError("baseline_ns must be positive")
-    return max(0.0, (mitigated_ns - baseline_ns) / baseline_ns)
-
-
-def energy_overhead_from_accounts(baseline_nj: float, mitigated_nj: float) -> float:
-    """Extra dynamic energy fraction attributable to the mitigation."""
-    if baseline_nj <= 0:
-        raise ValueError("baseline_nj must be positive")
-    return max(0.0, (mitigated_nj - baseline_nj) / baseline_nj)
-
-
 def refresh_burden_vs_density(
     row_counts=(32768, 65536, 131072, 262144, 524288),
     banks: int = 8,
@@ -120,21 +106,3 @@ def refresh_burden_vs_density(
             }
         )
     return out
-
-
-def storage_bits_for(name: str, rows: int, banks: int, table_entries: Optional[int] = None, counter_bits: int = 16) -> int:
-    """Canonical storage figures used in the comparison table."""
-    if name == "para":
-        return 0  # PARA is stateless — its headline advantage.
-    if name == "cra-full":
-        return rows * banks * counter_bits
-    if name == "cra-table":
-        if table_entries is None:
-            raise ValueError("cra-table needs table_entries")
-        import math
-
-        tag = math.ceil(math.log2(rows)) + math.ceil(math.log2(banks))
-        return table_entries * (counter_bits + tag)
-    if name in ("refresh", "anvil", "trr"):
-        return 0 if name != "trr" else 64 * banks  # small sampler
-    raise KeyError(f"unknown mitigation {name!r}")

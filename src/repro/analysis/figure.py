@@ -1,4 +1,4 @@
-"""Plain-text figure rendering (log-scale scatter, bar series).
+"""Plain-text figure rendering (log-scale scatter).
 
 Keeps the benches and examples free of plotting dependencies while
 still giving a visual read of the regenerated figures.
@@ -40,25 +40,4 @@ def ascii_log_scatter(
         lines.append(f"10^{decade} | " + " ".join(cells))
     lines.append("      +" + "-" * (len(x_buckets) * 5 + 2))
     lines.append("        " + " ".join(str(b)[-2:].ljust(4) for b in x_buckets))
-    return "\n".join(lines)
-
-
-def ascii_bars(values: Dict[str, float], width: int = 40, log: bool = False) -> str:
-    """Horizontal bar chart of labeled values."""
-    if not values:
-        return "(empty)"
-    import math as _math
-
-    def transform(v: float) -> float:
-        if not log:
-            return v
-        return _math.log10(v) if v > 0 else 0.0
-
-    transformed = {k: transform(v) for k, v in values.items()}
-    peak = max(transformed.values()) or 1.0
-    label_width = max(len(k) for k in values)
-    lines = []
-    for key, value in values.items():
-        bar = "#" * max(0, int(round(width * transformed[key] / peak)))
-        lines.append(f"{key.ljust(label_width)} | {bar} {value:.4g}")
     return "\n".join(lines)

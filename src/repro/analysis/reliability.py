@@ -48,15 +48,3 @@ def compare_to_disk(log10_failures_per_year: float) -> ReliabilityComparison:
         log10_failures_per_year=log10_failures_per_year,
         log10_margin_vs_disk=margin,
     )
-
-
-def mean_years_to_failure(log10_failures_per_year: float) -> float:
-    """Expected years until one failure at the given rate."""
-    return 10.0 ** (-log10_failures_per_year)
-
-
-def afr_from_mtbf_hours(mtbf_hours: float) -> float:
-    """Annualized failure rate from an MTBF spec (exponential model)."""
-    if mtbf_hours <= 0:
-        raise ValueError("mtbf_hours must be positive")
-    return 1.0 - math.exp(-8766.0 / mtbf_hours)

@@ -31,13 +31,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = 
     for row in str_rows:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(headers))))
     return "\n".join(lines)
-
-
-def log_axis_bucket(value: float) -> str:
-    """Human label for a log-scale magnitude (Figure 1 style)."""
-    if value <= 0:
-        return "0"
-    import math
-
-    exponent = int(math.floor(math.log10(value)))
-    return f"10^{exponent}"

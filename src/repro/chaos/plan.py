@@ -33,7 +33,7 @@ survive:
     torn-tail-tolerant replay on daemon restart.
 ``corrupt``
     Mutate live *simulator state* — flip a stored DRAM cell bit,
-    alias two FTL mapping entries, skew a refresh cursor — at a
+    alias two start-gap mapping entries, skew a refresh cursor — at a
     sanitizer check site for the subsystem named by ``sub=``.
     Exercises the sanitizer: each registered invariant class has a
     paired injector in :mod:`repro.chaos.state`, and the negative-test
@@ -163,7 +163,7 @@ def _parse_entry(entry: str, index: int) -> FaultSpec:
     if kind == "corrupt" and spec.sub is None:
         raise ValueError(
             f"corrupt entry {entry!r} needs a sub=<subsystem> target "
-            f"(e.g. corrupt:sub=flash.ftl)"
+            f"(e.g. corrupt:sub=dram.bank)"
         )
     return spec
 

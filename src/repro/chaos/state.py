@@ -17,9 +17,6 @@ the smallest mutation that breaks that class's invariant:
 ``ecc.codec``
     Alias two of a codec's data positions, corrupting every subsequent
     encode — caught by the round-trip spot check.
-``flash.ftl``
-    Point one logical page's mapping at another's physical page,
-    breaking logical→physical bijectivity.
 ``pcm.startgap``
     Alias two start-gap mapping entries, breaking the permutation.
 
@@ -97,29 +94,6 @@ def _ecc_apply(code: Any) -> str:
             f"last -> {code._data_positions[0]}")
 
 
-def _ftl_can(ftl: Any) -> bool:
-    mapped = 0
-    for location in ftl._map:
-        if location is not None:
-            mapped += 1
-            if mapped >= 2:
-                return True
-    return False
-
-
-def _ftl_apply(ftl: Any) -> str:
-    victims = []
-    for lpn, location in enumerate(ftl._map):
-        if location is not None:
-            victims.append(lpn)
-            if len(victims) == 2:
-                break
-    first, second = victims
-    ftl._map[first] = ftl._map[second]
-    return (f"aliased FTL mapping: lpn {first} -> {ftl._map[second]} "
-            f"(owned by lpn {second})")
-
-
 def _startgap_can(sg: Any) -> bool:
     return sg.n_logical >= 2
 
@@ -152,12 +126,6 @@ INJECTORS: Dict[str, StateInjector] = {
             apply=_ecc_apply,
         ),
         StateInjector(
-            subsystem="flash.ftl",
-            description="alias two logical pages onto one physical page",
-            can_apply=_ftl_can,
-            apply=_ftl_apply,
-        ),
-        StateInjector(
             subsystem="pcm.startgap",
             description="alias two start-gap permutation entries",
             can_apply=_startgap_can,
@@ -172,8 +140,8 @@ def maybe_corrupt_state(subsystem: str, obj: Any) -> bool:
 
     Returns True when a corruption was injected — the caller
     (:func:`repro.sanitizer.runtime.check`) then forces the full-depth
-    check on the same call, so detection is deterministic rather than
-    waiting on an amortized scan.
+    check on the same call, so detection is deterministic whatever the
+    sanitizer level.
     """
     plan = current_plan()
     if plan is None:

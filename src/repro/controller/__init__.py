@@ -1,18 +1,14 @@
-"""Memory-controller substrate: scheduling, refresh, energy, counters."""
+"""Memory-controller substrate: command path, refresh, energy, counters."""
 
 from repro.controller.controller import ControllerStats, MemoryController
 from repro.controller.energy import EnergyAccount, EnergyParams
-from repro.controller.frfcfs import FrFcfsScheduler
 from repro.controller.hooks import MitigationHook, NullMitigation
 from repro.controller.perfcounters import PerfCounters, WindowSample
 from repro.controller.refresh import RefreshEngine, RefreshStats
-from repro.controller.request import MemRequest
-from repro.controller.scheduler import T_BURST_NS, CommandScheduler, SchedulerStats
 
 __all__ = [
     "ControllerStats",
     "MemoryController",
-    "FrFcfsScheduler",
     "EnergyAccount",
     "EnergyParams",
     "MitigationHook",
@@ -21,8 +17,4 @@ __all__ = [
     "WindowSample",
     "RefreshEngine",
     "RefreshStats",
-    "MemRequest",
-    "T_BURST_NS",
-    "CommandScheduler",
-    "SchedulerStats",
 ]

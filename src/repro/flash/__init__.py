@@ -1,7 +1,6 @@
 """NAND flash substrate: MLC Vth model, error mechanisms, mitigations."""
 
 from repro.flash.block import FlashBlock, WordlineState
-from repro.flash.ftl import FtlStats, PageMappedFtl
 from repro.flash.params import LSB_OF_STATE, MLC_1XNM, MLC_2XNM, MSB_OF_STATE, STATE_NAMES, FlashParams
 from repro.flash.ssd import (
     ErrorBreakdown,
@@ -28,8 +27,6 @@ from repro.flash.vth import (
 
 __all__ = [
     "FlashBlock",
-    "FtlStats",
-    "PageMappedFtl",
     "WordlineState",
     "LSB_OF_STATE",
     "MLC_1XNM",

@@ -9,7 +9,7 @@ bundles (:mod:`repro.sanitizer.bundle`).
 
 Note: :mod:`repro.sanitizer.bundle` is intentionally *not* imported
 here — it pulls in the experiment layer, and this package must stay
-importable from model code (DRAM banks, FTLs) without cycles.
+importable from model code (DRAM banks, refresh engines) without cycles.
 """
 
 from repro.sanitizer import checks  # noqa: F401  (registers the checkers)

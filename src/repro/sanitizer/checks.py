@@ -11,11 +11,10 @@ level with the right attribution.
 Checker contract (see :class:`repro.sanitizer.runtime.CheckerEntry`):
 
 * ``check(obj, full, ctx)`` — cheap O(1) structural checks always;
-  expensive whole-structure scans only when ``full`` is true.  Hot-path
-  scans (FTL bijectivity) amortize over :data:`FULL_SCAN_INTERVAL`
-  calls unless the call is forced (``ctx["force"]``, set after a chaos
-  injection) or sits at a structural boundary (``ctx["boundary"]``,
-  e.g. after garbage collection).
+  expensive whole-structure scans only when ``full`` is true.  A
+  forced call (``ctx["force"]``, set after a chaos injection) runs at
+  full depth whatever the level, and the DRAM bank checker then scans
+  every shadowed row rather than the row at hand.
 * ``note(obj, ctx)`` — shadow-state maintenance from legitimate
   mutation points; only invoked at ``full`` level.
 """
@@ -28,10 +27,6 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.sanitizer.runtime import CheckerEntry, register, violation
-
-#: Hot-path full scans run once every this many checks (plus at forced
-#: and boundary calls), bounding the amortized cost of ``full``.
-FULL_SCAN_INTERVAL = 64
 
 #: Fixed root seed for the ECC round-trip spot checks, so the checker
 #: never consumes experiment randomness and is deterministic per code.
@@ -243,73 +238,6 @@ register(CheckerEntry(
     check=_check_ecc_codec,
     description=("deterministic encode->decode round-trip spot check; "
                  "at full, a single-bit error must not decode CLEAN"),
-))
-
-
-# ----------------------------------------------------------------------
-# flash.ftl — logical -> physical mapping bijectivity
-# ----------------------------------------------------------------------
-def _check_flash_ftl(ftl: Any, full: bool, ctx: Dict[str, Any]) -> None:
-    if not 0 <= ftl._active < ftl.n_blocks:
-        violation("flash.ftl", "active block out of range",
-                  f"active={ftl._active}, n_blocks={ftl.n_blocks}")
-    ptr = ftl._write_ptr[ftl._active]
-    if not 0 <= ptr <= ftl.pages_per_block:
-        violation("flash.ftl", "write pointer out of range",
-                  f"block={ftl._active}, ptr={ptr}, "
-                  f"pages_per_block={ftl.pages_per_block}")
-    if not full:
-        return
-    tick = ftl.__dict__.get("_sanit_tick", 0) + 1
-    ftl.__dict__["_sanit_tick"] = tick
-    if not (ctx.get("force") or ctx.get("boundary")
-            or tick % FULL_SCAN_INTERVAL == 0):
-        return
-    if ftl._active in ftl._free_blocks:
-        violation("flash.ftl", "active block marked free",
-                  f"block={ftl._active}")
-    if len(set(ftl._free_blocks)) != len(ftl._free_blocks):
-        violation("flash.ftl", "duplicate free block", str(ftl._free_blocks))
-    seen: Dict[tuple, int] = {}
-    mapped = 0
-    for lpn, location in enumerate(ftl._map):
-        if location is None:
-            continue
-        mapped += 1
-        block, page = location
-        if not (0 <= block < ftl.n_blocks and 0 <= page < ftl.pages_per_block):
-            violation("flash.ftl", "mapping points off-device",
-                      f"lpn={lpn} -> ({block}, {page})")
-        if location in seen:
-            violation(
-                "flash.ftl", "mapping lost bijectivity",
-                f"lpns {seen[location]} and {lpn} share physical page "
-                f"({block}, {page})",
-            )
-        seen[location] = lpn
-        if not ftl._valid[block][page]:
-            violation("flash.ftl", "mapped page marked invalid",
-                      f"lpn={lpn} -> ({block}, {page})")
-        owner = int(ftl._owner[block][page])
-        if owner != lpn:
-            violation(
-                "flash.ftl", "mapping lost bijectivity",
-                f"lpn={lpn} -> ({block}, {page}) but page owner is {owner}",
-            )
-    valid_total = int(sum(v.sum() for v in ftl._valid))
-    if valid_total != mapped:
-        violation(
-            "flash.ftl", "valid-page accounting incoherent",
-            f"{valid_total} valid pages vs {mapped} mapped lpns",
-        )
-
-
-register(CheckerEntry(
-    subsystem="flash.ftl",
-    check=_check_flash_ftl,
-    description=("active-block/write-pointer bounds; at full, complete "
-                 "logical->physical bijectivity and valid-page scan "
-                 "(amortized on the write path)"),
 ))
 
 

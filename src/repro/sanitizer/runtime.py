@@ -10,7 +10,7 @@ guard pattern as :mod:`repro.telemetry.runtime`::
     from repro.sanitizer import runtime as sanit
 
     if sanit.sanitize_on:
-        sanit.check("flash.ftl", self)
+        sanit.check("dram.refresh", self)
 
 When the sanitizer is disabled (the default) each site costs exactly
 one module-attribute read and a falsy branch — the same "near-zero
@@ -23,15 +23,13 @@ Levels (``REPRO_SANITIZE`` environment variable or ``--sanitize``):
     No checks, no shadow state (default).
 ``cheap``
     O(1) structural checks at every instrumented site: index bounds,
-    sign constraints, scheduler-cursor ranges.
+    sign constraints, refresh-cursor ranges.
 ``full``
     Everything ``cheap`` does, plus the expensive whole-structure
-    invariants: DRAM stored-data shadow digests, FTL logical→physical
-    bijectivity scans, start-gap permutation validity, and ECC codec
-    round-trip spot checks.  Scans are amortized over
-    :data:`~repro.sanitizer.checks.FULL_SCAN_INTERVAL` calls on hot
-    paths and forced at structural boundaries (GC, refresh passes) and
-    immediately after a chaos state-corruption injection.
+    invariants: DRAM stored-data shadow digests, refresh accounting,
+    start-gap permutation validity, and ECC codec round-trip spot
+    checks.  A check right after a chaos state-corruption injection
+    runs at full depth whatever the level.
 
 A failed invariant raises :class:`InvariantViolation`, a structured,
 deliberately **non-retryable** failure carrying the subsystem, the
@@ -115,7 +113,7 @@ class CheckerEntry:
     """One registered invariant class.
 
     Attributes:
-        subsystem: stable key (``"dram.bank"``, ``"flash.ftl"``, …) —
+        subsystem: stable key (``"dram.bank"``, ``"pcm.startgap"``, …) —
             also the pairing key for the chaos state-corruption
             injector that proves this checker detects real corruption.
         check: ``check(obj, full, ctx)`` — raise

@@ -2,8 +2,6 @@
 
 from repro.workloads.generators import (
     Trace,
-    attacker_rounds,
-    hotspot,
     mixed_with_attacker,
     random_access,
     sequential_stream,
@@ -11,8 +9,6 @@ from repro.workloads.generators import (
 
 __all__ = [
     "Trace",
-    "attacker_rounds",
-    "hotspot",
     "mixed_with_attacker",
     "random_access",
     "sequential_stream",

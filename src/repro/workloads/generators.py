@@ -2,106 +2,51 @@
 
 Benign streams price mitigations (what does PARA/refresh-scaling cost
 a normal program?); attacker streams drive the security experiments.
-Traces are lists of :class:`~repro.controller.request.MemRequest` for
-the scheduler, or (bank, row, is_write) tuples for the controller's
-command path.
+A :data:`Trace` is a list of ``(bank, row, is_write)`` tuples, the
+type :meth:`~repro.controller.controller.MemoryController.run_trace`
+takes.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
-from repro.controller.request import MemRequest
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive
 
 Trace = List[Tuple[int, int, bool]]
 
 
-def sequential_stream(
-    n: int, banks: int, rows: int, request_interval_ns: float = 20.0, write_fraction: float = 0.0
-) -> List[MemRequest]:
-    """Streaming workload: walk rows sequentially, rotating across banks.
+def sequential_stream(n: int, banks: int, rows: int) -> Trace:
+    """Streaming reads: walk rows sequentially, rotating across banks.
 
     Maximizes row-buffer hits — the workload class most sensitive to
     refresh interruptions.
     """
     check_positive("n", n)
-    out = []
-    for i in range(n):
-        bank = (i // 64) % banks
-        row = (i // (64 * banks)) % rows
-        out.append(
-            MemRequest(
-                arrival_ns=i * request_interval_ns,
-                bank=bank,
-                row=row,
-                is_write=(i % max(1, int(1 / write_fraction)) == 0) if write_fraction > 0 else False,
-            )
-        )
-    return out
+    return [((i // 64) % banks, (i // (64 * banks)) % rows, False) for i in range(n)]
 
 
-def random_access(
-    n: int, banks: int, rows: int, request_interval_ns: float = 20.0, seed: int = 0
-) -> List[MemRequest]:
+def random_access(n: int, banks: int, rows: int, seed: int = 0) -> Trace:
     """Uniformly random (bank, row) requests — row-buffer hostile."""
     check_positive("n", n)
     rng = derive_rng(seed, "random-access")
     bank_picks = rng.integers(0, banks, size=n)
     row_picks = rng.integers(0, rows, size=n)
     writes = rng.random(n) < 0.3
-    return [
-        MemRequest(arrival_ns=i * request_interval_ns, bank=int(b), row=int(r), is_write=bool(w))
-        for i, (b, r, w) in enumerate(zip(bank_picks, row_picks, writes))
-    ]
-
-
-def hotspot(
-    n: int,
-    banks: int,
-    rows: int,
-    request_interval_ns: float = 20.0,
-    zipf_a: float = 1.3,
-    seed: int = 0,
-) -> List[MemRequest]:
-    """Zipf-skewed row popularity — a few hot rows dominate (databases,
-    key-value stores).  Hot benign rows are what naive activation-count
-    detectors must not confuse with aggressors."""
-    check_positive("n", n)
-    rng = derive_rng(seed, "hotspot")
-    ranks = rng.zipf(zipf_a, size=n)
-    row_picks = (ranks - 1) % rows
-    bank_picks = rng.integers(0, banks, size=n)
-    return [
-        MemRequest(arrival_ns=i * request_interval_ns, bank=int(b), row=int(r), is_write=False)
-        for i, (b, r) in enumerate(zip(bank_picks, row_picks))
-    ]
-
-
-def attacker_rounds(bank: int, aggressors, iterations: int) -> Trace:
-    """The hammer loop as a controller trace: interleaved reads of the
-    aggressor rows, ``iterations`` rounds."""
-    check_positive("iterations", iterations)
-    trace: Trace = []
-    for _ in range(iterations):
-        for row in aggressors:
-            trace.append((bank, row, False))
-    return trace
+    return [(int(b), int(r), bool(w)) for b, r, w in zip(bank_picks, row_picks, writes)]
 
 
 def mixed_with_attacker(
-    benign: List[MemRequest], bank: int, aggressors, attacker_share: float = 0.5, seed: int = 0
+    benign: Trace, bank: int, aggressors, attacker_share: float = 0.5, seed: int = 0
 ) -> Trace:
     """Interleave a benign trace with an attacker loop (ANVIL's detection
     scenario: spotting the hammer inside normal traffic)."""
     rng = derive_rng(seed, "mixed")
     trace: Trace = []
     agg_idx = 0
-    for req in benign:
-        trace.append((req.bank, req.row, req.is_write))
+    for access in benign:
+        trace.append(access)
         while rng.random() < attacker_share:
             trace.append((bank, aggressors[agg_idx % len(aggressors)], False))
             agg_idx += 1

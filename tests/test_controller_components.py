@@ -1,11 +1,10 @@
-"""Tests for controller components: requests, energy, counters, refresh."""
+"""Tests for controller components: energy, counters, refresh."""
 
 import pytest
 
 from repro.controller import (
     EnergyAccount,
     EnergyParams,
-    MemRequest,
     PerfCounters,
     RefreshEngine,
 )
@@ -18,20 +17,6 @@ PROFILE = VulnerabilityProfile(weak_cell_density=0.02, hc_first_median=5_000, hc
 
 def make_module():
     return DramModule(geometry=GEO, timing=DDR3_1333, profile=PROFILE, seed=2)
-
-
-class TestMemRequest:
-    def test_ordering_by_arrival(self):
-        a = MemRequest(arrival_ns=5.0, bank=0, row=1)
-        b = MemRequest(arrival_ns=2.0, bank=1, row=9)
-        assert sorted([a, b])[0] is b
-
-    def test_latency_requires_completion(self):
-        req = MemRequest(arrival_ns=0.0, bank=0, row=0)
-        with pytest.raises(ValueError):
-            _ = req.latency_ns
-        req.completed_ns = 30.0
-        assert req.latency_ns == 30.0
 
 
 class TestEnergyAccount:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import ascii_bars, ascii_log_scatter
+from repro.analysis import ascii_log_scatter
 from repro.ecc import SECDED_72_64, campaign, inject_clustered, inject_uniform, inject_weak_cell_map
 from repro.ecc.accounting import flips_per_word
 from repro.utils.rng import derive_rng
@@ -66,17 +66,3 @@ class TestFigures:
         out = ascii_log_scatter([(2012, 0.0, "A")], range(2010, 2015), range(6, -1, -1))
         assert "A" not in out.replace("10^", "")
 
-    def test_bars_scale(self):
-        out = ascii_bars({"x": 10.0, "y": 5.0}, width=10)
-        lines = out.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_bars_log_mode(self):
-        out = ascii_bars({"a": 1e6, "b": 1e3}, width=12, log=True)
-        lines = out.splitlines()
-        assert lines[0].count("#") == 12
-        assert lines[1].count("#") == 6
-
-    def test_bars_empty(self):
-        assert ascii_bars({}) == "(empty)"

@@ -1,61 +1,12 @@
-"""Tests for the extension features: FR-FCFS, WARM, PCM mapping-aware
-attacks, SoftMC canned studies, and the TRR bypass experiment."""
+"""Tests for the extension features: WARM, PCM mapping-aware attacks,
+the RAIDR/RowHammer interaction, multi-rate refresh, and the TRR bypass
+experiment."""
 
 import pytest
 
-from repro.controller import FrFcfsScheduler, CommandScheduler, MemRequest
 from repro.experiments import trr_bypass_study
-from repro.dram.timing import DDR3_1333
 from repro.flash.mitigations import warm_study
 from repro.pcm import lifetime_under_mapping_aware_attack, lifetime_under_pinned_attack
-
-
-class TestFrFcfs:
-    def _interleaved_two_rows(self, n=200):
-        # Alternating rows in one bank arriving close together: FCFS
-        # thrashes the row buffer; FR-FCFS can batch row hits.
-        reqs = []
-        for i in range(n):
-            reqs.append(MemRequest(arrival_ns=i * 2.0, bank=0, row=(i % 2) * 50))
-        return reqs
-
-    def test_beats_fcfs_on_interleaved_rows(self):
-        frfcfs = FrFcfsScheduler(banks=2, timing=DDR3_1333, window=16)
-        fr_stats = frfcfs.execute(self._interleaved_two_rows())
-        fcfs = CommandScheduler(banks=2, timing=DDR3_1333)
-        fc_stats = fcfs.execute(self._interleaved_two_rows())
-        assert fr_stats.hit_rate > fc_stats.hit_rate
-        assert fr_stats.finish_ns < fc_stats.finish_ns
-
-    def test_window_one_degenerates_to_fcfs(self):
-        frfcfs = FrFcfsScheduler(banks=2, timing=DDR3_1333, window=1)
-        fr_stats = frfcfs.execute(self._interleaved_two_rows())
-        fcfs = CommandScheduler(banks=2, timing=DDR3_1333)
-        fc_stats = fcfs.execute(self._interleaved_two_rows())
-        assert fr_stats.hit_rate == pytest.approx(fc_stats.hit_rate, abs=0.02)
-
-    def test_all_requests_served(self):
-        frfcfs = FrFcfsScheduler(banks=2, timing=DDR3_1333)
-        reqs = self._interleaved_two_rows(100)
-        stats = frfcfs.execute(reqs)
-        assert stats.requests == 100
-        assert all(r.completed_ns >= 0 for r in reqs)
-
-    def test_attacker_pattern_gets_no_hits(self):
-        # The hammer pattern alternates rows by construction: FR-FCFS
-        # cannot coalesce it — why scheduling is not a defense.
-        frfcfs = FrFcfsScheduler(banks=2, timing=DDR3_1333, window=4)
-        reqs = [MemRequest(arrival_ns=i * 60.0, bank=0, row=(i % 2) * 2 + 99) for i in range(100)]
-        stats = frfcfs.execute(reqs)
-        # A handful of coalesced pairs at queue build-up is expected;
-        # the overwhelming majority of accesses still open a row.
-        assert stats.hit_rate < 0.15
-        assert stats.row_misses > 80
-
-    def test_bank_bounds(self):
-        frfcfs = FrFcfsScheduler(banks=2, timing=DDR3_1333)
-        with pytest.raises(IndexError):
-            frfcfs.execute([MemRequest(arrival_ns=0.0, bank=7, row=0)])
 
 
 class TestWarm:

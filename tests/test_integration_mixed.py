@@ -48,7 +48,7 @@ class TestMixedTrafficDetection:
         module = DramModule(geometry=GEO, timing=DDR3_1333, profile=PROFILE, seed=3)
         ctrl = MemoryController(module, mitigation=mitigation)
         benign = sequential_stream(3_000, banks=GEO.banks, rows=GEO.rows)
-        ctrl.run_trace([(r.bank, r.row, r.is_write) for r in benign])
+        ctrl.run_trace(benign)
         ctrl.finish()
         assert mitigation.detections == 0
         assert module.total_flips() == 0

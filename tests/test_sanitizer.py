@@ -20,10 +20,8 @@ from repro.dram.timing import DDR3_1333
 from repro.ecc import HammingSecded
 from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import is_retryable, violation_subsystem
-from repro.flash.ftl import PageMappedFtl
 from repro.pcm import PcmArray, StartGap
 from repro.sanitizer import runtime as sanit
-from repro.sanitizer.checks import FULL_SCAN_INTERVAL
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import runtime as telem
 
@@ -37,7 +35,7 @@ PROFILE = VulnerabilityProfile(
 )
 
 EXPECTED_SUBSYSTEMS = {
-    "dram.bank", "dram.refresh", "ecc.codec", "flash.ftl", "pcm.startgap",
+    "dram.bank", "dram.refresh", "ecc.codec", "pcm.startgap",
 }
 
 
@@ -56,13 +54,6 @@ def make_bank(seed=3, pattern="solid1"):
 
 def make_module():
     return DramModule(geometry=GEO, timing=DDR3_1333, profile=PROFILE, seed=2)
-
-
-def make_ftl(writes=24):
-    ftl = PageMappedFtl(n_blocks=8, pages_per_block=16)
-    for i in range(writes):
-        ftl.write(i % 10)
-    return ftl
 
 
 # ----------------------------------------------------------------------
@@ -110,15 +101,15 @@ class TestLevels:
 # ----------------------------------------------------------------------
 class TestViolation:
     def test_message_shape_and_attributes(self):
-        exc = sanit.InvariantViolation("flash.ftl", "mapping lost bijectivity",
-                                       "lpns 1 and 2 collide")
-        assert str(exc) == "[flash.ftl] mapping lost bijectivity: lpns 1 and 2 collide"
-        assert exc.subsystem == "flash.ftl"
+        exc = sanit.InvariantViolation("pcm.startgap", "mapping lost bijectivity",
+                                       "lines 1 and 2 collide")
+        assert str(exc) == "[pcm.startgap] mapping lost bijectivity: lines 1 and 2 collide"
+        assert exc.subsystem == "pcm.startgap"
         assert exc.invariant == "mapping lost bijectivity"
         assert exc.to_json_dict() == {
-            "subsystem": "flash.ftl",
+            "subsystem": "pcm.startgap",
             "invariant": "mapping lost bijectivity",
-            "detail": "lpns 1 and 2 collide",
+            "detail": "lines 1 and 2 collide",
         }
 
     def test_message_without_detail(self):
@@ -267,37 +258,6 @@ class TestEccChecker:
 
 
 # ----------------------------------------------------------------------
-# flash.ftl
-# ----------------------------------------------------------------------
-class TestFtlChecker:
-    def test_churned_ftl_passes_forced_scan(self):
-        sanit.set_level("full")
-        ftl = make_ftl(writes=200)  # enough to trigger garbage collection
-        sanit.check("flash.ftl", ftl, force=True)
-
-    def test_full_scan_is_amortized(self):
-        sanit.set_level("full")
-        ftl = make_ftl()
-        ftl._map[0] = ftl._map[1]  # break bijectivity
-        # Unforced hot-path call number 1 of FULL_SCAN_INTERVAL: the
-        # expensive scan is skipped, only O(1) bounds run.
-        assert FULL_SCAN_INTERVAL > 1
-        sanit.check("flash.ftl", ftl)
-        # A structural boundary (or ctx force) always scans.
-        with pytest.raises(sanit.InvariantViolation) as info:
-            sanit.check("flash.ftl", ftl, boundary=True)
-        assert info.value.subsystem == "flash.ftl"
-        assert info.value.invariant == "mapping lost bijectivity"
-
-    def test_write_pointer_bound_is_cheap(self):
-        sanit.set_level("cheap")
-        ftl = make_ftl()
-        ftl._write_ptr[ftl._active] = ftl.pages_per_block + 7
-        with pytest.raises(sanit.InvariantViolation, match="write pointer out of range"):
-            sanit.check("flash.ftl", ftl)
-
-
-# ----------------------------------------------------------------------
 # pcm.startgap
 # ----------------------------------------------------------------------
 class TestStartGapChecker:
@@ -342,11 +302,11 @@ class TestRunnerClassification:
         assert result_with_error("ValueError: nope").outcome == "error"
 
     def test_violations_are_not_retryable(self):
-        assert not is_retryable("InvariantViolation: [flash.ftl] x")
+        assert not is_retryable("InvariantViolation: [pcm.startgap] x")
 
     def test_violation_subsystem_parsing(self):
         assert violation_subsystem(
-            "InvariantViolation: [flash.ftl] mapping lost bijectivity: x"
-        ) == "flash.ftl"
+            "InvariantViolation: [pcm.startgap] mapping lost bijectivity: x"
+        ) == "pcm.startgap"
         assert violation_subsystem("InvariantViolation: malformed") == "unknown"
         assert violation_subsystem(None) == "unknown"

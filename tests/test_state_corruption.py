@@ -26,7 +26,6 @@ from repro.dram.timing import DDR3_1333
 from repro.ecc import HammingSecded
 from repro.ecc.accounting import evaluate_code_against_histogram
 from repro.experiments.runner import execute_job_safe
-from repro.flash.ftl import PageMappedFtl
 from repro.pcm import PcmArray, StartGap
 from repro.sanitizer import runtime as sanit
 
@@ -86,13 +85,6 @@ def _drive_ecc_codec():
     )
 
 
-def _drive_flash_ftl():
-    ftl = PageMappedFtl(n_blocks=8, pages_per_block=16)
-    for i in range(24):
-        ftl.write(i % 10)
-    return lambda: ftl.write(0)
-
-
 def _drive_pcm_startgap():
     sg = StartGap(PcmArray(lines=9, seed=3), gap_period=4)
     for i in range(8):
@@ -104,7 +96,6 @@ DRIVERS = {
     "dram.bank": _drive_dram_bank,
     "dram.refresh": _drive_dram_refresh,
     "ecc.codec": _drive_ecc_codec,
-    "flash.ftl": _drive_flash_ftl,
     "pcm.startgap": _drive_pcm_startgap,
 }
 
@@ -144,14 +135,16 @@ def test_ineligible_sites_do_not_burn_the_claim(monkeypatch):
     claimed, so check sites on objects with nothing to corrupt leave
     the armed fault intact."""
     sanit.set_level("full")
-    _arm(monkeypatch, "flash.ftl")
-    ftl = PageMappedFtl(n_blocks=8, pages_per_block=16)
-    sanit.check("flash.ftl", ftl)  # zero mapped pages: ineligible
-    ftl.write(0)  # one mapped page at the check site: still ineligible
-    ftl.write(1)
+    _arm(monkeypatch, "dram.bank")
+    bank = ColumnarDramBank(GEO, DisturbanceModel(GEO, PROFILE, 3), 0)
+    sanit.check("dram.bank", bank)  # no touched rows: ineligible
+    bank.activate(10)
+    bank.settle()  # the commit checks row 10 before any row is touched
+    assert bank.touched_rows()
+    assert chaos.injected_counts() == {}
     with pytest.raises(sanit.InvariantViolation):
-        for i in range(2, 10):
-            ftl.write(i)
+        bank.activate(10)
+        bank.settle()
     assert chaos.injected_counts() == {"corrupt": 1}
 
 

@@ -2,63 +2,29 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
     HARD_DISK_AFR_TYPICAL,
     MitigationReport,
-    afr_from_mtbf_hours,
     compare_to_disk,
-    energy_overhead_from_accounts,
     format_table,
-    geometric_mean,
-    log_axis_bucket,
-    mean_years_to_failure,
-    percentile_summary,
-    perf_overhead_from_times,
-    poisson_rate_interval,
-    relative_change,
     report_rows,
-    storage_bits_for,
 )
-from repro.workloads import (
-    attacker_rounds,
-    hotspot,
-    mixed_with_attacker,
-    random_access,
-    sequential_stream,
-)
+from repro.workloads import mixed_with_attacker, random_access, sequential_stream
 
 
 class TestWorkloads:
-    def test_sequential_sorted_arrivals(self):
-        trace = sequential_stream(100, banks=4, rows=64)
-        arrivals = [r.arrival_ns for r in trace]
-        assert arrivals == sorted(arrivals)
-
     def test_sequential_rotates_banks(self):
         trace = sequential_stream(256, banks=4, rows=64)
-        assert {r.bank for r in trace} == {0, 1, 2, 3}
+        assert {bank for bank, _row, _w in trace} == {0, 1, 2, 3}
 
     def test_random_access_in_bounds(self):
         trace = random_access(500, banks=4, rows=64, seed=1)
-        assert all(0 <= r.bank < 4 and 0 <= r.row < 64 for r in trace)
+        assert all(0 <= bank < 4 and 0 <= row < 64 for bank, row, _w in trace)
 
     def test_random_deterministic(self):
-        a = random_access(50, 4, 64, seed=2)
-        b = random_access(50, 4, 64, seed=2)
-        assert [(r.bank, r.row) for r in a] == [(r.bank, r.row) for r in b]
-
-    def test_hotspot_is_skewed(self):
-        trace = hotspot(5000, banks=1, rows=1024, seed=3)
-        rows = [r.row for r in trace]
-        top = max(set(rows), key=rows.count)
-        assert rows.count(top) > len(rows) * 0.2
-
-    def test_attacker_rounds_shape(self):
-        trace = attacker_rounds(0, [10, 12], 3)
-        assert trace == [(0, 10, False), (0, 12, False)] * 3
+        assert random_access(50, 4, 64, seed=2) == random_access(50, 4, 64, seed=2)
 
     def test_mixed_contains_both(self):
         benign = sequential_stream(100, banks=2, rows=64)
@@ -79,42 +45,6 @@ class TestReliability:
     def test_unsafe_rate(self):
         assert not compare_to_disk(-0.5).safer_than_disk
 
-    def test_mean_years(self):
-        assert mean_years_to_failure(-3.0) == pytest.approx(1000.0)
-
-    def test_afr_from_mtbf(self):
-        afr = afr_from_mtbf_hours(1_000_000)
-        assert 0.0 < afr < 0.01
-        with pytest.raises(ValueError):
-            afr_from_mtbf_hours(0)
-
-
-class TestStats:
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 100]) == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            geometric_mean([1, -1])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_percentile_summary(self):
-        s = percentile_summary(list(range(101)))
-        assert s["p50"] == 50
-        assert s["max"] == 100
-
-    def test_percentile_empty(self):
-        assert percentile_summary([])["mean"] == 0.0
-
-    def test_relative_change(self):
-        assert relative_change(10, 15) == pytest.approx(0.5)
-        assert relative_change(0, 0) == 0.0
-        with pytest.raises(ZeroDivisionError):
-            relative_change(0, 1)
-
-    def test_poisson_interval_contains_rate(self):
-        lo, hi = poisson_rate_interval(100, 10.0)
-        assert lo < 10.0 < hi
-
 
 class TestCostModel:
     def test_protection_fraction(self):
@@ -132,21 +62,6 @@ class TestCostModel:
         rows = report_rows([MitigationReport("x", 0, 10, 0.01, 0.02)])
         assert len(rows[0]) == len(MITIGATION_TABLE_HEADERS)
 
-    def test_overhead_helpers(self):
-        assert perf_overhead_from_times(100, 110) == pytest.approx(0.1)
-        assert energy_overhead_from_accounts(100, 120) == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            perf_overhead_from_times(0, 10)
-
-    def test_storage_bits_for(self):
-        assert storage_bits_for("para", 32768, 8) == 0
-        assert storage_bits_for("cra-full", 32768, 8) == 32768 * 8 * 16
-        assert storage_bits_for("cra-table", 32768, 8, table_entries=256) > 0
-        with pytest.raises(KeyError):
-            storage_bits_for("bogus", 1, 1)
-        with pytest.raises(ValueError):
-            storage_bits_for("cra-table", 1, 1)
-
 
 class TestTables:
     def test_format_table_aligns(self):
@@ -158,7 +73,3 @@ class TestTables:
     def test_row_width_mismatch(self):
         with pytest.raises(ValueError):
             format_table(["a"], [[1, 2]])
-
-    def test_log_axis_bucket(self):
-        assert log_axis_bucket(0) == "0"
-        assert log_axis_bucket(5e5) == "10^5"
