@@ -56,7 +56,7 @@ def test_perf_disabled_guard_overhead_under_5pct():
 def test_perf_rowhammer_basic_with_metrics(benchmark):
     """End-to-end: the telemetry cross-check experiment with metrics on."""
     result = run_once(benchmark, execute_job, "rowhammer_basic",
-                      params={"victims": 16}, seed=0, collect_metrics=True)
+                      params={"victims": 16}, seed=0, observe=("metrics",))
     merged = MetricsRegistry.from_snapshot(result.metrics)
     assert merged.total("dram_activations_total") == result.payload["activations"]
     assert merged.total("dram_refreshes_total") == result.payload["refreshes"]
@@ -67,7 +67,7 @@ def test_perf_rowhammer_basic_with_physics(benchmark):
     """End-to-end with the physics layer on: the heat map's flip total
     must equal the experiment's own payload count."""
     result = run_once(benchmark, execute_job, "rowhammer_basic",
-                      params={"victims": 16}, seed=0, collect_physics=True)
+                      params={"victims": 16}, seed=0, observe=("physics",))
     collector = PhysicsCollector.from_snapshot(result.physics)
     assert collector.total_flips() == result.payload["bit_flips"]
     assert collector.total_provenance_flips() == result.payload["bit_flips"]

@@ -20,7 +20,6 @@ Quick start::
     flips = system.hammer_double_sided(victim=1000, iterations=30_000)
 """
 
-from repro.core.config import SystemConfig
 from repro.core.scenarios import Scenario, full_scale_scenario, scaled_scenario
 from repro.core.system import MITIGATIONS, MemorySystem, SystemReport
 from repro.dram.module import DramModule
@@ -29,7 +28,6 @@ from repro.dram.vintage import profile_for
 __version__ = "1.0.0"
 
 __all__ = [
-    "SystemConfig",
     "Scenario",
     "full_scale_scenario",
     "scaled_scenario",

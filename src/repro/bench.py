@@ -163,8 +163,7 @@ def run_bench(spec: BenchSpec, quick: bool = False,
                 spec.experiment,
                 params=spec.bindings(quick),
                 seed=spec.seed,
-                collect_metrics=True,
-                collect_profile=True,
+                observe=("metrics", "spans"),
             ),
             timeout_s,
         )

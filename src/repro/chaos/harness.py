@@ -155,7 +155,7 @@ def _cached_job_ids(cache_dir: Path, jobs: int) -> Set[str]:
 def _runner(arena: _Arena, workers: int, **kwargs) -> ExperimentRunner:
     kwargs.setdefault("cache_dir", arena.cache_dir)
     kwargs.setdefault("ledger", False)
-    return ExperimentRunner(max_workers=workers, collect_metrics=True, **kwargs)
+    return ExperimentRunner(max_workers=workers, observe=("metrics",), **kwargs)
 
 
 def _metrics(runner: ExperimentRunner):
@@ -164,7 +164,7 @@ def _metrics(runner: ExperimentRunner):
     An explicit raise (not ``assert``) so the guard survives ``python -O``.
     """
     if runner.metrics is None:
-        raise RuntimeError("harness runner was built without collect_metrics")
+        raise RuntimeError("harness runner was built without observing metrics")
     return runner.metrics
 
 

@@ -111,7 +111,7 @@ from repro.experiments import (
     registry,
     to_jsonable,
 )
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, TraceRecorder
 from repro.telemetry import runtime as telem
 
 #: Default on-disk result cache for ``sweep`` (created in the CWD).
@@ -587,12 +587,14 @@ def _apply_sanitize(args) -> None:
 
 
 def _make_runner(parallel: int, cache_dir: Optional[str],
-                 collect_metrics: bool = False,
-                 collect_physics: bool = False,
-                 **hardening) -> ExperimentRunner:
+                 **options) -> ExperimentRunner:
     return ExperimentRunner(cache_dir=cache_dir, max_workers=max(1, parallel),
-                            collect_metrics=collect_metrics,
-                            collect_physics=collect_physics, **hardening)
+                            **options)
+
+
+def _observed(args) -> List[str]:
+    """The observers ``--metrics``/``--physics`` ask jobs to collect."""
+    return [name for name in ("metrics", "physics") if getattr(args, name)]
 
 
 def _write_metrics_snapshot(runner: ExperimentRunner, path: str,
@@ -645,8 +647,7 @@ def _print_batch_errors(summary: dict) -> None:
 def _run(args) -> int:
     _apply_sanitize(args)
     stream = True if args.serve_metrics is not None else None
-    runner = _make_runner(args.parallel, args.cache_dir, collect_metrics=args.metrics,
-                          collect_physics=args.physics,
+    runner = _make_runner(args.parallel, args.cache_dir, observe=_observed(args),
                           timeout_s=args.timeout, retries=args.retries,
                           stream=stream)
     jobs = [Job(name, {}, args.seed) for name in args.names]
@@ -718,8 +719,7 @@ def _report(args) -> int:
     if fmt is None:
         fmt = "html" if args.output.endswith((".html", ".htm")) else "markdown"
     runner = _make_runner(args.parallel, args.cache_dir,
-                          collect_metrics=True, collect_physics=True,
-                          collect_profile=True)
+                          observe=("metrics", "spans", "physics"))
     jobs = _report_jobs(args.names, args.seed, args.seeds, args.base_seed)
     try:
         results = runner.run(jobs)
@@ -757,10 +757,10 @@ def _sweep(args) -> int:
 
         renderer = LiveRenderer()
     stream = True if (args.serve_metrics is not None or args.live) else None
-    runner = _make_runner(args.parallel, cache_dir, collect_metrics=args.metrics,
-                          collect_physics=args.physics,
+    runner = _make_runner(args.parallel, cache_dir,
+                          observe=_observed(args) + (["spans"] if args.live else []),
                           timeout_s=args.timeout, retries=args.retries,
-                          stream=stream, collect_profile=args.live,
+                          stream=stream,
                           on_progress=renderer.update if renderer else None)
     server = _serve_metrics(args, runner)
     # SIGTERM drains exactly like Ctrl-C: the runner's interrupt path
@@ -1040,15 +1040,12 @@ def _stats(args) -> int:
 def _trace(args) -> int:
     """Run one experiment with event tracing on; emit the JSONL trace."""
     try:
-        recorder = telem.enable_tracing(capacity=args.buffer, spill_path=args.spill,
-                                        fresh=True)
+        recorder = TraceRecorder(capacity=args.buffer, spill_path=args.spill)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
+    with telem.observing(trace=recorder):
         execute_job(args.name, seed=args.seed)
-    finally:
-        telem.disable_tracing()
     kinds_by_count = recorder.counts_by_kind()
     if args.spill is not None:
         recorder.flush()
@@ -1072,7 +1069,7 @@ def _profile(args) -> int:
     """Run one experiment under the span profiler; render the tree."""
     from repro.telemetry import SpanProfile
 
-    result = execute_job(args.name, seed=args.seed, collect_profile=True)
+    result = execute_job(args.name, seed=args.seed, observe=("spans",))
     profile = SpanProfile.from_snapshot(result.profile or {})
     if args.json:
         print(json.dumps({

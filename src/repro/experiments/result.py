@@ -67,8 +67,8 @@ class ExperimentResult:
     ``physics`` is the analogous
     :meth:`~repro.telemetry.PhysicsCollector.snapshot` of the domain
     observability layer — per-row heat, flip provenance aggregates,
-    and the mitigation audit trail — when the job ran with
-    ``collect_physics``.
+    and the mitigation audit trail — when the job collected the
+    ``physics`` observer.
 
     ``error`` is ``None`` for a successful run; a fault-tolerant batch
     (:meth:`~repro.experiments.runner.ExperimentRunner.run`) captures a

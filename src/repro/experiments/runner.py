@@ -60,6 +60,7 @@ from typing import (
     Any,
     Deque,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -75,7 +76,6 @@ from repro.telemetry import (
     PhysicsCollector,
     RunLedger,
     SpanProfile,
-    SpanProfiler,
 )
 from repro.telemetry import default_ledger
 from repro.telemetry import events as stream_events
@@ -222,11 +222,32 @@ def _peak_rss_kb() -> int:
     return int(rss // 1024) if sys.platform == "darwin" else int(rss)
 
 
+def collectable(observe: Iterable[str]) -> Tuple[str, ...]:
+    """The observers named in ``observe``, in observer-table order.
+
+    Only entries of :data:`~repro.telemetry.runtime.OBSERVERS` with a
+    result field (``metrics``, ``spans``, ``physics``) can be collected
+    per job; any other name raises ``ValueError``.
+    """
+    wanted = set(observe)
+    bad = sorted(n for n in wanted
+                 if getattr(telem.OBSERVERS.get(n), "field", None) is None)
+    if bad:
+        raise ValueError(f"cannot collect per job: {', '.join(bad)}")
+    return tuple(n for n in telem.OBSERVERS if n in wanted)
+
+
+def _job_sink(name: str) -> Any:
+    # job_registry() returns a StreamingRegistry when live streaming is
+    # armed, so instrument touches double as worker heartbeats.
+    if name == "metrics":
+        return stream_events.job_registry()
+    return telem.OBSERVERS[name].new()
+
+
 def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
                 seed: Optional[int] = 0,
-                collect_metrics: bool = False,
-                collect_profile: bool = False,
-                collect_physics: bool = False,
+                observe: Iterable[str] = (),
                 run_id: Optional[str] = None) -> ExperimentResult:
     """Run one experiment in-process and return its structured result.
 
@@ -235,18 +256,16 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
     normalized to JSON-safe types here so cached and fresh results are
     indistinguishable downstream.
 
-    With ``collect_metrics`` the job runs against its own fresh
-    telemetry registry; the snapshot is attached to the result (and the
-    caller's registry is restored afterwards), so per-job metrics can be
-    shipped across process boundaries and merged in the parent.
-    ``collect_profile`` does the same with a fresh span profiler: the
-    whole job runs under a root ``job{name=...}`` span and the profile
-    snapshot rides in ``result.profile``.  ``collect_physics`` does the
-    same with a fresh :class:`~repro.telemetry.PhysicsCollector`
-    (per-row heat, flip provenance, mitigation audit) riding in
-    ``result.physics``.  All of them are installed by one
-    :func:`~repro.telemetry.runtime.observing` scope, held under
-    ``telem.job_lock``: the sinks are process-global, so in-process
+    ``observe`` names the observers the job collects (see
+    :func:`collectable`).  Each runs against a fresh sink of its own
+    and its snapshot rides in the result field the observer's table
+    entry names: ``metrics``, ``profile`` (for ``spans``; the whole job
+    runs under a root ``job{name=...}`` span) or ``physics`` (per-row
+    heat, flip provenance, mitigation audit).  Per-job snapshots thus
+    cross process boundaries and merge in the parent.  All the sinks
+    are installed by one :func:`~repro.telemetry.runtime.observing`
+    scope, held under ``telem.job_lock``, which restores the caller's
+    observers afterwards: the sinks are process-global, so in-process
     jobs on different threads run one at a time.
 
     ``run_id`` (the caller's run, ``None`` outside one) is stamped on
@@ -267,15 +286,10 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
     context: Dict[str, Any] = {"job_id": jid}
     if run_id:
         context["run_id"] = run_id
-    # job_registry() returns a StreamingRegistry when live streaming is
-    # armed, so instrument touches double as worker heartbeats.
-    metrics = stream_events.job_registry() if collect_metrics else None
-    profiler = SpanProfiler() if collect_profile else None
-    collector = PhysicsCollector() if collect_physics else None
+    sinks = {obs: _job_sink(obs) for obs in collectable(observe)}
     ok = True
     error: Optional[str] = None
-    with telem.job_lock, telem.observing(metrics=metrics, spans=profiler,
-                                         physics=collector, context=context):
+    with telem.job_lock, telem.observing(context=context, **sinks):
         if telem.trace_on:
             telem.trace("job_start", name=spec.name, seed=seed)
         start = time.perf_counter()
@@ -302,19 +316,16 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
         duration_s=duration,
         peak_rss_kb=_peak_rss_kb(),
         version=repro.__version__,
-        metrics=metrics.snapshot() if metrics is not None else None,
-        profile=profiler.snapshot() if profiler is not None else None,
-        physics=collector.snapshot() if collector is not None else None,
         run_id=run_id,
         job_id=jid,
+        **{telem.OBSERVERS[obs].field: sink.snapshot()
+           for obs, sink in sinks.items()},
     )
 
 
 def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
                      seed: Optional[int] = 0,
-                     collect_metrics: bool = False,
-                     collect_profile: bool = False,
-                     collect_physics: bool = False,
+                     observe: Iterable[str] = (),
                      run_id: Optional[str] = None) -> ExperimentResult:
     """:func:`execute_job`, but a raising experiment becomes an errored
     :class:`ExperimentResult` (``payload=None``, ``error`` set) instead
@@ -359,10 +370,7 @@ def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
         try:
             chaos.on_job_start(spec.name, seed)
             result = execute_job(name, params=params, seed=seed,
-                                 collect_metrics=collect_metrics,
-                                 collect_profile=collect_profile,
-                                 collect_physics=collect_physics,
-                                 run_id=run_id)
+                                 observe=observe, run_id=run_id)
             return result
         except (Exception, SystemExit) as exc:
             detail = str(exc)
@@ -396,21 +404,17 @@ def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
                     result.duration_s if result is not None else None)
 
 
-def _pool_worker(job: Tuple[str, Dict[str, Any], Optional[int], bool, bool,
-                             bool, str]) -> ExperimentResult:
+def _pool_worker(job: Tuple[str, Dict[str, Any], Optional[int],
+                             Tuple[str, ...], str]) -> ExperimentResult:
     # Re-import inside the worker so spawn-based pools (macOS/Windows)
     # repopulate the registry; under fork this is a no-op.
     import repro.experiments  # noqa: F401
 
-    (name, params, seed, collect_metrics, collect_profile, collect_physics,
-     run_id) = job
+    name, params, seed, observe, run_id = job
     # The safe variant keeps one raising job from poisoning the pool
     # and aborting its completed siblings.
     return execute_job_safe(name, params=params, seed=seed,
-                            collect_metrics=collect_metrics,
-                            collect_profile=collect_profile,
-                            collect_physics=collect_physics,
-                            run_id=run_id)
+                            observe=observe, run_id=run_id)
 
 
 def job_key(name: str, params: Any, seed: Optional[int]) -> str:
@@ -576,15 +580,17 @@ class ExperimentRunner:
     misses out over ``N`` worker processes.  ``cache_dir=None`` disables
     the cache.
 
-    ``collect_metrics=True`` runs every job with telemetry on: each
-    result carries its own metrics snapshot, and :attr:`metrics` holds
-    the parent-side merge across all jobs this runner executed (cache
-    hits included — their stored snapshots are re-absorbed, so a fully
-    cached re-run still reports what the hardware did).
-    ``collect_profile=True`` does the same for span profiles into
-    :attr:`profile`, and ``collect_physics=True`` for the domain
-    observability layer (per-row heat maps, flip provenance, the
-    mitigation audit trail) into :attr:`physics`.
+    ``observe`` names the observers every job collects (see
+    :func:`collectable`).  ``observe=("metrics",)`` runs every job with
+    telemetry on: each result carries its own metrics snapshot, and
+    :attr:`metrics` holds the parent-side merge across all jobs this
+    runner executed (cache hits included — their stored snapshots are
+    re-absorbed, so a fully cached re-run still reports what the
+    hardware did).  ``"spans"`` does the same for span profiles into
+    :attr:`profile`, and ``"physics"`` for the domain observability
+    layer (per-row heat maps, flip provenance, the mitigation audit
+    trail) into :attr:`physics`.  An aggregate is ``None`` when its
+    observer is not collected.
 
     Batches are **fault tolerant**: a job that raises becomes an
     errored result (``error`` set, ``payload=None``) instead of
@@ -640,9 +646,7 @@ class ExperimentRunner:
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None,
                  max_workers: Optional[int] = None,
-                 collect_metrics: bool = False,
-                 collect_profile: bool = False,
-                 collect_physics: bool = False,
+                 observe: Iterable[str] = (),
                  ledger: Union[None, bool, RunLedger] = None,
                  timeout_s: Optional[float] = None,
                  retries: int = 0,
@@ -662,12 +666,10 @@ class ExperimentRunner:
             self.stream = EventStream(heartbeat_s=heartbeat_s,
                                       stale_after_s=stale_after_s,
                                       timeout_s=timeout_s)
-            collect_metrics = True  # heartbeats ride on the job registry
+            observe = {*observe, "metrics"}  # heartbeats ride on the job registry
         self.progress: Optional[SweepProgress] = None
         self.on_progress = on_progress
-        self.collect_metrics = collect_metrics
-        self.collect_profile = collect_profile
-        self.collect_physics = collect_physics
+        self.observe = collectable(observe)
         self.timeout_s = timeout_s
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
@@ -679,15 +681,12 @@ class ExperimentRunner:
         #: this as the ``degraded`` health state).
         self.degraded_to_serial = False
         self.ledger_command = ledger_command
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if collect_metrics else None
-        )
-        self.profile: Optional[SpanProfile] = (
-            SpanProfile() if collect_profile else None
-        )
-        self.physics: Optional[PhysicsCollector] = (
-            PhysicsCollector() if collect_physics else None
-        )
+        self.metrics: Optional[MetricsRegistry] = None
+        self.profile: Optional[SpanProfile] = None
+        self.physics: Optional[PhysicsCollector] = None
+        for name in self.observe:
+            obs = telem.OBSERVERS[name]
+            setattr(self, obs.field, obs.merged())
         if ledger is None or ledger is True:
             self.ledger = default_ledger()
         elif ledger is False:
@@ -756,9 +755,12 @@ class ExperimentRunner:
             self._absorb_locked(result)
 
     def _absorb_locked(self, result: ExperimentResult) -> None:
+        for name in self.observe:
+            field = telem.OBSERVERS[name].field
+            snapshot = getattr(result, field)
+            if snapshot:
+                getattr(self, field).merge(snapshot)
         if self.metrics is not None:
-            if result.metrics:
-                self.metrics.merge(result.metrics)
             self.metrics.counter(
                 "runner_jobs_total",
                 cache_hit=str(result.cache_hit).lower(),
@@ -772,10 +774,6 @@ class ExperimentRunner:
                     "sanitizer_violations_total",
                     subsystem=violation_subsystem(result.error),
                 ).inc()
-        if self.profile is not None and result.profile:
-            self.profile.merge(result.profile)
-        if self.physics is not None and result.physics:
-            self.physics.merge(result.physics)
         if self.ledger is not None:
             self.ledger.record(result, command=self.ledger_command)
 
@@ -818,10 +816,7 @@ class ExperimentRunner:
                 self._absorb(hit)
                 return hit
         result = execute_job(name, params=params, seed=seed,
-                             collect_metrics=self.collect_metrics,
-                             collect_profile=self.collect_profile,
-                             collect_physics=self.collect_physics,
-                             run_id=self.run_id)
+                             observe=self.observe, run_id=self.run_id)
         if self.cache is not None and self.cache.put(result) is None:
             self._count_cache_write_error()
         self._absorb(result)
@@ -974,10 +969,7 @@ class ExperimentRunner:
                 result = call_with_deadline(
                     lambda: execute_job_safe(
                         p.job.name, params=p.job.params, seed=p.job.seed,
-                        collect_metrics=self.collect_metrics,
-                        collect_profile=self.collect_profile,
-                        collect_physics=self.collect_physics,
-                        run_id=self.run_id),
+                        observe=self.observe, run_id=self.run_id),
                     timeout_s)
             except JobTimeout:
                 # The alarm fired outside the guarded job body.
@@ -995,9 +987,7 @@ class ExperimentRunner:
 
     def _submit(self, pool: ProcessPoolExecutor, p: _Pending):
         fut = pool.submit(_pool_worker, (p.job.name, dict(p.job.params),
-                                         p.job.seed, self.collect_metrics,
-                                         self.collect_profile,
-                                         self.collect_physics, self.run_id))
+                                         p.job.seed, self.observe, self.run_id))
         timeout_s = self._job_timeout(p.job)
         p.started_at = time.monotonic()
         p.deadline = (p.started_at + timeout_s) if timeout_s else None

@@ -243,7 +243,6 @@ def replay_bundle(bundle: Dict[str, Any],
         for key in (chaos.ENV_CHAOS, chaos.ENV_CHAOS_STATE,
                     sanit.ENV_SANITIZE, ENV_CAPTURE)
     }
-    prev_level = sanit.current_level()
     try:
         if bundle.get("chaos"):
             os.environ[chaos.ENV_CHAOS] = bundle["chaos"]
@@ -253,13 +252,15 @@ def replay_bundle(bundle: Dict[str, Any],
         os.environ[sanit.ENV_SANITIZE] = bundle.get("sanitize_level") or "off"
         os.environ[ENV_CAPTURE] = "off"
         chaos.reset()
-        sanit.sync_from_env()
-        result = call_with_deadline(
-            lambda: execute_job_safe(bundle["name"],
-                                     params=dict(bundle["params"]),
-                                     seed=bundle.get("seed")),
-            timeout_s,
-        )
+        # The job adopts the bundle's level from the environment; the
+        # scope puts the caller's level back.
+        with telem.observing():
+            result = call_with_deadline(
+                lambda: execute_job_safe(bundle["name"],
+                                         params=dict(bundle["params"]),
+                                         seed=bundle.get("seed")),
+                timeout_s,
+            )
         digest = failure_digest(result.name, dict(result.params),
                                 result.seed, result.error)
         return ReplayReport(
@@ -275,7 +276,3 @@ def replay_bundle(bundle: Dict[str, Any],
             else:
                 os.environ[key] = value
         chaos.reset()
-        if saved[sanit.ENV_SANITIZE] is None:
-            sanit.set_level(prev_level)
-        else:
-            sanit.sync_from_env()

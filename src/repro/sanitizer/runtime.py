@@ -183,6 +183,12 @@ def sync_from_env(default: Optional[str] = None) -> str:
     return level
 
 
+# The level is the ``sanitize`` entry of the observer table, so
+# ``telem.observing()`` saves and restores it with the sinks.
+telem.OBSERVERS["sanitize"] = telem.SettingObserver(
+    "sanitize", save=current_level, install=set_level)
+
+
 # ----------------------------------------------------------------------
 # Check dispatch (call only behind the ``sanitize_on`` guard)
 # ----------------------------------------------------------------------

@@ -437,7 +437,7 @@ class ExperimentService:
             runner = ExperimentRunner(
                 cache_dir=self.cache_dir,
                 max_workers=self.workers,
-                collect_metrics=True,
+                observe=("metrics",),
                 ledger=self.ledger,
                 ledger_command="service",
                 timeout_s=spec.timeout_s if spec.timeout_s is not None

@@ -10,7 +10,10 @@ cycles — so the simulators carry a first-class observability layer:
 * :mod:`repro.telemetry.trace` — a bounded :class:`TraceRecorder`
   ring buffer of typed :class:`TraceEvent` records with JSONL spill;
 * :mod:`repro.telemetry.runtime` — the process-global sinks and the
-  ``metrics_on`` / ``trace_on`` hot-path guards instrument sites read.
+  observer table, ``OBSERVERS``: metrics, trace, spans, physics
+  (:mod:`repro.telemetry.physics`) and the sanitizer level, each behind
+  a hot-path guard (``metrics_on``, ``trace_on``, ``spans_on``,
+  ``physics_on``, ``sanitize_on``) that instrument sites read.
 
 Everything is **off by default**; a disabled instrument site costs one
 module-attribute read.  Enable via the CLI (``repro run --metrics``,
@@ -23,11 +26,11 @@ module-attribute read.  Enable via the CLI (``repro run --metrics``,
     print(telemetry.get_registry().render_table())
 
 To observe one block with private sinks, :func:`observing` installs
-them (guards on, optional trace ``context``) and restores everything
-on exit; the runner runs each in-process job in one such scope.  A
-job's run ID is an argument, never ambient state: the runner hands
-its ``run_id`` to every job it executes, in-process or in a pool
-worker (:mod:`repro.telemetry.ids`).
+them (guards on, optional trace ``context`` and sanitizer level) and
+restores every observer in the table on exit; the runner runs each
+in-process job in one such scope.  A job's run ID is an argument,
+never ambient state: the runner hands its ``run_id`` to every job it
+executes, in-process or in a pool worker (:mod:`repro.telemetry.ids`).
 """
 
 from repro.telemetry.metrics import (

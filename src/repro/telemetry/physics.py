@@ -14,17 +14,20 @@ actual story, which is spatial and causal:
   samples/triggers, ANVIL/CRA detections, refresh-scaling epochs,
   and ECC correct-vs-detect outcomes.
 
-Like every other telemetry signal the collector is **off by
-default**: instrument sites guard on the module global
-``physics_on`` — one attribute read and a falsy branch when
-disabled (the overhead benchmark covers this guard too).  The
-collector speaks the same snapshot/merge protocol as
-:class:`~repro.telemetry.metrics.MetricsRegistry`, so per-job
-physics travels inside :class:`~repro.experiments.result.ExperimentResult`,
+Like every other observer the collector is **off by default**:
+instrument sites guard on the module global ``physics_on`` — one
+attribute read and a falsy branch when disabled (the overhead
+benchmark covers this guard too).  The guard and the collector are
+the ``physics`` entry of the observer table in
+:mod:`repro.telemetry.runtime`, which installs, saves and restores
+them.  The collector speaks the same snapshot/merge protocol as
+:class:`~repro.telemetry.metrics.MetricsRegistry`, so per-job physics
+travels inside :class:`~repro.experiments.result.ExperimentResult`,
 survives the result cache, and adds up across process-pool workers.
 
 This module is a leaf: it imports only the metrics primitives (for
-Prometheus exposition of the aggregates), never the simulator.
+Prometheus exposition of the aggregates), never the simulator; its
+switches reach the observer table at call time.
 """
 
 from __future__ import annotations
@@ -326,25 +329,24 @@ class PhysicsCollector:
         return registry
 
 
+# ----------------------------------------------------------------------
+# The physics entry of the observer table (see repro.telemetry.runtime)
+# ----------------------------------------------------------------------
 _collector = PhysicsCollector()
-
-
-# ----------------------------------------------------------------------
-# Switches and sink management (mirrors repro.telemetry.runtime)
-# ----------------------------------------------------------------------
-def enable_physics(fresh: bool = False) -> PhysicsCollector:
-    """Turn physics collection on; optionally start from an empty collector."""
-    global physics_on, _collector
-    if fresh:
-        _collector = PhysicsCollector()
-    physics_on = True
-    return _collector
-
-
-def disable_physics() -> None:
-    global physics_on
-    physics_on = False
 
 
 def get_collector() -> PhysicsCollector:
     return _collector
+
+
+def enable_physics(fresh: bool = False) -> PhysicsCollector:
+    """Turn physics collection on; optionally start from an empty collector."""
+    from repro.telemetry import runtime
+
+    return runtime.OBSERVERS["physics"].enable(fresh)
+
+
+def disable_physics() -> None:
+    from repro.telemetry import runtime
+
+    runtime.OBSERVERS["physics"].disable()

@@ -1,7 +1,25 @@
-"""Process-global telemetry state and the hot-path guard flags.
+"""Process-global observer state: one table of every observer, and the
+hot-path guard flags instrument sites read.
+
+Five observers watch the simulators.  Each has a sink (or a setting)
+and a guard that instrument sites read as one module attribute:
+
+* ``metrics`` — ``telem.metrics_on`` guards a :class:`MetricsRegistry`;
+* ``trace`` — ``telem.trace_on`` guards a :class:`TraceRecorder`;
+* ``spans`` — ``telem.spans_on`` guards a :class:`SpanProfiler`;
+* ``physics`` — ``phys.physics_on`` guards a
+  :class:`~repro.telemetry.physics.PhysicsCollector`;
+* ``sanitize`` — the sanitizer level, behind ``sanit.sanitize_on`` and
+  ``sanit.full_on``.
+
+:data:`OBSERVERS` holds one entry per observer, and every switch goes
+through it: the ``enable_*``/``disable_*`` helpers, :func:`disable_all`
+(the four sinks; never the sanitizer level) and :func:`observing`,
+which saves and restores every entry.  The runner collects per-job
+sinks through the same entries.
 
 Instrumented simulator code imports this module once and guards every
-metric/trace touch on the two module globals::
+metric/trace touch on the module globals::
 
     from repro.telemetry import runtime as telem
 
@@ -21,19 +39,24 @@ so any simulator layer can depend on it without cycles.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.telemetry import physics as _physics
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.spans import SpanProfiler, span_name
+from repro.telemetry.spans import SpanProfile, SpanProfiler, span_name
 from repro.telemetry.trace import TraceRecorder
 
 __all__ = [
     "metrics_on",
     "trace_on",
     "spans_on",
+    "OBSERVERS",
+    "SinkObserver",
+    "SettingObserver",
     "enable_metrics",
     "disable_metrics",
     "enable_tracing",
@@ -55,8 +78,7 @@ __all__ = [
 ]
 
 #: Hot-path guards. Read directly (``telem.metrics_on``) by instrument
-#: sites; mutate only through the enable/disable helpers and
-#: :func:`observing` below.
+#: sites; mutate only through the switches below.
 metrics_on: bool = False
 trace_on: bool = False
 spans_on: bool = False
@@ -70,20 +92,92 @@ _UNSET: Any = object()
 
 
 # ----------------------------------------------------------------------
+# The observer table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SinkObserver:
+    """A sink and its hot-path guard, both plain attributes of ``module``.
+
+    ``install(sink)`` makes ``sink`` current with the guard on;
+    ``save()``/``restore()`` round-trip the (sink, guard) pair.  A job
+    collects the observer when ``field`` is set: it runs against a
+    fresh ``new()`` sink whose snapshot rides in that
+    :class:`~repro.experiments.result.ExperimentResult` field, and the
+    runner merges those snapshots into one ``merged()`` aggregate.
+    """
+
+    name: str
+    module: Any
+    guard: str
+    sink: str
+    new: Callable[[], Any]
+    field: Optional[str] = None
+    merged: Optional[Callable[[], Any]] = None
+
+    def save(self) -> Any:
+        return getattr(self.module, self.sink), getattr(self.module, self.guard)
+
+    def restore(self, state: Any) -> None:
+        setattr(self.module, self.sink, state[0])
+        setattr(self.module, self.guard, state[1])
+
+    def install(self, sink: Any) -> None:
+        self.restore((sink, True))
+
+    def enable(self, fresh: bool = False) -> Any:
+        """Turn the guard on; optionally start from a fresh sink."""
+        if fresh:
+            setattr(self.module, self.sink, self.new())
+        setattr(self.module, self.guard, True)
+        return getattr(self.module, self.sink)
+
+    def disable(self) -> None:
+        setattr(self.module, self.guard, False)
+
+
+@dataclass(frozen=True)
+class SettingObserver:
+    """An observer that is one setting (the sanitizer level): ``save``
+    reads it, ``install`` sets it.  Jobs never collect it."""
+
+    name: str
+    save: Callable[[], Any]
+    install: Callable[[Any], Any]
+
+    def restore(self, state: Any) -> None:
+        self.install(state)
+
+
+Observer = Union[SinkObserver, SettingObserver]
+
+_this = sys.modules[__name__]
+
+#: Every observer, by name.  The sanitizer adds its ``sanitize`` entry
+#: when :mod:`repro.sanitizer.runtime` is imported.
+OBSERVERS: Dict[str, Observer] = {
+    obs.name: obs for obs in (
+        SinkObserver("metrics", _this, "metrics_on", "_registry",
+                     MetricsRegistry, field="metrics", merged=MetricsRegistry),
+        SinkObserver("trace", _this, "trace_on", "_tracer", TraceRecorder),
+        SinkObserver("spans", _this, "spans_on", "_profiler",
+                     SpanProfiler, field="profile", merged=SpanProfile),
+        SinkObserver("physics", _physics, "physics_on", "_collector",
+                     _physics.PhysicsCollector, field="physics",
+                     merged=_physics.PhysicsCollector),
+    )
+}
+
+
+# ----------------------------------------------------------------------
 # Switches
 # ----------------------------------------------------------------------
 def enable_metrics(fresh: bool = False) -> MetricsRegistry:
     """Turn metric collection on; optionally start from an empty registry."""
-    global metrics_on, _registry
-    if fresh:
-        _registry = MetricsRegistry()
-    metrics_on = True
-    return _registry
+    return OBSERVERS["metrics"].enable(fresh)
 
 
 def disable_metrics() -> None:
-    global metrics_on
-    metrics_on = False
+    OBSERVERS["metrics"].disable()
 
 
 def enable_tracing(capacity: Optional[int] = None,
@@ -97,42 +191,32 @@ def enable_tracing(capacity: Optional[int] = None,
     keeps the configured capacity.  Pass ``spill_path=None`` explicitly
     to drop an existing spill destination.
     """
-    global trace_on, _tracer
-    if capacity is not None and capacity < 1:
-        raise ValueError(f"trace capacity must be >= 1, got {capacity}")
     if fresh or capacity is not None or spill_path is not _UNSET:
-        _tracer = TraceRecorder(
+        OBSERVERS["trace"].install(TraceRecorder(
             capacity=capacity if capacity is not None else _tracer.capacity,
             spill_path=spill_path if spill_path is not _UNSET else _tracer.spill_path,
-        )
-    trace_on = True
-    return _tracer
+        ))
+    return OBSERVERS["trace"].enable()
 
 
 def disable_tracing() -> None:
-    global trace_on
-    trace_on = False
+    OBSERVERS["trace"].disable()
 
 
 def enable_profiling(fresh: bool = False) -> SpanProfiler:
     """Turn span profiling on; optionally start from an empty profiler."""
-    global spans_on, _profiler
-    if fresh:
-        _profiler = SpanProfiler()
-    spans_on = True
-    return _profiler
+    return OBSERVERS["spans"].enable(fresh)
 
 
 def disable_profiling() -> None:
-    global spans_on
-    spans_on = False
+    OBSERVERS["spans"].disable()
 
 
 def disable_all() -> None:
-    disable_metrics()
-    disable_tracing()
-    disable_profiling()
-    _physics.disable_physics()
+    """Turn every sink's guard off; the sanitizer level is left alone."""
+    for obs in OBSERVERS.values():
+        if isinstance(obs, SinkObserver):
+            obs.disable()
 
 
 # ----------------------------------------------------------------------
@@ -151,41 +235,40 @@ def get_profiler() -> SpanProfiler:
 
 
 @contextmanager
-def observing(metrics: Optional[MetricsRegistry] = None,
-              trace: Optional[TraceRecorder] = None,
-              spans: Optional[SpanProfiler] = None,
-              physics: Optional[_physics.PhysicsCollector] = None,
-              context: Optional[Mapping[str, Any]] = None) -> Iterator[None]:
-    """Observe a block with the given sinks; restore everything on exit.
+def observing(*, context: Optional[Mapping[str, Any]] = None,
+              **installs: Any) -> Iterator[None]:
+    """Observe a block; restore every observer on exit.
 
-    Each sink passed is installed as the process sink with its guard
-    turned on; ``context`` is merged into the active tracer's context
-    (explicit event fields still win).  On exit every sink, guard and
-    the tracer context return to what they were, so scopes nest.  The
-    runner wraps each in-process job in one scope (under
-    :data:`job_lock`), whose sinks' snapshots then ride in the result.
+    Each keyword names a :data:`OBSERVERS` entry: a sink passed for
+    ``metrics``, ``trace``, ``spans`` or ``physics`` becomes the
+    process sink with its guard on, and ``sanitize`` installs a
+    sanitizer level (``None`` leaves an observer as it is).
+    ``context`` is merged into the active tracer's context (explicit
+    event fields still win).  On exit every entry of the table, and the
+    tracer context, returns to what it was, whatever the block
+    switched, so scopes nest.  The runner wraps each in-process job in
+    one scope (under :data:`job_lock`), whose sinks' snapshots then
+    ride in the result.
     """
-    global _registry, _tracer, _profiler, metrics_on, trace_on, spans_on
-    saved = (_registry, _tracer, _profiler, metrics_on, trace_on, spans_on,
-             _physics._collector, _physics.physics_on)
-    if metrics is not None:
-        _registry, metrics_on = metrics, True
-    if trace is not None:
-        _tracer, trace_on = trace, True
-    if spans is not None:
-        _profiler, spans_on = spans, True
-    if physics is not None:
-        _physics._collector, _physics.physics_on = physics, True
-    tracer = _tracer
-    prev_context = tracer.context
-    if context:
-        tracer.context = {**prev_context, **context}
+    unknown = sorted(installs.keys() - OBSERVERS.keys())
+    if unknown:
+        raise TypeError(f"observing() got unknown observers: {', '.join(unknown)}")
+    saved = [(obs, obs.save()) for obs in OBSERVERS.values()]
     try:
-        yield
+        for name, value in installs.items():
+            if value is not None:
+                OBSERVERS[name].install(value)
+        tracer = _tracer
+        prev_context = tracer.context
+        if context:
+            tracer.context = {**prev_context, **context}
+        try:
+            yield
+        finally:
+            tracer.context = prev_context
     finally:
-        tracer.context = prev_context
-        (_registry, _tracer, _profiler, metrics_on, trace_on, spans_on,
-         _physics._collector, _physics.physics_on) = saved
+        for obs, state in saved:
+            obs.restore(state)
 
 
 #: Held by the runner around each in-process job: the sinks above are

@@ -54,8 +54,8 @@ class TraceRecorder:
 
     def __init__(self, capacity: int = 65536,
                  spill_path: Optional[Union[str, Path]] = None) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if capacity < 1:
+            raise ValueError(f"trace capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.spill_path = Path(spill_path) if spill_path is not None else None
         self._buffer: deque = deque()

@@ -8,11 +8,15 @@ path directly.
 
 Failure capture is likewise forced off (a failing test's runner jobs
 must not litter ``.repro-failures/``); capture/replay tests opt back in
-with ``monkeypatch``.  ``REPRO_SANITIZE`` is deliberately **left
-alone** — CI runs the whole tier-1 suite under ``REPRO_SANITIZE=full``
-— but the programmatic level is re-synced from the environment after
-every test so a test that called ``set_level`` can't leak its level
-into the next one.
+with ``monkeypatch``.
+
+Every test runs inside one :func:`~repro.telemetry.runtime.observing`
+scope over the whole observer table: fresh metrics, trace, span and
+physics sinks with their guards off, and the sanitizer level as the
+test found it.  Whatever a test switches, every sink, guard and the
+level come back afterwards.  ``REPRO_SANITIZE`` is deliberately **left
+alone** — CI runs the whole tier-1 suite under ``REPRO_SANITIZE=full``,
+so every test runs at that level unless it sets one itself.
 
 ``--dram-engine reference`` reruns any selection of tests with every
 :class:`~repro.dram.module.DramModule` built on the per-command
@@ -22,9 +26,10 @@ way); the default, ``columnar``, leaves production banks in place.
 
 import pytest
 
+import repro.sanitizer.runtime  # noqa: F401  (adds the "sanitize" observer)
 from repro.dram.differential import BANK_CLASSES
 from repro.dram.module import DramModule
-from repro.sanitizer import runtime as sanit
+from repro.telemetry import runtime as telem
 
 
 def pytest_addoption(parser):
@@ -50,5 +55,11 @@ def _ledger_off(monkeypatch):
 @pytest.fixture(autouse=True)
 def _capture_off(monkeypatch):
     monkeypatch.setenv("REPRO_CAPTURE", "off")
-    yield
-    sanit.sync_from_env(default="off")
+
+
+@pytest.fixture(autouse=True)
+def _observers():
+    with telem.observing(**{name: obs.new() for name, obs in telem.OBSERVERS.items()
+                            if isinstance(obs, telem.SinkObserver)}):
+        telem.disable_all()
+        yield

@@ -16,7 +16,7 @@ from repro.dram.disturbance import (
 )
 from repro.dram.geometry import DramGeometry
 from repro.dram.stream import CommandStream
-from repro.telemetry import MetricsRegistry, SpanProfiler, TraceRecorder
+from repro.telemetry import MetricsRegistry
 from repro.telemetry import runtime as telem
 
 GEOMETRY = DramGeometry(banks=2, rows=256, row_bytes=64)
@@ -41,14 +41,6 @@ def hammer_stream(victims=6, count=5000, first=10, stride=3):
         v = first + stride * i
         stream.act(v - 1, count).act(v + 1, count)
     return stream.ref_all(100.0)
-
-
-@pytest.fixture(autouse=True)
-def _clean_telemetry():
-    with telem.observing(metrics=MetricsRegistry(), trace=TraceRecorder(),
-                         spans=SpanProfiler()):
-        telem.disable_all()
-        yield
 
 
 @pytest.mark.parametrize("cls", BANKS, ids=lambda cls: cls.engine)
@@ -320,7 +312,6 @@ class TestMetricsSymmetry:
         snapshot = telem.get_registry().snapshot()
         events = Counter((e.kind, e.t, tuple(sorted(e.fields.items())))
                          for e in telem.get_tracer().events())
-        telem.disable_all()
         return snapshot, events
 
     def _assert_engines_agree(self, script):

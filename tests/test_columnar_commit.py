@@ -21,7 +21,6 @@ from repro.dram.differential import ReferenceModule
 from repro.dram.stream import CommandStream
 from repro.dram.timing import DDR3_1333
 from repro.sanitizer import runtime as sanit
-from repro.telemetry import MetricsRegistry, PhysicsCollector, SpanProfiler, TraceRecorder
 from repro.telemetry import physics as phys
 from repro.telemetry import runtime as telem
 
@@ -40,14 +39,10 @@ PAIRS = 1_000
 
 
 @pytest.fixture(autouse=True)
-def _clean_observers():
+def _sanitizer_off():
     # Deferral is what these tests observe; the guard tests below switch
-    # the sanitizer on themselves (conftest re-syncs the level after).
+    # the sanitizer on themselves (conftest restores the level after).
     sanit.set_level("off")
-    with telem.observing(metrics=MetricsRegistry(), trace=TraceRecorder(),
-                         spans=SpanProfiler(), physics=PhysicsCollector()):
-        telem.disable_all()
-        yield
 
 
 def hammered(engine, pattern="rowstripe", probe=None):
@@ -189,16 +184,13 @@ class TestCommitPoints:
 def traced_hammer(engine, probe=None):
     """The ``activate``/``bit_flip`` events of a hammer, after a commit."""
     telem.enable_tracing(capacity=1 << 16, fresh=True)
-    try:
-        module = hammered(engine, probe=probe)
-        if engine == "columnar" and probe is None:
-            assert pending(module) == 2 * PAIRS + 2  # tracing defers too
-        module.total_flips()  # a commit point emits the run's events
-        return [(e.kind, e.t, e.fields.get("row"))
-                for e in telem.get_tracer().events()
-                if e.kind in ("activate", "bit_flip")]
-    finally:
-        telem.disable_tracing()
+    module = hammered(engine, probe=probe)
+    if engine == "columnar" and probe is None:
+        assert pending(module) == 2 * PAIRS + 2  # tracing defers too
+    module.total_flips()  # a commit point emits the run's events
+    return [(e.kind, e.t, e.fields.get("row"))
+            for e in telem.get_tracer().events()
+            if e.kind in ("activate", "bit_flip")]
 
 
 class TestGuards:
@@ -218,16 +210,13 @@ class TestGuards:
 
     @pytest.mark.parametrize("level", ["cheap", "full"])
     def test_sanitizer_digests(self, level):
-        previous = sanit.set_level(level)
-        try:
-            def digests(module):
-                module.total_flips()  # the commit checks and notes the run
-                return dict(module.bank(0).__dict__.get("_sanit_digest") or {})
+        sanit.set_level(level)
 
-            got = agree(digests)
-            assert bool(got) == (level == "full")
-        finally:
-            sanit.set_level(previous)
+        def digests(module):
+            module.total_flips()  # the commit checks and notes the run
+            return dict(module.bank(0).__dict__.get("_sanit_digest") or {})
+
+        assert bool(agree(digests)) == (level == "full")
 
     def test_physics_heat_map_and_provenance(self):
         snapshots = {}
@@ -238,6 +227,5 @@ class TestGuards:
             collector = phys.get_collector()
             snapshots[engine] = (collector.heat_rows(),
                                  collector.provenance_rows())
-            phys.disable_physics()
         assert snapshots["columnar"] == snapshots["reference"]
         assert snapshots["reference"][1], "provenance must record the flips"

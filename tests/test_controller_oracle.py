@@ -57,7 +57,6 @@ from repro.dram.differential import ReferenceModule
 from repro.dram.timing import DDR3_1333
 from repro.softmc.interpreter import SoftMcInterpreter
 from repro.softmc.program import hammer_program
-from repro.sanitizer import runtime as sanit
 from repro.telemetry import (
     MetricsRegistry,
     PhysicsCollector,
@@ -469,15 +468,12 @@ def alone(observer):
     """Run a block with ``observer`` the only observer on (``None``:
     none, whatever ``REPRO_SANITIZE`` says)."""
     level = observer.split("-")[1] if observer in SANITIZER_LEVELS else "off"
-    previous = sanit.set_level(level)
-    try:
-        with telem.observing(**{name: make() for name, make in SINKS.items()}):
-            telem.disable_all()
-            with telem.observing(**({observer: SINKS[observer]()}
-                                    if observer in SINKS else {})):
-                yield
-    finally:
-        sanit.set_level(previous)
+    with telem.observing(sanitize=level,
+                         **{name: make() for name, make in SINKS.items()}):
+        telem.disable_all()
+        with telem.observing(**({observer: SINKS[observer]()}
+                                if observer in SINKS else {})):
+            yield
 
 
 def engine_path(ctrl):

@@ -202,7 +202,7 @@ class TestFaultTolerance:
         assert not rerun[1].cache_hit  # failure re-ran
 
     def test_outcome_label_tallies_errors(self, failing_experiment):
-        runner = ExperimentRunner(collect_metrics=True)
+        runner = ExperimentRunner(observe=("metrics",))
         runner.run([Job(failing_experiment, {}, s) for s in (0, 1, 2)])
         assert runner.metrics.value("runner_jobs_total",
                                     cache_hit="false", outcome="ok") == 2
@@ -213,12 +213,9 @@ class TestFaultTolerance:
         from repro.telemetry import runtime as telem
 
         recorder = telem.enable_tracing(fresh=True)
-        try:
-            E.execute_job(failing_experiment, seed=0)
-            with pytest.raises(RuntimeError):
-                E.execute_job(failing_experiment, seed=1)
-        finally:
-            telem.disable_tracing()
+        E.execute_job(failing_experiment, seed=0)
+        with pytest.raises(RuntimeError):
+            E.execute_job(failing_experiment, seed=1)
         ends = [e for e in recorder.events() if e.kind == "job_end"]
         assert len(ends) == 2
         assert ends[0].fields["ok"] is True
@@ -254,7 +251,7 @@ fork_only = pytest.mark.skipif(
 class TestCrossProcessMerge:
     @fork_only
     def test_parent_merges_metrics_from_distinct_workers(self, pid_probe):
-        runner = ExperimentRunner(max_workers=3, collect_metrics=True)
+        runner = ExperimentRunner(max_workers=3, observe=("metrics",))
         results = runner.run([Job("_pid_probe", {}, s) for s in range(3)])
         pids = {r.payload["pid"] for r in results}
         assert os.getpid() not in pids  # genuinely ran out-of-process
@@ -268,13 +265,13 @@ class TestCrossProcessMerge:
     def test_cache_hits_reabsorb_worker_snapshots(self, pid_probe, tmp_path):
         jobs = [Job("_pid_probe", {}, s) for s in range(3)]
         first = ExperimentRunner(cache_dir=tmp_path, max_workers=3,
-                                 collect_metrics=True)
+                                 observe=("metrics",))
         first.run(jobs)
         # A fresh runner re-running the same jobs is all cache hits, yet
         # its merged metrics must equal the original run's: the per-job
         # snapshots survived the on-disk cache and were re-absorbed.
         second = ExperimentRunner(cache_dir=tmp_path, max_workers=3,
-                                  collect_metrics=True)
+                                  observe=("metrics",))
         rerun = second.run(jobs)
         assert all(r.cache_hit for r in rerun)
         assert (second.metrics.total("probe_jobs_total")
@@ -284,7 +281,7 @@ class TestCrossProcessMerge:
 
     @fork_only
     def test_parent_merges_profiles_from_workers(self, pid_probe):
-        runner = ExperimentRunner(max_workers=2, collect_profile=True)
+        runner = ExperimentRunner(max_workers=2, observe=("spans",))
         runner.run([Job("_pid_probe", {}, s) for s in range(2)])
         assert runner.profile.get("job{name=_pid_probe}")[0] == 2
 

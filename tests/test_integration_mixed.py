@@ -19,7 +19,7 @@ GEO = DramGeometry(banks=2, rows=512, row_bytes=256)
 PROFILE = VulnerabilityProfile(weak_cell_density=0.05, hc_first_median=3_000, hc_first_min=800)
 
 
-def run_mixed(mitigation, seed=12, attacker_share=4.0):
+def run_mixed(mitigation, seed=12):
     module = DramModule(geometry=GEO, timing=DDR3_1333, profile=PROFILE, seed=seed)
     ctrl = MemoryController(module, mitigation=mitigation)
     benign = sequential_stream(800, banks=GEO.banks, rows=GEO.rows)

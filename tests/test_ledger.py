@@ -35,7 +35,7 @@ class TestEnvironmentConfig:
 class TestBuildRecord:
     def test_record_fields(self):
         result = execute_job("rowhammer_basic", params=CHEAP, seed=3,
-                             collect_metrics=True)
+                             observe=("metrics",))
         record = build_record(result, command="test")
         assert record["schema"] == ledger_mod.LEDGER_SCHEMA
         assert record["name"] == "rowhammer_basic"

@@ -24,17 +24,9 @@ from repro.dram.differential import (
 )
 from repro.dram.disturbance import DisturbanceModel
 from repro.experiments import ExperimentResult, ExperimentRunner, Job, execute_job
-from repro.telemetry import AuditEvent, MetricsRegistry, PhysicsCollector
+from repro.telemetry import AuditEvent, PhysicsCollector
 from repro.telemetry import physics as phys
 from repro.telemetry import runtime as telem
-
-
-@pytest.fixture(autouse=True)
-def _clean_physics():
-    """Every test sees a pristine, disabled global physics collector."""
-    with telem.observing(physics=PhysicsCollector()):
-        phys.disable_physics()
-        yield
 
 
 def _run_bank(engine: str, seed: int = 2, pattern: str = "rowstripe"):
@@ -204,7 +196,6 @@ class TestEngineAgreement:
             phys.enable_physics(fresh=True)
             _run_bank(engine)
             snapshots[engine] = phys.get_collector().snapshot()
-            phys.disable_physics()
         ref, col = snapshots["reference"], snapshots["columnar"]
         assert ref["provenance"] and len(ref["provenance"]) == len(col["provenance"])
         for a, b in zip(ref["heat"], col["heat"]):
@@ -235,7 +226,7 @@ class TestMitigationAudit:
     def test_para_draws_and_refreshes_audited(self):
         result = execute_job("para_controller_check",
                              params={"iterations": 3000},
-                             seed=0, collect_physics=True)
+                             seed=0, observe=("physics",))
         collector = PhysicsCollector.from_snapshot(result.physics)
         counts = collector.audit_counts()
         assert counts[("para", "draw")] > 0
@@ -250,7 +241,7 @@ class TestMitigationAudit:
         assert all("aggressor" in e.detail for e in events)
 
     def test_ecc_outcomes_audited_as_counts(self):
-        result = execute_job("ecc_study", seed=0, collect_physics=True)
+        result = execute_job("ecc_study", seed=0, observe=("physics",))
         collector = PhysicsCollector.from_snapshot(result.physics)
         ecc = {dec: n for (mit, dec), n in collector.audit_counts().items()
                if mit == "ecc"}
@@ -266,7 +257,7 @@ class TestRunnerPlumbing:
 
     def test_result_round_trips_physics(self):
         result = execute_job("rowhammer_basic", params=self.PARAMS,
-                             seed=0, collect_physics=True)
+                             seed=0, observe=("physics",))
         assert result.physics is not None
         restored = ExperimentResult.from_json_dict(
             json.loads(json.dumps(result.to_json_dict())))
@@ -277,13 +268,13 @@ class TestRunnerPlumbing:
     def test_collect_physics_restores_global_state(self):
         sentinel = phys.get_collector()
         execute_job("rowhammer_basic", params=self.PARAMS,
-                    seed=0, collect_physics=True)
+                    seed=0, observe=("physics",))
         assert phys.get_collector() is sentinel
         assert not phys.physics_on
         assert not sentinel  # the job's flips went to its own collector
 
     def test_pool_workers_merge_into_parent(self):
-        runner = ExperimentRunner(max_workers=2, collect_physics=True,
+        runner = ExperimentRunner(max_workers=2, observe=("physics",),
                                   ledger=False)
         jobs = [Job("rowhammer_basic", self.PARAMS, seed) for seed in (1, 2, 3)]
         results = runner.run(jobs)
@@ -294,12 +285,12 @@ class TestRunnerPlumbing:
 
     def test_cache_hit_reabsorbs_physics(self, tmp_path):
         cache = tmp_path / "cache"
-        first = ExperimentRunner(cache_dir=cache, collect_physics=True,
+        first = ExperimentRunner(cache_dir=cache, observe=("physics",),
                                  ledger=False)
         miss = first.run_one("rowhammer_basic", params=self.PARAMS, seed=7)
         assert not miss.cache_hit and miss.physics
 
-        second = ExperimentRunner(cache_dir=cache, collect_physics=True,
+        second = ExperimentRunner(cache_dir=cache, observe=("physics",),
                                   ledger=False)
         hit = second.run_one("rowhammer_basic", params=self.PARAMS, seed=7)
         assert hit.cache_hit

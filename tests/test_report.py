@@ -24,17 +24,9 @@ from repro.experiments import ExperimentResult
 from repro.report import check_report, render_report
 from repro.telemetry import MetricsRegistry, PhysicsCollector
 from repro.telemetry import physics as phys
-from repro.telemetry import runtime as telem
 
 FINGERPRINT = {"git_sha": "deadbeef", "python": "3.x", "numpy": "2.x",
                "hostname": "test"}
-
-
-@pytest.fixture(autouse=True)
-def _clean_physics():
-    with telem.observing(physics=PhysicsCollector()):
-        phys.disable_physics()
-        yield
 
 
 def _hammered_bank():

@@ -118,10 +118,7 @@ class TestClassification:
         from repro.telemetry import runtime as telem
 
         recorder = telem.enable_tracing(fresh=True)
-        try:
-            execute_job_safe(hard_failures, seed=2)
-        finally:
-            telem.disable_tracing()
+        execute_job_safe(hard_failures, seed=2)
         ends = [e for e in recorder.events() if e.kind == "job_end"]
         assert ends and ends[0].fields["error"].startswith("SystemExit")
         assert ends[0].fields["ok"] is False
@@ -137,7 +134,7 @@ class TestTimeouts:
             call_with_deadline(lambda: time.sleep(5), 0.1)
 
     def test_serial_timeout_yields_structured_outcome(self, sleeper):
-        runner = ExperimentRunner(timeout_s=0.2, collect_metrics=True,
+        runner = ExperimentRunner(timeout_s=0.2, observe=("metrics",),
                                   ledger=False)
         results = runner.run([Job(sleeper, {"secs": 5.0}, 0),
                               Job(sleeper, {}, 1)])
@@ -165,7 +162,7 @@ class TestTimeouts:
     @fork_only
     def test_pool_timeout_reclaims_hung_worker(self, sleeper):
         runner = ExperimentRunner(max_workers=2, timeout_s=0.5,
-                                  collect_metrics=True, ledger=False)
+                                  observe=("metrics",), ledger=False)
         jobs = [Job(sleeper, {"secs": 30.0}, 0)] + [
             Job(sleeper, {}, s) for s in (1, 2, 3)
         ]
@@ -182,7 +179,7 @@ class TestTimeouts:
 class TestRetries:
     def test_transient_failure_retries_to_success(self, transient_then_ok):
         runner = ExperimentRunner(retries=2, backoff_s=0.01,
-                                  collect_metrics=True, ledger=False)
+                                  observe=("metrics",), ledger=False)
         results = runner.run([Job(transient_then_ok, {}, 0)])
         assert results[0].ok
         assert runner.retries_total == 1
@@ -231,7 +228,7 @@ class TestPoolRecovery:
         from repro import chaos
         chaos.reset()
         try:
-            runner = ExperimentRunner(max_workers=2, collect_metrics=True,
+            runner = ExperimentRunner(max_workers=2, observe=("metrics",),
                                       ledger=False)
             jobs = [Job(sleeper, {}, derive_seed(0, i)) for i in range(4)]
             results = runner.run(jobs)
@@ -306,13 +303,13 @@ class TestConcurrentJobs:
             # More threads than cores, switching often.
             jobs = [("_metered_probe", 1), ("rowhammer_basic", 0),
                     ("_metered_probe", 2), ("rowhammer_basic", 1)]
-            solo = [execute_job(name, seed=seed, collect_metrics=True).metrics
+            solo = [execute_job(name, seed=seed, observe=("metrics",)).metrics
                     for name, seed in jobs]
             original = telem.get_registry()
             sys.setswitchinterval(1e-5)
             together = _in_threads([
                 lambda name=name, seed=seed: execute_job(
-                    name, seed=seed, collect_metrics=True).metrics
+                    name, seed=seed, observe=("metrics",)).metrics
                 for name, seed in jobs])
         finally:
             sys.setswitchinterval(switch_interval)
@@ -575,7 +572,7 @@ class TestCacheWriteDegrade:
     def test_runner_completes_and_counts_cache_write_failures(self, tmp_path,
                                                               monkeypatch):
         runner = ExperimentRunner(cache_dir=tmp_path / "cache",
-                                  max_workers=1, collect_metrics=True,
+                                  max_workers=1, observe=("metrics",),
                                   ledger=False)
         monkeypatch.setattr(runner.cache, "put", lambda result: None)
         results = runner.run(

@@ -39,14 +39,6 @@ EXPECTED_SUBSYSTEMS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _level_guard():
-    """Restore the level each test found, whatever it sets."""
-    prev = sanit.current_level()
-    yield
-    sanit.set_level(prev)
-
-
 def make_bank(seed=3, pattern="solid1"):
     model = DisturbanceModel(GEO, PROFILE, seed)
     return ColumnarDramBank(GEO, model, 0, default_pattern=pattern)

@@ -7,17 +7,9 @@ import time
 import pytest
 
 from repro.experiments import execute_job
-from repro.telemetry import MetricsRegistry, SpanProfile, SpanProfiler, TraceRecorder
+from repro.telemetry import SpanProfile, SpanProfiler
 from repro.telemetry import runtime as telem
 from repro.telemetry.spans import span_name
-
-
-@pytest.fixture(autouse=True)
-def _clean_telemetry():
-    with telem.observing(metrics=MetricsRegistry(), trace=TraceRecorder(),
-                         spans=SpanProfiler()):
-        telem.disable_all()
-        yield
 
 
 class TestSpanName:
@@ -193,7 +185,7 @@ class TestJobProfiles:
         # Acceptance: the span tree's root total must agree with the
         # recorded wall clock within 5%.
         result = execute_job("rowhammer_basic", params=self.CHEAP, seed=0,
-                             collect_profile=True)
+                             observe=("spans",))
         assert result.profile is not None
         profile = SpanProfile.from_snapshot(result.profile)
         root = profile.get("job{name=rowhammer_basic}")
@@ -204,7 +196,7 @@ class TestJobProfiles:
 
     def test_profile_snapshot_is_json_safe(self):
         result = execute_job("rowhammer_basic", params=self.CHEAP, seed=0,
-                             collect_profile=True)
+                             observe=("spans",))
         json.dumps(result.to_json_dict())
         restored = type(result).from_json_dict(result.to_json_dict())
         assert restored.profile == result.profile
@@ -213,7 +205,7 @@ class TestJobProfiles:
         sentinel = telem.get_profiler()
         assert not telem.spans_on
         execute_job("rowhammer_basic", params=self.CHEAP, seed=0,
-                    collect_profile=True)
+                    observe=("spans",))
         assert not telem.spans_on
         assert telem.get_profiler() is sentinel
 
@@ -224,6 +216,6 @@ class TestJobProfiles:
     def test_runner_merges_profiles_across_jobs(self):
         from repro.experiments import ExperimentRunner, Job
 
-        runner = ExperimentRunner(collect_profile=True, ledger=False)
+        runner = ExperimentRunner(observe=("spans",), ledger=False)
         runner.run([Job("rowhammer_basic", self.CHEAP, s) for s in (0, 1)])
         assert runner.profile.get("job{name=rowhammer_basic}")[0] == 2

@@ -44,10 +44,8 @@ def _clean_chaos(monkeypatch):
     monkeypatch.delenv(chaos.ENV_CHAOS, raising=False)
     monkeypatch.delenv(chaos.ENV_CHAOS_STATE, raising=False)
     chaos.reset()
-    prev = sanit.current_level()
     yield
     chaos.reset()
-    sanit.set_level(prev)
 
 
 def _arm(monkeypatch, subsystem):

@@ -8,25 +8,18 @@ import pytest
 
 from repro.core.scenarios import full_scale_scenario
 from repro.experiments import ExperimentRunner, Job, execute_job
+from repro.sanitizer import runtime as sanit
 from repro.telemetry import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    PhysicsCollector,
+    SpanProfiler,
     TraceRecorder,
 )
+from repro.telemetry import physics as phys
 from repro.telemetry import runtime as telem
-
-
-@pytest.fixture(autouse=True)
-def _clean_telemetry():
-    """Every test sees pristine, disabled global telemetry state."""
-    from repro.telemetry import SpanProfiler
-
-    with telem.observing(metrics=MetricsRegistry(), trace=TraceRecorder(),
-                         spans=SpanProfiler()):
-        telem.disable_all()
-        yield
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +348,7 @@ class TestRunnerIntegration:
     def test_execute_job_attaches_snapshot_and_restores_state(self):
         sentinel = telem.enable_metrics(fresh=True)
         result = execute_job("rowhammer_basic", params=CHEAP, seed=0,
-                             collect_metrics=True)
+                             observe=("metrics",))
         # the caller's registry came back untouched, flags preserved
         assert telem.get_registry() is sentinel
         assert telem.metrics_on
@@ -369,7 +362,7 @@ class TestRunnerIntegration:
         assert not telem.metrics_on
 
     def test_pool_workers_merge_into_parent(self):
-        runner = ExperimentRunner(max_workers=2, collect_metrics=True)
+        runner = ExperimentRunner(max_workers=2, observe=("metrics",))
         jobs = [Job("rowhammer_basic", CHEAP, seed) for seed in (0, 1, 2)]
         results = runner.run(jobs)
         assert all(r.metrics is not None for r in results)
@@ -381,9 +374,9 @@ class TestRunnerIntegration:
                                     cache_hit="false", outcome="ok") == 3
 
     def test_cached_rerun_still_reports_metrics(self, tmp_path):
-        first = ExperimentRunner(cache_dir=tmp_path, collect_metrics=True)
+        first = ExperimentRunner(cache_dir=tmp_path, observe=("metrics",))
         fresh = first.run_one("rowhammer_basic", params=CHEAP, seed=0)
-        second = ExperimentRunner(cache_dir=tmp_path, collect_metrics=True)
+        second = ExperimentRunner(cache_dir=tmp_path, observe=("metrics",))
         hit = second.run_one("rowhammer_basic", params=CHEAP, seed=0)
         assert hit.cache_hit
         assert hit.metrics == fresh.metrics  # snapshot survived the disk trip
@@ -397,3 +390,140 @@ class TestRunnerIntegration:
         result = runner.run_one("rowhammer_basic", params=CHEAP, seed=0)
         assert runner.metrics is None
         assert result.metrics is None
+
+
+# ----------------------------------------------------------------------
+# The observer table: every observer saved, restored and collected
+# ----------------------------------------------------------------------
+def _observer_state():
+    """Every sink, guard and the sanitizer level, in table order."""
+    return (telem.get_registry(), telem.metrics_on,
+            telem.get_tracer(), telem.trace_on,
+            telem.get_profiler(), telem.spans_on,
+            phys.get_collector(), phys.physics_on,
+            sanit.current_level(), sanit.sanitize_on, sanit.full_on)
+
+
+def _sinks():
+    return {"metrics": MetricsRegistry(), "trace": TraceRecorder(),
+            "spans": SpanProfiler(), "physics": PhysicsCollector()}
+
+
+#: A cache entry as the result cache wrote it before jobs collected
+#: observers by name: all three per-job snapshots, verbatim.
+LEGACY_CACHE_FILE = "rowhammer_basic/af31bcba12beec6694e58e36.json"
+LEGACY_CACHE_RECORD = json.loads("""{
+ "cache_hit": false, "duration_s": 0.002112273003149312, "error": null,
+ "job_id": "af31bcba12be", "name": "rowhammer_basic",
+ "params": {"pressure": 100, "victims": 1}, "peak_rss_kb": 41608,
+ "run_id": "r20261018-082716-6ce4d2", "seed": 0, "version": "1.0.0",
+ "payload": {"activations": 200, "bit_flips": 0, "flips_per_victim": 0.0,
+  "pressure_per_side": 100, "refreshes": 7, "victims": 1},
+ "metrics": {"counters": [
+   {"labels": {"bank": "0"}, "name": "dram_activations_total", "value": 200},
+   {"labels": {"bank": "0", "cause": "activate"},
+    "name": "dram_bit_flips_total", "value": 0},
+   {"labels": {"bank": "0"}, "name": "dram_refreshes_total", "value": 7}],
+  "gauges": [], "histograms": [{"count": 0,
+   "counts": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+   "edges": [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0],
+   "labels": {}, "name": "dram_flips_per_event", "sum": 0.0}]},
+ "physics": {"audit_counts": [], "audit_dropped": 0, "audit_events": [],
+  "heat": [[0, 63, 100, 0.0, 0], [0, 65, 100, 0.0, 0]], "provenance": []},
+ "profile": {"spans": [
+  {"count": 1, "path": ["job{name=rowhammer_basic}"],
+   "self_s": 0.0005132740043336526, "total_s": 0.0020850750006502494},
+  {"count": 1, "path": ["job{name=rowhammer_basic}", "dram.execute"],
+   "self_s": 0.001469638998969458, "total_s": 0.0015718009963165969},
+  {"count": 1, "path": ["job{name=rowhammer_basic}", "dram.execute",
+    "dram.refresh_all"],
+   "self_s": 0.00010216199734713882, "total_s": 0.00010216199734713882}]}
+}""")
+
+
+class TestObserverTable:
+    def test_table_names_the_five_observers(self):
+        assert list(telem.OBSERVERS) == ["metrics", "trace", "spans",
+                                         "physics", "sanitize"]
+
+    def test_scope_restores_sanitizer_level(self):
+        sanit.set_level("cheap")
+        with telem.observing():
+            sanit.set_level("full")
+        assert (sanit.current_level(), sanit.sanitize_on, sanit.full_on) == (
+            "cheap", True, False)
+        with pytest.raises(RuntimeError):
+            with telem.observing(sanitize="off"):
+                assert not sanit.sanitize_on
+                raise RuntimeError("job failed")
+        assert (sanit.current_level(), sanit.sanitize_on, sanit.full_on) == (
+            "cheap", True, False)
+
+    def test_nested_scopes_restore_every_observer(self):
+        sanit.set_level("off")
+        before = _observer_state()
+        outer, inner = _sinks(), _sinks()
+        with telem.observing(sanitize="cheap", **outer):
+            middle = _observer_state()
+            assert middle == (outer["metrics"], True, outer["trace"], True,
+                              outer["spans"], True, outer["physics"], True,
+                              "cheap", True, False)
+            with pytest.raises(RuntimeError):
+                with telem.observing(sanitize="full", **inner):
+                    assert _observer_state() == (
+                        inner["metrics"], True, inner["trace"], True,
+                        inner["spans"], True, inner["physics"], True,
+                        "full", True, True)
+                    telem.disable_all()
+                    phys.enable_physics(fresh=True)
+                    sanit.set_level("off")
+                    raise RuntimeError("job failed")
+            assert _observer_state() == middle
+        assert _observer_state() == before
+
+    def test_unknown_observer_is_refused(self):
+        before = _observer_state()
+        with pytest.raises(TypeError, match="bogus"):
+            with telem.observing(bogus=MetricsRegistry()):
+                pass
+        assert _observer_state() == before
+
+    @pytest.mark.parametrize("observe", [(), ("metrics",), ("spans",),
+                                         ("physics",),
+                                         ("physics", "metrics", "spans")])
+    def test_execute_job_returns_exactly_the_asked_snapshots(self, observe):
+        before = _observer_state()
+        result = execute_job("rowhammer_basic", params=CHEAP, seed=0,
+                             observe=observe)
+        fields = {"metrics": result.metrics, "spans": result.profile,
+                  "physics": result.physics}
+        assert {name for name, snapshot in fields.items()
+                if snapshot is not None} == set(observe)
+        if result.metrics is not None:
+            assert (MetricsRegistry.from_snapshot(result.metrics)
+                    .total("dram_activations_total")
+                    == result.payload["activations"])
+        if result.physics is not None:
+            assert (PhysicsCollector.from_snapshot(result.physics)
+                    .total_activations() == result.payload["activations"])
+        assert _observer_state() == before
+
+    @pytest.mark.parametrize("name", ["trace", "sanitize", "bogus"])
+    def test_execute_job_refuses_what_a_job_cannot_collect(self, name):
+        with pytest.raises(ValueError, match=name):
+            execute_job("rowhammer_basic", params=CHEAP, seed=0,
+                        observe=(name,))
+
+    def test_cache_entry_from_before_the_table_still_loads(self, tmp_path):
+        path = tmp_path / LEGACY_CACHE_FILE
+        path.parent.mkdir()
+        path.write_text(json.dumps(LEGACY_CACHE_RECORD, indent=1, sort_keys=True))
+        runner = ExperimentRunner(cache_dir=tmp_path,
+                                  observe=("metrics", "spans", "physics"))
+        hit = runner.run_one("rowhammer_basic",
+                             params={"victims": 1, "pressure": 100}, seed=0)
+        assert hit.cache_hit
+        assert hit.payload == LEGACY_CACHE_RECORD["payload"]
+        assert runner.metrics.total("dram_activations_total") == 200
+        assert runner.profile.get("job{name=rowhammer_basic}")[0] == 1
+        assert runner.physics.total_activations() == 200

@@ -38,11 +38,9 @@ fork_only = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def _clean_stream():
-    """Pristine streaming/telemetry globals around every test."""
+    """No live stream armed around every test."""
     stream_events.disarm()
-    with telem.observing(metrics=MetricsRegistry()):
-        telem.disable_all()
-        yield
+    yield
     stream_events.disarm()
 
 
@@ -402,11 +400,10 @@ class TestArtifactJoin:
             runner = ExperimentRunner(
                 cache_dir=tmp_path / "cache", max_workers=1,
                 ledger=RunLedger(tmp_path / "ledger.jsonl"),
-                collect_metrics=True)
+                observe=("metrics",))
             results = runner.run([Job(name, {}, ok_seed),
                                   Job(name, {}, bad_seed)])
         finally:
-            telem.disable_tracing()
             chaos.reset()
         ok_id = ids.job_id_from_key(job_key(name, {}, ok_seed))
         bad_id = ids.job_id_from_key(job_key(name, {}, bad_seed))
