@@ -8,23 +8,14 @@ powers a whole family of compromises.
 
 from conftest import run_once
 
-from repro.experiments import attack_gallery
-from repro.core.scenarios import full_scale_scenario
-from repro.os import KernelExploitSimulation
-
-
-def concrete_exploit(seed=1):
-    """The Project-Zero chain executed at the data level (no probability
-    model): spray real PTE pages into rows, hammer, decode, win."""
-    scenario = full_scale_scenario("B", 2013.2)
-    sim = KernelExploitSimulation(
-        scenario.make_module(serial="concrete", seed=seed), frames=768
-    )
-    return sim.run(spray_fraction=0.5, pressure=scenario.attack_budget)
+from repro.experiments import attack_gallery, pte_exploit_chain
 
 
 def test_bench_c14_concrete_exploit(benchmark, table):
-    outcome = run_once(benchmark, concrete_exploit, seed=1)
+    """The Project-Zero chain executed at the data level (no probability
+    model) on the unscaled module: spray real PTE pages into rows,
+    hammer, decode, win."""
+    outcome = run_once(benchmark, pte_exploit_chain, full_scale=True, frames=768, seed=1)
     print()
     print(table(
         ["stage", "result"],

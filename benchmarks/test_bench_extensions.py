@@ -2,19 +2,21 @@
 
 * DDR4-era TRR samplers vs many-sided hammering (§II-B: "even
   state-of-the-art DDR4 DRAM chips are vulnerable");
+* test-and-retire bounded by its test budget and spare rows (§II-C);
 * WARM write-hotness management for flash retention ([71]);
-* deterministic Start-Gap vs a mapping-aware wear attacker (§III).
+* deterministic Start-Gap vs a mapping-aware wear attacker (§IV).
 """
 
 from conftest import run_once
 
 from repro.experiments import (
+    pcm_mapping_attack,
     raidr_rowhammer_interaction,
+    row_retirement,
     trr_bypass_study,
     userlevel_attack_study,
+    warm_retention_study,
 )
-from repro.flash.mitigations import warm_study
-from repro.pcm import lifetime_under_mapping_aware_attack
 
 
 def test_bench_ext_raidr_interaction(benchmark, table):
@@ -65,8 +67,28 @@ def test_bench_ext_trr_bypass(benchmark, table):
     assert any(r["flips"] > 0 for r in rows[1:])       # beyond it: bypassed
 
 
+def test_bench_ext_row_retirement(benchmark, table):
+    """§II-C solutions 4/5: what a test-and-retire campaign leaves behind."""
+    rows = run_once(benchmark, row_retirement, seed=0)
+    print()
+    print(table(
+        ["test / field pressure", "rows retired", "spares exhausted",
+         "flips left at test pressure", "flips left at field pressure"],
+        [[f"{r['test_fraction']:g}", r["retired_rows"], r["spares_exhausted"],
+          r["residual_at_test"], r["residual_at_field"]] for r in rows],
+        title="Extension — test-and-retire vs a double-sided field attacker",
+    ))
+    for r in rows:
+        if not r["spares_exhausted"]:
+            assert r["residual_at_test"] == 0          # the test catches what it reaches
+        if r["test_fraction"] < 1.0:
+            assert r["residual_at_field"] > 0          # weaker tests leave escapes
+    assert rows[-1]["spares_exhausted"]                # a full-strength test runs out of spares
+    assert rows[-1]["residual_at_field"] > 0
+
+
 def test_bench_ext_warm(benchmark, table):
-    outcomes = run_once(benchmark, warm_study, wordlines=4, cells=1024, tolerance=1000)
+    outcomes = run_once(benchmark, warm_retention_study, seed=0)
     print()
     print(table(
         ["policy", "hot lifetime", "cold lifetime", "device lifetime", "refresh wear"],
@@ -95,14 +117,8 @@ def test_bench_ext_fleet(benchmark, table):
     assert rollout[-1]["vulnerable_fraction"] < rollout[0]["vulnerable_fraction"] / 2
 
 
-def pcm_chase(seed=0):
-    plain = lifetime_under_mapping_aware_attack(randomize=False, seed=seed)
-    randomized = lifetime_under_mapping_aware_attack(randomize=True, seed=seed)
-    return {"plain": plain, "randomized": randomized}
-
-
 def test_bench_ext_pcm_chase(benchmark, table):
-    result = run_once(benchmark, pcm_chase, seed=1)
+    result = run_once(benchmark, pcm_mapping_attack, endurance_mean=20_000.0, seed=1)
     print()
     print(table(
         ["start-gap variant", "attacker writes survived"],

@@ -13,9 +13,7 @@ attacker-owned page tables are the kernel compromise.
 """
 
 from repro.analysis import format_table
-from repro.experiments import userlevel_attack_study
-from repro.core.scenarios import full_scale_scenario
-from repro.os import KernelExploitSimulation
+from repro.experiments import pte_exploit_chain, userlevel_attack_study
 
 
 def main() -> None:
@@ -32,9 +30,7 @@ def main() -> None:
     print("  - eviction sets pay ~9x in rate, succeeding only on weaker parts.\n")
 
     print("Part 2 — the concrete kernel exploit (2013-class module):")
-    scenario = full_scale_scenario("B", 2013.2)
-    sim = KernelExploitSimulation(scenario.make_module(serial="pz", seed=1), frames=768)
-    outcome = sim.run(spray_fraction=0.5, pressure=scenario.attack_budget)
+    outcome = pte_exploit_chain(frames=768, full_scale=True, seed=1)
     print(format_table(
         ["stage", "result"],
         [

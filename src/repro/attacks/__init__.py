@@ -3,8 +3,6 @@
 from repro.attacks.hammer import (
     HammerResult,
     hammer_device,
-    hammer_via_controller,
-    max_double_sided_budget,
     multibank_attack_scaling,
     neighbors,
     per_bank_budget_multibank,
@@ -24,8 +22,6 @@ from repro.attacks.privilege import (
 __all__ = [
     "HammerResult",
     "hammer_device",
-    "hammer_via_controller",
-    "max_double_sided_budget",
     "multibank_attack_scaling",
     "neighbors",
     "per_bank_budget_multibank",

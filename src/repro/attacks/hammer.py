@@ -6,10 +6,11 @@ the simulator:
 * the **device path** (:func:`hammer_device`) drives the bank's exact
   bulk accounting — used for large campaigns (field study, ECC
   histograms);
-* the **controller path** (:func:`hammer_via_controller`) runs the
-  pattern through the full command pipeline — timing, auto-refresh,
-  perf counters, and any installed mitigation — used for mitigation
-  effectiveness experiments.  The controller issues each stretch
+* the **controller path**
+  (:meth:`~repro.controller.controller.MemoryController.run_activation_pattern`)
+  runs the pattern through the full command pipeline — timing,
+  auto-refresh, perf counters, and any installed mitigation — used for
+  mitigation effectiveness experiments.  The controller issues each stretch
   between refresh deadlines, perf-window closes and mitigation actions
   as one bank run, with the same result as issuing every activation
   on its own.
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from repro.controller.controller import MemoryController
 from repro.dram.module import DramModule
 from repro.dram.stream import CommandStream
 from repro.utils.validation import check_positive
@@ -77,25 +77,6 @@ def neighbors(module: DramModule, victim: int) -> Tuple[int, ...]:
     return tuple(r for r in (victim - 1, victim + 1) if 0 <= r < module.geometry.rows)
 
 
-def hammer_via_controller(
-    controller: MemoryController,
-    bank: int,
-    aggressor_rows: Sequence[int],
-    iterations: int,
-) -> int:
-    """Issue ``iterations`` interleaved activation rounds through the full
-    command pipeline; return the flips the run produced.
-
-    Every activation is exposed to auto-refresh and the installed
-    mitigation, so the return value measures *post-mitigation* errors.
-    """
-    check_positive("iterations", iterations)
-    before = controller.module.total_flips()
-    controller.run_activation_pattern(bank, list(aggressor_rows), iterations)
-    controller.finish()
-    return controller.module.total_flips() - before
-
-
 def per_bank_budget_multibank(timing, n_banks: int, refresh_multiplier: float = 1.0) -> int:
     """Per-bank activation budget when hammering ``n_banks`` in parallel.
 
@@ -135,13 +116,3 @@ def multibank_attack_scaling(module_factory, bank_counts=(1, 2, 4, 8)) -> list:
         )
     return out
 
-
-def max_double_sided_budget(module: DramModule, refresh_multiplier: float = 1.0) -> int:
-    """Per-aggressor activation budget of a double-sided attack within one
-    (possibly shortened) refresh window.
-
-    The two aggressors alternate, so each gets half the window's
-    activation slots — but the shared victim accumulates both streams.
-    """
-    timing = module.timing
-    return int(timing.tREFW / refresh_multiplier / timing.tRC / 2)

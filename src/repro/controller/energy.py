@@ -65,11 +65,6 @@ class EnergyAccount:
         """Standby energy over the elapsed simulated time."""
         return self.elapsed_ns * self.params.background_nw_per_ns
 
-    @property
-    def total_nj(self) -> float:
-        """Dynamic + background energy."""
-        return self.dynamic_nj + self.background_nj
-
     def refresh_share(self) -> float:
         """Fraction of dynamic energy spent on refresh."""
         dynamic = self.dynamic_nj

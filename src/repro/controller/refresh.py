@@ -18,7 +18,7 @@ RowHammer activation budget against rows in slow bins, the very
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -72,13 +72,6 @@ class RefreshEngine:
         self.row_bins = row_bins
         self._pass_index = 0
 
-    @property
-    def effective_window_ns(self) -> float:
-        """Time for one full pass over all rows."""
-        rows = self.module.geometry.rows
-        refs_needed = (rows + self.rows_per_ref - 1) // self.rows_per_ref
-        return refs_needed * self.interval_ns
-
     def due(self, time_ns: float) -> bool:
         """Whether a REF is due at ``time_ns``."""
         return time_ns >= self.next_ref_ns
@@ -94,13 +87,9 @@ class RefreshEngine:
                 self.next_ref_ns += self.interval_ns
         return refreshed
 
-    def issue_ref(self, time_ns: float) -> int:
-        """Issue one REF at ``time_ns``: refresh the next round-robin
-        chunk of rows in every bank; return rows refreshed."""
+    def next_rows(self) -> List[int]:
+        """The physical rows the next REF refreshes, in every bank."""
         rows = self.module.geometry.rows
-        self.stats.ref_commands += 1
-        if telem.metrics_on:
-            telem.counter("dram_ref_commands_total").inc()
         rows_due = []
         for offset in range(self.rows_per_ref):
             row = (self._cursor + offset) % rows
@@ -110,6 +99,16 @@ class RefreshEngine:
                 if self._pass_index % period:
                     continue
             rows_due.append(row)
+        return rows_due
+
+    def issue_ref(self, time_ns: float) -> int:
+        """Issue one REF at ``time_ns``: refresh the next round-robin
+        chunk of rows in every bank; return rows refreshed."""
+        rows = self.module.geometry.rows
+        self.stats.ref_commands += 1
+        if telem.metrics_on:
+            telem.counter("dram_ref_commands_total").inc()
+        rows_due = self.next_rows()
         count = 0
         if rows_due:
             # Banks are independent, so each bank takes its whole chunk
@@ -125,13 +124,3 @@ class RefreshEngine:
         self.stats.rows_refreshed += count
         return count
 
-    def refresh_ops_per_second(self) -> float:
-        """Row-refresh operations per wall-clock second."""
-        rows_per_ns = self.rows_per_ref * self.module.geometry.banks / self.interval_ns
-        return rows_per_ns * 1e9
-
-    def bandwidth_overhead_fraction(self, tRFC_ns: float = None) -> float:
-        """Fraction of time the rank is blocked by REF commands."""
-        if tRFC_ns is None:
-            tRFC_ns = self.module.timing.tRFC
-        return tRFC_ns / self.interval_ns

@@ -109,13 +109,6 @@ class MemorySystem:
         self.controller.finish()
         return self.module.total_flips() - before
 
-    def hammer_single_sided(self, aggressor: int, iterations: int, bank: int = 0) -> int:
-        """Hammer one row through the full command pipeline."""
-        before = self.module.total_flips()
-        self.controller.run_activation_pattern(bank, [aggressor], iterations)
-        self.controller.finish()
-        return self.module.total_flips() - before
-
     def run_trace(self, trace) -> None:
         """Replay a (bank, row, is_write) trace through the controller."""
         self.controller.run_trace(trace)

@@ -96,15 +96,3 @@ class AddressMapping:
         """Physical address of the first byte of ``(bank, row)``."""
         return self.encode(DramCoordinate(channel=channel, rank=rank, bank=bank, row=row, column=0))
 
-    def page_rows(self, address: int, page_bytes: int = 4096) -> set:
-        """Return the set of (bank, row) pairs an OS page at ``address`` touches.
-
-        Demonstrates the mapping fact underlying the security argument:
-        distinct pages map to distinct rows, yet adjacent device rows may
-        belong to pages of *different* owners.
-        """
-        rows = set()
-        for offset in range(0, page_bytes, self.geometry.row_bytes if self.geometry.row_bytes < page_bytes else page_bytes):
-            coord = self.decode(address + offset)
-            rows.add((coord.bank, coord.row))
-        return rows

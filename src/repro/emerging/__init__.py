@@ -5,7 +5,6 @@ from repro.emerging.sttmram import (
     SttMramArray,
     SttParams,
     read_disturb_probability,
-    retention_failure_probability,
     scaling_study,
 )
 
@@ -16,6 +15,5 @@ __all__ = [
     "SttMramArray",
     "SttParams",
     "read_disturb_probability",
-    "retention_failure_probability",
     "scaling_study",
 ]

@@ -59,13 +59,6 @@ class SttParams:
         check_positive("read_pulse_ns", self.read_pulse_ns)
 
 
-def retention_failure_probability(delta: float, seconds: float) -> float:
-    """Probability one cell spontaneously flips within ``seconds``."""
-    check_positive("delta", max(delta, 1e-12))
-    rate = ATTEMPT_FREQUENCY_HZ * math.exp(-delta)
-    return 1.0 - math.exp(-rate * seconds)
-
-
 def read_disturb_probability(delta: float, read_current_ratio: float, pulse_ns: float) -> float:
     """Probability one read flips the cell (thermal activation with the
     barrier lowered by the read current)."""
@@ -90,7 +83,6 @@ class SttMramArray:
         self.delta = np.clip(
             rng.normal(params.delta, params.delta_sigma, size=cells), 5.0, None
         )
-        self._rng = derive_rng(seed, "stt-events")
         self.cells = cells
 
     def expected_read_disturb_errors(self, reads_per_cell: int) -> float:
@@ -105,17 +97,6 @@ class SttMramArray:
             * reads_per_cell
         )
         return float(p.sum())
-
-    def sample_read_disturb_errors(self, reads_per_cell: int) -> int:
-        """Sampled flip count for one experiment run."""
-        p = 1.0 - np.exp(
-            -ATTEMPT_FREQUENCY_HZ
-            * np.exp(-self.delta * (1.0 - self.params.read_current_ratio))
-            * self.params.read_pulse_ns
-            * 1e-9
-            * reads_per_cell
-        )
-        return int((self._rng.random(self.cells) < p).sum())
 
     def expected_retention_errors(self, years: float) -> float:
         """Expected spontaneous flips over ``years``."""

@@ -33,6 +33,7 @@ from repro.experiments.result import ExperimentResult, canonical_json, to_jsonab
 from repro.experiments.attacks import (
     attack_gallery,
     multibank_study,
+    pte_exploit_chain,
     sidedness_ablation,
     userlevel_attack_study,
 )
@@ -44,7 +45,7 @@ from repro.experiments.dram import (
     pattern_dependence_study,
     rowhammer_basic,
 )
-from repro.experiments.emerging import emerging_memory_study, pcm_study
+from repro.experiments.emerging import emerging_memory_study, pcm_mapping_attack, pcm_study
 from repro.experiments.flash import (
     fcr_study,
     flash_error_sweep,
@@ -52,6 +53,7 @@ from repro.experiments.flash import (
     twostep_lifetime_study,
     twostep_study,
     vref_tuning_study,
+    warm_retention_study,
 )
 from repro.experiments.mitigations import (
     cra_tradeoff,
@@ -60,6 +62,7 @@ from repro.experiments.mitigations import (
     para_controller_check,
     para_reliability,
     refresh_multiplier_sweep,
+    row_retirement,
     trr_bypass_study,
 )
 from repro.experiments.retention import raidr_rowhammer_interaction, retention_study
@@ -130,6 +133,7 @@ __all__ = [
     "fleet_study",
     "codesign_study",
     "attack_gallery",
+    "pte_exploit_chain",
     "sidedness_ablation",
     "userlevel_attack_study",
     "multibank_study",
@@ -140,14 +144,17 @@ __all__ = [
     "cra_tradeoff",
     "mitigation_comparison",
     "trr_bypass_study",
+    "row_retirement",
     "retention_study",
     "raidr_rowhammer_interaction",
     "flash_error_sweep",
     "fcr_study",
+    "warm_retention_study",
     "vref_tuning_study",
     "recovery_study",
     "twostep_study",
     "twostep_lifetime_study",
     "pcm_study",
+    "pcm_mapping_attack",
     "emerging_memory_study",
 ]

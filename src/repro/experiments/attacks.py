@@ -1,6 +1,6 @@
-"""§II-A/§II-B attack experiments: the exploitation gallery, sidedness
-ablation, user-level strategies through a real cache, and multi-bank
-scaling under tRRD/tFAW."""
+"""§II-A/§II-B attack experiments: the exploitation gallery, the
+concrete kernel exploit chain, sidedness ablation, user-level strategies
+through a real cache, and multi-bank scaling under tRRD/tFAW."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from repro.attacks.privilege import (
 )
 from repro.core.scenarios import full_scale_scenario, scaled_scenario
 from repro.experiments.registry import experiment
+from repro.os.exploit import ExploitOutcome, KernelExploitSimulation
 
 
 # ----------------------------------------------------------------------
@@ -58,6 +59,37 @@ def attack_gallery(
             }
         )
     return out
+
+
+# ----------------------------------------------------------------------
+# X12: the Project Zero chain at the data level
+# ----------------------------------------------------------------------
+@experiment(
+    "pte_exploit_chain",
+    claim="Hammering sprayed page tables retargets PTEs at attacker page tables (kernel compromise)",
+    section="II-B",
+    tags=("attacks", "rowhammer", "os"),
+    aliases=("x12",),
+)
+def pte_exploit_chain(frames: int = 128, full_scale: bool = False, seed: int = 0) -> ExploitOutcome:
+    """§II-B's Project Zero exploit, executed concretely.
+
+    Page-table pages are sprayed into half of ``frames`` rows of a
+    2013-class module, one refresh window of double-sided hammering
+    runs across the region, and the rows are decoded back as PTEs: a
+    corrupted entry that now points at an attacker page table is the
+    win.  The default runs on the 20x-scaled scenario (same
+    budget/threshold ratios, fewer PTEs per row); ``full_scale`` uses
+    the unscaled module.
+    """
+    if full_scale:
+        scenario = full_scale_scenario("B", 2013.2)
+    else:
+        scenario = scaled_scenario(scale=20.0, date=2013.2)
+    sim = KernelExploitSimulation(
+        scenario.make_module(serial="concrete", seed=seed), frames=frames
+    )
+    return sim.run(spray_fraction=0.5, pressure=scenario.attack_budget)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""§III/§IV emerging-memory experiments: the PCM wear attack under
+"""§III/§IV emerging-memory experiments: the PCM wear attacks under
 Start-Gap, and STT-MRAM/RRAM scaling trends."""
 
 from __future__ import annotations
@@ -6,6 +6,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.experiments.registry import experiment
+from repro.pcm.attacks import lifetime_under_mapping_aware_attack
 from repro.pcm.startgap import lifetime_under_pinned_attack
 
 
@@ -29,6 +30,28 @@ def pcm_study(seed: int = 0) -> Dict:
         "startgap_lifetime_writes": leveled,
         "startgap_rand_lifetime_writes": randomized,
         "improvement_factor": leveled / bare,
+    }
+
+
+# ----------------------------------------------------------------------
+# X3: a mapping-aware wear attack on Start-Gap
+# ----------------------------------------------------------------------
+@experiment(
+    "pcm_mapping_attack",
+    claim="An attacker who inverts deterministic Start-Gap wears out one line; secret randomization restores leveling",
+    section="IV",
+    tags=("pcm", "wear", "attacks"),
+    aliases=("x3",),
+)
+def pcm_mapping_attack(endurance_mean: float = 5_000.0, seed: int = 0) -> Dict:
+    """Writes survived when the attacker chases one physical line
+    through plain vs randomized Start-Gap (§IV: knowing the
+    remapping algorithm turns wear leveling into a wear attack)."""
+    return {
+        "plain": lifetime_under_mapping_aware_attack(
+            endurance_mean=endurance_mean, randomize=False, seed=seed),
+        "randomized": lifetime_under_mapping_aware_attack(
+            endurance_mean=endurance_mean, randomize=True, seed=seed),
     }
 
 

@@ -1,6 +1,6 @@
 """§III-A2/§III-B NAND flash experiments: error-mix breakdown, FCR,
-read-reference tuning, offline recovery (RFR/read-disturb/NAC), and the
-two-step programming vulnerability."""
+WARM, read-reference tuning, offline recovery (RFR/read-disturb/NAC),
+and the two-step programming vulnerability."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from repro.flash.block import FlashBlock
 from repro.flash.mitigations.fcr import fcr_sweep, lifetime_multiplier
 from repro.flash.mitigations.nac import correct_wordline
 from repro.flash.mitigations.rfr import read_disturb_recovery, recover_wordline
+from repro.flash.mitigations.warm import WarmOutcome, warm_study
 from repro.flash.params import MLC_1XNM
 from repro.flash.ssd import error_breakdown, program_block_shadow
 from repro.flash.twostep import exposure_experiment, lifetime_gain_fraction
@@ -62,6 +63,20 @@ def fcr_study(seed: int = 0) -> Dict:
         "points": points,
         "lifetime_multiplier": lifetime_multiplier(points),
     }
+
+
+@experiment(
+    "warm_retention_study",
+    claim="WARM: hot data needs no refresh, so WARM+FCR keeps FCR's lifetime at a fraction of its refresh wear",
+    section="III-A2",
+    tags=("flash", "mitigations", "warm"),
+    aliases=("x2",),
+)
+def warm_retention_study(seed: int = 0) -> Dict[str, WarmOutcome]:
+    """Baseline / FCR / WARM / WARM+FCR lifetimes ([71]): hot data
+    (80 % of writes) is rewritten before it needs long retention, so
+    only cold data pays for refresh."""
+    return warm_study(seed=seed, wordlines=4, cells=1024, tolerance=1000)
 
 
 @experiment(

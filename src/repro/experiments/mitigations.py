@@ -1,6 +1,6 @@
 """§II-C mitigation experiments: refresh scaling, ECC sufficiency,
-PARA, counter-based identification, the all-mitigations comparison, and
-the TRR-sampler bypass."""
+PARA, counter-based identification, the all-mitigations comparison,
+test-and-retire, and the TRR-sampler bypass."""
 
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from repro.mitigations.para import (
     recommended_p,
 )
 from repro.mitigations.refresh_scaling import multiplier_to_eliminate, refresh_cost
+from repro.mitigations.retire import residual_flips, retire_vulnerable_rows
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +271,52 @@ def _storage_of(mitigation, scenario) -> int:
 
 
 # ----------------------------------------------------------------------
+# §II-C solutions 4/5: test and retire vulnerable rows
+# ----------------------------------------------------------------------
+@experiment(
+    "row_retirement",
+    claim="Test-and-retire is bounded twice: cells above the test pressure escape, and a test as strong as the attacker runs out of spare rows",
+    section="II-C",
+    tags=("mitigations", "rowhammer", "retirement"),
+    aliases=("retire",),
+)
+def row_retirement(seed: int = 0) -> List[Dict]:
+    """Retire every row a test campaign sees flip, then count what a
+    field attacker still flips.
+
+    The field attacker hammers double-sided for one refresh window, so
+    each victim takes the whole window's activation budget.  Tests of
+    the first 4096 rows of a 2012 module reach a quarter, half (a
+    single-sided test at full rate) and all of that, with 256 spare
+    rows.  Rows whose weakest cell lies between the test and the field
+    pressure survive the test; a test that reaches the field pressure
+    finds more vulnerable rows than there are spares.
+    """
+    scenario = full_scale_scenario("B", 2012.0)
+    module = scenario.make_module(serial="retire", seed=seed)
+    field_pressure = scenario.attack_budget
+    tested = range(4096)
+    out = []
+    for fraction in (0.25, 0.5, 1.0):
+        test_pressure = fraction * field_pressure
+        result = retire_vulnerable_rows(module, 0, tested, test_pressure, spare_budget=256)
+        out.append(
+            {
+                "test_fraction": fraction,
+                "test_pressure": test_pressure,
+                "tested_rows": result.tested_rows,
+                "retired_rows": len(result.retired_rows),
+                "spares_exhausted": result.spares_exhausted,
+                "residual_at_test": residual_flips(
+                    module, 0, tested, result.retired_rows, test_pressure),
+                "residual_at_field": residual_flips(
+                    module, 0, tested, result.retired_rows, field_pressure),
+            }
+        )
+    return out
+
+
+# ----------------------------------------------------------------------
 # Extension: many-sided hammering vs the TRR sampler (TRRespass-style)
 # ----------------------------------------------------------------------
 @experiment(
@@ -294,8 +341,6 @@ def trr_bypass_study(
     against a small-sampler TRR.
     """
     from dataclasses import replace
-
-    from repro.mitigations.trr import TrrMitigation
 
     base = scaled_scenario(scale=20.0)
     # Future node: thresholds ~5x lower still, denser weak cells.

@@ -802,26 +802,6 @@ class ExperimentRunner:
             ],
         }
 
-    def run_one(self, name: str, params: Optional[Mapping[str, Any]] = None,
-                seed: Optional[int] = 0) -> ExperimentResult:
-        """Run (or fetch from cache) a single experiment.
-
-        Unlike the batch path, a raising experiment propagates here —
-        one job means there are no siblings to protect.
-        """
-        params = dict(params or {})
-        if self.cache is not None:
-            hit = self.cache.get(name, params, seed)
-            if hit is not None:
-                self._absorb(hit)
-                return hit
-        result = execute_job(name, params=params, seed=seed,
-                             observe=self.observe, run_id=self.run_id)
-        if self.cache is not None and self.cache.put(result) is None:
-            self._count_cache_write_error()
-        self._absorb(result)
-        return result
-
     # -- batch execution ------------------------------------------------
     def run(self, jobs: Sequence[Job]) -> List[ExperimentResult]:
         """Run a batch of jobs, preserving input order in the output.

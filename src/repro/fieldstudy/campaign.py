@@ -200,12 +200,6 @@ class CampaignSummary:
         in_window = [r for r in self.results if start <= r.date < end]
         return bool(in_window) and all(r.vulnerable for r in in_window)
 
-    def by_manufacturer(self) -> Dict[str, List[ModuleTestResult]]:
-        out: Dict[str, List[ModuleTestResult]] = {}
-        for r in self.results:
-            out.setdefault(r.manufacturer, []).append(r)
-        return out
-
     def peak_errors_per_billion(self, manufacturer: Optional[str] = None) -> float:
         pool = [r for r in self.results if manufacturer is None or r.manufacturer == manufacturer]
         return max((r.errors_per_billion for r in pool), default=0.0)

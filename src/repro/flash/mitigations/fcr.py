@@ -34,14 +34,6 @@ class FcrPoint:
     raw_lifetime_pe: int
     refresh_wear_per_year: float
 
-    def effective_lifetime_years(self, host_writes_pe_per_year: float) -> float:
-        """Years until the wear budget is exhausted by host writes plus
-        refresh-copy writes."""
-        total_rate = host_writes_pe_per_year + self.refresh_wear_per_year
-        if total_rate <= 0:
-            raise ValueError("write rate must be positive")
-        return self.raw_lifetime_pe / total_rate
-
 
 def fcr_sweep(
     retention_requirement_days: float = 365.0,

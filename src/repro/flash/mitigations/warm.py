@@ -11,8 +11,7 @@ to the cold fraction only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 from repro.flash.params import FlashParams
 from repro.flash.ssd import lifetime_pe_cycles
@@ -29,17 +28,19 @@ class WarmOutcome:
         cold_lifetime_pe: sustainable wear for the cold partition.
         refresh_wear_fraction: fraction of write traffic added by
             refresh copies.
+        device_lifetime_pe: the weaker partition's lifetime, which
+            the device lasts.
     """
 
     policy: str
     hot_lifetime_pe: int
     cold_lifetime_pe: int
     refresh_wear_fraction: float
+    device_lifetime_pe: int = field(init=False)
 
-    @property
-    def device_lifetime_pe(self) -> int:
-        """The device lasts as long as its weaker partition."""
-        return min(self.hot_lifetime_pe, self.cold_lifetime_pe)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "device_lifetime_pe", min(self.hot_lifetime_pe, self.cold_lifetime_pe))
 
 
 def warm_study(

@@ -11,7 +11,7 @@ The §III-A2 claims this layer reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -155,20 +155,6 @@ class Ssd:
                     worst = max(worst, block.page_errors(wl, which, read_refs))
         return worst
 
-    def uncorrectable_pages(self, read_refs=None) -> int:
-        """Pages whose raw errors exceed the ECC budget."""
-        count = 0
-        for block in self.blocks:
-            for wl in block.programmed_wordlines():
-                for which in ("lsb", "msb"):
-                    if block.page_errors(wl, which, read_refs) > self.ecc_correctable_per_page:
-                        count += 1
-        return count
-
-    def device_rber(self, read_refs=None) -> float:
-        """Mean raw bit error rate across blocks."""
-        rates = [b.rber(read_refs) for b in self.blocks]
-        return float(np.mean(rates)) if rates else 0.0
 
 
 def lifetime_pe_cycles(

@@ -6,7 +6,6 @@ from repro.mitigations.ecc_eval import (
     EccLadderEntry,
     evaluate_ladder,
     flip_histogram_from_hammer,
-    hammer_flip_positions,
     multi_flip_word_fraction,
 )
 from repro.mitigations.para import (
@@ -22,10 +21,8 @@ from repro.mitigations.para import (
 from repro.mitigations.refresh_scaling import (
     RefreshCost,
     attack_budget,
-    eliminating_multiplier_rounded,
     multiplier_to_eliminate,
     refresh_cost,
-    sweep_costs,
 )
 from repro.mitigations.retire import RetirementResult, residual_flips, retire_vulnerable_rows
 from repro.mitigations.trr import TrrMitigation
@@ -37,7 +34,6 @@ __all__ = [
     "EccLadderEntry",
     "evaluate_ladder",
     "flip_histogram_from_hammer",
-    "hammer_flip_positions",
     "multi_flip_word_fraction",
     "Para",
     "failures_per_year",
@@ -49,10 +45,8 @@ __all__ = [
     "survival_probability",
     "RefreshCost",
     "attack_budget",
-    "eliminating_multiplier_rounded",
     "multiplier_to_eliminate",
     "refresh_cost",
-    "sweep_costs",
     "RetirementResult",
     "residual_flips",
     "retire_vulnerable_rows",

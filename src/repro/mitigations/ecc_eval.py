@@ -9,37 +9,12 @@ histogram has mass at >= 2 flips per word, which SECDED cannot correct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.dram.module import DramModule
 from repro.dram.stream import CommandStream
 from repro.ecc.accounting import EccEvaluation, evaluate_code_against_histogram, flips_per_word
-from repro.ecc.base import EccCode
 from repro.utils.rng import derive_rng
-
-
-def hammer_flip_positions(
-    module: DramModule,
-    bank: int,
-    aggressor_pairs: Iterable[tuple],
-    pressure: float,
-) -> List[int]:
-    """Device-level hammer over aggressor pairs; return flipped bit positions.
-
-    Each ``(low, high)`` pair brackets a victim at ``low + 1``; both
-    aggressors receive ``pressure`` activations via the exact bulk path
-    and the bank is then settled.  The whole session is one command
-    stream, so the columnar engine executes it batched.
-    """
-    stream = CommandStream()
-    for low, high in aggressor_pairs:
-        stream.act(low, int(pressure)).act(high, int(pressure))
-    stream.settle()
-    dev_bank = module.bank(bank)
-    dev_bank.execute(stream)
-    return [bit for _row, bit, *_prov in dev_bank.stats.flip_log]
 
 
 def flip_histogram_from_hammer(

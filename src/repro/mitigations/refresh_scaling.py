@@ -11,9 +11,7 @@ roughly a **7x** increase — and stresses the energy/performance price.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.dram.timing import TimingParams
 from repro.telemetry import physics as phys
@@ -68,13 +66,3 @@ def refresh_cost(timing: TimingParams, multiplier: float) -> RefreshCost:
             bandwidth_overhead=cost.bandwidth_overhead,
             budget=cost.budget)
     return cost
-
-
-def sweep_costs(timing: TimingParams, multipliers: Sequence[float] = (1, 2, 3, 4, 5, 6, 7, 8)) -> list:
-    """Cost table across multipliers (bench C3's cost columns)."""
-    return [refresh_cost(timing, k) for k in multipliers]
-
-
-def eliminating_multiplier_rounded(hc_min: float, timing: TimingParams) -> int:
-    """The integral multiplier a vendor would ship (ceil of the exact need)."""
-    return math.ceil(multiplier_to_eliminate(hc_min, timing) - 1e-9)

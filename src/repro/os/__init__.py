@@ -1,25 +1,24 @@
 """OS-level structures: page tables in DRAM and the concrete exploit chain."""
 
-from repro.os.exploit import ExploitOutcome, KernelExploitSimulation, exploit_success_curve
+from repro.os.exploit import ExploitOutcome, KernelExploitSimulation
 from repro.os.pagetable import (
     PFN_SHIFT,
     PFN_WIDTH,
     PTE_BITS,
     Pte,
-    decode_pte_page,
     encode_pte_page,
     pte_diff,
+    pte_words,
 )
 
 __all__ = [
     "ExploitOutcome",
     "KernelExploitSimulation",
-    "exploit_success_curve",
     "PFN_SHIFT",
     "PFN_WIDTH",
     "PTE_BITS",
     "Pte",
-    "decode_pte_page",
     "encode_pte_page",
     "pte_diff",
+    "pte_words",
 ]

@@ -21,6 +21,8 @@ PFN_SHIFT = 12
 PFN_WIDTH = 40
 PRESENT_BIT = 0
 WRITABLE_BIT = 1
+#: The bits :meth:`Pte.decode` reads; flips elsewhere change no entry.
+FIELD_MASK = (1 << PRESENT_BIT) | (1 << WRITABLE_BIT) | (((1 << PFN_WIDTH) - 1) << PFN_SHIFT)
 
 
 @dataclass(frozen=True)
@@ -55,31 +57,27 @@ def encode_pte_page(ptes: List[Pte], row_bits: int) -> np.ndarray:
     capacity = row_bits // PTE_BITS
     if len(ptes) > capacity:
         raise ValueError(f"row holds at most {capacity} PTEs, got {len(ptes)}")
+    values = np.array([pte.encode() for pte in ptes], dtype=np.uint64)
+    shifts = np.arange(PTE_BITS, dtype=np.uint64)
     bits = np.zeros(row_bits, dtype=np.uint8)
-    for index, pte in enumerate(ptes):
-        value = pte.encode()
-        base = index * PTE_BITS
-        for b in range(PTE_BITS):
-            bits[base + b] = (value >> b) & 1
+    bits[: values.size * PTE_BITS] = ((values[:, None] >> shifts) & np.uint64(1)).ravel()
     return bits
 
 
-def decode_pte_page(bits: np.ndarray) -> List[Pte]:
-    """Parse a row bit array back into its PTEs."""
+def pte_words(bits: np.ndarray) -> np.ndarray:
+    """The entry values a row bit array holds, as ``uint64``, masked to
+    the fields :meth:`Pte.decode` reads (so two words are equal exactly
+    when their decoded PTEs are)."""
     if bits.size % PTE_BITS:
         raise ValueError("row size must be a multiple of 64 bits")
-    out = []
-    # Vectorized word assembly: reshape to (n, 64) then dot with powers of 2.
     words = bits.reshape(-1, PTE_BITS).astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(PTE_BITS, dtype=np.uint64))
-    values = (words * weights).sum(axis=1, dtype=np.uint64)
-    for value in values:
-        out.append(Pte.decode(int(value)))
-    return out
+    weights = np.uint64(1) << np.arange(PTE_BITS, dtype=np.uint64)
+    return (words * weights).sum(axis=1, dtype=np.uint64) & np.uint64(FIELD_MASK)
 
 
-def pte_diff(before: List[Pte], after: List[Pte]) -> List[int]:
-    """Indices of entries that changed."""
+def pte_diff(before, after) -> List[int]:
+    """Indices of entries that changed (equal-length PTE lists or word
+    arrays)."""
     if len(before) != len(after):
         raise ValueError("PTE lists must have equal length")
-    return [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+    return np.flatnonzero(np.asarray(before) != np.asarray(after)).tolist()

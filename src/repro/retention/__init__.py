@@ -1,7 +1,7 @@
 """DRAM data-retention modeling: DPD, VRT, profiling, RAIDR, AVATAR."""
 
 from repro.retention.avatar import AvatarResult, simulate_avatar
-from repro.retention.online_profiling import OnlineProfilingResult, coverage_over_generations, simulate_online_profiling
+from repro.retention.online_profiling import OnlineProfilingResult, simulate_online_profiling
 from repro.retention.params import DEFAULT_RETENTION, LEGACY_NODE, SCALED_NODE, RetentionParams
 from repro.retention.population import CellPopulation
 from repro.retention.profiling import ProfilingResult, field_escapes, profile_population
@@ -17,7 +17,6 @@ __all__ = [
     "AvatarResult",
     "simulate_avatar",
     "OnlineProfilingResult",
-    "coverage_over_generations",
     "simulate_online_profiling",
     "DEFAULT_RETENTION",
     "LEGACY_NODE",

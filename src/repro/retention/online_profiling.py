@@ -107,22 +107,3 @@ def simulate_online_profiling(
     result.escapes_online = 0
     return result
 
-
-def coverage_over_generations(
-    population: CellPopulation,
-    deployed_interval_s: float = 0.256,
-    generations: int = 12,
-    content_match_probability: float = 0.35,
-    seed: int = 0,
-) -> List[int]:
-    """Cumulative DPD-cell discovery count per content generation."""
-    rng = derive_rng(seed, "online-coverage")
-    worst = population.nominal_s * population.dpd_factor
-    at_risk = np.nonzero((worst < deployed_interval_s) & (population.nominal_s >= deployed_interval_s))[0]
-    found: Set[int] = set()
-    curve = []
-    for _ in range(generations):
-        hit = rng.random(len(at_risk)) < content_match_probability
-        found.update(int(c) for c in at_risk[hit])
-        curve.append(len(found))
-    return curve

@@ -127,7 +127,3 @@ class CellPopulation:
         """Per-row weakest-cell retention, at current VRT state."""
         times = self.retention_s(worst_case_pattern)
         return times.reshape(self.rows, self.cells_per_row).min(axis=1)
-
-    def advance_time(self, dt_s: float) -> None:
-        """Advance the VRT process by ``dt_s`` seconds."""
-        self.vrt.advance(dt_s)

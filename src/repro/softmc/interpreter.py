@@ -62,23 +62,26 @@ class SoftMcInterpreter:
             :class:`~repro.retention.params.RetentionParams`; when set,
             a ``WAIT`` decays the rows this program has written — cells
             whose (deterministic per-cell) retention time is shorter
-            than the accumulated unrefreshed wait lose their charge.
-            This is what makes the canned retention test program
-            end-to-end meaningful.
+            than the row's unrefreshed wait lose their charge.  A row's
+            wait restarts whenever its charge is restored: a ``WR``,
+            ``ACT`` or ``RD`` of it, or a ``REF`` whose chunk covers its
+            physical row.  This is what makes the canned retention test
+            program end-to-end meaningful.
     """
 
     def __init__(self, module: DramModule, retention_params=None) -> None:
         self.module = module
         self.retention_params = retention_params
         self._refresh = RefreshEngine(module)
-        self._unrefreshed_wait_ns: Dict[Tuple[int, int], float] = {}
 
     def run(self, program: DramProgram) -> ExecutionResult:
         """Execute ``program`` and return its results."""
         program.validate()
         result = ExecutionResult()
         written: Dict[Tuple[int, int], np.ndarray] = {}
-        self._execute(program.instructions, result, written)
+        # Per written row, the WAIT time since its charge was restored.
+        waited: Dict[Tuple[int, int], float] = {}
+        self._execute(program.instructions, result, written, waited)
         # Evaluate mismatches for every row the program wrote then read.
         for (bank, row), bits in result.reads:
             expected = written.get((bank, row))
@@ -90,7 +93,7 @@ class SoftMcInterpreter:
         return result
 
     # ------------------------------------------------------------------
-    def _execute(self, instructions, result, written) -> None:
+    def _execute(self, instructions, result, written, waited) -> None:
         module = self.module
         timing = module.timing
         commands = result.commands
@@ -100,6 +103,7 @@ class SoftMcInterpreter:
             commands[name] = commands.get(name, 0) + 1
             if op is Opcode.ACT:
                 module.activate(ins.bank, ins.row, result.cycles_ns)
+                waited.pop((ins.bank, ins.row), None)
                 result.cycles_ns += timing.tRAS
             elif op is Opcode.PRE:
                 module.precharge(ins.bank)
@@ -107,26 +111,32 @@ class SoftMcInterpreter:
             elif op is Opcode.RD:
                 bits = module.read_row(ins.bank, ins.row, result.cycles_ns)
                 result.reads.append(((ins.bank, ins.row), bits))
+                waited.pop((ins.bank, ins.row), None)
                 result.cycles_ns += timing.tRC
             elif op is Opcode.WR:
                 bits = pattern_bits(ins.pattern or "solid1", ins.row, module.geometry.row_bytes)
                 module.write_row(ins.bank, ins.row, bits, result.cycles_ns)
                 written[(ins.bank, ins.row)] = bits.copy()
+                waited.pop((ins.bank, ins.row), None)
                 result.cycles_ns += timing.tRC
             elif op is Opcode.REF:
+                if waited:
+                    refreshed = set(self._refresh.next_rows())
+                    to_physical = module.remapper.to_physical
+                    for key in [k for k in waited if to_physical(k[1]) in refreshed]:
+                        del waited[key]
                 self._refresh.issue_ref(result.cycles_ns)
                 result.cycles_ns += timing.tRFC
-                self._unrefreshed_wait_ns.clear()
             elif op is Opcode.WAIT:
                 result.cycles_ns += ins.ns
                 if self.retention_params is not None:
-                    self._apply_retention_decay(ins.ns, written)
+                    self._apply_retention_decay(ins.ns, written, waited)
             elif op is Opcode.LOOP:
                 for _ in range(ins.count):
-                    self._execute(ins.body, result, written)
+                    self._execute(ins.body, result, written, waited)
 
-    def _apply_retention_decay(self, wait_ns: float, written: Dict) -> None:
-        """Flip charged cells whose retention is shorter than the total
+    def _apply_retention_decay(self, wait_ns: float, written: Dict, waited: Dict) -> None:
+        """Flip charged cells whose retention is shorter than the
         unrefreshed wait each written row has accumulated.
 
         Per-cell retention times are a deterministic function of
@@ -137,9 +147,9 @@ class SoftMcInterpreter:
         """
         params = self.retention_params
         row_bits = self.module.geometry.row_bits
-        for (bank, row) in list(written):
-            total = self._unrefreshed_wait_ns.get((bank, row), 0.0) + wait_ns
-            self._unrefreshed_wait_ns[(bank, row)] = total
+        for (bank, row) in written:
+            total = waited.get((bank, row), 0.0) + wait_ns
+            waited[(bank, row)] = total
             rng = derive_rng(self.module.seed, "softmc-retention", bank, row)
             failing = sample_retention_s(rng, params, row_bits) < total * 1e-9
             if not failing.any():

@@ -1,7 +1,7 @@
 """Shared utilities: seeded RNG management, unit constants, validation,
 crash-safe JSONL appends."""
 
-from repro.utils.rng import derive_rng, derive_seed, spawn_rngs
+from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.units import (
     KILO,
     MEGA,
@@ -10,8 +10,6 @@ from repro.utils.units import (
     US,
     NS,
     SECONDS_PER_YEAR,
-    mebibytes,
-    gibibytes,
 )
 from repro.utils.validation import (
     check_in_range,
@@ -23,7 +21,6 @@ from repro.utils.validation import (
 __all__ = [
     "derive_rng",
     "derive_seed",
-    "spawn_rngs",
     "KILO",
     "MEGA",
     "GIGA",
@@ -31,8 +28,6 @@ __all__ = [
     "US",
     "NS",
     "SECONDS_PER_YEAR",
-    "mebibytes",
-    "gibibytes",
     "check_in_range",
     "check_positive",
     "check_power_of_two",

@@ -10,7 +10,7 @@ component consumes random numbers.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 import numpy.random  # noqa: F401 — eager: keep the lazy subpackage
@@ -61,8 +61,3 @@ def derive_seed(root_seed: int, *labels: object) -> int:
 def derive_rng(root_seed: int, *labels: object) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``(root_seed, labels)``."""
     return np.random.default_rng(derive_seed(root_seed, *labels))
-
-
-def spawn_rngs(root_seed: int, labels: Iterable[object]) -> List[np.random.Generator]:
-    """Return one independent generator per label."""
-    return [derive_rng(root_seed, label) for label in labels]

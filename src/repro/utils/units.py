@@ -14,13 +14,3 @@ US = 1_000.0
 MS = 1_000_000.0
 
 SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
-
-
-def mebibytes(n: float) -> int:
-    """Return ``n`` MiB expressed in bytes."""
-    return int(n * 1024 * 1024)
-
-
-def gibibytes(n: float) -> int:
-    """Return ``n`` GiB expressed in bytes."""
-    return int(n * 1024 * 1024 * 1024)

@@ -4,12 +4,10 @@ from repro.workloads.generators import (
     Trace,
     mixed_with_attacker,
     random_access,
-    sequential_stream,
 )
 
 __all__ = [
     "Trace",
     "mixed_with_attacker",
     "random_access",
-    "sequential_stream",
 ]

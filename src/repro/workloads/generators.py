@@ -17,16 +17,6 @@ from repro.utils.validation import check_positive
 Trace = List[Tuple[int, int, bool]]
 
 
-def sequential_stream(n: int, banks: int, rows: int) -> Trace:
-    """Streaming reads: walk rows sequentially, rotating across banks.
-
-    Maximizes row-buffer hits — the workload class most sensitive to
-    refresh interruptions.
-    """
-    check_positive("n", n)
-    return [((i // 64) % banks, (i // (64 * banks)) % rows, False) for i in range(n)]
-
-
 def random_access(n: int, banks: int, rows: int, seed: int = 0) -> Trace:
     """Uniformly random (bank, row) requests — row-buffer hostile."""
     check_positive("n", n)

@@ -6,8 +6,6 @@ from repro.attacks import (
     check_read_isolation,
     check_write_isolation,
     hammer_device,
-    hammer_via_controller,
-    max_double_sided_budget,
     neighbors,
 )
 from repro.controller import MemoryController
@@ -81,20 +79,12 @@ class TestHammerDevice:
         assert (first.flip_count + second.flip_count
                 == module.bank(0).stats.flips_materialized)
 
-    def test_budget_helper(self):
-        module = make_module()
-        assert max_double_sided_budget(module) == pytest.approx(
-            module.timing.tREFW / module.timing.tRC / 2, abs=1
-        )
-        assert max_double_sided_budget(module, 2.0) == pytest.approx(
-            max_double_sided_budget(module) / 2, abs=1
-        )
-
     def test_controller_path_counts_post_mitigation(self):
         module = make_module()
         ctrl = MemoryController(module)
-        flips = hammer_via_controller(ctrl, 0, [99, 101], 3_000)
-        assert flips > 0
+        ctrl.run_activation_pattern(0, [99, 101], 3_000)
+        ctrl.finish()
+        assert module.total_flips() > 0
 
 
 class TestIsolationInvariants:

@@ -491,19 +491,39 @@ def engine_path(ctrl):
     }
 
 
+def observed_engine_path(config, driver, observer):
+    """:func:`engine_path` after ``driver`` on ``config``'s columnar
+    controller with ``observer`` alone on (``None``: none)."""
+    ctrl = make_controller("columnar", *config[1:])
+    with alone(observer):
+        DRIVERS[driver](ctrl)
+        return engine_path(ctrl)
+
+
+@pytest.fixture(scope="module")
+def unobserved_engine_path():
+    """Each (config, driver) pair's unobserved engine path, run once
+    for every observer case that compares against it."""
+    paths = {}
+
+    def get(config, driver):
+        key = (config[0], driver)
+        if key not in paths:
+            paths[key] = observed_engine_path(config, driver, None)
+        return paths[key]
+
+    return get
+
+
 @pytest.mark.parametrize("observer", OBSERVERS)
 @pytest.mark.parametrize("driver", DRIVERS)
 @pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
-def test_observers_leave_the_engine_path_alone(config, driver, observer):
-    paths = []
-    for watching in (None, observer):
-        ctrl = make_controller("columnar", *config[1:])
-        with alone(watching):
-            DRIVERS[driver](ctrl)
-            paths.append(engine_path(ctrl))
-    assert paths[1] == paths[0]
+def test_observers_leave_the_engine_path_alone(config, driver, observer,
+                                               unobserved_engine_path):
+    unobserved = unobserved_engine_path(config, driver)
+    assert observed_engine_path(config, driver, observer) == unobserved
     if driver == "run_activation_pattern":
-        assert any(paths[0]["pending"]), "the pattern must end mid-run"
+        assert any(unobserved["pending"]), "the pattern must end mid-run"
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
@@ -778,14 +798,31 @@ def cpu_engine_path(cpu):
     }
 
 
+def observed_cpu_path(loop, observer):
+    """:func:`cpu_engine_path` after ``loop`` on :data:`CPU_OBSERVED`
+    with ``observer`` alone on (``None``: none)."""
+    with alone(observer):
+        return drive_cpu("columnar", CPU_OBSERVED, loop, bulk,
+                         state=cpu_engine_path)
+
+
+@pytest.fixture(scope="module")
+def unobserved_cpu_path():
+    """Each loop's unobserved path, run once for every observer case."""
+    paths = {}
+
+    def get(loop):
+        if loop not in paths:
+            paths[loop] = observed_cpu_path(loop, None)
+        return paths[loop]
+
+    return get
+
+
 @pytest.mark.parametrize("observer", OBSERVERS)
 @pytest.mark.parametrize("loop", CPU_LOOPS)
-def test_observers_leave_the_cpu_loops_alone(loop, observer):
-    paths = []
-    for watching in (None, observer):
-        with alone(watching):
-            paths.append(drive_cpu("columnar", CPU_OBSERVED, loop, bulk,
-                                   state=cpu_engine_path))
-    assert paths[1] == paths[0]
+def test_observers_leave_the_cpu_loops_alone(loop, observer, unobserved_cpu_path):
+    unobserved = unobserved_cpu_path(loop)
+    assert observed_cpu_path(loop, observer) == unobserved
     if loop != "naive":
-        assert paths[0][0][0].flips > 0
+        assert unobserved[0][0].flips > 0

@@ -60,8 +60,8 @@ class TestMemorySystem:
 
     def test_single_sided_driver(self):
         system = MemorySystem.build(scaled=True, seed=3)
-        flips = system.hammer_single_sided(aggressor=500, iterations=40_000)
-        assert flips >= 0
+        system.controller.run_activation_pattern(0, [500], 40_000)
+        system.controller.finish()
         assert system.report().activations == 40_000
 
     def test_run_trace(self):

@@ -9,7 +9,6 @@ from repro.emerging import (
     SttParams,
     crossbar_hammer_study,
     read_disturb_probability,
-    retention_failure_probability,
     scaling_study,
 )
 
@@ -26,7 +25,8 @@ class TestSttPhysics:
         assert weak > strong
 
     def test_retention_grows_with_time(self):
-        assert retention_failure_probability(40.0, 1e8) > retention_failure_probability(40.0, 1e4)
+        array = SttMramArray(cells=1 << 12, params=SttParams(delta=40.0), seed=0)
+        assert array.expected_retention_errors(10.0) > array.expected_retention_errors(1e-3)
 
     def test_probabilities_bounded(self):
         for delta in (10.0, 40.0, 80.0):
@@ -44,13 +44,6 @@ class TestSttArray:
     def test_mature_node_nearly_error_free(self):
         array = SttMramArray(cells=1 << 16, params=SttParams(delta=70.0), seed=2)
         assert array.expected_read_disturb_errors(1_000_000) < 1.0
-
-    def test_sampled_close_to_expected(self):
-        array = SttMramArray(cells=1 << 16, params=SttParams(delta=42.0), seed=3)
-        expected = array.expected_read_disturb_errors(1_000_000)
-        sampled = array.sample_read_disturb_errors(1_000_000)
-        if expected > 20:
-            assert 0.5 * expected < sampled < 1.5 * expected
 
     def test_scaling_study_trend(self):
         rows = scaling_study(deltas=(60.0, 45.0), cells=1 << 16, seed=4)

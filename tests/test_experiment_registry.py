@@ -10,7 +10,7 @@ from repro.experiments import registry
 
 class TestRegistryContents:
     def test_all_experiments_registered(self):
-        assert len(registry.names()) == 27
+        assert len(registry.names()) == 31
 
     def test_every_legacy_cli_name_resolves(self):
         # The full pre-refactor CLI name set keeps working as aliases.

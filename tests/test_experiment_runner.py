@@ -79,8 +79,8 @@ class TestDeterminism:
 class TestCache:
     def test_second_run_hits_cache(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path)
-        fresh = runner.run_one("twostep_study", seed=2)
-        cached = runner.run_one("twostep_study", seed=2)
+        fresh = runner.run([Job("twostep_study", {}, 2)])[0]
+        cached = runner.run([Job("twostep_study", {}, 2)])[0]
         assert not fresh.cache_hit
         assert cached.cache_hit
         assert cached.payload == fresh.payload
@@ -109,10 +109,10 @@ class TestCache:
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path)
-        runner.run_one("twostep_study", seed=2)
+        runner.run([Job("twostep_study", {}, 2)])
         path = runner.cache.path("twostep_study", {}, 2)
         path.write_text("{not json")
-        assert not runner.run_one("twostep_study", seed=2).cache_hit
+        assert not runner.run([Job("twostep_study", {}, 2)])[0].cache_hit
 
 
 class TestJobKey:
@@ -173,10 +173,6 @@ class TestFaultTolerance:
     def test_execute_job_still_propagates(self, failing_experiment):
         with pytest.raises(RuntimeError, match="odd seed"):
             E.execute_job(failing_experiment, seed=1)
-
-    def test_run_one_still_propagates(self, failing_experiment):
-        with pytest.raises(RuntimeError, match="odd seed"):
-            ExperimentRunner().run_one(failing_experiment, seed=1)
 
     def test_batch_keeps_siblings_and_slots_errors(self, failing_experiment):
         runner = ExperimentRunner()

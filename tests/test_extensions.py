@@ -4,7 +4,7 @@ experiment."""
 
 import pytest
 
-from repro.experiments import trr_bypass_study
+from repro.experiments import pcm_mapping_attack, trr_bypass_study, warm_retention_study
 from repro.flash.mitigations import warm_study
 from repro.pcm import lifetime_under_mapping_aware_attack, lifetime_under_pinned_attack
 
@@ -12,7 +12,7 @@ from repro.pcm import lifetime_under_mapping_aware_attack, lifetime_under_pinned
 class TestWarm:
     @pytest.fixture(scope="class")
     def outcomes(self):
-        return warm_study(wordlines=4, cells=1024, tolerance=1000)
+        return warm_retention_study(seed=0)
 
     def test_fcr_extends_cold_lifetime(self, outcomes):
         assert outcomes["fcr"].device_lifetime_pe > outcomes["baseline"].device_lifetime_pe
@@ -53,6 +53,10 @@ class TestPcmMappingAwareAttack:
             n_logical=32, endurance_mean=5_000, randomize=True, seed=3
         )
         assert randomized > 3 * plain
+
+    def test_registered_experiment_runs_both_variants(self):
+        result = pcm_mapping_attack(seed=0)
+        assert result["randomized"] > 3 * result["plain"]
 
 
 class TestRaidrInteraction:

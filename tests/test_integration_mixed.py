@@ -13,16 +13,21 @@ from repro.controller import MemoryController
 from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
 from repro.dram.timing import DDR3_1333
 from repro.mitigations import AnvilMitigation, CounterBasedMitigation
-from repro.workloads import mixed_with_attacker, sequential_stream
+from repro.workloads import mixed_with_attacker
 
 GEO = DramGeometry(banks=2, rows=512, row_bytes=256)
 PROFILE = VulnerabilityProfile(weak_cell_density=0.05, hc_first_median=3_000, hc_first_min=800)
 
 
+def streaming_reads(n):
+    """Benign streaming reads: 64 to a row, rotating across banks."""
+    return [((i // 64) % GEO.banks, (i // (64 * GEO.banks)) % GEO.rows, False) for i in range(n)]
+
+
 def run_mixed(mitigation, seed=12):
     module = DramModule(geometry=GEO, timing=DDR3_1333, profile=PROFILE, seed=seed)
     ctrl = MemoryController(module, mitigation=mitigation)
-    benign = sequential_stream(800, banks=GEO.banks, rows=GEO.rows)
+    benign = streaming_reads(800)
     trace = mixed_with_attacker(benign, bank=0, aggressors=[99, 101],
                                 attacker_share=0.8, seed=seed)
     # Repeat the mixed block to accumulate attack pressure.
@@ -47,7 +52,7 @@ class TestMixedTrafficDetection:
         mitigation = AnvilMitigation(sample_interval_ns=50_000.0, rate_threshold=200)
         module = DramModule(geometry=GEO, timing=DDR3_1333, profile=PROFILE, seed=3)
         ctrl = MemoryController(module, mitigation=mitigation)
-        benign = sequential_stream(3_000, banks=GEO.banks, rows=GEO.rows)
+        benign = streaming_reads(3_000)
         ctrl.run_trace(benign)
         ctrl.finish()
         assert mitigation.detections == 0

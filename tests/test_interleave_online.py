@@ -10,7 +10,7 @@ from repro.ecc.interleave import (
     interleave_position,
     interleaved_flips_per_word,
 )
-from repro.retention.online_profiling import coverage_over_generations, simulate_online_profiling
+from repro.retention.online_profiling import simulate_online_profiling
 from repro.retention.params import RetentionParams
 from repro.retention.population import CellPopulation
 from repro.utils.rng import derive_rng
@@ -85,11 +85,6 @@ class TestOnlineProfiling:
         # With enough generations the online profiler covers at least as
         # many distinct cells as the bounded static campaign found.
         assert len(set(result.discovered_online) | result.discovered_static) >= len(result.discovered_static)
-
-    def test_coverage_curve_monotone(self):
-        curve = coverage_over_generations(self._population(), generations=10, seed=3)
-        assert curve == sorted(curve)
-        assert curve[-1] > 0
 
     def test_parameters_validated(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import ExperimentRunner, execute_job, execute_job_safe
+from repro.experiments import ExperimentRunner, Job, execute_job, execute_job_safe
 from repro.telemetry import RunLedger, build_record, default_ledger
 from repro.telemetry import ledger as ledger_mod
 
@@ -156,15 +156,15 @@ class TestRunnerIntegration:
     def test_runner_appends_every_job(self, tmp_path):
         book = RunLedger(tmp_path / "book.jsonl")
         runner = ExperimentRunner(ledger=book)
-        runner.run_one("rowhammer_basic", params=CHEAP, seed=0)
-        runner.run_one("rowhammer_basic", params=CHEAP, seed=1)
+        runner.run([Job("rowhammer_basic", CHEAP, 0)])
+        runner.run([Job("rowhammer_basic", CHEAP, 1)])
         assert [r["seed"] for r in book.records()] == [0, 1]
 
     def test_cache_hits_are_recorded_as_such(self, tmp_path):
         book = RunLedger(tmp_path / "book.jsonl")
         runner = ExperimentRunner(cache_dir=tmp_path / "cache", ledger=book)
-        runner.run_one("rowhammer_basic", params=CHEAP, seed=0)
-        runner.run_one("rowhammer_basic", params=CHEAP, seed=0)
+        runner.run([Job("rowhammer_basic", CHEAP, 0)])
+        runner.run([Job("rowhammer_basic", CHEAP, 0)])
         records = book.records()
         assert [r["cache_hit"] for r in records] == [False, True]
 
@@ -173,7 +173,7 @@ class TestRunnerIntegration:
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(tmp_path / "book.jsonl"))
         runner = ExperimentRunner(ledger=False)
         assert runner.ledger is None
-        runner.run_one("rowhammer_basic", params=CHEAP, seed=0)
+        runner.run([Job("rowhammer_basic", CHEAP, 0)])
         assert not (tmp_path / "book.jsonl").exists()
 
     def test_env_switch_disables_default_ledger(self):
@@ -184,7 +184,7 @@ class TestRunnerIntegration:
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(tmp_path / "book.jsonl"))
         runner = ExperimentRunner()
-        runner.run_one("rowhammer_basic", params=CHEAP, seed=0)
+        runner.run([Job("rowhammer_basic", CHEAP, 0)])
         assert len(RunLedger(tmp_path / "book.jsonl").records()) == 1
 
 

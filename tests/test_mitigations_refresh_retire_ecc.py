@@ -6,13 +6,11 @@ from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
 from repro.dram.timing import DDR3_1066, DDR3_1333
 from repro.mitigations import (
     attack_budget,
-    eliminating_multiplier_rounded,
     flip_histogram_from_hammer,
     multi_flip_word_fraction,
     multiplier_to_eliminate,
     refresh_cost,
     residual_flips,
-    sweep_costs,
     retire_vulnerable_rows,
 )
 
@@ -33,11 +31,6 @@ class TestRefreshScaling:
         k = multiplier_to_eliminate(165_000, DDR3_1066)
         assert 6.5 < k < 7.5
 
-    def test_rounded_multiplier(self):
-        assert eliminating_multiplier_rounded(165_000, DDR3_1066) == 8 or (
-            eliminating_multiplier_rounded(165_000, DDR3_1066) == 7
-        )
-
     def test_cost_scales_linearly(self):
         c1 = refresh_cost(DDR3_1333, 1.0)
         c4 = refresh_cost(DDR3_1333, 4.0)
@@ -45,7 +38,7 @@ class TestRefreshScaling:
         assert c4.refresh_energy_factor == 4.0
 
     def test_sweep_monotonic(self):
-        costs = sweep_costs(DDR3_1333)
+        costs = [refresh_cost(DDR3_1333, k) for k in range(1, 9)]
         budgets = [c.budget for c in costs]
         assert budgets == sorted(budgets, reverse=True)
 
@@ -74,6 +67,16 @@ class TestRetirement:
         result = retire_vulnerable_rows(module, 0, rows, test_pressure=1_500)
         escapes = residual_flips(module, 0, rows, result.retired_rows, field_pressure=60_000)
         assert escapes > 0
+
+    def test_registered_study_is_bounded_by_test_budget_and_spares(self):
+        from repro.experiments import row_retirement
+
+        rows = row_retirement(seed=0)
+        assert [r["test_fraction"] for r in rows] == [0.25, 0.5, 1.0]
+        for r in rows[:-1]:
+            assert not r["spares_exhausted"] and r["residual_at_test"] == 0
+            assert r["residual_at_field"] > 0
+        assert rows[-1]["spares_exhausted"]
 
     def test_spare_exhaustion(self):
         module = make_module()

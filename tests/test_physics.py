@@ -287,12 +287,12 @@ class TestRunnerPlumbing:
         cache = tmp_path / "cache"
         first = ExperimentRunner(cache_dir=cache, observe=("physics",),
                                  ledger=False)
-        miss = first.run_one("rowhammer_basic", params=self.PARAMS, seed=7)
+        miss = first.run([Job("rowhammer_basic", self.PARAMS, 7)])[0]
         assert not miss.cache_hit and miss.physics
 
         second = ExperimentRunner(cache_dir=cache, observe=("physics",),
                                   ledger=False)
-        hit = second.run_one("rowhammer_basic", params=self.PARAMS, seed=7)
+        hit = second.run([Job("rowhammer_basic", self.PARAMS, 7)])[0]
         assert hit.cache_hit
         assert hit.physics == miss.physics
         assert (second.physics.total_flips()

@@ -377,18 +377,18 @@ class TestConcurrentJobs:
 class TestCacheCorruption:
     def _prime(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path, ledger=False)
-        result = runner.run_one("sidedness_ablation", seed=4)
+        result = runner.run([Job("sidedness_ablation", {}, 4)])[0]
         path = runner.cache.path(result.name, result.params, result.seed)
         assert path.is_file()
         return runner, path
 
     def _assert_quarantined_miss(self, tmp_path, path):
         runner = ExperimentRunner(cache_dir=tmp_path, ledger=False)
-        rerun = runner.run_one("sidedness_ablation", seed=4)  # must not raise
+        rerun = runner.run([Job("sidedness_ablation", {}, 4)])[0]  # must not raise
         assert rerun.ok and not rerun.cache_hit  # corrupt entry read as a miss
         assert list(path.parent.glob("*.corrupt"))  # and was quarantined
         # The re-run repopulated the entry; a third run hits it cleanly.
-        assert runner.run_one("sidedness_ablation", seed=4).cache_hit
+        assert runner.run([Job("sidedness_ablation", {}, 4)])[0].cache_hit
 
     def test_truncated_json_is_quarantined(self, tmp_path):
         _, path = self._prime(tmp_path)
@@ -418,7 +418,7 @@ class TestCacheWriteSafety:
         # same key can never clobber each other's tmp file.
         cache = ResultCache(tmp_path)
         runner = ExperimentRunner(cache_dir=tmp_path, ledger=False)
-        result = runner.run_one("sidedness_ablation", seed=0)
+        result = runner.run([Job("sidedness_ablation", {}, 0)])[0]
         path = cache.path(result.name, result.params, result.seed)
         seen = set()
         real_replace = os.replace
@@ -554,8 +554,8 @@ class TestCacheWriteDegrade:
         reports None, tallies, warns exactly once, and leaves no
         half-written staging file behind."""
         cache = ResultCache(tmp_path / "cache")
-        result = ExperimentRunner(ledger=False).run_one(
-            "sidedness_ablation", seed=0)
+        result = ExperimentRunner(ledger=False).run(
+            [Job("sidedness_ablation", {}, 0)])[0]
 
         def enospc(src, dst):
             raise OSError(28, "No space left on device")

@@ -206,6 +206,71 @@ class TestRetentionExecution:
         assert expected
         assert result.mismatches == expected
 
+    # The retention clock: a row's unrefreshed time restarts when its
+    # charge is restored (a write, an ACT or RD, or a REF chunk that
+    # covers it), and belongs to one run.
+    ROWS = list(range(100, 132))
+    HALF = 1.5e9
+
+    def _waits(self, *between):
+        """Write :data:`ROWS` solid1, wait HALF, run ``between`` (each a
+        function extending the program), wait HALF, read back."""
+        program = DramProgram()
+        for row in self.ROWS:
+            program.wr(0, row)
+        program.wait(self.HALF)
+        for extend in between:
+            extend(program)
+        program.wait(self.HALF)
+        for row in self.ROWS:
+            program.rd(0, row)
+        return program
+
+    def _single_wait(self, wait_ns):
+        return self._interpreter().run(retention_program(0, self.ROWS, wait_ns=wait_ns))
+
+    def test_clock_runs_through_a_ref_that_misses_the_rows(self):
+        # One REF refreshes one row here (row 0); rows 100-131 keep
+        # decaying as if the two waits were one.
+        result = self._interpreter().run(self._waits(lambda p: p.ref()))
+        full = self._single_wait(2 * self.HALF)
+        assert full.total_flips > self._single_wait(self.HALF).total_flips
+        assert result.mismatches == full.mismatches
+
+    def test_ref_chunks_restart_the_rows_they_cover(self):
+        # 116 REFs cover physical rows 0-115: rows 100-115 restart their
+        # clock, rows 116-131 do not.
+        result = self._interpreter().run(
+            self._waits(lambda p: p.loop(116).ref().end_loop()))
+        half = self._single_wait(self.HALF).mismatches
+        full = self._single_wait(2 * self.HALF).mismatches
+        expected = {key: bits for key, bits in half.items() if key[1] < 116}
+        expected.update({key: bits for key, bits in full.items() if key[1] >= 116})
+        assert result.mismatches == expected
+
+    def test_rewrite_restarts_the_clock(self):
+        def rewrite(program):
+            for row in self.ROWS:
+                program.wr(0, row)
+
+        result = self._interpreter().run(self._waits(rewrite))
+        assert result.mismatches == self._single_wait(self.HALF).mismatches
+
+    def test_activation_restarts_the_clock(self):
+        def reopen(program):
+            for row in self.ROWS:
+                program.act(0, row).pre(0)
+
+        result = self._interpreter().run(self._waits(reopen))
+        assert result.mismatches == self._single_wait(self.HALF).mismatches
+
+    def test_clock_is_per_run(self):
+        interp = self._interpreter()
+        program = retention_program(0, self.ROWS, wait_ns=self.HALF)
+        first = interp.run(program)
+        assert first.total_flips > 0
+        assert interp.run(program).mismatches == first.mismatches
+
     def test_without_retention_params_wait_is_inert(self):
         from repro.dram import INVULNERABLE, DramModule
 

@@ -375,9 +375,9 @@ class TestRunnerIntegration:
 
     def test_cached_rerun_still_reports_metrics(self, tmp_path):
         first = ExperimentRunner(cache_dir=tmp_path, observe=("metrics",))
-        fresh = first.run_one("rowhammer_basic", params=CHEAP, seed=0)
+        fresh = first.run([Job("rowhammer_basic", CHEAP, 0)])[0]
         second = ExperimentRunner(cache_dir=tmp_path, observe=("metrics",))
-        hit = second.run_one("rowhammer_basic", params=CHEAP, seed=0)
+        hit = second.run([Job("rowhammer_basic", CHEAP, 0)])[0]
         assert hit.cache_hit
         assert hit.metrics == fresh.metrics  # snapshot survived the disk trip
         assert (second.metrics.total("dram_activations_total")
@@ -387,7 +387,7 @@ class TestRunnerIntegration:
 
     def test_metrics_off_runner_has_no_registry(self):
         runner = ExperimentRunner()
-        result = runner.run_one("rowhammer_basic", params=CHEAP, seed=0)
+        result = runner.run([Job("rowhammer_basic", CHEAP, 0)])[0]
         assert runner.metrics is None
         assert result.metrics is None
 
@@ -520,8 +520,7 @@ class TestObserverTable:
         path.write_text(json.dumps(LEGACY_CACHE_RECORD, indent=1, sort_keys=True))
         runner = ExperimentRunner(cache_dir=tmp_path,
                                   observe=("metrics", "spans", "physics"))
-        hit = runner.run_one("rowhammer_basic",
-                             params={"victims": 1, "pressure": 100}, seed=0)
+        hit = runner.run([Job("rowhammer_basic", {"victims": 1, "pressure": 100}, 0)])[0]
         assert hit.cache_hit
         assert hit.payload == LEGACY_CACHE_RECORD["payload"]
         assert runner.metrics.total("dram_activations_total") == 200

@@ -12,9 +12,6 @@ from repro.utils import (
     check_probability,
     derive_rng,
     derive_seed,
-    gibibytes,
-    mebibytes,
-    spawn_rngs,
 )
 
 
@@ -52,18 +49,6 @@ class TestDeriveRng:
         b = derive_rng(7, "y").random(5)
         assert not np.array_equal(a, b)
 
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(3, ["p", "q"])
-        assert len(rngs) == 2
-        assert not np.array_equal(rngs[0].random(4), rngs[1].random(4))
-
-
-class TestUnits:
-    def test_mebibytes(self):
-        assert mebibytes(1) == 1024 * 1024
-
-    def test_gibibytes(self):
-        assert gibibytes(2) == 2 * 1024**3
 
 
 class TestValidation:

@@ -11,14 +11,10 @@ from repro.analysis import (
     format_table,
     report_rows,
 )
-from repro.workloads import mixed_with_attacker, random_access, sequential_stream
+from repro.workloads import mixed_with_attacker, random_access
 
 
 class TestWorkloads:
-    def test_sequential_rotates_banks(self):
-        trace = sequential_stream(256, banks=4, rows=64)
-        assert {bank for bank, _row, _w in trace} == {0, 1, 2, 3}
-
     def test_random_access_in_bounds(self):
         trace = random_access(500, banks=4, rows=64, seed=1)
         assert all(0 <= bank < 4 and 0 <= row < 64 for bank, row, _w in trace)
@@ -27,7 +23,7 @@ class TestWorkloads:
         assert random_access(50, 4, 64, seed=2) == random_access(50, 4, 64, seed=2)
 
     def test_mixed_contains_both(self):
-        benign = sequential_stream(100, banks=2, rows=64)
+        benign = [(i % 2, 0, False) for i in range(100)]
         trace = mixed_with_attacker(benign, 0, [40, 42], attacker_share=0.5, seed=4)
         rows = {row for _b, row, _w in trace}
         assert 40 in rows or 42 in rows
