@@ -9,7 +9,7 @@ simulator-scale time.
 
 import numpy as np
 
-from conftest import best_interleaved, run_once
+from conftest import paired_overhead, run_once
 from repro.experiments import execute_job
 from repro.sanitizer import runtime as sanit
 
@@ -43,10 +43,9 @@ def test_perf_disabled_guard_overhead_under_5pct():
     prev = sanit.set_level("off")
     try:
         _hot_loop(1_000, True), _hot_loop(1_000, False)  # warm up
-        bare, guarded = best_interleaved(_hot_loop, 10_000)
+        overhead, bare, guarded = paired_overhead(_hot_loop)
     finally:
         sanit.set_level(prev)
-    overhead = guarded / bare - 1.0
     print(f"\ndisabled-sanitizer overhead: {overhead:+.2%} "
           f"(bare {bare*1e3:.1f} ms, guarded {guarded*1e3:.1f} ms)")
     assert overhead <= 0.05

@@ -9,7 +9,7 @@ from :mod:`repro.telemetry.runtime`.
 
 import numpy as np
 
-from conftest import best_interleaved, run_once
+from conftest import paired_overhead, run_once
 from repro.experiments import execute_job
 from repro.telemetry import MetricsRegistry, PhysicsCollector
 from repro.telemetry import events as stream_events
@@ -46,8 +46,7 @@ def test_perf_disabled_guard_overhead_under_5pct():
     instrumented loop runs within 5% of the identical bare loop."""
     telem.disable_all()
     _hot_loop(1_000, True), _hot_loop(1_000, False)  # warm up
-    bare, guarded = best_interleaved(_hot_loop, 10_000)
-    overhead = guarded / bare - 1.0
+    overhead, bare, guarded = paired_overhead(_hot_loop)
     print(f"\ndisabled-telemetry overhead: {overhead:+.2%} "
           f"(bare {bare*1e3:.1f} ms, guarded {guarded*1e3:.1f} ms)")
     assert overhead <= 0.05

@@ -11,7 +11,7 @@ from repro.attacks.invariants import IsolationReport, check_read_isolation, chec
 from repro.attacks.privilege import (
     PFN_BIT_RANGE,
     FlipTemplate,
-    default_ffs_predicate,
+    FlipTemplates,
     drammer_success_probability,
     flip_feng_shui_templates,
     javascript_success_probability,
@@ -30,7 +30,7 @@ __all__ = [
     "check_write_isolation",
     "PFN_BIT_RANGE",
     "FlipTemplate",
-    "default_ffs_predicate",
+    "FlipTemplates",
     "drammer_success_probability",
     "flip_feng_shui_templates",
     "javascript_success_probability",

@@ -41,13 +41,14 @@ def attack_gallery(
         module = scenario.make_module(serial=f"gallery-{date}", seed=seed)
         pressure = scenario.attack_budget
         templates = scan_templates(module, 0, range(64, 64 + rows_scanned), pressure)
+        ffs_usable = len(flip_feng_shui_templates(templates))
         out.append(
             {
                 "date": date,
                 "templates": len(templates),
                 "pte_spray": pte_spray_success_probability(templates, spray_fraction=0.35, seed=seed),
-                "flip_feng_shui": len(flip_feng_shui_templates(templates)) > 0,
-                "ffs_usable_templates": len(flip_feng_shui_templates(templates)),
+                "flip_feng_shui": ffs_usable > 0,
+                "ffs_usable_templates": ffs_usable,
                 # The scanned region stands in for the attacker-reachable
                 # memory (scanning the full module is possible but slow).
                 "drammer": drammer_success_probability(

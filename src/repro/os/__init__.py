@@ -7,6 +7,7 @@ from repro.os.pagetable import (
     PTE_BITS,
     Pte,
     encode_pte_page,
+    encode_ptes,
     pte_diff,
     pte_words,
 )
@@ -19,6 +20,7 @@ __all__ = [
     "PTE_BITS",
     "Pte",
     "encode_pte_page",
+    "encode_ptes",
     "pte_diff",
     "pte_words",
 ]

@@ -11,7 +11,7 @@ field layout (present bit 0, writable bit 1, PFN in bits 12..51).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Union
 
 import numpy as np
 
@@ -52,12 +52,24 @@ class Pte:
         )
 
 
-def encode_pte_page(ptes: List[Pte], row_bits: int) -> np.ndarray:
-    """Pack PTEs into a row-sized bit array (LSB-first 64-bit words)."""
+def encode_ptes(pfns: np.ndarray) -> np.ndarray:
+    """The 64-bit entry values of present, writable PTEs mapping
+    ``pfns``, as one ``uint64`` array (:meth:`Pte.encode` elementwise)."""
+    flags = np.uint64((1 << PRESENT_BIT) | (1 << WRITABLE_BIT))
+    pfn_field = np.asarray(pfns, dtype=np.uint64) & np.uint64((1 << PFN_WIDTH) - 1)
+    return (pfn_field << np.uint64(PFN_SHIFT)) | flags
+
+
+def encode_pte_page(ptes: Union[List[Pte], np.ndarray], row_bits: int) -> np.ndarray:
+    """Pack PTEs (:class:`Pte` objects or their entry values) into a
+    row-sized bit array (LSB-first 64-bit words)."""
     capacity = row_bits // PTE_BITS
     if len(ptes) > capacity:
         raise ValueError(f"row holds at most {capacity} PTEs, got {len(ptes)}")
-    values = np.array([pte.encode() for pte in ptes], dtype=np.uint64)
+    if isinstance(ptes, np.ndarray):
+        values = ptes.astype(np.uint64, copy=False)
+    else:
+        values = np.array([pte.encode() for pte in ptes], dtype=np.uint64)
     shifts = np.arange(PTE_BITS, dtype=np.uint64)
     bits = np.zeros(row_bits, dtype=np.uint8)
     bits[: values.size * PTE_BITS] = ((values[:, None] >> shifts) & np.uint64(1)).ravel()
