@@ -241,20 +241,39 @@ def scenario_hang(arena: _Arena, jobs: int, workers: int) -> ScenarioOutcome:
 
 
 def scenario_exc(arena: _Arena, jobs: int, workers: int) -> ScenarioOutcome:
-    """One injected transient failure → retried with backoff, sweep clean."""
+    """One injected exception → exactly that job errors and is not
+    cached, its siblings come back ok, and re-running the batch
+    re-executes only that job."""
     out = ScenarioOutcome("exc")
     victim = derive_seed(0, 0)
+    victim_id = job_id_from_key(
+        job_key(registry.resolve(PROBE_EXPERIMENT), {}, victim))
     arena.arm(f"exc:seed={victim}")
-    runner = _runner(arena, workers, retries=2, backoff_s=0.01)
+    runner = _runner(arena, workers)
     results = runner.run(_jobs(jobs))
+    errored = [r for r in results if r.error]
     out.expect_eq("all jobs return results", len(results), jobs)
-    out.expect_eq("transient failure retried to success",
-                  sum(r.ok for r in results), jobs)
-    out.expect_eq("exactly one retry", runner.retries_total, 1)
-    out.expect_eq("runner_retries_total{error=ChaosTransientError}",
-                  _metrics(runner).value("runner_retries_total",
-                                         error="ChaosTransientError"), 1)
+    out.expect_eq("exactly the victim errored",
+                  [r.seed for r in errored], [victim])
+    out.expect("error names the injected exception",
+               bool(errored)
+               and str(errored[0].error).startswith("ChaosTransientError:"),
+               str(errored[0].error) if errored else "")
+    out.expect_eq("siblings ok", sum(r.ok for r in results), jobs - 1)
+    out.expect_eq("runner_jobs_total{outcome=error}",
+                  _jobs_metric(runner, cache_hit="false", outcome="error"), 1)
+    cached = _cached_job_ids(arena.cache_dir, jobs)
+    out.expect("error not cached, siblings cached",
+               victim_id not in cached and len(cached) == jobs - 1,
+               f"{len(cached)} cached, victim cached: {victim_id in cached}")
     out.expect_eq("one exc injected", arena.injected().get("exc", 0), 1)
+
+    arena.disarm()
+    rerun = _runner(arena, workers)
+    results2 = rerun.run(_jobs(jobs))
+    out.expect_eq("re-run finishes clean", sum(r.ok for r in results2), jobs)
+    out.expect_eq("re-run re-executed only the victim",
+                  [r.seed for r in results2 if not r.cache_hit], [victim])
     return out
 
 
@@ -351,16 +370,16 @@ def scenario_combined(arena: _Arena, jobs: int, workers: int) -> ScenarioOutcome
 
 def scenario_sanitizer(arena: _Arena, jobs: int, workers: int) -> ScenarioOutcome:
     """One injected stored-bit corruption → the sanitizer trips, the job
-    becomes a non-retried ``invariant`` outcome attributed to the right
-    subsystem, a failure bundle lands on disk, and replaying that bundle
-    reproduces the identical failure digest."""
+    becomes an ``invariant`` outcome attributed to the right subsystem,
+    a failure bundle lands on disk, and replaying that bundle reproduces
+    the identical failure digest."""
     out = ScenarioOutcome("sanitizer")
     victim = derive_seed(0, 1)
     bundles = arena.root / "bundles"
     arena.set_env(sanit.ENV_SANITIZE, "full")
     arena.set_env(ENV_CAPTURE, str(bundles))
     arena.arm(f"corrupt:sub=dram.bank:seed={victim}")
-    runner = _runner(arena, workers, retries=2, backoff_s=0.01)
+    runner = _runner(arena, workers)
     results = runner.run(_jobs(jobs))
     invariants = [r for r in results if r.outcome == "invariant"]
     out.expect_eq("all jobs return results", len(results), jobs)
@@ -372,7 +391,6 @@ def scenario_sanitizer(arena: _Arena, jobs: int, workers: int) -> ScenarioOutcom
                bool(invariants) and str(invariants[0].error).startswith(
                    "InvariantViolation: [dram.bank]"),
                str(invariants[0].error) if invariants else "")
-    out.expect_eq("violation never retried", runner.retries_total, 0)
     out.expect_eq("sanitizer_violations_total{subsystem=dram.bank}",
                   _metrics(runner).value("sanitizer_violations_total",
                                          subsystem="dram.bank"), 1)
@@ -796,11 +814,10 @@ def scenario_service_shed(arena: _Arena, jobs: int, workers: int) -> ScenarioOut
 
 def scenario_service_poisoned(arena: _Arena, jobs: int,
                               workers: int) -> ScenarioOutcome:
-    """A poisoned submission (timeout-exhausted job) co-scheduled with a
-    healthy one: the poison fails *its* fault domain to a structured
-    ``failed`` state without delaying or damaging the healthy
-    submission, and a restart replays ``failed`` instead of re-running
-    the poison."""
+    """A poisoned submission (a timed-out job) with a healthy sweep
+    queued behind it: the poison stops early in a structured ``failed``
+    state, the healthy sweep then runs every job to ``done``, and a
+    restart replays ``failed`` instead of re-running the poison."""
     from repro.service import ExperimentService, JobJournal, ServiceClient
 
     out = ScenarioOutcome("service_poisoned")
@@ -810,7 +827,7 @@ def scenario_service_poisoned(arena: _Arena, jobs: int,
     victim = derive_seed(0, 1)
     arena.arm(f"hang:seed={victim}:secs=8")
     service = ExperimentService(svc_dir, port=0, workers=2,
-                                max_concurrent=2, timeout_s=2.0).start()
+                                timeout_s=2.0).start()
     poisoned_sid = healthy_sid = None
     try:
         client = ServiceClient(service.url, retries=2, backoff_s=0.1)
@@ -832,15 +849,6 @@ def scenario_service_poisoned(arena: _Arena, jobs: int,
         out.expect("poison stopped the fault domain early",
                    (poisoned.get("completed") or 0) < 6,
                    f"completed {poisoned.get('completed')}")
-        # Co-scheduling proof: the healthy submission started while the
-        # poisoned one (submitted first) was still in flight — a
-        # serialized daemon would have parked it until the poison
-        # settled.
-        out.expect("healthy ran concurrently with the poison",
-                   (healthy.get("started_ts") or 0)
-                   < (poisoned.get("finished_ts") or 0),
-                   f"healthy started {healthy.get('started_ts')}, "
-                   f"poison finished {poisoned.get('finished_ts')}")
         out.expect_eq("failed outcome counted",
                       service.metrics.value("service_jobs_total",
                                             outcome="failed"), 1)
@@ -854,8 +862,7 @@ def scenario_service_poisoned(arena: _Arena, jobs: int,
                   "failed")
     out.expect_eq("nothing stays pending", replayed.pending(), [])
 
-    service2 = ExperimentService(svc_dir, port=0, workers=2,
-                                 max_concurrent=2).start()
+    service2 = ExperimentService(svc_dir, port=0, workers=2).start()
     try:
         rec = service2.jobs.get(poisoned_sid)
         out.expect_eq("restart replays failed, not re-enqueued",

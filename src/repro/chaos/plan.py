@@ -16,8 +16,9 @@ survive:
     Sleep ``secs`` (default 30) before the job body, exceeding any
     sane per-job timeout.  Exercises deadline enforcement.
 ``exc``
-    Raise :class:`ChaosTransientError` — a retryable failure.
-    Exercises the backoff/retry path.
+    Raise :class:`ChaosTransientError` inside the job.  Exercises the
+    errored-result path: the job fails alone, is never cached, and a
+    re-run re-executes it.
 ``torn``
     Tear the result-cache write for the matching job (the final file
     holds truncated JSON, as if the writer died mid-write).  Exercises
@@ -107,7 +108,7 @@ DEFAULT_HANG_SECS = 30.0
 
 
 class ChaosTransientError(RuntimeError):
-    """The injected *transient* failure: retryable by classification."""
+    """The injected job failure: one errored result, never cached."""
 
 
 @dataclass

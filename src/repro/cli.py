@@ -55,30 +55,31 @@ Live telemetry: ``run``/``sweep`` take ``--serve-metrics [PORT]``,
 which arms worker→parent metric streaming and serves a Prometheus
 ``/metrics`` endpoint *while the batch runs* — live hardware counters
 folded from in-flight jobs plus sweep progress gauges (jobs by state,
-retries, ETA, per-worker heartbeat ages), all labeled with the sweep's
+ETA, per-worker heartbeat ages), all labeled with the sweep's
 ``run_id``; ``sweep --live`` repaints a top(1)-style progress view on
 stderr from the same event stream.  ``ledger diff RUN_A RUN_B`` (two
 run-ID refs) joins the two runs' records on ``job_id`` instead of
 diffing single records positionally.
 
 Hardened execution: ``run``/``sweep`` take ``--timeout`` (per-job
-wall-clock deadline → structured ``timeout`` outcome) and ``--retries``
-(deterministic backoff for transient failures).  The result cache is
-the resume point: running an interrupted sweep again picks up where it
-left off, because every finished job is a cache hit.  ``--no-cache``
-keeps no finished results; a fresh ``--cache-dir`` makes a one-off
-sweep resumable.
+wall-clock deadline → structured ``timeout`` outcome).  A failed job
+is reported, never retried: experiments are deterministic and failed
+results are never cached, so running the command again re-executes
+exactly the failed jobs.  The result cache is the resume point:
+running an interrupted sweep again picks up where it left off, because
+every finished job is a cache hit.  ``--no-cache`` keeps no finished
+results; a fresh ``--cache-dir`` makes a one-off sweep resumable.
 Exit codes: 0 all jobs ok, 1 one or more jobs failed/timed out, 2 usage
 error, 130 interrupted (completed results flushed to the cache).
 ``chaos`` runs the fault-injection scenario suite
 (:mod:`repro.chaos.harness`) proving those recovery paths.
 
 Experiment service: ``serve`` runs the crash-tolerant daemon
-(:mod:`repro.service`) — journaled HTTP job submission, graceful
-SIGTERM/SIGINT drain (exit 0), SIGKILL-and-restart resume on the same
-``--state-dir`` (one daemon per dir: a second exits 2);
-``submit``/``jobs`` are its client verbs.  CLI sweeps
-get the same drain contract: SIGTERM flushes completed jobs to the
+(:mod:`repro.service`) — journaled HTTP job submission run one
+submission at a time, graceful SIGTERM/SIGINT drain (exit 0),
+SIGKILL-and-restart resume on the same ``--state-dir`` (one daemon per
+dir: a second exits 2); ``submit``/``jobs`` are its client verbs.  CLI
+sweeps get the same drain contract: SIGTERM flushes completed jobs to the
 cache and exits 143 with a resume hint (SIGINT stays 130).
 
 Sanitizer: ``run``/``sweep`` take ``--sanitize {off,cheap,full}``
@@ -197,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--timeout", type=float, default=None, metavar="SECS",
                      help="per-job wall-clock deadline (structured timeout "
                           "outcome instead of a hang)")
-    run.add_argument("--retries", type=int, default=0, metavar="N",
-                     help="retry budget for transient job failures "
-                          "(default 0: strict determinism)")
     _add_serve_metrics_arg(run)
     _add_sanitize_args(run)
 
@@ -254,9 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--timeout", type=float, default=None, metavar="SECS",
                        help="per-job wall-clock deadline (structured timeout "
                             "outcome instead of a hang)")
-    sweep.add_argument("--retries", type=int, default=0, metavar="N",
-                       help="retry budget for transient job failures "
-                            "(default 0: strict determinism)")
     sweep.add_argument("--live", action="store_true",
                        help="repaint a live progress view (per-job state, "
                             "worker heartbeat ages, top spans) on stderr")
@@ -394,12 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "with 429 (default 64)")
     serve.add_argument("--timeout", type=float, default=None, metavar="SECS",
                        help="default per-job wall-clock deadline")
-    serve.add_argument("--retries", type=int, default=0, metavar="N",
-                       help="default retry budget for transient failures")
-    serve.add_argument("--max-concurrent", type=int, default=1, metavar="N",
-                       help="submissions executing at once, round-robin by "
-                            "chunk, each its own fault domain (default 1: "
-                            "serialized)")
 
     submit = sub.add_parser(
         "submit", help="submit an experiment or seed sweep to a running "
@@ -417,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "repeatable)")
     submit.add_argument("--timeout", type=float, default=None, metavar="SECS",
                         help="per-job deadline for this submission")
-    submit.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry budget for this submission")
     submit.add_argument("--url", default=None,
                         help="service URL (default: read from the "
                              "--state-dir's service.json)")
@@ -648,8 +635,7 @@ def _run(args) -> int:
     _apply_sanitize(args)
     stream = True if args.serve_metrics is not None else None
     runner = _make_runner(args.parallel, args.cache_dir, observe=_observed(args),
-                          timeout_s=args.timeout, retries=args.retries,
-                          stream=stream)
+                          timeout_s=args.timeout, stream=stream)
     jobs = [Job(name, {}, args.seed) for name in args.names]
     server = _serve_metrics(args, runner)
     try:
@@ -759,8 +745,7 @@ def _sweep(args) -> int:
     stream = True if (args.serve_metrics is not None or args.live) else None
     runner = _make_runner(args.parallel, cache_dir,
                           observe=_observed(args) + (["spans"] if args.live else []),
-                          timeout_s=args.timeout, retries=args.retries,
-                          stream=stream,
+                          timeout_s=args.timeout, stream=stream,
                           on_progress=renderer.update if renderer else None)
     server = _serve_metrics(args, runner)
     # SIGTERM drains exactly like Ctrl-C: the runner's interrupt path
@@ -816,8 +801,6 @@ def _sweep(args) -> int:
     extra = ""
     if summary["timeouts"]:
         extra += f", {summary['timeouts']} timeouts"
-    if summary["retries"]:
-        extra += f", {summary['retries']} retries"
     if summary["pool_rebuilds"]:
         extra += f", {summary['pool_rebuilds']} pool rebuilds"
     print(f"sweep {name}: {len(results)} seeds from base {args.base_seed} "
@@ -849,8 +832,7 @@ def _serve(args) -> int:
         args.state_dir, host=args.host, port=port,
         workers=args.workers,
         max_queue=args.max_queue,
-        timeout_s=args.timeout, retries=args.retries,
-        max_concurrent=args.max_concurrent)
+        timeout_s=args.timeout)
     try:
         service.start()
     except StateDirBusy as exc:
@@ -912,8 +894,6 @@ def _submit(args) -> int:
         payload["seed"] = args.seed
     if args.timeout is not None:
         payload["timeout_s"] = args.timeout
-    if args.retries:
-        payload["retries"] = args.retries
     try:
         client = _service_client(args)
         response = client.submit(payload)
@@ -1181,7 +1161,7 @@ def _ledger_run_diff(rid_a: str, recs_a: List[dict],
     The ``job_id`` is derived from (name, params, seed), so the join
     pairs *the same job* across the runs regardless of completion
     order — no positional matching.  Last record wins per job (a
-    retried job's final ledger line is the one that counts).
+    re-run job's final ledger line is the one that counts).
     """
     by_a = {r["job_id"]: r for r in recs_a if r.get("job_id")}
     by_b = {r["job_id"]: r for r in recs_b if r.get("job_id")}

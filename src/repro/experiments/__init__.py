@@ -73,17 +73,12 @@ from repro.experiments.runner import (
     ExperimentRunner,
     Job,
     JobTimeout,
-    NONRETRYABLE_ERRORS,
-    RETRYABLE_ERRORS,
     ResultCache,
     call_with_deadline,
     derive_seed,
-    error_class,
     execute_job,
     execute_job_safe,
-    is_retryable,
     job_key,
-    retry_backoff_s,
 )
 
 #: The single run-one-experiment entry point (CLI ``run``/``report``/
@@ -112,12 +107,7 @@ __all__ = [
     "execute_job_safe",
     "run_experiment",
     "JobTimeout",
-    "RETRYABLE_ERRORS",
-    "NONRETRYABLE_ERRORS",
     "call_with_deadline",
-    "error_class",
-    "is_retryable",
-    "retry_backoff_s",
     "job_key",
     "to_jsonable",
     "canonical_json",

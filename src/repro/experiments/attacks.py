@@ -40,7 +40,7 @@ def attack_gallery(
         scenario = full_scale_scenario("B", date)
         module = scenario.make_module(serial=f"gallery-{date}", seed=seed)
         pressure = scenario.attack_budget
-        templates = scan_templates(module, 0, range(64, 64 + rows_scanned), pressure)
+        templates = scan_templates(module, 0, range(rows_scanned), pressure)
         ffs_usable = len(flip_feng_shui_templates(templates))
         out.append(
             {

@@ -21,8 +21,10 @@ into :class:`~repro.experiments.result.ExperimentResult` records:
     override) produce a structured ``timeout`` outcome instead of a
     hang; the worker stuck on the job is reclaimed by rebuilding the
     pool;
-  - transient failures **retry** with deterministic exponential
-    backoff + jitter (``retries=0`` by default — determinism first);
+  - a raising job becomes one **errored** result that is never
+    cached, so running the batch again re-executes it (jobs are
+    deterministic in ``(name, params, seed)``: there is no transient
+    failure to retry);
   - a dying pool (worker SIGKILL/OOM/segfault → ``BrokenProcessPool``)
     is **rebuilt** and its in-flight jobs requeued, up to
     ``max_pool_rebuilds`` times, after which execution degrades to
@@ -97,41 +99,6 @@ class JobTimeout(Exception):
     """
 
 
-#: Error classes (the leading ``ClassName`` of ``result.error``) that
-#: indicate a *transient* failure worth retrying.
-RETRYABLE_ERRORS = frozenset({
-    "ChaosTransientError",
-    "TransientError",
-    "ConnectionError",
-    "ConnectionResetError",
-    "ConnectionAbortedError",
-    "BrokenPipeError",
-    "EOFError",
-    "OSError",
-    "IOError",
-    "TimeoutError",
-})
-
-#: Error classes that must never be retried, whatever the retry budget:
-#: resource exhaustion and interpreter-exit conditions re-fail
-#: identically (or worse), and a timed-out job would burn its full
-#: deadline again.
-NONRETRYABLE_ERRORS = frozenset({
-    "MemoryError",
-    "SystemExit",
-    "KeyboardInterrupt",
-    "JobTimeout",
-    # A tripped invariant means corrupted simulator state: re-running
-    # the same deterministic job re-corrupts it identically.
-    "InvariantViolation",
-})
-
-
-def error_class(error: Optional[str]) -> str:
-    """The exception class name encoded in a result's error string."""
-    return error.split(":", 1)[0].strip() if error else ""
-
-
 def violation_subsystem(error: Optional[str]) -> str:
     """The ``[subsystem]`` tag of an ``InvariantViolation: ...`` error."""
     if error:
@@ -140,11 +107,6 @@ def violation_subsystem(error: Optional[str]) -> str:
         if start != -1 and end > start:
             return error[start + 1:end]
     return "unknown"
-
-
-def is_retryable(error: Optional[str]) -> bool:
-    cls = error_class(error)
-    return cls in RETRYABLE_ERRORS and cls not in NONRETRYABLE_ERRORS
 
 
 @dataclass(frozen=True)
@@ -169,20 +131,6 @@ def derive_seed(base_seed: int, index: int) -> int:
     """
     digest = hashlib.sha256(f"{base_seed}:{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
-
-
-def retry_backoff_s(base_s: float, job: Job, attempt: int,
-                    cap_s: float = 5.0) -> float:
-    """Exponential backoff with *deterministic* jitter.
-
-    The jitter derives from SHA-256 of ``(name, seed, attempt)`` — the
-    same retry schedule replays bit-for-bit, keeping hardened runs as
-    reproducible as clean ones.
-    """
-    digest = hashlib.sha256(
-        f"{job.name}:{job.seed}:{attempt}".encode("utf-8")).digest()
-    jitter = int.from_bytes(digest[:4], "big") / 2**32  # [0, 1)
-    return min(cap_s, base_s * (2 ** max(0, attempt - 1)) * (0.5 + jitter))
 
 
 def _alarm_available() -> bool:
@@ -333,8 +281,7 @@ def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
 
     ``MemoryError`` and ``SystemExit`` are captured too (a worker
     calling ``sys.exit`` must not kill its pool), carrying their class
-    name in ``result.error`` so the retry policy can classify them as
-    non-retryable; ``KeyboardInterrupt`` always propagates.
+    name in ``result.error``; ``KeyboardInterrupt`` always propagates.
 
     Framework-level errors (unknown experiment name, bad params) still
     raise: they are caller bugs, not job failures.  This is also the
@@ -559,15 +506,12 @@ class ResultCache:
 class _Pending:
     """One not-yet-finalized job in a batch."""
 
-    __slots__ = ("index", "job", "job_id", "retries_used", "ready_at",
-                 "started_at", "deadline")
+    __slots__ = ("index", "job", "job_id", "started_at", "deadline")
 
     def __init__(self, index: int, job: Job, job_id: str = ""):
         self.index = index
         self.job = job
         self.job_id = job_id
-        self.retries_used = 0
-        self.ready_at = 0.0  # monotonic time before which not to start (backoff)
         self.started_at: Optional[float] = None
         self.deadline: Optional[float] = None
 
@@ -595,7 +539,8 @@ class ExperimentRunner:
     Batches are **fault tolerant**: a job that raises becomes an
     errored result (``error`` set, ``payload=None``) instead of
     aborting its completed siblings; errored results are never cached
-    and are tallied in ``runner_jobs_total{outcome="error"}``.
+    (running the batch again re-executes exactly them) and are tallied
+    in ``runner_jobs_total{outcome="error"}``.
 
     Hardening knobs:
 
@@ -604,12 +549,6 @@ class ExperimentRunner:
         overrides per job).  A job past its deadline becomes a
         ``timeout``-outcome result; on the pool path the worker stuck
         on it is reclaimed by rebuilding the pool.
-    ``retries`` / ``backoff_s``
-        Retry budget for *transient* failures (see
-        :data:`RETRYABLE_ERRORS`), with deterministic exponential
-        backoff + jitter.  ``retries=0`` (the default) keeps runs
-        strictly deterministic.  Retries tally in
-        ``runner_retries_total`` and :attr:`retries_total`.
     ``max_pool_rebuilds``
         How many times a broken/hung pool is rebuilt (requeueing its
         in-flight jobs) before the runner degrades to serial in-process
@@ -624,10 +563,10 @@ class ExperimentRunner:
     a pool worker, is handed the runner's ``run_id`` (auto-minted unless
     passed) as an argument, so results, trace events, ledger lines and
     capture bundles join on it even when several runners share one
-    process (the service's ``--max-concurrent``).  In-process jobs take
-    turns on ``telem.job_lock``, and a batch with a deadline that runs
-    off the main thread (where no ``SIGALRM`` can stop it) goes to the
-    pool even with one job or ``max_workers=1``.
+    process.  In-process jobs take turns on ``telem.job_lock``, and a
+    batch with a deadline that runs off the main thread (where no
+    ``SIGALRM`` can stop it) goes to the pool even with one job or
+    ``max_workers=1``.
 
     **Live telemetry** (:mod:`repro.telemetry.events`): every batch
     maintains a :class:`SweepProgress` view in :attr:`progress`.  With
@@ -649,8 +588,6 @@ class ExperimentRunner:
                  observe: Iterable[str] = (),
                  ledger: Union[None, bool, RunLedger] = None,
                  timeout_s: Optional[float] = None,
-                 retries: int = 0,
-                 backoff_s: float = 0.1,
                  max_pool_rebuilds: int = 3,
                  run_id: Optional[str] = None,
                  stream: Optional[bool] = None,
@@ -671,11 +608,8 @@ class ExperimentRunner:
         self.on_progress = on_progress
         self.observe = collectable(observe)
         self.timeout_s = timeout_s
-        self.retries = max(0, int(retries))
-        self.backoff_s = backoff_s
         self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
         self.pool_rebuilds = 0
-        self.retries_total = 0
         #: True once the rebuild budget was spent and the batch fell
         #: back to serial in-process execution (the service reports
         #: this as the ``degraded`` health state).
@@ -793,7 +727,6 @@ class ExperimentRunner:
             "invariants": sum(r.outcome == "invariant" for r in errored),
             "cache_hits": sum(r.cache_hit for r in results),
             "duration_s": sum(r.duration_s for r in results),
-            "retries": self.retries_total,
             "pool_rebuilds": self.pool_rebuilds,
             "errored": [
                 {"name": r.name, "seed": r.seed, "params": dict(r.params),
@@ -895,30 +828,6 @@ class ExperimentRunner:
         self._absorb(result)
         self._notify_progress()
 
-    def _handle_result(self, p: _Pending, result: ExperimentResult,
-                       pending: Deque[_Pending],
-                       results: List[Optional[ExperimentResult]]) -> None:
-        """Finalize a result, or requeue it with backoff when a retry
-        budget remains and the failure is classified transient."""
-        if (result.error is not None
-                and p.retries_used < self.retries
-                and is_retryable(result.error)):
-            p.retries_used += 1
-            p.ready_at = time.monotonic() + retry_backoff_s(
-                self.backoff_s, p.job, p.retries_used)
-            self.retries_total += 1
-            with self._metrics_lock():
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "runner_retries_total",
-                        error=error_class(result.error)).inc()
-            if self.progress is not None and p.job_id:
-                self.progress.retries += 1
-                self.progress.mark_pending(p.job_id)
-            pending.append(p)
-            return
-        self._finalize(p, result, results)
-
     def _drain_serial(self, pending: Deque[_Pending],
                       results: List[Optional[ExperimentResult]]) -> None:
         """In-process execution: the single-worker and degraded paths.
@@ -937,9 +846,6 @@ class ExperimentRunner:
             self.stream.arm_local()
         while pending:
             p = pending.popleft()
-            delay = p.ready_at - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
             if self.progress is not None and p.job_id:
                 self.progress.mark_running(p.job_id, os.getpid())
                 self._notify_progress()
@@ -955,7 +861,7 @@ class ExperimentRunner:
                 # The alarm fired outside the guarded job body.
                 result = self._timeout_result(
                     p.job, timeout_s, time.monotonic() - start)
-            self._handle_result(p, result, pending, results)
+            self._finalize(p, result, results)
 
     def _make_pool(self, workers: int) -> ProcessPoolExecutor:
         if self.stream is not None:
@@ -1041,16 +947,10 @@ class ExperimentRunner:
                   if self.stream is not None else None)
         try:
             while pending or inflight:
-                # Fill the submission window with ready jobs.
+                # Fill the submission window.
                 need_rebuild = False
-                now = time.monotonic()
-                for _ in range(len(pending)):
-                    if len(inflight) >= workers:
-                        break
+                while pending and len(inflight) < workers:
                     p = pending.popleft()
-                    if p.ready_at > now:
-                        pending.append(p)  # still backing off
-                        continue
                     try:
                         inflight[self._submit(pool, p)] = p
                     except BrokenProcessPool:
@@ -1059,18 +959,10 @@ class ExperimentRunner:
                         break
 
                 if not need_rebuild:
-                    if not inflight:
-                        # Everything left is backing off: sleep to the
-                        # soonest ready time and try again.
-                        wake = min(p.ready_at for p in pending)
-                        time.sleep(max(0.0, wake - time.monotonic()))
-                        continue
-
-                    wake_points = [p.deadline for p in inflight.values()
-                                   if p.deadline is not None]
-                    wake_points += [p.ready_at for p in pending if p.ready_at > 0]
-                    timeout = (max(0.0, min(wake_points) - time.monotonic())
-                               if wake_points else None)
+                    deadlines = [p.deadline for p in inflight.values()
+                                 if p.deadline is not None]
+                    timeout = (max(0.0, min(deadlines) - time.monotonic())
+                               if deadlines else None)
                     if poll_s is not None:
                         timeout = poll_s if timeout is None else min(timeout, poll_s)
                     done, _ = futures_wait(list(inflight), timeout=timeout,
@@ -1086,7 +978,7 @@ class ExperimentRunner:
                         except CancelledError:  # pragma: no cover - defensive
                             pending.appendleft(p)
                         else:
-                            self._handle_result(p, result, pending, results)
+                            self._finalize(p, result, results)
 
                 if not need_rebuild:
                     # Enforce deadlines on whatever is still in flight.

@@ -31,9 +31,9 @@ Levels (``REPRO_SANITIZE`` environment variable or ``--sanitize``):
     checks.  A check right after a chaos state-corruption injection
     runs at full depth whatever the level.
 
-A failed invariant raises :class:`InvariantViolation`, a structured,
-deliberately **non-retryable** failure carrying the subsystem, the
-invariant name, and a deterministic detail string.  Violations tally
+A failed invariant raises :class:`InvariantViolation`, a structured
+failure carrying the subsystem, the invariant name, and a
+deterministic detail string.  Violations tally
 in ``sanitizer_violations_total{subsystem=...}`` when telemetry is on.
 
 This module is a leaf: it imports only :mod:`repro.telemetry.runtime`,

@@ -4,7 +4,7 @@ The paper's reliability argument is longitudinal — RowHammer,
 retention, and disturbance characterization happen continuously, at
 fleet scale, not inside one CLI process's lifetime.  This package is
 that deployment shape: a crash-tolerant daemon that accepts experiment
-and sweep jobs over HTTP/JSON, multiplexes them onto the hardened
+and sweep jobs over HTTP/JSON, runs them one at a time on the hardened
 :class:`~repro.experiments.runner.ExperimentRunner`, journals every
 submission to a crash-safe append-only file, and is explicitly built
 to be SIGKILLed and restarted on the same ``--state-dir`` without

@@ -7,11 +7,10 @@ while it restarts, and 429/503 shedding while it is loaded or
 draining (honoring ``Retry-After``).  Retries are bounded; the caller
 always gets either a response or a typed exception, never a hang.
 
-Retry sleeps carry *deterministic* jitter, derived the same way the
-runner's backoff is (sha256 of seed + attempt): many clients shed by a
-recovering daemon de-synchronize instead of thundering-herding it at
-the same instant, yet any one client's schedule is reproducible from
-its ``jitter_seed``.
+Retry sleeps carry *deterministic* jitter (sha256 of seed + attempt):
+many clients shed by a recovering daemon de-synchronize instead of
+thundering-herding it at the same instant, yet any one client's
+schedule is reproducible from its ``jitter_seed``.
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ def retry_delay_s(backoff_s: float, attempt: int,
     """Deterministic jittered retry delay for ``attempt`` (0-based).
 
     Exponential from ``backoff_s``, scaled into ``[0.5×, 1.5×)`` by a
-    sha256-derived factor of ``(seed, attempt)`` — the same jitter
-    construction as the runner's ``retry_backoff_s``.  ``Retry-After``
+    sha256-derived factor of ``(seed, attempt)``.  ``Retry-After``
     raises the floor (the daemon knows its own load) and ``cap_s``
     bounds the result.
     """

@@ -22,26 +22,21 @@ Design decisions that make it kill-tolerant:
   the 202 response only goes out once the record is fsynced.  Replay
   on startup re-enqueues every journaled submission without a
   ``done``/``cancel`` record.
-* **Chunked multiplexing.**  A sweep runs through the hardened
-  :class:`~repro.experiments.runner.ExperimentRunner` in chunks of
-  ``2 × workers`` jobs with drain/cancel checks between chunks, and
-  every finished job lands in the result cache as it completes — so a
-  SIGKILL loses at most the chunk in flight, and a restart re-runs the
-  submission, whose finished jobs come back as cache hits instead of
-  re-executing.
-* **Fair concurrent scheduling.**  Up to ``max_concurrent`` submissions
-  execute at once, each in its own fault domain.  Chunk workers pull
-  submissions round-robin from a runnable ring — after each chunk a
-  submission goes to the back of the ring — so a 10k-job sweep cannot
-  starve a co-scheduled 1-job run.  A *poisoned* submission (invariant
-  violation, timeout-exhausted job, runner-level collapse) fails fast
-  to a structured ``failed`` state without touching its co-scheduled
-  neighbours; plain job errors keep the legacy run-to-completion →
-  ``error`` behaviour.  Every result carries its own submission's run
-  ID, which each runner passes to its jobs explicitly.
-* **Graceful drain.**  SIGTERM/SIGINT stop admission (503), let
-  in-flight chunks finish (their results are cached), leave
-  queued jobs journaled for the next incarnation, and exit 0.
+* **One submission at a time, in chunks.**  One worker thread takes
+  submissions from the queue in order and runs each through the
+  hardened :class:`~repro.experiments.runner.ExperimentRunner` in
+  chunks of ``2 × workers`` jobs, with cancel/drain checks between
+  chunks.  Every finished job lands in the result cache as it
+  completes — so a SIGKILL loses at most the chunk in flight, and a
+  restart re-runs the submission, whose finished jobs come back as
+  cache hits instead of re-executing.  A *poisoned* submission
+  (invariant violation, timed-out job, runner-level collapse) stops
+  at the end of the chunk with a structured ``failed`` state; plain
+  job errors run to completion → ``error``.  Every result carries its
+  submission's run ID, which the runner passes to its jobs explicitly.
+* **Graceful drain.**  SIGTERM/SIGINT stop admission (503), let the
+  in-flight chunk finish (its results are cached), leave queued jobs
+  journaled for the next incarnation, and exit 0.
 * **Bounded queue.**  Past ``max_queue`` waiting jobs, submissions are
   shed with 429 + ``Retry-After`` (estimated from observed job
   durations) instead of growing without limit.
@@ -58,7 +53,7 @@ import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Set, Union
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.experiments.runner import ExperimentRunner
 from repro.service.journal import JobJournal, JobSpec
@@ -80,10 +75,6 @@ LOCK_FILE = "daemon.lock"
 
 #: ``Retry-After`` seconds sent while draining (a restart is expected).
 DRAINING_RETRY_AFTER_S = 10
-
-#: Scheduler cadence (seconds): the longest a queued submission waits
-#: for a free slot when no state change wakes the scheduler.
-_TICK_S = 0.2
 
 #: Terminal in-memory job states (no further transitions).
 _TERMINAL = ("done", "error", "cancelled", "failed")
@@ -184,32 +175,13 @@ class _JobRecord:
         return body
 
 
-class _Execution:
-    """One activated submission: its runner and cursor."""
-
-    __slots__ = ("rec", "runner", "jobs", "next_index", "results",
-                 "chunk_size", "poison")
-
-    def __init__(self, rec: _JobRecord, runner: ExperimentRunner,
-                 jobs: List[Any], chunk_size: int):
-        self.rec = rec
-        self.runner = runner
-        self.jobs = jobs
-        self.next_index = 0
-        self.results: List[Any] = []
-        self.chunk_size = chunk_size
-        self.poison: Optional[str] = None  # reason, once poisoned
-
-
 class ExperimentService:
-    """A crash-tolerant daemon multiplexing jobs onto the hardened runner.
+    """A crash-tolerant daemon running submissions on the hardened runner.
 
-    ``workers`` is the runner pool width per submission;
-    ``max_concurrent`` is how many submissions execute at once (each in
-    its own fault domain, scheduled round-robin by chunk).  The default
-    of 1 preserves the serialized PR 9 behaviour.
-    ``start_worker=False`` leaves the execution threads unstarted —
-    deterministic queue-state tests use it; production never does.
+    ``workers`` is the runner pool width; submissions run one at a
+    time, in submission order.  ``start_worker=False`` leaves the
+    worker thread unstarted — deterministic queue-state tests use it;
+    production never does.
     """
 
     def __init__(self, state_dir: Union[str, Path],
@@ -218,8 +190,6 @@ class ExperimentService:
                  workers: int = 2,
                  max_queue: int = 64,
                  timeout_s: Optional[float] = None,
-                 retries: int = 0,
-                 max_concurrent: int = 1,
                  start_worker: bool = True):
         self.state_dir = Path(state_dir).expanduser()
         self.host = host
@@ -227,8 +197,6 @@ class ExperimentService:
         self.workers = max(1, int(workers))
         self.max_queue = max(0, int(max_queue))
         self.timeout_s = timeout_s
-        self.retries = max(0, int(retries))
-        self.max_concurrent = max(1, int(max_concurrent))
         self.service_id = ids.new_run_id(prefix="s")
         self.started_mono = time.monotonic()
 
@@ -246,13 +214,12 @@ class ExperimentService:
         self.degraded = False
         self.metrics = MetricsRegistry()
         self._avg_job_s = 1.0  # EWMA of per-runner-job wall seconds
-        self._executions: Dict[str, _Execution] = {}
-        self._rr: Deque[str] = deque()        # runnable ring (round-robin)
+        #: The submission executing now and its runner, if any.
+        self._running: Optional[Tuple[_JobRecord, ExperimentRunner]] = None
         self._state_lock_fd: Optional[int] = None
         self._drained = threading.Event()
         self._start_worker = start_worker
         self._worker: Optional[threading.Thread] = None
-        self._chunk_threads: List[threading.Thread] = []
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self.port: Optional[int] = None
@@ -260,7 +227,7 @@ class ExperimentService:
     # -- lifecycle --------------------------------------------------------
     def start(self) -> "ExperimentService":
         """Lock the state dir, replay the journal, bind the HTTP server,
-        start the scheduler.
+        start the worker.
 
         Raises :class:`StateDirBusy` if another daemon holds the state
         dir; the lock is released again if a later step (e.g. the
@@ -282,14 +249,8 @@ class ExperimentService:
             name="repro-service-http", daemon=True)
         self._http_thread.start()
         if self._start_worker:
-            for index in range(self.max_concurrent):
-                thread = threading.Thread(
-                    target=self._chunk_worker,
-                    name=f"repro-service-chunk-{index}", daemon=True)
-                thread.start()
-                self._chunk_threads.append(thread)
             self._worker = threading.Thread(
-                target=self._scheduler_loop, name="repro-service-scheduler",
+                target=self._worker_loop, name="repro-service-worker",
                 daemon=True)
             self._worker.start()
         self._write_endpoint()
@@ -369,7 +330,7 @@ class ExperimentService:
             signal.signal(sig, _drain_signal)
 
     def initiate_drain(self, reason: str = "request") -> None:
-        """Stop admitting; let in-flight chunks finish; then exit."""
+        """Stop admitting; let the in-flight chunk finish; then exit."""
         with self._cond:
             if self.draining:
                 return
@@ -409,128 +370,97 @@ class ExperimentService:
             os.close(self._state_lock_fd)
             self._state_lock_fd = None
 
-    # -- scheduler --------------------------------------------------------
-    def _scheduler_loop(self) -> None:
+    # -- worker -----------------------------------------------------------
+    def _worker_loop(self) -> None:
+        """Run queued submissions one at a time until a drain."""
         while True:
             with self._cond:
+                while not self.queue and not self.draining:
+                    self._cond.wait()
                 if self.draining:
                     break
-                self._activate_locked()
-                self._cond.wait(timeout=_TICK_S)
-        for thread in self._chunk_threads:
-            thread.join()
-        self._finalize_drain()
+                sid = self.queue.popleft()
+                rec = self.jobs[sid]
+                rec.state = "running"
+                rec.started_ts = time.time()
+                rec.run_id = ids.new_run_id()
+                self.journal.start(sid, rec.run_id)
+                spec = rec.spec
+                runner = ExperimentRunner(
+                    cache_dir=self.cache_dir,
+                    max_workers=self.workers,
+                    observe=("metrics",),
+                    ledger=self.ledger,
+                    ledger_command="service",
+                    timeout_s=spec.timeout_s if spec.timeout_s is not None
+                    else self.timeout_s,
+                    run_id=rec.run_id,
+                )
+                self._running = (rec, runner)
+            self._execute(rec, runner)
         self._drained.set()
 
-    def _activate_locked(self) -> None:
-        """Admit queued submissions into execution slots (lock held)."""
-        if self.draining:
-            return
-        while self.queue and len(self._executions) < self.max_concurrent:
-            sid = self.queue.popleft()
-            rec = self.jobs[sid]
-            rec.state = "running"
-            rec.started_ts = time.time()
-            rec.run_id = ids.new_run_id()
-            self.journal.start(sid, rec.run_id)
-            spec = rec.spec
-            runner = ExperimentRunner(
-                cache_dir=self.cache_dir,
-                max_workers=self.workers,
-                observe=("metrics",),
-                ledger=self.ledger,
-                ledger_command="service",
-                timeout_s=spec.timeout_s if spec.timeout_s is not None
-                else self.timeout_s,
-                retries=spec.retries or self.retries,
-                run_id=rec.run_id,
-            )
-            execution = _Execution(rec, runner, spec.expand(),
-                                   chunk_size=max(1, self.workers) * 2)
-            self._executions[sid] = execution
-            self._rr.append(sid)
-            self._cond.notify_all()
+    def _execute(self, rec: _JobRecord, runner: ExperimentRunner) -> None:
+        """Run one submission chunk by chunk.  Before each chunk a
+        cancel request ends it ``cancelled`` and a drain parks it
+        ``checkpointed``; a poisoned chunk ends it ``failed``."""
+        jobs = rec.spec.expand()
+        size = 2 * self.workers
+        results: List[Any] = []
+        state = poison = None
+        for start in range(0, len(jobs), size):
+            with self._lock:
+                if rec.sid in self.cancel_requests:
+                    state = "cancelled"
+                elif self.draining:
+                    state = "checkpointed"
+            if state is not None:
+                break
+            poison = self._run_chunk(rec, runner, jobs[start:start + size],
+                                     results)
+            if poison is not None:
+                state = "failed"
+                break
+        self._finalize(rec, runner, results, state, poison)
 
-    # -- chunk workers ----------------------------------------------------
-    def _chunk_worker(self) -> None:
-        while True:
-            with self._cond:
-                while not self._rr and not self.draining:
-                    self._cond.wait(timeout=0.2)
-                if self.draining:
-                    break
-                sid = self._rr.popleft()
-                execution = self._executions.get(sid)
-            if execution is not None:
-                self._run_chunk(execution)
-
-    def _run_chunk(self, execution: _Execution) -> None:
-        rec = execution.rec
-        sid = rec.sid
-        with self._lock:
-            cancelled = sid in self.cancel_requests
-        if cancelled:
-            self._finalize(execution, cancelled=True)
-            return
-        chunk = execution.jobs[execution.next_index:
-                               execution.next_index + execution.chunk_size]
-        if not chunk:
-            self._finalize(execution)
-            return
+    def _run_chunk(self, rec: _JobRecord, runner: ExperimentRunner,
+                   chunk: List[Any], results: List[Any]) -> Optional[str]:
+        """Run one chunk into ``results``; returns the poison reason, if
+        the chunk poisoned the submission."""
         with self._lock:
             rec.inflight = len(chunk)
         started = time.monotonic()
-        failure: Optional[str] = None
-        results: List[Any] = []
+        poison: Optional[str] = None
+        done: List[Any] = []
         try:
-            results = execution.runner.run(chunk)
-        except Exception as exc:  # runner-level collapse poisons the domain
-            failure = f"{type(exc).__name__}: {exc}"
+            done = runner.run(chunk)
+        except Exception as exc:  # runner-level collapse poisons the submission
+            poison = f"{type(exc).__name__}: {exc}"
         wall = time.monotonic() - started
         with self._lock:
             rec.inflight = 0
             rec.wall_s += wall
-            execution.results.extend(results)
-            execution.next_index += len(chunk)
-            rec.completed = len(execution.results)
-            for result in results:
-                rss = getattr(result, "peak_rss_kb", 0) or 0
-                if rss > rec.peak_rss_kb:
-                    rec.peak_rss_kb = rss
-            if results:
+            results.extend(done)
+            rec.completed = len(results)
+            rec.peak_rss_kb = max([rec.peak_rss_kb,
+                                   *(r.peak_rss_kb for r in done)])
+            if done:
                 self._avg_job_s = 0.5 * self._avg_job_s \
-                    + 0.5 * (wall / len(results))
+                    + 0.5 * (wall / len(done))
             self.metrics.counter("service_chunks_total").inc()
-        poison = failure
         if poison is None:
-            for result in results:
-                outcome = getattr(result, "outcome", "ok")
-                if outcome in ("timeout", "invariant"):
-                    poison = (f"poisoned by job "
-                              f"{getattr(result, 'job_id', '?')}: "
-                              f"outcome={outcome}")
-                    break
-        if poison is not None:
-            execution.poison = poison
-            self._finalize(execution, poisoned=True)
-            return
-        if execution.next_index >= len(execution.jobs):
-            self._finalize(execution)
-            return
-        with self._cond:
-            if not self.draining:
-                self._rr.append(sid)        # back of the ring: round-robin
-                self._cond.notify_all()
-            # On drain the execution stays registered; the scheduler
-            # parks it as ``checkpointed`` (its finished jobs are in the
-            # cache) once workers exit.
+            poison = next((f"poisoned by job {r.job_id}: outcome={r.outcome}"
+                           for r in done
+                           if r.outcome in ("timeout", "invariant")), None)
+        return poison
 
-    def _finalize(self, execution: _Execution, cancelled: bool = False,
-                  poisoned: bool = False, interrupted: bool = False) -> None:
-        rec = execution.rec
+    def _finalize(self, rec: _JobRecord, runner: ExperimentRunner,
+                  results: List[Any], state: Optional[str],
+                  poison: Optional[str] = None) -> None:
+        """Settle a submission: ``state`` is ``cancelled``, ``failed``
+        (by ``poison``) or ``checkpointed``, or ``None`` for one that ran
+        every job."""
         sid = rec.sid
-        runner = execution.runner
-        results = execution.results
         summary = runner.summary(results)
         job_ids = [r.job_id for r in results if r.job_id][:1024]
         with self._lock:
@@ -538,6 +468,8 @@ class ExperimentService:
                 self.metrics.merge(runner.metrics.snapshot())
             if runner.degraded_to_serial:
                 self.degraded = True
+            self.cancel_requests.discard(sid)
+            self._running = None
             rec.completed = len(results)
             rec.inflight = 0
             rec.summary = {
@@ -548,17 +480,13 @@ class ExperimentService:
                 "duration_s": round(summary["duration_s"], 6),
                 "job_ids": job_ids,
             }
-            if cancelled:
-                rec.state = "cancelled"
-                self.cancel_requests.discard(sid)
-            elif poisoned:
-                rec.state = "failed"
-                rec.error = execution.poison or "poisoned"
-            elif interrupted:
-                # No ``done`` record: the journal keeps this submission
-                # pending and the next incarnation re-runs it; its
-                # finished jobs come back as cache hits.
-                rec.state = "checkpointed"
+            if state is not None:
+                # ``checkpointed`` writes no ``done`` record: the journal
+                # keeps the submission pending and the next incarnation
+                # re-runs it; its finished jobs come back as cache hits.
+                rec.state = state
+                if poison is not None:
+                    rec.error = poison
             elif summary["errors"]:
                 rec.state = "error"
                 first = summary["errored"][0]
@@ -586,24 +514,11 @@ class ExperimentService:
                 duration_s=round(summary["duration_s"], 6),
                 run_id=rec.run_id, job_ids=job_ids,
                 **({"error": rec.error} if rec.error else {}))
-        with self._cond:
-            self._executions.pop(sid, None)
-            self._cond.notify_all()   # a slot freed: scheduler may activate
-
-    def _finalize_drain(self) -> None:
-        """After the chunk workers exit on drain, park every live
-        execution as ``checkpointed``: a state name clients read, meaning
-        its finished jobs are cached and the rest resume on restart."""
-        with self._lock:
-            executions = list(self._executions.values())
-        for execution in executions:
-            self._finalize(execution, interrupted=True)
 
     # -- admission --------------------------------------------------------
     def _retry_after_s(self) -> int:
         depth = len(self.queue)
-        width = max(1, self.workers * self.max_concurrent)
-        estimate = self._avg_job_s * (depth + 1) / width
+        estimate = self._avg_job_s * (depth + 1) / self.workers
         return max(1, min(60, int(round(estimate))))
 
     def submit(self, payload: Any):
@@ -690,8 +605,7 @@ class ExperimentService:
                 "pid": os.getpid(),
                 "uptime_s": round(time.monotonic() - self.started_mono, 3),
                 "queue_depth": len(self.queue),
-                "in_flight": len(self._executions),
-                "max_concurrent": self.max_concurrent,
+                "in_flight": int(self._running is not None),
                 "draining": self.draining,
                 "degraded": self.degraded,
                 "jobs": counts,
@@ -705,15 +619,14 @@ class ExperimentService:
             registry.gauge("service_queue_depth").set(len(self.queue))
             registry.gauge("service_draining").set(int(self.draining))
             registry.gauge("service_degraded").set(int(self.degraded))
+            running = self._running
             registry.gauge("service_active_submissions").set(
-                len(self._executions))
+                int(running is not None))
             registry.gauge("service_inflight_jobs").set(
-                sum(e.rec.inflight for e in self._executions.values()))
-            registry.gauge("service_max_concurrent").set(self.max_concurrent)
-            runners = [e.runner for e in self._executions.values()]
-        for runner in runners:
+                running[0].inflight if running is not None else 0)
+        if running is not None:
             try:
-                registry.merge(runner.live_metrics().snapshot())
+                registry.merge(running[1].live_metrics().snapshot())
             except Exception:  # a finishing runner must not fail a scrape
                 pass
         return export.render_exposition(registry)

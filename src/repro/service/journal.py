@@ -66,7 +66,6 @@ class JobSpec:
     seeds: int = 0
     base_seed: int = 0
     timeout_s: Optional[float] = None
-    retries: int = 0
 
     @property
     def sid(self) -> str:
@@ -98,7 +97,7 @@ class JobSpec:
         if not isinstance(payload, dict):
             raise ValueError("job submission must be a JSON object")
         known = {"kind", "name", "params", "seed", "seeds", "base_seed",
-                 "timeout_s", "retries"}
+                 "timeout_s"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(f"unknown field(s): {', '.join(unknown)}")
@@ -131,9 +130,6 @@ class JobSpec:
             timeout_s = float(timeout_s)
             if timeout_s <= 0:
                 raise ValueError("'timeout_s' must be positive")
-        retries = int(payload.get("retries") or 0)
-        if retries < 0:
-            raise ValueError("'retries' must be >= 0")
         # Bind now so bad params are a 400 at submission, not a failed
         # job minutes later.
         probe_seed: Optional[int] = None
@@ -147,7 +143,7 @@ class JobSpec:
         return cls(kind=kind, name=spec.name, params=dict(params),
                    seed=seed, seeds=seeds,
                    base_seed=int(payload.get("base_seed") or 0),
-                   timeout_s=timeout_s, retries=retries)
+                   timeout_s=timeout_s)
 
     def to_json_dict(self) -> Dict[str, Any]:
         body: Dict[str, Any] = {"kind": self.kind, "name": self.name,
@@ -159,8 +155,6 @@ class JobSpec:
             body["seed"] = self.seed
         if self.timeout_s is not None:
             body["timeout_s"] = self.timeout_s
-        if self.retries:
-            body["retries"] = self.retries
         return body
 
     def expand(self) -> List[Job]:

@@ -197,7 +197,7 @@ def sink() -> Optional[WorkerStream]:
 # ----------------------------------------------------------------------
 class SweepProgress:
     """Parent-side live view of one batch: per-job states, per-worker
-    heartbeats, retries, stale warnings, and an ETA estimated from the
+    heartbeats, stale warnings, and an ETA estimated from the
     wall-clock distribution of completed jobs.
 
     All ``*_mono`` fields are parent ``time.monotonic()`` readings.
@@ -209,7 +209,6 @@ class SweepProgress:
         self.jobs: Dict[str, Dict[str, Any]] = {}
         self.workers: Dict[int, Dict[str, Any]] = {}
         self.stale_events: List[Dict[str, Any]] = []
-        self.retries = 0
         self.job_spans: Dict[str, List[Dict[str, Any]]] = {}
 
     # -- job state transitions ----------------------------------------
@@ -233,7 +232,7 @@ class SweepProgress:
         job["last_beat_mono"] = now
 
     def mark_pending(self, job_id: str) -> None:
-        """Back to the queue (retry or pool rebuild requeue)."""
+        """Back to the queue (pool rebuild requeue)."""
         job = self.jobs.get(job_id)
         if job is None:
             return

@@ -52,7 +52,6 @@ METRIC_HELP: Dict[str, str] = {
     "dram_refreshes_total": "DRAM refresh operations issued.",
     "dram_bit_flips_total": "Disturbance bit flips injected by the DRAM model.",
     "runner_jobs_total": "Experiment jobs finished, by cache_hit and outcome.",
-    "runner_retries_total": "Experiment job retry attempts.",
     "runner_stale_heartbeats_total": "Running jobs flagged for a stale heartbeat.",
     "cache_write_errors_total": "Result-cache writes that failed and degraded to uncached execution.",
     "service_queue_depth": "Jobs waiting in the experiment service's admission queue.",
@@ -70,7 +69,6 @@ METRIC_HELP: Dict[str, str] = {
     "sanitizer_violations_total": "Sanitizer invariant violations, by subsystem.",
     "ledger_corrupt_lines": "Unparseable lines skipped by the latest run-ledger scan.",
     "repro_sweep_jobs": "Sweep jobs by state (total/done/running/errored/cached/pending).",
-    "repro_sweep_retries": "Retries consumed so far in the live sweep.",
     "repro_sweep_elapsed_seconds": "Wall-clock seconds since the sweep started.",
     "repro_sweep_eta_seconds": "Estimated seconds until the sweep completes.",
     "repro_sweep_stale_heartbeats": "Stale-heartbeat warnings raised during the sweep.",
@@ -170,7 +168,6 @@ def progress_registry(progress: Any, workers: int = 1,
     counts = progress.counts()
     for state in ("total", "done", "running", "errored", "cached", "pending"):
         registry.gauge("repro_sweep_jobs", state=state, **labels).set(counts[state])
-    registry.gauge("repro_sweep_retries", **labels).set(progress.retries)
     registry.gauge("repro_sweep_elapsed_seconds", **labels).set(
         round(progress.elapsed_s(now_mono), 3))
     eta = progress.eta_s(workers=workers, now_mono=now_mono)

@@ -49,8 +49,6 @@ def format_progress_lines(progress: Any, workers: int = 1,
             f"{_bar(finished, total)} {finished}/{total}  "
             f"ok={counts['done']} cached={counts['cached']} "
             f"err={counts['errored']} run={counts['running']}")
-    if progress.retries:
-        head += f" retry={progress.retries}"
     if progress.stale_events:
         head += f" stale={len(progress.stale_events)}"
     head += (f"  {progress.elapsed_s(now_mono):.1f}s elapsed  "

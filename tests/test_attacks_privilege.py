@@ -110,7 +110,7 @@ def gallery_scan(date, seed, rows):
     """The attack gallery's scan of a full-scale vintage-``date`` module."""
     scenario = full_scale_scenario("B", date)
     module = scenario.make_module(serial=f"gallery-{date}", seed=seed)
-    return scan_templates(module, 0, range(64, 64 + rows), scenario.attack_budget)
+    return scan_templates(module, 0, range(rows), scenario.attack_budget)
 
 
 def pfn_templates(n):
@@ -290,6 +290,20 @@ class TestDrammerAndJs:
         got = drammer_success_probability(templates, total_rows, chunk, trials=500, seed=seed)
         assert 0.0 < got < 1.0
         assert got == reference_drammer(templates, total_rows, chunk, trials=500, seed=seed)
+
+    def test_gallery_js_reaches_the_top_of_its_scan(self, monkeypatch):
+        """The gallery's estimates model its scan as rows
+        ``0..rows_scanned-1``, so a template on the highest scanned row
+        with both neighbours scanned is one the JavaScript picks bracket."""
+        from repro.experiments import attacks as gallery
+
+        def top_template(module, bank, rows, pressure):
+            return FlipTemplates.of([FlipTemplate(bank=bank, row=rows[-2], bit=20,
+                                                  direction="1to0", hc_first=1.0)])
+
+        monkeypatch.setattr(gallery, "scan_templates", top_template)
+        (row,) = gallery.attack_gallery(dates=(2011.0,), rows_scanned=8, seed=0)
+        assert row["javascript"] > 0.9
 
 
 class TestExactness:

@@ -401,30 +401,51 @@ def test_out_of_range_pattern_raises_before_any_state_change(engine):
     assert full_state(ctrl) == before
 
 
-def observe(engine, case, run, sink):
-    """Run ``case`` with ``run`` as the pattern runner under one observer
-    sink; return what the sink recorded."""
+def observe(engine, case, run):
+    """Run ``case`` with ``run`` as the pattern runner under the metrics,
+    physics and trace sinks together; return what each sink recorded."""
     _label, config, options, drive = case
     ctrl = make_controller(engine, *config[1:], **options)
-    if sink == "metrics":
-        registry = MetricsRegistry()
-        with telem.observing(metrics=registry):
-            drive(ctrl, run)
-            ctrl.finish()
-        return registry.snapshot()
-    if sink == "physics":
-        collector = PhysicsCollector()
-        with telem.observing(physics=collector):
-            drive(ctrl, run)
-            ctrl.finish()
-        return (collector.audit_counts(), collector.audit_events(),
-                collector.heat_rows(), collector.provenance_rows())
+    registry, collector = MetricsRegistry(), PhysicsCollector()
     recorder = TraceRecorder(capacity=1 << 17)
-    with telem.observing(trace=recorder):
+    with telem.observing(metrics=registry, physics=collector, trace=recorder):
         drive(ctrl, run)
         ctrl.finish()
     assert len(recorder.events()) < 1 << 17, "the trace must not spill"
-    return [(e.kind, e.t, sorted(e.fields.items())) for e in recorder.events()]
+    return {
+        "metrics": registry.snapshot(),
+        "physics": (collector.audit_counts(), collector.audit_events(),
+                    collector.heat_rows(), collector.provenance_rows()),
+        "trace": [(e.kind, e.t, sorted(e.fields.items()))
+                  for e in recorder.events()],
+    }
+
+
+def sides_per_sink():
+    """``take(key, sink, compute)``: the ``sink`` entry of ``compute()``,
+    a pair of ``{sink: record}`` dicts (one per side), computed once per
+    ``key`` for all sinks; each sink case takes its entry and the pair
+    is dropped once every sink has taken one."""
+    pending = {}
+
+    def take(key, sink, compute):
+        if sink not in pending.get(key, {}):
+            first, second = compute()
+            pending[key] = {name: (first[name], second[name])
+                            for name in first}
+        seen = pending[key].pop(sink)
+        if not pending[key]:
+            del pending[key]
+        return seen
+
+    return take
+
+
+@pytest.fixture(scope="module")
+def segmented_sides():
+    """Each (case, engine)'s segmented and per-command runs, each run
+    once with all three sinks on, for the three sink cases."""
+    return sides_per_sink()
 
 
 #: The seven configs' plain patterns, plus evictions and scalar interleaving.
@@ -435,10 +456,12 @@ OBSERVED_CASES = SEGMENT_CASES[:len(CONFIGS)] + [
 @pytest.mark.parametrize("sink", ["metrics", "physics", "trace"])
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("case", OBSERVED_CASES, ids=[c[0] for c in OBSERVED_CASES])
-def test_observers_see_segmented_as_per_command(case, engine, sink):
-    segmented = observe(engine, case, MemoryController.run_activation_pattern,
-                        sink)
-    per_command = observe(engine, case, activate_loop, sink)
+def test_observers_see_segmented_as_per_command(case, engine, sink,
+                                                segmented_sides):
+    segmented, per_command = segmented_sides(
+        (case[0], engine), sink,
+        lambda: (observe(engine, case, MemoryController.run_activation_pattern),
+                 observe(engine, case, activate_loop)))
     assert segmented == per_command
     if sink == "trace" and case[0] == "none":
         kinds = {kind for kind, _t, _fields in segmented}
@@ -762,26 +785,40 @@ def per_bank(events):
     return banks
 
 
-def observe_cpu(engine, loop, run, sink):
-    """Run :data:`CPU_OBSERVED` through ``run`` under one observer sink;
-    return the outcome and what the sink recorded."""
-    made = SINKS[sink]()
-    with telem.observing(**{sink: made}):
+def observe_cpu(engine, loop, run):
+    """Run :data:`CPU_OBSERVED` through ``run`` under the metrics,
+    physics and trace sinks together; return, per sink, the outcome and
+    what the sink recorded."""
+    made = {sink: SINKS[sink]() for sink in ("metrics", "physics", "trace")}
+    with telem.observing(**made):
         outcome = drive_cpu(engine, CPU_OBSERVED, loop, run)
-    if sink == "metrics":
-        return outcome, made.snapshot()
-    if sink == "physics":
-        return outcome, (made.heat_rows(), made.provenance_rows())
-    assert len(made.events()) < 1 << 17, "the trace must not spill"
-    return outcome, per_bank(made.events())
+    trace = made["trace"].events()
+    assert len(trace) < 1 << 17, "the trace must not spill"
+    return {
+        "metrics": (outcome, made["metrics"].snapshot()),
+        "physics": (outcome, (made["physics"].heat_rows(),
+                              made["physics"].provenance_rows())),
+        "trace": (outcome, per_bank(trace)),
+    }
+
+
+@pytest.fixture(scope="module")
+def cpu_sides():
+    """Each (loop, engine)'s bulk and per-load runs, each run once with
+    all three sinks on, for the three sink cases."""
+    return sides_per_sink()
 
 
 @pytest.mark.parametrize("sink", ["metrics", "physics", "trace"])
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("loop", CPU_LOOPS)
-def test_observers_see_bulk_cpu_loops_as_per_load(loop, engine, sink):
-    seen = observe_cpu(engine, loop, bulk, sink)
-    assert seen == observe_cpu(engine, loop, per_load, sink)
+def test_observers_see_bulk_cpu_loops_as_per_load(loop, engine, sink,
+                                                  cpu_sides):
+    seen, per_load_seen = cpu_sides(
+        (loop, engine), sink,
+        lambda: (observe_cpu(engine, loop, bulk),
+                 observe_cpu(engine, loop, per_load)))
+    assert seen == per_load_seen
     if sink == "trace" and loop != "naive":
         assert len(seen[1]) == (2 if loop == "eviction" else 1)
 

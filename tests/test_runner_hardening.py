@@ -1,5 +1,5 @@
-"""Hardened execution: timeouts, retry classification, pool recovery,
-cache corruption quarantine, and SIGINT survivability."""
+"""Hardened execution: timeouts, errored jobs, pool recovery, cache
+corruption quarantine, and SIGINT survivability."""
 
 import json
 import multiprocessing
@@ -17,11 +17,8 @@ from repro.experiments import (
     Job,
     JobTimeout,
     derive_seed,
-    error_class,
     execute_job,
     execute_job_safe,
-    is_retryable,
-    retry_backoff_s,
 )
 from repro.experiments.runner import ResultCache, call_with_deadline
 from repro.experiments.registry import experiment, unregister
@@ -48,25 +45,8 @@ def sleeper():
 
 
 @pytest.fixture()
-def transient_then_ok(tmp_path):
-    """Experiment that raises ConnectionError until a flag file exists."""
-    flag = tmp_path / "recovered"
-
-    @experiment("_transient_probe", "fails until the flag exists",
-                section="II", tags=("test",))
-    def _transient_probe(seed: int = 0):
-        if not flag.exists():
-            flag.touch()
-            raise ConnectionError("first attempt drops")
-        return {"seed": seed}
-
-    yield "_transient_probe"
-    unregister("_transient_probe")
-
-
-@pytest.fixture()
 def hard_failures():
-    """Experiment raising MemoryError / SystemExit / ValueError by seed."""
+    """Experiment raising MemoryError / SystemExit by seed."""
 
     @experiment("_hard_probe", "raises unpleasant things", section="II",
                 tags=("test",))
@@ -75,8 +55,6 @@ def hard_failures():
             raise MemoryError("simulated OOM")
         if seed == 2:
             sys.exit(3)
-        if seed == 3:
-            raise ValueError("plain bug")
         return {"seed": seed}
 
     yield "_hard_probe"
@@ -84,35 +62,12 @@ def hard_failures():
 
 
 class TestClassification:
-    def test_error_class_parses_prefix(self):
-        assert error_class("ValueError: nope") == "ValueError"
-        assert error_class(None) == ""
-        assert error_class("JobTimeout: exceeded 1s wall-clock") == "JobTimeout"
-
-    def test_retryable_set(self):
-        assert is_retryable("ConnectionError: reset")
-        assert is_retryable("OSError: [Errno 5] I/O error")
-        assert is_retryable("ChaosTransientError: injected")
-        assert not is_retryable("ValueError: bug")
-        assert not is_retryable("MemoryError: simulated OOM")
-        assert not is_retryable("SystemExit: 3")
-        assert not is_retryable("JobTimeout: exceeded 1s wall-clock")
-
-    def test_backoff_is_deterministic_and_bounded(self):
-        job = Job("sidedness_ablation", {}, 7)
-        first = retry_backoff_s(0.1, job, 1)
-        assert first == retry_backoff_s(0.1, job, 1)
-        assert 0 < first <= 5.0
-        assert retry_backoff_s(0.1, job, 2) != first  # attempt matters
-        assert retry_backoff_s(10.0, job, 4) <= 5.0  # capped
-
     def test_memory_error_and_system_exit_become_results(self, hard_failures):
         oom = execute_job_safe(hard_failures, seed=1)
         assert oom.error.startswith("MemoryError:")
         assert oom.outcome == "error"
         bail = execute_job_safe(hard_failures, seed=2)
         assert bail.error == "SystemExit: 3"
-        assert not is_retryable(bail.error)
 
     def test_system_exit_surfaces_in_job_end_trace(self, hard_failures):
         from repro.telemetry import runtime as telem
@@ -174,48 +129,6 @@ class TestTimeouts:
         assert sum(r.ok for r in results) == 3
         assert runner.pool_rebuilds == 1
         assert runner.metrics.value("runner_pool_rebuilds_total") == 1
-
-
-class TestRetries:
-    def test_transient_failure_retries_to_success(self, transient_then_ok):
-        runner = ExperimentRunner(retries=2, backoff_s=0.01,
-                                  observe=("metrics",), ledger=False)
-        results = runner.run([Job(transient_then_ok, {}, 0)])
-        assert results[0].ok
-        assert runner.retries_total == 1
-        assert runner.metrics.value("runner_retries_total",
-                                    error="ConnectionError") == 1
-
-    def test_default_zero_retries(self, transient_then_ok):
-        runner = ExperimentRunner(ledger=False)
-        results = runner.run([Job(transient_then_ok, {}, 0)])
-        assert results[0].error.startswith("ConnectionError:")
-
-    def test_nonretryable_failures_never_retry(self, hard_failures):
-        runner = ExperimentRunner(retries=5, backoff_s=0.01, ledger=False)
-        results = runner.run([Job(hard_failures, {}, 1)])
-        assert results[0].error.startswith("MemoryError:")
-        assert runner.retries_total == 0
-
-    def test_plain_bugs_never_retry(self, hard_failures):
-        runner = ExperimentRunner(retries=5, backoff_s=0.01, ledger=False)
-        results = runner.run([Job(hard_failures, {}, 3)])
-        assert results[0].error.startswith("ValueError:")
-        assert runner.retries_total == 0
-
-    def test_budget_exhaustion_surfaces_the_error(self, tmp_path):
-        @experiment("_always_transient", "never recovers", section="II",
-                    tags=("test",))
-        def _always_transient(seed: int = 0):
-            raise ConnectionError("still down")
-
-        try:
-            runner = ExperimentRunner(retries=2, backoff_s=0.01, ledger=False)
-            results = runner.run([Job("_always_transient", {}, 0)])
-            assert results[0].error.startswith("ConnectionError:")
-            assert runner.retries_total == 2
-        finally:
-            unregister("_always_transient")
 
 
 class TestPoolRecovery:
@@ -285,8 +198,8 @@ def _in_threads(fns, timeout_s=120.0):
 
 
 class TestConcurrentJobs:
-    """Runners and jobs on different threads of one process (the
-    service's ``--max-concurrent``) keep their own run ID and sinks."""
+    """Runners and jobs on different threads of one process keep their
+    own run ID and sinks."""
 
     def test_concurrent_in_process_metrics_match_solo_runs(self):
         @experiment("_metered_probe", "counts steps, yielding between them",

@@ -19,7 +19,7 @@ from repro.dram import (
 from repro.dram.timing import DDR3_1333
 from repro.ecc import HammingSecded
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import is_retryable, violation_subsystem
+from repro.experiments.runner import violation_subsystem
 from repro.pcm import PcmArray, StartGap
 from repro.sanitizer import runtime as sanit
 from repro.telemetry import MetricsRegistry
@@ -292,9 +292,6 @@ class TestRunnerClassification:
             "InvariantViolation: [dram.bank] stored-data digest mismatch: row=3"
         ).outcome == "invariant"
         assert result_with_error("ValueError: nope").outcome == "error"
-
-    def test_violations_are_not_retryable(self):
-        assert not is_retryable("InvariantViolation: [pcm.startgap] x")
 
     def test_violation_subsystem_parsing(self):
         assert violation_subsystem(

@@ -1,7 +1,7 @@
 """The experiment service: submission model, journal, HTTP daemon,
-client, concurrent fair scheduling, the one-daemon-per-state-dir lock,
-and the acceptance chaos scenarios (SIGKILL-and-resume, SIGTERM drain
-under load)."""
+client, the one-submission-at-a-time worker, the one-daemon-per-state-dir
+lock, and the acceptance chaos scenarios (SIGKILL-and-resume, SIGTERM
+drain under load)."""
 
 import json
 import os
@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro.chaos import harness
+from repro.experiments.registry import experiment, unregister
 from repro.service import (
     ExperimentService,
     JobJournal,
@@ -89,7 +90,7 @@ class TestJobSpec:
         ({"name": PROBE, "kind": "sweep"}, "needs 'seeds'"),
         ({"name": "para_reliability", "seeds": 4}, "takes no seed"),
         ({"name": PROBE, "timeout_s": 0}, "must be positive"),
-        ({"name": PROBE, "retries": -1}, "must be >= 0"),
+        ({"name": PROBE, "retries": 1}, "unknown field"),
         ({"name": PROBE, "params": {"not_a_param": 1}}, "bad params"),
     ])
     def test_bad_payloads_rejected_with_client_message(self, payload,
@@ -99,8 +100,7 @@ class TestJobSpec:
 
     def test_round_trips_through_json(self):
         spec = JobSpec.from_payload({"name": PROBE, "seeds": 4,
-                                     "base_seed": 9, "timeout_s": 2.5,
-                                     "retries": 1})
+                                     "base_seed": 9, "timeout_s": 2.5})
         again = JobSpec.from_payload(spec.to_json_dict())
         assert again == spec
         assert again.sid == spec.sid
@@ -232,6 +232,11 @@ class TestServiceHTTP:
                                          {"name": "no_such_experiment"})
         assert status == 400
         assert "unknown experiment" in body["error"]
+        # Jobs are never retried, so a retry budget is an unknown field.
+        status, _retry, body = _raw_post(parked_service.url,
+                                         {"name": PROBE, "retries": 1})
+        assert status == 400
+        assert "unknown field(s): retries" in body["error"]
         with pytest.raises(ServiceError) as info:
             ServiceClient(parked_service.url, retries=0).submit(
                 {"name": PROBE, "params": {"junk": 1}})
@@ -372,25 +377,70 @@ class TestServiceClient:
 
 
 # ----------------------------------------------------------------------
-# Concurrent fair scheduling + fault isolation
+# The worker: one submission at a time, chunk by chunk
 # ----------------------------------------------------------------------
 
+@pytest.fixture()
+def slow_probe():
+    """Registered experiment sleeping ``secs`` per job, so a sweep is
+    still running when a test acts on it (runs in-process: the service
+    fixtures use one worker)."""
+
+    @experiment("_svc_slow_probe", "sleeps on demand", section="II",
+                tags=("test",))
+    def _svc_slow_probe(secs: float = 0.0, seed: int = 0):
+        time.sleep(secs)
+        return {"seed": seed}
+
+    yield "_svc_slow_probe"
+    unregister("_svc_slow_probe")
+
+
 class TestConcurrentScheduling:
-    def test_small_job_not_starved_by_big_sweep(self, tmp_path):
-        """Round-robin by chunk: a 1-job submission co-scheduled with a
-        12-job sweep finishes first even though it was submitted
-        second — the sweep cannot monopolize the service."""
-        service = ExperimentService(tmp_path / "svc", port=0, workers=1,
-                                    max_concurrent=2).start()
+    """Scheduling with concurrent clients: submissions run one at a
+    time, in order, with cancel and poison checks between chunks."""
+
+    def test_cancel_running_sweep_stops_at_chunk_boundary(self, live_service,
+                                                          slow_probe):
+        """A cancel lands between chunks (2 jobs each with one worker):
+        the sweep settles ``cancelled`` part way, the journal holds the
+        ``cancel`` and a ``done cancelled`` record, and the submission
+        queued behind it then runs to ``done``."""
+        client = ServiceClient(live_service.url, retries=1)
+        sweep_sid = client.submit({"name": slow_probe, "seeds": 30,
+                                   "params": {"secs": 0.1}})["sid"]
+        next_sid = client.submit({"name": PROBE, "seed": 4242})["sid"]
+        assert harness._poll(lambda: client.job(sweep_sid)["completed"] >= 2,
+                             timeout_s=30.0, interval_s=0.01)
+        assert client.cancel(sweep_sid)["state"] == "cancelling"
+        sweep = client.wait(sweep_sid, timeout_s=60.0)
+        assert sweep["state"] == "cancelled"
+        assert 2 <= sweep["completed"] < 30
+        assert sweep["completed"] % 2 == 0  # whole chunks only
+        following = client.wait(next_sid, timeout_s=60.0)
+        assert following["state"] == "done"
+        assert following["started_ts"] >= sweep["finished_ts"]
+        state = JobJournal(live_service.state_dir / "jobs.jsonl").replay()
+        assert sweep_sid in state.cancelled
+        assert state.done[sweep_sid]["outcome"] == "cancelled"
+        assert state.done[sweep_sid]["completed"] == sweep["completed"]
+
+    def test_journaled_retries_field_is_unreplayable(self, tmp_path):
+        """A submission journaled with the removed ``retries`` field
+        replays as an ``error`` record and is not re-enqueued."""
+        state_dir = tmp_path / "svc"
+        journal = JobJournal(state_dir / "jobs.jsonl")
+        spec = JobSpec.from_payload({"name": PROBE, "seed": 3})
+        journal.append("submit", spec.sid,
+                       spec={**spec.to_json_dict(), "retries": 2})
+        service = ExperimentService(state_dir, port=0, workers=1,
+                                    start_worker=False).start()
         try:
-            client = ServiceClient(service.url, retries=1)
-            sweep_sid = client.submit({"name": PROBE, "seeds": 12})["sid"]
-            one_sid = client.submit({"name": PROBE, "seed": 9991})["sid"]
-            one = client.wait(one_sid, timeout_s=60.0)
-            sweep = client.wait(sweep_sid, timeout_s=120.0)
-            assert one["state"] == "done"
-            assert sweep["state"] == "done"
-            assert one["finished_ts"] < sweep["finished_ts"]
+            rec = service.jobs[spec.sid]
+            assert rec.state == "error"
+            assert rec.error == ("unreplayable submission: "
+                                 "unknown field(s): retries")
+            assert len(service.queue) == 0
         finally:
             service.stop()
 
@@ -433,12 +483,10 @@ class TestConcurrentScheduling:
         health = client.health()
         assert health["queue_depth"] == 1
         assert health["in_flight"] == 0
-        assert health["max_concurrent"] == 1
 
     def test_metrics_expose_scheduler_gauges(self, parked_service):
         text = ServiceClient(parked_service.url, retries=0).metrics_text()
-        assert "service_active_submissions" in text
-        assert "service_max_concurrent 1" in text
+        assert "service_active_submissions 0" in text
 
 
 # ----------------------------------------------------------------------
