@@ -383,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default: {DEFAULT_STATE_DIR}); restart on the "
                             "same dir to resume interrupted work")
     serve.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="runner pool width per job (default 2)")
+                       help="width of the runner pool the daemon keeps "
+                            "warm for every submission (default 2)")
     serve.add_argument("--max-queue", type=int, default=64, metavar="N",
                        help="queued-job bound before submissions shed "
                             "with 429 (default 64)")

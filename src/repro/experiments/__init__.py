@@ -74,6 +74,7 @@ from repro.experiments.runner import (
     Job,
     JobTimeout,
     ResultCache,
+    WorkerPool,
     call_with_deadline,
     derive_seed,
     execute_job,
@@ -99,6 +100,7 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRunner",
     "ResultCache",
+    "WorkerPool",
     "Job",
     "UnknownExperimentError",
     "DuplicateExperimentError",

@@ -5,11 +5,14 @@ into :class:`~repro.experiments.result.ExperimentResult` records:
 
 * **parallel** — jobs fan out through a
   :class:`concurrent.futures.ProcessPoolExecutor` (experiments are
-  CPU-bound numpy code, so processes, not threads);
+  CPU-bound numpy code, so processes, not threads), held by a
+  :class:`WorkerPool` that a long-lived caller can keep warm across
+  batches and whose workers exit when their parent dies;
 * **deterministic** — sweep seeds derive from ``(base_seed, index)``
   via SHA-256, so the same sweep always runs the same jobs;
-* **measured** — every job records wall-clock duration and the worker's
-  peak RSS;
+* **measured** — every job records wall-clock duration and the peak RSS
+  of the process that ran it: a high-water mark over that process's
+  life, so a warm worker's covers every job it has run;
 * **cached** — results persist to an on-disk JSON cache keyed by
   ``(name, params, seed)``; a re-run becomes a near-instant cache hit,
   which is also how an interrupted sweep resumes: running it again
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import signal
 import sys
@@ -503,6 +507,82 @@ class ResultCache:
                   f"continuing uncached", file=sys.stderr)
 
 
+def _worker_init(stream_initargs: Optional[Tuple[Any, float]]) -> None:
+    """``ProcessPoolExecutor`` initializer of every :class:`WorkerPool`.
+
+    Ends this worker once the process that started it dies.  Idle pool
+    workers block on the call queue forever, so a parent that dies
+    without shutting its pool down (``kill -9`` of one process, not its
+    group) would leak them.  A daemon thread waits on the parent's
+    sentinel, the pipe end that reads EOF once the parent is gone, under
+    every start method; ``os.getppid()`` would not do under
+    ``forkserver``, whose workers' parent is the fork server, and that
+    server lives on for as long as they do.  ``PR_SET_PDEATHSIG`` is no
+    substitute either: it fires when the forking *thread* exits, and the
+    service forks from its worker thread.  ``stream_initargs`` arms live
+    telemetry (see :func:`~repro.telemetry.events.worker_init`).
+    """
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        parent.join()
+        os._exit(0)
+
+    if parent is not None:
+        threading.Thread(target=watch, name="repro-parent-watch",
+                         daemon=True).start()
+    if stream_initargs is not None:
+        stream_events.worker_init(*stream_initargs)
+
+
+class WorkerPool:
+    """A lazily forked process pool that can outlive one batch.
+
+    :meth:`get` creates the executor on first use (its workers fork at
+    the first submit), :meth:`replace` kills it and stands up a fresh
+    one, :meth:`close` shuts it down gracefully.  An
+    :class:`ExperimentRunner` handed a pool borrows it: batches reuse
+    its warm workers and only :meth:`replace` it after a worker crash
+    or a timed-out job.  Workers fork with the registry and environment
+    of the moment, so an experiment registered or a variable set later
+    is invisible to them.  Every worker exits on its own once its parent
+    process dies.  ``stream_initargs`` arms live telemetry in each
+    worker (see :meth:`~repro.telemetry.events.EventStream.pool_initargs`).
+    """
+
+    def __init__(self, workers: int,
+                 stream_initargs: Optional[Tuple[Any, float]] = None):
+        self.workers = workers
+        self._stream_initargs = stream_initargs
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def get(self) -> ProcessPoolExecutor:
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_worker_init,
+                initargs=(self._stream_initargs,))
+        return self._executor
+
+    def replace(self) -> ProcessPoolExecutor:
+        """Tear the executor down *now*, hung or broken workers
+        included, and return a fresh one."""
+        if self._executor is not None:
+            executor, self._executor = self._executor, None
+            processes = list(getattr(executor, "_processes", {}).values())
+            executor.shutdown(wait=False, cancel_futures=True)
+            for proc in processes:
+                try:
+                    proc.kill()
+                except Exception:  # pragma: no cover - already-reaped worker
+                    pass
+        return self.get()
+
+    def close(self) -> None:
+        if self._executor is not None:
+            executor, self._executor = self._executor, None
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
 class _Pending:
     """One not-yet-finalized job in a batch."""
 
@@ -554,6 +634,13 @@ class ExperimentRunner:
         in-flight jobs) before the runner degrades to serial in-process
         execution.  Rebuilds tally in ``runner_pool_rebuilds_total``
         and :attr:`pool_rebuilds`.
+    ``pool``
+        A :class:`WorkerPool` to borrow: batches run on its warm
+        workers, a rebuild replaces its executor (so the pool's next
+        borrower gets the fresh one) and the runner never closes it.
+        Without one, each :meth:`run` forks a private pool of at most
+        ``max_workers`` processes and closes it at the end.  A streaming
+        runner arms its own workers, so it cannot borrow a pool.
 
     Every finished job is also appended to the **run ledger** (see
     :mod:`repro.telemetry.ledger`) unless ``ledger=False`` or the
@@ -594,12 +681,17 @@ class ExperimentRunner:
                  heartbeat_s: float = stream_events.DEFAULT_HEARTBEAT_S,
                  stale_after_s: Optional[float] = None,
                  on_progress: Optional[Any] = None,
-                 ledger_command: str = "runner"):
+                 ledger_command: str = "runner",
+                 pool: Optional[WorkerPool] = None):
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.max_workers = max_workers
         self.run_id = run_id or ids.new_run_id()
+        self.pool = pool
         self.stream: Optional[EventStream] = None
         if stream:
+            if pool is not None:
+                raise ValueError("a streaming runner cannot borrow a pool: "
+                                 "its workers must be armed at fork")
             self.stream = EventStream(heartbeat_s=heartbeat_s,
                                       stale_after_s=stale_after_s,
                                       timeout_s=timeout_s)
@@ -775,8 +867,15 @@ class ExperimentRunner:
                 self._job_timeout(p.job) for p in pending)
             try:
                 if (workers > 1 and len(pending) > 1) or unenforceable_deadline:
-                    self._drain_pool(pending, results,
-                                     min(workers, len(pending)))
+                    window = min(workers, len(pending))
+                    pool = self.pool or WorkerPool(window, (
+                        self.stream.pool_initargs()
+                        if self.stream is not None else None))
+                    try:
+                        self._drain_pool(pool, pending, results, window)
+                    finally:
+                        if pool is not self.pool:
+                            pool.close()
                 else:
                     self._drain_serial(pending, results)
             finally:
@@ -863,14 +962,6 @@ class ExperimentRunner:
                     p.job, timeout_s, time.monotonic() - start)
             self._finalize(p, result, results)
 
-    def _make_pool(self, workers: int) -> ProcessPoolExecutor:
-        if self.stream is not None:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=stream_events.worker_init,
-                initargs=self.stream.pool_initargs())
-        return ProcessPoolExecutor(max_workers=workers)
-
     def _submit(self, pool: ProcessPoolExecutor, p: _Pending):
         fut = pool.submit(_pool_worker, (p.job.name, dict(p.job.params),
                                          p.job.seed, self.observe, self.run_id))
@@ -881,24 +972,14 @@ class ExperimentRunner:
             self.progress.mark_running(p.job_id)
         return fut
 
-    def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down *now*, hung or broken workers included."""
-        processes = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in processes:
-            try:
-                proc.kill()
-            except Exception:  # pragma: no cover - already-reaped worker
-                pass
-
-    def _rebuild_pool(self, pool: ProcessPoolExecutor,
+    def _rebuild_pool(self, pool: WorkerPool,
                       inflight: Dict[Any, _Pending],
-                      pending: Deque[_Pending],
-                      workers: int) -> Optional[ProcessPoolExecutor]:
-        """Requeue in-flight jobs and stand up a fresh executor.
+                      pending: Deque[_Pending]) -> Optional[ProcessPoolExecutor]:
+        """Requeue in-flight jobs and replace the pool's executor.
 
         Returns ``None`` once the rebuild budget is spent — the caller
-        degrades to serial execution.
+        degrades to serial execution (the pool still holds a fresh
+        executor for its next borrower).
         """
         for fut, p in list(inflight.items()):
             fut.cancel()
@@ -908,14 +989,14 @@ class ExperimentRunner:
                 self.progress.mark_pending(p.job_id)
             pending.appendleft(p)
         inflight.clear()
-        self._kill_pool(pool)
+        executor = pool.replace()
         if self.pool_rebuilds >= self.max_pool_rebuilds:
             return None
         self.pool_rebuilds += 1
         with self._metrics_lock():
             if self.metrics is not None:
                 self.metrics.counter("runner_pool_rebuilds_total").inc()
-        return self._make_pool(workers)
+        return executor
 
     def _drain_completed(self, inflight: Dict[Any, _Pending],
                          results: List[Optional[ExperimentResult]]) -> None:
@@ -930,16 +1011,17 @@ class ExperimentRunner:
             self._finalize(p, result, results)
         inflight.clear()
 
-    def _drain_pool(self, pending: Deque[_Pending],
+    def _drain_pool(self, pool: WorkerPool, pending: Deque[_Pending],
                     results: List[Optional[ExperimentResult]],
                     workers: int) -> None:
         """Process-pool execution with deadlines and crash recovery.
 
         At most ``workers`` jobs are in flight, so a submitted job
         starts (nearly) immediately and its submit-time deadline is a
-        faithful run-time deadline.
+        faithful run-time deadline.  ``pool`` is left open: its owner
+        closes it.
         """
-        pool: Optional[ProcessPoolExecutor] = self._make_pool(workers)
+        executor: Optional[ProcessPoolExecutor] = pool.get()
         inflight: Dict[Any, _Pending] = {}
         # Streaming needs the wait loop to wake regularly to drain the
         # event queue and age heartbeats, even with nothing completing.
@@ -952,7 +1034,7 @@ class ExperimentRunner:
                 while pending and len(inflight) < workers:
                     p = pending.popleft()
                     try:
-                        inflight[self._submit(pool, p)] = p
+                        inflight[self._submit(executor, p)] = p
                     except BrokenProcessPool:
                         pending.appendleft(p)
                         need_rebuild = True
@@ -1006,23 +1088,21 @@ class ExperimentRunner:
                         need_rebuild = True
 
                 if need_rebuild:
-                    pool = self._rebuild_pool(pool, inflight, pending, workers)
-                    if pool is None:
+                    executor = self._rebuild_pool(pool, inflight, pending)
+                    if executor is None:
                         # Budget spent: the pool keeps dying.  Finish
                         # the batch serially in-process.
                         self.degraded_to_serial = True
                         self._drain_serial(pending, results)
                         return
-        except KeyboardInterrupt:
-            # Ctrl-C: keep every job that already finished, then stop.
-            self._drain_completed(inflight, results)
-            if pool is not None:
-                self._kill_pool(pool)
-                pool = None
+        except BaseException as exc:
+            busy = bool(inflight)
+            if isinstance(exc, KeyboardInterrupt):
+                # Ctrl-C: keep every job that already finished, then stop.
+                self._drain_completed(inflight, results)
+            if busy:  # this batch's jobs must not run into the next
+                pool.replace()
             raise
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
 
     def sweep(self, name: str, seeds: int, base_seed: int = 0,
               params: Optional[Mapping[str, Any]] = None) -> List[ExperimentResult]:

@@ -34,6 +34,16 @@ Design decisions that make it kill-tolerant:
   at the end of the chunk with a structured ``failed`` state; plain
   job errors run to completion → ``error``.  Every result carries its
   submission's run ID, which the runner passes to its jobs explicitly.
+* **One warm pool for the daemon's life.**  Every submission's runner
+  borrows one :class:`~repro.experiments.runner.WorkerPool`; its
+  workers fork at the first pooled chunk (not at start-up) and serve
+  every later chunk.  A worker crash or a timed-out job replaces the
+  pool's executor, so the next submission starts on fresh workers; the
+  rebuild budget and the fall-back to serial stay per submission.  The
+  pool closes when the worker loop ends (drain or :meth:`stop`), and
+  its workers exit on their own if the daemon is killed.  Workers fork
+  with the daemon's registry and environment of that moment: an
+  experiment registered or a variable set later never reaches them.
 * **Graceful drain.**  SIGTERM/SIGINT stop admission (503), let the
   in-flight chunk finish (its results are cached), leave queued jobs
   journaled for the next incarnation, and exit 0.
@@ -55,7 +65,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
 
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, WorkerPool
 from repro.service.journal import JobJournal, JobSpec
 from repro.telemetry import MetricsRegistry, RunLedger
 from repro.telemetry import export, ids
@@ -143,7 +153,7 @@ class _JobRecord:
         self.result: Optional[Dict[str, Any]] = None
         self.error: Optional[str] = None
         self.wall_s = 0.0          # cumulative chunk wall time
-        self.peak_rss_kb = 0       # max per-job RSS observed so far
+        self.peak_rss_kb = 0       # max of its jobs' process RSS high-water marks
         self.inflight = 0          # jobs in the chunk currently executing
 
     def brief(self) -> Dict[str, Any]:
@@ -178,8 +188,9 @@ class _JobRecord:
 class ExperimentService:
     """A crash-tolerant daemon running submissions on the hardened runner.
 
-    ``workers`` is the runner pool width; submissions run one at a
-    time, in submission order.  ``start_worker=False`` leaves the
+    ``workers`` is the width of :attr:`pool`, the one worker pool every
+    submission's runner borrows; submissions run one at a time, in
+    submission order.  ``start_worker=False`` leaves the
     worker thread unstarted — deterministic queue-state tests use it;
     production never does.
     """
@@ -213,6 +224,8 @@ class ExperimentService:
         self.draining = False
         self.degraded = False
         self.metrics = MetricsRegistry()
+        #: The runner pool every submission borrows (forks lazily).
+        self.pool = WorkerPool(self.workers)
         self._avg_job_s = 1.0  # EWMA of per-runner-job wall seconds
         #: The submission executing now and its runner, if any.
         self._running: Optional[Tuple[_JobRecord, ExperimentRunner]] = None
@@ -355,6 +368,7 @@ class ExperimentService:
         self.initiate_drain("stop")
         if self._worker is not None:
             self._worker.join()
+        self.pool.close()
         self._drained.set()
         self._shutdown_http()
         self._release_state_lock()
@@ -395,9 +409,11 @@ class ExperimentService:
                     timeout_s=spec.timeout_s if spec.timeout_s is not None
                     else self.timeout_s,
                     run_id=rec.run_id,
+                    pool=self.pool,
                 )
                 self._running = (rec, runner)
             self._execute(rec, runner)
+        self.pool.close()
         self._drained.set()
 
     def _execute(self, rec: _JobRecord, runner: ExperimentRunner) -> None:

@@ -12,10 +12,12 @@ import time
 
 import pytest
 
+import repro
 from repro.experiments import (
     ExperimentRunner,
     Job,
     JobTimeout,
+    WorkerPool,
     derive_seed,
     execute_job,
     execute_job_safe,
@@ -171,6 +173,69 @@ class TestPoolRecovery:
         assert len(results) == 3
         assert all(r.ok for r in results)
         assert runner.pool_rebuilds == 1
+
+
+#: A process that starts an idle two-worker pool through ``WorkerPool``
+#: with the start method named in ``argv[1]``, prints the worker pids,
+#: and then waits to be killed.
+_POOL_PARENT = """
+import multiprocessing, os, sys, time
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    from repro.experiments.runner import WorkerPool
+    executor = WorkerPool(2).get()
+    executor.submit(os.getpid).result()
+    print(*executor._processes, flush=True)
+    time.sleep(120)
+"""
+
+
+def _running(pid):
+    """Is ``pid`` a live process?  A zombie (exited, not yet reaped by
+    whoever inherited it) counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestWorkerPool:
+    """The borrowed-pool path itself is exercised through the service
+    (``tests/test_service.py::TestWarmPool``)."""
+
+    def test_streaming_runner_cannot_borrow_a_pool(self):
+        with pytest.raises(ValueError, match="cannot borrow"):
+            ExperimentRunner(stream=True, ledger=False, pool=WorkerPool(2))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads process state from /proc")
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_idle_workers_exit_when_parent_is_killed(self, method):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _POOL_PARENT, method],
+            stdout=subprocess.PIPE, text=True, env=env)
+        workers = []
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert workers  # fork starts both; spawn starts them on demand
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_running, workers)):
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            parent.kill()
+            for pid in workers:  # never leak them, even on failure
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            parent.communicate()
 
 
 def _in_threads(fns, timeout_s=120.0):

@@ -4,6 +4,7 @@ lock, and the acceptance chaos scenarios (SIGKILL-and-resume, SIGTERM
 drain under load)."""
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -487,6 +488,107 @@ class TestConcurrentScheduling:
     def test_metrics_expose_scheduler_gauges(self, parked_service):
         text = ServiceClient(parked_service.url, retries=0).metrics_text()
         assert "service_active_submissions 0" in text
+
+
+# ----------------------------------------------------------------------
+# One warm worker pool for the daemon's life
+# ----------------------------------------------------------------------
+
+@pytest.fixture()
+def pid_probe():
+    """Registered experiment reporting the pid that ran it (sleeping
+    ``secs`` first).  Registered before the service's pool forks, so
+    the workers know it."""
+
+    @experiment("_svc_pid_probe", "reports its pid", section="II",
+                tags=("test",))
+    def _svc_pid_probe(secs: float = 0.0, seed: int = 0):
+        time.sleep(secs)
+        return {"pid": os.getpid()}
+
+    yield "_svc_pid_probe"
+    unregister("_svc_pid_probe")
+
+
+@pytest.fixture()
+def pooled_service(tmp_path, pid_probe):
+    service = ExperimentService(tmp_path / "svc", port=0, workers=2).start()
+    yield service
+    service.stop()
+
+
+def _pool_pids(service):
+    return set(service.pool.get()._processes)
+
+
+def _alive(pid):
+    """Is ``pid`` still running?  A stopped pool joins its workers, so
+    they are reaped, not zombies."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _job_pids(service, name):
+    """Every pid a cached ``name`` job ran on."""
+    return {json.loads(path.read_text())["payload"]["pid"]
+            for path in (service.state_dir / "cache" / name).glob("*.json")}
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the pool's workers must inherit the test-registered probe")
+class TestWarmPool:
+    """Every submission borrows the service's one pool: its workers
+    fork at the first pooled chunk and serve every later one until a
+    timed-out job replaces them or the service stops."""
+
+    def _sweep(self, client, name, base_seed):
+        """A 4-seed sweep: one pooled chunk with ``workers=2``."""
+        sid = client.submit({"name": name, "seeds": 4,
+                             "base_seed": base_seed})["sid"]
+        record = client.wait(sid, timeout_s=60.0)
+        assert record["state"] == "done"
+        assert record["summary"]["jobs"] == 4
+
+    def test_consecutive_sweeps_run_on_the_same_workers(self, pooled_service,
+                                                        pid_probe):
+        client = ServiceClient(pooled_service.url, retries=1)
+        self._sweep(client, pid_probe, 1)
+        warm = _pool_pids(pooled_service)
+        assert len(warm) == 2
+        self._sweep(client, pid_probe, 2)
+        assert _pool_pids(pooled_service) == warm
+        ran_on = _job_pids(pooled_service, pid_probe)
+        assert ran_on and ran_on <= warm  # both sweeps, pooled workers only
+
+    def test_timed_out_job_fails_and_next_sweep_gets_a_fresh_pool(
+            self, pooled_service, pid_probe):
+        client = ServiceClient(pooled_service.url, retries=1)
+        self._sweep(client, pid_probe, 1)
+        first = _pool_pids(pooled_service)
+        poisoned = client.submit({"name": pid_probe, "seed": 7,
+                                  "params": {"secs": 30.0},
+                                  "timeout_s": 0.5})["sid"]
+        record = client.wait(poisoned, timeout_s=60.0)
+        assert record["state"] == "failed"
+        assert "timeout" in record["error"]
+        self._sweep(client, pid_probe, 2)
+        fresh = _pool_pids(pooled_service)
+        assert len(fresh) == 2 and not fresh & first
+
+    def test_stop_leaves_no_pool_worker_alive(self, tmp_path, pid_probe):
+        service = ExperimentService(tmp_path / "svc", port=0,
+                                    workers=2).start()
+        try:
+            self._sweep(ServiceClient(service.url, retries=1), pid_probe, 1)
+            workers = _pool_pids(service)
+        finally:
+            service.stop()
+        assert len(workers) == 2
+        assert not [pid for pid in workers if _alive(pid)]
 
 
 # ----------------------------------------------------------------------
