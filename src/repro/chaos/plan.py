@@ -10,8 +10,9 @@ survive:
 
 ``kill``
     SIGKILL the current *worker* process before the job body runs
-    (never the parent — a degraded-to-serial runner must not shoot
-    itself).  Exercises ``BrokenProcessPool`` recovery.
+    (never the parent: a pool-less runner runs its jobs in-process,
+    and must not shoot itself).  Exercises ``BrokenProcessPool``
+    recovery.
 ``hang``
     Sleep ``secs`` (default 30) before the job body, exceeding any
     sane per-job timeout.  Exercises deadline enforcement.
@@ -41,21 +42,17 @@ survive:
     suite proves every injected corruption is detected at
     ``REPRO_SANITIZE=full`` and attributed to the right subsystem.
 
-Faults are **declared, not random** (unless you ask): the schedule
-lives in the ``REPRO_CHAOS`` environment variable so it reaches pool
-workers for free, and every entry can pin the exact job it hits::
+Faults are **declared, not random**: the schedule lives in the
+``REPRO_CHAOS`` environment variable so it reaches pool workers for
+free, and every entry can pin the exact job it hits::
 
     REPRO_CHAOS="kill:seed=1638297,hang:seed=902114:secs=30,ledger"
 
 Grammar: entries separated by ``,``; fields within an entry separated
 by ``:``.  The first field is the fault kind; the rest are ``key=value``
 filters/knobs — ``name=`` (experiment), ``seed=`` (job seed),
-``secs=`` (hang duration), ``rate=`` (seeded-random firing probability),
-``sub=`` (target subsystem for ``corrupt``)
-and ``once=0`` (allow repeat firing).  A bare ``seed=N`` entry sets the
-plan-level chaos seed that drives ``rate=`` draws, which are computed
-as a SHA-256 hash of ``(chaos seed, entry, job)`` — the same schedule
-replays exactly, in any process, on any machine.
+``secs=`` (hang duration), ``sub=`` (target subsystem for ``corrupt``)
+and ``once=0`` (allow repeat firing).  Any other field raises.
 
 Every fault fires **at most once** by default.  Once-firing is
 coordinated across processes through marker files in the
@@ -68,7 +65,6 @@ marker survives.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import time
@@ -116,11 +112,10 @@ class FaultSpec:
     """One declared fault: a kind plus its filters and knobs."""
 
     kind: str
-    index: int  # position in the plan; part of the marker/draw identity
+    index: int  # position in the plan; part of the marker identity
     name: Optional[str] = None
     seed: Optional[int] = None
     secs: float = DEFAULT_HANG_SECS
-    rate: float = 1.0
     once: bool = True
     sub: Optional[str] = None  # target subsystem for ``corrupt``
 
@@ -151,10 +146,6 @@ def _parse_entry(entry: str, index: int) -> FaultSpec:
             spec.seed = int(value)
         elif key == "secs":
             spec.secs = float(value)
-        elif key == "rate":
-            spec.rate = float(value)
-            if not 0.0 <= spec.rate <= 1.0:
-                raise ValueError(f"chaos rate must be in [0, 1], got {spec.rate}")
         elif key == "once":
             spec.once = value not in ("0", "false", "no")
         elif key == "sub":
@@ -172,10 +163,9 @@ def _parse_entry(entry: str, index: int) -> FaultSpec:
 class ChaosPlan:
     """A parsed fault schedule plus its firing state."""
 
-    def __init__(self, specs: List[FaultSpec], chaos_seed: int = 0,
+    def __init__(self, specs: List[FaultSpec],
                  state_dir: Optional[Path] = None):
         self.specs = specs
-        self.chaos_seed = chaos_seed
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self._local_claims: set = set()
         self._local_counts: Dict[str, int] = {}
@@ -187,15 +177,10 @@ class ChaosPlan:
 
     @classmethod
     def parse(cls, spec: str, state_dir: Optional[str] = None) -> "ChaosPlan":
-        specs: List[FaultSpec] = []
-        chaos_seed = 0
-        for index, raw in enumerate(s for s in spec.split(",") if s.strip()):
-            entry = raw.strip()
-            if entry.startswith("seed="):
-                chaos_seed = int(entry[len("seed="):])
-                continue
-            specs.append(_parse_entry(entry, index))
-        return cls(specs, chaos_seed=chaos_seed, state_dir=state_dir)
+        entries = [s.strip() for s in spec.split(",") if s.strip()]
+        return cls([_parse_entry(entry, index)
+                    for index, entry in enumerate(entries)],
+                   state_dir=state_dir)
 
     # -- firing ---------------------------------------------------------
     def pick(self, kind: str, name: Optional[str] = None,
@@ -207,8 +192,6 @@ class ChaosPlan:
         """
         for spec in self.specs:
             if spec.kind != kind or not spec.matches(name, seed):
-                continue
-            if spec.rate < 1.0 and not self._draw(spec, name, seed):
                 continue
             if not self._claim(spec):
                 continue
@@ -229,19 +212,10 @@ class ChaosPlan:
                 continue
             if not spec.matches(name, seed):
                 continue
-            if spec.rate < 1.0 and not self._draw(spec, name, seed):
-                continue
             if not self._claim(spec):
                 continue
             return spec
         return None
-
-    def _draw(self, spec: FaultSpec, name: Optional[str],
-              seed: Optional[int]) -> bool:
-        """Seeded-deterministic Bernoulli draw for ``rate=`` entries."""
-        blob = f"{self.chaos_seed}:{spec.kind}:{spec.index}:{name}:{seed}"
-        digest = hashlib.sha256(blob.encode("utf-8")).digest()
-        return int.from_bytes(digest[:4], "big") / 2**32 < spec.rate
 
     def _claim(self, spec: FaultSpec) -> bool:
         marker = f"{spec.kind}.{spec.index}"

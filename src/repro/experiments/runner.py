@@ -30,8 +30,9 @@ into :class:`~repro.experiments.result.ExperimentResult` records:
     failure to retry);
   - a dying pool (worker SIGKILL/OOM/segfault → ``BrokenProcessPool``)
     is **rebuilt** and its in-flight jobs requeued, up to
-    ``max_pool_rebuilds`` times, after which execution degrades to
-    serial in-process;
+    :data:`MAX_POOL_REBUILDS` times; after that every job the runner has
+    not finished becomes an errored ``BrokenProcessPool`` result, so a
+    job that keeps killing workers never runs in the parent;
   - ``KeyboardInterrupt`` **drains** already-completed futures into the
     cache and ledger before re-raising, so Ctrl-C never loses finished
     work.
@@ -93,6 +94,11 @@ try:  # not available on Windows; RSS reads as 0 there
     import resource
 except ImportError:  # pragma: no cover - non-POSIX
     resource = None  # type: ignore[assignment]
+
+
+#: How many times one runner replaces a pool whose worker died before it
+#: fails its unfinished jobs (a timeout's rebuild ends its job: no loop).
+MAX_POOL_REBUILDS = 3
 
 
 class JobTimeout(Exception):
@@ -601,8 +607,8 @@ class ExperimentRunner:
 
     ``max_workers=None`` or ``1`` runs jobs inline (no pool overhead —
     the right default for one fast experiment); ``max_workers=N`` fans
-    misses out over ``N`` worker processes.  ``cache_dir=None`` disables
-    the cache.
+    misses out over ``N`` worker processes.  A runner handed a ``pool``
+    ignores ``max_workers``.  ``cache_dir=None`` disables the cache.
 
     ``observe`` names the observers every job collects (see
     :func:`collectable`).  ``observe=("metrics",)`` runs every job with
@@ -629,18 +635,22 @@ class ExperimentRunner:
         overrides per job).  A job past its deadline becomes a
         ``timeout``-outcome result; on the pool path the worker stuck
         on it is reclaimed by rebuilding the pool.
-    ``max_pool_rebuilds``
-        How many times a broken/hung pool is rebuilt (requeueing its
-        in-flight jobs) before the runner degrades to serial in-process
-        execution.  Rebuilds tally in ``runner_pool_rebuilds_total``
-        and :attr:`pool_rebuilds`.
     ``pool``
-        A :class:`WorkerPool` to borrow: batches run on its warm
-        workers, a rebuild replaces its executor (so the pool's next
-        borrower gets the fresh one) and the runner never closes it.
-        Without one, each :meth:`run` forks a private pool of at most
-        ``max_workers`` processes and closes it at the end.  A streaming
-        runner arms its own workers, so it cannot borrow a pool.
+        A :class:`WorkerPool` to borrow: every cache miss, a batch of
+        one included, runs on its warm workers with up to
+        ``pool.workers`` jobs in flight; a rebuild replaces its executor
+        (so the pool's next borrower gets the fresh one) and the runner
+        never closes it.  Without one, each :meth:`run` forks a private
+        pool of at most ``max_workers`` processes and closes it at the
+        end.  A streaming runner arms its own workers, so it cannot
+        borrow a pool.
+
+    A hung pool (a timed-out job's worker) is always rebuilt, a broken
+    one up to :data:`MAX_POOL_REBUILDS` times per runner, its in-flight
+    jobs requeued (tallied in ``runner_pool_rebuilds_total`` and
+    :attr:`pool_rebuilds`).  After that, a worker death ends every job
+    the runner has not finished as an errored ``BrokenProcessPool``
+    result: never cached, so a rerun re-executes exactly those jobs.
 
     Every finished job is also appended to the **run ledger** (see
     :mod:`repro.telemetry.ledger`) unless ``ledger=False`` or the
@@ -651,9 +661,9 @@ class ExperimentRunner:
     passed) as an argument, so results, trace events, ledger lines and
     capture bundles join on it even when several runners share one
     process.  In-process jobs take turns on ``telem.job_lock``, and a
-    batch with a deadline that runs off the main thread (where no
-    ``SIGALRM`` can stop it) goes to the pool even with one job or
-    ``max_workers=1``.
+    pool-less batch with a deadline that runs off the main thread (where
+    no ``SIGALRM`` can stop it) goes to a private pool even with one job
+    or ``max_workers=1``.
 
     **Live telemetry** (:mod:`repro.telemetry.events`): every batch
     maintains a :class:`SweepProgress` view in :attr:`progress`.  With
@@ -675,7 +685,6 @@ class ExperimentRunner:
                  observe: Iterable[str] = (),
                  ledger: Union[None, bool, RunLedger] = None,
                  timeout_s: Optional[float] = None,
-                 max_pool_rebuilds: int = 3,
                  run_id: Optional[str] = None,
                  stream: Optional[bool] = None,
                  heartbeat_s: float = stream_events.DEFAULT_HEARTBEAT_S,
@@ -700,12 +709,8 @@ class ExperimentRunner:
         self.on_progress = on_progress
         self.observe = collectable(observe)
         self.timeout_s = timeout_s
-        self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
         self.pool_rebuilds = 0
-        #: True once the rebuild budget was spent and the batch fell
-        #: back to serial in-process execution (the service reports
-        #: this as the ``degraded`` health state).
-        self.degraded_to_serial = False
+        self._crash_rebuilds = 0  # the MAX_POOL_REBUILDS budget
         self.ledger_command = ledger_command
         self.metrics: Optional[MetricsRegistry] = None
         self.profile: Optional[SpanProfile] = None
@@ -859,26 +864,26 @@ class ExperimentRunner:
         self._notify_progress()
 
         if pending:
+            pool = self.pool
             workers = self.max_workers or 1
             # Off the main thread no alarm can stop an in-process job,
-            # so a batch with a deadline runs in the pool, which
-            # enforces deadlines parent-side.
-            unenforceable_deadline = not _alarm_available() and any(
-                self._job_timeout(p.job) for p in pending)
+            # so a batch with a deadline runs in a pool, which enforces
+            # deadlines parent-side.
+            if pool is None and (
+                    (workers > 1 and len(pending) > 1)
+                    or (not _alarm_available()
+                        and any(self._job_timeout(p.job) for p in pending))):
+                pool = WorkerPool(min(workers, len(pending)), (
+                    self.stream.pool_initargs()
+                    if self.stream is not None else None))
             try:
-                if (workers > 1 and len(pending) > 1) or unenforceable_deadline:
-                    window = min(workers, len(pending))
-                    pool = self.pool or WorkerPool(window, (
-                        self.stream.pool_initargs()
-                        if self.stream is not None else None))
-                    try:
-                        self._drain_pool(pool, pending, results, window)
-                    finally:
-                        if pool is not self.pool:
-                            pool.close()
-                else:
+                if pool is None:
                     self._drain_serial(pending, results)
+                else:
+                    self._drain_pool(pool, pending, results)
             finally:
+                if pool is not None and pool is not self.pool:
+                    pool.close()
                 if self.stream is not None:
                     self.stream.drain()  # late job_end events
                     stream_events.disarm()
@@ -894,12 +899,14 @@ class ExperimentRunner:
     def _job_timeout(self, job: Job) -> Optional[float]:
         return job.timeout_s if job.timeout_s is not None else self.timeout_s
 
-    def _timeout_result(self, job: Job, timeout_s: Optional[float],
-                        elapsed: float) -> ExperimentResult:
+    def _failed_result(self, job: Job, error: str,
+                       elapsed: float = 0.0) -> ExperimentResult:
+        """The parent-side errored result of a job no worker finished:
+        past its deadline, or stranded once the pool broke with the
+        rebuild budget spent."""
         import repro
 
         spec = registry.get(job.name)
-        limit = timeout_s if timeout_s is not None else 0.0
         return ExperimentResult(
             name=spec.name,
             payload=None,
@@ -908,7 +915,7 @@ class ExperimentRunner:
             duration_s=elapsed,
             peak_rss_kb=0,
             version=repro.__version__,
-            error=f"JobTimeout: exceeded {limit:g}s wall-clock",
+            error=error,
             run_id=self.run_id,
             job_id=ids.job_id_from_key(
                 job_key(job.name, job.params, job.seed)),
@@ -929,13 +936,12 @@ class ExperimentRunner:
 
     def _drain_serial(self, pending: Deque[_Pending],
                       results: List[Optional[ExperimentResult]]) -> None:
-        """In-process execution: the single-worker and degraded paths.
+        """In-process execution of a pool-less single-worker batch.
 
         Timeouts are enforced with ``SIGALRM`` (main thread, POSIX; a
-        timed batch elsewhere goes to the pool, and only a degraded
-        batch runs here unguarded); results are finalized as they
-        complete, so an interrupt at any point keeps everything already
-        finished.
+        timed batch elsewhere goes to a pool); results are finalized as
+        they complete, so an interrupt at any point keeps everything
+        already finished.
 
         Heartbeat staleness cannot be observed here — the parent *is*
         the worker — so streaming only short-circuits events in-process
@@ -958,8 +964,9 @@ class ExperimentRunner:
                     timeout_s)
             except JobTimeout:
                 # The alarm fired outside the guarded job body.
-                result = self._timeout_result(
-                    p.job, timeout_s, time.monotonic() - start)
+                result = self._failed_result(
+                    p.job, f"JobTimeout: exceeded {timeout_s:g}s wall-clock",
+                    time.monotonic() - start)
             self._finalize(p, result, results)
 
     def _submit(self, pool: ProcessPoolExecutor, p: _Pending):
@@ -974,12 +981,13 @@ class ExperimentRunner:
 
     def _rebuild_pool(self, pool: WorkerPool,
                       inflight: Dict[Any, _Pending],
-                      pending: Deque[_Pending]) -> Optional[ProcessPoolExecutor]:
+                      pending: Deque[_Pending],
+                      crashed: bool) -> Optional[ProcessPoolExecutor]:
         """Requeue in-flight jobs and replace the pool's executor.
 
-        Returns ``None`` once the rebuild budget is spent — the caller
-        degrades to serial execution (the pool still holds a fresh
-        executor for its next borrower).
+        Only a ``crashed`` pool spends the :data:`MAX_POOL_REBUILDS`
+        budget; returns ``None`` when a crash finds it spent (the pool
+        still holds a fresh executor for its next borrower).
         """
         for fut, p in list(inflight.items()):
             fut.cancel()
@@ -990,8 +998,10 @@ class ExperimentRunner:
             pending.appendleft(p)
         inflight.clear()
         executor = pool.replace()
-        if self.pool_rebuilds >= self.max_pool_rebuilds:
-            return None
+        if crashed:
+            if self._crash_rebuilds >= MAX_POOL_REBUILDS:
+                return None
+            self._crash_rebuilds += 1
         self.pool_rebuilds += 1
         with self._metrics_lock():
             if self.metrics is not None:
@@ -1012,15 +1022,15 @@ class ExperimentRunner:
         inflight.clear()
 
     def _drain_pool(self, pool: WorkerPool, pending: Deque[_Pending],
-                    results: List[Optional[ExperimentResult]],
-                    workers: int) -> None:
+                    results: List[Optional[ExperimentResult]]) -> None:
         """Process-pool execution with deadlines and crash recovery.
 
-        At most ``workers`` jobs are in flight, so a submitted job
+        At most ``pool.workers`` jobs are in flight, so a submitted job
         starts (nearly) immediately and its submit-time deadline is a
         faithful run-time deadline.  ``pool`` is left open: its owner
         closes it.
         """
+        workers = pool.workers
         executor: Optional[ProcessPoolExecutor] = pool.get()
         inflight: Dict[Any, _Pending] = {}
         # Streaming needs the wait loop to wake regularly to drain the
@@ -1030,14 +1040,14 @@ class ExperimentRunner:
         try:
             while pending or inflight:
                 # Fill the submission window.
-                need_rebuild = False
+                need_rebuild = crashed = False
                 while pending and len(inflight) < workers:
                     p = pending.popleft()
                     try:
                         inflight[self._submit(executor, p)] = p
                     except BrokenProcessPool:
                         pending.appendleft(p)
-                        need_rebuild = True
+                        need_rebuild = crashed = True
                         break
 
                 if not need_rebuild:
@@ -1056,7 +1066,7 @@ class ExperimentRunner:
                             result = fut.result()
                         except BrokenProcessPool:
                             pending.appendleft(p)
-                            need_rebuild = True
+                            need_rebuild = crashed = True
                         except CancelledError:  # pragma: no cover - defensive
                             pending.appendleft(p)
                         else:
@@ -1079,21 +1089,27 @@ class ExperimentRunner:
                             pending.appendleft(p)
                             continue
                         elapsed = now - (p.started_at or now)
-                        self._finalize(
-                            p, self._timeout_result(
-                                p.job, self._job_timeout(p.job), elapsed),
-                            results)
+                        timeout_s = self._job_timeout(p.job) or 0.0
+                        self._finalize(p, self._failed_result(
+                            p.job,
+                            f"JobTimeout: exceeded {timeout_s:g}s wall-clock",
+                            elapsed), results)
                         # The worker is still grinding on the expired
                         # job; reclaim it by rebuilding the pool.
                         need_rebuild = True
 
                 if need_rebuild:
-                    executor = self._rebuild_pool(pool, inflight, pending)
+                    executor = self._rebuild_pool(pool, inflight, pending,
+                                                  crashed)
                     if executor is None:
-                        # Budget spent: the pool keeps dying.  Finish
-                        # the batch serially in-process.
-                        self.degraded_to_serial = True
-                        self._drain_serial(pending, results)
+                        # Budget spent: the pool keeps dying.  Fail what
+                        # is left rather than run it in this process.
+                        error = (f"BrokenProcessPool: the worker pool broke "
+                                 f"again after {MAX_POOL_REBUILDS} rebuild(s)")
+                        while pending:
+                            p = pending.popleft()
+                            self._finalize(p, self._failed_result(p.job, error),
+                                           results)
                         return
         except BaseException as exc:
             busy = bool(inflight)

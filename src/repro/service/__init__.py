@@ -5,8 +5,8 @@ retention, and disturbance characterization happen continuously, at
 fleet scale, not inside one CLI process's lifetime.  This package is
 that deployment shape: a crash-tolerant daemon that accepts experiment
 and sweep jobs over HTTP/JSON, runs them one at a time on the hardened
-:class:`~repro.experiments.runner.ExperimentRunner` and one worker pool
-it keeps warm for its whole life, journals every
+:class:`~repro.experiments.runner.ExperimentRunner`, every job on one
+worker pool it keeps warm for its whole life, journals every
 submission to a crash-safe append-only file, and is explicitly built
 to be SIGKILLed and restarted on the same ``--state-dir`` without
 losing or double-running work.  One daemon owns a state directory at a

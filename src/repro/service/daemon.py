@@ -30,20 +30,26 @@ Design decisions that make it kill-tolerant:
   completes — so a SIGKILL loses at most the chunk in flight, and a
   restart re-runs the submission, whose finished jobs come back as
   cache hits instead of re-executing.  A *poisoned* submission
-  (invariant violation, timed-out job, runner-level collapse) stops
+  (invariant violation, timed-out job, a pool that keeps breaking
+  after the runner's rebuild budget, runner-level collapse) stops
   at the end of the chunk with a structured ``failed`` state; plain
   job errors run to completion → ``error``.  Every result carries its
   submission's run ID, which the runner passes to its jobs explicitly.
-* **One warm pool for the daemon's life.**  Every submission's runner
-  borrows one :class:`~repro.experiments.runner.WorkerPool`; its
-  workers fork at the first pooled chunk (not at start-up) and serve
-  every later chunk.  A worker crash or a timed-out job replaces the
-  pool's executor, so the next submission starts on fresh workers; the
-  rebuild budget and the fall-back to serial stay per submission.  The
-  pool closes when the worker loop ends (drain or :meth:`stop`), and
-  its workers exit on their own if the daemon is killed.  Workers fork
-  with the daemon's registry and environment of that moment: an
-  experiment registered or a variable set later never reaches them.
+* **Jobs run only on one warm pool.**  Every submission's runner
+  borrows one :class:`~repro.experiments.runner.WorkerPool` and runs
+  every job that misses the cache on it, a one-job submission
+  included, so no experiment runs in the daemon process.  Its workers
+  fork at the first job (not at start-up) and serve every later chunk.
+  A worker crash or a timed-out job replaces the pool's executor, so
+  the next job starts on fresh workers; once a submission's workers
+  have died more often than the runner's rebuild budget allows, the
+  chunk's unfinished jobs end as ``BrokenProcessPool`` errors and the
+  submission ends ``failed``, never running in the daemon.  Timed-out
+  jobs spend no budget.  The pool closes when the
+  worker loop ends (drain or :meth:`stop`), and its workers exit on
+  their own if the daemon is killed.  Workers fork with the daemon's
+  registry and environment of that moment: an experiment registered or
+  a variable set later never reaches them.
 * **Graceful drain.**  SIGTERM/SIGINT stop admission (503), let the
   in-flight chunk finish (its results are cached), leave queued jobs
   journaled for the next incarnation, and exit 0.
@@ -153,7 +159,7 @@ class _JobRecord:
         self.result: Optional[Dict[str, Any]] = None
         self.error: Optional[str] = None
         self.wall_s = 0.0          # cumulative chunk wall time
-        self.peak_rss_kb = 0       # max of its jobs' process RSS high-water marks
+        self.peak_rss_kb = 0       # max RSS high-water mark of its executed jobs
         self.inflight = 0          # jobs in the chunk currently executing
 
     def brief(self) -> Dict[str, Any]:
@@ -222,7 +228,6 @@ class ExperimentService:
         self.queue: Deque[str] = deque()
         self.cancel_requests: Set[str] = set()
         self.draining = False
-        self.degraded = False
         self.metrics = MetricsRegistry()
         #: The runner pool every submission borrows (forks lazily).
         self.pool = WorkerPool(self.workers)
@@ -402,7 +407,6 @@ class ExperimentService:
                 spec = rec.spec
                 runner = ExperimentRunner(
                     cache_dir=self.cache_dir,
-                    max_workers=self.workers,
                     observe=("metrics",),
                     ledger=self.ledger,
                     ledger_command="service",
@@ -458,16 +462,26 @@ class ExperimentService:
             rec.wall_s += wall
             results.extend(done)
             rec.completed = len(results)
+            # A cache hit carries the mark of whatever process first
+            # ran it, maybe in an earlier daemon life: count only jobs
+            # this submission executed.
             rec.peak_rss_kb = max([rec.peak_rss_kb,
-                                   *(r.peak_rss_kb for r in done)])
+                                   *(r.peak_rss_kb for r in done
+                                     if not r.cache_hit)])
             if done:
                 self._avg_job_s = 0.5 * self._avg_job_s \
                     + 0.5 * (wall / len(done))
             self.metrics.counter("service_chunks_total").inc()
         if poison is None:
-            poison = next((f"poisoned by job {r.job_id}: outcome={r.outcome}"
-                           for r in done
-                           if r.outcome in ("timeout", "invariant")), None)
+            # A ``BrokenProcessPool`` result means the runner spent its
+            # rebuild budget: later chunks would only kill more workers.
+            bad = next((r for r in done
+                        if r.outcome in ("timeout", "invariant")
+                        or (r.error or "").startswith("BrokenProcessPool")),
+                       None)
+            if bad is not None:
+                poison = (f"poisoned by job {bad.job_id}: "
+                          f"outcome={bad.outcome} ({bad.error})")
         return poison
 
     def _finalize(self, rec: _JobRecord, runner: ExperimentRunner,
@@ -482,8 +496,6 @@ class ExperimentService:
         with self._lock:
             if runner.metrics is not None:
                 self.metrics.merge(runner.metrics.snapshot())
-            if runner.degraded_to_serial:
-                self.degraded = True
             self.cancel_requests.discard(sid)
             self._running = None
             rec.completed = len(results)
@@ -613,17 +625,14 @@ class ExperimentService:
             counts: Dict[str, int] = {}
             for rec in self.jobs.values():
                 counts[rec.state] = counts.get(rec.state, 0) + 1
-            status = ("draining" if self.draining
-                      else "degraded" if self.degraded else "live")
             return {
-                "status": status,
+                "status": "draining" if self.draining else "live",
                 "service_id": self.service_id,
                 "pid": os.getpid(),
                 "uptime_s": round(time.monotonic() - self.started_mono, 3),
                 "queue_depth": len(self.queue),
                 "in_flight": int(self._running is not None),
                 "draining": self.draining,
-                "degraded": self.degraded,
                 "jobs": counts,
             }
 
@@ -634,7 +643,6 @@ class ExperimentService:
             registry.merge(self.metrics.snapshot())
             registry.gauge("service_queue_depth").set(len(self.queue))
             registry.gauge("service_draining").set(int(self.draining))
-            registry.gauge("service_degraded").set(int(self.degraded))
             running = self._running
             registry.gauge("service_active_submissions").set(
                 int(running is not None))

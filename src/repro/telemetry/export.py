@@ -65,7 +65,6 @@ METRIC_HELP: Dict[str, str] = {
     "service_jobs_recovered_total": "Pending jobs re-enqueued from the journal after a restart.",
     "service_journal_corrupt_lines": "Unparseable journal lines skipped by the latest replay.",
     "service_draining": "1 while the service is draining, else 0.",
-    "service_degraded": "1 once any runner degraded to serial execution, else 0.",
     "sanitizer_violations_total": "Sanitizer invariant violations, by subsystem.",
     "ledger_corrupt_lines": "Unparseable lines skipped by the latest run-ledger scan.",
     "repro_sweep_jobs": "Sweep jobs by state (total/done/running/errored/cached/pending).",

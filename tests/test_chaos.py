@@ -27,26 +27,27 @@ def _clean_chaos(monkeypatch):
 
 class TestPlanParsing:
     def test_entry_grammar(self):
-        plan = ChaosPlan.parse("kill:seed=7,hang:secs=2.5:name=x,exc:rate=0.5,ledger")
+        plan = ChaosPlan.parse(
+            "kill:seed=7,hang:secs=2.5:name=x,exc:once=0,ledger,"
+            "corrupt:sub=dram.bank")
         kinds = [s.kind for s in plan.specs]
-        assert kinds == ["kill", "hang", "exc", "ledger"]
+        assert kinds == ["kill", "hang", "exc", "ledger", "corrupt"]
         assert plan.specs[0].seed == 7
         assert plan.specs[1].secs == 2.5
         assert plan.specs[1].name == "x"
-        assert plan.specs[2].rate == 0.5
-
-    def test_bare_seed_sets_plan_seed(self):
-        plan = ChaosPlan.parse("seed=42,exc:rate=0.5")
-        assert plan.chaos_seed == 42
-        assert len(plan.specs) == 1
+        assert plan.specs[2].once is False
+        assert plan.specs[3].once is True
+        assert plan.specs[4].sub == "dram.bank"
 
     def test_unknown_kind_and_field_raise(self):
         with pytest.raises(ValueError):
             ChaosPlan.parse("explode")
         with pytest.raises(ValueError):
             ChaosPlan.parse("kill:frobnicate=1")
-        with pytest.raises(ValueError):
-            ChaosPlan.parse("exc:rate=1.5")
+        with pytest.raises(ValueError, match="unknown chaos field 'rate'"):
+            ChaosPlan.parse("exc:rate=0.5")
+        with pytest.raises(ValueError, match="unknown chaos fault kind"):
+            ChaosPlan.parse("seed=42,exc")
 
     def test_env_round_trip_and_cache_invalidation(self, monkeypatch):
         assert chaos.current_plan() is None
@@ -64,6 +65,11 @@ class TestFiring:
         assert plan.pick("exc") is not None
         assert plan.pick("exc") is None
 
+    def test_once_0_fires_every_time(self, tmp_path):
+        plan = ChaosPlan.parse("exc:once=0", state_dir=tmp_path)
+        assert all(plan.pick("exc", "x", s) is not None for s in range(3))
+        assert chaos.injected_counts(tmp_path) == {"exc": 3}
+
     def test_seed_filter_pins_the_victim(self):
         plan = ChaosPlan.parse("exc:seed=5")
         assert plan.pick("exc", "x", 4) is None
@@ -76,16 +82,6 @@ class TestFiring:
         assert a.pick("kill") is not None
         assert b.pick("kill") is None  # marker already claimed
         assert chaos.injected_counts(tmp_path) == {"kill": 1}
-
-    def test_rate_draws_are_deterministic(self):
-        a = ChaosPlan.parse("seed=1,exc:rate=0.5:once=0")
-        b = ChaosPlan.parse("seed=1,exc:rate=0.5:once=0")
-        fired_a = [a.pick("exc", "x", s) is not None for s in range(32)]
-        fired_b = [b.pick("exc", "x", s) is not None for s in range(32)]
-        assert fired_a == fired_b
-        assert any(fired_a) and not all(fired_a)  # actually probabilistic
-        c = ChaosPlan.parse("seed=2,exc:rate=0.5:once=0")
-        assert [c.pick("exc", "x", s) is not None for s in range(32)] != fired_a
 
     def test_on_job_start_raises_transient(self, monkeypatch):
         monkeypatch.setenv(chaos.ENV_CHAOS, "exc")

@@ -155,24 +155,59 @@ class TestPoolRecovery:
         assert runner.metrics.value("runner_pool_rebuilds_total") == 1
 
     @fork_only
-    def test_rebuild_budget_degrades_to_serial(self, sleeper, monkeypatch,
-                                               tmp_path):
-        # Every worker start dies: rebuilds exhaust, serial finishes.
+    def test_spent_rebuild_budget_fails_the_rest(self, sleeper, monkeypatch,
+                                                 tmp_path):
+        # Every job kills its worker: the one rebuild is spent, and the
+        # batch ends in errors instead of running in this process.
+        from repro import chaos
+        from repro.experiments import runner as runner_module
+
+        monkeypatch.setattr(runner_module, "MAX_POOL_REBUILDS", 1)
         monkeypatch.setenv("REPRO_CHAOS", "kill:once=0")
         monkeypatch.setenv("REPRO_CHAOS_STATE", str(tmp_path / "state"))
-        from repro import chaos
         chaos.reset()
+        cache = tmp_path / "cache"
+        jobs = [Job(sleeper, {}, derive_seed(0, i)) for i in range(3)]
         try:
-            runner = ExperimentRunner(max_workers=2, max_pool_rebuilds=1,
+            runner = ExperimentRunner(cache_dir=cache, max_workers=2,
                                       ledger=False)
-            jobs = [Job(sleeper, {}, derive_seed(0, i)) for i in range(3)]
             results = runner.run(jobs)
         finally:
             chaos.reset()
-        # kill never fires in the parent, so serial execution completes.
-        assert len(results) == 3
-        assert all(r.ok for r in results)
+        assert [r.error.split(":", 1)[0] for r in results] == \
+            ["BrokenProcessPool"] * 3
         assert runner.pool_rebuilds == 1
+        assert not list(cache.glob("*/*.json"))  # nothing cached
+        monkeypatch.delenv("REPRO_CHAOS")
+        chaos.reset()
+        rerun = ExperimentRunner(cache_dir=cache, max_workers=2,
+                                 ledger=False).run(jobs)
+        assert [(r.ok, r.cache_hit) for r in rerun] == [(True, False)] * 3
+
+    @fork_only
+    def test_timeout_rebuilds_do_not_spend_the_budget(self, sleeper):
+        # One worker, so every slow job is reclaimed by its own rebuild:
+        # four rebuilds, one past the crash budget, and still every
+        # healthy job finishes.
+        from repro.experiments.runner import MAX_POOL_REBUILDS
+
+        slow = MAX_POOL_REBUILDS + 1
+        jobs = []
+        for i in range(slow):
+            jobs += [Job(sleeper, {"secs": 30.0}, 2 * i),
+                     Job(sleeper, {}, 2 * i + 1)]
+        pool = WorkerPool(1)
+        try:
+            runner = ExperimentRunner(pool=pool, timeout_s=0.3, ledger=False)
+            start = time.monotonic()
+            results = runner.run(jobs)
+        finally:
+            pool.close()
+        assert time.monotonic() - start < 20
+        assert [r.outcome for r in results] == ["timeout", "ok"] * slow
+        assert all(r.error.startswith("JobTimeout:")
+                   for r in results[::2])
+        assert runner.pool_rebuilds == slow
 
 
 #: A process that starts an idle two-worker pool through ``WorkerPool``

@@ -39,6 +39,12 @@ from repro.telemetry import RunLedger
 
 PROBE = "sidedness_ablation"
 
+#: Jobs run on pool workers; a probe registered by a test reaches them
+#: only if they fork from this process.
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the pool's workers must inherit the test-registered probe")
+
 
 # ----------------------------------------------------------------------
 # JobSpec: validation + idempotent IDs
@@ -384,8 +390,8 @@ class TestServiceClient:
 @pytest.fixture()
 def slow_probe():
     """Registered experiment sleeping ``secs`` per job, so a sweep is
-    still running when a test acts on it (runs in-process: the service
-    fixtures use one worker)."""
+    still running when a test acts on it (runs on the service's pool:
+    a test using it needs ``fork_only``)."""
 
     @experiment("_svc_slow_probe", "sleeps on demand", section="II",
                 tags=("test",))
@@ -401,6 +407,7 @@ class TestConcurrentScheduling:
     """Scheduling with concurrent clients: submissions run one at a
     time, in order, with cancel and poison checks between chunks."""
 
+    @fork_only
     def test_cancel_running_sweep_stops_at_chunk_boundary(self, live_service,
                                                           slow_probe):
         """A cancel lands between chunks (2 jobs each with one worker):
@@ -457,6 +464,29 @@ class TestConcurrentScheduling:
             assert record["inflight"] == 0  # settled: nothing in flight
         finally:
             service.stop()
+
+    def test_cache_hits_add_no_resource_accounting(self, tmp_path):
+        """A hit carries the RSS mark of the process that first ran it,
+        here in an earlier daemon life: a submission of hits reports 0."""
+        state_dir = tmp_path / "svc"
+        sweep = {"name": PROBE, "seeds": 2}
+        service = ExperimentService(state_dir, port=0, workers=1).start()
+        try:
+            client = ServiceClient(service.url, retries=1)
+            first = client.wait(client.submit(sweep)["sid"], timeout_s=60.0)
+        finally:
+            service.stop()
+        assert first["peak_rss_kb"] > 0
+        (state_dir / "jobs.jsonl").unlink()  # forget it; keep the cache
+        service = ExperimentService(state_dir, port=0, workers=1).start()
+        try:
+            client = ServiceClient(service.url, retries=1)
+            again = client.wait(client.submit(sweep)["sid"], timeout_s=60.0)
+        finally:
+            service.stop()
+        assert again["state"] == "done"
+        assert again["summary"]["cache_hits"] == again["summary"]["jobs"] == 2
+        assert again["peak_rss_kb"] == 0
 
     def test_failed_outcome_replays_as_failed(self, tmp_path):
         """A journaled ``failed`` completion is terminal on restart —
@@ -537,12 +567,11 @@ def _job_pids(service, name):
             for path in (service.state_dir / "cache" / name).glob("*.json")}
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the pool's workers must inherit the test-registered probe")
+@fork_only
 class TestWarmPool:
-    """Every submission borrows the service's one pool: its workers
-    fork at the first pooled chunk and serve every later one until a
+    """Every submission borrows the service's one pool and runs every
+    job on it, a one-job submission included: its workers fork at the
+    first job and serve every later one until a dead worker or a
     timed-out job replaces them or the service stops."""
 
     def _sweep(self, client, name, base_seed):
@@ -578,6 +607,70 @@ class TestWarmPool:
         self._sweep(client, pid_probe, 2)
         fresh = _pool_pids(pooled_service)
         assert len(fresh) == 2 and not fresh & first
+
+    def test_one_job_submissions_run_on_the_pool(self, tmp_path, pid_probe):
+        service = ExperimentService(tmp_path / "svc", port=0,
+                                    workers=1).start()
+        try:
+            client = ServiceClient(service.url, retries=1)
+            pids = []
+            for seed in (1, 2):
+                sid = client.submit({"name": pid_probe, "seed": seed})["sid"]
+                record = client.wait(sid, timeout_s=60.0)
+                assert record["state"] == "done"
+                pids.append(record["result"]["payload"]["pid"])
+            assert pids[0] != os.getpid()
+            assert pids[0] == pids[1]
+            assert set(pids) == _pool_pids(service)
+        finally:
+            service.stop()
+
+    def test_killed_worker_of_a_one_job_submission_is_replaced(
+            self, pooled_service, pid_probe, tmp_path, monkeypatch):
+        from repro import chaos
+
+        state = tmp_path / "chaos"
+        monkeypatch.setenv(chaos.ENV_CHAOS, f"kill:name={pid_probe}")
+        monkeypatch.setenv(chaos.ENV_CHAOS_STATE, str(state))
+        chaos.reset()
+        try:
+            client = ServiceClient(pooled_service.url, retries=1)
+            sid = client.submit({"name": pid_probe, "seed": 3})["sid"]
+            record = client.wait(sid, timeout_s=60.0)
+            health = client.health()
+        finally:
+            chaos.reset()
+        assert record["state"] == "done"
+        assert record["result"]["payload"]["pid"] in _pool_pids(pooled_service)
+        assert pooled_service.metrics.value("runner_pool_rebuilds_total") == 1
+        assert health["status"] == "live"
+        assert chaos.injected_counts(state) == {"kill": 1}
+
+    def test_spent_rebuild_budget_fails_the_submission(self, tmp_path,
+                                                       monkeypatch):
+        # Every job kills its worker.  The first chunk spends the
+        # budget and ends in ``BrokenProcessPool`` errors; the
+        # submission stops there instead of killing a pool per chunk.
+        from repro import chaos
+        from repro.experiments.runner import MAX_POOL_REBUILDS
+
+        monkeypatch.setenv(chaos.ENV_CHAOS, "kill:once=0")
+        monkeypatch.setenv(chaos.ENV_CHAOS_STATE, str(tmp_path / "chaos"))
+        chaos.reset()
+        service = ExperimentService(tmp_path / "svc", port=0,
+                                    workers=1).start()
+        try:
+            client = ServiceClient(service.url, retries=1)
+            sid = client.submit({"name": PROBE, "seeds": 8})["sid"]
+            record = client.wait(sid, timeout_s=60.0)
+        finally:
+            service.stop()
+            chaos.reset()
+        assert record["state"] == "failed"
+        assert "BrokenProcessPool" in record["error"]
+        assert record["completed"] == 2  # one chunk of 2 × workers
+        assert service.metrics.value("runner_pool_rebuilds_total") == \
+            MAX_POOL_REBUILDS
 
     def test_stop_leaves_no_pool_worker_alive(self, tmp_path, pid_probe):
         service = ExperimentService(tmp_path / "svc", port=0,
