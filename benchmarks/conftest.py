@@ -2,8 +2,8 @@
 
 Every bench regenerates one artifact of the paper (DESIGN.md's
 experiment index), prints the rows/series the paper reports, and
-asserts the *shape* claims.  ``pytest benchmarks/ --benchmark-only``
-runs the full harness.
+asserts the *shape* claims.  ``pytest benchmarks/ -s`` runs them all
+and shows the tables; perfbench, not these checks, does the timing.
 """
 
 import statistics
@@ -17,16 +17,6 @@ def _ledger_off(monkeypatch):
     """Benchmarks must never write the user's real run ledger."""
     monkeypatch.setenv("REPRO_LEDGER", "off")
     monkeypatch.delenv("REPRO_LEDGER_PATH", raising=False)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark an experiment with a single timed execution.
-
-    The experiments are deterministic simulations (seconds each), so
-    one round gives a meaningful wall-clock figure without repeating
-    multi-second campaigns dozens of times.
-    """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
 def paired_overhead(hot_loop, iters: int = 2_000, repeats: int = 75):

@@ -5,15 +5,13 @@
 * SPD adjacency vs naive +/-1 guessing under internal remapping.
 """
 
-from conftest import run_once
-
 from repro.experiments import para_reliability, sidedness_ablation
 from repro.core.scenarios import scaled_scenario
 from repro.core.system import MemorySystem
 
 
-def test_bench_ablation_sidedness(benchmark, table):
-    result = run_once(benchmark, sidedness_ablation, seed=0)
+def test_bench_ablation_sidedness(table):
+    result = sidedness_ablation(seed=0)
     print()
     print(table(
         ["pattern", "flips on targeted victim"],
@@ -26,8 +24,8 @@ def test_bench_ablation_sidedness(benchmark, table):
     assert result["double_flips"] > result["single_flips"]
 
 
-def test_bench_ablation_para_sweep(benchmark, table):
-    result = run_once(benchmark, para_reliability, p_values=(1e-4, 5e-4, 1e-3, 5e-3, 2e-2))
+def test_bench_ablation_para_sweep(table):
+    result = para_reliability(p_values=(1e-4, 5e-4, 1e-3, 5e-3, 2e-2))
     rows = result["rows"]
     print()
     print(table(
@@ -42,10 +40,10 @@ def test_bench_ablation_para_sweep(benchmark, table):
     assert overheads == sorted(overheads)
 
 
-def test_bench_ablation_multibank(benchmark, table):
+def test_bench_ablation_multibank(table):
     from repro.experiments import multibank_study
 
-    rows = run_once(benchmark, multibank_study, seed=0)
+    rows = multibank_study(seed=0)
     print()
     print(table(
         ["parallel banks", "per-bank budget", "total victim flips"],
@@ -74,8 +72,8 @@ def spd_ablation(seed=0):
     return out
 
 
-def test_bench_ablation_spd_adjacency(benchmark, table):
-    result = run_once(benchmark, spd_ablation, seed=0)
+def test_bench_ablation_spd_adjacency(table):
+    result = spd_ablation(seed=0)
     print()
     print(table(
         ["adjacency source", "residual flips"],

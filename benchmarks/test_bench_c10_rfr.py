@@ -6,8 +6,6 @@ slow-leaking, one can probabilistically estimate the original values"
 devices.
 """
 
-from conftest import run_once
-
 from repro.flash import FlashBlock, program_block_shadow
 from repro.flash.mitigations import recover_wordline
 
@@ -20,8 +18,8 @@ def rfr_experiment(seed=0, pe=12_000, age_days=365.0, wordlines=8):
     return [recover_wordline(block, wl, seed=seed) for wl in range(1, wordlines - 1)]
 
 
-def test_bench_c10_rfr(benchmark, table):
-    outcomes = run_once(benchmark, rfr_experiment)
+def test_bench_c10_rfr(table):
+    outcomes = rfr_experiment()
     rows = [
         [i + 1, o.errors_before, o.errors_after, f"{100 * o.reduction_fraction:.1f}%"]
         for i, o in enumerate(outcomes)

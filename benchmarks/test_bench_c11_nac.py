@@ -5,8 +5,6 @@ values after disturb-induced errors; Neighbor-Cell Assisted Correction
 corrects interference errors using the neighboring page's values.
 """
 
-from conftest import run_once
-
 from repro.flash import FlashBlock, MLC_1XNM, program_block_shadow
 from repro.flash.mitigations import correct_wordline, read_disturb_recovery
 
@@ -25,8 +23,8 @@ def recovery_experiments(seed=0):
     return rd, nac
 
 
-def test_bench_c11_nac(benchmark, table):
-    rd, nac = run_once(benchmark, recovery_experiments)
+def test_bench_c11_nac(table):
+    rd, nac = recovery_experiments()
 
     def totals(outcomes):
         return sum(o.errors_before for o in outcomes), sum(o.errors_after for o in outcomes)

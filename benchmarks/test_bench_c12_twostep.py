@@ -6,13 +6,11 @@ partial read and thus the stored data; the proposed hardening
 lifetime increase (paper: ~16%).
 """
 
-from conftest import run_once
-
 from repro.experiments import twostep_lifetime_study, twostep_study
 
 
-def test_bench_c12_exposure(benchmark, table):
-    result = run_once(benchmark, twostep_study, pe_cycles=8000, seed=0)
+def test_bench_c12_exposure(table):
+    result = twostep_study(pe_cycles=8000, seed=0)
     print()
     print(table(
         ["configuration", "LSB errors at finalization"],
@@ -27,8 +25,8 @@ def test_bench_c12_exposure(benchmark, table):
     assert result["mitigated_errors"] <= result["control_errors"] + 50
 
 
-def test_bench_c12_lifetime(benchmark):
-    result = run_once(benchmark, twostep_lifetime_study, seed=0)
+def test_bench_c12_lifetime():
+    result = twostep_lifetime_study(seed=0)
     gain = result["lifetime_gain_fraction"]
     print(f"\nC12 — lifetime gain from hardening: {100 * gain:.1f}% (paper: ~16%)")
     assert 0.05 < gain < 0.6

@@ -5,13 +5,11 @@ endurance almost immediately; Start-Gap wear leveling (the paper's
 citation [82]) spreads the damage and restores near-ideal lifetime.
 """
 
-from conftest import run_once
-
 from repro.experiments import pcm_study
 
 
-def test_bench_c13_pcm(benchmark, table):
-    result = run_once(benchmark, pcm_study, seed=0)
+def test_bench_c13_pcm(table):
+    result = pcm_study(seed=0)
     print()
     print(table(
         ["configuration", "attacker writes survived"],

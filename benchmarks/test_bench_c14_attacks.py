@@ -6,16 +6,14 @@ grows with vintage — the paper's point that the same circuit fault
 powers a whole family of compromises.
 """
 
-from conftest import run_once
-
 from repro.experiments import attack_gallery, pte_exploit_chain
 
 
-def test_bench_c14_concrete_exploit(benchmark, table):
+def test_bench_c14_concrete_exploit(table):
     """The Project-Zero chain executed at the data level (no probability
     model) on the unscaled module: spray real PTE pages into rows,
     hammer, decode, win."""
-    outcome = run_once(benchmark, pte_exploit_chain, full_scale=True, frames=768, seed=1)
+    outcome = pte_exploit_chain(full_scale=True, frames=768, seed=1)
     print()
     print(table(
         ["stage", "result"],
@@ -31,8 +29,8 @@ def test_bench_c14_concrete_exploit(benchmark, table):
     assert outcome.success
 
 
-def test_bench_c14_attacks(benchmark, table):
-    rows = run_once(benchmark, attack_gallery)
+def test_bench_c14_attacks(table):
+    rows = attack_gallery()
     print()
     print(table(
         ["vintage", "templates", "PTE spray", "Flip Feng Shui", "Drammer", "JavaScript"],

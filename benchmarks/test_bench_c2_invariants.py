@@ -6,13 +6,11 @@ supposed to write to ... all of which occur in rows other than the one
 that is being accessed."
 """
 
-from conftest import run_once
-
 from repro.experiments import isolation_violations
 
 
-def test_bench_c2_invariants(benchmark, table):
-    result = run_once(benchmark, isolation_violations, seed=0, reads=2_600_000)
+def test_bench_c2_invariants(table):
+    result = isolation_violations(seed=0, reads=2_600_000)
     read_report = result["read"]
     write_report = result["write"]
 

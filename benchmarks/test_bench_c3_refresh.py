@@ -5,13 +5,11 @@ we want to eliminate all RowHammer-induced errors we saw in our tests"
 — plus the energy/performance price the paper warns about.
 """
 
-from conftest import run_once
-
 from repro.experiments import refresh_multiplier_sweep
 
 
-def test_bench_c3_refresh(benchmark, table):
-    result = run_once(benchmark, refresh_multiplier_sweep)
+def test_bench_c3_refresh(table):
+    result = refresh_multiplier_sweep()
     rows = [
         [
             f"{row['multiplier']:.0f}x",
@@ -40,13 +38,13 @@ def test_bench_c3_refresh(benchmark, table):
     assert 6.5 < result["exact_elimination_multiplier"] < 7.5
 
 
-def test_bench_c3_refresh_burden(benchmark, table):
+def test_bench_c3_refresh_burden(table):
     """The context for "refresh is already a significant burden": its
     energy/bandwidth share grows steeply with device density, which is
     why 7x refresh is a painful mitigation."""
     from repro.analysis import refresh_burden_vs_density
 
-    rows = run_once(benchmark, refresh_burden_vs_density)
+    rows = refresh_burden_vs_density()
     print()
     print(table(
         ["rows per bank", "refresh energy share", "bandwidth overhead"],

@@ -4,14 +4,12 @@
 as some cache blocks experience two or more bit flips".
 """
 
-from conftest import run_once
-
 from repro.experiments import ecc_study
 from repro.ecc import DecodeStatus, SECDED_72_64, campaign
 
 
-def test_bench_c4_ecc(benchmark, table):
-    result = run_once(benchmark, ecc_study, victims=400, seed=0)
+def test_bench_c4_ecc(table):
+    result = ecc_study(victims=400, seed=0)
 
     print()
     print(table(
@@ -37,11 +35,11 @@ def test_bench_c4_ecc(benchmark, table):
     assert secded.evaluation.uncorrected_words < parity.evaluation.uncorrected_words
 
 
-def test_bench_c4_injection_processes(benchmark, table):
+def test_bench_c4_injection_processes(table):
     """Same raw flip budget, different spatial processes: SECDED was
     provisioned for uniform strikes; RowHammer's clustered flips defeat
     it far more often."""
-    results = run_once(benchmark, campaign, SECDED_72_64, 3000, seed=0)
+    results = campaign(SECDED_72_64, 3000, seed=0)
     print()
     print(table(
         ["flip process", "erroneous words", "uncorrected", "silent corruptions"],

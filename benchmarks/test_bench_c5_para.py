@@ -7,14 +7,12 @@ Closed-form reliability analysis plus a scaled controller-path
 simulation cross-check.
 """
 
-from conftest import run_once
-
 from repro.analysis.reliability import HARD_DISK_AFR_TYPICAL
 from repro.experiments import para_controller_check, para_reliability
 
 
-def test_bench_c5_para_analysis(benchmark, table):
-    result = run_once(benchmark, para_reliability)
+def test_bench_c5_para_analysis(table):
+    result = para_reliability()
     print()
     print(table(
         ["p", "log10 failures/yr", "decades safer than disk", "perf overhead"],
@@ -33,8 +31,8 @@ def test_bench_c5_para_analysis(benchmark, table):
     assert result["recommended_p_1e-15"] < 0.002
 
 
-def test_bench_c5_para_simulation(benchmark, table):
-    result = run_once(benchmark, para_controller_check)
+def test_bench_c5_para_simulation(table):
+    result = para_controller_check()
     print()
     print(table(
         ["system", "flips", "time overhead"],

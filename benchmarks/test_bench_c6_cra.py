@@ -5,13 +5,11 @@ of access counters for a large number of rows ... leading to very
 large hardware area and power consumption".
 """
 
-from conftest import run_once
-
 from repro.experiments import cra_tradeoff
 
 
-def test_bench_c6_cra(benchmark, table):
-    result = run_once(benchmark, cra_tradeoff)
+def test_bench_c6_cra(table):
+    result = cra_tradeoff()
     print()
     print(table(
         ["variant", "residual flips", "detections", "storage bits (scaled module)"],

@@ -6,14 +6,12 @@ energy overhead, and dedicated storage — the axes on which the paper
 argues PARA dominates.
 """
 
-from conftest import run_once
-
 from repro.analysis import MITIGATION_TABLE_HEADERS, report_rows
 from repro.experiments import mitigation_comparison
 
 
-def test_bench_c7_mitigations(benchmark, table):
-    reports = run_once(benchmark, mitigation_comparison)
+def test_bench_c7_mitigations(table):
+    reports = mitigation_comparison()
     print()
     print(table(
         list(MITIGATION_TABLE_HEADERS),

@@ -6,13 +6,11 @@ multi-rate refresh inherits the escapes; AVATAR's scrub-and-upgrade
 recovers the escape rate over deployment time.
 """
 
-from conftest import run_once
-
 from repro.experiments import retention_study
 
 
-def test_bench_c8_retention(benchmark, table):
-    result = run_once(benchmark, retention_study)
+def test_bench_c8_retention(table):
+    result = retention_study()
     print()
     print(table(
         ["quantity", "value"],

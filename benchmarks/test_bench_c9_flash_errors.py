@@ -5,15 +5,13 @@ errors" (at wear), and refresh "greatly improves the lifetime of
 modern MLC NAND flash memory".
 """
 
-from conftest import run_once
-
 from repro.experiments import fcr_study, flash_error_sweep, vref_tuning_study
 
 
-def test_bench_c9_vref_tuning(benchmark, table):
+def test_bench_c9_vref_tuning(table):
     """The SSD controller's first-line retention fix: re-centering the
     read references after the distributions shift (read-retry)."""
-    result = run_once(benchmark, vref_tuning_study, seed=0)
+    result = vref_tuning_study(seed=0)
     print()
     print(table(
         ["read references", "raw errors (15K cycles, 1 year)"],
@@ -25,8 +23,8 @@ def test_bench_c9_vref_tuning(benchmark, table):
     assert result["reduction_fraction"] > 0.3
 
 
-def test_bench_c9_error_breakdown(benchmark, table):
-    rows = run_once(benchmark, flash_error_sweep)
+def test_bench_c9_error_breakdown(table):
+    rows = flash_error_sweep()
     print()
     print(table(
         ["P/E cycles", "wear+interference", "retention (1yr)", "read disturb (20K)", "dominant"],
@@ -40,8 +38,8 @@ def test_bench_c9_error_breakdown(benchmark, table):
     assert retention == sorted(retention)  # grows monotonically with wear
 
 
-def test_bench_c9_fcr(benchmark, table):
-    result = run_once(benchmark, fcr_study, seed=0)
+def test_bench_c9_fcr(table):
+    result = fcr_study(seed=0)
     print()
     print(table(
         ["refresh interval (days)", "lifetime (P/E cycles)", "refresh wear (PE/yr)"],

@@ -6,16 +6,14 @@ profiling and online content-aware retention profiling; plus the
 interleaving counterpart of the ECC discussion.
 """
 
-from conftest import run_once
-
 from repro.experiments import codesign_study
 from repro.ecc import SECDED_72_64, compare_interleaving
 from repro.ecc.injection import inject_clustered
 from repro.utils.rng import derive_rng
 
 
-def test_bench_codesign(benchmark, table):
-    result = run_once(benchmark, codesign_study, seed=0)
+def test_bench_codesign(table):
+    result = codesign_study(seed=0)
     print()
     print(table(
         ["module", "safe tRCD (ns)", "spec (ns)", "speedup"],
@@ -41,8 +39,8 @@ def interleave_experiment(seed=0):
     return compare_interleaving(SECDED_72_64, flips, degrees=(1, 2, 4, 8), seed=seed)
 
 
-def test_bench_codesign_interleaving(benchmark, table):
-    results = run_once(benchmark, interleave_experiment, seed=0)
+def test_bench_codesign_interleaving(table):
+    results = interleave_experiment(seed=0)
     print()
     print(table(
         ["interleave degree", "erroneous words", "uncorrected by SECDED"],

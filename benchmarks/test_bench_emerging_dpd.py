@@ -6,13 +6,11 @@
   and the RRAM crossbar half-select RowHammer analogue.
 """
 
-from conftest import run_once
-
 from repro.experiments import emerging_memory_study, pattern_dependence_study
 
 
-def test_bench_pattern_dependence(benchmark, table):
-    rows = run_once(benchmark, pattern_dependence_study, victims=200, seed=0)
+def test_bench_pattern_dependence(table):
+    rows = pattern_dependence_study(victims=200, seed=0)
     print()
     print(table(
         ["data pattern", "flips"],
@@ -25,8 +23,8 @@ def test_bench_pattern_dependence(benchmark, table):
     assert by_name["checkered"] > by_name["colstripe"]
 
 
-def test_bench_emerging_memories(benchmark, table):
-    result = run_once(benchmark, emerging_memory_study, seed=0)
+def test_bench_emerging_memories(table):
+    result = emerging_memory_study(seed=0)
     print()
     print(table(
         ["thermal stability (delta)", "read-disturb errors (1M reads)", "retention errors (10y)"],

@@ -7,8 +7,6 @@
 * deterministic Start-Gap vs a mapping-aware wear attacker (§IV).
 """
 
-from conftest import run_once
-
 from repro.experiments import (
     pcm_mapping_attack,
     raidr_rowhammer_interaction,
@@ -19,10 +17,10 @@ from repro.experiments import (
 )
 
 
-def test_bench_ext_raidr_interaction(benchmark, table):
+def test_bench_ext_raidr_interaction(table):
     """§III-A1's closing warning: a refresh-saving solution can open a
     new RowHammer window."""
-    result = run_once(benchmark, raidr_rowhammer_interaction, seed=0)
+    result = raidr_rowhammer_interaction(seed=0)
     print()
     print(table(
         ["refresh policy", "flips after 4-window hammering"],
@@ -37,9 +35,9 @@ def test_bench_ext_raidr_interaction(benchmark, table):
     assert result["flips"][f"raidr-bin2"] > 0
 
 
-def test_bench_ext_userlevel_attack(benchmark, table):
+def test_bench_ext_userlevel_attack(table):
     """§II-A end to end: what a user program can achieve through a cache."""
-    result = run_once(benchmark, userlevel_attack_study, seed=0)
+    result = userlevel_attack_study(seed=0)
     rows = result["rows"] + [dict(result["eviction_on_weak_module"], strategy="eviction (weak module)")]
     print()
     print(table(
@@ -55,8 +53,8 @@ def test_bench_ext_userlevel_attack(benchmark, table):
     assert result["eviction_on_weak_module"]["flips"] > 0  # JS-style works on weaker parts
 
 
-def test_bench_ext_trr_bypass(benchmark, table):
-    rows = run_once(benchmark, trr_bypass_study, n_pairs_list=(1, 2, 4, 8), tracker_entries=2, seed=0)
+def test_bench_ext_trr_bypass(table):
+    rows = trr_bypass_study(n_pairs_list=(1, 2, 4, 8), tracker_entries=2, seed=0)
     print()
     print(table(
         ["aggressor pairs", "per-victim pressure", "targeted refreshes", "flips"],
@@ -67,9 +65,9 @@ def test_bench_ext_trr_bypass(benchmark, table):
     assert any(r["flips"] > 0 for r in rows[1:])       # beyond it: bypassed
 
 
-def test_bench_ext_row_retirement(benchmark, table):
+def test_bench_ext_row_retirement(table):
     """§II-C solutions 4/5: what a test-and-retire campaign leaves behind."""
-    rows = run_once(benchmark, row_retirement, seed=0)
+    rows = row_retirement(seed=0)
     print()
     print(table(
         ["test / field pressure", "rows retired", "spares exhausted",
@@ -87,8 +85,8 @@ def test_bench_ext_row_retirement(benchmark, table):
     assert rows[-1]["residual_at_field"] > 0
 
 
-def test_bench_ext_warm(benchmark, table):
-    outcomes = run_once(benchmark, warm_retention_study, seed=0)
+def test_bench_ext_warm(table):
+    outcomes = warm_retention_study(seed=0)
     print()
     print(table(
         ["policy", "hot lifetime", "cold lifetime", "device lifetime", "refresh wear"],
@@ -100,11 +98,11 @@ def test_bench_ext_warm(benchmark, table):
     assert outcomes["warm+fcr"].refresh_wear_fraction < outcomes["fcr"].refresh_wear_fraction
 
 
-def test_bench_ext_fleet(benchmark, table):
+def test_bench_ext_fleet(table):
     """Fleet-level exposure from the vintage mix (§III field-study context)."""
     from repro.experiments import fleet_study
 
-    result = run_once(benchmark, fleet_study, seed=0, servers=1200)
+    result = fleet_study(seed=0, servers=1200)
     print()
     print(table(
         ["refresh patch", "vulnerable fraction", "compromised servers"],
@@ -117,8 +115,8 @@ def test_bench_ext_fleet(benchmark, table):
     assert rollout[-1]["vulnerable_fraction"] < rollout[0]["vulnerable_fraction"] / 2
 
 
-def test_bench_ext_pcm_chase(benchmark, table):
-    result = run_once(benchmark, pcm_mapping_attack, endurance_mean=20_000.0, seed=1)
+def test_bench_ext_pcm_chase(table):
+    result = pcm_mapping_attack(endurance_mean=20_000.0, seed=1)
     print()
     print(table(
         ["start-gap variant", "attacker writes survived"],

@@ -6,13 +6,11 @@ aggregate claims (110/129 vulnerable, earliest vulnerable part 2010,
 every 2012-2013 part vulnerable).
 """
 
-from conftest import run_once
-
 from repro.experiments import fig1_error_rates
 
 
-def test_bench_f1_error_rates(benchmark, table):
-    result = run_once(benchmark, fig1_error_rates, seed=0)
+def test_bench_f1_error_rates(table):
+    result = fig1_error_rates(seed=0)
 
     rows = []
     years = range(2008, 2015)

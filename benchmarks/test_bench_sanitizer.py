@@ -9,7 +9,7 @@ simulator-scale time.
 
 import numpy as np
 
-from conftest import paired_overhead, run_once
+from conftest import paired_overhead
 from repro.experiments import execute_job
 from repro.sanitizer import runtime as sanit
 
@@ -51,13 +51,12 @@ def test_perf_disabled_guard_overhead_under_5pct():
     assert overhead <= 0.05
 
 
-def test_perf_rowhammer_basic_under_full_sanitize(benchmark):
+def test_perf_rowhammer_basic_under_full_sanitize():
     """End-to-end: a representative experiment completes under
     ``REPRO_SANITIZE=full`` with every invariant holding."""
     prev = sanit.set_level("full")
     try:
-        result = run_once(benchmark, execute_job, "rowhammer_basic",
-                          params={"victims": 16}, seed=0)
+        result = execute_job("rowhammer_basic", params={"victims": 16}, seed=0)
     finally:
         sanit.set_level(prev)
     assert result.error is None

@@ -1,9 +1,10 @@
-"""Simulator micro-benchmarks (multi-round timing of the hot paths).
+"""Single-run checks of the simulator's hot paths.
 
-Unlike the experiment benches (one-shot regenerations), these measure
-the library's own primitives so performance regressions are visible:
-per-command controller throughput, the device bulk path, the
-vectorized campaign scan, and ECC decode.
+Unlike the experiment benches (one-shot regenerations), these exercise
+the library's own primitives: the per-command controller path, the
+device bulk path, the vectorized campaign scan, and ECC decode.  Each
+runs once and asserts its result; perfbench's ``percmd_hammer`` and
+``device_batch`` workloads time those paths.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ GEO = DramGeometry(banks=2, rows=1024, row_bytes=1024)
 PROFILE = VulnerabilityProfile(weak_cell_density=1e-4, hc_first_median=700_000, hc_first_min=139_000)
 
 
-def test_perf_bank_bulk_activate(benchmark):
+def test_perf_bank_bulk_activate():
     """Device fast path: one bulk hammer + settle."""
     def run():
         bank = ColumnarDramBank(GEO, DisturbanceModel(GEO, PROFILE, 1), 0)
@@ -26,11 +27,11 @@ def test_perf_bank_bulk_activate(benchmark):
         bank.settle()
         return bank.stats.activations
 
-    result = benchmark(run)
+    result = run()
     assert result == 1_000_000
 
 
-def test_perf_controller_command_path(benchmark):
+def test_perf_controller_command_path():
     """Per-command pipeline: 2000 activations through timing/refresh/hooks."""
     scenario = scaled_scenario(scale=20.0)
 
@@ -39,11 +40,11 @@ def test_perf_controller_command_path(benchmark):
         ctrl.run_activation_pattern(0, [99, 101], 1_000)
         return ctrl.stats.activations
 
-    result = benchmark(run)
+    result = run()
     assert result == 2_000
 
 
-def test_perf_whole_module_scan(benchmark):
+def test_perf_whole_module_scan():
     """Vectorized campaign scan of one 2 GiB-class module."""
     spec = next(s for s in build_population() if s.manufacturer == "B" and s.date >= 2013.0)
 
@@ -51,11 +52,11 @@ def test_perf_whole_module_scan(benchmark):
         module = instantiate(spec, seed=3)
         return whole_module_errors(module).errors
 
-    errors = benchmark(run)
+    errors = run()
     assert errors > 0
 
 
-def test_perf_secded_decode(benchmark):
+def test_perf_secded_decode():
     """SECDED decode of 200 single-error words."""
     rng = np.random.default_rng(0)
     words = [rng.integers(0, 2, size=64).astype(np.uint8) for _ in range(200)]
@@ -68,5 +69,5 @@ def test_perf_secded_decode(benchmark):
     def run():
         return sum(len(SECDED_72_64.decode(cw).corrected_positions) for cw in codewords)
 
-    corrected = benchmark(run)
+    corrected = run()
     assert corrected == 200

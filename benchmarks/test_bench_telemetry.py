@@ -9,7 +9,7 @@ from :mod:`repro.telemetry.runtime`.
 
 import numpy as np
 
-from conftest import paired_overhead, run_once
+from conftest import paired_overhead
 from repro.experiments import execute_job
 from repro.telemetry import MetricsRegistry, PhysicsCollector
 from repro.telemetry import events as stream_events
@@ -52,21 +52,21 @@ def test_perf_disabled_guard_overhead_under_5pct():
     assert overhead <= 0.05
 
 
-def test_perf_rowhammer_basic_with_metrics(benchmark):
+def test_perf_rowhammer_basic_with_metrics():
     """End-to-end: the telemetry cross-check experiment with metrics on."""
-    result = run_once(benchmark, execute_job, "rowhammer_basic",
-                      params={"victims": 16}, seed=0, observe=("metrics",))
+    result = execute_job("rowhammer_basic", params={"victims": 16}, seed=0,
+                         observe=("metrics",))
     merged = MetricsRegistry.from_snapshot(result.metrics)
     assert merged.total("dram_activations_total") == result.payload["activations"]
     assert merged.total("dram_refreshes_total") == result.payload["refreshes"]
     assert merged.total("dram_bit_flips_total") == result.payload["bit_flips"]
 
 
-def test_perf_rowhammer_basic_with_physics(benchmark):
+def test_perf_rowhammer_basic_with_physics():
     """End-to-end with the physics layer on: the heat map's flip total
     must equal the experiment's own payload count."""
-    result = run_once(benchmark, execute_job, "rowhammer_basic",
-                      params={"victims": 16}, seed=0, observe=("physics",))
+    result = execute_job("rowhammer_basic", params={"victims": 16}, seed=0,
+                         observe=("physics",))
     collector = PhysicsCollector.from_snapshot(result.physics)
     assert collector.total_flips() == result.payload["bit_flips"]
     assert collector.total_provenance_flips() == result.payload["bit_flips"]

@@ -21,6 +21,7 @@ Two scan paths, statistically identical under the fault model:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -123,10 +124,8 @@ def _threshold_cdf(budget: float, profile) -> float:
     """P[threshold <= budget] for a clipped-lognormal hc_first cell."""
     if budget < profile.hc_first_min:
         return 0.0
-    from scipy.stats import norm
-
     z = (np.log(budget) - np.log(profile.hc_first_median)) / profile.hc_first_sigma
-    return float(norm.cdf(z))
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def _result(module: DramModule, errors: int, cells: int, budget: int) -> ModuleTestResult:

@@ -12,7 +12,9 @@ from repro.chaos.plan import ChaosPlan, ChaosTransientError, FaultSpec
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="pool scenarios rely on fork inheriting the registry",
+    reason="each scenario arms its faults in os.environ; a fork server "
+           "started by an earlier scenario keeps its old environment, "
+           "so its workers never see them",
 )
 
 

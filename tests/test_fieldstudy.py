@@ -1,7 +1,14 @@
 """Tests for the field study: population and campaign (Figure 1 claims)."""
 
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
+from repro.dram.disturbance import VulnerabilityProfile
 from repro.dram.geometry import DramGeometry
 from repro.fieldstudy import (
     build_population,
@@ -12,6 +19,7 @@ from repro.fieldstudy import (
     victim_pressure,
     whole_module_errors,
 )
+from repro.fieldstudy.campaign import _threshold_cdf
 
 SMALL_GEO = DramGeometry(banks=2, rows=1024, row_bytes=1024)
 
@@ -105,6 +113,53 @@ class TestWholeModuleScan:
         rate_vector = vector.errors_per_billion
         assert device_errors > 0
         assert 0.6 < rate_device / rate_vector < 1.8
+
+
+#: ``scipy.stats.norm.cdf(z)`` (scipy 1.17.1) at the budgets that put a
+#: cell's threshold z standard deviations from the median, for the
+#: profile in :class:`TestThresholdCdf`.
+NORM_CDF = {
+    -8.0: 6.22096057427174e-16,
+    -5.0: 2.866515718791933e-07,
+    -2.0: 0.022750131948179195,
+    -0.5: 0.3085375387259869,
+    0.0: 0.5,
+    0.5: 0.6914624612740131,
+    2.0: 0.9772498680518208,
+    5.0: 0.9999997133484281,
+    8.0: 0.9999999999999993,
+}
+
+_FIG1_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import repro.cli
+from repro.experiments import execute_job
+result = execute_job("fig1_error_rates", seed=0)
+assert result.payload["modules_tested"] == 129, result.payload
+"""
+
+
+class TestThresholdCdf:
+    PROFILE = VulnerabilityProfile(weak_cell_density=1e-4, hc_first_min=1_000.0)
+
+    @pytest.mark.parametrize("z", sorted(NORM_CDF))
+    def test_matches_the_normal_cdf(self, z):
+        p = self.PROFILE
+        budget = p.hc_first_median * math.exp(z * p.hc_first_sigma)
+        assert budget >= p.hc_first_min
+        assert _threshold_cdf(budget, p) == pytest.approx(NORM_CDF[z], rel=1e-12, abs=0.0)
+
+    def test_zero_below_the_floor(self):
+        p = self.PROFILE
+        assert _threshold_cdf(p.hc_first_min * 0.999, p) == 0.0
+
+    def test_fig1_runs_without_scipy(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))))
+        proc = subprocess.run([sys.executable, "-c", _FIG1_WITHOUT_SCIPY],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCampaign:
