@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.controller.energy import EnergyAccount
 from repro.controller.hooks import MitigationHook, NullMitigation
 from repro.controller.perfcounters import PerfCounters
@@ -235,14 +237,28 @@ class MemoryController:
 def _times_until(start: float, step: float, cap: int, limit: float) -> List[float]:
     """Controller times after each of up to ``cap`` back-to-back
     commands from ``start`` (sequential ``t += step``), ending with the
-    first that reaches ``limit``."""
+    first that reaches ``limit``.  ``step`` is a timing, so positive.
+
+    ``np.add.accumulate`` folds ``[t, step, step, ...]`` left to right,
+    the same float additions as the loop ``t += step``.  Each fold is
+    sized to reach ``limit`` with two steps to spare; a fold that falls
+    short (rounding) continues from its last time.
+    """
     times: List[float] = []
     t = start
     while len(times) < cap:
-        t += step
-        times.append(t)
-        if t >= limit:
-            break
+        n = cap - len(times)
+        if limit - t < n * step:
+            n = min(n, int(max(limit - t, 0.0) / step) + 2)
+        steps = np.full(n + 1, step, dtype=np.float64)
+        steps[0] = t
+        folded = np.add.accumulate(steps)[1:]
+        # The times ascend, so the first to reach the limit is a bisection.
+        reached = int(folded.searchsorted(limit))
+        if reached < n:
+            return times + folded[:reached + 1].tolist()
+        times += folded.tolist()
+        t = times[-1]
     return times
 
 

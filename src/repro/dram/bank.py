@@ -33,8 +33,9 @@ and one event vocabulary (:class:`BankStats`'s ``on_*`` and ``trace_*``
 methods: the activation/read/write/refresh counters, the ``dram_*``
 metrics, the ``activate``/``refresh``/``bit_flip`` trace events and the
 physics records), so they differ only in state layout and kernels.
-The sanitizer reads stored data through :meth:`DramBank.stored_copy`,
-which both engines implement without changing any state.
+The sanitizer reads stored data and charge through
+:meth:`DramBank.stored_copy` and :meth:`DramBank.stored_charge`, which
+both engines implement without changing any state.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -96,6 +97,22 @@ class BankStats:
     flips_dropped: int = 0
     bank_index: int = 0
     refresh_epoch: int = 0
+
+    #: The trace hold of the bank's module, shared by its banks (left
+    #: unannotated, so not a dataclass field): empty, or ``[bank]``
+    #: while that bank's pending run holds back the trace events of the
+    #: module's other banks (see :class:`~repro.dram.columnar.ColumnarDramBank`).
+    #: ``None`` for a bank outside a module.
+    trace_hold = None
+
+    def _trace(self, kind: str, t: float, fields: Dict[str, Any]) -> None:
+        """Emit one trace event, or, while another bank of the module
+        holds the trace, queue it behind that bank's pending run."""
+        hold = self.trace_hold
+        if hold and hold[0]._stats is not self:
+            hold[0].hold_event(kind, t, fields)
+        else:
+            telem.trace(kind, t=t, **fields)
 
     def record_flips(self, row: int, bits: np.ndarray, time: float,
                      aggressor: int = -1, hammer: float = 0.0,
@@ -180,11 +197,10 @@ class BankStats:
         if telem.metrics_on:
             telem.counter("dram_activations_total", bank=self.bank_index).inc(n)
         if telem.trace_on:
-            if count is None:
-                telem.trace("activate", t=time, bank=self.bank_index, row=row)
-            else:
-                telem.trace("activate", t=time, bank=self.bank_index, row=row,
-                            count=count)
+            fields = {"bank": self.bank_index, "row": row}
+            if count is not None:
+                fields["count"] = count
+            self._trace("activate", time, fields)
         if phys.physics_on:
             phys.get_collector().record_activation(self.bank_index, row, n)
 
@@ -214,8 +230,13 @@ class BankStats:
         if telem.metrics_on:
             telem.counter("dram_writes_total", bank=self.bank_index).inc()
 
-    def on_refresh(self, rows: Sequence[int], time: float) -> None:
-        """A refresh of each of ``rows`` (repeats count every time)."""
+    def on_refresh(self, rows: Sequence[int], time: float,
+                   hold: Optional[Callable] = None) -> None:
+        """A refresh of each of ``rows`` (repeats count every time).
+        ``hold``, if given, takes each ``refresh`` event as ``(kind, t,
+        fields)`` instead of the tracer: the columnar engine holds the
+        events of a refresh it runs while its run is pending, and
+        places them with :meth:`trace_run`."""
         n = len(rows)
         if not n:
             return
@@ -223,9 +244,9 @@ class BankStats:
         if telem.metrics_on:
             telem.counter("dram_refreshes_total", bank=self.bank_index).inc(n)
         if telem.trace_on:
+            emit = hold or self._trace
             for row in rows:
-                telem.trace("refresh", t=time, bank=self.bank_index,
-                            row=int(row))
+                emit("refresh", time, {"bank": self.bank_index, "row": int(row)})
 
     def flip_metrics(self, cause: str):
         """Resolved ``(counter, histogram)`` for flips of ``cause``, or
@@ -283,27 +304,39 @@ class BankStats:
             return
         for row, time, n in zip(rows, times, counts):
             if n:
-                telem.trace("bit_flip", t=float(time), bank=self.bank_index,
-                            row=int(row), bits=int(n), cause=cause)
+                self._trace("bit_flip", float(time),
+                            {"bank": self.bank_index, "row": int(row),
+                             "bits": int(n), "cause": cause})
 
-    def trace_run(self, acts: Sequence[tuple], closers: Sequence[int],
-                  counts: Sequence[int]) -> None:
+    def trace_run(self, rows: Sequence[int], times: Sequence[float],
+                  closers: Sequence[int], counts: Sequence[int],
+                  held: Sequence[tuple] = ()) -> None:
         """The trace events of a committed run of scalar ACTs, in command
         order: each ``activate``, followed by the ``bit_flip`` of the
-        window it closed.  ``acts`` holds ``(row, time)`` pairs; window
-        ``k`` was closed by ``acts[closers[k]]`` and flipped
-        ``counts[k]`` bits.  Where the run was cut into commits does not
-        change the sequence."""
+        window it closed.  Activation ``i`` opened ``rows[i]`` at
+        ``times[i]``; window ``k`` was closed by activation
+        ``closers[k]`` and flipped ``counts[k]`` bits.  ``held`` lists
+        the events held while the run was pending, as ``(position,
+        kind, t, fields)`` in the order they arose: each goes out after
+        the run's first ``position`` activations.  Where the run was cut
+        into commits does not change the sequence."""
         if not telem.trace_on:
             return
         flipped = {int(c): int(n) for c, n in zip(closers, counts) if n}
         bank = self.bank_index
-        for i, (row, time) in enumerate(acts):
-            telem.trace("activate", t=time, bank=bank, row=row)
+        emit = self._trace
+        k = 0
+        for i, (row, time) in enumerate(zip(rows, times)):
+            while k < len(held) and held[k][0] <= i:
+                emit(*held[k][1:])
+                k += 1
+            emit("activate", time, {"bank": bank, "row": row})
             n = flipped.get(i)
             if n:
-                telem.trace("bit_flip", t=float(time), bank=bank,
-                            row=int(row), bits=n, cause="activate")
+                emit("bit_flip", float(time), {"bank": bank, "row": int(row),
+                                               "bits": n, "cause": "activate"})
+        for entry in held[k:]:
+            emit(*entry[1:])
 
     def on_settle(self, rows_touched: int) -> None:
         """A settle pass over a bank holding ``rows_touched`` rows."""
@@ -398,6 +431,12 @@ class DramBank:
     def last_aggressor(self, row: int) -> Optional[int]:
         """The immediate neighbor that last disturbed ``row``, if any."""
         return self._last_aggressor.get(row)
+
+    def stored_charge(self, row: int) -> tuple:
+        """``(pressure, peak)`` of ``row`` as they stand.  The
+        sanitizer's read: like :meth:`stored_copy` it commits no
+        pending run on either engine."""
+        return self._pressure.get(row, 0.0), self._peak.get(row, 0.0)
 
     def disturbed_rows(self) -> List[int]:
         """Rows holding disturbance state, in the order first touched

@@ -19,7 +19,10 @@ engines:
   ``refresh_all``, ``settle`` — the calls the controller, CPU and
   SoftMC paths make, with ``stats``, ``pressure()`` and ``row_bits``
   observed mid-script (each a commit point of the columnar engine's
-  pending activation run).
+  pending activation run); :func:`random_burst_script` scripts are
+  long periodic multi-row hammer bursts with auto-refreshes of far
+  rows between them (the columnar engine's per-period replay and
+  deferred refreshes).
 
 The resulting observations must agree **exactly** — flip logs,
 ``BankStats`` counters, sanitizer shadow digests, stored row data,
@@ -40,7 +43,7 @@ comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +62,7 @@ __all__ = [
     "ReferenceModule",
     "diff_observations",
     "observe",
+    "random_burst_script",
     "random_script",
     "random_stream",
     "replay_script",
@@ -395,6 +399,72 @@ def random_script(
     return script
 
 
+#: Bursts per burst script, and the longest burst in activations.
+_BURST_STEPS = 12
+_BURST_MAX = 3_000
+
+
+def random_burst_script(
+    seed: int,
+    geometry: DramGeometry = DEFAULT_GEOMETRY,
+) -> List[tuple]:
+    """A seeded scalar script of long periodic hammer bursts.
+
+    Each burst cycles a period of up to 32 activations of 1-8 rows near
+    one anchor (edge rows over-represented; rows repeat within the
+    period, so a row sensed once per period can collect a live window)
+    for up to ``_BURST_MAX`` activations, issued in segments as ``activate_run``
+    calls (the controller's path) or one ``activate`` at a time.
+    Between segments come ``refresh_rows`` of rows at least three away
+    from the pattern (auto-refresh chunks the columnar engine runs
+    without committing), and now and then a refresh inside the
+    pattern's reach or a ``pressure``/``stats`` probe.  It draws from
+    its own stream, so :func:`random_script`'s scripts stay as they are.
+    """
+    rng = derive_rng(seed, "diffburst")
+    rows = geometry.rows
+    script: List[tuple] = []
+    time = 0.0
+    for _ in range(_BURST_STEPS):
+        anchor = (int(rng.choice([0, 1, rows - 2, rows - 1]))
+                  if rng.random() < 0.2 else int(rng.integers(0, rows)))
+        hammered = np.clip(anchor + rng.integers(-3, 4, size=int(rng.integers(1, 9))),
+                           0, rows - 1)
+        pattern = rng.choice(hammered, size=int(rng.integers(1, 33))).tolist()
+        far = [r for r in range(rows)
+               if min(abs(r - p) for p in pattern) >= 3]
+        total = int(rng.integers(64, _BURST_MAX))
+        done = 0
+        while done < total:
+            n = min(total - done, int(rng.integers(16, 700)))
+            seg_rows = [pattern[(done + i) % len(pattern)] for i in range(n)]
+            seg_times = [time + 1.5 * i for i in range(n)]
+            time += 1.5 * n
+            if rng.random() < 0.7:
+                script.append(("activate_run", seg_rows, seg_times))
+            else:
+                script += [("activate", r, t) for r, t in zip(seg_rows, seg_times)]
+            done += n
+            kind = rng.random()
+            if kind < 0.6 and far:
+                batch = rng.choice(far, size=int(rng.integers(1, 4))).tolist()
+                script.append(("refresh_rows", batch, time))
+            elif kind < 0.7:
+                near = int(np.clip(pattern[0] + rng.integers(-2, 3), 0, rows - 1))
+                script.append(("refresh_rows", [near], time))
+            elif kind < 0.8:
+                script.append(("pressure", int(np.clip(
+                    anchor + rng.integers(-4, 5), 0, rows - 1))))
+            elif kind < 0.85:
+                script.append(("stats",))
+        if rng.random() < 0.3:
+            script.append(("refresh_all", time))
+        elif rng.random() < 0.3:
+            script.append(("settle", time))
+    script.append(("stats",))
+    return script
+
+
 def replay_script(
     script: List[tuple],
     engine: str,
@@ -434,14 +504,16 @@ def run_script_differential(
     geometry: DramGeometry = DEFAULT_GEOMETRY,
     profile: Optional[VulnerabilityProfile] = None,
     pattern: Optional[str] = None,
+    generator: Callable[[int, DramGeometry], List[tuple]] = random_script,
 ) -> Dict[str, object]:
     """One scalar-script oracle round: both engines, exact comparison
-    (pressure, peak and ``hammer`` included)."""
+    (pressure, peak and ``hammer`` included), on ``generator``'s
+    script for ``seed``."""
     if profile is None:
         profile = DEFAULT_PROFILES[seed % len(DEFAULT_PROFILES)]
     if pattern is None:
         pattern = _PATTERNS[(seed // len(DEFAULT_PROFILES)) % len(_PATTERNS)]
-    script = random_script(seed, geometry)
+    script = generator(seed, geometry)
     reference = replay_script(script, "reference", geometry, profile, seed, pattern)
     candidate = replay_script(script, "columnar", geometry, profile, seed, pattern)
     problems = diff_observations(reference, candidate,

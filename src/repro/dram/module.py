@@ -74,6 +74,9 @@ class DramModule:
             self.bank_class(geometry, self.model, i, default_pattern)
             for i in range(geometry.banks)
         ]
+        trace_hold: list = []
+        for bank in self.banks:
+            bank._stats.trace_hold = trace_hold
 
     @classmethod
     def from_vintage(

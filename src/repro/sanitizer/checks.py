@@ -41,9 +41,10 @@ def _row_digest(bits: np.ndarray) -> int:
 # ----------------------------------------------------------------------
 # dram.bank — row-buffer/charge coherence + stored-data shadow digests
 #
-# Stored data is read through ``stored_copy``, which on either engine
-# neither commits a pending run nor changes how a row is held, so the
-# checks see the engine path production runs.
+# Stored data and charge are read through ``stored_copy`` and
+# ``stored_charge``, which on either engine neither commit a pending run
+# nor change how a row is held, so the checks see the engine path
+# production runs.
 # ----------------------------------------------------------------------
 def _check_dram_bank(bank: Any, full: bool, ctx: Dict[str, Any]) -> None:
     rows = bank.geometry.rows
@@ -53,8 +54,7 @@ def _check_dram_bank(bank: Any, full: bool, ctx: Dict[str, Any]) -> None:
                   f"open_row={open_row}, rows={rows}")
     row = ctx.get("row")
     if row is not None:
-        pressure = bank.pressure(row)
-        peak = bank.peak(row)
+        pressure, peak = bank.stored_charge(row)
         if not pressure >= 0.0 or not peak >= 0.0:
             violation("dram.bank", "negative disturbance charge",
                       f"row={row}, pressure={pressure}, peak={peak}")

@@ -14,8 +14,10 @@ digests and the physics provenance all match the reference.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
+from repro.dram import DramGeometry, DramModule, VulnerabilityProfile, columnar
 from repro.dram.columnar import _RUN_LIMIT
 from repro.dram.differential import ReferenceModule
 from repro.dram.stream import CommandStream
@@ -45,12 +47,15 @@ def _sanitizer_off():
     sanit.set_level("off")
 
 
-def hammered(engine, pattern="rowstripe", probe=None):
+def hammered(engine, pattern="rowstripe", probe=None, prelude=None):
     """A module whose bank 0 holds a deferred double-sided hammer that
     ends by sensing the victim (a flipping window) and one neighbor.
-    ``probe(module)``, if given, runs after each aggressor activation."""
+    ``prelude(module)``, if given, runs first; ``probe(module)``, if
+    given, runs after each aggressor activation."""
     module = MODULES[engine](geometry=GEO, timing=DDR3_1333, profile=PROFILE,
                              default_pattern=pattern, seed=7)
+    if prelude is not None:
+        prelude(module)
     t = 0.0
     for _ in range(PAIRS):
         for row in (VICTIM - 1, VICTIM + 1):
@@ -181,16 +186,107 @@ class TestCommitPoints:
             m.bank(0).pressure(VICTIM + 2)))
 
 
-def traced_hammer(engine, probe=None):
-    """The ``activate``/``bit_flip`` events of a hammer, after a commit."""
+def hammer_trace(engine, probe=None):
+    """Every trace event of a hammer, after a commit."""
     telem.enable_tracing(capacity=1 << 16, fresh=True)
     module = hammered(engine, probe=probe)
-    if engine == "columnar" and probe is None:
+    if engine == "columnar" and probe in (None, far_refreshes):
         assert pending(module) == 2 * PAIRS + 2  # tracing defers too
     module.total_flips()  # a commit point emits the run's events
+    return telem.get_tracer().events()
+
+
+def traced_hammer(engine, probe=None):
+    """The ``activate``/``bit_flip`` events of a hammer, after a commit."""
     return [(e.kind, e.t, e.fields.get("row"))
-            for e in telem.get_tracer().events()
+            for e in hammer_trace(engine, probe)
             if e.kind in ("activate", "bit_flip")]
+
+
+def bank_events(engine, probe):
+    """The ``activate``/``refresh``/``bit_flip`` events of a hammer in
+    both banks, as ``(kind, t, bank, row)``."""
+    return [(e.kind, e.t, e.fields["bank"], e.fields["row"])
+            for e in hammer_trace(engine, probe)
+            if e.kind in ("activate", "refresh", "bit_flip")]
+
+
+#: Rows at least 3 away from every row the hammer activates (99..102).
+FAR = [VICTIM - 40, 3, VICTIM + 60]
+
+
+def far_refreshes(module):
+    """Every 97th call, an auto-refresh of ``FAR`` in both banks (bank 1
+    holds no run, so its events trail bank 0's held ones)."""
+    module.probes = getattr(module, "probes", 0) + 1
+    if module.probes % 97 == 0:
+        for bank in range(GEO.banks):
+            module.refresh_physical_rows(bank, FAR, 10.0 * module.probes)
+
+
+class TestDeferredRefresh:
+    """An auto-refresh that neither touches the run's rows nor holds a
+    live window runs with the run left pending."""
+
+    @pytest.mark.parametrize("rows", [FAR, [VICTIM - 4], [VICTIM + 5, 0]],
+                             ids=["far", "below", "above"])
+    def test_far_refresh_leaves_the_run_pending(self, rows):
+        def refresh(module):
+            bank = module.bank(0)
+            before = pending(module)
+            flips = bank.refresh_rows(rows, 1e6)
+            assert pending(module) == before
+            return (flips, [bank.pressure(r) for r in range(VICTIM - 5, VICTIM + 6)],
+                    bank.row_bits(VICTIM).tobytes(), bank.disturbed_rows())
+
+        agree(refresh)
+
+    def test_later_observations_agree(self):
+        # Far refreshes between the hammer's activations, then every
+        # commit-point observation.
+        def observe(module):
+            bank = module.bank(0)
+            return ([bank.pressure(r) for r in range(VICTIM - 5, VICTIM + 6)],
+                    [bank.peak(r) for r in FAR], bank.stats.refreshes,
+                    bank.stats.activations, bank.disturbed_rows(),
+                    bank.row_bits(VICTIM).tobytes())
+
+        agree(observe, probe=far_refreshes)
+
+    @pytest.mark.parametrize("rows", [[VICTIM + 4], [VICTIM - 3, 7], [0, VICTIM + 2]],
+                             ids=["reach-top", "reach-bottom", "run-row"])
+    def test_refresh_in_reach_commits_first(self, rows):
+        def refresh(module):
+            bank = module.bank(0)
+            flips = bank.refresh_rows(rows, 1e6)
+            assert pending(module) == 0
+            return flips, [bank.pressure(r) for r in range(VICTIM - 5, VICTIM + 6)]
+
+        agree(refresh)
+
+    def test_far_live_window_commits_first(self):
+        # Row 31 carries a live window (peak > 0) from before the hammer:
+        # refreshing it materializes a window, so the run commits first
+        # and the flip log keeps command order.
+        def prelude(module):
+            module.activate(0, 30, 0.0)
+            module.bank(0).pressure(31)  # commit the prelude
+
+        module = hammered("columnar", prelude=prelude)
+        assert module.bank(0).stored_charge(31) == (1.0, 1.0)
+        module.bank(0).refresh_rows([31], 1e6)
+        assert pending(module) == 0
+        agree(lambda m: (m.bank(0).refresh_rows([31], 1e6),
+                         m.bank(0).pressure(31)), prelude=prelude)
+
+    @pytest.mark.parametrize("level", ["cheap", "full"])
+    def test_sanitizer_does_not_commit(self, level):
+        # The checker reads charge through stored_charge, so a far
+        # refresh defers under the sanitizer as without it.
+        sanit.set_level(level)
+        module = hammered("columnar")
+        module.bank(0).refresh_rows(FAR, 1e6)
+        assert pending(module) == 2 * PAIRS + 2
 
 
 class TestGuards:
@@ -207,6 +303,24 @@ class TestGuards:
                              probe=lambda m: m.bank(0).pressure(VICTIM))
         assert many == one
         assert any(kind == "bit_flip" for kind, _t, _row in one)
+
+    def test_trace_event_order_with_deferred_refreshes(self):
+        # Far refreshes run inside the pending run; their events, and
+        # bank 1's, still follow the activations issued before them.
+        logs = {engine: bank_events(engine, far_refreshes) for engine in ENGINES}
+        assert logs["columnar"] == logs["reference"]
+        assert {event[0] for event in logs["reference"]} == {
+            "activate", "refresh", "bit_flip"}
+        assert {event[2] for event in logs["reference"]
+                if event[0] == "refresh"} == {0, 1}
+
+    def test_deferred_refresh_trace_does_not_depend_on_commit_points(self):
+        def refresh_and_commit(module):
+            far_refreshes(module)
+            module.bank(0).pressure(VICTIM)
+
+        assert (bank_events("columnar", refresh_and_commit)
+                == bank_events("columnar", far_refreshes))
 
     @pytest.mark.parametrize("level", ["cheap", "full"])
     def test_sanitizer_digests(self, level):
@@ -229,3 +343,99 @@ class TestGuards:
                                  collector.provenance_rows())
         assert snapshots["columnar"] == snapshots["reference"]
         assert snapshots["reference"][1], "provenance must record the flips"
+
+
+# ----------------------------------------------------------------------
+# The per-period replay against the per-activation loop
+# ----------------------------------------------------------------------
+REPLAY_GEO = DramGeometry(banks=1, rows=32, row_bytes=32)
+EDGE_ROWS = [0, 1, REPLAY_GEO.rows - 2, REPLAY_GEO.rows - 1]
+
+
+def replayed(run, state, d2, periodic):
+    """A fresh columnar bank (a profile whose windows flip from a
+    pressure of 3) set to ``state`` (``(row, pressure, peak,
+    aggressor)`` entries) after one run of ``run`` committed, through
+    the per-period replay or the loop.  Returns what the run changed:
+    the windows that reached the materializer at or above the flip
+    floor, the flipped windows, the columns, the touch order, the
+    instantiated rows and the flip log."""
+    profile = VulnerabilityProfile(
+        weak_cell_density=0.2, hc_first_median=12.0, hc_first_min=3.0,
+        distance2_weight=d2)
+    bank = DramModule(geometry=REPLAY_GEO, timing=DDR3_1333, profile=profile,
+                      default_pattern="rowstripe", seed=3).bank(0)
+    cs = bank._cs
+    for row, pressure, peak, agg in state:
+        cs.pressure[row], cs.peak[row], cs.last_agg[row] = pressure, peak, agg
+        cs.touch(row)
+    windows = []
+    materialize = bank._materialize_batch
+
+    def spy(vrows, peaks, aggs, times, cause):
+        live = peaks >= bank._flip_floor()
+        windows.extend(zip(vrows[live].tolist(), peaks[live].tolist(),
+                           aggs[live].tolist(), times[live].tolist()))
+        bank._materialize_batch = materialize  # its own recursion
+        try:
+            return materialize(vrows, peaks, aggs, times, cause)
+        finally:
+            bank._materialize_batch = spy
+
+    bank._materialize_batch = spy
+    times = [0.5 + 1.25 * i for i in range(len(run))]
+    limits = ({"_PERIODIC_MIN_RUN": 1, "_PERIODIC_MIN_PERIODS": 2,
+               "_PERIOD_MAX": len(run)} if periodic else {"_PERIOD_MAX": 0})
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in limits.items():
+            mp.setattr(columnar, name, value)
+        assert bool(columnar._run_period(run)) == periodic
+        closers, counts = bank._apply_acts(run, times, 1)
+    flipped = [(int(c), int(n)) for c, n in zip(closers, counts) if n]
+    return (windows, flipped, cs.pressure.tolist(), cs.peak.tolist(),
+            cs.last_agg.tolist(), cs.touch_order,
+            np.flatnonzero(cs.instantiated).tolist(), bank._stats.flip_log)
+
+
+row_strategy = st.one_of(st.sampled_from(EDGE_ROWS),
+                         st.integers(0, REPLAY_GEO.rows - 1))
+
+
+@st.composite
+def periodic_runs(draw):
+    """A run of whole periods of a 1-8 row pattern (edge rows and rows
+    repeated within the period included) plus a partial one."""
+    pattern = draw(st.lists(row_strategy, min_size=1, max_size=8))
+    periods = draw(st.integers(2, 30))
+    partial = draw(st.integers(0, len(pattern) - 1))
+    return [pattern[i % len(pattern)]
+            for i in range(periods * len(pattern) + partial)]
+
+
+class TestPeriodicReplay:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        run=periodic_runs(),
+        state=st.lists(st.tuples(row_strategy,
+                                 st.floats(0.0, 120.0), st.floats(0.0, 120.0),
+                                 st.integers(-1, REPLAY_GEO.rows - 1)),
+                       max_size=10),
+        d2=st.sampled_from([0.0, 0.015, 0.3]),
+    )
+    def test_matches_the_loop(self, run, state, d2):
+        loop = replayed(run, state, d2, periodic=False)
+        per_period = replayed(run, state, d2, periodic=True)
+        # Lists compare floats with ==: equal means bit-identical here
+        # (no NaN, no -0.0).
+        assert per_period == loop
+
+    @pytest.mark.parametrize("d2", [0.0, 0.015])
+    def test_live_windows_repeat(self, d2):
+        # Rows 11 and 13 repeat within the period and row 12 between
+        # them is sensed once per period: it collects ten bumps, a live
+        # window each period, which the replay repeats over the tail
+        # (the first flips; the rest find those cells flipped).
+        run = ([11, 13] * 5 + [12]) * 20 + [11, 13, 11]
+        loop = replayed(run, [], d2, periodic=False)
+        assert [w[0] for w in loop[0]] == [12] * 20 and loop[1]
+        assert replayed(run, [], d2, periodic=True) == loop

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.controller import MemoryController, NullMitigation
+from repro.controller.controller import _times_until
 from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
 from repro.dram.timing import DDR3_1333
 
@@ -85,3 +86,51 @@ class TestControllerBasics:
         fast.run_activation_pattern(0, [99, 101], 2_000)
         fast_flips = fast.finish()
         assert fast_flips <= base_flips
+
+
+def times_until_loop(start, step, cap, limit):
+    """The sequential ``t += step`` loop ``_times_until`` must equal."""
+    times = []
+    t = start
+    while len(times) < cap:
+        t += step
+        times.append(t)
+        if t >= limit:
+            break
+    return times
+
+
+class TestTimesUntil:
+    """``_times_until`` folds the times with ``np.add.accumulate``; each
+    time must be the loop's float, bit for bit."""
+
+    @pytest.mark.parametrize("step", [49.5, 46.25, 1 / 3])
+    @pytest.mark.parametrize("start", [0.0, 1234.5, 7.1e6 + 1 / 7])
+    def test_equals_the_loop(self, step, start):
+        for cap in range(1, 40):
+            for limit in (start, start + 0.5 * step, start + 3 * step,
+                          start + 17.25 * step, start + 1000 * step,
+                          start - 1.0, float("inf")):
+                expected = times_until_loop(start, step, cap, limit)
+                got = _times_until(start, step, cap, limit)
+                assert got == expected, (start, step, cap, limit)
+                assert all(type(t) is float for t in got)
+
+    @pytest.mark.parametrize("step", [49.5, 46.25, 1 / 3])
+    def test_limit_on_a_step(self, step):
+        # A limit equal to a folded time ends the list at that time.
+        start = 3900.0
+        loop = times_until_loop(start, step, 10_000, float("inf"))
+        for k in (0, 1, 9, 157, 4095):
+            got = _times_until(start, step, 10_000, loop[k])
+            assert got == loop[:k + 1]
+
+    @pytest.mark.parametrize("step", [49.5, 46.25, 1 / 3])
+    def test_cap_before_limit(self, step):
+        for cap in (1, 2, 157, 2048):
+            got = _times_until(100.0, step, cap, 100.0 + step * (cap + 50))
+            assert got == times_until_loop(100.0, step, cap, 100.0 + step * (cap + 50))
+            assert len(got) == cap
+
+    def test_empty_cap(self):
+        assert _times_until(0.0, 49.5, 0, 10.0) == []

@@ -12,11 +12,14 @@ the comparison.
 import numpy as np
 import pytest
 
+from repro.dram import columnar
+from repro.dram.columnar import ColumnarDramBank
 from repro.dram.differential import (
     BANK_CLASSES,
     DEFAULT_GEOMETRY,
     DEFAULT_PROFILES,
     diff_observations,
+    random_burst_script,
     random_script,
     random_stream,
     replay_script,
@@ -70,6 +73,36 @@ class TestScriptOracle:
                          "write", "refresh_row", "refresh_rows",
                          "refresh_all", "settle", "stats", "pressure",
                          "row_bits"}
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_engines_agree_on_burst_scripts(self, seed):
+        result = run_script_differential(seed=seed,
+                                         generator=random_burst_script)
+        assert result["ok"], "\n".join(result["mismatches"])
+
+    def test_burst_scripts_flip_defer_and_replay(self, monkeypatch):
+        # The bursts must cross thresholds, most of their refreshes must
+        # run with the run still pending, and their commits must take
+        # the per-period replay.
+        periods, defers = [], []
+        run_period = columnar._run_period
+        refresh_defers = ColumnarDramBank._refresh_defers
+
+        def spy_period(rows):
+            periods.append(run_period(rows))
+            return periods[-1]
+
+        def spy_defers(bank, rows):
+            defers.append(refresh_defers(bank, rows))
+            return defers[-1]
+
+        monkeypatch.setattr(columnar, "_run_period", spy_period)
+        monkeypatch.setattr(ColumnarDramBank, "_refresh_defers", spy_defers)
+        flips = sum(run_script_differential(seed=s, generator=random_burst_script)
+                    ["flips"] for s in range(4))
+        assert flips > 0
+        assert sum(defers) > len(defers) / 2
+        assert sum(map(bool, periods)) > 10
 
     def test_scalar_hammer_alone_flips_exactly(self):
         # Only per-command activations: the flips come out of the
