@@ -310,23 +310,25 @@ class BankStats:
 
     def trace_run(self, rows: Sequence[int], times: Sequence[float],
                   closers: Sequence[int], counts: Sequence[int],
-                  held: Sequence[tuple] = ()) -> None:
-        """The trace events of a committed run of scalar ACTs, in command
-        order: each ``activate``, followed by the ``bit_flip`` of the
-        window it closed.  Activation ``i`` opened ``rows[i]`` at
-        ``times[i]``; window ``k`` was closed by activation
-        ``closers[k]`` and flipped ``counts[k]`` bits.  ``held`` lists
-        the events held while the run was pending, as ``(position,
-        kind, t, fields)`` in the order they arose: each goes out after
-        the run's first ``position`` activations.  Where the run was cut
-        into commits does not change the sequence."""
+                  held: Sequence[tuple] = (), start: int = 0) -> None:
+        """The trace events of a run of scalar ACTs from activation
+        ``start`` on, in command order: each ``activate``, followed by
+        the ``bit_flip`` of the window it closed.  Activation ``i``
+        opened ``rows[i]`` at ``times[i]``; window ``k`` was closed by
+        activation ``closers[k]`` and flipped ``counts[k]`` bits.
+        ``held`` lists the events held while the run was pending, as
+        ``(position, kind, t, fields)`` in the order they arose: each
+        goes out after the run's first ``position`` activations.  Where
+        the run was cut into commits, or traced in parts, does not
+        change the sequence."""
         if not telem.trace_on:
             return
         flipped = {int(c): int(n) for c, n in zip(closers, counts) if n}
         bank = self.bank_index
         emit = self._trace
         k = 0
-        for i, (row, time) in enumerate(zip(rows, times)):
+        for i in range(start, len(rows)):
+            row, time = rows[i], times[i]
             while k < len(held) and held[k][0] <= i:
                 emit(*held[k][1:])
                 k += 1
@@ -353,7 +355,7 @@ class DramBank:
     ``write`` and the ``execute`` dispatch loop live here only, and the
     columnar engine overrides the state-specific hooks they call
     (``_commit``, ``_bulk_activate_body``, ``_activate_run_body``,
-    ``_store_row``, ``_flush_acts``).
+    ``_read_row``, ``_store_row``, ``_flush_acts``).
 
     Args:
         geometry: module organization (rows/row size are read from it).
@@ -567,26 +569,30 @@ class DramBank:
         elif sanit.sanitize_on:
             sanit.check("dram.bank", self, row=row)
         self._stats.on_read()
+        return self._read_row(row)
+
+    def _read_row(self, row: int) -> np.ndarray:
+        """A copy of the open ``row``'s bits."""
         return self.row_bits(row).copy()
 
     def write(self, row: int, bits: np.ndarray, time: float = 0.0) -> None:
-        """Activate-and-write: replace the row's contents."""
+        """Activate-and-write: replace the row's contents.  Data of the
+        wrong shape raises before the row is activated."""
+        expected = self.geometry.row_bits
+        if bits.shape != (expected,):
+            raise ValueError(f"row data must have shape ({expected},), got {bits.shape}")
         if self.open_row != row:
             self.activate(row, time)
         elif sanit.sanitize_on:
             sanit.check("dram.bank", self, row=row)
-        expected = self.geometry.row_bits
-        if bits.shape != (expected,):
-            raise ValueError(f"row data must have shape ({expected},), got {bits.shape}")
-        # Pending windows read this row's old content.
-        self._commit()
         self._stats.on_write()
         self._store_row(row, bits)
         if sanit.sanitize_on:
             sanit.note("dram.bank", self, row=row)
 
     def _store_row(self, row: int, bits: np.ndarray) -> None:
-        """Replace ``row``'s data and reset its disturbance state."""
+        """Replace the open ``row``'s data and reset its disturbance
+        state."""
         self._data[row] = bits.astype(np.uint8, copy=True)
         self._pressure[row] = 0.0
         self._peak[row] = 0.0

@@ -37,16 +37,21 @@ is committed, in command order, by the first call that can observe or
 change what it touches: ``refresh_row``, ``refresh_all`` or
 ``settle``; a ``refresh_rows`` of a row within distance 2 of a row the
 run activates or of a row holding a live window (``peak > 0``);
-``execute`` or ``bulk_activate``; ``row_bits``; every read accessor
-(``pressure``, ``peak``, ``last_aggressor``, ``disturbed_rows``,
-``stored_bits``, ``touched_rows``), which chaos injectors and the
-oracle use on both engines; ``set_default_pattern``; reading the
-``stats`` attribute; and the ``_RUN_LIMIT``-th queued activation.
-``write`` commits before it stores, since pending windows read the old
-content.  Any other ``refresh_rows`` (an auto-refresh chunk far from a
-hammer loop) reads and writes nothing the run touches and flips
-nothing, so it runs with the run left pending.  ``open_row`` and the
-activation counters update eagerly.
+``execute``, ``bulk_activate`` or a stream ACT run (``_flush_acts``);
+``row_bits``; every read accessor (``pressure``, ``peak``,
+``last_aggressor``, ``disturbed_rows``, ``stored_bits``,
+``touched_rows``), which chaos injectors and the oracle use on both
+engines; ``set_default_pattern``; reading the ``stats`` attribute; the
+``_RUN_LIMIT``-th queued activation; and a ``read`` or ``write`` while
+the run is not **quiet** (:meth:`ColumnarDramBank._quiet`: some
+window it closes may reach the flip floor).  A quiet run flips nothing
+and reads no row's content, so a read returns the row as it stands
+and a write of the row the run's last activation opened stores its
+data at once, with the run left pending (that activation resets and
+touches the row when the run commits).  Any other ``refresh_rows`` (an
+auto-refresh chunk far from a hammer loop) reads and writes nothing
+the run touches and flips nothing, so it runs with the run left
+pending.  ``open_row`` and the activation counters update eagerly.
 
 The commit replays the run's resets and neighbor bumps on a small
 row-keyed overlay in plain float arithmetic, per row in the same order
@@ -69,7 +74,10 @@ A commit traces the run in the reference's command order (each
 ``activate``, then the ``bit_flip`` of the window it closed, and the
 events of each refresh that ran while the run was pending, held until
 then, after the activations queued before it), so the bank's own
-events do not depend on where commits fall.  A stream ACT
+events do not depend on where commits fall.  A quiet read or write
+checks and traces the activations queued since the last one (a quiet
+prefix has no ``bit_flip``) with the events held so far, and the
+commit then checks and traces only the rest.  A stream ACT
 run (on both engines) and a batched refresh (``refresh_rows``,
 ``refresh_all``; on this engine) emit all their ``activate``/``refresh``
 events before the run's ``bit_flip`` events, so a ``bit_flip`` can
@@ -127,6 +135,13 @@ _RUN_LIMIT = 2048
 _PERIODIC_MIN_RUN = 64
 _PERIODIC_MIN_PERIODS = 16
 _PERIOD_MAX = 64
+
+#: :meth:`ColumnarDramBank._quiet` compares a run's bound with the flip
+#: floor scaled by this margin: the run's bumps add up one float
+#: addition at a time, each rounding by at most half an ulp, so over
+#: ``_RUN_LIMIT`` activations the sums can exceed their exact values by
+#: a relative 1e-12 at most.
+_QUIET_MARGIN = 1.0 - 1e-9
 
 
 class _ColumnarState:
@@ -273,6 +288,12 @@ class ColumnarDramBank(DramBank):
         #: ``(lo, hi, scanned)``: every row within distance 2 of the
         #: run's first ``scanned`` activations lies in ``[lo, hi]``.
         self._reach = (self.geometry.rows, -1, 0)
+        #: ``(top, scanned)``: the largest stored pressure or peak of
+        #: the rows the run's first ``scanned`` activations open.
+        self._charge = (0.0, 0)
+        #: The run's first ``_traced`` activations are already checked
+        #: and traced (a quiet prefix, see :meth:`_quiet`).
+        self._traced = 0
 
     @property
     def stats(self) -> BankStats:
@@ -371,8 +392,12 @@ class ColumnarDramBank(DramBank):
     def row_bits(self, row: int) -> np.ndarray:
         self.geometry.check_row(row)
         self._commit()
-        state = self._cs
-        fresh = not state.instantiated[row]
+        return self._sensed(row)
+
+    def _sensed(self, row: int) -> np.ndarray:
+        """:meth:`row_bits` of a valid row, without a commit (the caller
+        committed the pending run, or it is quiet)."""
+        fresh = not self._cs.instantiated[row]
         bits = self._row_array(row)
         if fresh and sanit.sanitize_on:
             sanit.note("dram.bank", self, row=row)
@@ -487,14 +512,34 @@ class ColumnarDramBank(DramBank):
         self._stats.trace_flips([row] * len(counts), [time] * len(counts),
                                 counts, "activate")
 
+    def _read_row(self, row: int) -> np.ndarray:
+        # A quiet run flips nothing, so the row holds what it will hold
+        # once the run commits.
+        if self._run and self._quiet():
+            self._trace_prefix()
+        else:
+            self._commit()
+        return self._sensed(row).copy()
+
     def _store_row(self, row: int, bits: np.ndarray) -> None:
         state = self._cs
+        run = self._run
+        # A quiet run reads no row's content, so the write need not
+        # wait for it; the run's last activation, which opened this row,
+        # resets and touches it in command order when the run commits.
+        # Otherwise pending windows read this row's old content.
+        deferred = bool(run) and run[-1] == row and self._quiet()
+        if deferred:
+            self._trace_prefix()
+        else:
+            self._commit()
         state.store[row] = bits.astype(np.uint8, copy=True)
         state.flips.pop(row, None)
         state.instantiated[row] = True
-        state.pressure[row] = 0.0
-        state.peak[row] = 0.0
-        state.touch(row)
+        if not deferred:
+            state.pressure[row] = 0.0
+            state.peak[row] = 0.0
+            state.touch(row)
 
     def refresh_row(self, row: int, time: float = 0.0) -> np.ndarray:
         self.geometry.check_row(row)
@@ -522,20 +567,72 @@ class ColumnarDramBank(DramBank):
     def _commit(self) -> None:
         """Apply the pending activation run, if any: check each row it
         activates, apply it, and trace it in command order, with the
-        refreshes that ran while it was pending."""
+        refreshes that ran while it was pending (all past the quiet
+        prefix :meth:`_quiet` already checked and traced)."""
         if self._run:
             rows, self._run = self._run, []
             times, self._run_times = self._run_times, []
-            held, self._held = self._held, []
+            start, self._traced = self._traced, 0
             self._reach = (self._cs.rows, -1, 0)
-            hold = self._stats.trace_hold
-            if hold and hold[0] is self:
-                hold.clear()
+            self._charge = (0.0, 0)
+            held = self._release_held()
             if sanit.sanitize_on:
-                for row in dict.fromkeys(rows):
+                for row in dict.fromkeys(rows[start:]):
                     sanit.check("dram.bank", self, row=row)
             closers, counts = self._apply_acts(rows, times, 1)
-            self._stats.trace_run(rows, times, closers, counts, held)
+            self._stats.trace_run(rows, times, closers, counts, held, start)
+
+    def _release_held(self) -> List[tuple]:
+        """Hand over the events held behind the run, and stop holding
+        the module's trace."""
+        held, self._held = self._held, []
+        hold = self._stats.trace_hold
+        if hold and hold[0] is self:
+            hold.clear()
+        return held
+
+    def _quiet(self) -> bool:
+        """Whether no window the pending run closes can reach the flip
+        floor, so the run flips nothing and reads no row's content.
+
+        A window closed at a row the run activates peaks at most at the
+        row's stored pressure or peak plus what the run's activations
+        before it added, and each adds at most ``max(1, d2)`` to any one
+        row.  So the run is quiet when the largest stored pressure or
+        peak of its rows plus its length times that bump lies below the
+        floor (by a margin for the rounding of the bumps' sums).  The
+        rows' stored charge is scanned once per activation: nothing
+        that leaves the run pending raises it.  Only bank state decides:
+        an observer on or off makes the same call.
+        """
+        run = self._run
+        n = len(run)
+        bump = max(1.0, self.model.profile.distance2_weight)
+        floor = self._flip_floor() * _QUIET_MARGIN
+        if n * bump >= floor:  # a long run: no need to scan its rows
+            return False
+        top, scanned = self._charge
+        if scanned < n:
+            state = self._cs
+            queued = dict.fromkeys(run[scanned:])
+            top = max(top, max(map(state.pressure.item, queued)),
+                      max(map(state.peak.item, queued)))
+            self._charge = (top, n)
+        return top + n * bump < floor
+
+    def _trace_prefix(self) -> None:
+        """Check and trace the quiet run's activations queued since the
+        last call (it has no ``bit_flip``), with its held events, as a
+        commit would; the run stays pending."""
+        run = self._run
+        start = self._traced
+        if sanit.sanitize_on:
+            for row in dict.fromkeys(run[start:]):
+                sanit.check("dram.bank", self, row=row)
+        if self._run is run:  # a chaos injector's accessor may commit
+            self._stats.trace_run(run, self._run_times, (), (),
+                                  self._release_held(), start)
+            self._traced = len(run)
 
     def hold_event(self, kind: str, t: float, fields: dict) -> None:
         """Hold a trace event behind the activations queued so far."""
@@ -1019,7 +1116,7 @@ class ColumnarDramBank(DramBank):
             return 0
         self._check_rows(rows)
         deferred = bool(self._run) and self._refresh_defers(rows)
-        if deferred:
+        if deferred and self._traced < len(self._run):
             # The refresh's events, and while this run holds the module's
             # trace, those of its other banks, go out after the
             # activations queued before them, when the run commits.
@@ -1028,7 +1125,9 @@ class ColumnarDramBank(DramBank):
                 hold.append(self)
             self._stats.on_refresh(rows, time, hold=self.hold_event)
         else:
-            self._commit()
+            # A run whose activations are all traced holds nothing back.
+            if not deferred:
+                self._commit()
             self._stats.on_refresh(rows, time)
         if sanit.sanitize_on:
             for row in rows:
@@ -1071,7 +1170,9 @@ class ColumnarDramBank(DramBank):
     # ------------------------------------------------------------------
     def _flush_acts(self, rows: List[int], counts: List[int],
                     times: List[float]) -> None:
-        """Apply one uninterrupted stream ACT run as an array program."""
+        """Apply one uninterrupted stream ACT run as an array program,
+        after the pending run a stream READ or WRITE left."""
+        self._commit()
         state = self._cs
         n_rows_total = self.geometry.rows
         n = len(rows)

@@ -5,19 +5,24 @@ Scalar ``activate`` calls only queue ``(row, time)`` on the bank's
 pending run.  Every call that can observe or change what the run
 touches must commit it first, so each observation below is taken with
 the run still pending (no ``finish()``, no settle) and must equal the
-reference engine's, which applied every command as it arrived.
-Observers do not change when a run commits: under tracing and the
-sanitizer the run is still pending at the same point, and after a
-commit the trace's ``activate``/``bit_flip`` sequence, the shadow
-digests and the physics provenance all match the reference.
+reference engine's, which applied every command as it arrived.  A read
+or write leaves a *quiet* run (one that cannot reach the flip floor)
+pending, and commits any other.  Observers do not change when a run
+commits: under tracing and the sanitizer the run is still pending at
+the same point, and after a commit the trace's ``activate``/``bit_flip``
+sequence, the shadow digests and the physics provenance all match the
+reference.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram import DramGeometry, DramModule, VulnerabilityProfile, columnar
+from repro.dram import (DramGeometry, DramModule, VulnerabilityProfile,
+                        columnar, differential)
 from repro.dram.columnar import _RUN_LIMIT
 from repro.dram.differential import ReferenceModule
 from repro.dram.stream import CommandStream
@@ -25,6 +30,8 @@ from repro.dram.timing import DDR3_1333
 from repro.sanitizer import runtime as sanit
 from repro.telemetry import physics as phys
 from repro.telemetry import runtime as telem
+from repro.telemetry.trace import TraceRecorder
+from tests import test_controller_oracle as oracle
 
 GEO = DramGeometry(banks=2, rows=256, row_bytes=64)
 PROFILE = VulnerabilityProfile(
@@ -287,6 +294,306 @@ class TestDeferredRefresh:
         module = hammered("columnar")
         module.bank(0).refresh_rows(FAR, 1e6)
         assert pending(module) == 2 * PAIRS + 2
+
+
+#: Rows a quiet run activates: far from one another and from the
+#: victim, three activations stay far below the profile's flip floor.
+SCATTERED = [20, 60, 180]
+WRITTEN = (np.arange(GEO.row_bits) % 3 == 0).astype(np.uint8)
+ACCESSES = {
+    "read": lambda bank, row, t: bank.read(row, t).tobytes(),
+    "write": lambda bank, row, t: bank.write(row, WRITTEN, t),
+}
+
+
+def quiet(engine, access):
+    """A module whose bank 0 queued the ``SCATTERED`` activations and
+    then ``access``-ed ``VICTIM + 1`` (activating it): a quiet run.
+    Returns the module and the access's result."""
+    module = MODULES[engine](geometry=GEO, timing=DDR3_1333, profile=PROFILE,
+                             default_pattern="rowstripe", seed=7)
+    t = 0.0
+    for scattered in SCATTERED:
+        module.activate(0, scattered, t)
+        module.precharge(0)
+        t += 50.0
+    return module, ACCESSES[access](module.bank(0), VICTIM + 1, t)
+
+
+def observations(module):
+    """Every commit-point observation of bank 0, flip log last."""
+    bank = module.bank(0)
+    rows = range(VICTIM - 3, VICTIM + 5)
+    return ([bank.pressure(r) for r in rows], [bank.peak(r) for r in rows],
+            [bank.last_aggressor(r) for r in rows], bank.disturbed_rows(),
+            bank.touched_rows(), bank.row_bits(VICTIM + 1).tobytes(),
+            bank.row_bits(VICTIM).tobytes(),
+            (bank.stats.activations, bank.stats.reads, bank.stats.writes),
+            list(bank.stats.flip_log))
+
+
+class TestQuietReads:
+    """A read, or a write of the row the run's last activation opened,
+    leaves a quiet run pending: no window it closes can reach the flip
+    floor, so it flips nothing and reads no row's content."""
+
+    @pytest.mark.parametrize("access", sorted(ACCESSES))
+    def test_quiet_access_leaves_the_run_pending(self, access):
+        seen = {}
+        for engine in ENGINES:
+            module, result = quiet(engine, access)
+            if engine == "columnar":
+                assert pending(module) == len(SCATTERED) + 1
+                assert module.bank(0)._traced == pending(module)
+            seen[engine] = (result, observations(module))
+        assert seen["columnar"] == seen["reference"]
+
+    @pytest.mark.parametrize("access", sorted(ACCESSES))
+    def test_later_observations_agree(self, access):
+        # More quiet accesses, a far refresh and an execute stream with
+        # a READ entry after the deferral, then every observation.
+        seen = {}
+        for engine in ENGINES:
+            module, _ = quiet(engine, access)
+            bank = module.bank(0)
+            reads = [bank.read(row, 1e3 + row).tobytes() for row in (VICTIM - 1, 61)]
+            bank.write(61, WRITTEN, 2e3)
+            bank.refresh_rows([3, 200, 240], 3e3)
+            if engine == "columnar":
+                assert pending(module) == len(SCATTERED) + 3
+            flips = bank.execute(CommandStream().read(VICTIM + 1, 4e3)
+                                 .act(VICTIM - 1, 20, 5e3).read(60, 6e3))
+            seen[engine] = (reads, flips, observations(module))
+        assert seen["columnar"] == seen["reference"]
+
+    @pytest.mark.parametrize("access", sorted(ACCESSES))
+    def test_access_after_a_live_run_commits_first(self, access):
+        # A hammer queued after the quiet accesses takes the victim past
+        # the floor: the victim's access must close that window first.
+        seen = {}
+        for engine in ENGINES:
+            module, _ = quiet(engine, access)
+            t = 1e3
+            for _ in range(PAIRS):
+                for row in (VICTIM - 1, VICTIM + 1):
+                    module.activate(0, row, t)
+                    module.precharge(0)
+                    t += 50.0
+            result = ACCESSES[access](module.bank(0), VICTIM, t)
+            if engine == "columnar":
+                assert pending(module) == 0
+            seen[engine] = (result, observations(module))
+        assert seen["columnar"] == seen["reference"]
+        assert seen["reference"][1][-1], "the hammer must flip the victim"
+
+    @pytest.mark.parametrize("settle", [False, True], ids=["peak", "settled"])
+    def test_stored_charge_counts_toward_the_floor(self, settle):
+        # The victim holds 450 of the floor's 500, as its peak or, after
+        # a settle, as its pressure alone.  A run of 490 activations is
+        # short of the floor, but the victim's read closes a window that
+        # reaches it and flips.
+        def hammer(module, pairs, t):
+            for _ in range(pairs):
+                for row in (VICTIM - 1, VICTIM + 1):
+                    module.activate(0, row, t)
+                    module.precharge(0)
+                    t += 50.0
+            return t
+
+        seen = {}
+        for engine in ENGINES:
+            module = MODULES[engine](geometry=GEO, timing=DDR3_1333,
+                                     profile=PROFILE,
+                                     default_pattern="rowstripe", seed=7)
+            bank = module.bank(0)
+            t = hammer(module, 225, 0.0)
+            assert bank.peak(VICTIM) == 450.0
+            if settle:
+                bank.settle(t)
+            t = hammer(module, 245, t)
+            result = bank.read(VICTIM, t).tobytes()
+            if engine == "columnar":
+                assert pending(module) == 0
+            seen[engine] = (result, list(bank.stats.flip_log))
+        assert seen["columnar"] == seen["reference"]
+        assert seen["reference"][1], "the victim's window must flip"
+
+    @pytest.mark.parametrize("config", oracle.CONFIGS,
+                             ids=[c[0] for c in oracle.CONFIGS])
+    def test_trace_replay_commits_rarely(self, config, monkeypatch):
+        # A scattered trace never nears the floor between its attacker's
+        # bursts: its reads and writes leave their runs pending.
+        commits = []
+        commit = columnar.ColumnarDramBank._commit
+
+        def counted(bank):
+            if bank._run:
+                commits.append(len(bank._run))
+            commit(bank)
+
+        monkeypatch.setattr(columnar.ColumnarDramBank, "_commit", counted)
+        trace = oracle.mixed_trace()
+        oracle.make_controller("columnar", *config[1:]).run_trace(trace)
+        assert len(commits) < len(trace) // 10
+
+    def test_trace_order_across_banks(self):
+        # Quiet reads alternate between the banks, each followed by a
+        # far refresh of both: every event goes out in command order.
+        def events(engine):
+            recorder = TraceRecorder(capacity=1 << 12)
+            with telem.observing(trace=recorder):
+                module = MODULES[engine](geometry=GEO, timing=DDR3_1333,
+                                         profile=PROFILE, seed=7)
+                for i, row in enumerate(SCATTERED * 2):
+                    module.read_row(i % 2, row, 50.0 * i)
+                    for bank in range(GEO.banks):
+                        module.refresh_physical_rows(bank, [3, 240], 50.0 * i + 1)
+                module.total_flips()
+            return [(e.kind, e.t, e.fields["bank"], e.fields["row"])
+                    for e in recorder.events()]
+
+        assert events("columnar") == events("reference")
+
+    def test_quiet_access_checks_its_rows(self):
+        # The deferral runs the checks a commit would: a quiet read that
+        # opens a row whose data changed outside the model is caught.
+        sanit.set_level("full")
+        module, _ = quiet("columnar", "write")
+        bank = module.bank(0)
+        bank._cs.store[VICTIM + 1][0] ^= 1
+        bank.precharge()
+        with pytest.raises(sanit.InvariantViolation, match="digest"):
+            bank.read(VICTIM + 1, 1e3)
+
+
+# ----------------------------------------------------------------------
+# Quiet and live runs under every observer, both engines
+# ----------------------------------------------------------------------
+QUIET_GEO = DramGeometry(banks=2, rows=32, row_bytes=16)
+#: A flip floor of 12 activations: bursts of up to 60 make live runs,
+#: scattered accesses quiet ones.
+QUIET_PROFILES = [VulnerabilityProfile(
+    weak_cell_density=0.15, hc_first_median=30.0, hc_first_min=12.0,
+    distance2_weight=d2) for d2 in (0.0, 0.3)]
+
+quiet_row = st.integers(0, QUIET_GEO.rows - 1)
+quiet_bank = st.integers(0, QUIET_GEO.banks - 1)
+#: ``(kind, row, data seed)``: a read or a write.
+quiet_access = st.tuples(st.sampled_from(["read", "write"]), quiet_row,
+                         st.integers(0, 1 << 16))
+stream_entry = st.one_of(
+    st.tuples(st.just("act"), quiet_row, st.integers(1, 30)),
+    st.tuples(st.sampled_from(["read", "write"]), quiet_row,
+              st.integers(0, 1 << 16)),
+    st.tuples(st.sampled_from(["pre", "ref_row"]), quiet_row))
+#: Offsets of a burst's rows, and of its closing access, from its anchor.
+near = st.integers(-3, 3)
+#: A burst is ``(anchor, offsets, activations, as one activate_run,
+#: access)``.  Every step leaves the activations it queued traced (an
+#: access ends each burst): two banks' runs with untraced activations
+#: would each trace at its own commit, out of command order.
+quiet_step = st.one_of(
+    st.tuples(st.just("burst"), quiet_bank, quiet_row,
+              st.lists(near, min_size=1, max_size=3), st.integers(1, 60),
+              st.booleans(),
+              st.tuples(st.sampled_from(["read", "write"]), near,
+                        st.integers(0, 1 << 16))),
+    st.tuples(st.just("access"), quiet_bank, quiet_access),
+    st.tuples(st.just("refresh_rows"), quiet_bank,
+              st.lists(quiet_row, min_size=1, max_size=4)),
+    st.tuples(st.just("execute"), quiet_bank,
+              st.lists(stream_entry, min_size=1, max_size=8)),
+    st.tuples(st.just("row_bits"), quiet_bank, quiet_row),
+    # A settle leaves pressure above peak: it counts toward a window.
+    st.tuples(st.just("settle"), quiet_bank))
+
+
+def clip(row):
+    return min(max(row, 0), QUIET_GEO.rows - 1)
+
+
+def quiet_data(seed):
+    return np.random.default_rng(seed).integers(
+        0, 2, QUIET_GEO.row_bits).astype(np.uint8)
+
+
+def replay_observed(engine, script, profile, pattern):
+    """``script`` on a fresh two-bank module of ``engine`` under a trace
+    recorder and the full sanitizer: the trace (the ``bit_flip`` events
+    of refreshes and settles as a multiset: a batched refresh emits its
+    ``refresh`` events first), the steps' results and each bank's
+    observation."""
+    recorder = TraceRecorder(capacity=1 << 16)
+    results = []
+    with telem.observing(trace=recorder, sanitize="full"):
+        module = MODULES[engine](geometry=QUIET_GEO, timing=DDR3_1333,
+                                 profile=profile, default_pattern=pattern,
+                                 seed=5)
+        t = 0.0
+
+        def access(bank, kind, row, seed):
+            if kind == "read":
+                results.append(module.read_row(bank, row, t).tobytes())
+            else:
+                module.write_row(bank, row, quiet_data(seed), t)
+
+        for step, bank, *args in script:
+            t += 10.0
+            if step == "burst":
+                anchor, offsets, n, as_run, (kind, offset, seed) = args
+                rows = [clip(anchor + off) for off in offsets]
+                seq = [rows[i % len(rows)] for i in range(n)]
+                times = [t + i for i in range(n)]
+                t += n
+                if as_run:
+                    module.bank(bank).activate_run(seq, times)
+                else:
+                    for row, when in zip(seq, times):
+                        module.activate(bank, row, when)
+                access(bank, kind, clip(anchor + offset), seed)
+            elif step == "access":
+                access(bank, *args[0])
+            elif step == "refresh_rows":
+                module.refresh_physical_rows(bank, args[0], t)
+            elif step == "execute":
+                stream = CommandStream()
+                for kind, row, *rest in args[0]:
+                    t += 1.0
+                    if kind == "act":
+                        stream.act(row, rest[0], t)
+                    elif kind == "write":
+                        stream.write(row, quiet_data(rest[0]), t)
+                    elif kind == "pre":
+                        stream.pre(t)
+                    else:
+                        getattr(stream, kind)(row, t)
+                results.append(module.execute(bank, stream))
+            elif step == "settle":
+                results.append(module.bank(bank).settle(t))
+            else:
+                results.append(module.bank(bank).row_bits(args[0]).tobytes())
+        banks = [differential.observe(b, 0) for b in module.banks]
+    ordered, late = [], Counter()
+    for e in recorder.events():
+        event = (e.kind, e.t, tuple(sorted(e.fields.items())))
+        if e.kind == "bit_flip" and e.fields["cause"] != "activate":
+            late[event] += 1
+        else:
+            ordered.append(event)
+    return ordered, late, results, banks
+
+
+class TestQuietRunsObserved:
+    @settings(max_examples=100, deadline=None)
+    @given(script=st.lists(quiet_step, min_size=1, max_size=25),
+           profile=st.sampled_from(QUIET_PROFILES),
+           pattern=st.sampled_from(["rowstripe", "random"]))
+    def test_engines_agree(self, script, profile, pattern):
+        reference = replay_observed("reference", script, profile, pattern)
+        candidate = replay_observed("columnar", script, profile, pattern)
+        assert candidate[:3] == reference[:3]
+        for ref, cand in zip(reference[3], candidate[3]):
+            assert differential.diff_observations(ref, cand) == []
 
 
 class TestGuards:

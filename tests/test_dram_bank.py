@@ -50,6 +50,19 @@ class TestDataAccess(BankCase):
         with pytest.raises(ValueError):
             bank.write(0, np.ones(10, dtype=np.uint8))
 
+    def test_rejected_write_changes_nothing(self):
+        # The shape check runs before the write's activation: no ACT is
+        # counted or queued, the open row stays, no neighbor is bumped.
+        bank = self.make_bank()
+        bank.activate(5)
+        queued = list(getattr(bank, "_run", ()))
+        with pytest.raises(ValueError):
+            bank.write(10, np.ones(5, dtype=np.uint8))
+        assert list(getattr(bank, "_run", ())) == queued
+        assert bank.open_row == 5
+        assert bank.stats.activations == 1
+        assert [bank.pressure(r) for r in (4, 6, 9, 11)] == [1.0, 1.0, 0.0, 0.0]
+
     def test_write_bytes_wrong_size_rejected(self):
         bank = self.make_bank()
         with pytest.raises(ValueError):
