@@ -87,6 +87,7 @@ def per_bank_budget_multibank(timing, n_banks: int, refresh_multiplier: float = 
     — the engineering constraint behind multi-bank hammering.
     """
     check_positive("n_banks", n_banks)
+    check_positive("refresh_multiplier", refresh_multiplier)
     per_bank_rate = min(1.0 / timing.tRC, timing.rank_activation_rate_per_ns / n_banks)
     return int(per_bank_rate * timing.tREFW / refresh_multiplier)
 

@@ -1358,7 +1358,11 @@ def _test_module(args) -> int:
     module = DramModule.from_vintage(
         args.manufacturer, args.date, serial="cli-dut", seed=args.seed, timing=DDR3_1066
     )
-    result = whole_module_errors(module, refresh_multiplier=args.refresh_multiplier)
+    try:
+        result = whole_module_errors(module, refresh_multiplier=args.refresh_multiplier)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"module: manufacturer {args.manufacturer}, date {args.date}, "
           f"refresh x{args.refresh_multiplier:g}")
     print(f"activation budget per victim: {result.budget}")

@@ -72,44 +72,33 @@ class MemoryController:
     def activate(self, bank: int, logical_row: int) -> None:
         """Issue ACT+PRE to ``(bank, logical_row)``, advancing time by tRC."""
         self.module.activate(bank, logical_row, self.time_ns)
-        self.module.precharge(bank)
-        self.time_ns += self.module.timing.tRC
-        self.energy.record("act")
-        self.energy.record("pre")
-        self.stats.activations += 1
-        if telem.metrics_on:
-            telem.counter("ctrl_commands_total", kind="activate").inc()
-        self.perf.record_activate(bank, logical_row, self.time_ns)
-        self.mitigation.on_activate(self, bank, logical_row, self.time_ns)
-        self._service_refresh()
+        self._after_command(bank, logical_row, "activate")
 
     def read(self, bank: int, logical_row: int):
         """Activate-and-read one row; returns its bits."""
         bits = self.module.read_row(bank, logical_row, self.time_ns)
-        self.module.precharge(bank)
-        self.time_ns += self.module.timing.tRC
-        self.energy.record("act")
-        self.energy.record("read")
-        self.energy.record("pre")
-        self.stats.activations += 1
-        if telem.metrics_on:
-            telem.counter("ctrl_commands_total", kind="read").inc()
-        self.perf.record_activate(bank, logical_row, self.time_ns)
-        self.mitigation.on_activate(self, bank, logical_row, self.time_ns)
-        self._service_refresh()
+        self._after_command(bank, logical_row, "read")
         return bits
 
     def write(self, bank: int, logical_row: int, bits) -> None:
         """Activate-and-write one row."""
         self.module.write_row(bank, logical_row, bits, self.time_ns)
+        self._after_command(bank, logical_row, "write")
+
+    def _after_command(self, bank: int, logical_row: int, kind: str) -> None:
+        """The tail of one ``kind`` command (``activate``, ``read`` or
+        ``write``) the module just ran: precharge, tRC, energy,
+        statistics, perf counters, the mitigation hook and any REF that
+        fell due."""
         self.module.precharge(bank)
         self.time_ns += self.module.timing.tRC
         self.energy.record("act")
-        self.energy.record("write")
+        if kind != "activate":
+            self.energy.record(kind)
         self.energy.record("pre")
         self.stats.activations += 1
         if telem.metrics_on:
-            telem.counter("ctrl_commands_total", kind="write").inc()
+            telem.counter("ctrl_commands_total", kind=kind).inc()
         self.perf.record_activate(bank, logical_row, self.time_ns)
         self.mitigation.on_activate(self, bank, logical_row, self.time_ns)
         self._service_refresh()

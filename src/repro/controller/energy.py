@@ -60,11 +60,6 @@ class EnergyAccount:
             + c["refresh_row"] * p.refresh_row_nj
         )
 
-    @property
-    def background_nj(self) -> float:
-        """Standby energy over the elapsed simulated time."""
-        return self.elapsed_ns * self.params.background_nw_per_ns
-
     def refresh_share(self) -> float:
         """Fraction of dynamic energy spent on refresh."""
         dynamic = self.dynamic_nj

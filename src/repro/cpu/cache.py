@@ -83,11 +83,6 @@ class SetAssociativeCache:
         """A snapshot of the sets ``indices``: each one's tags, LRU first."""
         return tuple(tuple(self._sets[index]) for index in indices)
 
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
-
 
 def build_eviction_set(cache: SetAssociativeCache, target: int, region_base: int, region_bytes: int) -> List[int]:
     """Addresses in a region that map to the target's cache set.

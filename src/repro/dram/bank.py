@@ -31,8 +31,10 @@ Both engines share one command front end (this class's
 ``execute`` dispatch loop)
 and one event vocabulary (:class:`BankStats`'s ``on_*`` and ``trace_*``
 methods: the activation/read/write/refresh counters, the ``dram_*``
-metrics, the ``activate``/``refresh``/``bit_flip`` trace events and the
-physics records), so they differ only in state layout and kernels.
+metrics, the flip log, the ``activate``/``refresh``/``bit_flip`` trace
+events and the physics records), so they differ only in state layout
+and kernels.  Trace events leave through one :class:`TraceLine` per
+module, in command order on both engines.
 The sanitizer reads stored data and charge through
 :meth:`DramBank.stored_copy` and :meth:`DramBank.stored_charge`, which
 both engines implement without changing any state.
@@ -40,10 +42,10 @@ both engines implement without changing any state.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +74,77 @@ _FLIP_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 DEFAULT_FLIP_LOG_CAP = 1_000_000
 
 
+class _Place:
+    """A bank's place in a :class:`TraceLine`: activations ``start`` to
+    ``stop`` of its pending run, and their trace events once the bank
+    fills the place (``None`` until then)."""
+
+    __slots__ = ("start", "stop", "events")
+
+    def __init__(self, start: int, stop: int) -> None:
+        self.start = start
+        self.stop = stop
+        self.events: Optional[List[tuple]] = None
+
+
+class TraceLine:
+    """The trace events of one module's banks, in command order.
+
+    The columnar engine traces a queued activation only when it commits
+    it, or at a quiet deferral.  So while tracing is on, each stretch of
+    one bank's consecutive queued activations takes a *place* in line,
+    which the bank fills with their events when it traces them.  Every
+    other event of the module's banks goes straight to the tracer while
+    no place is unfilled, and otherwise waits behind the unfilled places
+    until they are filled.  The reference engine takes no place, so its
+    events go straight out.  A module's banks share one line; a bank
+    outside a module has its own.
+    """
+
+    __slots__ = ("_queue",)
+
+    def __init__(self) -> None:
+        #: Unfilled or filled places and waiting ``(kind, t, fields)``
+        #: events, oldest first; empty, or headed by an unfilled place.
+        self._queue: deque = deque()
+
+    def emit(self, kind: str, t: float, fields: Dict[str, Any]) -> None:
+        """Trace one event, or queue it behind the unfilled places."""
+        if self._queue:
+            self._queue.append((kind, t, fields))
+        else:
+            telem.trace(kind, t=t, **fields)
+
+    def hold(self, places: List[_Place], start: int, stop: int) -> None:
+        """Hold activations ``start`` to ``stop`` of a bank's pending run
+        in line, whose unfilled places are ``places``: they join the
+        bank's last place if it ends at ``start`` and nothing entered
+        the line after it, else take a new place at the back."""
+        queue = self._queue
+        if places and queue[-1] is places[-1] and places[-1].stop == start:
+            places[-1].stop = stop
+        else:
+            place = _Place(start, stop)
+            queue.append(place)
+            places.append(place)
+
+    def flush(self) -> None:
+        """Trace the events at the front of the line, up to the first
+        unfilled place."""
+        queue = self._queue
+        while queue:
+            item = queue[0]
+            if type(item) is _Place:
+                if item.events is None:
+                    return
+                events = item.events
+            else:
+                events = (item,)
+            queue.popleft()
+            for kind, t, fields in events:
+                telem.trace(kind, t=t, **fields)
+
+
 @dataclass
 class BankStats:
     """Activity counters for one bank.
@@ -85,6 +158,9 @@ class BankStats:
     the flip was observed in.  Overflow is counted in ``flips_dropped``
     instead of grown without bound (``flips_materialized`` always
     counts every flip).
+
+    ``line`` (not a field) is the :class:`TraceLine` the bank's trace
+    events go through; a module hands its banks one shared line.
     """
 
     activations: int = 0
@@ -98,95 +174,15 @@ class BankStats:
     bank_index: int = 0
     refresh_epoch: int = 0
 
-    #: The trace hold of the bank's module, shared by its banks (left
-    #: unannotated, so not a dataclass field): empty, or ``[bank]``
-    #: while that bank's pending run holds back the trace events of the
-    #: module's other banks (see :class:`~repro.dram.columnar.ColumnarDramBank`).
-    #: ``None`` for a bank outside a module.
-    trace_hold = None
-
-    def _trace(self, kind: str, t: float, fields: Dict[str, Any]) -> None:
-        """Emit one trace event, or, while another bank of the module
-        holds the trace, queue it behind that bank's pending run."""
-        hold = self.trace_hold
-        if hold and hold[0]._stats is not self:
-            hold[0].hold_event(kind, t, fields)
-        else:
-            telem.trace(kind, t=t, **fields)
-
-    def record_flips(self, row: int, bits: np.ndarray, time: float,
-                     aggressor: int = -1, hammer: float = 0.0,
-                     pattern: str = "") -> None:
-        """Log materialized flips with provenance — vectorized, capped."""
-        n = len(bits)
-        if n == 0:
-            return
-        self.flips_materialized += n
-        epoch = self.refresh_epoch
-        if phys.physics_on:
-            phys.get_collector().record_flip_window(
-                self.bank_index, int(row), n, float(hammer), int(aggressor),
-                pattern, epoch)
-        cap = self.flip_log_cap
-        if cap is not None:
-            room = cap - len(self.flip_log)
-            if room < n:
-                room = max(room, 0)
-                self.flips_dropped += n - room
-                bits = bits[:room]
-                n = room
-                if n == 0:
-                    return
-        bit_list = bits.tolist() if isinstance(bits, np.ndarray) else [int(b) for b in bits]
-        self.flip_log.extend(zip(repeat(int(row), n), bit_list,
-                                 repeat(float(time), n),
-                                 repeat(int(aggressor), n),
-                                 repeat(float(hammer), n),
-                                 repeat(pattern, n), repeat(epoch, n)))
-
-    def record_flips_batch(self, rows: np.ndarray, bits: np.ndarray,
-                           times: np.ndarray,
-                           aggressors: Optional[np.ndarray] = None,
-                           hammers: Optional[np.ndarray] = None,
-                           pattern: str = "") -> None:
-        """Log many events' flips at once — parallel per-flip arrays in
-        log order.  Equivalent to per-event :meth:`record_flips` calls:
-        the cap truncates the same prefix and drops the same count."""
-        n = len(bits)
-        if n == 0:
-            return
-        self.flips_materialized += n
-        if aggressors is None:
-            aggressors = np.full(n, -1, dtype=np.int64)
-        if hammers is None:
-            hammers = np.zeros(n)
-        epoch = self.refresh_epoch
-        if phys.physics_on:
-            collector = phys.get_collector()
-            for row, agg, hammer in zip(rows.tolist(), aggressors.tolist(),
-                                        hammers.tolist()):
-                collector.record_flip_window(self.bank_index, int(row), 1,
-                                             float(hammer), int(agg),
-                                             pattern, epoch)
-        cap = self.flip_log_cap
-        if cap is not None:
-            room = cap - len(self.flip_log)
-            if room < n:
-                room = max(room, 0)
-                self.flips_dropped += n - room
-                if room == 0:
-                    return
-                rows, bits, times = rows[:room], bits[:room], times[:room]
-                aggressors, hammers = aggressors[:room], hammers[:room]
-                n = room
-        self.flip_log.extend(zip(rows.tolist(), bits.tolist(), times.tolist(),
-                                 aggressors.tolist(), hammers.tolist(),
-                                 repeat(pattern, n), repeat(epoch, n)))
+    def __post_init__(self) -> None:
+        self.line = TraceLine()
 
     # ------------------------------------------------------------------
     # The DRAM event vocabulary.  Both engines emit every counter bump,
-    # ``dram_*`` metric, trace event and physics record through these
-    # methods, one call per event, so the engines cannot drift apart.
+    # ``dram_*`` metric, flip-log entry, trace event and physics record
+    # through these methods, so the engines cannot drift apart, and
+    # every trace event through the bank's :class:`TraceLine`, so they
+    # leave in command order.
     # ------------------------------------------------------------------
     def on_activate(self, row: int, time: float,
                     count: Optional[int] = None) -> None:
@@ -200,15 +196,15 @@ class BankStats:
             fields = {"bank": self.bank_index, "row": row}
             if count is not None:
                 fields["count"] = count
-            self._trace("activate", time, fields)
+            self.line.emit("activate", time, fields)
         if phys.physics_on:
             phys.get_collector().record_activation(self.bank_index, row, n)
 
     def on_activate_run(self, rows: Sequence[int]) -> None:
         """One scalar ACT of each of ``rows``: the counters, metrics and
         physics heat of as many :meth:`on_activate` calls, recorded at
-        once.  Untraced: the columnar engine queues these activations
-        and traces them when it commits them (:meth:`trace_run`)."""
+        once.  Untraced: the columnar engine queues these activations,
+        holds their place in line, and fills it with :meth:`trace_run`."""
         n = len(rows)
         self.activations += n
         if telem.metrics_on:
@@ -231,12 +227,12 @@ class BankStats:
             telem.counter("dram_writes_total", bank=self.bank_index).inc()
 
     def on_refresh(self, rows: Sequence[int], time: float,
-                   hold: Optional[Callable] = None) -> None:
+                   flipped: Optional[Dict[int, int]] = None) -> None:
         """A refresh of each of ``rows`` (repeats count every time).
-        ``hold``, if given, takes each ``refresh`` event as ``(kind, t,
-        fields)`` instead of the tracer: the columnar engine holds the
-        events of a refresh it runs while its run is pending, and
-        places them with :meth:`trace_run`."""
+        ``flipped`` maps each row whose refresh flipped bits (already
+        logged by :meth:`on_flips`) to its flip count: that row's
+        ``bit_flip`` event follows its first ``refresh`` event, as the
+        reference's one-row refreshes trace them."""
         n = len(rows)
         if not n:
             return
@@ -244,9 +240,17 @@ class BankStats:
         if telem.metrics_on:
             telem.counter("dram_refreshes_total", bank=self.bank_index).inc(n)
         if telem.trace_on:
-            emit = hold or self._trace
+            bank = self.bank_index
+            emit = self.line.emit
+            left = dict(flipped) if flipped else {}
             for row in rows:
-                emit("refresh", time, {"bank": self.bank_index, "row": int(row)})
+                row = int(row)
+                emit("refresh", time, {"bank": bank, "row": row})
+                bits = left.pop(row, 0)
+                if bits:
+                    emit("bit_flip", float(time), {"bank": bank, "row": row,
+                                                   "bits": bits,
+                                                   "cause": "refresh"})
 
     def flip_metrics(self, cause: str):
         """Resolved ``(counter, histogram)`` for flips of ``cause``, or
@@ -258,42 +262,46 @@ class BankStats:
                               bank=self.bank_index, cause=cause),
                 telem.histogram("dram_flips_per_event", edges=_FLIP_BUCKETS))
 
-    def on_flips(self, row: int, bits: np.ndarray, time: float,
-                 aggressor: int, hammer: float, pattern: str, cause: str,
+    def on_flips(self, rows: Sequence[int], times: Sequence[float],
+                 flips: Sequence[np.ndarray], aggressors: Sequence[int],
+                 hammers: Sequence[float], pattern: str, cause: str,
                  metrics=None) -> None:
-        """One materialization window of ``row`` flipped ``bits``
-        (non-empty).  ``metrics`` is :meth:`flip_metrics`'s result for
-        ``cause`` when the caller resolved it once per batch.  Untraced:
-        an engine traces its windows with :meth:`trace_flips` or
-        :meth:`trace_run`, which place each ``bit_flip`` event."""
-        self.record_flips(row, bits, time, aggressor=aggressor,
-                          hammer=hammer, pattern=pattern)
-        n = len(bits)
+        """Materialization windows that flipped bits, in log order:
+        window ``k`` of row ``rows[k]`` flipped the bits ``flips[k]``
+        (non-empty) at ``times[k]``, under ``hammers[k]`` accumulated
+        pressure dominated by aggressor ``aggressors[k]`` (``-1``: none)
+        while ``pattern`` was stored.  Every flip counts; the log keeps
+        each with its provenance up to ``flip_log_cap``; metrics and
+        physics record once per window.  ``metrics`` is
+        :meth:`flip_metrics`'s result for ``cause`` when the caller
+        resolved it once per batch.  Untraced: an engine places each
+        window's ``bit_flip`` event with :meth:`trace_flips`,
+        :meth:`trace_run` or :meth:`on_refresh`."""
+        bank = self.bank_index
+        epoch = self.refresh_epoch
+        log = self.flip_log
+        cap = self.flip_log_cap
         if telem.metrics_on:
             counter, histogram = metrics or self.flip_metrics(cause)
-            counter.inc(n)
-            histogram.observe(n)
-
-    def on_flips_batch(self, rows: List[int], times: List[float],
-                       flips: List[np.ndarray], aggressors: List[int],
-                       hammers: List[float], pattern: str,
-                       cause: str) -> None:
-        """Many windows' flips at once, as parallel per-window lists in
-        log order (every window flipped something).  Equivalent to one
-        :meth:`on_flips` call per window (untraced, like it)."""
-        counts = [len(bits) for bits in flips]
-        metrics = self.flip_metrics(cause)
-        if metrics:
-            for n in counts:
-                metrics[1].observe(n)
-            metrics[0].inc(sum(counts))
-        self.record_flips_batch(
-            np.repeat(np.asarray(rows, dtype=np.int64), counts),
-            np.concatenate(flips),
-            np.repeat(np.asarray(times, dtype=np.float64), counts),
-            aggressors=np.repeat(np.asarray(aggressors, dtype=np.int64), counts),
-            hammers=np.repeat(np.asarray(hammers, dtype=np.float64), counts),
-            pattern=pattern)
+        collector = phys.get_collector() if phys.physics_on else None
+        for row, time, bits, agg, hammer in zip(rows, times, flips,
+                                                aggressors, hammers):
+            n = len(bits)
+            self.flips_materialized += n
+            if telem.metrics_on:
+                counter.inc(n)
+                histogram.observe(n)
+            if collector is not None:
+                collector.record_flip_window(bank, int(row), n, float(hammer),
+                                             int(agg), pattern, epoch)
+            if cap is not None and cap - len(log) < n:
+                room = max(cap - len(log), 0)
+                self.flips_dropped += n - room
+                bits, n = bits[:room], room
+            log.extend(zip(repeat(int(row), n), bits.tolist(),
+                           repeat(float(time), n), repeat(int(agg), n),
+                           repeat(float(hammer), n), repeat(pattern, n),
+                           repeat(epoch, n)))
 
     def trace_flips(self, rows: Sequence[int], times: Sequence[float],
                     counts: Sequence[int], cause: str) -> None:
@@ -304,41 +312,35 @@ class BankStats:
             return
         for row, time, n in zip(rows, times, counts):
             if n:
-                self._trace("bit_flip", float(time),
-                            {"bank": self.bank_index, "row": int(row),
-                             "bits": int(n), "cause": cause})
+                self.line.emit("bit_flip", float(time),
+                               {"bank": self.bank_index, "row": int(row),
+                                "bits": int(n), "cause": cause})
 
     def trace_run(self, rows: Sequence[int], times: Sequence[float],
                   closers: Sequence[int], counts: Sequence[int],
-                  held: Sequence[tuple] = (), start: int = 0) -> None:
-        """The trace events of a run of scalar ACTs from activation
-        ``start`` on, in command order: each ``activate``, followed by
-        the ``bit_flip`` of the window it closed.  Activation ``i``
-        opened ``rows[i]`` at ``times[i]``; window ``k`` was closed by
-        activation ``closers[k]`` and flipped ``counts[k]`` bits.
-        ``held`` lists the events held while the run was pending, as
-        ``(position, kind, t, fields)`` in the order they arose: each
-        goes out after the run's first ``position`` activations.  Where
-        the run was cut into commits, or traced in parts, does not
-        change the sequence."""
-        if not telem.trace_on:
-            return
+                  places: List[_Place]) -> None:
+        """Fill ``places``, the bank's unfilled places in line, with the
+        trace events of the activations they hold of a run of scalar
+        ACTs, in command order: each ``activate``, followed by the
+        ``bit_flip`` of the window it closed.  Activation ``i`` opened
+        ``rows[i]`` at ``times[i]``; window ``k`` was closed by
+        activation ``closers[k]`` and flipped ``counts[k]`` bits.  Then
+        the line moves on, and ``places`` is left empty."""
         flipped = {int(c): int(n) for c, n in zip(closers, counts) if n}
         bank = self.bank_index
-        emit = self._trace
-        k = 0
-        for i in range(start, len(rows)):
-            row, time = rows[i], times[i]
-            while k < len(held) and held[k][0] <= i:
-                emit(*held[k][1:])
-                k += 1
-            emit("activate", time, {"bank": bank, "row": row})
-            n = flipped.get(i)
-            if n:
-                emit("bit_flip", float(time), {"bank": bank, "row": int(row),
-                                               "bits": n, "cause": "activate"})
-        for entry in held[k:]:
-            emit(*entry[1:])
+        for place in places:
+            events = []
+            for i in range(place.start, place.stop):
+                row, time = rows[i], times[i]
+                events.append(("activate", time, {"bank": bank, "row": row}))
+                n = flipped.get(i)
+                if n:
+                    events.append(("bit_flip", float(time),
+                                   {"bank": bank, "row": int(row), "bits": n,
+                                    "cause": "activate"}))
+            place.events = events
+        places.clear()
+        self.line.flush()
 
     def on_settle(self, rows_touched: int) -> None:
         """A settle pass over a bank holding ``rows_touched`` rows."""
@@ -471,9 +473,9 @@ class DramBank:
             if sanit.sanitize_on:
                 sanit.note("dram.bank", self, row=row)
             self._stats.on_flips(
-                row, flipped, time,
-                -1 if aggressor is None else int(aggressor),
-                peak, self.default_pattern_name, cause)
+                (row,), (time,), (flipped,),
+                (-1 if aggressor is None else aggressor,), (peak,),
+                self.default_pattern_name, cause)
             self._stats.trace_flips((row,), (time,), (len(flipped),), cause)
         return flipped
 

@@ -70,24 +70,25 @@ is on.  A commit checks each row the run activates before applying it
 and notes the shadow digest of every row it instantiates or flips; the
 checker reads rows through :meth:`stored_copy` and charge through
 :meth:`stored_charge`, which change nothing.
-A commit traces the run in the reference's command order (each
-``activate``, then the ``bit_flip`` of the window it closed, and the
-events of each refresh that ran while the run was pending, held until
-then, after the activations queued before it), so the bank's own
-events do not depend on where commits fall.  A quiet read or write
-checks and traces the activations queued since the last one (a quiet
-prefix has no ``bit_flip``) with the events held so far, and the
-commit then checks and traces only the rest.  A stream ACT
-run (on both engines) and a batched refresh (``refresh_rows``,
-``refresh_all``; on this engine) emit all their ``activate``/``refresh``
-events before the run's ``bit_flip`` events, so a ``bit_flip`` can
-follow an ``activate`` with a later time; the events themselves, as a
-multiset, are the reference's.
+While tracing is on, each stretch of the bank's consecutive queued
+activations holds one place in its module's
+:class:`~repro.dram.bank.TraceLine`, and every other event of the
+module's banks waits behind the unfilled places.  A commit fills the
+run's places in command order (each ``activate``, then the
+``bit_flip`` of the window it closed), so where commits fall does not
+change the trace.  A quiet read or write checks the activations
+queued since the last one and fills their places (a quiet prefix has
+no ``bit_flip``); the commit then checks and traces only the rest.  A
+batched refresh traces each ``refresh`` followed by that row's
+``bit_flip``, as the reference's one-row refreshes do.  A stream ACT
+run emits all its ``activate`` events before the run's ``bit_flip``
+events on both engines, so a ``bit_flip`` can follow an ``activate``
+with a later time.
 
 Equivalence contract: for any command sequence, this engine and the
 reference engine produce identical flip logs, ``BankStats``, sanitizer
-shadow digests, stored data, and touch order.  Scalar commands are
-float-exact as well.  Only ``execute`` ACT runs may move pressure/peak
+shadow digests, stored data, touch order, and trace events in the same
+order.  Scalar commands are float-exact as well.  Only ``execute`` ACT runs may move pressure/peak
 (and so a flip's ``hammer``) at the ulp level: they add each window once
 via prefix sums where the reference accumulates per command.
 :mod:`repro.dram.differential` enforces the contract on randomized
@@ -101,7 +102,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.dram.bank import BankStats, DramBank
+from repro.dram.bank import BankStats, DramBank, _Place
 from repro.dram.disturbance import BLOCK_ROWS, WeakCellSet, _sorted_unique
 from repro.sanitizer import runtime as sanit
 from repro.telemetry import runtime as telem
@@ -282,9 +283,9 @@ class ColumnarDramBank(DramBank):
         #: their times in a parallel list.
         self._run: List[int] = []
         self._run_times: List[float] = []
-        #: Trace events held behind the pending run, ``(position, kind,
-        #: t, fields)``, for :meth:`BankStats.trace_run`.
-        self._held: List[tuple] = []
+        #: The bank's unfilled places in its module's trace line
+        #: (:class:`~repro.dram.bank.TraceLine`), oldest first.
+        self._places: List[_Place] = []
         #: ``(lo, hi, scanned)``: every row within distance 2 of the
         #: run's first ``scanned`` activations lies in ``[lo, hi]``.
         self._reach = (self.geometry.rows, -1, 0)
@@ -483,6 +484,8 @@ class ColumnarDramBank(DramBank):
         self._stats.on_activate_run((row,))
         self.open_row = row
         run = self._run
+        if telem.trace_on:
+            self._stats.line.hold(self._places, len(run), len(run) + 1)
         run.append(row)
         self._run_times.append(time)
         if len(run) >= _RUN_LIMIT:
@@ -500,12 +503,19 @@ class ColumnarDramBank(DramBank):
         start = 0
         while len(self._run) + len(rows) - start >= _RUN_LIMIT:
             stop = start + _RUN_LIMIT - len(self._run)
-            self._run += rows[start:stop]
-            self._run_times += times[start:stop]
+            self._queue(rows[start:stop], times[start:stop])
             self._commit()
             start = stop
-        self._run += rows[start:]
-        self._run_times += times[start:]
+        self._queue(rows[start:], times[start:])
+
+    def _queue(self, rows: Sequence[int], times: Sequence[float]) -> None:
+        """Append activations to the pending run, holding their place
+        in line while tracing is on."""
+        run = self._run
+        if telem.trace_on and len(rows):
+            self._stats.line.hold(self._places, len(run), len(run) + len(rows))
+        run += rows
+        self._run_times += times
 
     def _bulk_activate_body(self, row: int, count: int, time: float) -> None:
         _closers, counts = self._apply_acts((row,), (time,), count)
@@ -566,30 +576,21 @@ class ColumnarDramBank(DramBank):
 
     def _commit(self) -> None:
         """Apply the pending activation run, if any: check each row it
-        activates, apply it, and trace it in command order, with the
-        refreshes that ran while it was pending (all past the quiet
-        prefix :meth:`_quiet` already checked and traced)."""
+        activates, apply it, and fill its places in line (all past the
+        quiet prefix :meth:`_quiet` already checked and traced)."""
         if self._run:
             rows, self._run = self._run, []
             times, self._run_times = self._run_times, []
             start, self._traced = self._traced, 0
+            places, self._places = self._places, []
             self._reach = (self._cs.rows, -1, 0)
             self._charge = (0.0, 0)
-            held = self._release_held()
             if sanit.sanitize_on:
                 for row in dict.fromkeys(rows[start:]):
                     sanit.check("dram.bank", self, row=row)
             closers, counts = self._apply_acts(rows, times, 1)
-            self._stats.trace_run(rows, times, closers, counts, held, start)
-
-    def _release_held(self) -> List[tuple]:
-        """Hand over the events held behind the run, and stop holding
-        the module's trace."""
-        held, self._held = self._held, []
-        hold = self._stats.trace_hold
-        if hold and hold[0] is self:
-            hold.clear()
-        return held
+            if places:
+                self._stats.trace_run(rows, times, closers, counts, places)
 
     def _quiet(self) -> bool:
         """Whether no window the pending run closes can reach the flip
@@ -621,22 +622,19 @@ class ColumnarDramBank(DramBank):
         return top + n * bump < floor
 
     def _trace_prefix(self) -> None:
-        """Check and trace the quiet run's activations queued since the
-        last call (it has no ``bit_flip``), with its held events, as a
-        commit would; the run stays pending."""
+        """Check the quiet run's activations queued since the last call
+        and fill their places in line (a quiet run has no
+        ``bit_flip``), as a commit would; the run stays pending."""
         run = self._run
         start = self._traced
         if sanit.sanitize_on:
             for row in dict.fromkeys(run[start:]):
                 sanit.check("dram.bank", self, row=row)
         if self._run is run:  # a chaos injector's accessor may commit
-            self._stats.trace_run(run, self._run_times, (), (),
-                                  self._release_held(), start)
+            if self._places:
+                self._stats.trace_run(run, self._run_times, (), (),
+                                      self._places)
             self._traced = len(run)
-
-    def hold_event(self, kind: str, t: float, fields: dict) -> None:
-        """Hold a trace event behind the activations queued so far."""
-        self._held.append((len(self._run), kind, t, fields))
 
     def _refresh_defers(self, rows: List[int]) -> bool:
         """Whether a refresh of ``rows`` may run with the pending run
@@ -884,7 +882,7 @@ class ColumnarDramBank(DramBank):
         flipped = self._flip_row_now(row, peak, agg)
         if len(flipped):
             self._apply_row_flips(row, flipped)
-            self._stats.on_flips(row, flipped, time, agg, peak,
+            self._stats.on_flips((row,), (time,), (flipped,), (agg,), (peak,),
                                  self.default_pattern_name, cause, metrics)
         return flipped
 
@@ -917,8 +915,6 @@ class ColumnarDramBank(DramBank):
         store, sflips = state.store, state.flips
         #: window index -> (bits, mask, chunk start, chunk end, flip count)
         chunks: Dict[int, tuple] = {}
-        #: Each window's flip count against batch-start content.
-        flips_at = np.zeros(len(vrows), dtype=np.int64)
         for start in sorted(set(starts.tolist())):
             block = model.weak_cells_block(bank_index, int(start))
             sel = np.nonzero(starts == start)[0]
@@ -1004,54 +1000,25 @@ class ColumnarDramBank(DramBank):
                 cell_peak, victim_vals, agg_vals, agg_valid)
             flip_cum = np.concatenate(([0], np.cumsum(mask)))
             counts = flip_cum[bounds[1:]] - flip_cum[bounds[:-1]]
-            flips_at[sel] = counts
             for j in range(len(sel)):
                 chunks[int(sel[j])] = (bits, mask, int(bounds[j]),
                                        int(bounds[j + 1]), int(counts[j]))
 
-        if not chunks:
-            return flips_at
-
-        # Windows only interact when some window's aggressor is another
-        # window's victim (victims are distinct here); without that, no
-        # flip can invalidate a later gather, so application skips the
-        # dirty tracking and assembles the flip log in one batch.
-        svr = np.sort(vrows)
-        loc = np.minimum(np.searchsorted(svr, aggs), len(svr) - 1)
-        if not (svr[loc] == aggs).any():
-            rows_l: List[int] = []
-            times_l: List[float] = []
-            flips_l: List[np.ndarray] = []
-            aggs_l: List[int] = []
-            peaks_l: List[float] = []
-            for i in sorted(chunks):
-                bits, mask, s, e, count = chunks[i]
-                if not count:
-                    continue
-                flipped = bits[s:e][mask[s:e]]
-                row = int(vrows[i])
-                self._apply_row_flips(row, flipped)
-                rows_l.append(row)
-                times_l.append(float(times[i]))
-                flips_l.append(flipped)
-                aggs_l.append(int(aggs[i]))
-                peaks_l.append(float(peaks[i]))
-            if rows_l:
-                self._stats.on_flips_batch(rows_l, times_l, flips_l, aggs_l,
-                                           peaks_l, self.default_pattern_name,
-                                           cause)
-            return flips_at
-
-        # Apply in window order; re-evaluate any window whose inputs an
-        # earlier window's flips invalidated.
-        metrics = self._stats.flip_metrics(cause)
+        # Apply in window order.  Victims are distinct, so a window's
+        # gather is stale only if its aggressor row flipped earlier in
+        # the batch: that window re-evaluates against current content.
         dirty: set = set()
         counts = np.zeros(len(vrows), dtype=np.int64)
+        rows_l: List[int] = []
+        times_l: List[float] = []
+        flips_l: List[np.ndarray] = []
+        aggs_l: List[int] = []
+        peaks_l: List[float] = []
         for i in sorted(chunks):
             bits, mask, s, e, count = chunks[i]
             row = int(vrows[i])
             agg = int(aggs[i])
-            if row in dirty or (agg >= 0 and agg in dirty):
+            if agg in dirty:
                 flipped = self._flip_row_now(row, float(peaks[i]), agg)
             elif count:
                 flipped = bits[s:e][mask[s:e]]
@@ -1061,51 +1028,57 @@ class ColumnarDramBank(DramBank):
                 continue
             self._apply_row_flips(row, flipped)
             dirty.add(row)
-            self._stats.on_flips(row, flipped, float(times[i]), agg,
-                                 float(peaks[i]), self.default_pattern_name,
-                                 cause, metrics)
+            rows_l.append(row)
+            times_l.append(float(times[i]))
+            flips_l.append(flipped)
+            aggs_l.append(agg)
+            peaks_l.append(float(peaks[i]))
             counts[i] = len(flipped)
+        if rows_l:
+            self._stats.on_flips(rows_l, times_l, flips_l, aggs_l, peaks_l,
+                                 self.default_pattern_name, cause)
         return counts
 
     # ------------------------------------------------------------------
     # Batched refresh/settle
     # ------------------------------------------------------------------
     def _materialize_rows(self, rows: np.ndarray, time: float,
-                          cause: str) -> int:
+                          cause: str) -> Dict[int, int]:
         """Materialize the live (peak > 0) windows of distinct ``rows``,
-        in order, all at ``time``; return the flip count.  Leaves the
-        rows' pressure and peak for the caller to reset."""
+        in order, all at ``time``; return each flipped row's flip count,
+        in order.  Untraced; leaves the rows' pressure and peak for the
+        caller to reset."""
         state = self._cs
         peaks = state.peak[rows]
         live = peaks > 0
         if not live.any():
-            return 0
+            return {}
         victims = rows[live]
-        times = np.full(len(victims), float(time))
         counts = self._materialize_batch(
-            victims, peaks[live], state.last_agg[victims], times, cause)
-        self._stats.trace_flips(victims, times, counts, cause)
-        return int(counts.sum())
+            victims, peaks[live], state.last_agg[victims],
+            np.full(len(victims), float(time)), cause)
+        return {row: n for row, n in zip(victims.tolist(), counts.tolist())
+                if n}
 
     def refresh_all(self, time: float = 0.0) -> int:
         with telem.span("dram.refresh_all"):
             self._commit()
             state = self._cs
             rows = list(state.touch_order)
-            self._stats.on_refresh(rows, time)
             if sanit.sanitize_on:
                 for row in rows:
                     sanit.check("dram.bank", self, row=row)
-            flips = 0
+            flipped = {}
             if rows:
                 row_arr = np.asarray(rows, dtype=np.int64)
-                flips = self._materialize_rows(row_arr, time, "refresh")
+                flipped = self._materialize_rows(row_arr, time, "refresh")
                 state.pressure[row_arr] = 0.0
                 state.peak[row_arr] = 0.0
+            self._stats.on_refresh(rows, time, flipped)
             # Epoch advances per bank-wide REF even with nothing to
             # refresh — the reference loop body is simply empty.
             self._stats.refresh_epoch += 1
-            return flips
+            return sum(flipped.values())
 
     def refresh_rows(self, rows: Sequence[int], time: float = 0.0) -> int:
         state = self._cs
@@ -1116,54 +1089,46 @@ class ColumnarDramBank(DramBank):
             return 0
         self._check_rows(rows)
         deferred = bool(self._run) and self._refresh_defers(rows)
-        if deferred and self._traced < len(self._run):
-            # The refresh's events, and while this run holds the module's
-            # trace, those of its other banks, go out after the
-            # activations queued before them, when the run commits.
-            hold = self._stats.trace_hold
-            if hold is not None and not hold:
-                hold.append(self)
-            self._stats.on_refresh(rows, time, hold=self.hold_event)
-        else:
-            # A run whose activations are all traced holds nothing back.
-            if not deferred:
-                self._commit()
-            self._stats.on_refresh(rows, time)
+        if not deferred:
+            self._commit()
         if sanit.sanitize_on:
             for row in rows:
                 sanit.check("dram.bank", self, row=row)
+        flipped = {}
         if deferred:
             # No refreshed row holds a live window: the refresh only
             # clears their pressure (untouched rows' slots hold zero).
+            # Its events wait in line behind the run's activations.
             if state._pressure is not None:
                 state.pressure[rows] = 0.0
-            return 0
-        row_arr = np.asarray(rows, dtype=np.int64)
-        if state._touched is None or not state._touched[row_arr].any():
-            # Undisturbed rows only: the refresh is a no-op for the model.
-            return 0
-        # A row repeated in one batch sees zeroed state on its second
-        # refresh in the reference — only the first occurrence acts.
-        unique = row_arr[_first_occurrence(row_arr)]
-        flips = self._materialize_rows(unique, time, "refresh")
-        # Undisturbed rows are a no-op in the reference (no key
-        # insertion); their array slots already hold zero.
-        state.pressure[unique] = 0.0
-        state.peak[unique] = 0.0
-        return flips
+        elif state._touched is not None and state._touched[rows].any():
+            # Undisturbed rows only would be a no-op for the model.  A
+            # row repeated in one batch sees zeroed state on its second
+            # refresh in the reference — only the first occurrence
+            # acts.  Undisturbed rows are a no-op there (no key
+            # insertion); their array slots already hold zero.
+            row_arr = np.asarray(rows, dtype=np.int64)
+            unique = row_arr[_first_occurrence(row_arr)]
+            flipped = self._materialize_rows(unique, time, "refresh")
+            state.pressure[unique] = 0.0
+            state.peak[unique] = 0.0
+        self._stats.on_refresh(rows, time, flipped)
+        return sum(flipped.values())
 
     def settle(self, time: float = 0.0) -> int:
         with telem.span("dram.settle"):
             self._commit()
             state = self._cs
-            flips = 0
+            flipped = {}
             if state.touch_order:
                 row_arr = np.asarray(state.touch_order, dtype=np.int64)
-                flips = self._materialize_rows(row_arr, time, "settle")
+                flipped = self._materialize_rows(row_arr, time, "settle")
                 state.peak[row_arr] = 0.0
+                self._stats.trace_flips(flipped, [time] * len(flipped),
+                                        flipped.values(), "settle")
             mask = state._instantiated
             self._stats.on_settle(0 if mask is None else int(np.count_nonzero(mask)))
-            return flips
+            return sum(flipped.values())
 
     # ------------------------------------------------------------------
     # Stream ACT runs (the kernel behind ``execute``)

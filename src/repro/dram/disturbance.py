@@ -366,25 +366,3 @@ class DisturbanceModel:
         if len(flipped):
             data_bits[flipped] ^= 1
         return flipped
-
-    def min_threshold(self, bank: int, rows: range) -> float:
-        """Smallest ``hc_first`` across ``rows`` (inf if no weak cells)."""
-        best = float("inf")
-        if not self.profile.vulnerable or len(rows) == 0:
-            return best
-        for block, local in self._blocks_overlapping(bank, rows):
-            window = block.min_hc[local]
-            if len(window):
-                best = min(best, float(window.min()))
-        return best
-
-    def _blocks_overlapping(self, bank: int, rows: range):
-        """Yield ``(block, local_indices)`` pairs covering ``rows``."""
-        row_arr = np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
-        row_arr = row_arr[(row_arr >= 0) & (row_arr < self.geometry.rows)]
-        if len(row_arr) == 0:
-            return
-        for start in _sorted_unique(row_arr - row_arr % BLOCK_ROWS):
-            block = self.weak_cells_block(bank, int(start))
-            mask = (row_arr >= start) & (row_arr < start + block.n_rows)
-            yield block, row_arr[mask] - start

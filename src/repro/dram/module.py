@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.dram.bank import DramBank
+from repro.dram.bank import DramBank, TraceLine
 from repro.dram.columnar import ColumnarDramBank
 from repro.dram.disturbance import DisturbanceModel, VulnerabilityProfile
 from repro.dram.geometry import DDR3_2GB, DramGeometry
@@ -74,9 +74,9 @@ class DramModule:
             self.bank_class(geometry, self.model, i, default_pattern)
             for i in range(geometry.banks)
         ]
-        trace_hold: list = []
+        line = TraceLine()
         for bank in self.banks:
-            bank._stats.trace_hold = trace_hold
+            bank._stats.line = line
 
     @classmethod
     def from_vintage(

@@ -9,7 +9,7 @@ the order of 1.3 million times inside one 64 ms refresh window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.utils.units import MS, US
 from repro.utils.validation import check_positive
@@ -79,16 +79,6 @@ class TimingParams:
     def refresh_commands_per_window(self) -> int:
         """Number of REF commands issued per refresh window."""
         return int(round(self.tREFW / self.tREFI))
-
-    def with_refresh_multiplier(self, k: float) -> "TimingParams":
-        """Return timing with the refresh rate increased ``k``-fold.
-
-        Both the refresh window and the refresh-command interval shrink
-        by ``k``, matching the BIOS-patch mitigation deployed by system
-        vendors after the RowHammer disclosure.
-        """
-        check_positive("k", k)
-        return replace(self, tREFW=self.tREFW / k, tREFI=self.tREFI / k)
 
 
 #: DDR3-1333 timing, the simulator default.

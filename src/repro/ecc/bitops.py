@@ -5,36 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """LSB-first bit array of ``value`` with ``width`` entries."""
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def bits_to_int(bits: np.ndarray) -> int:
-    """Inverse of :func:`int_to_bits`."""
-    value = 0
-    for i, bit in enumerate(bits):
-        if bit:
-            value |= 1 << i
-    return value
-
-
 def parity(bits: np.ndarray) -> int:
     """Even parity (XOR reduction) of a bit array."""
     return int(np.bitwise_xor.reduce(bits.astype(np.uint8))) & 1
-
-
-def flip_bits(bits: np.ndarray, positions) -> np.ndarray:
-    """Return a copy of ``bits`` with the given positions inverted."""
-    out = bits.copy()
-    out[list(positions)] ^= 1
-    return out
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of differing bit positions."""
-    if a.shape != b.shape:
-        raise ValueError("arrays must have equal shape")
-    return int(np.count_nonzero(a != b))

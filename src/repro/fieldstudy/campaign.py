@@ -33,6 +33,7 @@ from repro.dram.stream import CommandStream
 from repro.fieldstudy.population import ModuleSpec, build_population, instantiate
 from repro.utils.rng import derive_rng
 from repro.utils.units import GIGA
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -71,6 +72,7 @@ class ModuleTestResult:
 def victim_pressure(module: DramModule, refresh_multiplier: float = 1.0) -> int:
     """Adjacent-activation pressure a double-sided sweep applies to each
     victim within one (scaled) refresh window."""
+    check_positive("refresh_multiplier", refresh_multiplier)
     timing = module.timing
     return int(timing.tREFW / refresh_multiplier / timing.tRC)
 

@@ -122,8 +122,3 @@ class CellPopulation:
     def row_of(self, cell_indices: np.ndarray) -> np.ndarray:
         """Map cell indices to their row indices."""
         return np.asarray(cell_indices) // self.cells_per_row
-
-    def row_min_retention(self, worst_case_pattern: bool = True) -> np.ndarray:
-        """Per-row weakest-cell retention, at current VRT state."""
-        times = self.retention_s(worst_case_pattern)
-        return times.reshape(self.rows, self.cells_per_row).min(axis=1)

@@ -259,6 +259,11 @@ class TestNewSubcommands:
         scaled_errors = int(scaled.split("errors: ")[1].split(" ")[0])
         assert scaled_errors < base_errors
 
+    def test_test_module_rejects_nonpositive_refresh_multiplier(self, capsys):
+        assert main(["test-module", "--manufacturer", "B", "--date", "2013.0",
+                     "--refresh-multiplier", "0"]) == 2
+        assert "refresh_multiplier" in capsys.readouterr().err
+
     def test_vref_experiment_registered(self, capsys):
         assert main(["run", "vref", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

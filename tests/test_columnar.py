@@ -2,8 +2,6 @@
 the bounded flip log, weak-cell cache eviction, batched refresh, and
 telemetry symmetry between the engines."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -106,36 +104,38 @@ class TestFlipLogCap:
     def test_default_cap(self):
         assert BankStats().flip_log_cap == DEFAULT_FLIP_LOG_CAP
 
+    @staticmethod
+    def _log(stats, row, bits, t):
+        """One window of ``row`` flipped ``bits`` at ``t``."""
+        stats.on_flips((row,), (t,), (bits,), (-1,), (0.0,), "", "activate")
+
     def test_cap_applies(self):
         stats = BankStats(flip_log_cap=5)
-        stats.record_flips(1, np.arange(8), 2.0)
+        self._log(stats, 1, np.arange(8), 2.0)
         assert len(stats.flip_log) == 5
         assert stats.flips_dropped == 3
         assert stats.flips_materialized == 8
-        stats.record_flips(2, np.arange(4), 3.0)
+        self._log(stats, 2, np.arange(4), 3.0)
         assert len(stats.flip_log) == 5
         assert stats.flips_dropped == 7
         assert stats.flips_materialized == 12
 
     def test_cap_none_is_unbounded(self):
         stats = BankStats(flip_log_cap=None)
-        stats.record_flips(1, np.arange(1000), 0.0)
+        self._log(stats, 1, np.arange(1000), 0.0)
         assert len(stats.flip_log) == 1000
 
     def test_batch_matches_sequential_records(self):
+        # One call over many windows logs what one call per window does.
         a, b = BankStats(flip_log_cap=10), BankStats(flip_log_cap=10)
         events = [(3, np.array([1, 5, 9]), 1.0),
                   (7, np.array([0, 2]), 2.0),
                   (9, np.array([4, 6, 8, 10]), 3.0),
                   (2, np.array([11]), 4.0)]
         for row, bits, t in events:
-            a.record_flips(row, bits, t)
-        rows = np.repeat([e[0] for e in events],
-                         [len(e[1]) for e in events])
-        times = np.repeat([e[2] for e in events],
-                          [len(e[1]) for e in events])
-        b.record_flips_batch(rows, np.concatenate([e[1] for e in events]),
-                             times)
+            self._log(a, row, bits, t)
+        rows, flips, times = zip(*events)
+        b.on_flips(rows, times, flips, [-1] * 4, [0.0] * 4, "", "activate")
         assert a.flip_log == b.flip_log
         assert a.flips_dropped == b.flips_dropped
         assert a.flips_materialized == b.flips_materialized
@@ -303,15 +303,15 @@ class TestMetricsSymmetry:
     def _observe(cls, script):
         """Run ``script`` on a fresh ``cls`` bank with metrics and
         tracing on; return the full metrics snapshot and the trace
-        events as a multiset of (kind, time, fields)."""
+        events as (kind, time, fields), in order."""
         telem.enable_metrics(fresh=True)
         telem.enable_tracing(capacity=1 << 16, fresh=True)
         bank = make_bank(cls, pattern="rowstripe")
         script(bank)
         assert bank.stats.flips_materialized > 0
         snapshot = telem.get_registry().snapshot()
-        events = Counter((e.kind, e.t, tuple(sorted(e.fields.items())))
-                         for e in telem.get_tracer().events())
+        events = [(e.kind, e.t, tuple(sorted(e.fields.items())))
+                  for e in telem.get_tracer().events()]
         return snapshot, events
 
     def _assert_engines_agree(self, script):

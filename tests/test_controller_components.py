@@ -37,11 +37,6 @@ class TestEnergyAccount:
         acct.record("act", 1)
         assert 0 < acct.refresh_share() < 1
 
-    def test_background_energy(self):
-        acct = EnergyAccount()
-        acct.advance(1000.0)
-        assert acct.background_nj == pytest.approx(1000.0 * acct.params.background_nw_per_ns)
-
 
 class TestPerfCounters:
     def test_windows_close_on_time(self):

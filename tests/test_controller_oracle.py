@@ -36,7 +36,6 @@ collects, and observers must see the same in both.
 """
 
 import contextlib
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -552,10 +551,9 @@ def test_observers_leave_the_engine_path_alone(config, driver, observer,
 @pytest.mark.parametrize("driver", DRIVERS)
 @pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
 def test_traces_agree_across_engines(config, driver):
-    # The columnar bank traces a pending run when it commits it, in
-    # command order, so the whole controller trace is the reference's.
-    # Only a batched refresh's bit_flip events may sit elsewhere (after
-    # all of that refresh's events); those agree as a multiset.
+    # The columnar bank's queued activations hold their place in the
+    # module's trace line until it traces them, so the whole controller
+    # trace is the reference's, in order.
     traces = {}
     for engine in ENGINES:
         recorder = TraceRecorder(capacity=1 << 17)
@@ -564,16 +562,10 @@ def test_traces_agree_across_engines(config, driver):
             DRIVERS[driver](ctrl)
             ctrl.finish()
         assert len(recorder) < 1 << 17, "the trace must not spill"
-        ordered, late = [], Counter()
-        for e in recorder.events():
-            event = (e.kind, e.t, tuple(sorted(e.fields.items())))
-            if e.kind == "bit_flip" and e.fields["cause"] != "activate":
-                late[event] += 1
-            else:
-                ordered.append(event)
-        traces[engine] = (ordered, late)
+        traces[engine] = [(e.kind, e.t, tuple(sorted(e.fields.items())))
+                          for e in recorder.events()]
     assert traces["columnar"] == traces["reference"]
-    kinds = {kind for kind, _t, _fields in traces["reference"][0]}
+    kinds = {kind for kind, _t, _fields in traces["reference"]}
     assert {"activate", "refresh"} <= kinds
 
 
@@ -777,7 +769,13 @@ CPU_OBSERVED = CpuCase("observed", calls((10**9, 600_000.0)),
 
 
 def per_bank(events):
-    """Trace events grouped by bank, each bank's in emission order."""
+    """Trace events grouped by bank, each bank's in emission order.
+
+    The bulk loops issue one ``activate_run`` per bank per block, so
+    their events of two banks interleave by block where the per-load
+    loop's interleave by load: the order across banks comes from the
+    driver, not the engine, and only each bank's own order is compared
+    here."""
     banks = {}
     for e in events:
         banks.setdefault(e.fields["bank"], []).append(
@@ -821,6 +819,21 @@ def test_observers_see_bulk_cpu_loops_as_per_load(loop, engine, sink,
     assert seen == per_load_seen
     if sink == "trace" and loop != "naive":
         assert len(seen[1]) == (2 if loop == "eviction" else 1)
+
+
+def test_per_load_cpu_trace_agrees_across_engines():
+    # The per-load eviction walks queue activations on both banks in
+    # turn; the columnar trace still leaves in command order.
+    traces = {}
+    for engine in ENGINES:
+        recorder = TraceRecorder(capacity=1 << 17)
+        with telem.observing(trace=recorder):
+            drive_cpu(engine, CPU_OBSERVED, "eviction", per_load)
+        assert len(recorder) < 1 << 17, "the trace must not spill"
+        traces[engine] = [(e.kind, e.t, sorted(e.fields.items()))
+                          for e in recorder.events()]
+    assert traces["columnar"] == traces["reference"]
+    assert {fields[0][1] for _kind, _t, fields in traces["reference"]} == {0, 1}
 
 
 def cpu_engine_path(cpu):

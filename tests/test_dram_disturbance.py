@@ -135,14 +135,20 @@ class TestFlipEvaluation:
         assert len(first) > 0 and len(second) == 0
 
     def test_min_threshold(self):
+        # A block's per-row ``min_hc`` is the smallest threshold of the row.
         model = make_model()
-        t = model.min_threshold(0, range(32))
+        min_hc = model.weak_cells_block(0, 0).min_hc[:32]
+        t = float(min_hc.min())
         assert t >= PROFILE.hc_first_min
         assert t < float("inf")
+        for row in range(32):
+            cells = model.weak_cells(0, row)
+            expected = float(cells.hc_first.min()) if len(cells) else float("inf")
+            assert min_hc[row] == expected
 
     def test_min_threshold_invulnerable_is_inf(self):
         model = make_model(profile=INVULNERABLE)
-        assert model.min_threshold(0, range(8)) == float("inf")
+        assert np.all(model.weak_cells_block(0, 0).min_hc[:8] == float("inf"))
 
 
 class TestProfileValidation:

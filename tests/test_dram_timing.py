@@ -1,7 +1,10 @@
 """Tests for DDR timing parameters."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.attacks import per_bank_budget_multibank
 from repro.dram import DDR3_1066, DDR3_1333, TimingParams
 
 
@@ -23,13 +26,17 @@ class TestTimingParams:
         )
 
     def test_with_refresh_multiplier_shrinks_window(self):
-        scaled = DDR3_1333.with_refresh_multiplier(4)
-        assert scaled.tREFW == pytest.approx(DDR3_1333.tREFW / 4)
-        assert scaled.tREFI == pytest.approx(DDR3_1333.tREFI / 4)
+        # A k-fold refresh rate budgets as if tREFW and tREFI shrank k-fold.
+        scaled = replace(DDR3_1333, tREFW=DDR3_1333.tREFW / 4, tREFI=DDR3_1333.tREFI / 4)
+        assert scaled.refresh_commands_per_window == DDR3_1333.refresh_commands_per_window
+        assert per_bank_budget_multibank(DDR3_1333, 1, refresh_multiplier=4) == (
+            per_bank_budget_multibank(scaled, 1)
+        )
 
     def test_multiplier_reduces_budget_proportionally(self):
         base = DDR3_1333.max_activations_per_refresh_window
-        scaled = DDR3_1333.with_refresh_multiplier(2).max_activations_per_refresh_window
+        assert per_bank_budget_multibank(DDR3_1333, 1) == base
+        scaled = per_bank_budget_multibank(DDR3_1333, 1, refresh_multiplier=2)
         assert abs(scaled - base // 2) <= 1
 
     def test_trc_must_cover_ras_plus_rp(self):
@@ -42,4 +49,4 @@ class TestTimingParams:
 
     def test_multiplier_must_be_positive(self):
         with pytest.raises(ValueError):
-            DDR3_1333.with_refresh_multiplier(0)
+            per_bank_budget_multibank(DDR3_1333, 1, refresh_multiplier=0)

@@ -11,32 +11,13 @@ from repro.ecc import (
     evaluate_code_against_histogram,
     flips_per_word,
 )
-from repro.ecc.bitops import bits_to_int, flip_bits, hamming_distance, int_to_bits, parity
+from repro.ecc.bitops import parity
 
 
 class TestBitops:
-    def test_int_bits_roundtrip(self):
-        for value in (0, 1, 0xDEADBEEF, 2**63):
-            assert bits_to_int(int_to_bits(value, 64)) == value
-
-    def test_int_to_bits_overflow(self):
-        with pytest.raises(ValueError):
-            int_to_bits(16, 4)
-
     def test_parity(self):
         assert parity(np.array([1, 1, 0], dtype=np.uint8)) == 0
         assert parity(np.array([1, 0, 0], dtype=np.uint8)) == 1
-
-    def test_flip_bits(self):
-        bits = np.zeros(8, dtype=np.uint8)
-        out = flip_bits(bits, [1, 3])
-        assert list(out) == [0, 1, 0, 1, 0, 0, 0, 0]
-        assert np.all(bits == 0)  # original untouched
-
-    def test_hamming_distance(self):
-        a = np.array([1, 0, 1], dtype=np.uint8)
-        b = np.array([0, 0, 1], dtype=np.uint8)
-        assert hamming_distance(a, b) == 1
 
 
 class TestFlipsPerWord:

@@ -70,6 +70,14 @@ class TestWholeModuleScan:
         scaled = whole_module_errors(module, refresh_multiplier=4.0).errors
         assert scaled < base
 
+    @pytest.mark.parametrize("multiplier", [0.0, -2.0])
+    def test_nonpositive_refresh_multiplier_rejected(self, multiplier):
+        module = instantiate(build_population()[0], geometry=SMALL_GEO)
+        with pytest.raises(ValueError, match="refresh_multiplier"):
+            victim_pressure(module, multiplier)
+        with pytest.raises(ValueError, match="refresh_multiplier"):
+            whole_module_errors(module, refresh_multiplier=multiplier)
+
     def test_solid_pattern_fewer_errors_than_rowstripe(self):
         spec = next(s for s in build_population() if s.date >= 2013.0 and s.manufacturer == "B")
         module = instantiate(spec, geometry=SMALL_GEO)

@@ -96,10 +96,6 @@ class TestCellPopulation:
         weaker = pop.failing_cells(refresh_interval_s=10.0)
         assert len(weak) <= len(weaker)
 
-    def test_row_min_retention_shape(self):
-        pop = make_population()
-        assert pop.row_min_retention().shape == (128,)
-
     def test_deterministic(self):
         a = make_population(seed=5).nominal_s
         b = make_population(seed=5).nominal_s
