@@ -9,11 +9,10 @@ the simulator:
 * the **controller path**
   (:meth:`~repro.controller.controller.MemoryController.run_activation_pattern`)
   runs the pattern through the full command pipeline — timing,
-  auto-refresh, perf counters, and any installed mitigation — used for
-  mitigation effectiveness experiments.  The controller issues each stretch
-  between refresh deadlines, perf-window closes and mitigation actions
-  as one bank run, with the same result as issuing every activation
-  on its own.
+  auto-refresh, energy accounting, and any installed mitigation — used
+  for mitigation effectiveness experiments.  The controller issues each
+  stretch between refresh deadlines and mitigation actions as one bank
+  run, with the same result as issuing every activation on its own.
 """
 
 from __future__ import annotations

@@ -688,7 +688,7 @@ def _report_jobs(names: List[str], seed: int, seeds: Optional[int],
     jobs: List[Job] = []
     for name in names:
         spec = registry.get(name)
-        if seeds is not None and seeds > 0 and spec.accepts_seed:
+        if seeds is not None and spec.accepts_seed:
             jobs.extend(Job(name, {}, derive_seed(base_seed, i))
                         for i in range(seeds))
         else:
@@ -701,6 +701,9 @@ def _report(args) -> int:
     self-contained report artifact (see :mod:`repro.report`)."""
     from repro.report import check_report, render_report
 
+    if args.seeds is not None and args.seeds < 1:
+        print("error: a sweep needs --seeds >= 1", file=sys.stderr)
+        return 2
     _apply_sanitize(args)
     fmt = args.format
     if fmt is None:

@@ -1,9 +1,8 @@
-"""Memory-controller substrate: command path, refresh, energy, counters."""
+"""Memory-controller substrate: command path, refresh, energy, mitigation hooks."""
 
 from repro.controller.controller import ControllerStats, MemoryController
 from repro.controller.energy import EnergyAccount, EnergyParams
 from repro.controller.hooks import MitigationHook, NullMitigation
-from repro.controller.perfcounters import PerfCounters, WindowSample
 from repro.controller.refresh import RefreshEngine, RefreshStats
 
 __all__ = [
@@ -13,8 +12,6 @@ __all__ = [
     "EnergyParams",
     "MitigationHook",
     "NullMitigation",
-    "PerfCounters",
-    "WindowSample",
     "RefreshEngine",
     "RefreshStats",
 ]

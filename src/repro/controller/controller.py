@@ -1,9 +1,9 @@
 """The memory controller: glue between workloads, device, and mitigations.
 
 The controller advances simulated time command by command (tRC per
-activation, tRFC per REF), drives the module's banks, feeds performance
-counters, and invokes the installed mitigation hook after every
-activation.  Hammer patterns (:meth:`MemoryController.run_activation_pattern`)
+activation, tRFC per REF), drives the module's banks, keeps energy
+and activity counts, and invokes the installed mitigation hook after
+every activation.  Hammer patterns (:meth:`MemoryController.run_activation_pattern`)
 run in segments that are exactly equivalent to that per-command loop.
 Mitigations request victim refreshes through
 :meth:`MemoryController.refresh_neighbors`, which resolves adjacency
@@ -13,14 +13,13 @@ paper's proposal) or by naive logical +/-1 guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.controller.energy import EnergyAccount
 from repro.controller.hooks import MitigationHook, NullMitigation
-from repro.controller.perfcounters import PerfCounters
 from repro.controller.refresh import RefreshEngine
 from repro.dram.module import DramModule
 from repro.telemetry import runtime as telem
@@ -33,7 +32,6 @@ class ControllerStats:
     activations: int = 0
     mitigation_refreshes: int = 0
     flips_observed: int = 0
-    flip_events: List[tuple] = field(default_factory=list)
 
 
 class MemoryController:
@@ -45,7 +43,6 @@ class MemoryController:
         refresh_multiplier: auto-refresh rate multiplier.
         spd_adjacency: whether victim-refresh requests use the true
             (SPD-published) adjacency or naive logical +/-1.
-        perf_window_ns: performance-counter sampling window.
     """
 
     def __init__(
@@ -54,14 +51,12 @@ class MemoryController:
         mitigation: Optional[MitigationHook] = None,
         refresh_multiplier: float = 1.0,
         spd_adjacency: bool = True,
-        perf_window_ns: float = 1_000_000.0,
         refresh_row_bins=None,
     ) -> None:
         self.module = module
         self.mitigation = mitigation if mitigation is not None else NullMitigation()
         self.refresh_engine = RefreshEngine(module, refresh_multiplier, row_bins=refresh_row_bins)
         self.energy = EnergyAccount()
-        self.perf = PerfCounters(window_ns=perf_window_ns)
         self.spd_adjacency = spd_adjacency
         self.time_ns = 0.0
         self.stats = ControllerStats()
@@ -88,8 +83,7 @@ class MemoryController:
     def _after_command(self, bank: int, logical_row: int, kind: str) -> None:
         """The tail of one ``kind`` command (``activate``, ``read`` or
         ``write``) the module just ran: precharge, tRC, energy,
-        statistics, perf counters, the mitigation hook and any REF that
-        fell due."""
+        statistics, the mitigation hook and any REF that fell due."""
         self.module.precharge(bank)
         self.time_ns += self.module.timing.tRC
         self.energy.record("act")
@@ -99,7 +93,6 @@ class MemoryController:
         self.stats.activations += 1
         if telem.metrics_on:
             telem.counter("ctrl_commands_total", kind=kind).inc()
-        self.perf.record_activate(bank, logical_row, self.time_ns)
         self.mitigation.on_activate(self, bank, logical_row, self.time_ns)
         self._service_refresh()
 
@@ -130,7 +123,6 @@ class MemoryController:
     def _note_flips(self, bank: int, row: int, flips) -> None:
         if len(flips):
             self.stats.flips_observed += len(flips)
-            self.stats.flip_events.append((bank, row, len(flips), self.time_ns))
             if telem.metrics_on:
                 telem.counter("ctrl_flips_observed_total").inc(len(flips))
 
@@ -152,16 +144,16 @@ class MemoryController:
         """Interleave ``iterations`` rounds of activations over ``rows``.
 
         Equivalent to calling :meth:`activate` on each command in turn:
-        every activation passes through timing, refresh, perf counters
-        and the mitigation hook, with the same ``+= tRC`` float adds.
-        The pattern runs in *segments*.  A segment ends after the first
-        command at which a REF falls due, a perf-counter window closes,
-        or the mitigation acts (its ``scan`` stops there).  The segment
-        is one bank ``activate_run``, one energy and statistics update
-        and one perf-counter feed; only its last command can reach the
-        hook's ``on_activate`` and the refresh engine.  The bank, the
-        rows and their remap are validated once, before any state
-        changes.  The whole pattern is one profiling span.
+        every activation passes through timing, refresh and the
+        mitigation hook, with the same ``+= tRC`` float adds.  The
+        pattern runs in *segments*.  A segment ends after the first
+        command at which a REF falls due or the mitigation acts (its
+        ``scan`` stops there).  The segment is one bank
+        ``activate_run`` and one energy and statistics update; only its
+        last command can reach the hook's ``on_activate`` and the
+        refresh engine.  The bank, the rows and their remap are
+        validated once, before any state changes.  The whole pattern is
+        one profiling span.
         """
         with telem.span("ctrl.activation_pattern"):
             rows = list(rows)
@@ -172,18 +164,17 @@ class MemoryController:
             to_physical = self.module.remapper.to_physical
             physical = [to_physical(row) for row in rows]
             tRC = self.module.timing.tRC
-            engine, perf, hook = self.refresh_engine, self.perf, self.mitigation
+            engine, hook = self.refresh_engine, self.mitigation
             done = 0
             while done < total:
                 start = self.time_ns
-                times = _times_until(start, tRC, total - done, min(
-                    engine.next_ref_ns, perf.window_start + perf.window_ns))
+                times = _times_until(start, tRC, total - done, engine.next_ref_ns)
                 offset = done % len(rows)
                 seg_rows = _cycle(rows, offset, len(times))
                 quiet = hook.scan(self, bank, seg_rows, times)
                 acting = quiet < len(times)
                 if acting:
-                    del seg_rows[quiet + 1:], times[quiet + 1:]
+                    del times[quiet + 1:]
                 n = len(times)
                 dev.activate_run(_cycle(physical, offset, n), [start] + times[:-1])
                 dev.precharge()
@@ -193,9 +184,8 @@ class MemoryController:
                 self.stats.activations += n
                 if telem.metrics_on:
                     telem.counter("ctrl_commands_total", kind="activate").inc(n)
-                perf.record_run(bank, seg_rows, self.time_ns)
                 if acting:
-                    hook.on_activate(self, bank, seg_rows[-1], self.time_ns)
+                    hook.on_activate(self, bank, seg_rows[quiet], self.time_ns)
                 self._service_refresh()
                 done += n
 
@@ -214,7 +204,6 @@ class MemoryController:
     def finish(self) -> int:
         """Materialize pending flips everywhere; return total module flips."""
         with telem.span("ctrl.finish"):
-            self.perf.flush(self.time_ns)
             self.module.settle(self.time_ns)
             return self.module.total_flips()
 

@@ -21,7 +21,6 @@ class EnergyParams:
     read_nj: float = 13.0
     write_nj: float = 13.5
     refresh_row_nj: float = 13.0  # one internal row refresh (act+pre)
-    background_nw_per_ns: float = 0.08  # standby power, nJ per ns
 
 
 @dataclass
@@ -35,17 +34,12 @@ class EnergyAccount:
 
     params: EnergyParams = field(default_factory=EnergyParams)
     counts: Dict[str, int] = field(default_factory=lambda: {"act": 0, "pre": 0, "read": 0, "write": 0, "refresh_row": 0})
-    elapsed_ns: float = 0.0
 
     def record(self, command: str, count: int = 1) -> None:
         """Record ``count`` commands of the given kind."""
         if command not in self.counts:
             raise KeyError(f"unknown command {command!r}; options: {sorted(self.counts)}")
         self.counts[command] += count
-
-    def advance(self, dt_ns: float) -> None:
-        """Accumulate background time."""
-        self.elapsed_ns += dt_ns
 
     @property
     def dynamic_nj(self) -> float:

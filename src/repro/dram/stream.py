@@ -1,18 +1,18 @@
 """Command streams: the batch unit of the columnar DRAM engine.
 
 A :class:`CommandStream` is an append-only sequence of bank commands
-(ACT/PRE/REF/SETTLE/WRITE/READ) that can be executed two ways:
-
-* replayed one command at a time through the per-command reference
-  path (:meth:`repro.dram.bank.DramBank.execute`), or
-* compiled into numpy event arrays and applied wholesale by the
-  columnar engine (:mod:`repro.dram.columnar`).
+(ACT/PRE/REF/SETTLE/WRITE/READ).  Both engines run it through one
+dispatch loop (:meth:`repro.dram.bank.DramBank.execute`), which
+iterates the commands and gathers each uninterrupted ACT run.  The
+per-command reference engine applies a run one activation at a time;
+the columnar engine (:mod:`repro.dram.columnar`) applies it wholesale
+as one array program.
 
 Both executions are defined to produce identical simulator state; the
 differential oracle (:mod:`repro.dram.differential`) holds them to it.
 
-The stream layer is deliberately dumb: plain parallel Python lists,
-no numpy until an executor asks for arrays, and no model imports, so
+The stream layer is deliberately dumb: plain parallel Python lists
+that executors iterate command by command, and no model imports, so
 every layer (attacks, campaigns, experiments) can build streams
 without caring which engine will run them.
 """
@@ -123,15 +123,6 @@ class CommandStream:
     def payload(self, index: int) -> Optional[np.ndarray]:
         """The write data attached to command ``index`` (None otherwise)."""
         return self._payloads.get(index)
-
-    def arrays(self):
-        """The stream as ``(op, row, count, time)`` numpy arrays."""
-        return (
-            np.asarray(self._op, dtype=np.int64),
-            np.asarray(self._row, dtype=np.int64),
-            np.asarray(self._count, dtype=np.int64),
-            np.asarray(self._time, dtype=np.float64),
-        )
 
     def __repr__(self) -> str:
         from collections import Counter

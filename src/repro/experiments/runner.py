@@ -1123,6 +1123,8 @@ class ExperimentRunner:
     def sweep(self, name: str, seeds: int, base_seed: int = 0,
               params: Optional[Mapping[str, Any]] = None) -> List[ExperimentResult]:
         """Run ``seeds`` deterministic-seed replicas of one experiment."""
+        if seeds < 1:
+            raise ValueError("a sweep needs 'seeds' >= 1")
         spec = registry.get(name)
         if not spec.accepts_seed:
             raise ValueError(

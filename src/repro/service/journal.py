@@ -114,7 +114,7 @@ class JobSpec:
         kind = payload.get("kind")
         seeds = int(payload.get("seeds") or 0)
         if kind is None:  # infer: a seeds count means a sweep
-            kind = "sweep" if seeds > 0 else "experiment"
+            kind = "experiment" if payload.get("seeds") is None else "sweep"
         if kind not in ("experiment", "sweep"):
             raise ValueError(f"unknown job kind {kind!r}")
         if kind == "sweep":

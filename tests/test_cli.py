@@ -112,6 +112,14 @@ class TestReportCommand:
         assert "## Environment" in text and "## Results" in text
         assert "| para_reliability | - | ok |" in text  # seedless experiment
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_report_rejects_fewer_than_one_seed(self, seeds, tmp_path, capsys):
+        output = tmp_path / "report.md"
+        assert main(["report", "c12", "--seeds", seeds,
+                     "--output", str(output)]) == 2
+        assert "error: a sweep needs --seeds >= 1" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_report_many_experiments_round_trip(self, tmp_path, capsys):
         output = tmp_path / "report.md"
         assert main(["report", "c12", "sidedness", "--seed", "2",
@@ -171,6 +179,11 @@ class TestSweepCommand:
         assert main(argv) == 0
         second = json.loads(capsys.readouterr().out)
         assert [r["payload"] for r in first] == [r["payload"] for r in second]
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_sweep_rejects_fewer_than_one_seed(self, seeds, capsys):
+        assert main(["sweep", "c12", "--seeds", seeds, "--no-cache"]) == 2
+        assert "error: a sweep needs 'seeds' >= 1" in capsys.readouterr().err
 
     def test_sweep_rejects_seedless_experiment(self, capsys):
         assert main(["sweep", "c5", "--seeds", "2", "--no-cache"]) == 2

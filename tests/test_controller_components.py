@@ -1,11 +1,10 @@
-"""Tests for controller components: energy, counters, refresh."""
+"""Tests for controller components: energy and refresh."""
 
 import pytest
 
 from repro.controller import (
     EnergyAccount,
     EnergyParams,
-    PerfCounters,
     RefreshEngine,
 )
 from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
@@ -36,36 +35,6 @@ class TestEnergyAccount:
         acct.record("refresh_row", 10)
         acct.record("act", 1)
         assert 0 < acct.refresh_share() < 1
-
-
-class TestPerfCounters:
-    def test_windows_close_on_time(self):
-        perf = PerfCounters(window_ns=100.0, top_k=2)
-        perf.record_activate(0, 1, 10.0)
-        perf.record_activate(0, 1, 50.0)
-        perf.record_activate(0, 2, 150.0)  # closes first window
-        assert len(perf.samples) == 1
-        assert perf.samples[0].total_activations == 2
-        assert perf.samples[0].hot_rows[0] == ((0, 1), 2)
-
-    def test_flush(self):
-        perf = PerfCounters(window_ns=100.0)
-        perf.record_activate(0, 1, 10.0)
-        perf.flush(350.0)
-        assert len(perf.samples) == 3
-        assert perf.samples[0].peak_row_count == 1
-        assert perf.samples[1].total_activations == 0
-
-    def test_top_k_limits_visibility(self):
-        perf = PerfCounters(window_ns=100.0, top_k=1)
-        for row in range(5):
-            perf.record_activate(0, row, 1.0)
-        perf.flush(150.0)
-        assert len(perf.samples[0].hot_rows) == 1
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            PerfCounters(window_ns=0)
 
 
 class TestRefreshEngine:

@@ -9,13 +9,13 @@ command as it arrives.  The same seeded activation pattern and
 attacker-mixed trace run under each mitigation, a RAIDR-binned
 controller, the CPU's CLFLUSH hammer loop and a SoftMC hammer program;
 flip logs (full provenance, floats exact), controller time,
-mitigation refresh counts and perf-counter samples must all agree, and
+mitigation refresh counts and controller statistics must all agree, and
 so must the physics layer's heat map, flip provenance and mitigation
 audit trail.  The columnar side is the production :class:`DramModule`;
 the reference side is the oracle's :class:`ReferenceModule`.
 
 ``run_activation_pattern`` issues each stretch between refresh
-deadlines, perf-window closes and mitigation actions as one bank run.
+deadlines and mitigation actions as one bank run.
 Its oracle is :func:`activate_loop`, the same pattern one
 ``ctrl.activate`` at a time: on both engines, for every config and the
 corner cases in :data:`SEGMENT_CASES`, the two must agree on
@@ -107,7 +107,7 @@ def make_controller(engine, mitigation, kwargs, multiplier, raidr,
     return MemoryController(module, mitigation=hook,
                             refresh_multiplier=multiplier,
                             spd_adjacency=spd_adjacency,
-                            perf_window_ns=20_000.0, refresh_row_bins=bins)
+                            refresh_row_bins=bins)
 
 
 def flip_logs(module):
@@ -121,7 +121,6 @@ def controller_outcome(ctrl, finished):
         "total_flips": ctrl.module.total_flips(),
         "time_ns": ctrl.time_ns,
         "extra_refresh_ops": ctrl.mitigation.extra_refresh_ops(),
-        "perf_samples": list(ctrl.perf.samples),
         "stats": ctrl.stats,
         "refresh": ctrl.refresh_engine.stats,
     }
@@ -158,7 +157,7 @@ def test_mixed_trace_agrees(config):
     reference, columnar = (run_mixed_trace(engine, config)
                            for engine in ENGINES)
     assert reference == columnar
-    assert reference["perf_samples"], "the trace must close perf windows"
+    assert reference["refresh"].ref_commands, "the trace must reach REFs"
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
@@ -269,14 +268,11 @@ def mitigation_state(hook):
 
 def full_state(ctrl):
     """Everything the segmented and per-command paths must agree on,
-    read before ``finish`` (which closes perf windows and settles)."""
+    read before ``finish`` (which settles)."""
     return {
         "time_ns": ctrl.time_ns,
         "stats": ctrl.stats,
         "energy": dict(ctrl.energy.counts),
-        "perf_samples": list(ctrl.perf.samples),
-        "perf_window_start": ctrl.perf.window_start,
-        "perf_counts": list(ctrl.perf.current_counts().items()),
         "refresh": ctrl.refresh_engine.stats,
         "next_ref_ns": ctrl.refresh_engine.next_ref_ns,
         "mitigation": mitigation_state(ctrl.mitigation),
@@ -356,9 +352,29 @@ def test_segment_cases_exercise_their_corners():
     assert ctrl.mitigation.detections > 0
     ctrl = drive_both("columnar", cases["none-chunked"])[0]
     assert ctrl.refresh_engine.stats.ref_commands > 0
-    assert len(ctrl.perf.samples) > 1
     ctrl = drive_both("columnar", cases["para-interleaved"])[0]
     assert ctrl.mitigation.triggers > 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_segments_end_only_at_ref_deadlines(engine, monkeypatch):
+    # With no mitigation acting, a segment ends at each REF deadline and
+    # nowhere else: the bank sees one run per REF interval crossed, plus
+    # the tail.  The pattern runs past 1 ms, which no REF deadline hits.
+    bank_class = MODULES[engine].bank_class
+    activate_run = bank_class.activate_run
+    runs = []
+
+    def counted(self, rows, times):
+        runs.append(len(rows))
+        return activate_run(self, rows, times)
+
+    monkeypatch.setattr(bank_class, "activate_run", counted)
+    ctrl = make_controller(engine, *CONFIG["none"][1:])
+    ctrl.run_activation_pattern(0, PAIR, 10_500)
+    assert ctrl.time_ns > 1_000_000.0
+    assert sum(runs) == 21_000
+    assert len(runs) == ctrl.refresh_engine.stats.ref_commands + 1
 
 
 def test_para_block_draws_are_the_scalar_sequence():

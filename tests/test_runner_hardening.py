@@ -81,6 +81,13 @@ class TestClassification:
         assert ends[0].fields["ok"] is False
 
 
+class TestSweepArguments:
+    @pytest.mark.parametrize("seeds", [0, -2])
+    def test_fewer_than_one_seed_is_rejected(self, seeds):
+        with pytest.raises(ValueError, match="a sweep needs 'seeds' >= 1"):
+            ExperimentRunner().sweep("twostep_study", seeds=seeds)
+
+
 class TestTimeouts:
     def test_call_with_deadline_passthrough(self):
         assert call_with_deadline(lambda: 42, None) == 42

@@ -95,6 +95,8 @@ class TestJobSpec:
         ({"name": PROBE, "params": [1]}, "'params' must be an object"),
         ({"name": PROBE, "kind": "cron"}, "unknown job kind"),
         ({"name": PROBE, "kind": "sweep"}, "needs 'seeds'"),
+        ({"name": PROBE, "seeds": 0}, "needs 'seeds'"),
+        ({"name": PROBE, "seeds": -2}, "needs 'seeds'"),
         ({"name": "para_reliability", "seeds": 4}, "takes no seed"),
         ({"name": PROBE, "timeout_s": 0}, "must be positive"),
         ({"name": PROBE, "retries": 1}, "unknown field"),
