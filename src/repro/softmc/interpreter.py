@@ -5,6 +5,10 @@ interpreter gives the experimenter raw command control: auto-refresh
 only happens when the program says ``REF``, exactly as the FPGA
 infrastructure bypasses the host controller.  This is what makes
 refresh-paused retention tests and maximum-rate hammering expressible.
+
+A ``LOOP`` whose body holds only ACT and PRE on one bank runs as bank
+activation runs, with the same times, flips and trace as its
+per-command form; every other loop runs its body once per iteration.
 """
 
 from __future__ import annotations
@@ -19,8 +23,12 @@ from repro.dram.datapatterns import pattern_bits
 from repro.dram.module import DramModule
 from repro.retention.population import sample_retention_s
 from repro.sanitizer import runtime as sanit
-from repro.softmc.program import DramProgram, Opcode
+from repro.softmc.program import DramProgram, Instruction, Opcode
 from repro.utils.rng import derive_rng
+
+#: Commands per ``activate_run`` call of a looped hammer: bounds the
+#: interpreter's own arrays, however long the loop.
+_BLOCK = 2048
 
 
 @dataclass
@@ -132,8 +140,66 @@ class SoftMcInterpreter:
                 if self.retention_params is not None:
                     self._apply_retention_decay(ins.ns, written, waited)
             elif op is Opcode.LOOP:
-                for _ in range(ins.count):
-                    self._execute(ins.body, result, written, waited)
+                if not self._run_loop(ins, result, waited):
+                    for _ in range(ins.count):
+                        self._execute(ins.body, result, written, waited)
+
+    def _run_loop(self, loop: Instruction, result, waited) -> bool:
+        """Run ``loop`` as activation runs if its body holds only ACT and
+        PRE on one in-range bank and in-range rows.
+
+        Return False, with nothing done, for any other loop: the
+        per-command path then raises what it raises, after the same
+        activations.
+        """
+        body = loop.body
+        if not body or any(ins.opcode is not Opcode.ACT and ins.opcode is not Opcode.PRE
+                           for ins in body):
+            return False
+        geometry = self.module.geometry
+        banks = {ins.bank for ins in body}
+        rows = {ins.row for ins in body if ins.opcode is Opcode.ACT}
+        if len(banks) > 1 or not all(0 <= b < geometry.banks for b in banks) \
+                or not all(0 <= row < geometry.rows for row in rows):
+            return False
+        if not loop.count:
+            return True
+        (index,) = banks
+        self._activate_runs(index, body, rows, loop.count, result)
+        if body[-1].opcode is Opcode.PRE:
+            self.module.precharge(index)
+        for row in rows:
+            waited.pop((index, row), None)
+        commands = result.commands
+        for ins in body:
+            name = ins.opcode.value
+            commands[name] = commands.get(name, 0) + loop.count
+        return True
+
+    def _activate_runs(self, index: int, body, rows, count: int, result) -> None:
+        """Issue ``count`` passes of ``body`` (ACT/PRE on bank ``index``,
+        activating ``rows``) from ``result.cycles_ns`` and advance it,
+        in blocks of at most ``_BLOCK`` commands."""
+        module = self.module
+        timing = module.timing
+        bank = module.bank(index)
+        physical = {row: module.remapper.to_physical(row) for row in rows}
+        is_act = np.array([ins.opcode is Opcode.ACT for ins in body])
+        body_rows = np.array([physical[ins.row] if act else -1
+                              for ins, act in zip(body, is_act)], dtype=np.int64)
+        steps = np.where(is_act, timing.tRAS, timing.tRP).astype(np.float64)
+        total = count * len(body)
+        t = result.cycles_ns
+        for start in range(0, total, _BLOCK):
+            at = np.arange(start, min(start + _BLOCK, total)) % len(body)
+            # Left-to-right fold: the same float additions as ``+=``.
+            folded = np.add.accumulate(np.concatenate(([t], steps[at])))
+            acts = is_act[at]
+            if acts.any():
+                bank.activate_run(body_rows[at][acts].tolist(),
+                                  folded[:-1][acts].tolist())
+            t = float(folded[-1])
+        result.cycles_ns = t
 
     def _apply_retention_decay(self, wait_ns: float, written: Dict, waited: Dict) -> None:
         """Flip charged cells whose retention is shorter than the

@@ -7,7 +7,8 @@ The columnar engine defers scalar activations into pending runs and
 commits each run at once, while the reference engine applies every
 command as it arrives.  The same seeded activation pattern and
 attacker-mixed trace run under each mitigation, a RAIDR-binned
-controller, the CPU's CLFLUSH hammer loop and a SoftMC hammer program;
+controller, the CPU's CLFLUSH hammer loop and SoftMC hammer programs
+(uninterrupted, split by refresh, and before a retention WAIT);
 flip logs (full provenance, floats exact), controller time,
 mitigation refresh counts and controller statistics must all agree, and
 so must the physics layer's heat map, flip provenance and mitigation
@@ -54,8 +55,9 @@ from repro.cpu import system as cpu_system
 from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
 from repro.dram.differential import ReferenceModule
 from repro.dram.timing import DDR3_1333
+from repro.retention.params import RetentionParams
 from repro.softmc.interpreter import SoftMcInterpreter
-from repro.softmc.program import hammer_program
+from repro.softmc.program import DramProgram, hammer_program
 from repro.telemetry import (
     MetricsRegistry,
     PhysicsCollector,
@@ -211,6 +213,48 @@ def test_softmc_hammer_program_agrees():
                          flip_logs(module)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1], "the program must read back flipped victims"
+
+
+def split_by_refresh_program():
+    """The SoftMC example's interrupted hammer: an ACT/PRE loop, a loop
+    of REFs over every row, then the same ACT/PRE loop."""
+    program = DramProgram("hammer-with-ref").wr(0, VICTIM, "rowstripe")
+    program.loop(ITERATIONS).act(0, VICTIM - 1).pre(0).act(0, VICTIM + 1).pre(0).end_loop()
+    program.loop(GEO.rows).ref().end_loop()
+    program.loop(ITERATIONS).act(0, VICTIM - 1).pre(0).act(0, VICTIM + 1).pre(0).end_loop()
+    return program.rd(0, VICTIM)
+
+
+def hammer_then_wait_program():
+    """A retention test whose rows are hammered before the WAIT."""
+    rows = list(range(VICTIM - 8, VICTIM + 9))
+    program = DramProgram("hammer-then-wait")
+    for row in rows:
+        program.wr(0, row)
+    program.loop(ITERATIONS).act(0, VICTIM - 1).pre(0).act(0, VICTIM + 1).pre(0).end_loop()
+    program.wait(2e9)
+    for row in rows:
+        program.rd(0, row)
+    return program
+
+
+@pytest.mark.parametrize("make_program", [split_by_refresh_program,
+                                          hammer_then_wait_program])
+def test_interrupted_softmc_loops_agree(make_program):
+    """SoftMC hammer loops between REFs, and before a retention WAIT,
+    agree across engines."""
+    outcomes = []
+    for engine in ENGINES:
+        module = make_module(engine, serial="softmc")
+        interpreter = SoftMcInterpreter(
+            module, retention_params=RetentionParams(tail_fraction=2e-3))
+        result = interpreter.run(make_program())
+        outcomes.append((result.cycles_ns, result.mismatches, result.commands,
+                         [(loc, bits.tobytes()) for loc, bits in result.reads],
+                         flip_logs(module),
+                         [b.stats.refreshes for b in module.banks]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1], "the program must read back flipped rows"
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Tests for the SoftMC-style test-program substrate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dram import DramGeometry, DramModule, VulnerabilityProfile
+from repro.dram import DramGeometry, DramModule, VulnerabilityProfile, differential
+from repro.dram.differential import ReferenceModule
 from repro.dram.timing import DDR3_1333
+from repro.retention.params import RetentionParams
 from repro.softmc import (
     Opcode,
     SoftMcInterpreter,
@@ -12,6 +18,10 @@ from repro.softmc import (
     hammer_program,
     retention_program,
 )
+from repro.softmc.interpreter import _BLOCK
+from repro.softmc.program import Instruction
+from repro.telemetry import runtime as telem
+from repro.telemetry.trace import TraceRecorder
 
 GEO = DramGeometry(banks=2, rows=256, row_bytes=256)
 PROFILE = VulnerabilityProfile(weak_cell_density=0.05, hc_first_median=3_000, hc_first_min=800)
@@ -264,6 +274,16 @@ class TestRetentionExecution:
         result = self._interpreter().run(self._waits(reopen))
         assert result.mismatches == self._single_wait(self.HALF).mismatches
 
+    def test_looped_activation_restarts_the_clock(self):
+        def reopen(program):
+            program.loop(2)
+            for row in self.ROWS:
+                program.act(0, row).pre(0)
+            program.end_loop()
+
+        result = self._interpreter().run(self._waits(reopen))
+        assert result.mismatches == self._single_wait(self.HALF).mismatches
+
     def test_clock_is_per_run(self):
         interp = self._interpreter()
         program = retention_program(0, self.ROWS, wait_ns=self.HALF)
@@ -278,3 +298,225 @@ class TestRetentionExecution:
         interp = SoftMcInterpreter(module)
         result = interp.run(retention_program(0, list(range(10, 26)), wait_ns=5e9))
         assert result.total_flips == 0
+
+
+# ----------------------------------------------------------------------
+# ACT/PRE loops run as bank activation runs
+# ----------------------------------------------------------------------
+RETENTION = RetentionParams(tail_fraction=2e-3)
+#: Timings whose sums round, so only the per-command order of float
+#: additions reproduces the per-command clock.
+INEXACT = dataclasses.replace(DDR3_1333, tRAS=35.1, tRP=13.32)
+#: Rows the generated programs write, hammer and read: close enough
+#: that hammer loops flip written victims.
+NEAR = st.integers(94, 110)
+
+
+def act(bank, row):
+    return Instruction(Opcode.ACT, bank=bank, row=row)
+
+
+def pre(bank):
+    return Instruction(Opcode.PRE, bank=bank)
+
+
+def loop(count, *body):
+    # Built directly: the builder's ``loop`` rejects a count of 0.
+    return Instruction(Opcode.LOOP, count=count, body=tuple(body))
+
+
+def unroll(instructions):
+    """``instructions`` with every LOOP expanded: the per-command form."""
+    flat = []
+    for ins in instructions:
+        if ins.opcode is Opcode.LOOP:
+            for _ in range(ins.count):
+                flat += unroll(ins.body)
+        else:
+            flat.append(ins)
+    return flat
+
+
+def pass_length(body):
+    return sum(ins.count * pass_length(ins.body) if ins.opcode is Opcode.LOOP else 1
+               for ins in body)
+
+
+def program_of(instructions):
+    program = DramProgram()
+    program.instructions.extend(instructions)
+    return program
+
+
+@st.composite
+def act_pre_body(draw, bank, nested):
+    """1-4 ACT/PRE commands on ``bank``, often closed by a PRE; with
+    ``nested``, some are inner loops (counts 0-3 or 1100) and an ACT
+    may name the other bank, so the outer loop runs per command."""
+    kinds = ["act", "act", "pre"] + (["loop", "other"] if nested else [])
+    body = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "act":
+            body.append(act(bank, draw(NEAR)))
+        elif kind == "pre":
+            body.append(pre(bank))
+        elif kind == "other":
+            body.append(act(1 - bank, draw(NEAR)))
+        else:
+            count = draw(st.sampled_from([0, 1, 2, 3, 1100]))
+            body.append(loop(count, *draw(act_pre_body(bank, False))))
+    if draw(st.booleans()):
+        body.append(pre(bank))
+    return body
+
+
+@st.composite
+def hammer_loop(draw):
+    """An ACT/PRE loop: a short pass repeats 0, 1 or thousands of
+    times, a long one 0-3 times."""
+    body = draw(act_pre_body(draw(st.sampled_from([0, 0, 1])), True))
+    if pass_length(body) <= 4:
+        count = draw(st.sampled_from([0, 1]) | st.integers(1000, 3000))
+    else:
+        count = draw(st.integers(0, 3))
+    return loop(count, *body)
+
+
+@st.composite
+def softmc_program(draw):
+    """WR of victims; hammer loops, REF, RD and WAIT between them; a
+    REF loop around a hammer loop; read-back of the victims."""
+    victims = draw(st.lists(NEAR, min_size=1, max_size=3, unique=True))
+    patterns = st.sampled_from(["solid1", "rowstripe", "checkered"])
+    program = [Instruction(Opcode.WR, bank=0, row=v, pattern=draw(patterns))
+               for v in victims]
+    step = st.one_of(
+        hammer_loop(), hammer_loop(),
+        st.builds(lambda n: [Instruction(Opcode.REF)] * n, st.integers(1, 3)),
+        st.builds(lambda row: Instruction(Opcode.RD, bank=0, row=row), NEAR),
+        st.builds(lambda ns: Instruction(Opcode.WAIT, ns=ns),
+                  st.sampled_from([1e6, 5e8, 2e9])),
+        st.builds(lambda n, inner: loop(n, inner, Instruction(Opcode.REF)),
+                  st.integers(1, 3), hammer_loop()))
+    for item in draw(st.lists(step, min_size=1, max_size=5)):
+        program += item if isinstance(item, list) else [item]
+    program += [Instruction(Opcode.RD, bank=0, row=v) for v in victims]
+    return program
+
+
+def run_observed(instructions, remap):
+    """Run ``instructions`` on a fresh module under a trace recorder and
+    the full sanitizer: everything the two forms must agree on."""
+    recorder = TraceRecorder(capacity=1 << 17)
+    with telem.observing(trace=recorder, sanitize="full"):
+        module = DramModule(geometry=GEO, timing=INEXACT, profile=PROFILE,
+                            seed=20, remap_scheme=remap)
+        result = SoftMcInterpreter(module, retention_params=RETENTION).run(
+            program_of(instructions))
+        banks = []
+        for bank in module.banks:
+            seen = differential.observe(bank, 0)
+            seen.row_data = {row: bits.tobytes() for row, bits in seen.row_data.items()}
+            banks.append(seen)
+    assert len(recorder) < 1 << 17, "the trace must not spill"
+    return {
+        "cycles_ns": result.cycles_ns,
+        "commands": {k: n for k, n in result.commands.items() if k != "loop"},
+        "reads": [(loc, bits.tobytes()) for loc, bits in result.reads],
+        "mismatches": result.mismatches,
+        "banks": banks,
+        "trace": [(e.kind, e.t, sorted(e.fields.items())) for e in recorder.events()],
+    }
+
+
+class TestLoopRuns:
+    """A LOOP of ACT/PRE on one bank runs as bank activation runs; its
+    oracle is the same program with every loop unrolled, which has no
+    LOOP and so runs one command at a time."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(program=softmc_program(),
+           remap=st.sampled_from(["xor-msb", "block-swap"]))
+    def test_loops_equal_their_unrolled_program(self, program, remap):
+        looped = run_observed(program, remap)
+        assert looped == run_observed(unroll(program), remap)
+
+    def test_the_example_shapes_flip_and_match(self):
+        # Uninterrupted and split-by-refresh hammering, and a retention
+        # program with a hammer loop before its WAIT.
+        hammer = [loop(1500, act(0, 99), pre(0), act(0, 101), pre(0))]
+        programs = [
+            [Instruction(Opcode.WR, bank=0, row=100, pattern="rowstripe"),
+             *hammer, Instruction(Opcode.RD, bank=0, row=100)],
+            [Instruction(Opcode.WR, bank=0, row=100, pattern="rowstripe"),
+             *hammer, loop(GEO.rows, Instruction(Opcode.REF)), *hammer,
+             Instruction(Opcode.RD, bank=0, row=100)],
+            [*(Instruction(Opcode.WR, bank=0, row=r) for r in range(96, 106)),
+             *hammer, Instruction(Opcode.WAIT, ns=2e9),
+             *(Instruction(Opcode.RD, bank=0, row=r) for r in range(96, 106))],
+        ]
+        for instructions in programs:
+            looped = run_observed(instructions, "identity")
+            assert looped["mismatches"]
+            assert looped == run_observed(unroll(instructions), "identity")
+
+    def test_commands_count_every_loop_pass(self):
+        program = [loop(4, act(0, 5), act(0, 7), pre(0)), loop(0, act(0, 9))]
+        result = make_interpreter().run(program_of(program))
+        assert result.commands == {"loop": 2, "act": 8, "pre": 4}
+
+    @pytest.mark.parametrize("last, open_row", [(pre(1), None), (act(1, 102), 102)])
+    def test_a_loop_leaves_its_last_command_open_or_closed(self, last, open_row):
+        # A RD of the row the loop left open activates nothing more.
+        program = [loop(5, act(1, 100), pre(1), last), Instruction(Opcode.RD, bank=1, row=102)]
+        looped = run_observed(program, "identity")
+        assert looped == run_observed(unroll(program), "identity")
+        interp = make_interpreter()
+        interp.run(program_of(program[:1]))
+        assert interp.module.bank(1).open_row == open_row
+
+    @pytest.mark.parametrize("program", [
+        [loop(3000, act(0, 99), pre(0), act(0, 101), pre(0))],
+        [loop(3000, act(0, 99), act(0, 101))],
+    ], ids=["double-sided", "no-pre"])
+    def test_runs_go_out_in_bounded_blocks(self, program, monkeypatch):
+        interp = make_interpreter()
+        bank_class = type(interp.module.bank(0))
+        activate_run = bank_class.activate_run
+        sizes = []
+
+        def counted(self, rows, times):
+            sizes.append(len(rows))
+            return activate_run(self, rows, times)
+
+        monkeypatch.setattr(bank_class, "activate_run", counted)
+        result = interp.run(program_of(program))
+        acts = sum(ins.opcode is Opcode.ACT for ins in unroll(program))
+        assert max(sizes) <= _BLOCK == 2048
+        assert sum(sizes) == acts == result.commands["act"]
+        assert interp.module.total_activations() == acts
+
+
+@pytest.mark.parametrize("engine", [ReferenceModule, DramModule],
+                         ids=["reference", "columnar"])
+@pytest.mark.parametrize("body, error", [
+    ((act(0, 10), pre(0), act(0, GEO.rows + 44), pre(0)),
+     f"row {GEO.rows + 44} out of range [0, {GEO.rows})"),
+    ((act(0, 10), pre(0), act(0, -1)), f"row -1 out of range [0, {GEO.rows})"),
+    ((act(5, 10), pre(5)), f"bank 5 out of range [0, {GEO.banks})"),
+    ((pre(2),), f"bank 2 out of range [0, {GEO.banks})"),
+], ids=["row-past-end", "negative-row", "act-bank", "pre-bank"])
+def test_out_of_range_loop_raises_as_per_command(engine, body, error):
+    """A loop naming an out-of-range row or bank raises what the
+    per-command path raises, after the same activations."""
+    outcomes = []
+    for instructions in ([loop(5, *body)], unroll([loop(5, *body)])):
+        module = engine(geometry=GEO, timing=DDR3_1333, profile=PROFILE, seed=20)
+        with pytest.raises(IndexError) as raised:
+            SoftMcInterpreter(module).run(program_of(instructions))
+        outcomes.append((str(raised.value), module.total_activations(),
+                         [bank.open_row for bank in module.banks],
+                         [list(bank.stats.flip_log) for bank in module.banks]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == error
